@@ -1,8 +1,8 @@
 package tifl
 
-// One testing.B benchmark per table and figure of the paper (see DESIGN.md
-// §4 for the experiment index), plus the ablation benches and
-// microbenchmarks of the hot substrate paths. Each figure bench executes
+// One testing.B benchmark per table and figure of the paper (see
+// docs/ARCHITECTURE.md; `tifl-bench -list` prints the experiment index),
+// plus the ablation benches and microbenchmarks of the hot substrate paths. Each figure bench executes
 // the full experiment pipeline — population build, profiling, tiering, and
 // every policy's training run — at a reduced scale; run cmd/tifl-bench
 // with -full for paper-scale numbers.

@@ -126,25 +126,62 @@ func DenseBytes(n int) int { return 8 + 8*n }
 // reconstruction rec the receiver will decode (delta ≈ rec + residual), and
 // the updated residual for the client to carry into its next round.
 func EncodeDelta(c Codec, delta, residual []float64) (payload []byte, rec, newResidual []float64) {
-	if residual != nil {
-		if len(residual) != len(delta) {
-			panic(fmt.Sprintf("compress: residual length %d != delta length %d", len(residual), len(delta)))
-		}
-		for i, r := range residual {
-			delta[i] += r
-		}
+	rec = make([]float64, len(delta))
+	payload, newResidual = EncodeFeedback(c, delta, residual, rec)
+	return payload, rec, newResidual
+}
+
+// EncodeFeedback is EncodeDelta without the fresh rec slice, for callers
+// that carry their own scratch or never look at the reconstruction: rec is
+// nil, or a len(delta) buffer that receives it — delta itself will do, and
+// then holds the reconstruction instead of the sum on return. An Int8 codec
+// quantizes, reconstructs and takes the residual in one pass per chunk and
+// allocates only the payload; any other Codec goes through its own Encode
+// and Decode, producing the same bytes it always has.
+func EncodeFeedback(c Codec, delta, residual, rec []float64) (payload []byte, newResidual []float64) {
+	if residual != nil && len(residual) != len(delta) {
+		panic(fmt.Sprintf("compress: residual length %d != delta length %d", len(residual), len(delta)))
+	}
+	if rec != nil && len(rec) != len(delta) {
+		panic(fmt.Sprintf("compress: rec length %d != delta length %d", len(rec), len(delta)))
+	}
+	carry := residual
+	if residual == nil {
+		residual = make([]float64, len(delta))
+	}
+	if q, ok := c.(Int8); ok {
+		return q.encode(delta, carry, rec, residual), residual
+	}
+	for i, r := range carry {
+		delta[i] += r
 	}
 	payload = c.Encode(delta)
-	rec, err := c.Decode(payload, len(delta))
+	dec, err := c.Decode(payload, len(delta))
 	if err != nil {
 		panic(fmt.Sprintf("compress: %s cannot decode its own encoding: %v", c.Name(), err))
 	}
-	newResidual = residual
-	if newResidual == nil {
-		newResidual = make([]float64, len(delta))
+	for i := range residual {
+		residual[i] = delta[i] - dec[i]
 	}
-	for i := range newResidual {
-		newResidual[i] = delta[i] - rec[i]
+	copy(rec, dec)
+	return payload, residual
+}
+
+// AddDecoded decodes a payload by wire ID, as DecodePayload does, and
+// returns base + decoded elementwise in one fresh slice — the receiver side
+// of every compressed delta (a worker's uplink against the round's
+// broadcast, a lossy downlink against the held base). base is not mutated;
+// a payload DecodePayload would reject is rejected here with no vector.
+func AddDecoded(id byte, payload []byte, base []float64) ([]float64, error) {
+	if id == IDInt8 {
+		return decodeInt8(payload, len(base), base)
 	}
-	return payload, rec, newResidual
+	out, err := DecodePayload(id, payload, len(base))
+	if err != nil {
+		return nil, err
+	}
+	for i, b := range base {
+		out[i] = b + out[i]
+	}
+	return out, nil
 }

@@ -97,6 +97,7 @@ type Chain struct {
 	d        *Downlink
 	base     []float64
 	residual []float64
+	delta    []float64 // lossy Encode's scratch: the delta in, its reconstruction out
 }
 
 // NewChain returns an empty chain for this downlink mode.
@@ -143,14 +144,17 @@ func (c *Chain) Encode(cur []float64) (payload []byte, id byte) {
 		c.base = append(c.base[:0], cur...)
 		return payload, IDDeltaXOR
 	}
-	delta := make([]float64, len(cur))
+	if cap(c.delta) < len(cur) {
+		c.delta = make([]float64, len(cur))
+	}
+	delta := c.delta[:len(cur)]
 	for i := range delta {
 		delta[i] = cur[i] - c.base[i]
 	}
-	var rec []float64
-	payload, rec, c.residual = EncodeDelta(c.d.Codec, delta, c.residual)
-	for i := range c.base {
-		c.base[i] += rec[i]
+	// rec lands in delta itself: one scratch vector serves both.
+	payload, c.residual = EncodeFeedback(c.d.Codec, delta, c.residual, delta)
+	for i, r := range delta {
+		c.base[i] += r
 	}
 	return payload, c.d.Codec.ID()
 }
@@ -168,21 +172,13 @@ func (c *Chain) Reset() {
 // ApplyDelta is the receiver side of Chain.Encode: it reconstructs the
 // broadcast vector from a delta payload and the locally held base.
 // IDDeltaXOR payloads XOR bit patterns (bit-exact); lossy payloads decode
-// through the shared codec registry and add elementwise. base is not
-// mutated; a fresh slice is returned.
+// and add in one pass through AddDecoded. base is not mutated; a fresh
+// slice is returned.
 func ApplyDelta(id byte, payload []byte, base []float64) ([]float64, error) {
 	if id == IDDeltaXOR {
 		return applyXORDelta(payload, base)
 	}
-	rec, err := DecodePayload(id, payload, len(base))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(base))
-	for i := range out {
-		out[i] = base[i] + rec[i]
-	}
-	return out, nil
+	return AddDecoded(id, payload, base)
 }
 
 // xorDeltaHeader is the fixed prefix of an XOR delta payload: an 8-byte

@@ -60,24 +60,38 @@ func (c Int8) EncodedBytes(n int) int {
 // Encode implements Codec. Layout (little-endian): magic u32, count u32,
 // chunk u32, then per chunk a float32 scale followed by that chunk's int8
 // quantized coordinates.
-func (c Int8) Encode(w []float64) []byte {
+func (c Int8) Encode(w []float64) []byte { return c.encode(w, nil, nil, nil) }
+
+// encode is the one int8 quantizer, and the whole error-feedback step when
+// asked: per chunk it adds the carried error into w in place (carry, when
+// non-nil) while taking max|v| for the scale, writes the codes by index
+// into the pre-sized payload, and — with a non-nil residual — leaves the
+// new encoding error w[i] − q·scale there (and q·scale itself in rec, when
+// the caller wants the reconstruction) while the chunk is still in cache.
+// carry and residual may be the same slice, and so may w and rec (the
+// reconstruction then replaces the input). Every output is bit-equal to
+// add, Encode, Decode, subtract run as four separate passes.
+func (c Int8) encode(w, carry, rec, residual []float64) []byte {
 	chunk := c.chunk()
-	buf := make([]byte, 0, c.EncodedBytes(len(w)))
-	buf = binary.LittleEndian.AppendUint32(buf, int8Magic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(w)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(chunk))
+	buf := make([]byte, c.EncodedBytes(len(w)))
+	binary.LittleEndian.PutUint32(buf[0:], int8Magic)
+	binary.LittleEndian.PutUint32(buf[4:], uint32(len(w)))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(chunk))
+	off := 12
 	for start := 0; start < len(w); start += chunk {
-		end := start + chunk
-		if end > len(w) {
-			end = len(w)
+		v := w[start:min(start+chunk, len(w))]
+		if carry != nil {
+			for i, r := range carry[start : start+len(v)] {
+				v[i] += r
+			}
 		}
 		// Non-finite coordinates (diverged training) are excluded from the
 		// scale and quantized deterministically below — NaN to 0, ±Inf to
 		// the chunk extremes — so encoding never depends on the platform's
 		// float→int conversion of non-finite values.
 		maxAbs := 0.0
-		for _, v := range w[start:end] {
-			if a := math.Abs(v); a > maxAbs && !math.IsInf(a, 1) {
+		for _, x := range v {
+			if a := math.Abs(x); a > maxAbs && a <= math.MaxFloat64 {
 				maxAbs = a
 			}
 		}
@@ -87,22 +101,45 @@ func (c Int8) Encode(w []float64) []byte {
 			maxAbs = math.MaxFloat32
 		}
 		scale := float32(maxAbs / 127)
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(scale))
-		for _, v := range w[start:end] {
-			q := int8(0)
-			if scale > 0 {
-				switch r := math.RoundToEven(v / float64(scale)); {
-				case r > 127: // includes +Inf
-					q = 127
-				case r < -127: // includes -Inf
-					q = -127
-				case math.IsNaN(r):
-					q = 0
-				default:
-					q = int8(r)
+		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(scale))
+		codes := buf[off+4 : off+4+len(v)]
+		off += 4 + len(v)
+		s := float64(scale)
+		if scale > 0 { // an all-zero (or all-non-finite) chunk keeps its zero codes
+			for i, x := range v {
+				// The division and RoundToEven are the wire contract: a
+				// reciprocal multiply rounds differently and changes bytes.
+				r := math.RoundToEven(x / s)
+				if !(math.Abs(r) <= 127) {
+					switch {
+					case r > 127: // includes +Inf
+						r = 127
+					case r < -127: // includes -Inf
+						r = -127
+					default: // NaN
+						r = 0
+					}
 				}
+				codes[i] = byte(int8(r))
 			}
-			buf = append(buf, byte(q))
+		}
+		if residual == nil {
+			continue
+		}
+		res := residual[start : start+len(v)]
+		// The explicit float64 conversions round the product before the
+		// subtraction, so no platform may fuse the two into an FMA.
+		if rec == nil {
+			for i, b := range codes {
+				res[i] = v[i] - float64(float64(int8(b))*s)
+			}
+			continue
+		}
+		out := rec[start : start+len(v)]
+		for i, b := range codes {
+			x, d := float64(float64(int8(b))*s), v[i] // d first: rec may be w itself
+			out[i] = x
+			res[i] = d - x
 		}
 	}
 	return buf
@@ -110,6 +147,15 @@ func (c Int8) Encode(w []float64) []byte {
 
 // Decode implements Codec.
 func (c Int8) Decode(payload []byte, n int) ([]float64, error) {
+	return decodeInt8(payload, n, nil)
+}
+
+// decodeInt8 is the one int8 decoder: it validates the payload and returns
+// base[i] + q·scale per coordinate in a single fresh slice (a nil base
+// yields the bare reconstruction q·scale). Each chunk's scale is checked
+// before any of that chunk's coordinates is written, and a rejected
+// payload returns no vector at all.
+func decodeInt8(payload []byte, n int, base []float64) ([]float64, error) {
 	if len(payload) < 12 {
 		return nil, fmt.Errorf("compress: int8 payload too short (%d bytes)", len(payload))
 	}
@@ -131,22 +177,28 @@ func (c Int8) Decode(payload []byte, n int) ([]float64, error) {
 	out := make([]float64, n)
 	off := 12
 	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
+		dst := out[start:min(start+chunk, n)]
 		scale := math.Float32frombits(binary.LittleEndian.Uint32(payload[off:]))
-		off += 4
+		s := float64(scale)
 		// Reject non-finite scales and scales whose reconstructed values
 		// (up to 127·scale) leave the float32 range — vectors no encoder
 		// could have produced. The bound carries a one-ulp margin because
 		// Encode's clamped float64 scale may round up in float32.
-		if s := float64(scale); math.IsNaN(s) || s < 0 || s > math.MaxFloat32/127*(1+1e-6) {
+		if math.IsNaN(s) || s < 0 || s > math.MaxFloat32/127*(1+1e-6) {
 			return nil, fmt.Errorf("compress: int8 payload scale %v", scale)
 		}
-		for i := start; i < end; i++ {
-			out[i] = float64(int8(payload[off])) * float64(scale)
-			off++
+		codes := payload[off+4 : off+4+len(dst)]
+		off += 4 + len(dst)
+		if base == nil {
+			for i, b := range codes {
+				dst[i] = float64(int8(b)) * s
+			}
+			continue
+		}
+		// As in encode: round the product before the add, never an FMA.
+		from := base[start : start+len(dst)]
+		for i, b := range codes {
+			dst[i] = from[i] + float64(float64(int8(b))*s)
 		}
 	}
 	return out, nil

@@ -4,7 +4,7 @@
 // The paper trains on MNIST, Fashion-MNIST, CIFAR-10 and FEMNIST. Those
 // images are unavailable in this offline reproduction, so we substitute
 // class-conditional Gaussian feature datasets with the same class counts
-// (see DESIGN.md §2): each class has one or more prototype vectors and
+// (see docs/ARCHITECTURE.md): each class has one or more prototype vectors and
 // samples are prototypes plus noise. What the paper's experiments measure —
 // convergence per round, accuracy loss from class-skewed (non-IID) clients,
 // and accuracy loss from data-poor tiers — depends on the *partitioning* of

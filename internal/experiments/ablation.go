@@ -8,11 +8,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// The ablations probe the design choices DESIGN.md calls out: the tiering
-// strategy (the paper's equal-width histogram vs balanced quantiles), the
-// tier count m, the Credits budget of Algorithm 2, and the ChangeProbs
-// temperature. None have a paper counterpart figure; they document how
-// sensitive TiFL's wins are to its knobs.
+// The ablations probe the design choices docs/ARCHITECTURE.md calls out:
+// the tiering strategy (the paper's equal-width histogram vs balanced
+// quantiles), the tier count m, the Credits budget of Algorithm 2, and the
+// ChangeProbs temperature. None have a paper counterpart figure; they
+// document how sensitive TiFL's wins are to its knobs.
 
 // RunAblationTiering compares EqualWidth and Quantile tiering under the
 // uniform policy on the resource-heterogeneity scenario.

@@ -312,10 +312,11 @@ func (e *Engine) TrainClientComm(round int, c *Client, globalWeights []float64, 
 		for i := range delta {
 			delta[i] = weightsOut[i] - globalWeights[i]
 		}
-		payload, rec, residual := compress.EncodeDelta(e.Cfg.Codec, delta, c.residual)
-		c.residual = residual
-		for i := range weightsOut {
-			weightsOut[i] = globalWeights[i] + rec[i]
+		// The reconstruction replaces the delta in its own scratch vector.
+		var payload []byte
+		payload, c.residual = compress.EncodeFeedback(e.Cfg.Codec, delta, c.residual, delta)
+		for i, rec := range delta {
+			weightsOut[i] = globalWeights[i] + rec
 		}
 		wire = len(payload)
 		down := compress.DenseBytes(len(weightsOut))

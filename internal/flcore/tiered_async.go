@@ -548,7 +548,7 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64) {
 		for _, ci := range selected {
 			e.acked[ci] = ackRef{tier: t, ver: e.version}
 		}
-		pulled = append(pulled[:0], ch.Base()...)
+		pulled = ch.Base() // read-only until the round below has trained
 	}
 	updates := make([]Update, len(selected))
 	// The round's cohort is materialized through the source for exactly the

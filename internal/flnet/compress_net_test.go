@@ -201,3 +201,38 @@ func TestCompressedTieredAsyncLoopback(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeUpdateCompressed pins the aggregator's receive path for one
+// int8 update: the reconstruction is broadcast + decode(payload) bit for
+// bit, built in the single vector the Update keeps (no intermediate delta),
+// and a corrupt payload drops the update instead of yielding a partial one.
+func TestDecodeUpdateCompressed(t *testing.T) {
+	const n = 3000
+	codec := compress.NewInt8(0)
+	weights, delta := initVec(n), make([]float64, n)
+	for i := range delta {
+		delta[i] = 1e-3 * float64(i%17-8)
+	}
+	payload, rec, _ := compress.EncodeDelta(codec, delta, nil)
+	w := &registered{codec: codec.ID()}
+	env := &Envelope{Type: MsgCompressedUpdate, CompressedUpdate: &CompressedUpdate{
+		Round: 1, ClientID: 4, NumSamples: 9, Codec: codec.ID(), Payload: payload,
+	}}
+	u, ok := decodeUpdate(w, env, weights)
+	if !ok || u.ClientID != 4 || u.NumSamples != 9 || u.WireBytes != len(payload) || len(u.Weights) != n {
+		t.Fatalf("decoded update = %+v, ok %v", u, ok)
+	}
+	for i := range weights {
+		if want := weights[i] + rec[i]; math.Float64bits(u.Weights[i]) != math.Float64bits(want) {
+			t.Fatalf("weights[%d] = %v, want %v", i, u.Weights[i], want)
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() { decodeUpdate(w, env, weights) }); got != 1 {
+		t.Errorf("decodeUpdate allocates %v times per int8 update, want 1", got)
+	}
+	payload[12+2] |= 0x7F // first chunk's scale becomes NaN/huge
+	payload[12+3] |= 0x7F
+	if _, ok := decodeUpdate(w, env, weights); ok {
+		t.Fatal("corrupt int8 update must be rejected")
+	}
+}

@@ -25,6 +25,34 @@ func echoTrain(delta float64, n int, sleep time.Duration) TrainFunc {
 	}
 }
 
+// trainGate makes a schedule with instant training deterministic: on a
+// 2-core box one tier's loop can take every global commit before another
+// tier's loop is first scheduled. Workers wrapped by hold block in Train
+// until the worker wrapped by openFrom is asked for the given round —
+// proof that its tier's earlier rounds have committed. No sleeps involved.
+type trainGate struct {
+	open chan struct{}
+	once sync.Once
+}
+
+func newTrainGate() *trainGate { return &trainGate{open: make(chan struct{})} }
+
+func (g *trainGate) hold(train TrainFunc) TrainFunc {
+	return func(round int, weights []float64) ([]float64, int, error) {
+		<-g.open
+		return train(round, weights)
+	}
+}
+
+func (g *trainGate) openFrom(from int, train TrainFunc) TrainFunc {
+	return func(round int, weights []float64) ([]float64, int, error) {
+		if round >= from {
+			g.once.Do(func() { close(g.open) })
+		}
+		return train(round, weights)
+	}
+}
+
 // startWorkers launches workers in goroutines and returns a wait function.
 func startWorkers(t *testing.T, addr string, cfgs []WorkerConfig) func() {
 	t.Helper()

@@ -568,13 +568,9 @@ func decodeUpdate(w *registered, env *Envelope, weights []float64) (flcore.Updat
 		if !w.acceptsCodec(cu.Codec) {
 			return flcore.Update{}, false
 		}
-		delta, err := compress.DecodePayload(cu.Codec, cu.Payload, len(weights))
+		rec, err := compress.AddDecoded(cu.Codec, cu.Payload, weights)
 		if err != nil {
 			return flcore.Update{}, false
-		}
-		rec := make([]float64, len(weights))
-		for i := range rec {
-			rec[i] = weights[i] + delta[i]
 		}
 		return flcore.Update{
 			ClientID: cu.ClientID, Weights: rec,

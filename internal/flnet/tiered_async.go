@@ -933,7 +933,9 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 		}
 		dl.seq++
 		dlVer = dl.seq
-		weights = append([]float64(nil), dl.chain.Base()...)
+		// The chain's own base, read-only: nothing advances the chain again
+		// before this round's last reader (collect) has returned.
+		weights = dl.chain.Base()
 	}
 	start := time.Now()
 	var reqs []*trainReq

@@ -156,16 +156,23 @@ func TestTieredAsyncNetToleratesDisconnect(t *testing.T) {
 	}
 	defer agg.Close()
 	// Tiers {0,1}, {2,3}, {4,5}; worker 3 dies on its tier's round 1.
+	// Tiers 0 and 2 are held (see trainGate) until worker 2 is asked for
+	// tier round 2 — by then tier 1's rounds 0 (full) and 1 (solo survivor)
+	// have both committed, whoever the scheduler favours.
 	tiers := [][]int{{0, 1}, {2, 3}, {4, 5}}
+	gate := newTrainGate()
 	for id := 0; id < 6; id++ {
-		train := echoTrain(1, 1, 0)
-		if id == 3 {
-			inner := train
+		echo := echoTrain(1, 1, 0)
+		train := gate.hold(echo)
+		switch id {
+		case 2:
+			train = gate.openFrom(2, echo)
+		case 3:
 			train = func(round int, weights []float64) ([]float64, int, error) {
 				if round >= 1 {
 					return nil, 0, fmt.Errorf("synthetic mid-round death")
 				}
-				return inner(round, weights)
+				return echo(round, weights)
 			}
 		}
 		go RunWorker(agg.Addr(), WorkerConfig{ClientID: id, NumSamples: 1, Train: train}) //nolint:errcheck

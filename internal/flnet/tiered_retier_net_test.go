@@ -220,18 +220,26 @@ func TestTieredAsyncNetWorkerDeathDuringReassign(t *testing.T) {
 	// Worker 1 reports 40 s rounds, so the rebuild at version 3 migrates
 	// it into the slow tier — and its training dies from round 4 on,
 	// landing the death right at the reassignment window.
+	//
+	// The slow tier {2,3} is held (see trainGate) until worker 0 is asked for
+	// round 1, i.e. until the fast tier's round 0 — and with it worker 1's
+	// 40 s observation — has committed, ahead of the rebuild at version 3.
 	reported := []float64{1, 40, 10, 11}
 	var sawReassign atomic.Int32
+	gate := newTrainGate()
 	for id := 0; id < 4; id++ {
 		id := id
-		train := echoTrain(1, 1, 0)
-		if id == 1 {
-			inner := train
+		echo := echoTrain(1, 1, 0)
+		train := gate.hold(echo)
+		switch id {
+		case 0:
+			train = gate.openFrom(1, echo)
+		case 1:
 			train = func(round int, weights []float64) ([]float64, int, error) {
 				if round >= 4 {
 					return nil, 0, fmt.Errorf("synthetic death during reassign")
 				}
-				return inner(round, weights)
+				return echo(round, weights)
 			}
 		}
 		go RunWorker(agg.Addr(), WorkerConfig{ //nolint:errcheck

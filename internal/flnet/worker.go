@@ -201,6 +201,7 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 		return false, err
 	}
 	var residual []float64 // error-feedback state across compressed rounds
+	var delta []float64    // uplink delta scratch, reused every round
 	// Delta-downlink base: the last versioned broadcast this worker
 	// received (Train.Version value; 0 = none yet). The aggregator only
 	// sends a delta whose DeltaBase matches dlVer after seeing this
@@ -261,12 +262,15 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 				if len(w) != len(tw) {
 					return progressed, fatalf("flnet: worker %d round %d: trained %d weights from %d", cfg.ClientID, env.Train.Round, len(w), len(tw))
 				}
-				delta := make([]float64, len(w))
+				if cap(delta) < len(w) {
+					delta = make([]float64, len(w))
+				}
+				delta = delta[:len(w)]
 				for i := range delta {
 					delta[i] = w[i] - tw[i]
 				}
 				var payload []byte
-				payload, _, residual = compress.EncodeDelta(codec, delta, residual)
+				payload, residual = compress.EncodeFeedback(codec, delta, residual, nil)
 				up := &CompressedUpdate{
 					Round: env.Train.Round, ClientID: cfg.ClientID,
 					Codec: codec.ID(), Payload: payload, NumSamples: n,

@@ -12,8 +12,8 @@
 //
 // This is the honest-but-curious core only: the full protocol's key
 // agreement, secret sharing for dropout recovery, and signatures are out of
-// scope (DESIGN.md §6), but the aggregation algebra — the part TiFL must
-// remain compatible with — is real and tested.
+// scope (docs/ARCHITECTURE.md), but the aggregation algebra — the part TiFL
+// must remain compatible with — is real and tested.
 package secagg
 
 import (
