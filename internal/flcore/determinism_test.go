@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -68,5 +69,40 @@ func TestParallelMatchesSequentialByteForByte(t *testing.T) {
 		}
 		t.Fatalf("parallel run diverges from sequential at byte %d:\nseq: %.80s\npar: %.80s",
 			i, sb[max(0, i-40):], pb[max(0, i-40):])
+	}
+}
+
+// TestCohortWorkers pins when a cohort fans out: never without Parallel, not
+// for a cohort whose estimated work is under cohortParallelWork, and never on
+// more goroutines than it has clients or the process has Ps.
+func TestCohortWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cohort := func(n, samples int) []*Client {
+		d := dataset.Generate(dataset.CIFAR10Like, samples, 1)
+		out := make([]*Client, n)
+		for i := range out {
+			out[i] = &Client{ID: i, Train: d}
+		}
+		return out
+	}
+	cases := []struct {
+		name            string
+		parallel        bool
+		n, samples, dim int
+		epochs, want    int
+	}{
+		{"sequential engine", false, 5, 100, 1898, 1, 1},
+		{"1-sample logistic stub", true, 5, 1, 490, 1, 1},
+		{"just under the threshold", true, 5, 9, 485, 1, 1},
+		{"just over the threshold", true, 5, 9, 486, 1, 4},
+		{"epochs count as work", true, 5, 1, 490, 9, 4},
+		{"small MLP, 100-sample shards", true, 5, 100, 1898, 1, 4},
+		{"cohort smaller than GOMAXPROCS", true, 2, 100, 1898, 1, 2},
+	}
+	for _, tc := range cases {
+		e := &Engine{Cfg: Config{Parallel: tc.parallel, LocalEpochs: tc.epochs}}
+		if got := e.cohortWorkers(cohort(tc.n, tc.samples), tc.dim); got != tc.want {
+			t.Errorf("%s: %d workers, want %d", tc.name, got, tc.want)
+		}
 	}
 }

@@ -142,8 +142,8 @@ func (fx *eqFixture) manager(t *testing.T, retierEvery int, adaptive bool) *tier
 
 // sameTieredResults asserts byte-identity of everything a tiered-async run
 // reports: the commit log, per-tier counters, retier/migration totals,
-// uplink accounting, the evaluation history (bit-compared, NaN-tolerant),
-// and the final weight vector.
+// uplink and downlink accounting, the evaluation history (bit-compared,
+// NaN-tolerant), and the final weight vector.
 func sameTieredResults(t *testing.T, a, b *flcore.TieredAsyncResult) {
 	t.Helper()
 	if len(a.TierRounds) == 0 {
@@ -164,8 +164,8 @@ func sameTieredResults(t *testing.T, a, b *flcore.TieredAsyncResult) {
 	if a.Retiers != b.Retiers || a.Migrations != b.Migrations {
 		t.Fatalf("retier totals differ: %d/%d vs %d/%d", a.Retiers, a.Migrations, b.Retiers, b.Migrations)
 	}
-	if a.UplinkBytes != b.UplinkBytes {
-		t.Fatalf("uplink bytes differ: %d vs %d", a.UplinkBytes, b.UplinkBytes)
+	if a.UplinkBytes != b.UplinkBytes || a.DownlinkBytes != b.DownlinkBytes {
+		t.Fatalf("uplink/downlink bytes differ: %d/%d vs %d/%d", a.UplinkBytes, a.DownlinkBytes, b.UplinkBytes, b.DownlinkBytes)
 	}
 	if len(a.History) != len(b.History) {
 		t.Fatalf("history lengths differ: %d vs %d", len(a.History), len(b.History))

@@ -97,6 +97,17 @@ type CommObserver interface {
 type TierWeightFunc func(tier int, commits []int) float64
 
 // TieredAsyncConfig configures a tiered-asynchronous run.
+//
+// A tier round's cohort trains concurrently, on min(GOMAXPROCS,
+// ClientsPerRound) goroutines (one, for cohorts with next to no training
+// to do). The result does not depend on that count:
+// each client's pass is keyed on (Seed, tier round, client) and touches no
+// state another client's pass writes, and the round is aggregated and
+// accounted afterwards in selection order. In exchange Model, Optimizer,
+// Latency and the clients' Drift functions must be safe for concurrent
+// calls — the contract Config.Parallel states for the synchronous engine.
+// Manager, TierWeight, OnCommit and OnCheckpoint are only ever called from
+// the goroutine that called Run.
 type TieredAsyncConfig struct {
 	// Duration is the simulated training time budget in seconds.
 	Duration float64
@@ -320,6 +331,10 @@ type TieredAsyncEngine struct {
 	downVers   []int
 	acked      map[int]ackRef
 
+	// dispatch's per-round staging, resliced every tier round.
+	downs    []int64
+	acquired []*Client
+
 	// tierTest caches the per-tier pooled evaluation shards for adaptive
 	// accuracy feedback; rebuilt lazily when membership changes.
 	tierTest      []*dataset.Dataset
@@ -410,6 +425,8 @@ func NewTieredAsyncEngineFrom(cfg TieredAsyncConfig, tiers [][]int, src ClientSo
 		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
 		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
 		Codec: cfg.Codec,
+		// A tier round is |C| clients training at the same time.
+		Parallel: true,
 	}
 	e := &TieredAsyncEngine{
 		Cfg:      cfg,
@@ -483,9 +500,11 @@ func TierCohort(seed int64, tierRound, tier int, members []int, want int) []int 
 // dispatch runs tier t's next synchronous mini-round from the current
 // global model and queues its completion event. The round's clients are
 // drawn with an rng keyed on (Seed, tier round, tier), and each client's
-// local pass is keyed on (Seed, tier round, client) via Engine.TrainClient,
-// so dispatch order cannot perturb results.
-func (e *TieredAsyncEngine) dispatch(t int, now float64) {
+// local pass is keyed on (Seed, tier round, client), so neither dispatch
+// order nor how many goroutines Engine.trainCohort trains the cohort on can
+// perturb results. run is the tier's just-committed round, whose buffers
+// the new round takes over (nil on a tier's first dispatch).
+func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
 	draw := func() (int, []int) {
 		r := e.rounds[t]
 		e.rounds[t]++
@@ -519,7 +538,9 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64) {
 			return
 		}
 	}
-	pulled := append([]float64(nil), e.weights...)
+	// The round trains straight from the global vector: nothing commits
+	// until dispatch has returned, so the pull needs no copy.
+	pulled := e.weights
 	// Downlink charging: every client is charged a dense snapshot unless
 	// the tier's delta chain covers it — the chain advances exactly once
 	// per round (shared payload, the O(1)-per-round encode), clients whose
@@ -527,10 +548,12 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64) {
 	// and the round then trains from the chain's post-round base so lossy
 	// broadcasts affect the model here exactly as they do over sockets.
 	dense := int64(compress.DenseBytes(len(pulled)))
-	downs := make([]int64, len(selected))
+	e.downs = grow(e.downs, len(selected))
+	downs := e.downs
 	for i := range downs {
 		downs[i] = dense
 	}
+	var charged []int64 // nil keeps the dense run on its historical latency path
 	if e.Cfg.Downlink != nil {
 		ch := e.downChains[t]
 		if !ch.HasBase() {
@@ -549,44 +572,43 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64) {
 			e.acked[ci] = ackRef{tier: t, ver: e.version}
 		}
 		pulled = ch.Base() // read-only until the round below has trained
+		charged = downs
 	}
-	updates := make([]Update, len(selected))
 	// The round's cohort is materialized through the source for exactly the
 	// span of its local training: acquire everyone (so the round is a unit
 	// of client-state lifetime), train, aggregate, release. With a lazy
 	// source this is THE memory bound of a population-scale run — at most
-	// one cohort of client state is ever resident.
-	acquired := make([]*Client, len(selected))
+	// one cohort of client state is ever resident. Acquire and Release stay
+	// on this goroutine, in selection order; only the training between them
+	// fans out.
+	e.acquired = grow(e.acquired, len(selected))
+	acquired := e.acquired
 	for i, ci := range selected {
 		acquired[i] = e.src.Acquire(ci)
 	}
-	for i, c := range acquired {
-		if e.Cfg.Downlink != nil {
-			updates[i] = e.eng.TrainClientComm(r, c, pulled, int(downs[i]))
-		} else {
-			updates[i] = e.eng.TrainClientOn(r, c, pulled)
-		}
+	updates := e.eng.trainCohort(r, acquired, pulled, charged)
+	if run == nil {
+		run = &tierRun{}
 	}
-	agg := FedAvg(updates)
-	for _, c := range acquired {
+	run.weights = grow(run.weights, len(pulled))
+	FedAvgInto(run.weights, updates)
+	for i, c := range acquired {
 		e.src.Release(c)
+		acquired[i] = nil // a lazy client's shard must not outlive its round
 	}
 	lat := MaxLatency(updates)
-	lats := make([]float64, len(updates))
-	bytesPer := make([]int64, len(updates))
-	var upBytes, downBytes int64
+	run.lats = grow(run.lats, len(updates))
+	run.bytes = grow(run.bytes, len(updates))
+	run.upBytes, run.downBytes = 0, 0
 	for i, u := range updates {
-		upBytes += int64(u.WireBytes)
-		downBytes += downs[i]
-		bytesPer[i] = downs[i] + int64(u.WireBytes)
-		lats[i] = u.Latency
+		run.upBytes += int64(u.WireBytes)
+		run.downBytes += downs[i]
+		run.bytes[i] = downs[i] + int64(u.WireBytes)
+		run.lats[i] = u.Latency
 	}
-	heap.Push(&e.pending, &tierRun{
-		tier: t, tierRound: r, pulledVer: e.version,
-		finish: now + lat, selected: selected,
-		weights: agg, latency: lat, lats: lats, upBytes: upBytes,
-		downBytes: downBytes, bytes: bytesPer,
-	})
+	run.tier, run.tierRound, run.pulledVer = t, r, e.version
+	run.finish, run.latency, run.selected = now+lat, lat, selected
+	heap.Push(&e.pending, run)
 }
 
 // churnFilter drops a round's flapped clients: each coin models the member
@@ -674,7 +696,7 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 	if !e.resumed {
 		heap.Init(&e.pending)
 		for t := range e.Tiers {
-			e.dispatch(t, 0)
+			e.dispatch(t, 0, nil)
 		}
 	}
 
@@ -753,7 +775,7 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 		if e.Cfg.OnCommit != nil {
 			e.Cfg.OnCommit(rec)
 		}
-		e.dispatch(run.tier, now)
+		e.dispatch(run.tier, now, run)
 		// The snapshot point: the commit is applied, the Manager fed, and
 		// the committing tier re-dispatched, so the heap holds every
 		// in-flight round and the checkpoint is a clean between-commits cut.

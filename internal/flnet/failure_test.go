@@ -2,8 +2,11 @@ package flnet
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
+
+	"repro/internal/nn"
 )
 
 // Failure-path coverage for the aggregator's round collection: a worker
@@ -89,5 +92,95 @@ func TestCollectTimeoutWithOverselection(t *testing.T) {
 	}
 	if res.Weights[0] != 1 {
 		t.Fatalf("weights = %v, want the fast worker's update", res.Weights)
+	}
+}
+
+// TestMalformedDenseUpdateDropped: a worker answering with a dense update
+// that is not a vector of the model's length is dropped like a disconnected
+// one — the round commits from the healthy workers instead of panicking in
+// FedAvg.
+func TestMalformedDenseUpdateDropped(t *testing.T) {
+	cases := []struct {
+		name string
+		// malform builds the bad worker's reply from the round's broadcast.
+		malform func(w []float64, up *Update)
+	}{
+		{"short Weights", func(w []float64, up *Update) { up.Weights = w[:len(w)-1] }},
+		{"long Weights", func(w []float64, up *Update) { up.Weights = append(append([]float64(nil), w...), 0) }},
+		{"Raw with a wrong count", func(w []float64, up *Update) { up.Raw = nn.EncodeWeights(w[:len(w)-1]) }},
+		{"truncated Raw", func(w []float64, up *Update) { raw := nn.EncodeWeights(w); up.Raw = raw[:len(raw)-3] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			agg, err := NewAggregator("127.0.0.1:0", AggregatorConfig{
+				Rounds: 1, ClientsPerRound: 3, InitialWeights: []float64{0, 0, 0}, Seed: 20,
+				RoundTimeout: 5 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agg.Close()
+			go RunWorker(agg.Addr(), WorkerConfig{ClientID: 0, NumSamples: 1, Train: echoTrain(1, 1, 0)}) //nolint:errcheck
+			go RunWorker(agg.Addr(), WorkerConfig{ClientID: 1, NumSamples: 1, Train: echoTrain(3, 1, 0)}) //nolint:errcheck
+
+			// The malformed worker is hand-rolled: RunWorker refuses to send
+			// an update of the wrong length.
+			bad := make(chan error, 1)
+			go func() {
+				raw, err := net.Dial("tcp", agg.Addr())
+				if err != nil {
+					bad <- err
+					return
+				}
+				c := newConn(raw)
+				defer c.close() //nolint:errcheck // test shutdown
+				if err := c.send(&Envelope{Type: MsgRegister, Register: &Register{ClientID: 2, NumSamples: 1}}); err != nil {
+					bad <- err
+					return
+				}
+				for {
+					env, err := c.recv(10 * time.Second)
+					if err != nil {
+						bad <- err
+						return
+					}
+					if env.Type != MsgTrain {
+						bad <- nil // MsgDone: the run finished without this worker
+						return
+					}
+					w, err := env.Train.roundWeights()
+					if err != nil {
+						bad <- err
+						return
+					}
+					up := &Update{Round: env.Train.Round, ClientID: 2, NumSamples: 1}
+					tc.malform(w, up)
+					if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
+						bad <- err
+						return
+					}
+				}
+			}()
+
+			if err := agg.WaitForWorkers(3, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			res, err := agg.Run(UniformSelect(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-bad; err != nil {
+				t.Fatalf("malformed worker: %v", err)
+			}
+			if res.Rounds[0].Selected != 3 || res.Rounds[0].Used != 2 {
+				t.Fatalf("stats = %+v, want 2 of 3 updates", res.Rounds[0])
+			}
+			// FedAvg over the healthy echo(+1) and echo(+3) workers.
+			for i, v := range res.Weights {
+				if v != 2 {
+					t.Fatalf("weights[%d] = %v, want 2 (%v)", i, v, res.Weights)
+				}
+			}
+		})
 	}
 }

@@ -27,9 +27,11 @@ func echoTrain(delta float64, n int, sleep time.Duration) TrainFunc {
 
 // trainGate makes a schedule with instant training deterministic: on a
 // 2-core box one tier's loop can take every global commit before another
-// tier's loop is first scheduled. Workers wrapped by hold block in Train
-// until the worker wrapped by openFrom is asked for the given round —
-// proof that its tier's earlier rounds have committed. No sleeps involved.
+// tier's loop is first scheduled. Workers wrapped by hold (or holdFrom, from
+// a given round on) block in Train until the gate is released — by the
+// worker wrapped by openFrom being asked for the given round, proof that
+// its tier's earlier rounds have committed, or by a test's own release
+// call. No sleeps involved.
 type trainGate struct {
 	open chan struct{}
 	once sync.Once
@@ -37,9 +39,15 @@ type trainGate struct {
 
 func newTrainGate() *trainGate { return &trainGate{open: make(chan struct{})} }
 
-func (g *trainGate) hold(train TrainFunc) TrainFunc {
+func (g *trainGate) release() { g.once.Do(func() { close(g.open) }) }
+
+func (g *trainGate) hold(train TrainFunc) TrainFunc { return g.holdFrom(0, train) }
+
+func (g *trainGate) holdFrom(from int, train TrainFunc) TrainFunc {
 	return func(round int, weights []float64) ([]float64, int, error) {
-		<-g.open
+		if round >= from {
+			<-g.open
+		}
 		return train(round, weights)
 	}
 }
@@ -47,7 +55,7 @@ func (g *trainGate) hold(train TrainFunc) TrainFunc {
 func (g *trainGate) openFrom(from int, train TrainFunc) TrainFunc {
 	return func(round int, weights []float64) ([]float64, int, error) {
 		if round >= from {
-			g.once.Do(func() { close(g.open) })
+			g.release()
 		}
 		return train(round, weights)
 	}

@@ -538,9 +538,9 @@ func (a *Aggregator) Run(sel SelectFunc) (*RunResult, error) {
 
 // decodeUpdate converts a worker's update envelope into an aggregatable
 // flcore.Update against the round's broadcast weights. It enforces the
-// handshake codec negotiation; a compressed payload that fails to decode
-// is treated like a dropped worker — one bad update must not kill the
-// round.
+// handshake codec negotiation; a payload that fails to decode to a vector
+// of the model's length — compressed or dense — is treated like a dropped
+// worker: one bad update must not kill the round.
 func decodeUpdate(w *registered, env *Envelope, weights []float64) (flcore.Update, bool) {
 	switch {
 	case env.Type == MsgUpdate && env.Update != nil:
@@ -553,6 +553,11 @@ func decodeUpdate(w *registered, env *Envelope, weights []float64) (flcore.Updat
 				return flcore.Update{}, false
 			}
 			uw = dec
+		}
+		if len(uw) != len(weights) {
+			// A dense update of the wrong length would panic FedAvg; drop it
+			// like any other payload that does not decode to the model.
+			return flcore.Update{}, false
 		}
 		return flcore.Update{
 			ClientID: env.Update.ClientID, Weights: uw,

@@ -360,13 +360,15 @@ func TestTieredAsyncToleratesDeadMemberAtStart(t *testing.T) {
 }
 
 // TestTieredAsyncMalformedCommitErrors pins the loud-failure contract: a
-// worker whose model architecture disagrees with the aggregator's (its
-// updates carry the wrong weight length) must fail the run with an error,
-// not hang forever silently discarding every commit.
+// fleet whose model architecture disagrees with the aggregator's (every
+// update carries the wrong weight length) must fail the run with an error,
+// not hang forever silently discarding every update. Each update is dropped
+// at decode, so the tier's rounds come up empty until it gives up; the short
+// RoundTimeout only bounds those empty collection windows.
 func TestTieredAsyncMalformedCommitErrors(t *testing.T) {
 	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
 		GlobalCommits: 5, ClientsPerRound: 1,
-		RoundTimeout: 2 * time.Second, InitialWeights: []float64{0}, Seed: 8,
+		RoundTimeout: 200 * time.Millisecond, InitialWeights: []float64{0}, Seed: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -466,7 +466,17 @@ func TestTieredAsyncNetCodecRenegotiationOnReassign(t *testing.T) {
 	// it into the slow tier; the reassignment carries the slow tier's
 	// codec. It keeps training afterwards, so post-switch updates arrive
 	// compressed.
+	//
+	// Training is instant, so either tier's loop can take every commit
+	// before the other is scheduled; two gates (see trainGate) make the
+	// interleaving the test's own. The slow tier {2,3} is held until worker
+	// 0 is asked for tier-0 round 1: commit 1 is then tier 0's, and the
+	// version-3 rebuild has worker 1's 40 s report. Worker 0 then holds
+	// tier 0 from its round 3 on — by which time version 3 has passed and
+	// worker 1 has migrated — until worker 1 trains after the codec
+	// switch, so tier 0 cannot run off with the remaining commits.
 	reported := []float64{1, 40, 10, 11}
+	observed, postSwitch := newTrainGate(), newTrainGate()
 	var mu sync.Mutex
 	var specs []string
 	var switched atomic.Bool
@@ -478,7 +488,10 @@ func TestTieredAsyncNetCodecRenegotiationOnReassign(t *testing.T) {
 			Train:         echoTrain(1, 1, 0),
 			ReportSeconds: func(round int) float64 { return reported[id] },
 		}
-		if id == 1 {
+		switch id {
+		case 0:
+			cfg.Train = postSwitch.holdFrom(3, observed.openFrom(1, cfg.Train))
+		case 1:
 			cfg.OnCodecRenegotiate = func(spec string) {
 				mu.Lock()
 				specs = append(specs, spec)
@@ -489,9 +502,12 @@ func TestTieredAsyncNetCodecRenegotiationOnReassign(t *testing.T) {
 			cfg.Train = func(round int, weights []float64) ([]float64, int, error) {
 				if switched.Load() {
 					compressedRounds.Add(1)
+					postSwitch.release()
 				}
 				return inner(round, weights)
 			}
+		default:
+			cfg.Train = observed.hold(cfg.Train)
 		}
 		go RunWorker(agg.Addr(), cfg) //nolint:errcheck
 	}

@@ -310,7 +310,10 @@ func (s *System) tieringManager(o Options, clientsPerRound int, seed int64) (flc
 // tiers advance asynchronously over simulated time, and every committed
 // tier round is mixed into the global model with a staleness-discounted,
 // slower-tier-favoring weight. The system's latency model and FedAT's
-// cross-tier weights are applied when cfg leaves them zero. When the
+// cross-tier weights are applied when cfg leaves them zero. Each tier
+// round's cohort trains concurrently (see flcore.TieredAsyncConfig for why
+// results are independent of the core count and what that asks of the
+// Model and Optimizer factories). When the
 // system's Options enable live tiering (RetierEvery / AdaptiveSelection),
 // a tiering.Manager owns membership for the run: observed latencies feed
 // its EWMA estimates and clients migrate between the tier loops at its
