@@ -28,7 +28,7 @@ const IDDeltaXOR byte = 0
 // A Downlink with a nil Codec is the lossless mode: the delta is the XOR
 // of the float64 bit patterns, DEFLATE-compressed — reconstruction is
 // bit-exact by construction (base XOR (cur XOR base) == cur, no floating
-// point arithmetic involved), which is what lets the lockstep parity
+// point arithmetic involved), which is what lets the scripted-order parity
 // tests compare delta runs byte-for-byte against dense runs. A non-nil
 // Codec quantizes or sparsifies the arithmetic delta cur − base; the
 // encoding error stays on the server as a per-tier error-feedback

@@ -95,40 +95,80 @@ type TieredCheckpoint struct {
 	Residuals map[int][]float64
 }
 
-// Clients returns the sorted set of client indices referenced by the
-// checkpoint's tier membership — the roster a resume expects to find. The
-// socket runtime compares it against the re-registered workers to decide
-// between an exact resume and a re-profiled one.
-func (c *TieredCheckpoint) Clients() []int {
-	var ids []int
-	for _, members := range c.Tiers {
-		ids = append(ids, members...)
+// Validate checks every field the three drivers share against the job
+// about to resume it — the one validation behind the sim's Restore and the
+// socket runtime's Resume, ResumeModel and ResumeTree: format and seed, a
+// finite model of numWeights entries, non-negative counters and cursors,
+// one cursor pair per tier, and a well-formed membership over client IDs
+// below numClients.
+func (c *TieredCheckpoint) Validate(seed int64, numWeights, numClients int) error {
+	switch {
+	case c.Format != TieredCheckpointFormat:
+		return fmt.Errorf("flcore: unknown tiered checkpoint format %d (this build reads format %d)", c.Format, TieredCheckpointFormat)
+	case c.Seed != seed:
+		return fmt.Errorf("flcore: checkpoint seed %d != run seed %d", c.Seed, seed)
+	case len(c.Weights) != numWeights:
+		return fmt.Errorf("flcore: checkpoint has %d weights, model needs %d", len(c.Weights), numWeights)
+	case c.Version < 0:
+		return fmt.Errorf("flcore: checkpoint version %d is negative", c.Version)
+	case c.Retiers < 0 || c.Migrations < 0:
+		return fmt.Errorf("flcore: checkpoint re-tiering totals (%d retiers, %d migrations) are negative", c.Retiers, c.Migrations)
+	case c.UplinkBytes < 0 || c.DownlinkBytes < 0:
+		return fmt.Errorf("flcore: checkpoint traffic totals (%d uplink, %d downlink bytes) are negative", c.UplinkBytes, c.DownlinkBytes)
+	case len(c.Tiers) == 0:
+		return fmt.Errorf("flcore: checkpoint has no tiers")
+	case len(c.Rounds) != len(c.Tiers) || len(c.Commits) != len(c.Tiers):
+		return fmt.Errorf("flcore: checkpoint cursors (%d rounds, %d commits) do not match %d tiers",
+			len(c.Rounds), len(c.Commits), len(c.Tiers))
 	}
-	sort.Ints(ids)
-	return ids
+	for t := range c.Tiers {
+		if c.Rounds[t] < 0 || c.Commits[t] < 0 {
+			return fmt.Errorf("flcore: checkpoint tier %d cursor (round %d, %d commits) is negative", t, c.Rounds[t], c.Commits[t])
+		}
+	}
+	if err := finiteWeights(c.Weights); err != nil {
+		return fmt.Errorf("flcore: checkpoint weights: %w", err)
+	}
+	if err := ValidateTiers(c.Tiers, numClients); err != nil {
+		return fmt.Errorf("flcore: checkpoint tiers: %w", err)
+	}
+	return nil
 }
 
-// Snapshot captures the engine between commits as a TieredCheckpoint. It
+// RestoreManagerState loads a checkpoint's serialized tiering-Manager state
+// into the run's Manager. Manager and checkpoint must agree: resuming a
+// managed run unmanaged (or vice versa) silently changes cohort selection
+// and re-tiering semantics, so either mismatch is an error.
+func RestoreManagerState(mgr TierManager, state []byte) error {
+	if len(state) == 0 {
+		if mgr != nil {
+			return fmt.Errorf("flcore: the run has a Manager but the checkpoint carries no manager state")
+		}
+		return nil
+	}
+	ms, ok := mgr.(TierManagerState)
+	if !ok {
+		return fmt.Errorf("flcore: checkpoint carries tiering-manager state but the run has no Manager that can restore it (have %T)", mgr)
+	}
+	if err := ms.RestoreState(state); err != nil {
+		return fmt.Errorf("flcore: restoring manager state: %w", err)
+	}
+	return nil
+}
+
+// Snapshot captures the engine between commits as a TieredCheckpoint: the
+// Committer's shared fields plus what only the simulation has — the clock,
+// the eval schedule, the in-flight rounds and the clients' residuals. It
 // fails if the configured Manager does not implement TierManagerState.
 // Run takes these automatically every Cfg.CheckpointEvery commits; the
 // snapshot point is always just after a commit's re-dispatch, so Pending
 // holds every live tier's in-flight round.
 func (e *TieredAsyncEngine) Snapshot() (*TieredCheckpoint, error) {
-	c := &TieredCheckpoint{
-		Format:        TieredCheckpointFormat,
-		Seed:          e.Cfg.Seed,
-		Version:       e.version,
-		SimTime:       e.clock.Now(),
-		NextEval:      e.nextEval,
-		Weights:       append([]float64(nil), e.weights...),
-		Rounds:        append([]int(nil), e.rounds...),
-		Commits:       append([]int(nil), e.commits...),
-		Retiers:       e.retiers,
-		Migrations:    e.migrations,
-		UplinkBytes:   e.uplink,
-		DownlinkBytes: e.downlink,
-		Tiers:         copyTiers(e.Tiers),
+	c, err := e.com.Snapshot()
+	if err != nil {
+		return nil, err
 	}
+	c.SimTime, c.NextEval = e.clock.Now(), e.nextEval
 	for _, run := range e.pending {
 		c.Pending = append(c.Pending, PendingTierRound{
 			Tier: run.tier, TierRound: run.tierRound, PulledVersion: run.pulledVer,
@@ -150,17 +190,6 @@ func (e *TieredAsyncEngine) Snapshot() (*TieredCheckpoint, error) {
 		}
 		return c.Pending[i].Tier < c.Pending[j].Tier
 	})
-	if e.Cfg.Manager != nil {
-		ms, ok := e.Cfg.Manager.(TierManagerState)
-		if !ok {
-			return nil, fmt.Errorf("flcore: TierManager %T does not implement TierManagerState; cannot checkpoint a managed run", e.Cfg.Manager)
-		}
-		state, err := ms.SnapshotState()
-		if err != nil {
-			return nil, fmt.Errorf("flcore: snapshotting manager state: %w", err)
-		}
-		c.ManagerState = state
-	}
 	switch src := e.src.(type) {
 	case *EagerClients:
 		// Resident population: residuals live on the clients themselves.
@@ -191,33 +220,12 @@ func (e *TieredAsyncEngine) Snapshot() (*TieredCheckpoint, error) {
 // already-trained aggregates, the resumed run replays the uninterrupted
 // one bit-for-bit — verified by TestTieredCheckpointResumeBitExact.
 func (e *TieredAsyncEngine) Restore(c *TieredCheckpoint) error {
-	if c.Format != TieredCheckpointFormat {
-		return fmt.Errorf("flcore: unknown tiered checkpoint format %d (this build reads format %d)", c.Format, TieredCheckpointFormat)
-	}
-	if c.Seed != e.Cfg.Seed {
-		return fmt.Errorf("flcore: checkpoint seed %d != engine seed %d", c.Seed, e.Cfg.Seed)
-	}
-	if len(c.Weights) != len(e.weights) {
-		return fmt.Errorf("flcore: checkpoint has %d weights, model needs %d", len(c.Weights), len(e.weights))
-	}
-	if err := finiteWeights(c.Weights); err != nil {
-		return fmt.Errorf("flcore: checkpoint weights: %w", err)
-	}
-	if c.Version < 0 {
-		return fmt.Errorf("flcore: checkpoint version %d is negative", c.Version)
+	nw := len(e.com.Weights())
+	if err := c.Validate(e.Cfg.Seed, nw, e.numClients()); err != nil {
+		return err
 	}
 	if c.SimTime < 0 {
 		return fmt.Errorf("flcore: checkpoint simulated clock %v is negative", c.SimTime)
-	}
-	if len(c.Tiers) != len(e.Tiers) {
-		return fmt.Errorf("flcore: checkpoint has %d tiers, engine %d", len(c.Tiers), len(e.Tiers))
-	}
-	if len(c.Rounds) != len(c.Tiers) || len(c.Commits) != len(c.Tiers) {
-		return fmt.Errorf("flcore: checkpoint cursors (%d rounds, %d commits) do not match %d tiers",
-			len(c.Rounds), len(c.Commits), len(c.Tiers))
-	}
-	if err := validateTiers(c.Tiers, e.numClients()); err != nil {
-		return fmt.Errorf("flcore: checkpoint tiers: %w", err)
 	}
 	for i, p := range c.Pending {
 		if p.Tier < 0 || p.Tier >= len(c.Tiers) {
@@ -226,8 +234,8 @@ func (e *TieredAsyncEngine) Restore(c *TieredCheckpoint) error {
 		if p.PulledVersion < 0 || p.PulledVersion > c.Version {
 			return fmt.Errorf("flcore: pending round %d pulled version %d outside [0, %d]", i, p.PulledVersion, c.Version)
 		}
-		if len(p.Weights) != len(e.weights) {
-			return fmt.Errorf("flcore: pending round %d has %d weights, model needs %d", i, len(p.Weights), len(e.weights))
+		if len(p.Weights) != nw {
+			return fmt.Errorf("flcore: pending round %d has %d weights, model needs %d", i, len(p.Weights), nw)
 		}
 		if err := finiteWeights(p.Weights); err != nil {
 			return fmt.Errorf("flcore: pending round %d weights: %w", i, err)
@@ -245,40 +253,20 @@ func (e *TieredAsyncEngine) Restore(c *TieredCheckpoint) error {
 		if ci < 0 || ci >= e.numClients() {
 			return fmt.Errorf("flcore: residual for client %d of %d", ci, e.numClients())
 		}
-		if len(r) != len(e.weights) {
-			return fmt.Errorf("flcore: client %d residual has %d entries, model needs %d", ci, len(r), len(e.weights))
+		if len(r) != nw {
+			return fmt.Errorf("flcore: client %d residual has %d entries, model needs %d", ci, len(r), nw)
 		}
 	}
-	// Manager state and checkpoint must agree: restoring a managed
-	// checkpoint into an unmanaged engine (or vice versa) silently changes
-	// cohort selection and re-tiering semantics.
-	if len(c.ManagerState) > 0 {
-		if e.Cfg.Manager == nil {
-			return fmt.Errorf("flcore: checkpoint carries tiering-manager state but the engine has no Manager")
-		}
-		ms, ok := e.Cfg.Manager.(TierManagerState)
-		if !ok {
-			return fmt.Errorf("flcore: checkpoint carries manager state but TierManager %T cannot restore it", e.Cfg.Manager)
-		}
-		if err := ms.RestoreState(c.ManagerState); err != nil {
-			return fmt.Errorf("flcore: restoring manager state: %w", err)
-		}
-	} else if e.Cfg.Manager != nil {
-		return fmt.Errorf("flcore: engine has a Manager but the checkpoint carries no manager state")
+	if err := RestoreManagerState(e.Cfg.Manager, c.ManagerState); err != nil {
+		return err
 	}
-
-	copy(e.weights, c.Weights)
-	e.eng.global.SetWeightsVector(e.weights)
-	e.version = c.Version
+	if err := e.com.Restore(c, false); err != nil {
+		return err
+	}
+	e.eng.global.SetWeightsVector(e.com.Weights())
 	e.clock.Reset()
 	e.clock.Advance(c.SimTime)
 	e.nextEval = c.NextEval
-	e.Tiers = copyTiers(c.Tiers)
-	copy(e.rounds, c.Rounds)
-	copy(e.commits, c.Commits)
-	e.retiers, e.migrations = c.Retiers, c.Migrations
-	e.uplink = c.UplinkBytes
-	e.downlink = c.DownlinkBytes
 	// Delta-downlink chains do not survive a crash: the resumed aggregator
 	// cannot trust any client's held version, so chains and acks reset and
 	// every tier's first post-resume broadcast goes dense. In lossless mode
@@ -331,9 +319,9 @@ func copyTiers(tiers [][]int) [][]int {
 	return out
 }
 
-// validateTiers checks tier membership structure: non-empty tiers,
+// ValidateTiers checks tier membership structure: non-empty tiers,
 // in-range members, no client in two tiers.
-func validateTiers(tiers [][]int, numClients int) error {
+func ValidateTiers(tiers [][]int, numClients int) error {
 	tierOf := make(map[int]int)
 	for t, members := range tiers {
 		if len(members) == 0 {

@@ -168,6 +168,12 @@ func TestTieredCheckpointRestoreValidation(t *testing.T) {
 		"duplicate member":  func(c *TieredCheckpoint) { c.Tiers[0][0] = 8 },
 		"manager state":     func(c *TieredCheckpoint) { c.ManagerState = []byte{1, 2, 3} },
 		"negative simtime":  func(c *TieredCheckpoint) { c.SimTime = -1 },
+		"negative round":    func(c *TieredCheckpoint) { c.Rounds[2] = -1 },
+		"negative commits":  func(c *TieredCheckpoint) { c.Commits[0] = -3 },
+		"negative uplink":   func(c *TieredCheckpoint) { c.UplinkBytes = -1 },
+		"negative downlink": func(c *TieredCheckpoint) { c.DownlinkBytes = -1 },
+		"negative retiers":  func(c *TieredCheckpoint) { c.Retiers = -1 },
+		"negative moves":    func(c *TieredCheckpoint) { c.Migrations = -2 },
 		"pending tier":      func(c *TieredCheckpoint) { c.Pending = []PendingTierRound{{Tier: 9}} },
 		"pending pulledver": func(c *TieredCheckpoint) { c.Pending = pendingAt(nw, 3) },
 		"pending weights": func(c *TieredCheckpoint) {

@@ -46,10 +46,11 @@ type TierMove struct {
 // interface lives here rather than in internal/tiering so flcore does not
 // import the packages built on top of it (core imports flcore already).
 //
-// All methods must be deterministic given the same call sequence: the
-// simulated engine and the socket runtime replay identical sequences under
-// lockstep scheduling, which is what keeps their global models
-// byte-identical through a migration.
+// All methods must be deterministic given the same call sequence: every
+// engine makes its calls through one Committer, between commits, so the
+// simulated engine and the socket runtime replay identical sequences
+// whenever their commits apply in the same order, which is what keeps
+// their global models byte-identical through a migration.
 type TierManager interface {
 	// Tiers returns the current membership, fastest tier first. The result
 	// is a copy; it stays valid after later re-tierings.
@@ -200,12 +201,6 @@ type TieredAsyncConfig struct {
 }
 
 func (c *TieredAsyncConfig) withDefaults() {
-	if c.Alpha == 0 {
-		c.Alpha = 0.6
-	}
-	if c.StalenessExp == 0 {
-		c.StalenessExp = 0.5
-	}
 	if c.LocalEpochs == 0 {
 		c.LocalEpochs = 1
 	}
@@ -291,8 +286,7 @@ func (h *tierRunHeap) Pop() any {
 // mini-FedAvg loop per tier, asynchronous staleness-weighted commits into
 // the shared global model.
 type TieredAsyncEngine struct {
-	Cfg   TieredAsyncConfig
-	Tiers [][]int // member client indices per tier, fastest first
+	Cfg TieredAsyncConfig
 	// Clients is the resident population when the engine was built over an
 	// eager source (NewTieredAsyncEngine); nil for population-scale engines
 	// built over a lazy ClientSource, which materialize clients per round.
@@ -303,24 +297,16 @@ type TieredAsyncEngine struct {
 	// around Clients, or a LazyClients factory for population-scale runs.
 	src ClientSource
 
-	eng     *Engine // reused for TrainClient's deterministic local pass
-	weights []float64
-	clock   simres.Clock
-	version int
-	rounds  []int // per-tier local round counters
+	eng   *Engine    // reused for TrainClient's deterministic local pass
+	com   *Committer // the FedAT server update: model, version, cursors, membership, totals
+	clock simres.Clock
 
 	// Run-loop state lives on the engine (not in Run locals) so Snapshot
 	// can capture a mid-run engine and Restore can rebuild one: the event
-	// queue of in-flight tier rounds, the next eval boundary, and the
-	// cumulative per-tier commit counters the cross-tier weights consume.
-	pending    tierRunHeap
-	nextEval   float64
-	commits    []int
-	retiers    int
-	migrations int
-	uplink     int64
-	downlink   int64
-	resumed    bool
+	// queue of in-flight tier rounds and the next eval boundary.
+	pending  tierRunHeap
+	nextEval float64
+	resumed  bool
 
 	// Downlink-delta state (Cfg.Downlink only): one chain per tier, the
 	// global version each chain last advanced at, and the (tier, version)
@@ -331,15 +317,15 @@ type TieredAsyncEngine struct {
 	downVers   []int
 	acked      map[int]ackRef
 
-	// dispatch's per-round staging, resliced every tier round.
+	// dispatch's per-round staging, resliced every tier round, and Run's
+	// per-commit one.
 	downs    []int64
 	acquired []*Client
+	observed []Observation
 
 	// tierTest caches the per-tier pooled evaluation shards for adaptive
 	// accuracy feedback; rebuilt lazily when membership changes.
-	tierTest      []*dataset.Dataset
-	tierTestEpoch int
-	retierEpoch   int
+	tierTest []*dataset.Dataset
 }
 
 // NewTieredAsyncEngine validates the configuration and tier membership and
@@ -429,15 +415,16 @@ func NewTieredAsyncEngineFrom(cfg TieredAsyncConfig, tiers [][]int, src ClientSo
 		Parallel: true,
 	}
 	e := &TieredAsyncEngine{
-		Cfg:      cfg,
-		Tiers:    tiers,
-		Clients:  clients,
-		Test:     test,
-		src:      src,
-		eng:      &Engine{Cfg: syncCfg, Clients: clients, global: global},
-		weights:  global.WeightsVector(),
-		rounds:   make([]int, len(tiers)),
-		commits:  make([]int, len(tiers)),
+		Cfg:     cfg,
+		Clients: clients,
+		Test:    test,
+		src:     src,
+		eng:     &Engine{Cfg: syncCfg, Clients: clients, global: global},
+		com: NewCommitter(CommitterConfig{
+			Alpha: cfg.Alpha, StalenessExp: cfg.StalenessExp, TierWeight: cfg.TierWeight,
+			ClientsPerRound: cfg.ClientsPerRound, Seed: cfg.Seed, Manager: cfg.Manager,
+			CheckpointEvery: cfg.CheckpointEvery,
+		}, tiers, global.WeightsVector()),
 		nextEval: cfg.EvalInterval,
 	}
 	e.resetDownlink()
@@ -456,8 +443,8 @@ func (e *TieredAsyncEngine) resetDownlink() {
 	if e.Cfg.Downlink == nil {
 		return
 	}
-	e.downChains = make([]*compress.Chain, len(e.Tiers))
-	e.downVers = make([]int, len(e.Tiers))
+	e.downChains = make([]*compress.Chain, len(e.com.Tiers()))
+	e.downVers = make([]int, len(e.com.Tiers()))
 	for t := range e.downChains {
 		e.downChains[t] = e.Cfg.Downlink.NewChain()
 		e.downVers[t] = -1
@@ -472,7 +459,7 @@ func (e *TieredAsyncEngine) numClients() int { return e.src.NumClients() }
 func (e *TieredAsyncEngine) Source() ClientSource { return e.src }
 
 // GlobalWeights returns the current global weight vector (not a copy).
-func (e *TieredAsyncEngine) GlobalWeights() []float64 { return e.weights }
+func (e *TieredAsyncEngine) GlobalWeights() []float64 { return e.com.Weights() }
 
 // Clock returns the engine's simulated clock.
 func (e *TieredAsyncEngine) Clock() *simres.Clock { return &e.clock }
@@ -497,23 +484,17 @@ func TierCohort(seed int64, tierRound, tier int, members []int, want int) []int 
 	return out
 }
 
-// dispatch runs tier t's next synchronous mini-round from the current
-// global model and queues its completion event. The round's clients are
+// dispatch runs tier t's next synchronous mini-round from the Committer's
+// pull — the global model as it stands right after the tier's own last
+// commit — and queues its completion event. The round's clients are
 // drawn with an rng keyed on (Seed, tier round, tier), and each client's
 // local pass is keyed on (Seed, tier round, client), so neither dispatch
 // order nor how many goroutines Engine.trainCohort trains the cohort on can
 // perturb results. run is the tier's just-committed round, whose buffers
 // the new round takes over (nil on a tier's first dispatch).
 func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
-	draw := func() (int, []int) {
-		r := e.rounds[t]
-		e.rounds[t]++
-		if e.Cfg.Manager != nil {
-			return r, e.Cfg.Manager.Cohort(t, r, e.Cfg.ClientsPerRound)
-		}
-		return r, TierCohort(e.Cfg.Seed, r, t, e.Tiers[t], e.Cfg.ClientsPerRound)
-	}
-	r, selected := draw()
+	p := e.com.Pull(t)
+	selected := p.Cohort
 	if len(selected) == 0 {
 		// Defensive: the Manager guarantees non-empty tiers, but a
 		// membership that somehow shrank to nothing has no runnable round
@@ -527,12 +508,12 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
 		// with ChurnRate < 1 a runnable cohort arrives almost surely; the
 		// attempt bound is a defensive backstop, dropping the tier like an
 		// emptied membership would.
-		selected = e.churnFilter(t, r, selected)
+		selected = e.churnFilter(t, p.Round, selected)
 		for attempts := 0; len(selected) == 0 && attempts < 1000; attempts++ {
-			if r, selected = draw(); len(selected) == 0 {
+			if p = e.com.Pull(t); len(p.Cohort) == 0 {
 				return
 			}
-			selected = e.churnFilter(t, r, selected)
+			selected = e.churnFilter(t, p.Round, p.Cohort)
 		}
 		if len(selected) == 0 {
 			return
@@ -540,7 +521,7 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
 	}
 	// The round trains straight from the global vector: nothing commits
 	// until dispatch has returned, so the pull needs no copy.
-	pulled := e.weights
+	r, pulled := p.Round, p.Weights
 	// Downlink charging: every client is charged a dense snapshot unless
 	// the tier's delta chain covers it — the chain advances exactly once
 	// per round (shared payload, the O(1)-per-round encode), clients whose
@@ -567,9 +548,9 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
 				}
 			}
 		}
-		e.downVers[t] = e.version
+		e.downVers[t] = p.Version
 		for _, ci := range selected {
-			e.acked[ci] = ackRef{tier: t, ver: e.version}
+			e.acked[ci] = ackRef{tier: t, ver: p.Version}
 		}
 		pulled = ch.Base() // read-only until the round below has trained
 		charged = downs
@@ -606,7 +587,7 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
 		run.bytes[i] = downs[i] + int64(u.WireBytes)
 		run.lats[i] = u.Latency
 	}
-	run.tier, run.tierRound, run.pulledVer = t, r, e.version
+	run.tier, run.tierRound, run.pulledVer = t, r, p.Version
 	run.finish, run.latency, run.selected = now+lat, lat, selected
 	heap.Push(&e.pending, run)
 }
@@ -672,18 +653,6 @@ func CommitMix(global, commit []float64, alpha, tierWeight float64, staleness in
 	return a
 }
 
-// tierWeight evaluates the configured cross-tier weight for a commit.
-func (e *TieredAsyncEngine) tierWeight(tier int, commits []int) float64 {
-	if e.Cfg.TierWeight == nil {
-		return 1
-	}
-	w := e.Cfg.TierWeight(tier, commits)
-	if w < 0 || math.IsNaN(w) {
-		panic(fmt.Sprintf("flcore: tier weight %v for tier %d", w, tier))
-	}
-	return w
-}
-
 // Run executes tiered-asynchronous training until the simulated duration
 // elapses, returning the result with history sampled at EvalInterval
 // boundaries (Round counts global commits) plus the full commit log. On an
@@ -695,15 +664,15 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 	res := &TieredAsyncResult{}
 	if !e.resumed {
 		heap.Init(&e.pending)
-		for t := range e.Tiers {
+		for t := range e.com.Tiers() {
 			e.dispatch(t, 0, nil)
 		}
 	}
 
 	evalNow := func(now float64) {
-		rec := RoundRecord{Round: e.version, SimTime: now, Acc: math.NaN(), Loss: math.NaN()}
+		rec := RoundRecord{Round: e.com.Version(), SimTime: now, Acc: math.NaN(), Loss: math.NaN()}
 		if e.Test != nil {
-			e.eng.global.SetWeightsVector(e.weights)
+			e.eng.global.SetWeightsVector(e.com.Weights())
 			rec.Acc, rec.Loss = e.eng.global.Evaluate(e.Test.InputTensor(), e.Test.Y, e.Cfg.EvalBatch)
 		}
 		res.History = append(res.History, rec)
@@ -729,48 +698,33 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 			e.nextEval += e.Cfg.EvalInterval
 		}
 
-		e.commits[run.tier]++
-		staleness := e.version - run.pulledVer
-		alpha := CommitMix(e.weights, run.weights, e.Cfg.Alpha,
-			e.tierWeight(run.tier, e.commits), staleness, e.Cfg.StalenessExp)
-		e.version++
-
-		if e.Cfg.Manager != nil {
-			// Live tiering: the commit's observed latencies feed the EWMA
-			// estimates, then the Manager decides whether this version is a
-			// rebuild point. Migrations take effect at each tier's next
-			// dispatch; the in-flight runs in the heap keep their cohorts.
-			// A CommObserver gets the full observation — in the simulation
-			// the per-client latency already is the end-to-end round cost,
-			// so it doubles as both signals, plus the round's wire bytes.
-			co, commAware := e.Cfg.Manager.(CommObserver)
-			for i, ci := range run.selected {
-				if commAware {
-					var b int64
-					if run.bytes != nil {
-						b = run.bytes[i]
-					}
-					co.ObserveRound(ci, run.lats[i], run.lats[i], b)
-				} else {
-					e.Cfg.Manager.Observe(ci, run.lats[i])
-				}
-			}
-			if tiers, moves, changed := e.Cfg.Manager.MaybeRetier(e.version); changed {
-				e.Tiers = tiers
-				e.retierEpoch++
-				e.retiers++
-				e.migrations += len(moves)
+		// What the Manager hears: in the simulation the per-client latency
+		// already is the end-to-end round cost, so it doubles as both
+		// signals, plus the round's wire bytes.
+		e.observed = grow(e.observed, len(run.selected))
+		for i, ci := range run.selected {
+			e.observed[i] = Observation{Client: ci, Seconds: run.lats[i], EndToEnd: run.lats[i]}
+			if run.bytes != nil {
+				e.observed[i].Bytes = run.bytes[i]
 			}
 		}
-
-		e.uplink += run.upBytes
-		e.downlink += run.downBytes
-		rec := TierRoundRecord{
-			Tier: run.tier, TierRound: run.tierRound, Version: e.version,
-			Selected: run.selected, Staleness: staleness, Weight: alpha,
-			Latency: run.latency, SimTime: now, UplinkBytes: run.upBytes,
-			DownlinkBytes: run.downBytes,
+		rec, moves, err := e.com.Apply(Commit{
+			Tier: run.tier, TierRound: run.tierRound, PulledVersion: run.pulledVer,
+			Weights: run.weights, Observed: e.observed,
+			UplinkBytes: run.upBytes, DownlinkBytes: run.downBytes,
+		})
+		if err != nil {
+			// The engine built every field of the commit itself; only a
+			// broken TierWeight policy can land here.
+			panic(err.Error())
 		}
+		if len(moves) > 0 {
+			// Migrations take effect at each tier's next dispatch; the
+			// in-flight runs in the heap keep their cohorts. The pooled
+			// per-tier evaluation shards are stale now.
+			e.tierTest = nil
+		}
+		rec.Selected, rec.Latency, rec.SimTime = run.selected, run.latency, now
 		res.TierRounds = append(res.TierRounds, rec)
 		if e.Cfg.OnCommit != nil {
 			e.Cfg.OnCommit(rec)
@@ -779,7 +733,7 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 		// The snapshot point: the commit is applied, the Manager fed, and
 		// the committing tier re-dispatched, so the heap holds every
 		// in-flight round and the checkpoint is a clean between-commits cut.
-		if e.Cfg.CheckpointEvery > 0 && e.Cfg.OnCheckpoint != nil && e.version%e.Cfg.CheckpointEvery == 0 {
+		if e.Cfg.OnCheckpoint != nil && e.com.CheckpointDue() {
 			c, err := e.Snapshot()
 			if err != nil {
 				panic(fmt.Sprintf("flcore: periodic checkpoint failed: %v", err))
@@ -791,11 +745,11 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 	final := res.History[len(res.History)-1]
 	res.FinalAcc, res.FinalLoss = final.Acc, final.Loss
 	res.TotalTime = e.clock.Now()
-	res.Weights = append([]float64(nil), e.weights...)
-	res.Commits = append([]int(nil), e.commits...)
-	res.Retiers, res.Migrations = e.retiers, e.migrations
-	res.UplinkBytes = e.uplink
-	res.DownlinkBytes = e.downlink
+	res.Weights = append([]float64(nil), e.com.Weights()...)
+	tot := e.com.Totals()
+	res.Commits = tot.Commits
+	res.Retiers, res.Migrations = tot.Retiers, tot.Migrations
+	res.UplinkBytes, res.DownlinkBytes = tot.UplinkBytes, tot.DownlinkBytes
 	return res
 }
 
@@ -811,9 +765,9 @@ const tierTestCap = 256
 // epoch and capped at tierTestCap samples with a (Seed, tier)-keyed
 // subset. Returns nil when no tier has any client test data.
 func (e *TieredAsyncEngine) tierAccuracies() []float64 {
-	if e.tierTest == nil || e.tierTestEpoch != e.retierEpoch {
-		e.tierTest = make([]*dataset.Dataset, len(e.Tiers))
-		for t, members := range e.Tiers {
+	if e.tierTest == nil {
+		e.tierTest = make([]*dataset.Dataset, len(e.com.Tiers()))
+		for t, members := range e.com.Tiers() {
 			var parts []*dataset.Dataset
 			// Pooling runs through the source so managed lazy runs stay
 			// byte-identical to eager ones; each member is materialized only
@@ -838,11 +792,10 @@ func (e *TieredAsyncEngine) tierAccuracies() []float64 {
 			}
 			e.tierTest[t] = pooled
 		}
-		e.tierTestEpoch = e.retierEpoch
 	}
-	accs := make([]float64, len(e.Tiers))
+	accs := make([]float64, len(e.tierTest))
 	any := false
-	e.eng.global.SetWeightsVector(e.weights)
+	e.eng.global.SetWeightsVector(e.com.Weights())
 	for t := range accs {
 		accs[t] = math.NaN()
 		if e.tierTest[t] != nil {

@@ -67,12 +67,13 @@ func TestDownlinkLosslessByteIdenticalLockstep(t *testing.T) {
 		agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
 			GlobalCommits: commits, ClientsPerRound: cfg.ClientsPerRound,
 			RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-			Lockstep: append([]int(nil), schedule...), Downlink: dl,
+			Downlink: dl,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer agg.Close()
+		scriptCommitOrder(agg, schedule)
 		var cfgs []WorkerConfig
 		for _, members := range tiers {
 			for _, ci := range members {
@@ -145,7 +146,7 @@ func TestDownlinkTreeLosslessByteIdenticalLockstep(t *testing.T) {
 		return TieredAsyncConfig{
 			GlobalCommits: commits, ClientsPerRound: cfg.ClientsPerRound,
 			RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-			Lockstep: append([]int(nil), schedule...), Downlink: dl,
+			Downlink: dl,
 		}
 	}
 
@@ -155,6 +156,7 @@ func TestDownlinkTreeLosslessByteIdenticalLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer flatAgg.Close()
+	scriptCommitOrder(flatAgg, schedule)
 	var cfgs []WorkerConfig
 	for _, members := range tiers {
 		for _, ci := range members {
@@ -177,6 +179,7 @@ func TestDownlinkTreeLosslessByteIdenticalLockstep(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer root.Close()
+	scriptCommitOrder(root, schedule)
 	children := make([]*Child, len(tiers))
 	errs := make([]error, len(tiers))
 	waitChild := make(chan int, len(tiers))
@@ -268,12 +271,13 @@ func TestDownlinkSimSocketByteAgreement(t *testing.T) {
 			agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
 				GlobalCommits: len(schedule), ClientsPerRound: cfg.ClientsPerRound,
 				RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-				Lockstep: schedule, Downlink: dl,
+				Downlink: dl,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer agg.Close()
+			scriptCommitOrder(agg, schedule)
 			eng := flcore.NewEngine(flcore.Config{
 				Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
 				BatchSize: cfg.BatchSize, Seed: cfg.Seed,
@@ -344,12 +348,13 @@ func TestDownlinkLegacyWorkerInterop(t *testing.T) {
 	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
 		GlobalCommits: 6, ClientsPerRound: 1,
 		RoundTimeout: 5 * time.Second, InitialWeights: []float64{1, 2, 3}, Seed: 3,
-		Lockstep: []int{0, 1, 0, 1, 0, 1}, Downlink: &compress.Downlink{},
+		Downlink: &compress.Downlink{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer agg.Close()
+	scriptCommitOrder(agg, []int{0, 1, 0, 1, 0, 1})
 
 	// Modern worker in tier 0: full delta-capable RunWorker loop.
 	go RunWorker(agg.Addr(), WorkerConfig{ //nolint:errcheck // exits with aggregator

@@ -232,73 +232,6 @@ func TestRoundTimeoutDropsDeadWorker(t *testing.T) {
 	}
 }
 
-func TestHierarchyMatchesFlat(t *testing.T) {
-	// Two children with two leaf workers each; master FedAvg over child
-	// partials must equal flat FedAvg over all four leaves.
-	leafDeltas := []float64{1, 2, 3, 4}
-	leafSamples := []int{1, 2, 3, 4}
-	init := []float64{10}
-
-	// Expected flat FedAvg: sum(n_i*(w+d_i))/sum(n_i).
-	num, den := 0.0, 0.0
-	for i, d := range leafDeltas {
-		num += float64(leafSamples[i]) * (init[0] + d)
-		den += float64(leafSamples[i])
-	}
-	wantFlat := num / den
-
-	master, err := NewAggregator("127.0.0.1:0", AggregatorConfig{
-		Rounds: 1, ClientsPerRound: 2, InitialWeights: init, Seed: 6,
-		RoundTimeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer master.Close()
-
-	// Children: each owns two leaves.
-	for child := 0; child < 2; child++ {
-		childAgg, err := NewAggregator("127.0.0.1:0", AggregatorConfig{
-			Rounds: 1, ClientsPerRound: 2, InitialWeights: init, Seed: int64(7 + child),
-			RoundTimeout: 10 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer childAgg.Close()
-		for leaf := 0; leaf < 2; leaf++ {
-			idx := child*2 + leaf
-			go RunWorker(childAgg.Addr(), WorkerConfig{ //nolint:errcheck
-				ClientID: idx, NumSamples: leafSamples[idx],
-				Train: echoTrain(leafDeltas[idx], leafSamples[idx], 0),
-			})
-		}
-		if err := childAgg.WaitForWorkers(2, 5*time.Second); err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, s := range leafSamples[child*2 : child*2+2] {
-			total += s
-		}
-		go func(child int, ca *Aggregator, total int) {
-			RunWorker(master.Addr(), WorkerConfig{ //nolint:errcheck
-				ClientID: 100 + child, NumSamples: total, Train: ca.ChildTrainFunc(),
-			})
-			ca.FinishWorkers(1)
-		}(child, childAgg, total)
-	}
-	if err := master.WaitForWorkers(2, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := master.Run(UniformSelect(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Weights[0]-wantFlat) > 1e-12 {
-		t.Fatalf("hierarchical = %v, flat = %v", res.Weights[0], wantFlat)
-	}
-}
-
 func TestDistributedMatchesInProcessTraining(t *testing.T) {
 	// The same deterministic arithmetic run through flcore.FedAvg directly
 	// and through the TCP stack must agree bit-for-bit.

@@ -357,15 +357,13 @@ func (ta *TieredAsyncAggregator) Metrics() MetricsSnapshot {
 		conns[id] = connState{live: live, leaf: w.role == RoleWorker}
 	}
 	ta.mu.Unlock()
-	ta.tmu.Lock()
 	tierOf := make(map[int]int)
-	tierMembers := copyNetTiers(ta.members)
+	tierMembers := ta.tiers()
 	for t, ms := range tierMembers {
 		for _, id := range ms {
 			tierOf[id] = t
 		}
 	}
-	ta.tmu.Unlock()
 	if len(snap.Children) == 0 {
 		// Flat run: one row per registered leaf worker, with the state the
 		// self-healing layer acts on — connected, backing-off (down but
@@ -412,10 +410,7 @@ func (ta *TieredAsyncAggregator) Metrics() MetricsSnapshot {
 		}
 	}
 	if est, ok := ta.tcfg.Manager.(interface{ EWMA(int) (float64, bool) }); ok {
-		ta.tmu.Lock()
-		members := copyNetTiers(ta.members)
-		ta.tmu.Unlock()
-		for t, ms := range members {
+		for t, ms := range tierMembers {
 			if t >= len(snap.Tiers) {
 				break
 			}

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/flcore"
 	"repro/internal/nn"
 )
 
@@ -293,8 +294,9 @@ type TierAssign struct {
 // TreePull is the tree root's counterpart of a tier loop's snapshot pull:
 // the current global version and weights, sent to a child aggregator after
 // its registration and again after each of its commits is applied — the
-// same dispatch-at-commit discipline the in-process lockstep mode uses, so
-// a tree run can be byte-compared against a flat one. Exactly one of
+// same dispatch-at-commit discipline the flat tier loops follow (both are
+// flcore.Committer.Pull answers), so a tree run can be byte-compared
+// against a flat one. Exactly one of
 // Weights/Raw is set, negotiated by the child's Register.Proto like any
 // broadcast.
 type TreePull struct {
@@ -328,7 +330,7 @@ func (p *TreePull) pullWeights() ([]float64, error) {
 // which the committer derives staleness. Inside TieredAsyncAggregator these
 // envelopes flow over the in-process commit channel; the wire encoding
 // exists so a tier loop can run as a separate child-aggregator process
-// (hierarchy.go style) without a protocol change.
+// (tree.go) without a protocol change.
 type TierCommit struct {
 	Tier          int
 	TierRound     int
@@ -350,24 +352,10 @@ type TierCommit struct {
 	Observed []ClientSeconds
 }
 
-// ClientSeconds is one client's observed round cost: the compute-side
-// latency plus, when the aggregator measures them, the end-to-end response
-// time and the wire traffic the client caused. Bytes and EndToEnd feed the
-// comm-aware tiering signal (tiering.Config.CommAware); both gob-decode to
-// zero from senders predating the fields, in which case the Manager falls
-// back to Seconds alone.
-type ClientSeconds struct {
-	Client  int
-	Seconds float64
-	// Bytes is the client's total wire traffic for the round: its share
-	// of the broadcast (dense or delta payload) plus its update as
-	// encoded on the wire.
-	Bytes int64
-	// EndToEnd is the aggregator-measured time from broadcast to the
-	// arrival of the client's update — queueing and transfer included,
-	// unlike the worker-reported Seconds.
-	EndToEnd float64
-}
+// ClientSeconds is one client's observed round cost as it travels inside
+// a TierCommit: the Committer's flcore.Observation, field for field (gob
+// matches struct fields by name, so the alias changes nothing on the wire).
+type ClientSeconds = flcore.Observation
 
 // TierReassign tells a worker it migrated between latency tiers at a live
 // re-tiering point (tier 0 is fastest, per core.BuildTiers). Like

@@ -418,6 +418,16 @@ func (a *Aggregator) liveWorker(id int) *registered {
 	return w
 }
 
+// anyLive reports whether any of the given workers has its connection up.
+func (a *Aggregator) anyLive(ids []int) bool {
+	for _, id := range ids {
+		if a.liveWorker(id) != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // ids returns the sorted registered client IDs.
 func (a *Aggregator) ids() []int {
 	a.mu.Lock()
@@ -534,6 +544,44 @@ func (a *Aggregator) Run(sel SelectFunc) (*RunResult, error) {
 	res.Weights = weights
 	a.FinishWorkers(a.cfg.Rounds)
 	return res, nil
+}
+
+// RunRound drives one synchronous round over the chosen registered workers:
+// broadcast weights, collect up to target updates (stragglers beyond target
+// or the round timeout are discarded), and return the updates.
+func (a *Aggregator) RunRound(round int, chosen []int, weights []float64, target int) ([]flcore.Update, error) {
+	live := make([]*registered, 0, len(chosen))
+	bc := newBroadcast(weights)
+	for _, id := range chosen {
+		a.mu.Lock()
+		w := a.workers[id]
+		a.mu.Unlock()
+		if w == nil {
+			continue
+		}
+		if err := w.c.send(&Envelope{Type: MsgTrain, Train: bc.fill(&Train{Round: round}, w.proto)}); err != nil {
+			continue
+		}
+		live = append(live, w)
+	}
+	if len(live) == 0 {
+		return nil, fmt.Errorf("flnet: round %d: no reachable workers", round)
+	}
+	updates := a.collect(live, target, round, weights)
+	if len(updates) == 0 {
+		return nil, fmt.Errorf("flnet: round %d: no updates before timeout", round)
+	}
+	return updates, nil
+}
+
+// FinishWorkers notifies every registered worker that training is over.
+func (a *Aggregator) FinishWorkers(rounds int) {
+	for _, id := range a.ids() {
+		a.mu.Lock()
+		w := a.workers[id]
+		a.mu.Unlock()
+		w.c.send(&Envelope{Type: MsgDone, Done: &Done{Rounds: rounds}}) //nolint:errcheck // best effort
+	}
 }
 
 // decodeUpdate converts a worker's update envelope into an aggregatable

@@ -20,18 +20,20 @@ import (
 // rounds over that tier's live worker connections — broadcast the pulled
 // global snapshot, collect updates with the same disconnect tolerance and
 // round timeout as the synchronous Aggregator — and every finished tier
-// round travels as a MsgTierCommit envelope through a commit channel into a
-// single global-model goroutine, which applies the staleness-discounted,
-// cross-tier-weighted mixing. Tiers therefore advance at their real network
-// and compute speeds: a fast tier commits many rounds while a slow tier
-// finishes one, exactly the behaviour the simulated engine models with its
-// event queue.
+// round travels as a TierCommit through a commit channel into a single
+// committer goroutine, which owns the flcore.Committer — the one
+// implementation of the staleness-discounted, cross-tier-weighted mixing
+// the simulated engine and the aggregation tree run too — and answers each
+// applied commit with the tier's next pull. Tiers therefore advance at
+// their real network and compute speeds: a fast tier commits many rounds
+// while a slow tier finishes one, exactly the behaviour the simulated
+// engine models with its event queue.
 //
-// Selection inside each tier uses flcore.TierCohort with the same
-// (seed, tier round, tier) keying as the simulation, so under identical
-// seeds and tier membership both runtimes draw identical cohorts; only the
-// commit interleaving differs (real wall clock here, simulated latency
-// there).
+// The Committer draws every cohort (flcore.TierCohort, or the live
+// Manager) with the same (seed, tier round, tier) keying as the
+// simulation, so under identical seeds and tier membership both runtimes
+// draw identical cohorts; only the commit interleaving differs (real wall
+// clock here, simulated latency there).
 //
 // Tiering goes live through TieredAsyncConfig.Manager (the
 // internal/tiering subsystem): every applied commit's worker-reported
@@ -40,10 +42,7 @@ import (
 // the migrated clients up on their next round — and announces each
 // migration to the affected worker as a MsgTierReassign envelope. Workers
 // whose protocol predates the envelope are pinned in their original tier,
-// so mixed fleets keep interoperating. The optional Lockstep mode replays
-// a fixed tier-commit schedule (typically a simulated run's), removing the
-// wall-clock race from the commit order so a distributed run can be
-// byte-compared against its simulation through a migration.
+// so mixed fleets keep interoperating.
 
 // TieredAsyncConfig configures a distributed tiered-asynchronous run.
 type TieredAsyncConfig struct {
@@ -76,15 +75,6 @@ type TieredAsyncConfig struct {
 	// Typically an internal/tiering.Manager built from ProfileWorkers
 	// measurements (see SetManager for the profile-then-run flow).
 	Manager flcore.TierManager
-	// Lockstep, when non-empty, fixes the order in which tier commits are
-	// applied: entry i names the tier whose commit becomes global version
-	// i+1 (out-of-order arrivals are buffered, and each tier starts its
-	// next round only after its previous commit applied — the simulated
-	// engine's dispatch discipline). Its length must equal GlobalCommits.
-	// This removes wall-clock nondeterminism from the commit order, which
-	// is what lets parity tests byte-compare a socket run against the
-	// simulated engine; real deployments leave it empty.
-	Lockstep []int
 	// CheckpointEvery, when positive, snapshots the run every so many
 	// applied commits as a flcore.TieredCheckpoint: written atomically to
 	// CheckpointPath (when set) and handed to OnCheckpoint (when set). At
@@ -145,12 +135,6 @@ type TieredAsyncConfig struct {
 }
 
 func (c *TieredAsyncConfig) withDefaults() {
-	if c.Alpha == 0 {
-		c.Alpha = 0.6
-	}
-	if c.StalenessExp == 0 {
-		c.StalenessExp = 0.5
-	}
 	if c.MaxRetries > 0 && c.RejoinWait == 0 {
 		c.RejoinWait = 2 * time.Second
 	}
@@ -168,8 +152,6 @@ func (c TieredAsyncConfig) validate() error {
 		return fmt.Errorf("flnet: Alpha = %v", c.Alpha)
 	case c.StalenessExp < 0:
 		return fmt.Errorf("flnet: StalenessExp = %v", c.StalenessExp)
-	case len(c.Lockstep) > 0 && len(c.Lockstep) != c.GlobalCommits:
-		return fmt.Errorf("flnet: Lockstep schedules %d commits, GlobalCommits = %d", len(c.Lockstep), c.GlobalCommits)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("flnet: MaxRetries = %d", c.MaxRetries)
 	case c.RejoinWait < 0:
@@ -227,22 +209,6 @@ type TieredAsyncRunResult struct {
 	Retiers, Reassigned int
 }
 
-// lockSnap is what the lockstep committer hands a tier after applying its
-// commit: the tier's next pull (version + weights) AND its next round's
-// pre-drawn cohort, both taken at exactly the point the simulated engine's
-// dispatch-at-commit would take them. Pre-drawing in the committer is what
-// removes the last race: a tier goroutine drawing its own cohort could
-// observe a membership rebuilt by a later commit the committer had already
-// raced ahead to, which the simulation's atomic commit-then-dispatch never
-// does. It also serializes every Manager call into commit order, so the
-// sim and net Managers see identical call sequences.
-type lockSnap struct {
-	version int
-	weights []float64
-	round   int
-	cohort  []int
-}
-
 // TieredAsyncAggregator is the FL server for tiered-asynchronous training.
 // It reuses the base Aggregator's listener, registration, and profiling;
 // Run replaces the synchronous round loop with per-tier loops and the
@@ -251,33 +217,21 @@ type TieredAsyncAggregator struct {
 	*Aggregator
 	tcfg TieredAsyncConfig
 
-	gmu     sync.Mutex // guards version + gweights
-	version int
-	gw      []float64
+	// members publishes the Committer's membership view to the other
+	// goroutines (tier loops, rejoin hooks, Metrics); replaced, never edited.
+	members atomic.Pointer[[][]int]
 
-	tmu     sync.Mutex // guards the live membership view
-	members [][]int
+	fan *fanIn // the shared mini-FedAvg fan-in machinery
 
-	fan  *fanIn          // the shared mini-FedAvg fan-in machinery
-	acks []chan lockSnap // lockstep mode: per-tier pull snapshots
-	down []*downTier     // per-tier delta-broadcast chains (Downlink runs)
+	// resume is the checkpoint a Resume call validated for the next Run;
+	// resumeModel marks the roster-changed flavour (model and totals only).
+	resume      *flcore.TieredCheckpoint
+	resumeModel bool
 
-	// Resume state, set by Resume/ResumeModel before Run and read-only
-	// during it: the restored tier membership and per-tier cursors, plus
-	// the checkpointed cumulative totals Run's result continues from.
-	resumed      bool
-	resumeTiers  [][]int
-	startRounds  []int
-	baseCommits  []int
-	baseRetiers  int
-	baseMoved    int
-	baseUplink   int64
-	baseDownlink int64
-
-	// roundCursor tracks each tier's next round index for checkpoints
-	// (committer-goroutine-owned: a resumed tier restarts at the round
-	// after its last *committed* one; in-flight rounds die with a crash).
-	roundCursor []int
+	// commitOrder is the one seam between an arrival-order run and a
+	// scripted one: it names the tier whose commit becomes version
+	// applied+1. nil — always, outside the parity tests — is arrival order.
+	commitOrder func(applied int) int
 
 	obs     *obsState
 	metrics *metricsServer
@@ -301,10 +255,10 @@ func NewTieredAsyncAggregator(addr string, cfg TieredAsyncConfig) (*TieredAsyncA
 	ta := &TieredAsyncAggregator{
 		Aggregator: base,
 		tcfg:       cfg,
-		gw:         append([]float64(nil), cfg.InitialWeights...),
 		fan:        &fanIn{agg: base, obs: obs, timeout: cfg.RoundTimeout, retries: cfg.MaxRetries, rejoinWait: cfg.RejoinWait},
 		obs:        obs,
 	}
+	ta.publishTiers(nil)
 	if cfg.MetricsAddr != "" {
 		if err := ta.startMetrics(cfg.MetricsAddr); err != nil {
 			base.Close()
@@ -326,37 +280,16 @@ func (ta *TieredAsyncAggregator) SetManager(m flcore.TierManager) { ta.tcfg.Mana
 // tiers over the new roster.
 var ErrRosterChanged = errors.New("flnet: worker roster changed since checkpoint")
 
-// resumeCommon validates the parts of a checkpoint every resume flavour
-// needs and loads the global model and commit counter.
-func (ta *TieredAsyncAggregator) resumeCommon(c *flcore.TieredCheckpoint) error {
-	if c.Format != flcore.TieredCheckpointFormat {
-		return fmt.Errorf("flnet: unknown tiered checkpoint format %d (this build reads format %d)", c.Format, flcore.TieredCheckpointFormat)
+// checkResume is the validation every resume flavour starts with: flcore's
+// one checkpoint validation, plus the absolute commit target.
+func (ta *TieredAsyncAggregator) checkResume(c *flcore.TieredCheckpoint) error {
+	// Worker IDs are whatever the fleet registered with: no upper bound.
+	if err := c.Validate(ta.tcfg.Seed, len(ta.tcfg.InitialWeights), math.MaxInt); err != nil {
+		return err
 	}
-	if c.Seed != ta.tcfg.Seed {
-		return fmt.Errorf("flnet: checkpoint seed %d != aggregator seed %d", c.Seed, ta.tcfg.Seed)
-	}
-	if len(c.Weights) != len(ta.tcfg.InitialWeights) {
-		return fmt.Errorf("flnet: checkpoint has %d weights, model needs %d", len(c.Weights), len(ta.tcfg.InitialWeights))
-	}
-	for i, v := range c.Weights {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("flnet: checkpoint weight %d is %v; refusing non-finite model state", i, v)
-		}
-	}
-	if c.Version < 0 || c.Version >= ta.tcfg.GlobalCommits {
+	if c.Version >= ta.tcfg.GlobalCommits {
 		return fmt.Errorf("flnet: checkpoint at version %d, GlobalCommits = %d: nothing to resume", c.Version, ta.tcfg.GlobalCommits)
 	}
-	if len(ta.tcfg.Lockstep) > 0 {
-		return fmt.Errorf("flnet: lockstep runs are single-shot parity harnesses and cannot resume")
-	}
-	ta.gmu.Lock()
-	ta.version = c.Version
-	ta.gw = append(ta.gw[:0], c.Weights...)
-	ta.gmu.Unlock()
-	ta.baseRetiers, ta.baseMoved = c.Retiers, c.Migrations
-	ta.baseUplink = c.UplinkBytes
-	ta.baseDownlink = c.DownlinkBytes
-	ta.resumed = true
 	return nil
 }
 
@@ -368,18 +301,31 @@ func (ta *TieredAsyncAggregator) resumeCommon(c *flcore.TieredCheckpoint) error 
 // ErrRosterChanged and the caller should re-profile the new roster and use
 // ResumeModel instead. Run(nil) then continues the job from the saved
 // commit count: GlobalCommits is the absolute target, so a run
-// checkpointed at version 40 of 100 applies 60 more commits.
+// checkpointed at version 40 of 100 applies 60 more commits. A tier
+// restarts at its checkpointed round cursor — the round it had in flight
+// when the snapshot was cut died with its connections, and its index is
+// not reused.
 func (ta *TieredAsyncAggregator) Resume(c *flcore.TieredCheckpoint) error {
-	if len(c.Tiers) == 0 {
-		return fmt.Errorf("flnet: checkpoint has no tiers")
+	if err := ta.checkResume(c); err != nil {
+		return err
 	}
-	if len(c.Rounds) != len(c.Tiers) || len(c.Commits) != len(c.Tiers) {
-		return fmt.Errorf("flnet: checkpoint cursors (%d rounds, %d commits) do not match %d tiers",
-			len(c.Rounds), len(c.Commits), len(c.Tiers))
+	if missing := ta.unregistered(c.Tiers); len(missing) > 0 {
+		return fmt.Errorf("%w: checkpointed workers %v have not re-registered", ErrRosterChanged, missing)
 	}
+	// Restored here rather than in Run, so Run(nil) reads the checkpointed
+	// membership back from the Manager.
+	if err := flcore.RestoreManagerState(ta.tcfg.Manager, c.ManagerState); err != nil {
+		return err
+	}
+	ta.resume, ta.resumeModel = c, false
+	return nil
+}
+
+// unregistered returns, sorted, the members of tiers that never registered.
+func (ta *TieredAsyncAggregator) unregistered(tiers [][]int) []int {
 	var missing []int
 	ta.mu.Lock()
-	for _, members := range c.Tiers {
+	for _, members := range tiers {
 		for _, id := range members {
 			if _, ok := ta.workers[id]; !ok {
 				missing = append(missing, id)
@@ -387,31 +333,8 @@ func (ta *TieredAsyncAggregator) Resume(c *flcore.TieredCheckpoint) error {
 		}
 	}
 	ta.mu.Unlock()
-	if len(missing) > 0 {
-		sort.Ints(missing)
-		return fmt.Errorf("%w: checkpointed workers %v have not re-registered", ErrRosterChanged, missing)
-	}
-	// Manager and checkpoint must agree, exactly as in the sim engine:
-	// silently resuming a managed run unmanaged (or vice versa) changes
-	// cohort selection and re-tiering semantics.
-	if len(c.ManagerState) > 0 {
-		ms, ok := ta.tcfg.Manager.(flcore.TierManagerState)
-		if ta.tcfg.Manager == nil || !ok {
-			return fmt.Errorf("flnet: checkpoint carries tiering-manager state but the aggregator has no restorable Manager (install one with SetManager)")
-		}
-		if err := ms.RestoreState(c.ManagerState); err != nil {
-			return fmt.Errorf("flnet: restoring manager state: %w", err)
-		}
-	} else if ta.tcfg.Manager != nil {
-		return fmt.Errorf("flnet: aggregator has a Manager but the checkpoint carries no manager state")
-	}
-	if err := ta.resumeCommon(c); err != nil {
-		return err
-	}
-	ta.resumeTiers = copyNetTiers(c.Tiers)
-	ta.startRounds = append([]int(nil), c.Rounds...)
-	ta.baseCommits = append([]int(nil), c.Commits...)
-	return nil
+	sort.Ints(missing)
+	return missing
 }
 
 // ResumeModel is the roster-changed resume: it restores only the global
@@ -421,98 +344,44 @@ func (ta *TieredAsyncAggregator) Resume(c *flcore.TieredCheckpoint) error {
 // round cursors and commit histories restart at zero over the new roster,
 // while GlobalCommits remains the absolute target.
 func (ta *TieredAsyncAggregator) ResumeModel(c *flcore.TieredCheckpoint) error {
-	return ta.resumeCommon(c)
-}
-
-// copyNetTiers deep-copies a tier membership table.
-func copyNetTiers(tiers [][]int) [][]int {
-	out := make([][]int, len(tiers))
-	for t, members := range tiers {
-		out[t] = append([]int(nil), members...)
+	if err := ta.checkResume(c); err != nil {
+		return err
 	}
-	return out
+	ta.resume, ta.resumeModel = c, true
+	return nil
 }
 
-// snapshot returns the current global version and a copy of the weights —
-// the tier loops' "pull".
-func (ta *TieredAsyncAggregator) snapshot() (int, []float64) {
-	ta.gmu.Lock()
-	defer ta.gmu.Unlock()
-	return ta.version, append([]float64(nil), ta.gw...)
-}
-
-// applyCommit mixes one tier commit into the global model and returns its
-// stats. A mismatched weight length or an invalid TierWeight is a
-// configuration error (mismatched worker model architecture, broken weight
-// policy) that no later commit can heal, so it is reported rather than
-// dropped — the loud-failure analogue of the simulated engine's panics.
-func (ta *TieredAsyncAggregator) applyCommit(tc *TierCommit, commits []int) (TierCommitStats, error) {
-	ta.gmu.Lock()
-	defer ta.gmu.Unlock()
-	if len(tc.Weights) != len(ta.gw) {
-		return TierCommitStats{}, fmt.Errorf("flnet: tier %d commit carries %d weights, global model has %d", tc.Tier, len(tc.Weights), len(ta.gw))
-	}
-	commits[tc.Tier]++
-	w := 1.0
-	if ta.tcfg.TierWeight != nil {
-		w = ta.tcfg.TierWeight(tc.Tier, commits)
-		if w < 0 || math.IsNaN(w) {
-			commits[tc.Tier]--
-			return TierCommitStats{}, fmt.Errorf("flnet: tier weight %v for tier %d", w, tc.Tier)
+// newCommitter builds the run's Committer over tiers and, on a resumed
+// run, loads the checkpoint Resume validated into it.
+func (ta *TieredAsyncAggregator) newCommitter(tiers [][]int) (*flcore.Committer, error) {
+	com := flcore.NewCommitter(flcore.CommitterConfig{
+		Alpha: ta.tcfg.Alpha, StalenessExp: ta.tcfg.StalenessExp, TierWeight: ta.tcfg.TierWeight,
+		ClientsPerRound: ta.tcfg.ClientsPerRound, Seed: ta.tcfg.Seed, Manager: ta.tcfg.Manager,
+		CheckpointEvery: ta.tcfg.CheckpointEvery,
+	}, tiers, append([]float64(nil), ta.tcfg.InitialWeights...))
+	if ta.resume != nil {
+		if err := com.Restore(ta.resume, ta.resumeModel); err != nil {
+			return nil, err
 		}
 	}
-	staleness := ta.version - tc.PulledVersion
-	alpha := flcore.CommitMix(ta.gw, tc.Weights, ta.tcfg.Alpha, w, staleness, ta.tcfg.StalenessExp)
-	ta.version++
-	return TierCommitStats{
-		Tier: tc.Tier, TierRound: tc.TierRound, Version: ta.version,
-		Staleness: staleness, Weight: alpha, Clients: tc.Clients,
-		Seconds: tc.Seconds, UplinkBytes: tc.UplinkBytes,
-		DownlinkBytes: tc.DownlinkBytes,
-	}, nil
+	ta.publishTiers(com.Tiers())
+	return com, nil
 }
 
-// tierMembers returns a copy of tier t's current membership.
-func (ta *TieredAsyncAggregator) tierMembers(t int) []int {
-	ta.tmu.Lock()
-	defer ta.tmu.Unlock()
-	return append([]int(nil), ta.members[t]...)
-}
+// publishTiers swaps the membership view the non-committer goroutines read.
+func (ta *TieredAsyncAggregator) publishTiers(tiers [][]int) { ta.members.Store(&tiers) }
 
-// feedManager routes one applied commit's observed latencies into the live
-// tiering Manager, then lets it decide whether this version is a rebuild
-// point. On a re-tiering it swaps the shared membership view (tier loops
-// pick it up next round; in-flight rounds complete under the membership
-// they were dispatched with) and announces each migration to the moved
-// worker — only to workers whose protocol understands MsgTierReassign;
-// older workers were pinned at Run start and never appear in the moves.
-func (ta *TieredAsyncAggregator) feedManager(tc *TierCommit, version int, res *TieredAsyncRunResult) {
-	mgr := ta.tcfg.Manager
-	if mgr == nil {
-		return
-	}
-	// Managers that take the richer round observation (tiering.Manager
-	// does) get the end-to-end response time and the wire traffic next to
-	// the compute-side seconds — the comm-aware tiering signal. Plain
-	// TierManagers keep the seconds-only feed.
-	if co, ok := mgr.(flcore.CommObserver); ok {
-		for _, o := range tc.Observed {
-			co.ObserveRound(o.Client, o.Seconds, o.EndToEnd, o.Bytes)
-		}
-	} else {
-		for _, o := range tc.Observed {
-			mgr.Observe(o.Client, o.Seconds)
-		}
-	}
-	tiers, moves, changed := mgr.MaybeRetier(version)
-	if !changed {
-		return
-	}
-	ta.tmu.Lock()
-	ta.members = tiers
-	ta.tmu.Unlock()
-	res.Retiers++
-	res.Reassigned += len(moves)
+// tiers returns the published membership view (empty before the first run).
+func (ta *TieredAsyncAggregator) tiers() [][]int { return *ta.members.Load() }
+
+// migrate carries out a re-tiering the Committer just applied: it swaps
+// the published membership view (tier loops pick it up next round;
+// in-flight rounds complete under the membership they were dispatched
+// with) and announces each migration to the moved worker — only to workers
+// whose protocol understands MsgTierReassign; older workers were pinned at
+// Run start and never appear in the moves.
+func (ta *TieredAsyncAggregator) migrate(tiers [][]int, moves []flcore.TierMove) {
+	ta.publishTiers(tiers)
 	for _, mv := range moves {
 		w := ta.liveWorker(mv.Client)
 		if w == nil || w.proto < ProtoTierReassign {
@@ -539,66 +408,35 @@ func (ta *TieredAsyncAggregator) feedManager(tc *TierCommit, version int, res *T
 		}
 		w.c.send(&Envelope{Type: MsgTierReassign, TierReassign: tr}) //nolint:errcheck // informational, best effort
 	}
+	ta.obs.noteRetier(len(moves), tierSizes(tiers))
+}
+
+// tierSizes returns each tier's member count.
+func tierSizes(tiers [][]int) []int {
 	counts := make([]int, len(tiers))
 	for t, ms := range tiers {
 		counts[t] = len(ms)
 	}
-	ta.obs.noteRetier(len(moves), counts)
+	return counts
 }
 
-// writeCheckpoint snapshots the run after the applied-th commit as a
-// flcore.TieredCheckpoint and persists/announces it per the config. The
-// network checkpoint is model-plus-cursors only: no in-flight tier rounds
-// (they die with the process and are honestly re-run) and no worker-side
-// compression residuals (workers own those and restart residual-fresh).
-func (ta *TieredAsyncAggregator) writeCheckpoint(applied int, res *TieredAsyncRunResult) error {
-	_, w := ta.snapshot()
-	c := &flcore.TieredCheckpoint{
-		Format:        flcore.TieredCheckpointFormat,
-		Seed:          ta.tcfg.Seed,
-		Version:       applied,
-		Weights:       w,
-		Rounds:        append([]int(nil), ta.roundCursor...),
-		Commits:       append([]int(nil), res.Commits...),
-		Retiers:       res.Retiers,
-		Migrations:    res.Reassigned,
-		UplinkBytes:   res.UplinkBytes,
-		DownlinkBytes: res.DownlinkBytes,
+// writeCheckpoint persists/announces the Committer's snapshot per the
+// config. The network checkpoint is model-plus-cursors only: no in-flight
+// tier rounds (they die with the process) and no worker-side compression
+// residuals (workers own those and restart residual-fresh).
+func (ta *TieredAsyncAggregator) writeCheckpoint(com *flcore.Committer) error {
+	c, err := com.Snapshot()
+	if err == nil && ta.tcfg.CheckpointPath != "" {
+		err = c.SaveFile(ta.tcfg.CheckpointPath)
 	}
-	ta.tmu.Lock()
-	c.Tiers = copyNetTiers(ta.members)
-	ta.tmu.Unlock()
-	if ms, ok := ta.tcfg.Manager.(flcore.TierManagerState); ok {
-		state, err := ms.SnapshotState()
-		if err != nil {
-			err = fmt.Errorf("flnet: checkpoint at version %d: manager state: %w", applied, err)
-			ta.obs.noteCheckpoint(applied, err)
-			return err
-		}
-		c.ManagerState = state
+	if err != nil {
+		err = fmt.Errorf("flnet: checkpoint at version %d: %w", com.Version(), err)
 	}
-	if ta.tcfg.CheckpointPath != "" {
-		if err := c.SaveFile(ta.tcfg.CheckpointPath); err != nil {
-			err = fmt.Errorf("flnet: checkpoint at version %d: %w", applied, err)
-			ta.obs.noteCheckpoint(applied, err)
-			return err
-		}
-	}
-	ta.obs.noteCheckpoint(applied, nil)
-	if ta.tcfg.OnCheckpoint != nil {
+	ta.obs.noteCheckpoint(com.Version(), err)
+	if err == nil && ta.tcfg.OnCheckpoint != nil {
 		ta.tcfg.OnCheckpoint(c)
 	}
-	return nil
-}
-
-// tierAlive reports whether any tier member's connection is still up.
-func (ta *TieredAsyncAggregator) tierAlive(members []int) bool {
-	for _, id := range members {
-		if ta.liveWorker(id) != nil {
-			return true
-		}
-	}
-	return false
+	return err
 }
 
 // waitTierAlive polls for any member of tier t to come back within the
@@ -616,7 +454,7 @@ func (ta *TieredAsyncAggregator) waitTierAlive(t int, done <-chan struct{}) bool
 			return false
 		case <-time.After(20 * time.Millisecond):
 		}
-		if ta.tierAlive(ta.tierMembers(t)) {
+		if ta.anyLive(ta.tiers()[t]) {
 			return true
 		}
 	}
@@ -625,9 +463,7 @@ func (ta *TieredAsyncAggregator) waitTierAlive(t int, done <-chan struct{}) bool
 
 // tierOf returns the tier currently holding the given client ID, or -1.
 func (ta *TieredAsyncAggregator) tierOf(id int) int {
-	ta.tmu.Lock()
-	defer ta.tmu.Unlock()
-	for t, ms := range ta.members {
+	for t, ms := range ta.tiers() {
 		for _, m := range ms {
 			if m == id {
 				return t
@@ -635,23 +471,6 @@ func (ta *TieredAsyncAggregator) tierOf(id int) int {
 		}
 	}
 	return -1
-}
-
-// numTiers returns the current tier count.
-func (ta *TieredAsyncAggregator) numTiers() int {
-	ta.tmu.Lock()
-	defer ta.tmu.Unlock()
-	return len(ta.members)
-}
-
-// cohortFor draws tier t's participants for its local round r: through the
-// live Manager when one is installed (Algorithm-2 adaptive sizing, current
-// membership), otherwise the static TierCohort draw over members.
-func (ta *TieredAsyncAggregator) cohortFor(t, r int, members []int) []int {
-	if ta.tcfg.Manager != nil {
-		return ta.tcfg.Manager.Cohort(t, r, ta.tcfg.ClientsPerRound)
-	}
-	return flcore.TierCohort(ta.tcfg.Seed, r, t, members, ta.tcfg.ClientsPerRound)
 }
 
 // fanIn is the synchronous mini-FedAvg fan-in machinery shared by the two
@@ -677,8 +496,8 @@ type fanIn struct {
 // error-feedback residual), and the tier's versioned-broadcast counter —
 // the Train.Version value of the chain's current base. The counter is
 // per-tier and per-broadcast rather than the global model version because
-// a tier racing its own commit's application can pull the same global
-// version twice; a per-broadcast counter keeps every (tier, version) pair
+// a round that ends without a commit is redrawn from the same global
+// version; a per-broadcast counter keeps every (tier, version) pair
 // naming exactly one base, so a stale ack can never alias a newer one.
 // Owned by the tier's single aggregator loop — no locking needed.
 type downTier struct {
@@ -1049,111 +868,93 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 	}, roundCommitted
 }
 
-// runTierRound runs one mini-round through the shared fan-in and delivers
-// the committed aggregate into the in-process commit channel.
-func (ta *TieredAsyncAggregator) runTierRound(t, r int, cohort []int, version int, weights []float64, commitCh chan<- *Envelope, done <-chan struct{}) tierRoundStatus {
-	var dl *downTier
-	if ta.down != nil {
-		dl = ta.down[t]
-	}
-	tc, status := ta.fan.runRound(t, r, cohort, version, weights, dl, done)
-	if status != roundCommitted {
-		return status
-	}
+// tierEvent is what a tier's driver — a flat tier loop, a tree child's
+// pump — reports to the committer goroutine.
+type tierEvent struct {
+	tier int
+	// commit is a finished round. nil (with gone unset) means the round
+	// ended without one — dead cohort, empty collection windows — and the
+	// tier asks for its redraw.
+	commit *TierCommit
+	// gone is the driver's last event: its tier loop gave up, its child's
+	// connection died.
+	gone bool
+}
+
+// topology is what Run and RunTree each plug into drive, the committer
+// loop they share: how tier events arrive and how a pull reaches a tier.
+type topology struct {
+	events chan tierEvent // unbuffered: a received event is an accounted one
+	done   chan struct{}  // closed by drive when the run ends
+	wg     sync.WaitGroup // the tier drivers drive waits for
+	// dispatch hands tier its next pull, on the committer goroutine;
+	// p.Weights aliases the live model. It never blocks on the tier, which
+	// has at most one request outstanding.
+	dispatch func(tier int, p flcore.TierPull)
+	// Tree only: re-registrations arrive on rejoin, revive reports whether
+	// one brought its tier's driver back, and grace is how long a run whose
+	// every driver is gone waits for that before failing.
+	rejoin chan *registered
+	revive func(w *registered) bool
+	grace  time.Duration
+}
+
+// post delivers ev to the committer, or reports false once the run is over.
+func (tp *topology) post(ev tierEvent) bool {
 	select {
-	case commitCh <- &Envelope{Type: MsgTierCommit, TierCommit: tc}:
-		return roundCommitted
-	case <-done:
-		return roundAbort
+	case tp.events <- ev:
+		return true
+	case <-tp.done:
+		return false
 	}
 }
 
 // tierLoop drives tier t's synchronous mini-FedAvg rounds until the global
 // committer signals done or the tier can no longer make progress (its last
 // live worker is gone, or maxEmptyRounds consecutive rounds produced no
-// update). Under a live Manager the membership is re-read every round, so
-// re-tierings take effect at the next dispatch. In lockstep mode the pull
-// — version, weights, AND the pre-drawn cohort — comes from the
-// committer's per-tier ack channel instead of the shared snapshot, so each
-// round starts from exactly the state the simulated engine's dispatch
-// would see.
-func (ta *TieredAsyncAggregator) tierLoop(t int, commitCh chan<- *Envelope, done <-chan struct{}) {
+// update). Every round starts from a pull the committer took after the
+// tier's previous event was handled — version, weights, round index AND
+// the pre-drawn cohort — so it trains from exactly the state the simulated
+// engine's dispatch would see, and re-tierings take effect at the tier's
+// next pull.
+func (ta *TieredAsyncAggregator) tierLoop(t int, pulls <-chan flcore.TierPull, dl *downTier, tp *topology) {
 	// A tier that times out this many rounds in a row (each with several
 	// collection windows) stops participating; when every tier stops, Run
 	// reports the failure instead of hanging.
 	const maxEmptyRounds = 3
-	lockstep := len(ta.tcfg.Lockstep) > 0
-	empty := 0
-	var snap lockSnap
-	haveSnap := false
-	// A resumed run restarts each tier at the round after its last
-	// committed one (startRounds is immutable during Run).
-	r0 := 0
-	if t < len(ta.startRounds) {
-		r0 = ta.startRounds[t]
-	}
-	for r := r0; ; r++ {
+	for empty := 0; ; {
+		var p flcore.TierPull
 		select {
-		case <-done:
-			return
-		default:
-		}
-		if lockstep && !haveSnap {
-			select {
-			case s, ok := <-ta.acks[t]:
-				if !ok {
-					return
-				}
-				snap, haveSnap = s, true
-			case <-done:
-				return
-			}
-		}
-		members := ta.tierMembers(t)
-		if !ta.tierAlive(members) {
-			// Every member's connection is down. With a rejoin grace window
-			// configured, wait for reconnecting workers before giving the
-			// tier up for the rest of the run.
-			if lockstep || !ta.waitTierAlive(t, done) {
-				return
-			}
-			members = ta.tierMembers(t)
-		}
-		if empty >= maxEmptyRounds {
+		case p = <-pulls:
+		case <-tp.done:
 			return
 		}
-		var cohort []int
-		var version int
-		var weights []float64
-		if lockstep {
-			r, cohort = snap.round, snap.cohort
-			version, weights = snap.version, snap.weights
-		} else {
-			cohort = ta.cohortFor(t, r, members)
-			version, weights = ta.snapshot()
-		}
-		if len(cohort) == 0 {
+		// Every member's connection is down: with a rejoin grace window
+		// configured, wait for reconnecting workers before giving the tier
+		// up for the rest of the run.
+		if len(p.Cohort) == 0 || (!ta.anyLive(ta.tiers()[t]) && !ta.waitTierAlive(t, tp.done)) {
 			return
 		}
-		switch ta.runTierRound(t, r, cohort, version, weights, commitCh, done) {
+		tc, status := ta.fan.runRound(t, p.Round, p.Cohort, p.Version, p.Weights, dl, tp.done)
+		switch status {
 		case roundCommitted:
 			empty = 0
-			haveSnap = false // next round pulls the post-commit snapshot
 		case roundNoCohort:
-			if lockstep {
-				return // a lockstep schedule cannot skip rounds; give up the tier
-			}
 			// Whole cohort dead while the tier still has live members
-			// elsewhere: the next round draws a different cohort. Back off
-			// briefly so the redraw loop cannot burn a core while dead
-			// flags propagate.
+			// elsewhere: the redraw is a different cohort. Back off briefly
+			// so the redraw loop cannot burn a core while dead flags
+			// propagate.
 			time.Sleep(10 * time.Millisecond)
 		case roundEmpty:
-			if lockstep {
+			if empty++; empty >= maxEmptyRounds {
 				return
 			}
-			empty++
 		case roundAbort:
+			return
+		}
+		// A commit, or (tc nil) the request for the round's redraw: either
+		// way the committer answers with the next pull.
+		if !tp.post(tierEvent{tier: t, commit: tc}) {
 			return
 		}
 	}
@@ -1173,64 +974,41 @@ func (ta *TieredAsyncAggregator) Run(tiers [][]int) (*TieredAsyncRunResult, erro
 	if tiers == nil && ta.tcfg.Manager != nil {
 		tiers = ta.tcfg.Manager.Tiers()
 	}
-	if tiers == nil && ta.resumeTiers != nil {
-		tiers = ta.resumeTiers
+	if tiers == nil && ta.resume != nil && !ta.resumeModel {
+		tiers = ta.resume.Tiers
 	}
 	if len(tiers) == 0 {
 		return nil, fmt.Errorf("flnet: tiered-async needs at least one tier")
-	}
-	if ta.baseCommits != nil && len(ta.baseCommits) != len(tiers) {
-		return nil, fmt.Errorf("flnet: resumed checkpoint has %d tiers, Run got %d", len(ta.baseCommits), len(tiers))
 	}
 	if ta.tcfg.CheckpointEvery > 0 && ta.tcfg.Manager != nil {
 		if _, ok := ta.tcfg.Manager.(flcore.TierManagerState); !ok {
 			return nil, fmt.Errorf("flnet: CheckpointEvery set but Manager %T does not implement flcore.TierManagerState", ta.tcfg.Manager)
 		}
 	}
-	for _, t := range ta.tcfg.Lockstep {
-		if t < 0 || t >= len(tiers) {
-			return nil, fmt.Errorf("flnet: lockstep schedule names tier %d of %d", t, len(tiers))
-		}
+	// Worker IDs are whatever the fleet registered with: no upper bound.
+	if err := flcore.ValidateTiers(tiers, math.MaxInt); err != nil {
+		return nil, fmt.Errorf("flnet: %w", err)
 	}
-	seen := make(map[int]int)
-	for t, members := range tiers {
-		if len(members) == 0 {
-			return nil, fmt.Errorf("flnet: tier %d is empty", t)
-		}
-		for _, id := range members {
-			if prev, dup := seen[id]; dup {
-				return nil, fmt.Errorf("flnet: worker %d in tiers %d and %d", id, prev, t)
-			}
-			seen[id] = t
-			// A member must have registered at some point; one that has
-			// since dropped is tolerated like any mid-run disconnect.
-			ta.mu.Lock()
-			_, registered := ta.workers[id]
-			ta.mu.Unlock()
-			if !registered {
-				return nil, fmt.Errorf("flnet: tier %d member %d never registered", t, id)
-			}
-		}
+	// A member must have registered at some point; one that has since
+	// dropped is tolerated like any mid-run disconnect.
+	if missing := ta.unregistered(tiers); len(missing) > 0 {
+		return nil, fmt.Errorf("flnet: tier members %v never registered", missing)
 	}
-	ta.tmu.Lock()
-	ta.members = make([][]int, len(tiers))
-	for t, members := range tiers {
-		ta.members[t] = append([]int(nil), members...)
+	com, err := ta.newCommitter(tiers)
+	if err != nil {
+		return nil, err
 	}
-	ta.tmu.Unlock()
 	// Live tiering with a mixed fleet: workers that predate
 	// MsgTierReassign are pinned in their original tier, so rebuilds never
 	// move a worker that could not be told.
-	if ta.tcfg.Manager != nil {
-		if p, ok := ta.tcfg.Manager.(interface{ Pin(int) }); ok {
-			ta.mu.Lock()
-			for id, w := range ta.workers {
-				if w.proto < ProtoTierReassign {
-					p.Pin(id)
-				}
+	if p, ok := ta.tcfg.Manager.(interface{ Pin(int) }); ok {
+		ta.mu.Lock()
+		for id, w := range ta.workers {
+			if w.proto < ProtoTierReassign {
+				p.Pin(id)
 			}
-			ta.mu.Unlock()
 		}
+		ta.mu.Unlock()
 	}
 	// Announce placements (best effort: a worker that just dropped is
 	// handled by its tier loop like any other disconnect).
@@ -1242,169 +1020,172 @@ func (ta *TieredAsyncAggregator) Run(tiers [][]int) (*TieredAsyncRunResult, erro
 		}
 	}
 
-	if ta.tcfg.Downlink != nil {
-		// Fresh chains every Run — on a resumed run the workers' held bases
-		// did not survive the crash any more than the chains did, so every
-		// tier re-enters through the dense first-contact path.
-		ta.down = make([]*downTier, len(tiers))
-		for t := range ta.down {
-			ta.down[t] = &downTier{chain: ta.tcfg.Downlink.NewChain()}
+	tp := &topology{events: make(chan tierEvent), done: make(chan struct{})}
+	pulls := make([]chan flcore.TierPull, len(tiers))
+	tp.dispatch = func(t int, p flcore.TierPull) {
+		// The tier trains from the pull while later commits mix into the
+		// live vector. Buffered 1 and answered one request at a time, the
+		// channel never blocks the committer.
+		p.Weights = append([]float64(nil), p.Weights...)
+		pulls[t] <- p
+	}
+	// Self-healing: keep accepting registrations while the run is in
+	// flight, and greet every rejoining worker with the tier the run
+	// still holds for it — its tier loop then reaches it through
+	// liveWorker on the next dispatch (or a pending redispatch).
+	go ta.acceptLoop(tp.done)
+	ta.setRejoinHook(func(w *registered) {
+		if w.role != RoleWorker {
+			w.c.close() //nolint:errcheck // tree children rejoin via RunTree only
+			return
 		}
-	}
-
-	if len(ta.tcfg.Lockstep) > 0 {
-		ta.acks = make([]chan lockSnap, len(tiers))
-		initial := append([]float64(nil), ta.tcfg.InitialWeights...)
-		for t := range ta.acks {
-			ta.acks[t] = make(chan lockSnap, 1)
-			ta.acks[t] <- lockSnap{version: 0, weights: initial, round: 0, cohort: ta.cohortFor(t, 0, ta.tierMembers(t))}
+		ta.obs.noteReconnect(w.id)
+		if t := ta.tierOf(w.id); t >= 0 {
+			w.c.send(&Envelope{Type: MsgTierAssign, TierAssign: &TierAssign{Tier: t, NumTiers: len(ta.tiers())}}) //nolint:errcheck // informational, best effort
 		}
-	}
-
-	commitCh := make(chan *Envelope)
-	done := make(chan struct{})
-	if len(ta.tcfg.Lockstep) == 0 {
-		// Self-healing: keep accepting registrations while the run is in
-		// flight, and greet every rejoining worker with the tier the run
-		// still holds for it — its tier loop then reaches it through
-		// liveWorker on the next dispatch (or a pending redispatch). The
-		// lockstep parity harness stays frozen-fleet by design.
-		go ta.acceptLoop(done)
-		ta.setRejoinHook(func(w *registered) {
-			if w.role != RoleWorker {
-				w.c.close() //nolint:errcheck // tree children rejoin via RunTree only
-				return
-			}
-			ta.obs.noteReconnect(w.id)
-			if t := ta.tierOf(w.id); t >= 0 {
-				w.c.send(&Envelope{Type: MsgTierAssign, TierAssign: &TierAssign{Tier: t, NumTiers: ta.numTiers()}}) //nolint:errcheck // informational, best effort
-			}
-		})
-	}
-	var wg sync.WaitGroup
-	loopDone := make([]chan struct{}, len(tiers))
+	})
 	for t := range tiers {
-		wg.Add(1)
-		loopDone[t] = make(chan struct{})
-		go func(t int) {
-			defer wg.Done()
-			defer close(loopDone[t])
-			ta.tierLoop(t, commitCh, done)
-		}(t)
+		var dl *downTier // the tier's delta-broadcast chain (Downlink runs)
+		if ta.tcfg.Downlink != nil {
+			// Fresh chains every Run — on a resumed run the workers' held
+			// bases did not survive the crash any more than the chains did,
+			// so every tier re-enters through the dense first-contact path.
+			dl = &downTier{chain: ta.tcfg.Downlink.NewChain()}
+		}
+		pulls[t] = make(chan flcore.TierPull, 1)
+		tp.dispatch(t, com.Pull(t))
+		tp.wg.Add(1)
+		go func() {
+			defer tp.wg.Done()
+			ta.tierLoop(t, pulls[t], dl, tp)
+			tp.post(tierEvent{tier: t, gone: true})
+		}()
 	}
-	loopsExited := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(loopsExited)
-	}()
+	return ta.drive(com, tp)
+}
 
-	// The single global-model goroutine is this one: it owns the commit
-	// order, applying envelopes as tiers race to deliver them — or, in
-	// lockstep mode, in exactly the scheduled order, buffering early
-	// arrivals.
-	// A resumed run continues the checkpoint's cumulative counters: commits,
-	// re-tier totals, uplink traffic, the global version, and each tier's
-	// round cursor all pick up where the snapshot left them.
-	res := &TieredAsyncRunResult{Commits: make([]int, len(tiers))}
-	copy(res.Commits, ta.baseCommits)
-	res.Retiers, res.Reassigned = ta.baseRetiers, ta.baseMoved
-	res.UplinkBytes = ta.baseUplink
-	res.DownlinkBytes = ta.baseDownlink
-	ta.roundCursor = make([]int, len(tiers))
-	copy(ta.roundCursor, ta.startRounds)
-	counts := make([]int, len(tiers))
-	for t, ms := range tiers {
-		counts[t] = len(ms)
-	}
-	ta.gmu.Lock()
-	applied := ta.version
-	ta.gmu.Unlock()
-	ta.obs.noteRunStart(ta.tcfg.GlobalCommits, applied, res.Commits, res.Retiers, res.Reassigned, res.UplinkBytes, counts)
-	finish := func(applied int, err error) (*TieredAsyncRunResult, error) {
+// drive is the committer goroutine of both topologies, the single owner of
+// the run's flcore.Committer. It applies commits in arrival order (or the
+// order the commitOrder seam scripts, buffering early arrivals), accounts
+// them, carries out re-tierings, checkpoints on the Committer's cadence,
+// and answers every applied commit — and every redraw request — with the
+// tier's next pull: the dispatch-at-commit that makes each round train from
+// a model holding the tier's own last commit. A resumed run continues the
+// checkpoint's cumulative counters, version and round cursors.
+func (ta *TieredAsyncAggregator) drive(com *flcore.Committer, tp *topology) (*TieredAsyncRunResult, error) {
+	res := &TieredAsyncRunResult{}
+	tot := com.Totals()
+	ta.obs.noteRunStart(ta.tcfg.GlobalCommits, com.Version(), tot.Commits, tot.Retiers, tot.Migrations, tot.UplinkBytes, tierSizes(com.Tiers()))
+	// Done goes out before waiting on the tier drivers: workers finishing
+	// an in-flight round send their update, read Done, and close their
+	// connections, which unblocks any loop still collecting — so the final
+	// wait is bounded even when RoundTimeout is generous. Closing done also
+	// stops the mid-run accept loop.
+	finish := func(err error) (*TieredAsyncRunResult, error) {
 		ta.setRejoinHook(nil)
-		close(done)
-		ta.FinishWorkers(applied)
-		wg.Wait()
-		_, res.Weights = ta.snapshot()
+		close(tp.done)
+		ta.FinishWorkers(com.Version()) // in a tree the registered "workers" are the children
+		tp.wg.Wait()
+		tot := com.Totals()
+		res.Weights, res.Commits = com.Weights(), tot.Commits
+		res.Retiers, res.Reassigned = tot.Retiers, tot.Migrations
+		res.UplinkBytes, res.DownlinkBytes = tot.UplinkBytes, tot.DownlinkBytes
 		ta.obs.noteRunEnd()
 		return res, err
 	}
-	pending := make([][]*Envelope, len(tiers)) // lockstep buffers
-	for applied < ta.tcfg.GlobalCommits {
-		var env *Envelope
-		if len(ta.tcfg.Lockstep) > 0 {
-			want := ta.tcfg.Lockstep[applied]
-			for len(pending[want]) == 0 {
-				// Watching the scheduled tier's OWN exit (not just the
-				// all-loops exit) matters: other tiers may be blocked on
-				// their ack channels rather than exited, and only closing
-				// done (finish) releases them — waiting for loopsExited
-				// here would deadlock.
-				select {
-				case e := <-commitCh:
-					pending[e.TierCommit.Tier] = append(pending[e.TierCommit.Tier], e)
-				case <-loopDone[want]:
-					// The scheduled tier can never deliver: a completed
-					// send would already have been received and stashed
-					// (the commit channel is unbuffered), so pending[want]
-					// being empty means no commit is coming.
-					return finish(applied, fmt.Errorf("flnet: lockstep schedule stalled: tier %d never delivered commit %d of %d", want, applied+1, ta.tcfg.GlobalCommits))
+
+	// The receive step. gone counts each tier's driver exits net of
+	// revivals (a revival can overtake the exit it replaces); queue holds
+	// commits that arrived ahead of their turn.
+	gone := make([]int, len(com.Tiers()))
+	alive := len(gone)
+	var queue []*TierCommit
+	var graceC <-chan time.Time
+	next := func() (*TierCommit, error) {
+		for {
+			want := -1 // any tier: arrival order
+			if ta.commitOrder != nil {
+				want = ta.commitOrder(com.Version())
+			}
+			for i, tc := range queue {
+				if want < 0 || tc.Tier == want {
+					queue = append(queue[:i], queue[i+1:]...)
+					return tc, nil
 				}
 			}
-			env = pending[want][0]
-			pending[want] = pending[want][1:]
-		} else {
+			switch {
+			case want >= len(gone) || want >= 0 && gone[want] > 0:
+				// A received event is an accounted one, so an empty queue
+				// after the tier's exit means its commit is never coming.
+				return nil, fmt.Errorf("flnet: scripted commit order stalled: tier %d cannot deliver commit %d of %d", want, com.Version()+1, ta.tcfg.GlobalCommits)
+			case alive == 0 && graceC == nil:
+				// Hold the run open one grace window (none: fail at once) in
+				// case a respawned child is mid-reconnect.
+				graceC = time.After(tp.grace)
+			}
 			select {
-			case e := <-commitCh:
-				env = e
-			case <-loopsExited:
-				// finish() also closes done, stopping the mid-run accept
-				// loop, and clears the rejoin hook; the tier loops it waits
-				// on have already exited.
-				return finish(applied, fmt.Errorf("flnet: every tier stopped making progress after %d of %d commits", applied, ta.tcfg.GlobalCommits))
+			case ev := <-tp.events:
+				switch {
+				case ev.gone:
+					gone[ev.tier]++
+					alive--
+				case ev.commit == nil:
+					tp.dispatch(ev.tier, com.Pull(ev.tier))
+				case ev.commit.Tier != ev.tier:
+					return nil, fmt.Errorf("flnet: tier %d delivered a commit labeled tier %d", ev.tier, ev.commit.Tier)
+				default:
+					queue = append(queue, ev.commit)
+				}
+			case w := <-tp.rejoin:
+				if tp.revive(w) {
+					gone[w.id]--
+					alive++
+					graceC = nil
+				}
+			case <-graceC:
+				return nil, fmt.Errorf("flnet: every tier stopped making progress after %d of %d commits", com.Version(), ta.tcfg.GlobalCommits)
 			}
-		}
-		stats, err := ta.applyCommit(env.TierCommit, res.Commits)
-		if err != nil {
-			return finish(applied, err)
-		}
-		res.Log = append(res.Log, stats)
-		res.UplinkBytes += stats.UplinkBytes
-		res.DownlinkBytes += stats.DownlinkBytes
-		applied++
-		ta.obs.noteCommit(stats)
-		ta.feedManager(env.TierCommit, stats.Version, res)
-		// The committer owns the round cursors: the committing tier's next
-		// round is the one after the highest round it has committed — a
-		// resumed run restarts there, and any round that was in flight when
-		// the process died is honestly re-run.
-		if next := env.TierCommit.TierRound + 1; next > ta.roundCursor[env.TierCommit.Tier] {
-			ta.roundCursor[env.TierCommit.Tier] = next
-		}
-		if ta.tcfg.CheckpointEvery > 0 && applied%ta.tcfg.CheckpointEvery == 0 {
-			if err := ta.writeCheckpoint(applied, res); err != nil {
-				return finish(applied, err)
-			}
-		}
-		if len(ta.tcfg.Lockstep) > 0 {
-			// Hand the committing tier its next pull: the post-commit
-			// snapshot and its next round's cohort, both taken after any
-			// re-tiering at this version — the simulated engine's
-			// dispatch-at-commit discipline. Lockstep never skips rounds,
-			// so the tier's next round index is its commit count. The ack
-			// channel is buffered and the tier has at most one commit in
-			// flight, so this never blocks.
-			tier := env.TierCommit.Tier
-			ver, w := ta.snapshot()
-			nextRound := res.Commits[tier]
-			ta.acks[tier] <- lockSnap{version: ver, weights: w, round: nextRound, cohort: ta.cohortFor(tier, nextRound, ta.tierMembers(tier))}
 		}
 	}
-	// Done goes out before waiting on the tier loops: workers finishing an
-	// in-flight round send their update, read Done, and close their
-	// connections, which unblocks any loop still collecting — so the final
-	// wait is bounded even when RoundTimeout is generous.
-	return finish(applied, nil)
+
+	for com.Version() < ta.tcfg.GlobalCommits {
+		tc, err := next()
+		if err != nil {
+			return finish(err)
+		}
+		rec, moves, err := com.Apply(flcore.Commit{
+			Tier: tc.Tier, TierRound: tc.TierRound, PulledVersion: tc.PulledVersion,
+			Weights: tc.Weights, UplinkBytes: tc.UplinkBytes, DownlinkBytes: tc.DownlinkBytes,
+			Observed: tc.Observed,
+		})
+		if err != nil {
+			return finish(err)
+		}
+		stats := TierCommitStats{
+			Tier: rec.Tier, TierRound: rec.TierRound, Version: rec.Version,
+			Staleness: rec.Staleness, Weight: rec.Weight, Clients: tc.Clients,
+			Seconds: tc.Seconds, UplinkBytes: rec.UplinkBytes,
+			DownlinkBytes: rec.DownlinkBytes,
+		}
+		res.Log = append(res.Log, stats)
+		ta.obs.noteCommit(stats)
+		ta.obs.noteChildCommit(stats.Tier, stats.UplinkBytes, stats.DownlinkBytes) // no-op without children
+		if len(moves) > 0 {
+			ta.migrate(com.Tiers(), moves)
+		}
+		// The committing tier's next pull: the post-commit model and its
+		// next round's cohort, both taken after any re-tiering at this
+		// version. The snapshot follows, so it counts the round as handed
+		// out, exactly as the simulated engine's does.
+		tp.dispatch(tc.Tier, com.Pull(tc.Tier))
+		if com.CheckpointDue() {
+			// A failed checkpoint write fails the run.
+			if err := ta.writeCheckpoint(com); err != nil {
+				return finish(err)
+			}
+		}
+	}
+	return finish(nil)
 }
 
 // ProfileAndRun is the end-to-end entry point: profile every registered

@@ -273,12 +273,23 @@ func TestTieredAsyncNetResumeValidation(t *testing.T) {
 		"negative version":     func(c *flcore.TieredCheckpoint) { c.Version = -1 },
 		"nothing left to run":  func(c *flcore.TieredCheckpoint) { c.Version = 10 },
 		"orphan manager state": func(c *flcore.TieredCheckpoint) { c.ManagerState = []byte{1, 2, 3} },
+		"negative round":       func(c *flcore.TieredCheckpoint) { c.Rounds[1] = -1 },
+		"negative commits":     func(c *flcore.TieredCheckpoint) { c.Commits[0] = -2 },
+		"negative uplink":      func(c *flcore.TieredCheckpoint) { c.UplinkBytes = -1 },
+		"negative downlink":    func(c *flcore.TieredCheckpoint) { c.DownlinkBytes = -1 },
+		"negative retiers":     func(c *flcore.TieredCheckpoint) { c.Retiers = -1 },
+		"negative migrations":  func(c *flcore.TieredCheckpoint) { c.Migrations = -1 },
 	}
 	for name, mutate := range cases {
 		c := good()
 		mutate(c)
 		if err := agg.Resume(c); err == nil {
 			t.Errorf("%s accepted", name)
+		}
+		// The roster-changed flavour runs the same validation (it only
+		// ignores the Manager's state).
+		if err := agg.ResumeModel(c); err == nil && name != "orphan manager state" {
+			t.Errorf("%s accepted by ResumeModel", name)
 		}
 	}
 	if err := agg.Resume(&flcore.TieredCheckpoint{
@@ -316,20 +327,6 @@ func TestTieredAsyncNetResumeValidation(t *testing.T) {
 	}
 	if err := managed.Resume(good()); err == nil {
 		t.Error("managed aggregator accepted a checkpoint without manager state")
-	}
-
-	// Lockstep runs are single-shot parity harnesses: resume is refused.
-	lockstep, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 10, ClientsPerRound: 1,
-		RoundTimeout: 2 * time.Second, InitialWeights: []float64{0}, Seed: 5,
-		Lockstep: make([]int, 10),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lockstep.Close()
-	if err := lockstep.ResumeModel(good()); err == nil {
-		t.Error("lockstep aggregator accepted a resume")
 	}
 }
 

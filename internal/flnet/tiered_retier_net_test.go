@@ -88,12 +88,13 @@ func TestTieredAsyncNetMigrationByteIdenticalToSim(t *testing.T) {
 	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
 		GlobalCommits: len(schedule), ClientsPerRound: cfg.ClientsPerRound,
 		RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-		Manager: netMgr, Lockstep: schedule,
+		Manager: netMgr,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer agg.Close()
+	scriptCommitOrder(agg, schedule)
 
 	// Workers run the identical local computation via the engine's
 	// deterministic per-client pass and report the simulated latency the
@@ -170,12 +171,12 @@ func TestTieredAsyncLockstepStallErrors(t *testing.T) {
 	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
 		GlobalCommits: 4, ClientsPerRound: 1,
 		RoundTimeout: 500 * time.Millisecond, InitialWeights: []float64{0}, Seed: 2,
-		Lockstep: []int{0, 1, 0, 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer agg.Close()
+	scriptCommitOrder(agg, []int{0, 1, 0, 1})
 	go RunWorker(agg.Addr(), WorkerConfig{ClientID: 0, NumSamples: 1, Train: echoTrain(1, 1, 0)}) //nolint:errcheck
 	go RunWorker(agg.Addr(), WorkerConfig{ClientID: 1, NumSamples: 1, Train: failTrain()})        //nolint:errcheck
 	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {

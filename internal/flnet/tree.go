@@ -13,9 +13,12 @@ import (
 	"repro/internal/nn"
 )
 
-// Hierarchical aggregation tree: the multi-process promotion of the
-// master/child sketch in hierarchy.go (the paper's Section 3.1/4.1 design
-// for fan-in scale and fault isolation). A root TieredAsyncAggregator
+// Hierarchical aggregation tree: the paper's master/child design for
+// fan-in scale and fault isolation (Section 3.1/4.1), one process per
+// node. A child aggregator owns a subset of workers and presents itself to
+// the root as a single worker whose "update" is the FedAvg of its subtree;
+// because FedAvg is a weighted mean, root-of-children equals a flat
+// aggregation over all leaves. A root TieredAsyncAggregator
 // speaks the reserved MsgTierCommit envelope to per-tier Child aggregator
 // processes; each child runs its own mini-FedAvg fan-in (the exact fanIn
 // machinery the in-process tier loops use) over the leaf workers that
@@ -35,18 +38,18 @@ import (
 //
 // Because the pull is the reply to the child's own applied commit, each
 // tier trains round r+1 from exactly the post-commit state of its round r
-// — the same dispatch-at-commit discipline the in-process Lockstep mode
-// implements with ack channels. A tree run under a Lockstep schedule is
-// therefore byte-identical to the flat run under the same schedule
-// (TestTreeMatchesFlatLockstep); without a schedule only the wall-clock
-// commit interleaving differs, exactly as between two flat runs.
+// — the same dispatch-at-commit the flat tier loops get from the same
+// committer loop (drive) and the same flcore.Committer. A tree run whose
+// commits apply in the same order as a flat run's is therefore
+// byte-identical to it (the tree-vs-flat parity tests script the order);
+// otherwise only the wall-clock commit interleaving differs, exactly as
+// between two flat runs.
 //
 // Failure semantics: a child tolerates leaf-worker disconnects with the
 // flat runtime's collect semantics (dead cohort members are skipped, empty
 // rounds retried); the root tolerates a child death by degrading that tier
 // — its pump goroutine exits and the remaining tiers keep committing — and
-// only fails when every child is gone (or a Lockstep schedule names a dead
-// tier). Checkpoint/resume composes: the root checkpoints child-reported
+// only fails when every child is gone. Checkpoint/resume composes: the root checkpoints child-reported
 // leaf membership per tier, and ResumeTree validates re-registered
 // children against it, falling back to ResumeModel on ErrRosterChanged.
 
@@ -82,8 +85,8 @@ type ChildConfig struct {
 	// RPCTimeout bounds every send on the root link and on each leaf-worker
 	// connection, and — when the child is mid-cycle — how long a reply pull
 	// may take to arrive (0 = wait indefinitely, the legacy behavior). Keep
-	// it zero under root-side Lockstep schedules: there a reply pull is
-	// deferred until the schedule reaches this tier.
+	// it zero against a root whose parity test scripts the commit order:
+	// there a reply pull is deferred until the script reaches this tier.
 	RPCTimeout time.Duration
 	// MaxRetries bounds per-request redispatches when a leaf dies mid-round
 	// (TieredAsyncConfig.MaxRetries semantics; 0 = dead leaves are skipped).
@@ -345,14 +348,7 @@ func (ch *Child) localRound(r *int, as *TierAssign, members []int, version int, 
 			return nil, errChildClosed
 		default:
 		}
-		alive := false
-		for _, id := range members {
-			if ch.agg.liveWorker(id) != nil {
-				alive = true
-				break
-			}
-		}
-		if !alive {
+		if !ch.agg.anyLive(members) {
 			return nil, fmt.Errorf("every leaf worker disconnected")
 		}
 		if empty >= maxEmptyRounds {
@@ -447,12 +443,8 @@ func sameMembers(a, b []int) bool {
 // tree). RunTree then continues toward the absolute GlobalCommits target,
 // handing each child its checkpointed round cursor via the assignment.
 func (ta *TieredAsyncAggregator) ResumeTree(c *flcore.TieredCheckpoint) error {
-	if len(c.Tiers) == 0 {
-		return fmt.Errorf("flnet: checkpoint has no tiers")
-	}
-	if len(c.Rounds) != len(c.Tiers) || len(c.Commits) != len(c.Tiers) {
-		return fmt.Errorf("flnet: checkpoint cursors (%d rounds, %d commits) do not match %d tiers",
-			len(c.Rounds), len(c.Commits), len(c.Tiers))
+	if err := ta.checkResume(c); err != nil {
+		return err
 	}
 	if len(c.ManagerState) > 0 {
 		return fmt.Errorf("flnet: checkpoint carries tiering-manager state; the tree topology does not support a live Manager")
@@ -469,32 +461,21 @@ func (ta *TieredAsyncAggregator) ResumeTree(c *flcore.TieredCheckpoint) error {
 			return fmt.Errorf("%w: tier %d leaf membership %v does not match checkpointed %v", ErrRosterChanged, t, child.members, c.Tiers[t])
 		}
 	}
-	if err := ta.resumeCommon(c); err != nil {
-		return err
-	}
-	ta.resumeTiers = copyNetTiers(c.Tiers)
-	ta.startRounds = append([]int(nil), c.Rounds...)
-	ta.baseCommits = append([]int(nil), c.Commits...)
+	ta.resume, ta.resumeModel = c, false
 	return nil
 }
 
-// treeCommit tags a child's commit envelope with the tier its connection
-// is registered as, so the committer can reject mislabeled commits.
-type treeCommit struct {
-	env  *Envelope
-	tier int
-}
-
-// sendPull hands a child the current global snapshot — the tree's
-// dispatch-at-commit. Best effort: a dead child is degraded by its pump,
-// not here. With a Downlink config and a ProtoDeltaDownlink child, every
-// pull after the first travels as a delta against the previous pull: the
-// strict pull→commit cycle means the received commit IS the ack that the
-// child holds that base, so no explicit ack tracking is needed. dl.seq
-// holds the previous pull's Version for the child-side sanity check.
-func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *downTier) {
-	ver, w := ta.snapshot()
-	pull := &TreePull{Version: ver}
+// sendPull hands a child its next pull — the tree's dispatch-at-commit.
+// Best effort: a dead child is degraded by its pump, not here. With a
+// Downlink config and a ProtoDeltaDownlink child, every pull after the
+// first travels as a delta against the previous pull: the strict
+// pull→commit cycle means the received commit IS the ack that the child
+// holds that base, so no explicit ack tracking is needed. dl.seq holds the
+// previous pull's Version for the child-side sanity check. p.Weights is
+// the live model; it is fully encoded before sendPull returns.
+func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *downTier, p flcore.TierPull) {
+	w := p.Weights
+	pull := &TreePull{Version: p.Version}
 	var wire int64
 	delta := false
 	if dl != nil && c.proto >= ProtoDeltaDownlink {
@@ -506,7 +487,7 @@ func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *downTier) {
 		} else {
 			dl.chain.Adopt(w)
 		}
-		dl.seq = ver
+		dl.seq = p.Version
 	}
 	if !delta {
 		wire = int64(compress.DenseBytes(len(w)))
@@ -522,57 +503,19 @@ func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *downTier) {
 	}
 }
 
-// reviveChild validates a mid-run child re-registration against the
-// pinned topology and, on success, revives its tier: the tier's pull
-// chain is reset (the revived child holds no base, so its first pull is
-// dense), the child is handed its assignment with the tier's current
-// round cursor, an immediate pull restarts its commit cycle, and a fresh
-// pump feeds the committer. A registration that does not match — wrong
-// role, out-of-range tier, changed leaf membership — is refused by
-// closing the connection, exactly as ResumeTree refuses a changed
-// roster. Runs on the committer goroutine, which owns children/pulls/
-// roundCursor.
-func (ta *TieredAsyncAggregator) reviveChild(w *registered, children []*registered, tiers [][]int, pulls []*downTier, spawn func(int, *registered)) bool {
-	t := w.id
-	k := len(children)
-	if w.role != RoleChildAggregator || t < 0 || t >= k || !sameMembers(w.members, tiers[t]) {
-		w.c.close() //nolint:errcheck // refused rejoin
-		return false
-	}
-	children[t] = w
-	if ta.tcfg.Downlink != nil {
-		pulls[t] = &downTier{chain: ta.tcfg.Downlink.NewChain()}
-	}
-	addr := w.addr
-	if addr == "" {
-		addr = w.c.raw.RemoteAddr().String()
-	}
-	ta.obs.noteChildUp(t, addr)
-	ta.obs.noteChildRejoin(t)
-	w.c.send(&Envelope{Type: MsgTierAssign, TierAssign: &TierAssign{ //nolint:errcheck // best effort: an instant re-death is degraded by its pump
-		Tier: t, NumTiers: k,
-		Seed: ta.tcfg.Seed, ClientsPerRound: ta.tcfg.ClientsPerRound,
-		StartRound: ta.roundCursor[t],
-	}})
-	ta.sendPull(w, pulls[t])
-	spawn(t, w)
-	return true
-}
-
 // RunTree drives the hierarchical topology over the registered child
 // aggregators until GlobalCommits commits have been applied: assign each
 // child its tier (ID order, 0 = fastest), hand out initial pulls, then
-// apply MsgTierCommit envelopes exactly as the flat committer does —
-// same CommitMix, same checkpoint cadence, same Lockstep buffering — and
-// reply each applied commit with the child's next pull. A dead child
-// degrades its tier (the run continues on the remaining tiers); outside
-// Lockstep mode the root keeps accepting, so a respawned child that
-// re-registers with the pinned leaf membership revives its tier
-// mid-run (assignment with the tier's current round cursor, dense first
-// pull, /metrics flips the tier back to alive). RunTree fails when every
-// child is gone before the target (after a RejoinWait grace, if set),
-// when a Lockstep schedule names a dead tier, or on the first malformed
-// commit. Live tiering Managers are not supported over the tree.
+// apply their MsgTierCommit envelopes through the committer loop the flat
+// run uses (drive), which replies each applied commit with the child's
+// next pull. A dead child degrades its tier (the run continues on the
+// remaining tiers); the root keeps accepting, so a respawned child that
+// re-registers with the pinned leaf membership revives its tier mid-run
+// (assignment with the tier's current round cursor, dense first pull,
+// /metrics flips the tier back to alive). RunTree fails when every child
+// is gone before the target (after a RejoinWait grace, if set) or on the
+// first malformed commit. Live tiering Managers are not supported over the
+// tree.
 func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 	if ta.tcfg.Manager != nil {
 		return nil, fmt.Errorf("flnet: the tree topology does not support a live tiering Manager; run flat or pre-assign tiers")
@@ -585,212 +528,94 @@ func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 		return nil, fmt.Errorf("flnet: tree run needs at least one child aggregator")
 	}
 	k := len(children)
-	for _, t := range ta.tcfg.Lockstep {
-		if t < 0 || t >= k {
-			return nil, fmt.Errorf("flnet: lockstep schedule names tier %d of %d", t, k)
-		}
-	}
-	if ta.baseCommits != nil && len(ta.baseCommits) != k {
-		return nil, fmt.Errorf("flnet: resumed checkpoint has %d tiers, %d children registered", len(ta.baseCommits), k)
-	}
 	tiers := make([][]int, k)
-	counts := make([]int, k)
 	for t, c := range children {
-		tiers[t] = append([]int(nil), c.members...)
-		counts[t] = len(c.members)
+		tiers[t] = c.members
 	}
-	ta.tmu.Lock()
-	ta.members = tiers
-	ta.tmu.Unlock()
-
-	res := &TieredAsyncRunResult{Commits: make([]int, k)}
-	copy(res.Commits, ta.baseCommits)
-	res.Retiers, res.Reassigned = ta.baseRetiers, ta.baseMoved
-	res.UplinkBytes = ta.baseUplink
-	res.DownlinkBytes = ta.baseDownlink
+	com, err := ta.newCommitter(tiers)
+	if err != nil {
+		return nil, err
+	}
 	// Per-child pull-delta chains (fresh every run: a resumed child holds
 	// no base, so it re-enters through the dense first pull).
 	pulls := make([]*downTier, k)
-	if ta.tcfg.Downlink != nil {
-		for t := range pulls {
-			pulls[t] = &downTier{chain: ta.tcfg.Downlink.NewChain()}
-		}
-	}
-	ta.roundCursor = make([]int, k)
-	copy(ta.roundCursor, ta.startRounds)
-	ta.gmu.Lock()
-	applied := ta.version
-	ta.gmu.Unlock()
-	ta.obs.noteRunStart(ta.tcfg.GlobalCommits, applied, res.Commits, res.Retiers, res.Reassigned, res.UplinkBytes, counts)
 
-	// Assign tiers and hand out the initial pulls (best effort: a child
-	// that died since registering is degraded by its pump below).
-	for t, c := range children {
-		addr := c.addr
-		if addr == "" {
-			addr = c.c.raw.RemoteAddr().String()
-		}
-		ta.obs.noteChildUp(t, addr)
-		r0 := 0
-		if t < len(ta.startRounds) {
-			r0 = ta.startRounds[t]
-		}
-		c.c.send(&Envelope{Type: MsgTierAssign, TierAssign: &TierAssign{ //nolint:errcheck // best effort
-			Tier: t, NumTiers: k,
-			Seed: ta.tcfg.Seed, ClientsPerRound: ta.tcfg.ClientsPerRound,
-			StartRound: r0,
-		}})
-		ta.sendPull(c, pulls[t])
-	}
-
+	// rejoin is buffered so a burst of respawned children registering at
+	// once does not hold their handshake goroutines on the committer.
+	tp := &topology{events: make(chan tierEvent), done: make(chan struct{}), rejoin: make(chan *registered, 4), grace: ta.tcfg.RejoinWait}
+	tp.dispatch = func(t int, p flcore.TierPull) { ta.sendPull(children[t], pulls[t], p) }
 	// One pump per child: commits flow from the connection reader into the
-	// committer; a closed updates channel is the child's death. Under a
-	// Lockstep schedule the fleet is frozen (no accept loop, no revival);
-	// otherwise the listener keeps accepting and a respawned child that
-	// re-registers with the pinned leaf membership gets its tier revived.
-	commitCh := make(chan treeCommit)
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	lockstep := len(ta.tcfg.Lockstep) > 0
-	childDown := make([]chan struct{}, k)
-	pumpExit := make(chan int)
-	rejoinCh := make(chan *registered, 4)
-	pump := func(t int, c *registered, downCh chan struct{}) {
-		defer wg.Done()
-		if downCh != nil {
-			defer close(downCh)
-		}
+	// committer; a closed updates channel is the child's death.
+	pump := func(t int, c *registered) {
+		defer tp.wg.Done()
 		for {
 			select {
 			case env, ok := <-c.updates:
 				if !ok {
 					ta.obs.noteChildDown(t)
-					if downCh == nil {
-						select {
-						case pumpExit <- t:
-						case <-done:
-						}
-					}
+					tp.post(tierEvent{tier: t, gone: true})
 					return
 				}
 				if env.Type != MsgTierCommit || env.TierCommit == nil {
 					continue // stray profile replies etc.; commits are the contract
 				}
-				select {
-				case commitCh <- treeCommit{env: env, tier: t}:
-				case <-done:
+				if !tp.post(tierEvent{tier: t, commit: env.TierCommit}) {
 					return
 				}
-			case <-done:
+			case <-tp.done:
 				return
 			}
 		}
 	}
+	// join starts (or, after a revival, restarts) tier t's commit cycle on
+	// child c: a fresh pull chain — the child holds no base, so its first
+	// pull is dense — the assignment with the tier's current round cursor,
+	// an immediate pull, and a pump feeding the committer. Best effort: a
+	// child that died since registering is degraded by its pump.
+	join := func(t int, c *registered) {
+		children[t] = c
+		if ta.tcfg.Downlink != nil {
+			pulls[t] = &downTier{chain: ta.tcfg.Downlink.NewChain()}
+		}
+		addr := c.addr
+		if addr == "" {
+			addr = c.c.raw.RemoteAddr().String()
+		}
+		ta.obs.noteChildUp(t, addr)
+		p := com.Pull(t)
+		c.c.send(&Envelope{Type: MsgTierAssign, TierAssign: &TierAssign{ //nolint:errcheck // best effort
+			Tier: t, NumTiers: k,
+			Seed: ta.tcfg.Seed, ClientsPerRound: ta.tcfg.ClientsPerRound,
+			StartRound: p.Round,
+		}})
+		ta.sendPull(c, pulls[t], p)
+		tp.wg.Add(1)
+		go pump(t, c)
+	}
+	// A mid-run child re-registration is validated against the pinned
+	// topology; one that does not match — wrong role, out-of-range tier,
+	// changed leaf membership — is refused by closing the connection,
+	// exactly as ResumeTree refuses a changed roster. Runs on the committer
+	// goroutine, which owns children, pulls and the Committer.
+	tp.revive = func(w *registered) bool {
+		if w.role != RoleChildAggregator || w.id < 0 || w.id >= k || !sameMembers(w.members, tiers[w.id]) {
+			w.c.close() //nolint:errcheck // refused rejoin
+			return false
+		}
+		ta.obs.noteChildRejoin(w.id)
+		join(w.id, w)
+		return true
+	}
 	for t, c := range children {
-		if lockstep {
-			childDown[t] = make(chan struct{})
-		}
-		wg.Add(1)
-		go pump(t, c, childDown[t])
+		join(t, c)
 	}
-	if !lockstep {
-		go ta.acceptLoop(done)
-		ta.setRejoinHook(func(w *registered) {
-			select {
-			case rejoinCh <- w:
-			case <-done:
-				w.c.close() //nolint:errcheck // run over; refuse late rejoins
-			}
-		})
-	}
-
-	finish := func(applied int, err error) (*TieredAsyncRunResult, error) {
-		ta.setRejoinHook(nil)
-		close(done)
-		ta.FinishWorkers(applied) // the registered "workers" are the children
-		wg.Wait()
-		_, res.Weights = ta.snapshot()
-		ta.obs.noteRunEnd()
-		return res, err
-	}
-	alive := k
-	var graceC <-chan time.Time
-	allGone := func(applied int) (*TieredAsyncRunResult, error) {
-		return finish(applied, fmt.Errorf("flnet: every child aggregator gone after %d of %d commits", applied, ta.tcfg.GlobalCommits))
-	}
-	pending := make([][]*Envelope, k) // lockstep buffers
-	for applied < ta.tcfg.GlobalCommits {
-		var env *Envelope
-		if lockstep {
-			want := ta.tcfg.Lockstep[applied]
-			for len(pending[want]) == 0 {
-				select {
-				case tc := <-commitCh:
-					if tc.env.TierCommit.Tier != tc.tier {
-						return finish(applied, fmt.Errorf("flnet: child %d delivered a commit labeled tier %d", tc.tier, tc.env.TierCommit.Tier))
-					}
-					pending[tc.tier] = append(pending[tc.tier], tc.env)
-				case <-childDown[want]:
-					// A completed send was already stashed (the commit
-					// channel is unbuffered), so an empty buffer means no
-					// commit is coming from the scheduled tier.
-					return finish(applied, fmt.Errorf("flnet: lockstep schedule stalled: child aggregator %d gone before commit %d of %d", want, applied+1, ta.tcfg.GlobalCommits))
-				}
-			}
-			env = pending[want][0]
-			pending[want] = pending[want][1:]
-		} else {
-			select {
-			case tc := <-commitCh:
-				if tc.env.TierCommit.Tier != tc.tier {
-					return finish(applied, fmt.Errorf("flnet: child %d delivered a commit labeled tier %d", tc.tier, tc.env.TierCommit.Tier))
-				}
-				env = tc.env
-			case <-pumpExit:
-				alive--
-				if alive <= 0 {
-					if ta.tcfg.RejoinWait <= 0 {
-						return allGone(applied)
-					}
-					// Every child gone: hold the run open one RejoinWait in
-					// case a respawned child is mid-reconnect.
-					graceC = time.After(ta.tcfg.RejoinWait)
-				}
-				continue
-			case w := <-rejoinCh:
-				if ta.reviveChild(w, children, tiers, pulls, func(t int, c *registered) {
-					wg.Add(1)
-					go pump(t, c, nil)
-				}) {
-					alive++
-					graceC = nil
-				}
-				continue
-			case <-graceC:
-				return allGone(applied)
-			}
+	go ta.acceptLoop(tp.done)
+	ta.setRejoinHook(func(w *registered) {
+		select {
+		case tp.rejoin <- w:
+		case <-tp.done:
+			w.c.close() //nolint:errcheck // run over; refuse late rejoins
 		}
-		stats, err := ta.applyCommit(env.TierCommit, res.Commits)
-		if err != nil {
-			return finish(applied, err)
-		}
-		res.Log = append(res.Log, stats)
-		res.UplinkBytes += stats.UplinkBytes
-		res.DownlinkBytes += stats.DownlinkBytes
-		applied++
-		ta.obs.noteCommit(stats)
-		ta.obs.noteChildCommit(stats.Tier, stats.UplinkBytes, stats.DownlinkBytes)
-		if next := env.TierCommit.TierRound + 1; next > ta.roundCursor[env.TierCommit.Tier] {
-			ta.roundCursor[env.TierCommit.Tier] = next
-		}
-		if ta.tcfg.CheckpointEvery > 0 && applied%ta.tcfg.CheckpointEvery == 0 {
-			if err := ta.writeCheckpoint(applied, res); err != nil {
-				return finish(applied, err)
-			}
-		}
-		// The committing child's next pull — dispatch-at-commit, which is
-		// what makes the tree replay-equivalent to the lockstep flat run.
-		ta.sendPull(children[stats.Tier], pulls[stats.Tier])
-	}
-	return finish(applied, nil)
+	})
+	return ta.drive(com, tp)
 }

@@ -98,7 +98,6 @@ func TestTreeMatchesFlatLockstep(t *testing.T) {
 		return TieredAsyncConfig{
 			GlobalCommits: commits, ClientsPerRound: cfg.ClientsPerRound,
 			RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-			Lockstep: append([]int(nil), schedule...),
 		}
 	}
 
@@ -114,6 +113,7 @@ func TestTreeMatchesFlatLockstep(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer flatAgg.Close()
+			scriptCommitOrder(flatAgg, schedule)
 			var cfgs []WorkerConfig
 			for _, members := range tiers {
 				for _, ci := range members {
@@ -136,6 +136,7 @@ func TestTreeMatchesFlatLockstep(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer root.Close()
+			scriptCommitOrder(root, schedule)
 			children, waitChildren := startChildren(t, root.Addr(), tiers)
 			var leafWaits []func()
 			for ti, members := range tiers {
@@ -452,12 +453,12 @@ func TestTreeUplinkAndChildMetrics(t *testing.T) {
 	root, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
 		GlobalCommits: 4, ClientsPerRound: 2,
 		RoundTimeout: 10 * time.Second, InitialWeights: init, Seed: 9,
-		Lockstep: []int{0, 1, 0, 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
+	scriptCommitOrder(root, []int{0, 1, 0, 1})
 	children, waitChildren := startChildren(t, root.Addr(), tiers)
 	var waits []func()
 	for ti, members := range tiers {
@@ -554,4 +555,64 @@ func TestTreeRejectsMalformedTopology(t *testing.T) {
 			t.Fatalf("WaitForChildren accepted tier ID 1 as the only child (err %v)", err)
 		}
 	})
+}
+
+// TestTreeResumeValidation is the tree's row set of the one checkpoint
+// validation: ResumeTree must refuse every malformed checkpoint the flat
+// Resume and the simulated Restore refuse — including the negative
+// counters no path used to check — before touching the root, and accept
+// the well-formed one afterwards.
+func TestTreeResumeValidation(t *testing.T) {
+	tiers := [][]int{{0}, {1}}
+	root, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
+		GlobalCommits: 10, ClientsPerRound: 1,
+		RoundTimeout: 5 * time.Second, InitialWeights: []float64{0}, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	children, _ := startChildren(t, root.Addr(), tiers)
+	for ti, members := range tiers {
+		for _, ci := range members {
+			go RunWorker(children[ti].Addr(), WorkerConfig{ClientID: ci, NumSamples: 1, Train: echoTrain(1, 1, 0)}) //nolint:errcheck // ends with its child
+		}
+	}
+	if err := root.WaitForChildren(len(tiers), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	good := func() *flcore.TieredCheckpoint {
+		return &flcore.TieredCheckpoint{
+			Format: flcore.TieredCheckpointFormat, Seed: 5, Version: 4,
+			Weights: []float64{0.5}, Rounds: []int{2, 2}, Commits: []int{2, 2},
+			Tiers: [][]int{{0}, {1}},
+		}
+	}
+	for name, mutate := range map[string]func(c *flcore.TieredCheckpoint){
+		"no tiers":            func(c *flcore.TieredCheckpoint) { c.Tiers = nil },
+		"cursor mismatch":     func(c *flcore.TieredCheckpoint) { c.Commits = []int{4} },
+		"unknown format":      func(c *flcore.TieredCheckpoint) { c.Format = flcore.TieredCheckpointFormat + 1 },
+		"seed mismatch":       func(c *flcore.TieredCheckpoint) { c.Seed = 6 },
+		"weight length":       func(c *flcore.TieredCheckpoint) { c.Weights = []float64{1, 2} },
+		"non-finite weight":   func(c *flcore.TieredCheckpoint) { c.Weights = []float64{math.Inf(1)} },
+		"negative version":    func(c *flcore.TieredCheckpoint) { c.Version = -1 },
+		"nothing left to run": func(c *flcore.TieredCheckpoint) { c.Version = 10 },
+		"manager state":       func(c *flcore.TieredCheckpoint) { c.ManagerState = []byte{1} },
+		"duplicate leaf":      func(c *flcore.TieredCheckpoint) { c.Tiers = [][]int{{0}, {0}} },
+		"negative round":      func(c *flcore.TieredCheckpoint) { c.Rounds[0] = -1 },
+		"negative commits":    func(c *flcore.TieredCheckpoint) { c.Commits[1] = -1 },
+		"negative uplink":     func(c *flcore.TieredCheckpoint) { c.UplinkBytes = -1 },
+		"negative downlink":   func(c *flcore.TieredCheckpoint) { c.DownlinkBytes = -1 },
+		"negative retiers":    func(c *flcore.TieredCheckpoint) { c.Retiers = -1 },
+		"negative migrations": func(c *flcore.TieredCheckpoint) { c.Migrations = -1 },
+	} {
+		c := good()
+		mutate(c)
+		if err := root.ResumeTree(c); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if err := root.ResumeTree(good()); err != nil {
+		t.Errorf("valid checkpoint rejected after failed attempts: %v", err)
+	}
 }

@@ -30,11 +30,12 @@
 //     boosted rounds a tier may take.
 //
 // Every method is deterministic given the same call sequence, which is
-// what lets the simulated engine and the socket runtime (under lockstep
-// commit scheduling) keep byte-identical global models through a
-// migration. The Manager is safe for concurrent use: the socket runtime
-// calls Cohort from per-tier goroutines while the committer feeds
-// Observe/MaybeRetier.
+// what lets the simulated engine and the socket runtime (whenever their
+// commits apply in the same order) keep byte-identical global models
+// through a migration. The Manager is safe for concurrent use: every
+// engine's flcore.Committer makes the Cohort/Observe/MaybeRetier calls
+// from its one committer goroutine, while metrics endpoints and
+// supervisors read membership and estimates from theirs.
 package tiering
 
 import (
@@ -82,7 +83,7 @@ type Config struct {
 	// end-to-end seconds, wire bytes), the end-to-end value — transfer
 	// and queueing included — is what gets folded, so rebuilds rank
 	// clients by what a round actually costs, not compute alone. Off by
-	// default: the compute-only signal is what the lockstep parity suite
+	// default: the compute-only signal is what the sim-vs-socket parity suite
 	// (and every pre-existing run) was calibrated against. Byte EWMAs are
 	// tracked either way for observability (CommBytes).
 	CommAware bool

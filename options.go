@@ -173,7 +173,8 @@ type RobustnessOptions struct {
 	Reconnect bool
 	// RPCTimeout bounds every blocking protocol read and write (worker
 	// recv, aggregator send, child↔root link). 0 keeps blocking I/O —
-	// required for Lockstep runs, which must not time-race the script.
+	// required by parity tests that script the commit order, where a tier's
+	// next pull waits for the script to reach it and must not time out.
 	RPCTimeout time.Duration
 	// MaxRetries is the aggregator-side redispatch budget: a tier-round
 	// Train RPC that dies with its connection is re-sent — under the same
