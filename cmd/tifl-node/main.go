@@ -41,10 +41,10 @@
 //
 // The broadcast direction compresses independently: -downlink-codec on the
 // aggregator roles sends each tier round's model as one shared delta
-// against the version-acked base delta-capable workers already hold
-// (dense snapshot on first contact, resume, or ack gap; legacy workers
-// always get dense). "delta" is lossless, "delta+int8" / "delta+topk@0.1"
-// trade accuracy for bytes with a server-side error-feedback residual:
+// against the version-acked base its workers already hold (dense
+// snapshot on first contact, resume, or ack gap). "delta" is lossless,
+// "delta+int8" / "delta+topk@0.1" trade accuracy for bytes with a
+// server-side error-feedback residual:
 //
 //	tifl-node -role tiered-aggregator -addr :7070 -workers 5 -tiers 2 -commits 40 -downlink-codec delta+topk@0.1
 //	tifl-node -role child-aggregator -addr :7171 -root host:7070 -id 0 -workers 3 -downlink-codec delta

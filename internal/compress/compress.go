@@ -21,8 +21,7 @@
 // standard trick that keeps top-k at 1–10% density near dense accuracy.
 //
 // The zero codec ID is the dense baseline (nn.EncodeWeights format), which
-// is also what a peer that predates compression implicitly speaks — wire
-// negotiation in flnet is therefore backward compatible by construction.
+// is also what a flnet worker configured without a codec registers with.
 package compress
 
 import (

@@ -7,9 +7,8 @@ import (
 )
 
 // None is the dense baseline codec: the payload is exactly the
-// nn.EncodeWeights wire format already used between flnet peers, so a
-// compression-aware node speaking codec 0 is byte-compatible with a node
-// that predates compression entirely.
+// nn.EncodeWeights blob flnet peers exchange in their Raw fields, so codec
+// 0 and "no codec configured" are the same bytes.
 type None struct{}
 
 // Name implements Codec.

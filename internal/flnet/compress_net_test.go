@@ -2,7 +2,7 @@ package flnet
 
 import (
 	"math"
-	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -114,22 +114,9 @@ func TestUnknownCodecRefusedAtRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer agg.Close()
-	raw, err := net.Dial("tcp", agg.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newConn(raw)
-	defer c.close() //nolint:errcheck // test shutdown
-	if err := c.send(&Envelope{Type: MsgRegister, Register: &Register{ClientID: 0, NumSamples: 1, Codec: 99}}); err != nil {
-		t.Fatal(err)
-	}
-	// Give the handshake a chance to run; the worker must never register.
-	if err := agg.WaitForWorkers(1, 500*time.Millisecond); err == nil {
-		t.Fatal("worker with unknown codec registered")
-	}
-	// The connection is closed server-side.
-	if _, err := c.recv(2 * time.Second); err == nil {
-		t.Fatal("connection with unknown codec left open")
+	err = refusedPeer(t, agg.Addr(), agg.WaitForWorkers, Register{ClientID: 0, NumSamples: 1, Codec: 99, Version: wireVersion})
+	if !strings.Contains(err.Error(), "codec 99") {
+		t.Fatalf("refusal = %v, want one naming codec 99", err)
 	}
 }
 

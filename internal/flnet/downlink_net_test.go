@@ -3,7 +3,6 @@ package flnet
 import (
 	"math"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -336,97 +335,5 @@ func TestDownlinkSimSocketByteAgreement(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDownlinkLegacyWorkerInterop pins backwards compatibility: a worker
-// registering below ProtoDeltaDownlink must receive plain dense
-// broadcasts for the whole run even when the aggregator has delta
-// downlink enabled, and the run must still complete. The legacy worker is
-// hand-rolled so it can assert no Delta/Version fields ever reach it.
-func TestDownlinkLegacyWorkerInterop(t *testing.T) {
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 6, ClientsPerRound: 1,
-		RoundTimeout: 5 * time.Second, InitialWeights: []float64{1, 2, 3}, Seed: 3,
-		Downlink: &compress.Downlink{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer agg.Close()
-	scriptCommitOrder(agg, []int{0, 1, 0, 1, 0, 1})
-
-	// Modern worker in tier 0: full delta-capable RunWorker loop.
-	go RunWorker(agg.Addr(), WorkerConfig{ //nolint:errcheck // exits with aggregator
-		ClientID: 0, NumSamples: 3, Train: echoTrain(1, 3, 0),
-	})
-
-	// Legacy worker in tier 1: registers without Proto, insists on dense
-	// Weights and never a delta payload.
-	legacyDone := make(chan error, 1)
-	go func() {
-		raw, err := net.Dial("tcp", agg.Addr())
-		if err != nil {
-			legacyDone <- err
-			return
-		}
-		c := newConn(raw)
-		defer c.close() //nolint:errcheck // test shutdown
-		if err := c.send(&Envelope{Type: MsgRegister, Register: &Register{ClientID: 1, NumSamples: 3}}); err != nil {
-			legacyDone <- err
-			return
-		}
-		for {
-			env, err := c.recv(20 * time.Second)
-			if err != nil {
-				legacyDone <- err
-				return
-			}
-			switch env.Type {
-			case MsgTrain:
-				if env.Train.Delta != nil || env.Train.Version != 0 {
-					legacyDone <- errLegacyGotRaw
-					return
-				}
-				if env.Train.Weights == nil {
-					legacyDone <- errLegacyGotRaw
-					return
-				}
-				out := append([]float64(nil), env.Train.Weights...)
-				for i := range out {
-					out[i] += 2
-				}
-				up := &Update{Round: env.Train.Round, ClientID: 1, Weights: out, NumSamples: 3}
-				if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
-					legacyDone <- err
-					return
-				}
-			case MsgTierAssign:
-				// Tiered runs announce placement; legacy workers ignore it.
-			case MsgDone:
-				legacyDone <- nil
-				return
-			default:
-				legacyDone <- errLegacyUnexpected
-				return
-			}
-		}
-	}()
-
-	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	res, err := agg.Run([][]int{{0}, {1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-legacyDone; err != nil {
-		t.Fatalf("legacy worker: %v", err)
-	}
-	if len(res.Log) != 6 {
-		t.Fatalf("applied %d commits, want 6", len(res.Log))
-	}
-	if res.DownlinkBytes <= 0 {
-		t.Fatalf("run reported %d downlink bytes", res.DownlinkBytes)
 	}
 }

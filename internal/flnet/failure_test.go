@@ -2,7 +2,6 @@ package flnet
 
 import (
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -105,8 +104,6 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 		// malform builds the bad worker's reply from the round's broadcast.
 		malform func(w []float64, up *Update)
 	}{
-		{"short Weights", func(w []float64, up *Update) { up.Weights = w[:len(w)-1] }},
-		{"long Weights", func(w []float64, up *Update) { up.Weights = append(append([]float64(nil), w...), 0) }},
 		{"Raw with a wrong count", func(w []float64, up *Update) { up.Raw = nn.EncodeWeights(w[:len(w)-1]) }},
 		{"truncated Raw", func(w []float64, up *Update) { raw := nn.EncodeWeights(w); up.Raw = raw[:len(raw)-3] }},
 	}
@@ -125,41 +122,27 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 
 			// The malformed worker is hand-rolled: RunWorker refuses to send
 			// an update of the wrong length.
+			c := dialRegister(t, agg.Addr(), Register{ClientID: 2, NumSamples: 1, Version: wireVersion})
+			defer c.close() //nolint:errcheck // test shutdown
 			bad := make(chan error, 1)
 			go func() {
-				raw, err := net.Dial("tcp", agg.Addr())
-				if err != nil {
-					bad <- err
-					return
-				}
-				c := newConn(raw)
-				defer c.close() //nolint:errcheck // test shutdown
-				if err := c.send(&Envelope{Type: MsgRegister, Register: &Register{ClientID: 2, NumSamples: 1}}); err != nil {
-					bad <- err
-					return
-				}
-				for {
-					env, err := c.recv(10 * time.Second)
-					if err != nil {
-						bad <- err
-						return
+				bad <- func() error {
+					for {
+						env, err := c.recv(10 * time.Second)
+						if err != nil || env.Type != MsgTrain {
+							return err // MsgDone: the run finished without this worker
+						}
+						w, err := env.Train.roundWeights()
+						if err != nil {
+							return err
+						}
+						up := &Update{Round: env.Train.Round, ClientID: 2, NumSamples: 1}
+						tc.malform(w, up)
+						if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
+							return err
+						}
 					}
-					if env.Type != MsgTrain {
-						bad <- nil // MsgDone: the run finished without this worker
-						return
-					}
-					w, err := env.Train.roundWeights()
-					if err != nil {
-						bad <- err
-						return
-					}
-					up := &Update{Round: env.Train.Round, ClientID: 2, NumSamples: 1}
-					tc.malform(w, up)
-					if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
-						bad <- err
-						return
-					}
-				}
+				}()
 			}()
 
 			if err := agg.WaitForWorkers(3, 5*time.Second); err != nil {

@@ -16,9 +16,15 @@
 //     single global-model goroutine applying staleness-discounted,
 //     slower-tier-favoring mixing (core.FedATWeights).
 //
-// Messages are gob-encoded over TCP. The aggregator owns the global model
-// as a flat weight vector; workers run caller-supplied TrainFuncs, so the
-// same nn/flcore training code runs in-process or across machines.
+// Messages are gob-encoded Envelopes over TCP, in exactly one dialect: a
+// registration announces wireVersion and the aggregator refuses any other
+// number, so every connection that survives the handshake speaks every
+// message below. A weight vector crosses the socket in one encoding, the
+// nn.EncodeWeights little-endian blob (Raw fields), or as a compress delta
+// against a base the receiver holds (Delta fields). The aggregator owns the
+// global model as a flat weight vector; workers run caller-supplied
+// TrainFuncs, so the same nn/flcore training code runs in-process or across
+// machines.
 package flnet
 
 import (
@@ -42,7 +48,6 @@ const (
 	MsgProfileReply
 	MsgTrain
 	MsgUpdate
-	MsgPartial
 	MsgDone
 	MsgTierAssign
 	MsgTierCommit
@@ -51,8 +56,15 @@ const (
 	MsgTreePull
 )
 
-// Registration roles (Register.Role). Nodes predating the field gob-decode
-// to RoleWorker, so old workers keep registering unchanged.
+// wireVersion is the protocol version this build speaks, announced in
+// Register.Version and compared for equality at the handshake. Nodes of a
+// tree or fleet are built and deployed as a unit: a peer announcing any
+// other number — including a build from before the field, which gob-decodes
+// to 0 — is refused with a reason (Done.Reason), and mixed-version fleets
+// are a non-goal. Bump it whenever a message changes meaning.
+const wireVersion = 1
+
+// Registration roles (Register.Role).
 const (
 	// RoleWorker is a leaf training worker (the default).
 	RoleWorker byte = 0
@@ -63,46 +75,8 @@ const (
 	RoleChildAggregator byte = 1
 )
 
-// Worker protocol levels announced in Register.Proto. Workers predating a
-// level gob-decode to 0 and are treated as the oldest protocol. Levels are
-// cumulative: a worker announcing level L understands every feature of the
-// levels below it.
-const (
-	// ProtoTierReassign marks a worker that understands MsgTierReassign.
-	// The tiered-async aggregator pins older workers in their original
-	// tier (they are never migrated), so they keep interoperating with a
-	// re-tiering run untouched.
-	ProtoTierReassign byte = 1
-	// ProtoFastWire marks a worker that understands the bulk weight
-	// encoding (Train.Raw/Update.Raw): weight vectors travel as one
-	// length-prefixed little-endian byte blob (nn.EncodeWeights) inside the
-	// gob envelope, so the multi-MB broadcast/update path is a single
-	// memcopy-style encode instead of per-element reflection. Aggregators
-	// send Raw only to workers that announced this level; a worker replies
-	// in whichever encoding the request arrived in, so either side may be
-	// old without breaking the other.
-	ProtoFastWire byte = 2
-	// ProtoCodecRenegotiate marks a worker that honors the codec fields of
-	// MsgTierReassign: when a migration lands it in a tier with a different
-	// compression policy, the aggregator piggybacks the new codec spec on
-	// the reassignment and the worker switches (resetting its
-	// error-feedback residual). Older workers keep their handshake codec
-	// for the whole run; the aggregator never renegotiates with them.
-	ProtoCodecRenegotiate byte = 3
-	// ProtoDeltaDownlink marks a worker that understands the version-acked
-	// delta broadcast (Train.Version/Delta/DeltaBase/DeltaCodec): it tracks
-	// the last versioned snapshot it received, reconstructs delta payloads
-	// against it via compress.ApplyDelta, and adopts versioned dense
-	// snapshots as the new base. The aggregator only sends deltas to
-	// workers at this level whose last acked version matches the tier
-	// chain's base; everyone else — and every worker below this level —
-	// receives the dense snapshot exactly as before, so the feature is
-	// invisible to old nodes.
-	ProtoDeltaDownlink byte = 4
-)
-
 // Envelope is the single on-wire message shape; exactly one payload field
-// is set according to Type.
+// is set according to Type (conn.recv refuses anything else).
 type Envelope struct {
 	Type             MsgType
 	Register         *Register
@@ -110,7 +84,6 @@ type Envelope struct {
 	ProfileReply     *ProfileReply
 	Train            *Train
 	Update           *Update
-	Partial          *Partial
 	Done             *Done
 	TierAssign       *TierAssign
 	TierCommit       *TierCommit
@@ -119,23 +92,33 @@ type Envelope struct {
 	TreePull         *TreePull
 }
 
-// Register announces a worker to its aggregator. Codec is the update
-// compression the worker will speak (compress.ID* constants) — this is the
-// whole negotiation: a worker that predates compression gob-decodes to the
-// zero value, which is the dense codec, so old nodes keep working; the
-// aggregator rejects IDs it cannot decode at the handshake, before any
-// round can fail on an undecodable payload.
+// hasPayload reports whether the payload pointer matching e.Type is set.
+// An unknown Type has none.
+func (e *Envelope) hasPayload() bool {
+	set := [...]bool{
+		MsgRegister: e.Register != nil, MsgProfile: e.Profile != nil, MsgProfileReply: e.ProfileReply != nil,
+		MsgTrain: e.Train != nil, MsgUpdate: e.Update != nil, MsgDone: e.Done != nil,
+		MsgTierAssign: e.TierAssign != nil, MsgTierCommit: e.TierCommit != nil,
+		MsgCompressedUpdate: e.CompressedUpdate != nil, MsgTierReassign: e.TierReassign != nil,
+		MsgTreePull: e.TreePull != nil,
+	}
+	return int(e.Type) < len(set) && set[e.Type]
+}
+
+// Register announces a node to its aggregator. The aggregator checks
+// Version and Codec at the handshake and answers a registration it cannot
+// serve with a Done carrying the reason, before any round can fail on an
+// undecodable payload.
 type Register struct {
 	ClientID   int
 	NumSamples int
-	Codec      byte
-	// Proto is the worker's protocol level (Proto* constants). Workers
-	// from before the field gob-decode to 0; the aggregator then withholds
-	// newer envelope types from them (today: MsgTierReassign) instead of
-	// sending messages they would reject.
-	Proto byte
+	// Codec is the update compression the worker will speak (compress.ID*
+	// constants; the zero value is the dense codec).
+	Codec byte
+	// Version is the sender's wireVersion.
+	Version int
 	// Role distinguishes leaf workers from child aggregators (Role*
-	// constants); nodes predating the field decode to RoleWorker.
+	// constants).
 	Role byte
 	// Members lists the leaf worker IDs a child aggregator fans in over
 	// (RoleChildAggregator only). The tree root checkpoints and validates
@@ -169,106 +152,78 @@ type ProfileReply struct {
 // can be trained by its old tier's in-flight round and its new tier's next
 // round concurrently, and the two tiers' local round counters can collide
 // — matching replies by round number alone would let one tier aggregate an
-// update trained against the other tier's weights. 0 (synchronous rounds,
-// legacy aggregators) preserves the round-matched flow.
+// update trained against the other tier's weights. Every tiered-async
+// request carries a non-zero Seq; the synchronous Aggregator, which has one
+// round in flight at a time, sends 0 and matches replies by Round.
 type Train struct {
 	Round        int
-	Weights      []float64
 	Participants []int
 	MaskScale    float64
 	Seq          int64
-	// Raw is the fast-wire weight payload (nn.EncodeWeights bulk bytes),
-	// set instead of Weights for workers that registered with
-	// Proto ≥ ProtoFastWire. Exactly one of Weights/Raw is non-nil.
+	// Raw is the dense snapshot, one nn.EncodeWeights blob encoded once per
+	// round and shared by every recipient. Exactly one of Raw/Delta is set.
 	Raw []byte
 	// Version identifies the broadcast snapshot under the delta-downlink
-	// scheme: the sending tier's 1-based versioned-broadcast counter (so
-	// 0, the value old aggregators gob-decode to, means "no version — do
-	// not track a base"). A per-tier per-broadcast counter rather than the
-	// global model version, because a tier racing its own commit's
-	// application can pull the same global version twice and every
-	// (tier, Version) pair must name exactly one base. Only set for
-	// workers that registered with Proto ≥ ProtoDeltaDownlink on runs
-	// with a downlink mode configured.
+	// scheme: the sending tier's 1-based versioned-broadcast counter (0 on
+	// runs without a downlink mode means "do not track a base"). A per-tier
+	// per-broadcast counter rather than the global model version, because a
+	// round that ends without a commit is redrawn from the same global
+	// version and every (tier, Version) pair must name exactly one base.
 	Version int
-	// Delta, when non-nil, replaces Weights/Raw: the compress delta
-	// payload to apply against the worker's held base. DeltaBase names
-	// that base (its Version value), and DeltaCodec is the compress delta
-	// codec ID (compress.IDDeltaXOR for the lossless XOR delta, the lossy
-	// codec's ID otherwise).
+	// Delta, when non-nil, replaces Raw: the compress delta payload to
+	// apply against the worker's held base. DeltaBase names that base (its
+	// Version value), and DeltaCodec is the compress delta codec ID
+	// (compress.IDDeltaXOR for the lossless XOR delta, the lossy codec's ID
+	// otherwise).
 	Delta      []byte
 	DeltaBase  int
 	DeltaCodec byte
 }
 
-// broadcast is one round's weight vector prepared for sending to a mixed
-// population: the fast-wire blob is encoded at most once per round, no
-// matter how many workers receive it (the blob and the weights slice are
-// shared read-only across the per-worker Train envelopes).
+// broadcast is one round's dense snapshot on its way to a cohort: the blob
+// is encoded at most once per round, however many members receive it (and
+// not at all on a round every member takes as a delta), and shared
+// read-only across the per-worker Train envelopes.
 type broadcast struct {
 	weights []float64
-	raw     []byte // lazily encoded on the first fast-wire recipient
+	once    sync.Once // redispatches ask from concurrent collector goroutines
+	blob    []byte
 }
 
 func newBroadcast(weights []float64) *broadcast { return &broadcast{weights: weights} }
 
-// fill sets t's weight payload in the encoding negotiated at registration:
-// bulk bytes for ProtoFastWire peers, the legacy per-element gob field
-// otherwise. It returns t for call chaining.
-func (b *broadcast) fill(t *Train, proto byte) *Train {
-	if proto >= ProtoFastWire {
-		if b.raw == nil {
-			b.raw = nn.EncodeWeights(b.weights)
-		}
-		t.Raw = b.raw
-	} else {
-		t.Weights = b.weights
-	}
-	return t
+// raw returns the round's nn.EncodeWeights blob, encoding it on first use.
+func (b *broadcast) raw() []byte {
+	b.once.Do(func() { b.blob = nn.EncodeWeights(b.weights) })
+	return b.blob
 }
 
-// roundWeights decodes the request's weight vector from whichever encoding
-// it arrived in.
-func (t *Train) roundWeights() ([]float64, error) {
-	if t.Raw != nil {
-		return nn.DecodeWeights(t.Raw)
-	}
-	return t.Weights, nil
-}
+// roundWeights decodes the request's dense snapshot; a request that
+// carries none is an error, never a nil vector.
+func (t *Train) roundWeights() ([]float64, error) { return nn.DecodeWeights(t.Raw) }
 
 // Update returns a worker's locally trained weights. Seconds is the
-// worker-measured duration of the local pass (0 from workers predating the
-// field); it feeds the live tiering Manager's EWMA latency estimates —
-// client-side measurement excludes aggregator-side queueing, matching what
-// Section 4.2's profiler observes.
+// worker-measured duration of the local pass; it feeds the live tiering
+// Manager's EWMA latency estimates — client-side measurement excludes
+// aggregator-side queueing, matching what Section 4.2's profiler observes.
 type Update struct {
 	Round      int
 	ClientID   int
-	Weights    []float64
 	NumSamples int
 	Seconds    float64
-	// Seq echoes Train.Seq (0 from workers predating the field).
+	// Seq echoes Train.Seq.
 	Seq int64
-	// Raw is the fast-wire weight payload (nn.EncodeWeights bulk bytes).
-	// A worker sets it instead of Weights when the Train request itself
-	// arrived fast-wire, so replies always match what the aggregator can
-	// decode. Exactly one of Weights/Raw is non-nil.
+	// Raw is the trained weight vector as an nn.EncodeWeights blob.
 	Raw []byte
 }
 
-// Partial is a child aggregator's pre-aggregated contribution: the weighted
-// sum of its workers' updates plus the total weight, so the master can
-// combine children without seeing individual updates.
-type Partial struct {
-	Round       int
-	WeightedSum []float64
-	TotalWeight float64
-	Clients     int
-}
-
-// Done tells a worker training is finished.
+// Done ends a peer's session: training is finished or, with a Reason, the
+// aggregator refuses the registration for a cause no redial can cure (wire
+// version, unknown codec) — which conn.recv hands the peer as a fatal
+// error, never as a message.
 type Done struct {
 	Rounds int
+	Reason string
 }
 
 // TierAssign tells a worker which latency tier it was placed in after
@@ -296,33 +251,26 @@ type TierAssign struct {
 // its registration and again after each of its commits is applied — the
 // same dispatch-at-commit discipline the flat tier loops follow (both are
 // flcore.Committer.Pull answers), so a tree run can be byte-compared
-// against a flat one. Exactly one of
-// Weights/Raw is set, negotiated by the child's Register.Proto like any
-// broadcast.
+// against a flat one. Exactly one of Raw/Delta is set.
 type TreePull struct {
 	Version int
-	Weights []float64
-	Raw     []byte
-	// Delta, when non-nil, replaces Weights/Raw: the compress delta
-	// payload against the child's previously applied pull. DeltaBase is
-	// that pull's Version, DeltaCodec the compress delta codec ID. The
-	// root may send deltas because the pull→commit cycle is strictly
-	// sequential per child — a pull is only followed by another after the
-	// child's commit for it was applied, so the received commit is the
-	// implicit ack that the child holds the previous pull's base.
+	// Raw is the dense model as an nn.EncodeWeights blob.
+	Raw []byte
+	// Delta, when non-nil, replaces Raw: the compress delta payload against
+	// the child's previously applied pull. DeltaBase is that pull's
+	// Version, DeltaCodec the compress delta codec ID. The root may send
+	// deltas because the pull→commit cycle is strictly sequential per child
+	// — a pull is only followed by another after the child's commit for it
+	// was applied, so the received commit is the implicit ack that the
+	// child holds the previous pull's base.
 	Delta      []byte
 	DeltaBase  int
 	DeltaCodec byte
 }
 
-// pullWeights decodes the pull's weight vector from whichever encoding it
-// arrived in.
-func (p *TreePull) pullWeights() ([]float64, error) {
-	if p.Raw != nil {
-		return nn.DecodeWeights(p.Raw)
-	}
-	return p.Weights, nil
-}
+// pullWeights decodes the pull's dense model; a pull that carries none is
+// an error.
+func (p *TreePull) pullWeights() ([]float64, error) { return nn.DecodeWeights(p.Raw) }
 
 // TierCommit is one tier's finished mini-FedAvg round on its way to the
 // global model: the tier-level aggregate, the tier's local round counter,
@@ -361,9 +309,7 @@ type ClientSeconds = flcore.Observation
 // re-tiering point (tier 0 is fastest, per core.BuildTiers). Like
 // MsgTierAssign it is informational — tier loops are server-driven, so the
 // migration is effective regardless — but it lets workers log placement
-// and adapt locally. It is only sent to workers that registered with
-// Proto ≥ ProtoTierReassign; older workers are pinned to their original
-// tier instead, so they never need to understand it.
+// and adapt locally.
 type TierReassign struct {
 	From     int
 	To       int
@@ -373,10 +319,9 @@ type TierReassign struct {
 	// (compress.Parse syntax) from its next training round on, dropping
 	// its error-feedback residual — the old tier's residual was
 	// accumulated under a different loss profile and must not leak into
-	// the new codec's stream. Only sent to workers that registered with
-	// Proto ≥ ProtoCodecRenegotiate; the aggregator accepts updates under
-	// both the old and new codec during the switch window, because a
-	// round dispatched before the migration can still deliver afterwards.
+	// the new codec's stream. The aggregator accepts updates under both the
+	// old and new codec during the switch window, because a round
+	// dispatched before the migration can still deliver afterwards.
 	Renegotiate bool
 	CodecSpec   string
 }
@@ -395,7 +340,7 @@ type CompressedUpdate struct {
 	// Seconds mirrors Update.Seconds: the worker-measured duration of the
 	// local pass, feeding live tiering's latency estimates.
 	Seconds float64
-	// Seq echoes Train.Seq (0 from workers predating the field).
+	// Seq echoes Train.Seq.
 	Seq int64
 }
 
@@ -433,7 +378,10 @@ func (c *conn) send(env *Envelope) error {
 	return nil
 }
 
-// recv decodes the next message; a zero timeout blocks indefinitely.
+// recv decodes the next message; a zero timeout blocks indefinitely. This
+// is where bytes enter the program, so what every handler relies on is
+// settled here: the payload pointer matching Type is set, and a reasoned
+// refusal is an error. Neither failure is one a redial cures.
 func (c *conn) recv(timeout time.Duration) (*Envelope, error) {
 	if timeout > 0 {
 		if err := c.raw.SetReadDeadline(time.Now().Add(timeout)); err != nil {
@@ -444,6 +392,12 @@ func (c *conn) recv(timeout time.Duration) (*Envelope, error) {
 	var env Envelope
 	if err := c.dec.Decode(&env); err != nil {
 		return nil, fmt.Errorf("flnet: recv: %w", err)
+	}
+	if !env.hasPayload() {
+		return nil, fatalf("flnet: recv: message type %d without its payload", env.Type)
+	}
+	if env.Type == MsgDone && env.Done.Reason != "" {
+		return nil, fatalf("flnet: refused by the aggregator: %s", env.Done.Reason)
 	}
 	return &env, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/flcore"
+	"repro/internal/nn"
 	"repro/internal/secagg"
 )
 
@@ -43,12 +44,12 @@ func (a *Aggregator) RunSecureRound(round int, chosen []int, weights []float64, 
 	if len(live) == 0 {
 		return nil, fmt.Errorf("flnet: secure round %d: no reachable workers", round)
 	}
-	bc := newBroadcast(weights)
+	raw := nn.EncodeWeights(weights)
 	for _, w := range live {
-		msg := &Envelope{Type: MsgTrain, Train: bc.fill(&Train{
-			Round:        round,
+		msg := &Envelope{Type: MsgTrain, Train: &Train{
+			Round: round, Raw: raw,
 			Participants: liveIDs, MaskScale: maskScale,
-		}, w.proto)}
+		}}
 		if err := w.c.send(msg); err != nil {
 			return nil, fmt.Errorf("flnet: secure round %d: worker %d unreachable mid-setup: %w", round, w.id, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/flcore"
+	"repro/internal/nn"
 )
 
 func TestSecureRoundMatchesPlainFedAvg(t *testing.T) {
@@ -79,7 +80,7 @@ func TestSecureRoundIndividualUpdatesMasked(t *testing.T) {
 		w := agg.workers[id]
 		agg.mu.Unlock()
 		err := w.c.send(&Envelope{Type: MsgTrain, Train: &Train{
-			Round: 0, Weights: init, Participants: liveIDs, MaskScale: 50,
+			Round: 0, Raw: nn.EncodeWeights(init), Participants: liveIDs, MaskScale: 50,
 		}})
 		if err != nil {
 			t.Fatal(err)
@@ -95,8 +96,12 @@ func TestSecureRoundIndividualUpdatesMasked(t *testing.T) {
 		}
 		// True update is 0.5 everywhere (n=1); the masked one must differ
 		// wildly.
+		masked, err := nn.DecodeWeights(env.Update.Raw)
+		if err != nil {
+			t.Fatal(err)
+		}
 		dist := 0.0
-		for _, v := range env.Update.Weights {
+		for _, v := range masked {
 			d := v - 0.5
 			dist += d * d
 		}

@@ -93,15 +93,13 @@ type RunResult struct {
 type registered struct {
 	id      int
 	samples int
-	proto   byte   // announced protocol level (Proto* constants; 0 = legacy)
 	role    byte   // Role* constants (RoleWorker for leaf workers)
 	members []int  // leaf worker IDs behind a child aggregator (RoleChildAggregator only)
 	addr    string // self-reported listen address (child aggregators; informational)
 	c       *conn
 
 	// codec is the worker's current update compression (compress.IDNone =
-	// dense), negotiated at the handshake and — for
-	// Proto ≥ ProtoCodecRenegotiate workers — renegotiated on tier
+	// dense), negotiated at the handshake and renegotiated on tier
 	// migrations. prevCodec stays accepted alongside it: a training round
 	// dispatched under the old codec can deliver its update after the
 	// renegotiation landed, and that in-flight reply must not be dropped.
@@ -122,13 +120,13 @@ type registered struct {
 	pmu     sync.Mutex
 	pending map[int64]chan *Envelope
 
-	// Delta-downlink ack state (Proto ≥ ProtoDeltaDownlink workers on runs
-	// with a downlink mode): the tier and global version of the last
-	// versioned snapshot this worker is known to hold — recorded when its
-	// update for that broadcast arrives, never merely when the broadcast
-	// was sent. A delta is only dispatched when the ack matches the tier
-	// chain's base exactly; everything else (first contact, a missed round,
-	// a migration, a resume) degrades to the dense snapshot.
+	// Delta-downlink ack state (runs with a downlink mode): the tier and
+	// versioned-broadcast counter of the last snapshot this worker is known
+	// to hold — recorded when its update for that broadcast arrives, never
+	// merely when the broadcast was sent. A delta is only dispatched when
+	// the ack matches the tier chain's base exactly; everything else (first
+	// contact, a missed round, a migration, a resume) degrades to the dense
+	// snapshot.
 	amu     sync.Mutex
 	ackTier int
 	ackVer  int
@@ -303,25 +301,39 @@ func (a *Aggregator) WaitForWorkers(n int, timeout time.Duration) error {
 	}
 }
 
-// handshake performs registration and starts the per-connection reader.
+// refusal names why this build can never serve the registration ("" when
+// it can): another wire version, or an update codec it cannot decode.
+func refusal(r *Register) string {
+	switch {
+	case r.Version != wireVersion:
+		return fmt.Sprintf("peer speaks wire version %d, this aggregator speaks %d", r.Version, wireVersion)
+	case !compress.Known(r.Codec):
+		return fmt.Sprintf("unknown update codec %d", r.Codec)
+	}
+	return ""
+}
+
+// handshake performs registration — of workers and tree children alike —
+// and starts the per-connection reader.
 func (a *Aggregator) handshake(raw net.Conn) {
 	c := newConn(raw)
 	c.writeTimeout = a.cfg.SendTimeout
 	env, err := c.recv(10 * time.Second)
-	if err != nil || env.Type != MsgRegister || env.Register == nil {
+	if err != nil || env.Type != MsgRegister {
 		c.close() //nolint:errcheck // failed handshake
 		return
 	}
-	if !compress.Known(env.Register.Codec) {
-		// Negotiation failure: this build cannot decode the worker's
-		// codec, so refuse it now rather than drop its every update later.
-		c.close() //nolint:errcheck // failed handshake
+	if reason := refusal(env.Register); reason != "" {
+		// Tell the peer why before hanging up, so it fails once instead of
+		// redialing into a refusal that can never succeed.
+		c.send(&Envelope{Type: MsgDone, Done: &Done{Reason: reason}}) //nolint:errcheck // best effort, closing anyway
+		c.close()                                                     //nolint:errcheck // refused handshake
 		return
 	}
 	w := &registered{
 		id: env.Register.ClientID, samples: env.Register.NumSamples,
 		codec: env.Register.Codec, prevCodec: env.Register.Codec,
-		proto: env.Register.Proto, role: env.Register.Role,
+		role:    env.Register.Role,
 		members: append([]int(nil), env.Register.Members...),
 		addr:    env.Register.Addr, c: c,
 		updates: make(chan *Envelope, 4),
@@ -332,10 +344,11 @@ func (a *Aggregator) handshake(raw net.Conn) {
 	a.mu.Lock()
 	old := a.workers[w.id]
 	if old != nil && !old.dead.Load() {
-		// A live connection already owns this ID: refuse the duplicate. A
-		// reconnecting worker that races the server's EOF detection lands
-		// here too — its backoff loop simply retries until the dead read
-		// surfaces and the slot frees up.
+		// A live connection already owns this ID: refuse the duplicate
+		// with a bare close, which the peer may retry. A reconnecting
+		// worker that races the server's EOF detection lands here too —
+		// its backoff loop simply retries until the dead read surfaces and
+		// the slot frees up.
 		a.mu.Unlock()
 		c.close() //nolint:errcheck // duplicate registration
 		return
@@ -354,13 +367,14 @@ func (a *Aggregator) handshake(raw net.Conn) {
 				return
 			}
 			// Seq-tagged updates go straight to the train request that is
-			// waiting for them; everything else (profile replies, legacy
-			// updates) flows through the shared channel.
+			// waiting for them; everything else (profile replies, the
+			// synchronous Aggregator's round-matched updates, tree commits)
+			// flows through the shared channel.
 			switch {
-			case env.Type == MsgUpdate && env.Update != nil && env.Update.Seq != 0:
+			case env.Type == MsgUpdate && env.Update.Seq != 0:
 				w.route(env.Update.Seq, env)
 				continue
-			case env.Type == MsgCompressedUpdate && env.CompressedUpdate != nil && env.CompressedUpdate.Seq != 0:
+			case env.Type == MsgCompressedUpdate && env.CompressedUpdate.Seq != 0:
 				w.route(env.CompressedUpdate.Seq, env)
 				continue
 			}
@@ -462,7 +476,7 @@ func (a *Aggregator) ProfileWorkers(timeout time.Duration) (map[int]float64, []i
 		w := a.workers[id]
 		a.mu.Unlock()
 		env, ok := recvTimeout(w, timeout)
-		if !ok || env.Type != MsgProfileReply || env.ProfileReply == nil {
+		if !ok || env.Type != MsgProfileReply {
 			dropouts = append(dropouts, id)
 			continue
 		}
@@ -551,7 +565,7 @@ func (a *Aggregator) Run(sel SelectFunc) (*RunResult, error) {
 // or the round timeout are discarded), and return the updates.
 func (a *Aggregator) RunRound(round int, chosen []int, weights []float64, target int) ([]flcore.Update, error) {
 	live := make([]*registered, 0, len(chosen))
-	bc := newBroadcast(weights)
+	raw := nn.EncodeWeights(weights) // once per round, shared by the cohort
 	for _, id := range chosen {
 		a.mu.Lock()
 		w := a.workers[id]
@@ -559,7 +573,7 @@ func (a *Aggregator) RunRound(round int, chosen []int, weights []float64, target
 		if w == nil {
 			continue
 		}
-		if err := w.c.send(&Envelope{Type: MsgTrain, Train: bc.fill(&Train{Round: round}, w.proto)}); err != nil {
+		if err := w.c.send(&Envelope{Type: MsgTrain, Train: &Train{Round: round, Raw: raw}}); err != nil {
 			continue
 		}
 		live = append(live, w)
@@ -590,19 +604,10 @@ func (a *Aggregator) FinishWorkers(rounds int) {
 // of the model's length — compressed or dense — is treated like a dropped
 // worker: one bad update must not kill the round.
 func decodeUpdate(w *registered, env *Envelope, weights []float64) (flcore.Update, bool) {
-	switch {
-	case env.Type == MsgUpdate && env.Update != nil:
-		uw := env.Update.Weights
-		if env.Update.Raw != nil {
-			dec, err := nn.DecodeWeights(env.Update.Raw)
-			if err != nil {
-				// Same policy as an undecodable compressed payload: one
-				// corrupt update must not kill the round.
-				return flcore.Update{}, false
-			}
-			uw = dec
-		}
-		if len(uw) != len(weights) {
+	switch env.Type {
+	case MsgUpdate:
+		uw, err := nn.DecodeWeights(env.Update.Raw)
+		if err != nil || len(uw) != len(weights) {
 			// A dense update of the wrong length would panic FedAvg; drop it
 			// like any other payload that does not decode to the model.
 			return flcore.Update{}, false
@@ -613,7 +618,7 @@ func decodeUpdate(w *registered, env *Envelope, weights []float64) (flcore.Updat
 			Latency:    env.Update.Seconds,
 			WireBytes:  compress.DenseBytes(len(uw)),
 		}, true
-	case env.Type == MsgCompressedUpdate && env.CompressedUpdate != nil:
+	case MsgCompressedUpdate:
 		cu := env.CompressedUpdate
 		// Enforce the negotiation: updates must arrive under the worker's
 		// negotiated codec (current, or the previous one during a live
@@ -636,10 +641,10 @@ func decodeUpdate(w *registered, env *Envelope, weights []float64) (flcore.Updat
 
 // updateRound extracts the round an update envelope claims, or -1.
 func updateRound(env *Envelope) int {
-	switch {
-	case env.Type == MsgUpdate && env.Update != nil:
+	switch env.Type {
+	case MsgUpdate:
 		return env.Update.Round
-	case env.Type == MsgCompressedUpdate && env.CompressedUpdate != nil:
+	case MsgCompressedUpdate:
 		return env.CompressedUpdate.Round
 	}
 	return -1

@@ -40,9 +40,7 @@ import (
 // latencies feed the Manager's EWMA estimates, and at its rebuild points
 // the committer swaps the shared membership view — the per-tier loops pick
 // the migrated clients up on their next round — and announces each
-// migration to the affected worker as a MsgTierReassign envelope. Workers
-// whose protocol predates the envelope are pinned in their original tier,
-// so mixed fleets keep interoperating.
+// migration to the affected worker as a MsgTierReassign envelope.
 
 // TieredAsyncConfig configures a distributed tiered-asynchronous run.
 type TieredAsyncConfig struct {
@@ -97,8 +95,8 @@ type TieredAsyncConfig struct {
 	// spec for t (compress.Parse syntax; "none" = dense, "" = leave the
 	// worker's codec unchanged) is compared against the worker's current
 	// codec and renegotiated over the MsgTierReassign envelope when they
-	// differ. Workers predating ProtoCodecRenegotiate keep their handshake
-	// codec. nil disables renegotiation (the pre-renegotiation behaviour).
+	// differ. nil disables renegotiation: every worker keeps its handshake
+	// codec.
 	ReassignCodec func(tier, numTiers int) string
 	// MaxRetries bounds per-request redispatches after a cohort member's
 	// connection drops mid-round: the tier loop waits up to RejoinWait for
@@ -125,12 +123,11 @@ type TieredAsyncConfig struct {
 	// encodes the round's snapshot against the chain's base exactly once,
 	// and sends the shared payload to every cohort member whose last acked
 	// broadcast matches that base — everyone else (first contact, a missed
-	// round, a migrated worker, a resume, any worker below
-	// ProtoDeltaDownlink) receives the dense snapshot and adopts it as its
-	// new base. With a nil Codec the delta is the lossless XOR stream and
-	// the run is byte-identical to a dense one; with a lossy codec the
-	// chain keeps a server-side error-feedback residual per tier. nil
-	// keeps the dense broadcast everywhere.
+	// round, a migrated worker, a resume) receives the dense snapshot and
+	// adopts it as its new base. With a nil Codec the delta is the lossless
+	// XOR stream and the run is byte-identical to a dense one; with a lossy
+	// codec the chain keeps a server-side error-feedback residual per tier.
+	// nil keeps the dense broadcast everywhere.
 	Downlink *compress.Downlink
 }
 
@@ -377,14 +374,12 @@ func (ta *TieredAsyncAggregator) tiers() [][]int { return *ta.members.Load() }
 // migrate carries out a re-tiering the Committer just applied: it swaps
 // the published membership view (tier loops pick it up next round;
 // in-flight rounds complete under the membership they were dispatched
-// with) and announces each migration to the moved worker — only to workers
-// whose protocol understands MsgTierReassign; older workers were pinned at
-// Run start and never appear in the moves.
+// with) and announces each migration to the moved worker.
 func (ta *TieredAsyncAggregator) migrate(tiers [][]int, moves []flcore.TierMove) {
 	ta.publishTiers(tiers)
 	for _, mv := range moves {
 		w := ta.liveWorker(mv.Client)
-		if w == nil || w.proto < ProtoTierReassign {
+		if w == nil {
 			continue
 		}
 		// A migrated worker's delta-downlink ack is void: its new tier's
@@ -398,7 +393,7 @@ func (ta *TieredAsyncAggregator) migrate(tiers [][]int, moves []flcore.TierMove)
 		// differs from what the worker currently speaks. The accept window
 		// (registered.acceptsCodec) keeps the worker's in-flight old-codec
 		// update decodable while the switch propagates.
-		if ta.tcfg.ReassignCodec != nil && w.proto >= ProtoCodecRenegotiate {
+		if ta.tcfg.ReassignCodec != nil {
 			if spec := ta.tcfg.ReassignCodec(mv.To, len(tiers)); spec != "" {
 				if next, err := compress.Parse(spec); err == nil && next.ID() != w.codecID() {
 					tr.Renegotiate, tr.CodecSpec = true, next.Name()
@@ -518,13 +513,10 @@ type timedUpdate struct {
 }
 
 // trainReq is one outstanding train request of a tier round: the worker
-// connection it went to and, for seq-echoing workers, the waiter its reply
-// is routed to. Legacy workers (seq 0, ch nil) are collected from their
-// shared channel by round match — safe because legacy workers are pinned
-// and therefore can never be trained by two tiers concurrently. A
-// redispatch (bounded by fanIn.retries) rebinds the request to the
-// member's fresh connection under the same seq token; mu guards the
-// binding.
+// connection it went to, its Train.Seq token, and the waiter the reply
+// echoing that token is routed to. A redispatch (bounded by fanIn.retries)
+// rebinds the request to the member's fresh connection under the same seq
+// token; mu guards the binding.
 type trainReq struct {
 	id  int // the member's client ID, stable across rejoins
 	seq int64
@@ -595,27 +587,16 @@ func (f *fanIn) redispatch(rq *trainReq, rc *retryCtx, deadline time.Time) bool 
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if nw.proto < ProtoTierReassign {
-		return false // seq routing needs a seq-echoing worker
-	}
 	nch := nw.addPending(rq.seq)
-	tr := &Train{Round: rc.round, Seq: rq.seq}
-	if rc.dlVer != 0 && nw.proto >= ProtoDeltaDownlink {
-		// Version-tagged dense snapshot: the fresh connection adopts it as
-		// its base and becomes delta-eligible again next round.
-		tr.Version = rc.dlVer
-	}
-	rc.bc.fill(tr, nw.proto)
+	// The dense snapshot, version-tagged on downlink runs: the fresh
+	// connection adopts it as its base and becomes delta-eligible again
+	// next round.
+	tr := &Train{Round: rc.round, Seq: rq.seq, Version: rc.dlVer, Raw: rc.bc.raw()}
 	if err := nw.c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
 		nw.dropPending(rq.seq)
 		return false
 	}
-	var db int64
-	if nw.proto >= ProtoFastWire {
-		db = int64(len(rc.bc.raw))
-	} else {
-		db = int64(compress.DenseBytes(len(rc.bc.weights)))
-	}
+	db := int64(len(tr.Raw))
 	rc.extraDown.Add(db)
 	f.obs.addDownlink(db)
 	f.obs.noteRetry()
@@ -624,14 +605,13 @@ func (f *fanIn) redispatch(rq *trainReq, rc *retryCtx, deadline time.Time) bool 
 }
 
 // collect gathers the round's updates for the given outstanding requests,
-// respecting the round timeout (0 = wait indefinitely). Replies from
-// seq-echoing workers arrive through their per-request waiters, so a
-// migrated worker trained concurrently by its old and new tier can never
-// have its updates cross-matched between the two rounds. When rc is
-// non-nil and retries are configured, a request whose connection dies
-// mid-window is redispatched to the member's rejoined connection instead
-// of being dropped.
-func (f *fanIn) collect(reqs []*trainReq, round int, weights []float64, start time.Time, rc *retryCtx) []timedUpdate {
+// respecting the round timeout (0 = wait indefinitely). Replies arrive
+// through their per-request waiters, so a migrated worker trained
+// concurrently by its old and new tier can never have its updates
+// cross-matched between the two rounds. When rc is non-nil and retries are
+// configured, a request whose connection dies mid-window is redispatched to
+// the member's rejoined connection instead of being dropped.
+func (f *fanIn) collect(reqs []*trainReq, weights []float64, start time.Time, rc *retryCtx) []timedUpdate {
 	type got struct {
 		u  timedUpdate
 		ok bool
@@ -643,11 +623,6 @@ func (f *fanIn) collect(reqs []*trainReq, round int, weights []float64, start ti
 	}
 	for _, rq := range reqs {
 		go func(rq *trainReq) {
-			if w, wch := rq.current(); wch == nil {
-				u, ok := drainFor(w, round, weights, deadline)
-				ch <- got{u: timedUpdate{Update: u, arrival: time.Since(start).Seconds(), src: w}, ok: ok}
-				return
-			}
 			var timeout <-chan time.Time
 			if !deadline.IsZero() {
 				timer := time.NewTimer(time.Until(deadline))
@@ -760,12 +735,10 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 	var reqs []*trainReq
 	defer func() {
 		for _, rq := range reqs {
-			if rq.seq != 0 {
-				// Drop on whichever connection currently holds the waiter —
-				// a redispatch may have moved it off the original one.
-				w, _ := rq.current()
-				w.dropPending(rq.seq)
-			}
+			// Drop on whichever connection currently holds the waiter — a
+			// redispatch may have moved it off the original one.
+			w, _ := rq.current()
+			w.dropPending(rq.seq)
 		}
 	}()
 	bc := newBroadcast(weights)
@@ -773,32 +746,17 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 	var downBytes int64
 	rc := &retryCtx{tier: t, round: r, bc: bc, dlVer: dlVer}
 	for _, w := range conns {
-		rq := &trainReq{id: w.id, w: w}
-		if w.proto >= ProtoTierReassign {
-			rq.seq = f.seq.Add(1)
-			rq.ch = w.addPending(rq.seq)
+		rq := &trainReq{id: w.id, w: w, seq: f.seq.Add(1)}
+		rq.ch = w.addPending(rq.seq)
+		tr := &Train{Round: r, Seq: rq.seq, Version: dlVer}
+		if dlPayload != nil && w.ackMatch(t, dlBase) {
+			tr.Delta, tr.DeltaBase, tr.DeltaCodec = dlPayload, dlBase, dlCodec
+		} else {
+			tr.Raw = bc.raw()
 		}
-		tr := &Train{Round: r, Seq: rq.seq}
-		var db int64
-		if dlVer != 0 && w.proto >= ProtoDeltaDownlink {
-			tr.Version = dlVer
-			if dlPayload != nil && w.ackMatch(t, dlBase) {
-				tr.Delta, tr.DeltaBase, tr.DeltaCodec = dlPayload, dlBase, dlCodec
-				db = int64(len(dlPayload))
-			}
-		}
-		if tr.Delta == nil {
-			bc.fill(tr, w.proto)
-			if w.proto >= ProtoFastWire {
-				db = int64(len(bc.raw))
-			} else {
-				db = int64(compress.DenseBytes(len(weights)))
-			}
-		}
+		db := int64(len(tr.Delta) + len(tr.Raw))
 		if err := w.c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
-			if rq.seq != 0 {
-				w.dropPending(rq.seq)
-			}
+			w.dropPending(rq.seq)
 			continue
 		}
 		f.obs.addDownlink(db)
@@ -809,31 +767,28 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 	if len(reqs) == 0 {
 		return nil, roundNoCohort
 	}
-	updates := f.collect(reqs, r, weights, start, rc)
+	updates := f.collect(reqs, weights, start, rc)
 	for retry := 0; len(updates) == 0 && retry < maxCollects-1; retry++ {
 		select {
 		case <-done:
 			return nil, roundAbort
 		default:
 		}
-		updates = f.collect(reqs, r, weights, start, rc)
+		updates = f.collect(reqs, weights, start, rc)
 	}
 	downBytes += rc.extraDown.Load()
 	if len(updates) == 0 {
 		return nil, roundEmpty
 	}
-	// A responding Proto ≥ ProtoDeltaDownlink worker has provably received
-	// and adopted this round's versioned base — record the ack that makes
-	// it delta-eligible next round. The ack lands on the exact connection
-	// the reply came from (u.src), so a redispatched request acks the
-	// rejoined connection, never the dead one. Workers that received the
-	// broadcast but never replied stay unacked and fall back to dense,
-	// which is always safe.
+	// A responding worker has provably received and adopted this round's
+	// versioned base — record the ack that makes it delta-eligible next
+	// round. The ack lands on the exact connection the reply came from
+	// (u.src), so a redispatched request acks the rejoined connection, never
+	// the dead one. Workers that received the broadcast but never replied
+	// stay unacked and fall back to dense, which is always safe.
 	if dlVer != 0 {
 		for _, u := range updates {
-			if u.src != nil && u.src.proto >= ProtoDeltaDownlink {
-				u.src.setAck(t, dlVer)
-			}
+			u.src.setAck(t, dlVer)
 		}
 	}
 	// Deterministic aggregation order: replies arrive in wall-clock order,
@@ -853,7 +808,7 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 		upBytes += int64(u.WireBytes)
 		secs := u.Latency // worker-reported training seconds
 		if secs <= 0 {
-			secs = wall // legacy workers: the round's wall clock
+			secs = wall // peer-supplied, so guarded: the round's wall clock instead
 		}
 		obs[i] = ClientSeconds{
 			Client: u.ClientID, Seconds: secs,
@@ -997,18 +952,6 @@ func (ta *TieredAsyncAggregator) Run(tiers [][]int) (*TieredAsyncRunResult, erro
 	com, err := ta.newCommitter(tiers)
 	if err != nil {
 		return nil, err
-	}
-	// Live tiering with a mixed fleet: workers that predate
-	// MsgTierReassign are pinned in their original tier, so rebuilds never
-	// move a worker that could not be told.
-	if p, ok := ta.tcfg.Manager.(interface{ Pin(int) }); ok {
-		ta.mu.Lock()
-		for id, w := range ta.workers {
-			if w.proto < ProtoTierReassign {
-				p.Pin(id)
-			}
-		}
-		ta.mu.Unlock()
 	}
 	// Announce placements (best effort: a worker that just dropped is
 	// handled by its tier loop like any other disconnect).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -334,14 +333,7 @@ func TestTieredAsyncToleratesDeadMemberAtStart(t *testing.T) {
 	defer agg.Close()
 	go RunWorker(agg.Addr(), WorkerConfig{ClientID: 0, NumSamples: 1, Train: echoTrain(1, 1, 0)}) //nolint:errcheck
 	// Worker 1 registers by hand, then drops before Run.
-	raw, err := net.Dial("tcp", agg.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newConn(raw)
-	if err := c.send(&Envelope{Type: MsgRegister, Register: &Register{ClientID: 1, NumSamples: 1}}); err != nil {
-		t.Fatal(err)
-	}
+	c := dialRegister(t, agg.Addr(), Register{ClientID: 1, NumSamples: 1, Version: wireVersion})
 	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}

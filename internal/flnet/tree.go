@@ -97,7 +97,7 @@ type ChildConfig struct {
 }
 
 // Child is a per-tier child aggregator: an FL server to its leaf workers
-// (registration, codec negotiation, seq-routed fast-wire rounds — the full
+// (registration, codec negotiation, seq-routed rounds — the full
 // flat-runtime worker contract) and a single pre-reduced "worker" to the
 // tree root.
 type Child struct {
@@ -224,7 +224,7 @@ func (ch *Child) Run() error {
 
 	if err := root.send(&Envelope{Type: MsgRegister, Register: &Register{
 		ClientID: ch.cfg.ID, NumSamples: total,
-		Proto: ProtoDeltaDownlink, Role: RoleChildAggregator,
+		Version: wireVersion, Role: RoleChildAggregator,
 		Members: members, Addr: ch.agg.Addr(),
 	}}); err != nil {
 		return ch.runErr(err)
@@ -237,7 +237,7 @@ func (ch *Child) Run() error {
 		ch.agg.FinishWorkers(env.Done.Rounds)
 		return nil
 	}
-	if env.Type != MsgTierAssign || env.TierAssign == nil {
+	if env.Type != MsgTierAssign {
 		return fmt.Errorf("flnet: child %d: expected tier assignment, got message %d", ch.cfg.ID, env.Type)
 	}
 	as := env.TierAssign
@@ -467,39 +467,28 @@ func (ta *TieredAsyncAggregator) ResumeTree(c *flcore.TieredCheckpoint) error {
 
 // sendPull hands a child its next pull — the tree's dispatch-at-commit.
 // Best effort: a dead child is degraded by its pump, not here. With a
-// Downlink config and a ProtoDeltaDownlink child, every pull after the
-// first travels as a delta against the previous pull: the strict
-// pull→commit cycle means the received commit IS the ack that the child
-// holds that base, so no explicit ack tracking is needed. dl.seq holds the
-// previous pull's Version for the child-side sanity check. p.Weights is
-// the live model; it is fully encoded before sendPull returns.
+// Downlink config every pull after the first travels as a delta against
+// the previous pull: the strict pull→commit cycle means the received commit
+// IS the ack that the child holds that base, so no explicit ack tracking is
+// needed. dl.seq holds the previous pull's Version for the child-side
+// sanity check. p.Weights is the live model; it is fully encoded before
+// sendPull returns.
 func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *downTier, p flcore.TierPull) {
-	w := p.Weights
 	pull := &TreePull{Version: p.Version}
-	var wire int64
-	delta := false
-	if dl != nil && c.proto >= ProtoDeltaDownlink {
-		if dl.chain.HasBase() {
-			payload, id := dl.chain.Encode(w)
-			pull.Delta, pull.DeltaBase, pull.DeltaCodec = payload, dl.seq, id
-			wire = int64(len(payload))
-			delta = true
-		} else {
-			dl.chain.Adopt(w)
+	if dl != nil && dl.chain.HasBase() {
+		pull.Delta, pull.DeltaCodec = dl.chain.Encode(p.Weights)
+		pull.DeltaBase = dl.seq
+	} else {
+		pull.Raw = nn.EncodeWeights(p.Weights)
+		if dl != nil {
+			dl.chain.Adopt(p.Weights)
 		}
+	}
+	if dl != nil {
 		dl.seq = p.Version
 	}
-	if !delta {
-		wire = int64(compress.DenseBytes(len(w)))
-		if c.proto >= ProtoFastWire {
-			pull.Raw = nn.EncodeWeights(w)
-			wire = int64(len(pull.Raw))
-		} else {
-			pull.Weights = w
-		}
-	}
 	if c.c.send(&Envelope{Type: MsgTreePull, TreePull: pull}) == nil {
-		ta.obs.addDownlink(wire)
+		ta.obs.addDownlink(int64(len(pull.Delta) + len(pull.Raw)))
 	}
 }
 
@@ -556,7 +545,7 @@ func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 					tp.post(tierEvent{tier: t, gone: true})
 					return
 				}
-				if env.Type != MsgTierCommit || env.TierCommit == nil {
+				if env.Type != MsgTierCommit {
 					continue // stray profile replies etc.; commits are the contract
 				}
 				if !tp.post(tierEvent{tier: t, commit: env.TierCommit}) {

@@ -87,8 +87,9 @@ type WorkerConfig struct {
 
 // fatalWorkerError marks session failures that reconnecting cannot cure —
 // application errors (a failing TrainFunc, an unparsable renegotiated
-// codec) and protocol violations. The reconnect loop gives up on these
-// immediately instead of burning its attempt budget.
+// codec), protocol violations and the aggregator's reasoned refusals (both
+// raised by conn.recv). The reconnect loop gives up on these immediately
+// instead of burning its attempt budget.
 type fatalWorkerError struct{ err error }
 
 func (e *fatalWorkerError) Error() string { return e.err.Error() }
@@ -193,7 +194,7 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 	c.writeTimeout = cfg.RPCTimeout
 	defer c.close()    //nolint:errcheck // shutdown path
 	codec := cfg.Codec // current uplink codec; renegotiated on migrations
-	reg := &Register{ClientID: cfg.ClientID, NumSamples: cfg.NumSamples, Proto: ProtoDeltaDownlink}
+	reg := &Register{ClientID: cfg.ClientID, NumSamples: cfg.NumSamples, Version: wireVersion}
 	if codec != nil {
 		reg.Codec = codec.ID()
 	}
@@ -282,23 +283,19 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 				continue
 			}
 			w = maskedTrainResult(env.Train, cfg.ClientID, w, n)
-			up := &Update{Round: env.Train.Round, ClientID: cfg.ClientID, NumSamples: n, Seconds: secs, Seq: env.Train.Seq}
-			if env.Train.Raw != nil {
-				// The request came fast-wire, so the aggregator decodes
-				// fast-wire replies; answer in kind.
-				up.Raw = nn.EncodeWeights(w)
-			} else {
-				up.Weights = w
+			up := &Update{
+				Round: env.Train.Round, ClientID: cfg.ClientID, NumSamples: n,
+				Seconds: secs, Seq: env.Train.Seq, Raw: nn.EncodeWeights(w),
 			}
 			if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
 				return progressed, err
 			}
 		case MsgTierAssign:
-			if cfg.OnTierAssign != nil && env.TierAssign != nil {
+			if cfg.OnTierAssign != nil {
 				cfg.OnTierAssign(env.TierAssign.Tier, env.TierAssign.NumTiers)
 			}
 		case MsgTierReassign:
-			if env.TierReassign != nil && env.TierReassign.Renegotiate {
+			if env.TierReassign.Renegotiate {
 				// The new tier runs a different compression policy: switch
 				// codecs and drop the error-feedback residual — it was
 				// accumulated under the old codec's loss profile and must
@@ -313,7 +310,7 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 					cfg.OnCodecRenegotiate(next.Name())
 				}
 			}
-			if cfg.OnTierReassign != nil && env.TierReassign != nil {
+			if cfg.OnTierReassign != nil {
 				cfg.OnTierReassign(env.TierReassign.From, env.TierReassign.To, env.TierReassign.NumTiers)
 			}
 		case MsgDone:

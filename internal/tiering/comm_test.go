@@ -64,7 +64,7 @@ func TestObserveRoundBytesEWMA(t *testing.T) {
 	if b, _ := m.CommBytes(0); math.Abs(b-1500) > 1e-9 {
 		t.Fatalf("byte EWMA = %v, want 1500", b)
 	}
-	m.ObserveRound(0, 1, 1, 0) // zero bytes: legacy sender, no fold
+	m.ObserveRound(0, 1, 1, 0) // zero bytes: nothing measured, no fold
 	if b, _ := m.CommBytes(0); math.Abs(b-1500) > 1e-9 {
 		t.Fatalf("zero-byte observation moved estimate to %v", b)
 	}

@@ -11,14 +11,17 @@ import (
 // State is the serializable snapshot of a Manager, carried opaquely inside
 // flcore.TieredCheckpoint.ManagerState. It captures everything behind the
 // Manager's mutex — membership, EWMA latency estimates, hysteresis
-// placements, pins, Algorithm-2 probabilities and credits, and the rebuild
+// placements, Algorithm-2 probabilities and credits, and the rebuild
 // counters — so a restored Manager continues the run exactly where the
 // checkpointed one stopped (same cohort draws, same rebuild points).
+//
+// Blobs written while the Manager still had migration pins carry a Pinned
+// field; gob skips a stream field the receiver lacks, so they restore
+// unchanged and the pins lapse.
 type State struct {
 	Tiers    [][]int
 	EWMA     map[int]float64
 	Placed   map[int]float64
-	Pinned   []int
 	Probs    []float64
 	HaveAccs bool
 	Credits  []int
@@ -60,9 +63,6 @@ func (m *Manager) SnapshotState() ([]byte, error) {
 	}
 	for c, v := range m.placed {
 		s.Placed[c] = v
-	}
-	for c := range m.pinned {
-		s.Pinned = append(s.Pinned, c)
 	}
 	for _, r := range m.log {
 		s.Log = append(s.Log, Reassignment{Version: r.Version, Moves: append([]Move(nil), r.Moves...)})
@@ -121,10 +121,6 @@ func (m *Manager) RestoreState(data []byte) error {
 	m.commBytes = make(map[int]float64, len(s.CommBytes))
 	for c, v := range s.CommBytes {
 		m.commBytes[c] = v
-	}
-	m.pinned = make(map[int]bool, len(s.Pinned))
-	for _, c := range s.Pinned {
-		m.pinned[c] = true
 	}
 	m.probs = append([]float64(nil), s.Probs...)
 	m.haveAccs = s.HaveAccs

@@ -1,6 +1,8 @@
 package tiering
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 )
@@ -130,5 +132,60 @@ func TestManagerRestoreStateValidation(t *testing.T) {
 	}
 	if got := src.Cohort(0, 0, 2); len(got) == 0 {
 		t.Fatal("manager unusable after restore")
+	}
+}
+
+// TestRestoreStateSkipsRetiredPinnedField pins the checkpoint-compatibility
+// promise in State's godoc: a blob written while State still had its Pinned
+// field restores, and the restored Manager is the one the same blob without
+// the field yields — the formerly pinned client re-tiers like any other.
+func TestRestoreStateSkipsRetiredPinnedField(t *testing.T) {
+	type stateWithPins struct {
+		Tiers                                   [][]int
+		EWMA, Placed                            map[int]float64
+		Pinned                                  []int
+		Probs                                   []float64
+		HaveAccs                                bool
+		Credits, Draws                          []int
+		Retiers, Rebuilds, Skipped, LastVersion int
+		Log                                     []Reassignment
+		CommBytes                               map[int]float64
+	}
+	good, err := stateFixture(t).SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old stateWithPins
+	if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	old.Pinned = []int{0, 4}
+	var blob bytes.Buffer
+	if err := gob.NewEncoder(&blob).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(blob.Bytes(), good) {
+		t.Fatal("fixture blob does not carry the Pinned field")
+	}
+	want, got := stateFixture(t), stateFixture(t)
+	if err := want.RestoreState(good); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.RestoreState(blob.Bytes()); err != nil {
+		t.Fatalf("blob carrying Pinned rejected: %v", err)
+	}
+	if !reflect.DeepEqual(got.Tiers(), want.Tiers()) {
+		t.Fatalf("tiers differ: %v vs %v", got.Tiers(), want.Tiers())
+	}
+	// Client 0 speeds back up on both; the retired pin must not hold it back.
+	for _, m := range []*Manager{want, got} {
+		for i := 0; i < 8; i++ {
+			m.Observe(0, 0.1)
+		}
+	}
+	at, am, ac := want.MaybeRetier(8)
+	bt, bm, bc := got.MaybeRetier(8)
+	if !ac || ac != bc || !reflect.DeepEqual(at, bt) || !reflect.DeepEqual(am, bm) {
+		t.Fatalf("post-restore rebuilds diverge: (%v,%v,%v) vs (%v,%v,%v)", at, am, ac, bt, bm, bc)
 	}
 }

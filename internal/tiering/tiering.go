@@ -141,7 +141,6 @@ type Manager struct {
 	ewma      map[int]float64
 	commBytes map[int]float64 // EWMA of per-round wire bytes (observability)
 	placed    map[int]float64 // hysteresis-frozen latency of last placement
-	pinned    map[int]bool    // clients excluded from migration
 
 	probs    []float64 // Algorithm-2 tier probabilities
 	haveAccs bool      // accuracies observed at least once
@@ -182,7 +181,6 @@ func NewManager(cfg Config, latency map[int]float64) (*Manager, error) {
 		ewma:      make(map[int]float64, len(latency)),
 		commBytes: make(map[int]float64),
 		placed:    make(map[int]float64, len(latency)),
-		pinned:    make(map[int]bool),
 		probs:     make([]float64, len(built)),
 		draws:     make([]int, len(built)),
 	}
@@ -240,7 +238,6 @@ func NewManagerWithTiers(cfg Config, tiers [][]int, latency map[int]float64) (*M
 		ewma:      make(map[int]float64, len(latency)),
 		commBytes: make(map[int]float64),
 		placed:    make(map[int]float64, len(latency)),
-		pinned:    make(map[int]bool),
 		probs:     make([]float64, len(tiers)),
 		draws:     make([]int, len(tiers)),
 	}
@@ -337,21 +334,12 @@ func (m *Manager) Log() []Reassignment {
 	return out
 }
 
-// Pin excludes a client from migration: rebuilds leave it in its current
-// tier. The socket runtime pins workers whose protocol predates
-// MsgTierReassign, so they keep interoperating within their original tier.
-func (m *Manager) Pin(client int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pinned[client] = true
-}
-
 // Observe folds one observed response latency into the client's EWMA.
 // Unknown clients (late joiners) are adopted at the observed value but do
 // not enter a tier until the next rebuild.
 func (m *Manager) Observe(client int, seconds float64) {
 	if seconds <= 0 || math.IsNaN(seconds) || math.IsInf(seconds, 0) {
-		return // clock glitches and legacy zero reports must not poison EWMAs
+		return // clock glitches and zero reports must not poison EWMAs
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -551,36 +539,6 @@ func (m *Manager) MaybeRetier(version int) ([][]int, []flcore.TierMove, bool) {
 		next[m.tierOf[c]] = append(next[m.tierOf[c]], c)
 	}
 
-	// Pinned clients stay put: pull each one back into its current tier.
-	// Pulled-back clients append in ascending client order so the result
-	// is independent of map iteration order.
-	pinned := make([]int, 0, len(m.pinned))
-	for c := range m.pinned {
-		pinned = append(pinned, c)
-	}
-	sort.Ints(pinned)
-	for _, c := range pinned {
-		cur, ok := m.tierOf[c]
-		if !ok {
-			continue
-		}
-		for t := range next {
-			if t == cur {
-				continue
-			}
-			if i := indexOf(next[t], c); i >= 0 {
-				next[t] = append(next[t][:i], next[t][i+1:]...)
-				next[cur] = append(next[cur], c)
-			}
-		}
-	}
-	for t := range next {
-		if len(next[t]) == 0 {
-			m.skipped++ // pinning emptied a tier; keep the old membership
-			return nil, nil, false
-		}
-	}
-
 	// Commit the placement latencies the rebuild used, so the next
 	// hysteresis window is measured from this placement.
 	m.placed = eff
@@ -610,15 +568,6 @@ func (m *Manager) MaybeRetier(version int) ([][]int, []flcore.TierMove, bool) {
 	m.retiers++
 	m.log = append(m.log, Reassignment{Version: version, Moves: append([]Move(nil), moves...)})
 	return copyTiers(next), moves, true
-}
-
-func indexOf(s []int, v int) int {
-	for i, x := range s {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // String describes the Manager configuration and current state.

@@ -204,28 +204,6 @@ func TestHysteresisDampsOutlierRounds(t *testing.T) {
 	}
 }
 
-func TestPinnedClientsNeverMigrate(t *testing.T) {
-	lat := map[int]float64{0: 1, 1: 1.1, 2: 10, 3: 11}
-	m := newTestManager(t, Config{NumTiers: 2, RetierEvery: 2, ClientsPerRound: 1}, lat)
-	m.Pin(0)
-	for i := 0; i < 8; i++ {
-		m.Observe(0, 50)
-	}
-	tiers, moves, changed := m.MaybeRetier(2)
-	if changed {
-		// A rebuild may still move others; client 0 must not be among them.
-		for _, mv := range moves {
-			if mv.Client == 0 {
-				t.Fatalf("pinned client migrated: %+v", mv)
-			}
-		}
-		_ = tiers
-	}
-	if got, _ := m.TierOf(0); got != 0 {
-		t.Fatalf("pinned client left tier 0: now %d", got)
-	}
-}
-
 func TestAdaptiveCohortSizingAndCredits(t *testing.T) {
 	lat := profile(12)
 	m := newTestManager(t, Config{
