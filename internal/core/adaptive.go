@@ -172,7 +172,7 @@ func (a *AdaptiveSelector) Select(r int, rng *rand.Rand) []int {
 		for i := range masked {
 			masked[i] /= total
 		}
-		tier = pickTier(masked, rng)
+		tier = PickTier(masked, rng)
 		if a.credits[tier] != math.MaxInt {
 			a.credits[tier]--
 		}

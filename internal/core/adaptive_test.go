@@ -157,7 +157,7 @@ func TestAccuracyHistoryIsACopy(t *testing.T) {
 	}
 }
 
-func TestDynamicSelectorImplementsInterfaces(t *testing.T) {
+func TestSelectorsImplementInterfaces(t *testing.T) {
 	var _ flcore.Selector = (*AdaptiveSelector)(nil)
 	var _ flcore.RoundObserver = (*AdaptiveSelector)(nil)
 	var _ flcore.Selector = (*StaticSelector)(nil)

@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/flcore"
 )
 
 func TestDeadlineSelectorFilters(t *testing.T) {
@@ -45,93 +43,4 @@ func TestDeadlineSelectorValidation(t *testing.T) {
 	mustPanic(t, func() { NewDeadlineSelector(nil, 1, 1) })
 	mustPanic(t, func() { NewDeadlineSelector(map[int]float64{0: 1}, 0, 1) })
 	mustPanic(t, func() { NewDeadlineSelector(map[int]float64{0: 1}, 1, 0) })
-}
-
-func TestDynamicSelectorTracksDrift(t *testing.T) {
-	// Client 0 starts fast (latency 1) then becomes the slowest (latency
-	// 100). After re-tiering it must move out of the fastest tier.
-	lat := map[int]float64{}
-	for i := 0; i < 20; i++ {
-		lat[i] = float64(1 + i) // spread 1..20
-	}
-	policy := StaticPolicy{Name: "uniform4", Probs: []float64{0.25, 0.25, 0.25, 0.25}}
-	d := NewDynamicSelector(lat, policy, 3)
-	d.RetierEvery = 5
-	d.Alpha = 1 // adopt observations immediately
-
-	tierOf := TierOf(d.Tiers())
-	if tierOf[0] != 0 {
-		t.Fatalf("client 0 should start in tier 0, is in %d", tierOf[0])
-	}
-	// Feed observations: client 0 now responds in 100s.
-	d.ObserveLatencies(1, []flcore.Update{{ClientID: 0, Latency: 100}})
-	if v, _ := d.EWMA(0); v != 100 {
-		t.Fatalf("EWMA = %v", v)
-	}
-	// Trigger a re-tier at round 5.
-	rng := rand.New(rand.NewSource(3))
-	d.Select(5, rng)
-	if d.Retiers() != 1 {
-		t.Fatalf("retiers = %d", d.Retiers())
-	}
-	tierOf = TierOf(d.Tiers())
-	last := len(d.Tiers()) - 1
-	if tierOf[0] != last {
-		t.Fatalf("drifted client 0 in tier %d, want slowest tier %d", tierOf[0], last)
-	}
-}
-
-func TestDynamicSelectorEWMASmoothing(t *testing.T) {
-	d := NewDynamicSelector(map[int]float64{0: 10, 1: 10, 2: 10, 3: 10}, StaticPolicy{Name: "u", Probs: []float64{0.5, 0.5}}, 1)
-	d.Alpha = 0.5
-	d.NumTiers = 2
-	d.ObserveLatencies(0, []flcore.Update{{ClientID: 0, Latency: 20}})
-	if v, _ := d.EWMA(0); v != 15 {
-		t.Fatalf("EWMA after one obs = %v, want 15", v)
-	}
-	// Unknown clients are adopted outright.
-	d.ObserveLatencies(0, []flcore.Update{{ClientID: 99, Latency: 7}})
-	if v, ok := d.EWMA(99); !ok || v != 7 {
-		t.Fatalf("new client EWMA = %v, %v", v, ok)
-	}
-}
-
-func TestDynamicSelectorEndToEndRecoversFromDrift(t *testing.T) {
-	// Integration: after the fast group slows down 20x mid-training, the
-	// dynamic selector re-tiers and keeps per-round latency bounded,
-	// whereas a static fast-tier policy keeps selecting the now-slow
-	// clients.
-	mk := func() []*flcore.Client {
-		cl := makeClients(t, 50)
-		for i := 0; i < 10; i++ { // the 4-CPU group degrades at round 10
-			cl[i].Drift = func(round int) float64 {
-				if round >= 10 {
-					return 0.05
-				}
-				return 1
-			}
-		}
-		return cl
-	}
-	prof := Profile(makeClients(t, 50), testLM, DefaultProfiler)
-
-	cfg := flcore.Config{
-		Rounds: 40, ClientsPerRound: 5, LocalEpochs: 1, BatchSize: 10, Seed: 9,
-		Model: mlpFactory(), Optimizer: sgdFactory(), Latency: testLM, EvalEvery: 0,
-	}
-	fastProbs := StaticPolicy{Name: "fastish", Probs: []float64{0.6, 0.1, 0.1, 0.1, 0.1}}
-
-	staticSel := NewStaticSelector(BuildTiers(prof.Latency, 5, Quantile), fastProbs, 5)
-	staticRes := flcore.NewEngine(cfg, mk(), nil).Run(staticSel)
-
-	dyn := NewDynamicSelector(prof.Latency, fastProbs, 5)
-	dyn.RetierEvery = 10
-	dynRes := flcore.NewEngine(cfg, mk(), nil).Run(dyn)
-
-	if dyn.Retiers() == 0 {
-		t.Fatal("dynamic selector never re-tiered")
-	}
-	if dynRes.TotalTime >= staticRes.TotalTime {
-		t.Fatalf("dynamic %v should beat static %v under drift", dynRes.TotalTime, staticRes.TotalTime)
-	}
 }

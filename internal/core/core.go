@@ -211,8 +211,8 @@ func sampleClients(members []int, want int, rng *rand.Rand) []int {
 	return out
 }
 
-// pickTier draws a tier index from the probability vector probs.
-func pickTier(probs []float64, rng *rand.Rand) int {
+// PickTier draws a tier index from the probability vector probs.
+func PickTier(probs []float64, rng *rand.Rand) int {
 	x := rng.Float64()
 	acc := 0.0
 	for i, p := range probs {

@@ -81,7 +81,7 @@ func NewStaticSelector(tiers []Tier, policy StaticPolicy, clientsPerRound int) *
 
 // Select implements flcore.Selector.
 func (s *StaticSelector) Select(r int, rng *rand.Rand) []int {
-	t := pickTier(s.Policy.Probs, rng)
+	t := PickTier(s.Policy.Probs, rng)
 	return sampleClients(s.Tiers[t].Members, s.ClientsPerRound, rng)
 }
 

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/flcore"
 	"repro/internal/metrics"
+	"repro/internal/tiering"
 )
 
 // The extension experiments go beyond the paper's figures: they pit TiFL
@@ -87,8 +90,9 @@ func medianLatency(lat map[int]float64) float64 {
 
 // RunExtensionDrift exercises the online setting of Sections 1/4.2: the
 // fastest client group degrades 20x mid-training. Static tiering keeps
-// selecting the stale "fast" tier; DynamicSelector re-tiers from observed
-// latencies and keeps round time bounded.
+// selecting the stale "fast" tier; a tiering.Manager behind the same policy
+// (tiering.Selector) re-tiers from observed latencies and keeps round time
+// bounded.
 func RunExtensionDrift(s Scale) *Output {
 	sc := s.newScenario("ext-drift", cifarSpec(), hetResource, 0)
 	prof := core.Profile(sc.clients(s), LatencyModel, core.ProfilerConfig{SyncRounds: 5, Tmax: 1e6, Epochs: 1, Seed: s.Seed + 4})
@@ -114,16 +118,21 @@ func RunExtensionDrift(s Scale) *Output {
 	staticSel := core.NewStaticSelector(core.BuildTiers(prof.Latency, 5, core.Quantile), policy, s.ClientsPerRound)
 	staticRes := flcore.NewEngine(cfg, mkClients(), sc.test).Run(staticSel)
 
-	dyn := core.NewDynamicSelector(prof.Latency, policy, s.ClientsPerRound)
-	dyn.RetierEvery = maxOf(5, s.Rounds/10)
-	dynRes := flcore.NewEngine(cfg, mkClients(), sc.test).Run(dyn)
+	mgr, err := tiering.NewManager(tiering.Config{
+		NumTiers: 5, RetierEvery: maxOf(5, s.Rounds/10),
+		ClientsPerRound: s.ClientsPerRound, Seed: s.Seed,
+	}, prof.Latency)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: drift manager: %v", err))
+	}
+	dynRes := flcore.NewEngine(cfg, mkClients(), sc.test).Run(&tiering.Selector{Manager: mgr, Policy: policy})
 
 	tab := metrics.Table{
 		Title:   "Extension: static vs dynamic tiering under performance drift",
 		Columns: []string{"tiering", "training time [s]", "final accuracy", "re-tiers"},
 	}
 	tab.AddRow("static", staticRes.TotalTime, staticRes.FinalAcc, 0)
-	tab.AddRow("dynamic", dynRes.TotalTime, dynRes.FinalAcc, dyn.Retiers())
+	tab.AddRow("dynamic", dynRes.TotalTime, dynRes.FinalAcc, mgr.Retiers())
 	return &Output{
 		ID:     "ext_drift",
 		Title:  "Online re-tiering when client performance changes mid-training",

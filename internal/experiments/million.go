@@ -175,13 +175,13 @@ func MillionRun(s Scale) MillionOutcome {
 
 // RunExtensionMillion renders the population-scale run: a million
 // registered clients, resident client state bounded by the cohort, and the
-// throughput/traffic metrics the benchmark pipeline exports.
+// run's traffic metrics.
 func RunExtensionMillion(s Scale) *Output {
 	out := MillionRun(s)
 	// The table sticks to simulation-deterministic quantities so reports
 	// stay byte-identical across runs of the same seed; the wall-clock
-	// throughput and heap proxy live in MillionOutcome and are exported by
-	// BenchmarkExtMillion, where run-to-run jitter is expected.
+	// throughput and heap proxy live in MillionOutcome only, where
+	// run-to-run jitter is expected.
 	tab := metrics.Table{
 		Title: "Extension: million-client event-driven population scale",
 		Columns: []string{"engine", "population", "commits", "commits/sim-sec", "bytes/client update",

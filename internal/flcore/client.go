@@ -169,8 +169,8 @@ type RoundObserver interface {
 
 // LatencyObserver is an optional extension of Selector: after each round
 // the engine reports the selected clients' observed response latencies.
-// Dynamic tiering (core.DynamicSelector) uses it to re-tier on the fly when
-// client performance drifts.
+// Online re-tiering (tiering.Selector, over a tiering.Manager) uses it to
+// re-tier on the fly when client performance drifts.
 type LatencyObserver interface {
 	ObserveLatencies(r int, updates []Update)
 }

@@ -50,9 +50,8 @@ type CommitterConfig struct {
 // Manager when the round commits: the compute-side latency plus, when the
 // driver measures them, the end-to-end response time and the wire traffic
 // the client caused. Bytes and EndToEnd feed the comm-aware tiering signal
-// (tiering.Config.CommAware); both gob-decode to zero from senders
-// predating the fields, in which case the Manager falls back to Seconds
-// alone.
+// (tiering.Config.CommAware); a driver that does not measure them leaves
+// them zero, and the Manager then falls back to Seconds alone.
 type Observation struct {
 	Client  int
 	Seconds float64

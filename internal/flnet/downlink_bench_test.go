@@ -8,13 +8,15 @@ import (
 	"repro/internal/compress"
 )
 
-// BenchmarkDownlinkBroadcast measures end-to-end commit latency and broadcast
-// traffic of the socket runtime under each downlink mode — dense snapshots,
-// lossless version-acked deltas, and top-k sparsified deltas — on both the
-// flat topology and the hierarchical tree. Every worker participates in every
-// round, so after the first (dense) contact the delta arms run the
-// steady-state all-acked path; the bytes/commit metric is the wire-level
-// downlink traffic the codec actually moved.
+// BenchmarkDownlinkBroadcast runs the socket runtime under the two downlink
+// modes no workload of the repo benchmark broadcasts — lossless version-acked
+// deltas and top-k sparsified deltas — on both the flat topology and the
+// hierarchical tree (dense and delta+int8 are net_flat_dense, net_flat_int8
+// and net_tree_train in benchmark/). Every worker participates in every
+// round, so after the first (dense) contact both arms run the steady-state
+// all-acked path; the bytes/commit metric is the wire-level downlink traffic
+// the codec actually moved. Each iteration is a full run — listener setup,
+// registration, training, teardown.
 func BenchmarkDownlinkBroadcast(b *testing.B) {
 	const (
 		numTiers = 3
@@ -29,7 +31,7 @@ func BenchmarkDownlinkBroadcast(b *testing.B) {
 			tiers[t] = append(tiers[t], t*perTier+i)
 		}
 	}
-	modes := []string{"dense", "delta", "delta+topk@0.1"}
+	modes := []string{"delta", "delta+topk@0.1"}
 	parse := func(b *testing.B, mode string) *compress.Downlink {
 		b.Helper()
 		dl, err := compress.ParseDownlink(mode)

@@ -2,9 +2,12 @@ package flnet
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/nn"
 )
 
@@ -162,6 +165,59 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 			for i, v := range res.Weights {
 				if v != 2 {
 					t.Fatalf("weights[%d] = %v, want 2 (%v)", i, v, res.Weights)
+				}
+			}
+		})
+	}
+}
+
+// TestBadProfileReplyIsADropout: the seconds a worker reports seed tier
+// building and latency EWMAs, so a reply that is not a positive finite
+// number must count as a profiling dropout instead of entering the map
+// (+Inf used to panic the equal-width split, NaN to break the sort's order).
+func TestBadProfileReplyIsADropout(t *testing.T) {
+	// profileWith registers a hand-rolled worker that answers the profiling
+	// task with the given seconds (RunWorker always reports a measured time).
+	profileWith := func(t *testing.T, addr string, id int, seconds float64) {
+		c := dialRegister(t, addr, Register{ClientID: id, NumSamples: 1, Version: wireVersion})
+		t.Cleanup(func() { c.close() }) //nolint:errcheck // test shutdown
+		go func() {
+			if env, err := c.recv(10 * time.Second); err == nil && env.Type == MsgProfile {
+				c.send(&Envelope{Type: MsgProfileReply, ProfileReply: &ProfileReply{ClientID: id, Seconds: seconds}}) //nolint:errcheck // the aggregator's verdict is what the test reads
+			}
+		}()
+	}
+	healthy := []float64{1, 2, 4, 5} // seconds of workers 0..3
+	const badID = 9
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			agg, err := NewAggregator("127.0.0.1:0", AggregatorConfig{
+				Rounds: 1, ClientsPerRound: 1, InitialWeights: []float64{0}, Seed: 20,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agg.Close()
+			for id, secs := range healthy {
+				profileWith(t, agg.Addr(), id, secs)
+			}
+			profileWith(t, agg.Addr(), badID, bad)
+			if err := agg.WaitForWorkers(len(healthy)+1, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			lat, dropouts, err := agg.ProfileWorkers(5 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dropouts, []int{badID}) {
+				t.Fatalf("dropouts = %v, want [%d]", dropouts, badID)
+			}
+			if _, ok := lat[badID]; ok || len(lat) != len(healthy) {
+				t.Fatalf("latency map %v, want the %d healthy workers only", lat, len(healthy))
+			}
+			for _, strategy := range []core.TieringStrategy{core.Quantile, core.EqualWidth} {
+				if got := core.TierMembers(core.BuildTiers(lat, 2, strategy)); !reflect.DeepEqual(got, [][]int{{0, 1}, {2, 3}}) {
+					t.Fatalf("strategy %v tiers the healthy workers as %v", strategy, got)
 				}
 			}
 		})

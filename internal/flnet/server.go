@@ -2,6 +2,7 @@ package flnet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"sort"
@@ -456,7 +457,9 @@ func (a *Aggregator) ids() []int {
 
 // ProfileWorkers sends every registered worker one profiling task and
 // returns measured training seconds per client — the network analogue of
-// core.Profile. Workers that fail to reply within timeout are reported in
+// core.Profile. Workers that fail to reply within timeout, or whose reported
+// seconds are not a positive finite number (the value seeds tier building
+// and latency EWMAs, which neither order NaN nor bound Inf), are reported in
 // the dropouts list.
 func (a *Aggregator) ProfileWorkers(timeout time.Duration) (map[int]float64, []int, error) {
 	ids := a.ids()
@@ -480,7 +483,12 @@ func (a *Aggregator) ProfileWorkers(timeout time.Duration) (map[int]float64, []i
 			dropouts = append(dropouts, id)
 			continue
 		}
-		lat[id] = env.ProfileReply.Seconds
+		secs := env.ProfileReply.Seconds
+		if !(secs > 0) || math.IsInf(secs, 1) { // NaN fails the first test
+			dropouts = append(dropouts, id)
+			continue
+		}
+		lat[id] = secs
 	}
 	if len(lat) == 0 {
 		return nil, dropouts, fmt.Errorf("flnet: no workers completed profiling")

@@ -250,9 +250,19 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 	children, _ := startChildren(t, root.Addr(), tiers)
 	// A fast-tier leaf assassinates the slowest tier's child the moment its
 	// own second round starts — deterministically mid-run, with most of the
-	// commit budget still ahead.
+	// commit budget still ahead — and holds its update back until the root
+	// has seen the death: otherwise the run can reach its commit target
+	// before the root's pump reads the killed child's EOF.
 	var kill sync.Once
 	doomed := children[len(children)-1]
+	killAndAwaitDeath := func() {
+		doomed.Close()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if snap := root.Metrics(); len(snap.Children) == len(tiers) && !snap.Children[len(tiers)-1].Alive {
+				return
+			}
+		}
+	}
 	for ti, members := range tiers {
 		for _, ci := range members {
 			ci, fast := ci, ti == 0
@@ -263,7 +273,7 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 				ClientID: ci, NumSamples: clients[ci].NumSamples(),
 				Train: func(round int, weights []float64) ([]float64, int, error) {
 					if fast && round >= 1 {
-						kill.Do(doomed.Close)
+						kill.Do(killAndAwaitDeath)
 					}
 					return train(round, weights)
 				},

@@ -1,15 +1,15 @@
 // Package tiering is the live tier-management subsystem: one Manager owns
-// tier membership for a whole training run, replacing the logic that used
-// to be scattered across core.DynamicSelector (sim-only, sync-only),
-// flcore.TierCohort call sites (uniform sampling, no credits), and flnet's
-// one-shot MsgTierAssign placement.
+// tier membership for a whole training run, and is the repository's one
+// implementation of online re-tiering (per-client EWMA fold + periodic
+// rebuild).
 //
 // TiFL's Section 4.2 profiling is a one-shot snapshot, but the paper
 // sketches an online version in which profiling and tiering refresh
 // periodically so drifting clients migrate to the right tier; the
 // follow-up literature (FedAT, Dynamic Tiering, FedDCT) places most of the
 // achievable speedup in exactly that migration. The Manager implements it
-// for both tiered-async engines behind the flcore.TierManager contract:
+// for both tiered-async engines behind the flcore.TierManager contract,
+// and for the synchronous engine through Selector:
 //
 //   - Engines feed every committed tier round's observed per-client
 //     latencies into Observe, which folds them into per-client EWMA
@@ -58,8 +58,7 @@ type Config struct {
 	// re-tiering (the Manager still tracks EWMAs and drives selection).
 	RetierEvery int
 	// EWMABeta is the weight of a new latency observation in the running
-	// estimate: ewma ← (1−β)·ewma + β·observed. 0 defaults to 0.5
-	// (matching the DynamicSelector this subsystem replaces).
+	// estimate: ewma ← (1−β)·ewma + β·observed. 0 defaults to 0.5.
 	EWMABeta float64
 	// Hysteresis is the relative EWMA move a client needs before its
 	// tracked latency can affect a rebuild (0 defaults to 0.2; negative

@@ -310,25 +310,3 @@ func TestManagerConcurrentUse(t *testing.T) {
 	}()
 	wg.Wait()
 }
-
-// BenchmarkRetier measures a full rebuild point over a 1000-client
-// population with drifting estimates — the hot path of live tiering.
-func BenchmarkRetier(b *testing.B) {
-	b.ReportAllocs()
-	lat := make(map[int]float64, 1000)
-	for i := 0; i < 1000; i++ {
-		lat[i] = 1 + float64(i%7)*3
-	}
-	m, err := NewManager(Config{NumTiers: 5, RetierEvery: 1, ClientsPerRound: 10, Seed: 1}, lat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for c := 0; c < 1000; c += 13 {
-			m.Observe(c, 1+rng.Float64()*30)
-		}
-		m.MaybeRetier(i + 1)
-	}
-}

@@ -400,6 +400,96 @@ type NetOptions struct {
 // are ignored — pacing is real wall clock here. The final model is
 // evaluated on test when it is non-nil.
 func (s *System) TrainTieredAsyncNet(cfg TieredAsyncConfig, net NetOptions, test *Dataset) (*NetTieredAsyncResult, float64, error) {
+	eng, err := s.distributedDefaults("TrainTieredAsyncNet", &cfg, &net)
+	if err != nil {
+		return nil, 0, err
+	}
+	topts := s.opts
+	topts.TieringOptions = net.TieringOptions
+	mgr, err := s.tieringManager(topts, cfg.ClientsPerRound, cfg.Seed)
+	if err != nil {
+		return nil, 0, err
+	}
+	agg, err := flnet.NewTieredAsyncAggregator(net.Addr, aggregatorConfig(cfg, net, eng.GlobalWeights(), mgr))
+	if err != nil {
+		return nil, 0, err
+	}
+	defer agg.Close()
+	tierOf := core.TierOf(s.tiers)
+	for i := range s.clients {
+		s.startWorker(agg.Addr(), eng, net, i, tierOf[i]) // exits with the aggregator
+	}
+	if err := agg.WaitForWorkers(len(s.clients), net.WorkerTimeout); err != nil {
+		return nil, 0, err
+	}
+	var tiers [][]int
+	if mgr == nil {
+		tiers = core.TierMembers(s.tiers)
+	}
+	res, err := agg.Run(tiers)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, finalAccuracy(eng, res.Weights, test, cfg.EvalBatch), nil
+}
+
+// TrainTieredAsyncTree runs the same FedAT-style protocol as
+// TrainTieredAsyncNet, but over the hierarchical topology: one
+// flnet.Child aggregator per profiled tier (each on its own ephemeral
+// loopback port, pre-reducing its tier's mini-FedAvg rounds at the edge)
+// behind one tree root, with every leaf worker registered at its tier's
+// child rather than the root. Leaves negotiate codecs with their child
+// under the same CompressionOptions policy as the flat run, and the
+// children report uplink traffic upstream into the root's metrics
+// endpoint. Live tiering is not supported over the tree — membership is
+// fixed at the profiled tiers — so effective TieringOptions asking for a
+// Manager (RetierEvery / AdaptiveSelection) are an error.
+func (s *System) TrainTieredAsyncTree(cfg TieredAsyncConfig, net NetOptions, test *Dataset) (*NetTieredAsyncResult, float64, error) {
+	eng, err := s.distributedDefaults("TrainTieredAsyncTree", &cfg, &net)
+	if err != nil {
+		return nil, 0, err
+	}
+	if net.TieringOptions.Live() {
+		return nil, 0, fmt.Errorf("tifl: live tiering (RetierEvery/AdaptiveSelection) is not supported over the tree topology; use TrainTieredAsyncNet")
+	}
+	root, err := flnet.NewTieredAsyncAggregator(net.Addr, aggregatorConfig(cfg, net, eng.GlobalWeights(), nil))
+	if err != nil {
+		return nil, 0, err
+	}
+	defer root.Close()
+	for t, tier := range s.tiers {
+		ch, err := flnet.NewChild(flnet.ChildConfig{
+			ID: t, RootAddr: root.Addr(), Workers: len(tier.Members),
+			WorkerTimeout: net.WorkerTimeout, RoundTimeout: net.RoundTimeout,
+			Downlink: net.Downlink, RejoinWait: net.RejoinWait,
+			RPCTimeout: net.RPCTimeout, MaxRetries: net.MaxRetries,
+		})
+		if err != nil {
+			return nil, 0, fmt.Errorf("tifl: starting child aggregator %d: %w", t, err)
+		}
+		defer ch.Close()
+		go ch.Run() //nolint:errcheck // child exits with the root
+		for _, ci := range tier.Members {
+			s.startWorker(ch.Addr(), eng, net, ci, t) // exits with its child
+		}
+	}
+	if err := root.WaitForChildren(len(s.tiers), net.WorkerTimeout); err != nil {
+		return nil, 0, err
+	}
+	res, err := root.RunTree()
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, finalAccuracy(eng, res.Weights, test, cfg.EvalBatch), nil
+}
+
+// distributedDefaults fills the defaults of a distributed job into cfg and
+// net — what net leaves zero comes from cfg, then from the system's Options —
+// and returns the engine the in-process workers train through. That engine
+// stays dense: workers compress at the wire (flnet.WorkerConfig.Codec), and
+// doing it in both places would double-apply the codec and split the
+// error-feedback residual. name is the calling driver's, for the error text.
+func (s *System) distributedDefaults(name string, cfg *TieredAsyncConfig, net *NetOptions) (*flcore.Engine, error) {
 	if cfg.Latency == (LatencyModel{}) {
 		cfg.Latency = s.latency
 	}
@@ -422,208 +512,68 @@ func (s *System) TrainTieredAsyncNet(cfg TieredAsyncConfig, net NetOptions, test
 		net.WorkerTimeout = 30 * time.Second
 	}
 	if cfg.Model == nil || cfg.Optimizer == nil {
-		return nil, 0, fmt.Errorf("tifl: TrainTieredAsyncNet needs Model and Optimizer factories")
+		return nil, fmt.Errorf("tifl: %s needs Model and Optimizer factories", name)
 	}
 	if net.Compression == nil {
-		if cfg.Codec != nil {
-			net.Compression = cfg.Codec
-		} else {
-			net.Compression = s.codec
-		}
+		net.Compression = cfg.Codec
+	}
+	if net.Compression == nil {
+		net.Compression = s.codec
 	}
 	if !net.AdaptiveCompression {
 		net.AdaptiveCompression = s.opts.AdaptiveCompression
 	}
 	if net.Downlink == nil {
-		if cfg.Downlink != nil {
-			net.Downlink = cfg.Downlink
-		} else {
-			net.Downlink = s.opts.Downlink
-		}
+		net.Downlink = cfg.Downlink
 	}
-	// Effective live-tiering options: NetOptions overrides, Options
-	// defaults.
-	topts := s.opts
-	topts.TieringOptions = net.TieringOptions.Overlay(s.opts.TieringOptions)
-	mgr, err := s.tieringManager(topts, cfg.ClientsPerRound, cfg.Seed)
-	if err != nil {
-		return nil, 0, err
+	if net.Downlink == nil {
+		net.Downlink = s.opts.Downlink
 	}
-	// Workers compress at the wire (flnet.WorkerConfig.Codec), so the
-	// local training engine stays dense — compressing in both places would
-	// double-apply the codec and split the error-feedback residual.
-	eng := flcore.NewEngine(flcore.Config{
+	net.TieringOptions = net.TieringOptions.Overlay(s.opts.TieringOptions)
+	return flcore.NewEngine(flcore.Config{
 		Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
 		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
 		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
-	}, s.clients, nil)
-	init := eng.GlobalWeights()
-	agg, err := flnet.NewTieredAsyncAggregator(net.Addr, flnet.TieredAsyncConfig{
-		GlobalCommits: net.GlobalCommits, ClientsPerRound: cfg.ClientsPerRound,
-		Alpha: cfg.Alpha, StalenessExp: cfg.StalenessExp, TierWeight: cfg.TierWeight,
-		RoundTimeout: net.RoundTimeout, InitialWeights: init, Seed: cfg.Seed,
-		Manager:         mgr,
-		CheckpointEvery: net.CheckpointEvery, CheckpointPath: net.CheckpointPath,
-		MetricsAddr:   net.MetricsAddr,
-		ReassignCodec: net.ReassignPolicy(),
-		Downlink:      net.Downlink,
-		MaxRetries:    net.MaxRetries, RejoinWait: net.RejoinWait,
-		SendTimeout: net.RPCTimeout,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	defer agg.Close()
-	tierOf := core.TierOf(s.tiers)
-	for i := range s.clients {
-		idx := i
-		go flnet.RunWorker(agg.Addr(), flnet.WorkerConfig{ //nolint:errcheck // worker exits with the aggregator
-			ClientID: idx, NumSamples: s.clients[idx].NumSamples(),
-			Codec:     net.TierCodec(tierOf[idx], len(s.tiers)),
-			Reconnect: net.Reconnect, MaxReconnects: net.MaxRetries,
-			RPCTimeout: net.RPCTimeout,
-			Train: func(round int, weights []float64) ([]float64, int, error) {
-				u := eng.TrainClient(round, idx, weights)
-				return u.Weights, u.NumSamples, nil
-			},
-		})
-	}
-	if err := agg.WaitForWorkers(len(s.clients), net.WorkerTimeout); err != nil {
-		return nil, 0, err
-	}
-	var tiers [][]int
-	if mgr == nil {
-		tiers = core.TierMembers(s.tiers)
-	}
-	res, err := agg.Run(tiers)
-	if err != nil {
-		return nil, 0, err
-	}
-	acc := 0.0
-	if test != nil {
-		model := eng.GlobalModel()
-		model.SetWeightsVector(res.Weights)
-		acc, _ = model.Evaluate(test.InputTensor(), test.Y, cfg.EvalBatch)
-	}
-	return res, acc, nil
+	}, s.clients, nil), nil
 }
 
-// TrainTieredAsyncTree runs the same FedAT-style protocol as
-// TrainTieredAsyncNet, but over the hierarchical topology: one
-// flnet.Child aggregator per profiled tier (each on its own ephemeral
-// loopback port, pre-reducing its tier's mini-FedAvg rounds at the edge)
-// behind one tree root, with every leaf worker registered at its tier's
-// child rather than the root. Leaves negotiate codecs with their child
-// under the same CompressionOptions policy as the flat run, and the
-// children report uplink traffic upstream into the root's metrics
-// endpoint. Live tiering is not supported over the tree — membership is
-// fixed at the profiled tiers — so effective TieringOptions asking for a
-// Manager (RetierEvery / AdaptiveSelection) are an error.
-func (s *System) TrainTieredAsyncTree(cfg TieredAsyncConfig, net NetOptions, test *Dataset) (*NetTieredAsyncResult, float64, error) {
-	if cfg.TierWeight == nil {
-		cfg.TierWeight = core.FedATWeights()
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 10
-	}
-	if cfg.LocalEpochs == 0 {
-		cfg.LocalEpochs = 1
-	}
-	if net.Addr == "" {
-		net.Addr = "127.0.0.1:0"
-	}
-	if net.RoundTimeout == 0 {
-		net.RoundTimeout = 60 * time.Second
-	}
-	if net.WorkerTimeout == 0 {
-		net.WorkerTimeout = 30 * time.Second
-	}
-	if cfg.Model == nil || cfg.Optimizer == nil {
-		return nil, 0, fmt.Errorf("tifl: TrainTieredAsyncTree needs Model and Optimizer factories")
-	}
-	if net.Compression == nil {
-		if cfg.Codec != nil {
-			net.Compression = cfg.Codec
-		} else {
-			net.Compression = s.codec
-		}
-	}
-	if !net.AdaptiveCompression {
-		net.AdaptiveCompression = s.opts.AdaptiveCompression
-	}
-	if net.Downlink == nil {
-		if cfg.Downlink != nil {
-			net.Downlink = cfg.Downlink
-		} else {
-			net.Downlink = s.opts.Downlink
-		}
-	}
-	if topts := net.TieringOptions.Overlay(s.opts.TieringOptions); topts.Live() {
-		return nil, 0, fmt.Errorf("tifl: live tiering (RetierEvery/AdaptiveSelection) is not supported over the tree topology; use TrainTieredAsyncNet")
-	}
-	eng := flcore.NewEngine(flcore.Config{
-		Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
-		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
-		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
-	}, s.clients, nil)
-	init := eng.GlobalWeights()
-	root, err := flnet.NewTieredAsyncAggregator(net.Addr, flnet.TieredAsyncConfig{
+// aggregatorConfig is the root's configuration once the defaults are filled;
+// mgr is nil over the tree, where no worker migrates (ReassignCodec unused).
+func aggregatorConfig(cfg TieredAsyncConfig, net NetOptions, init []float64, mgr flcore.TierManager) flnet.TieredAsyncConfig {
+	return flnet.TieredAsyncConfig{
 		GlobalCommits: net.GlobalCommits, ClientsPerRound: cfg.ClientsPerRound,
 		Alpha: cfg.Alpha, StalenessExp: cfg.StalenessExp, TierWeight: cfg.TierWeight,
 		RoundTimeout: net.RoundTimeout, InitialWeights: init, Seed: cfg.Seed,
+		Manager: mgr, ReassignCodec: net.ReassignPolicy(), Downlink: net.Downlink,
 		CheckpointEvery: net.CheckpointEvery, CheckpointPath: net.CheckpointPath,
-		MetricsAddr: net.MetricsAddr,
-		Downlink:    net.Downlink,
-		MaxRetries:  net.MaxRetries, RejoinWait: net.RejoinWait,
-		SendTimeout: net.RPCTimeout,
+		MetricsAddr: net.MetricsAddr, SendTimeout: net.RPCTimeout,
+		MaxRetries: net.MaxRetries, RejoinWait: net.RejoinWait,
+	}
+}
+
+// startWorker launches client idx's in-process worker against addr (the flat
+// aggregator or its tier's child), with the codec net gives its profiled tier.
+func (s *System) startWorker(addr string, eng *flcore.Engine, net NetOptions, idx, tier int) {
+	go flnet.RunWorker(addr, flnet.WorkerConfig{ //nolint:errcheck // worker exits with what it registered at
+		ClientID: idx, NumSamples: s.clients[idx].NumSamples(),
+		Codec:     net.TierCodec(tier, len(s.tiers)),
+		Reconnect: net.Reconnect, MaxReconnects: net.MaxRetries, RPCTimeout: net.RPCTimeout,
+		Train: func(round int, weights []float64) ([]float64, int, error) {
+			u := eng.TrainClient(round, idx, weights)
+			return u.Weights, u.NumSamples, nil
+		},
 	})
-	if err != nil {
-		return nil, 0, err
+}
+
+// finalAccuracy evaluates the finished job's weights on test (0 when nil).
+func finalAccuracy(eng *flcore.Engine, weights []float64, test *Dataset, evalBatch int) float64 {
+	if test == nil {
+		return 0
 	}
-	defer root.Close()
-	children := make([]*flnet.Child, len(s.tiers))
-	for t, tier := range s.tiers {
-		ch, err := flnet.NewChild(flnet.ChildConfig{
-			ID: t, RootAddr: root.Addr(), Workers: len(tier.Members),
-			WorkerTimeout: net.WorkerTimeout, RoundTimeout: net.RoundTimeout,
-			Downlink:   net.Downlink,
-			RPCTimeout: net.RPCTimeout, MaxRetries: net.MaxRetries,
-			RejoinWait: net.RejoinWait,
-		})
-		if err != nil {
-			return nil, 0, fmt.Errorf("tifl: starting child aggregator %d: %w", t, err)
-		}
-		defer ch.Close()
-		children[t] = ch
-		go ch.Run() //nolint:errcheck // child exits with the root
-		for _, ci := range tier.Members {
-			idx := ci
-			go flnet.RunWorker(ch.Addr(), flnet.WorkerConfig{ //nolint:errcheck // worker exits with its child
-				ClientID: idx, NumSamples: s.clients[idx].NumSamples(),
-				Codec:     net.TierCodec(t, len(s.tiers)),
-				Reconnect: net.Reconnect, MaxReconnects: net.MaxRetries,
-				RPCTimeout: net.RPCTimeout,
-				Train: func(round int, weights []float64) ([]float64, int, error) {
-					u := eng.TrainClient(round, idx, weights)
-					return u.Weights, u.NumSamples, nil
-				},
-			})
-		}
-	}
-	if err := root.WaitForChildren(len(s.tiers), net.WorkerTimeout); err != nil {
-		return nil, 0, err
-	}
-	res, err := root.RunTree()
-	if err != nil {
-		return nil, 0, err
-	}
-	acc := 0.0
-	if test != nil {
-		model := eng.GlobalModel()
-		model.SetWeightsVector(res.Weights)
-		acc, _ = model.Evaluate(test.InputTensor(), test.Y, cfg.EvalBatch)
-	}
-	return res, acc, nil
+	model := eng.GlobalModel()
+	model.SetWeightsVector(weights)
+	acc, _ := model.Evaluate(test.InputTensor(), test.Y, evalBatch)
+	return acc
 }
 
 // EstimateTrainingTime applies the paper's estimation model (Eq. 6) to a
