@@ -98,9 +98,9 @@ func TestCollectTimeoutWithOverselection(t *testing.T) {
 }
 
 // TestMalformedDenseUpdateDropped: a worker answering with a dense update
-// that is not a vector of the model's length is dropped like a disconnected
-// one — the round commits from the healthy workers instead of panicking in
-// FedAvg.
+// that is not a finite vector of the model's length is dropped like a
+// disconnected one — the round commits from the healthy workers instead of
+// panicking in FedAvg or averaging a NaN into every weight.
 func TestMalformedDenseUpdateDropped(t *testing.T) {
 	cases := []struct {
 		name string
@@ -109,6 +109,8 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 	}{
 		{"Raw with a wrong count", func(w []float64, up *Update) { up.Raw = nn.EncodeWeights(w[:len(w)-1]) }},
 		{"truncated Raw", func(w []float64, up *Update) { raw := nn.EncodeWeights(w); up.Raw = raw[:len(raw)-3] }},
+		{"Raw holding a NaN", func(w []float64, up *Update) { w[1] = math.NaN(); up.Raw = nn.EncodeWeights(w) }},
+		{"Raw holding an infinity", func(w []float64, up *Update) { w[2] = math.Inf(-1); up.Raw = nn.EncodeWeights(w) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,7 +127,7 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 
 			// The malformed worker is hand-rolled: RunWorker refuses to send
 			// an update of the wrong length.
-			c := dialRegister(t, agg.Addr(), Register{ClientID: 2, NumSamples: 1, Version: wireVersion})
+			c := dialRegister(t, agg.Addr(), Register{ClientID: 2, NumSamples: 1})
 			defer c.close() //nolint:errcheck // test shutdown
 			bad := make(chan error, 1)
 			go func() {
@@ -135,7 +137,7 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 						if err != nil || env.Type != MsgTrain {
 							return err // MsgDone: the run finished without this worker
 						}
-						w, err := env.Train.roundWeights()
+						w, err := env.Train.roundWeights(nil)
 						if err != nil {
 							return err
 						}
@@ -179,7 +181,7 @@ func TestBadProfileReplyIsADropout(t *testing.T) {
 	// profileWith registers a hand-rolled worker that answers the profiling
 	// task with the given seconds (RunWorker always reports a measured time).
 	profileWith := func(t *testing.T, addr string, id int, seconds float64) {
-		c := dialRegister(t, addr, Register{ClientID: id, NumSamples: 1, Version: wireVersion})
+		c := dialRegister(t, addr, Register{ClientID: id, NumSamples: 1})
 		t.Cleanup(func() { c.close() }) //nolint:errcheck // test shutdown
 		go func() {
 			if env, err := c.recv(10 * time.Second); err == nil && env.Type == MsgProfile {

@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -26,13 +27,30 @@ func dialRegister(t *testing.T, addr string, reg Register) *conn {
 	return c
 }
 
-// refusedPeer registers reg by hand and returns the refusal the peer reads,
-// having checked that it is a fatal error, that the peer never counted in
-// wait (the aggregator's WaitForWorkers or WaitForChildren, whose accept
-// loop serves the attempt), and that the aggregator hung up afterwards.
-func refusedPeer(t *testing.T, addr string, wait func(int, time.Duration) error, reg Register) error {
+// dialRegisterAs is dialRegister from a build of another wire version: the
+// registration frame this build writes, with the header's version replaced.
+// The refusal that comes back is read as this build reads it.
+func dialRegisterAs(t *testing.T, addr string, version uint16, reg Register) *conn {
 	t.Helper()
-	c := dialRegister(t, addr, reg)
+	frame := frameOf(t, &Envelope{Type: MsgRegister, Register: &reg})
+	binary.LittleEndian.PutUint16(frame[4:], version)
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	return newConn(raw)
+}
+
+// refusedPeer takes a hand-rolled peer that has sent its registration and
+// returns the refusal it reads, having checked that it is a fatal error,
+// that the peer never counted in wait (the aggregator's WaitForWorkers or
+// WaitForChildren, whose accept loop serves the attempt), and that the
+// aggregator hung up afterwards.
+func refusedPeer(t *testing.T, c *conn, wait func(int, time.Duration) error) error {
+	t.Helper()
 	defer c.close() //nolint:errcheck // test shutdown
 	if err := wait(1, 300*time.Millisecond); err == nil {
 		t.Fatal("refused peer registered")
@@ -48,17 +66,21 @@ func refusedPeer(t *testing.T, addr string, wait func(int, time.Duration) error,
 	return refusal
 }
 
-// TestHandshakeRefusesOtherVersions: a registration announcing any wire
-// version but this build's — 0 is what a build from before the field
-// decodes to — is refused naming both numbers. Workers and tree children
-// take the same path.
+// TestHandshakeRefusesOtherVersions: a registration whose frame announces
+// any wire version but this build's is refused naming both numbers. Workers
+// and tree children take the same path.
 func TestHandshakeRefusesOtherVersions(t *testing.T) {
-	for name, reg := range map[string]Register{
-		"version 0":        {ClientID: 0, NumSamples: 1},
-		"a newer version":  {ClientID: 0, NumSamples: 1, Version: wireVersion + 1},
-		"child aggregator": {ClientID: 0, NumSamples: 2, Version: wireVersion + 1, Role: RoleChildAggregator, Members: []int{0, 1}},
+	for name, tc := range map[string]struct {
+		version uint16
+		reg     Register
+	}{
+		"version 0":        {0, Register{ClientID: 0, NumSamples: 1}},
+		"an older version": {wireVersion - 1, Register{ClientID: 0, NumSamples: 1}},
+		"a newer version":  {wireVersion + 1, Register{ClientID: 0, NumSamples: 1}},
+		"child aggregator": {wireVersion + 1, Register{ClientID: 0, NumSamples: 2, Role: RoleChildAggregator, Members: []int{0, 1}}},
 	} {
 		t.Run(name, func(t *testing.T) {
+			reg := tc.reg
 			agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
 				GlobalCommits: 1, ClientsPerRound: 1, InitialWeights: []float64{0}, Seed: 1,
 			})
@@ -70,8 +92,8 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 			if reg.Role == RoleChildAggregator {
 				wait = agg.WaitForChildren
 			}
-			err = refusedPeer(t, agg.Addr(), wait, reg)
-			for _, want := range []string{fmt.Sprintf("wire version %d", reg.Version), fmt.Sprintf("speaks %d", wireVersion)} {
+			err = refusedPeer(t, dialRegisterAs(t, agg.Addr(), tc.version, reg), wait)
+			for _, want := range []string{fmt.Sprintf("wire version %d", tc.version), fmt.Sprintf("speaks %d", wireVersion)} {
 				if !strings.Contains(err.Error(), want) {
 					t.Fatalf("refusal %q does not name %q", err, want)
 				}
@@ -126,7 +148,7 @@ func TestWorkerFailsOnceOnWhatNoRedialCures(t *testing.T) {
 	}
 	defer agg.Close()
 	go agg.WaitForWorkers(1, 5*time.Second) //nolint:errcheck // the accept loop; nobody registers
-	versionRefusal := &Done{Reason: refusal(&Register{Version: wireVersion + 1})}
+	versionRefusal := &Done{Reason: (&wireVersionError{peer: wireVersion + 1}).Error()}
 	for _, tc := range []struct {
 		name  string
 		addr  string

@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/flcore"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // SelectFunc chooses the client IDs participating in a round from the
@@ -203,17 +205,19 @@ func (w *registered) dropPending(seq int64) {
 }
 
 // route delivers a seq-tagged update to its waiter, reporting whether one
-// existed.
+// existed. An update nobody will decode gives its receive buffer back here.
 func (w *registered) route(seq int64, env *Envelope) bool {
 	w.pmu.Lock()
 	ch, ok := w.pending[seq]
 	w.pmu.Unlock()
 	if !ok {
+		env.release()
 		return false
 	}
 	select {
 	case ch <- env: // buffered 1: one reply per request
 	default:
+		env.release()
 	}
 	return true
 }
@@ -223,6 +227,10 @@ func (w *registered) route(seq int64, env *Envelope) bool {
 type Aggregator struct {
 	cfg AggregatorConfig
 	ln  net.Listener
+	// blobMax is blobBound of the model this aggregator serves, the blob
+	// bound of every connection it accepts (0 = not known yet: a tree child
+	// learns it from its first pull).
+	blobMax atomic.Int64
 
 	mu      sync.Mutex
 	workers map[int]*registered
@@ -250,7 +258,9 @@ func NewAggregator(addr string, cfg AggregatorConfig) (*Aggregator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flnet: listen: %w", err)
 	}
-	return &Aggregator{cfg: cfg, ln: ln, workers: make(map[int]*registered)}, nil
+	a := &Aggregator{cfg: cfg, ln: ln, workers: make(map[int]*registered)}
+	a.blobMax.Store(blobBound(len(cfg.InitialWeights)))
+	return a, nil
 }
 
 // Addr returns the aggregator's listen address.
@@ -302,33 +312,30 @@ func (a *Aggregator) WaitForWorkers(n int, timeout time.Duration) error {
 	}
 }
 
-// refusal names why this build can never serve the registration ("" when
-// it can): another wire version, or an update codec it cannot decode.
-func refusal(r *Register) string {
-	switch {
-	case r.Version != wireVersion:
-		return fmt.Sprintf("peer speaks wire version %d, this aggregator speaks %d", r.Version, wireVersion)
-	case !compress.Known(r.Codec):
-		return fmt.Sprintf("unknown update codec %d", r.Codec)
-	}
-	return ""
-}
-
 // handshake performs registration — of workers and tree children alike —
 // and starts the per-connection reader.
 func (a *Aggregator) handshake(raw net.Conn) {
 	c := newConn(raw)
 	c.writeTimeout = a.cfg.SendTimeout
-	env, err := c.recv(10 * time.Second)
-	if err != nil || env.Type != MsgRegister {
-		c.close() //nolint:errcheck // failed handshake
-		return
-	}
-	if reason := refusal(env.Register); reason != "" {
-		// Tell the peer why before hanging up, so it fails once instead of
-		// redialing into a refusal that can never succeed.
+	c.limit = &a.blobMax
+	// What this build can never serve — another wire version, an update
+	// codec it cannot decode — is told why before the hang-up, so the peer
+	// fails once instead of redialing into the same refusal.
+	refuse := func(reason string) {
 		c.send(&Envelope{Type: MsgDone, Done: &Done{Reason: reason}}) //nolint:errcheck // best effort, closing anyway
 		c.close()                                                     //nolint:errcheck // refused handshake
+	}
+	env, err := c.recv(10 * time.Second)
+	var ve *wireVersionError
+	switch {
+	case errors.As(err, &ve):
+		refuse(ve.Error())
+		return
+	case err != nil || env.Type != MsgRegister:
+		c.close() //nolint:errcheck // failed handshake
+		return
+	case !compress.Known(env.Register.Codec):
+		refuse(fmt.Sprintf("unknown update codec %d", env.Register.Codec))
 		return
 	}
 	w := &registered{
@@ -607,17 +614,37 @@ func (a *Aggregator) FinishWorkers(rounds int) {
 }
 
 // decodeUpdate converts a worker's update envelope into an aggregatable
-// flcore.Update against the round's broadcast weights. It enforces the
-// handshake codec negotiation; a payload that fails to decode to a vector
-// of the model's length — compressed or dense — is treated like a dropped
-// worker: one bad update must not kill the round.
-func decodeUpdate(w *registered, env *Envelope, weights []float64) (flcore.Update, bool) {
+// flcore.Update against the round's broadcast weights, and releases the
+// envelope's receive buffer: this is the one place an update's blob is read.
+// It enforces the handshake codec negotiation; a payload that fails to
+// decode to a vector of the model's length — compressed or dense — is
+// treated like a dropped worker: one bad update must not kill the round. So
+// is a dense update holding a NaN or ±Inf, which FedAvg would spread over
+// the whole model; the decode pass reads that off the bits it loads.
+// Compressed updates and Committer.Apply are not checked for finiteness
+// here (ROADMAP item 4).
+//
+// With a non-nil vecs a dense update decodes into a vector drawn from it,
+// which the caller returns once the round's FedAvg has read it; a
+// compressed update's vector is always fresh and never the pool's.
+func decodeUpdate(w *registered, env *Envelope, weights []float64, vecs *tensor.Pool) (flcore.Update, bool) {
+	defer env.release()
 	switch env.Type {
 	case MsgUpdate:
-		uw, err := nn.DecodeWeights(env.Update.Raw)
-		if err != nil || len(uw) != len(weights) {
-			// A dense update of the wrong length would panic FedAvg; drop it
-			// like any other payload that does not decode to the model.
+		// A dense update of the wrong length would panic FedAvg; drop it like
+		// any other payload that does not decode to the model.
+		if len(env.Update.Raw) != compress.DenseBytes(len(weights)) {
+			return flcore.Update{}, false
+		}
+		var dst []float64
+		if vecs != nil {
+			dst = vecs.Get(len(weights))
+		}
+		uw, finite, err := nn.DecodeWeightsInto(dst, env.Update.Raw)
+		if err != nil || !finite {
+			if vecs != nil {
+				vecs.Put(dst)
+			}
 			return flcore.Update{}, false
 		}
 		return flcore.Update{
@@ -676,8 +703,9 @@ func drainFor(w *registered, round int, weights []float64, deadline time.Time) (
 			return flcore.Update{}, false
 		}
 		if updateRound(env) == round {
-			return decodeUpdate(w, env, weights)
+			return decodeUpdate(w, env, weights, nil) // the caller keeps the vectors
 		}
+		env.release() // a stale message, skipped undecoded
 	}
 }
 

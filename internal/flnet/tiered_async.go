@@ -12,6 +12,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/flcore"
+	"repro/internal/tensor"
 )
 
 // Tiered-asynchronous training over real sockets: the port of
@@ -484,6 +485,9 @@ type fanIn struct {
 	// to re-register.
 	retries    int
 	rejoinWait time.Duration
+	// vecs holds the vectors dense updates decode into: decodeUpdate draws
+	// one per update, runRound returns them once FedAvg has read them.
+	vecs tensor.Pool
 }
 
 // downTier is one tier's delta-broadcast state: the chain holding the
@@ -510,6 +514,7 @@ type timedUpdate struct {
 	flcore.Update
 	arrival float64
 	src     *registered
+	pooled  bool // Weights came out of fanIn.vecs (dense updates only) and goes back after FedAvg
 }
 
 // trainReq is one outstanding train request of a tier round: the worker
@@ -632,8 +637,8 @@ func (f *fanIn) collect(reqs []*trainReq, weights []float64, start time.Time, rc
 			for {
 				w, wch := rq.current()
 				deliver := func(env *Envelope) {
-					u, ok := decodeUpdate(w, env, weights)
-					ch <- got{u: timedUpdate{Update: u, arrival: time.Since(start).Seconds(), src: w}, ok: ok}
+					u, ok := decodeUpdate(w, env, weights, &f.vecs)
+					ch <- got{u: timedUpdate{Update: u, arrival: time.Since(start).Seconds(), src: w, pooled: env.Type == MsgUpdate}, ok: ok}
 				}
 				// A reply that was routed before the connection dropped (or
 				// just before the deadline) still counts: always drain the
@@ -742,6 +747,9 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 		}
 	}()
 	bc := newBroadcast(weights)
+	// Every send of the round — redispatches run inside collect — has
+	// returned by the time runRound does.
+	defer bc.release()
 	sent := make(map[int]int64, len(conns))
 	var downBytes int64
 	rc := &retryCtx{tier: t, round: r, bc: bc, dlVer: dlVer}
@@ -815,9 +823,15 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 			Bytes: sent[u.ClientID] + int64(u.WireBytes), EndToEnd: u.arrival,
 		}
 	}
+	avg := flcore.FedAvg(plain)
+	for _, u := range updates {
+		if u.pooled {
+			f.vecs.Put(u.Weights)
+		}
+	}
 	return &TierCommit{
 		Tier: t, TierRound: r, PulledVersion: version,
-		Weights: flcore.FedAvg(plain), Clients: len(updates),
+		Weights: avg, Clients: len(updates),
 		Seconds: wall, UplinkBytes: upBytes, DownlinkBytes: downBytes,
 		Observed: obs,
 	}, roundCommitted

@@ -333,7 +333,7 @@ func TestTieredAsyncToleratesDeadMemberAtStart(t *testing.T) {
 	defer agg.Close()
 	go RunWorker(agg.Addr(), WorkerConfig{ClientID: 0, NumSamples: 1, Train: echoTrain(1, 1, 0)}) //nolint:errcheck
 	// Worker 1 registers by hand, then drops before Run.
-	c := dialRegister(t, agg.Addr(), Register{ClientID: 1, NumSamples: 1, Version: wireVersion})
+	c := dialRegister(t, agg.Addr(), Register{ClientID: 1, NumSamples: 1})
 	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/flcore"
-	"repro/internal/nn"
 )
 
 // Hierarchical aggregation tree: the paper's master/child design for
@@ -223,8 +222,7 @@ func (ch *Child) Run() error {
 	ch.mu.Unlock()
 
 	if err := root.send(&Envelope{Type: MsgRegister, Register: &Register{
-		ClientID: ch.cfg.ID, NumSamples: total,
-		Version: wireVersion, Role: RoleChildAggregator,
+		ClientID: ch.cfg.ID, NumSamples: total, Role: RoleChildAggregator,
 		Members: members, Addr: ch.agg.Addr(),
 	}}); err != nil {
 		return ch.runErr(err)
@@ -277,6 +275,10 @@ func (ch *Child) Run() error {
 	// knowing about the other.
 	pullVer := -1
 	var pullBase []float64
+	// The round's weights live in one child-owned vector: the pull→commit
+	// cycle is strictly sequential, and nothing downstream of localRound
+	// keeps the slice past the round.
+	var weights []float64
 	var leafDL *downTier
 	if ch.cfg.Downlink != nil {
 		leafDL = &downTier{chain: ch.cfg.Downlink.NewChain()}
@@ -292,18 +294,19 @@ func (ch *Child) Run() error {
 		}
 		switch env.Type {
 		case MsgTreePull:
-			var weights []float64
 			if env.TreePull.Delta != nil {
 				if pullBase == nil || env.TreePull.DeltaBase != pullVer {
 					return fmt.Errorf("flnet: child %d: pull delta against version %d, holding %d", ch.cfg.ID, env.TreePull.DeltaBase, pullVer)
 				}
 				weights, err = compress.ApplyDelta(env.TreePull.DeltaCodec, env.TreePull.Delta, pullBase)
 			} else {
-				weights, err = env.TreePull.pullWeights()
+				weights, err = env.TreePull.pullWeights(weights)
 			}
+			env.release()
 			if err != nil {
 				return fmt.Errorf("flnet: child %d: decoding pull: %w", ch.cfg.ID, err)
 			}
+			ch.agg.blobMax.Store(blobBound(len(weights))) // what a leaf of this model may send
 			pullVer = env.TreePull.Version
 			pullBase = append(pullBase[:0], weights...)
 			tc, err := ch.localRound(&r, as, members, env.TreePull.Version, weights, leafDL)
@@ -479,7 +482,9 @@ func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *downTier, p flcore.
 		pull.Delta, pull.DeltaCodec = dl.chain.Encode(p.Weights)
 		pull.DeltaBase = dl.seq
 	} else {
-		pull.Raw = nn.EncodeWeights(p.Weights)
+		raw := encodeBlob(p.Weights)
+		defer putBlob(raw)
+		pull.Raw = *raw
 		if dl != nil {
 			dl.chain.Adopt(p.Weights)
 		}

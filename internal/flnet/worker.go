@@ -14,6 +14,12 @@ import (
 // TrainFunc runs one local training pass starting from the given global
 // weights and returns the updated weights and the number of samples trained
 // (the FedAvg aggregation weight). round is -1 for profiling tasks.
+//
+// weights is valid only for the duration of the call: the worker decodes
+// every broadcast into the same buffer, so an implementation that wants the
+// vector later copies it (nn.Model.SetWeightsVector does). Returning weights
+// itself, modified or not, is fine. newWeights is read until the update is
+// sent, before the next call.
 type TrainFunc func(round int, weights []float64) (newWeights []float64, numSamples int, err error)
 
 // WorkerConfig configures one FL client worker process.
@@ -194,7 +200,7 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 	c.writeTimeout = cfg.RPCTimeout
 	defer c.close()    //nolint:errcheck // shutdown path
 	codec := cfg.Codec // current uplink codec; renegotiated on migrations
-	reg := &Register{ClientID: cfg.ClientID, NumSamples: cfg.NumSamples, Version: wireVersion}
+	reg := &Register{ClientID: cfg.ClientID, NumSamples: cfg.NumSamples}
 	if codec != nil {
 		reg.Codec = codec.ID()
 	}
@@ -203,6 +209,11 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 	}
 	var residual []float64 // error-feedback state across compressed rounds
 	var delta []float64    // uplink delta scratch, reused every round
+	// The round's weights and the encoded dense update live in session-owned
+	// buffers: the loop is strictly sequential, so each round overwrites the
+	// last one's (see TrainFunc for what that asks of cfg.Train).
+	var tw []float64
+	var upRaw []byte
 	// Delta-downlink base: the last versioned broadcast this worker
 	// received (Train.Version value; 0 = none yet). The aggregator only
 	// sends a delta whose DeltaBase matches dlVer after seeing this
@@ -232,7 +243,6 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 			}
 		case MsgTrain:
 			start := time.Now()
-			var tw []float64
 			var err error
 			if env.Train.Delta != nil {
 				if dlBase == nil || env.Train.DeltaBase != dlVer {
@@ -240,8 +250,9 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 				}
 				tw, err = compress.ApplyDelta(env.Train.DeltaCodec, env.Train.Delta, dlBase)
 			} else {
-				tw, err = env.Train.roundWeights()
+				tw, err = env.Train.roundWeights(tw)
 			}
+			env.release()
 			if err != nil {
 				return progressed, fatalf("flnet: worker %d round %d: %w", cfg.ClientID, env.Train.Round, err)
 			}
@@ -282,10 +293,10 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 				}
 				continue
 			}
-			w = maskedTrainResult(env.Train, cfg.ClientID, w, n)
+			upRaw = nn.AppendWeights(upRaw[:0], maskedTrainResult(env.Train, cfg.ClientID, w, n))
 			up := &Update{
 				Round: env.Train.Round, ClientID: cfg.ClientID, NumSamples: n,
-				Seconds: secs, Seq: env.Train.Seq, Raw: nn.EncodeWeights(w),
+				Seconds: secs, Seq: env.Train.Seq, Raw: upRaw,
 			}
 			if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
 				return progressed, err

@@ -213,3 +213,38 @@ func TestPooledOptimizerStateBitEqual(t *testing.T) {
 		}
 	}
 }
+
+// The wire codec's buffer-reusing forms allocate nothing once the caller's
+// buffers have the capacity, which is what lets a worker encode and decode
+// one vector per round in place; the finiteness verdict comes out of the
+// same pass.
+func TestWeightsCodecIntoAllocs(t *testing.T) {
+	w := make([]float64, 5000)
+	for i := range w {
+		w[i] = float64(i) - 2500.5
+	}
+	buf, dst := EncodeWeights(w), make([]float64, len(w))
+	for what, f := range map[string]func(){
+		"AppendWeights":     func() { buf = AppendWeights(buf[:0], w) },
+		"DecodeWeightsInto": func() { dst, _, _ = DecodeWeightsInto(dst, buf) },
+	} {
+		if got := testing.AllocsPerRun(20, f); got != 0 {
+			t.Errorf("%s allocates %v times per call with sufficient capacity, want 0", what, got)
+		}
+	}
+	for i, v := range dst {
+		if math.Float64bits(v) != math.Float64bits(w[i]) {
+			t.Fatalf("round trip changed weights[%d]: %v, want %v", i, v, w[i])
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		w[17] = bad
+		if _, finite, err := DecodeWeightsInto(dst, EncodeWeights(w)); err != nil || finite {
+			t.Errorf("a vector holding %v decoded as (finite %v, err %v), want not finite and no error", bad, finite, err)
+		}
+	}
+	w[17] = math.MaxFloat64
+	if _, finite, err := DecodeWeightsInto(dst, EncodeWeights(w)); err != nil || !finite {
+		t.Errorf("a finite vector decoded as (finite %v, err %v)", finite, err)
+	}
+}
