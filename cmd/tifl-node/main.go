@@ -162,7 +162,7 @@ func main() {
 		for idc, l := range lat {
 			fmt.Printf("  client %d: %.3fs\n", idc, l)
 		}
-		res, err := agg.Run(flnet.UniformSelect(*perRound))
+		res, err := agg.Run(agg.UniformSelector(*perRound))
 		if err != nil {
 			fail("training: %v", err)
 		}

@@ -1,8 +1,10 @@
 // Distributed FL over real TCP in one process (the Google FL architecture
 // the paper prototypes): an aggregator plus 6 workers on loopback sockets,
-// each training a private non-IID shard of a synthetic dataset, with
-// network profiling for tiering and 130% over-selection straggler
-// mitigation.
+// each training a private non-IID shard of a synthetic dataset. The
+// workers are profiled over the network, tiered by the measured latencies,
+// and trained by TiFL's synchronous rounds — one tier drawn per round
+// (Section 4.3's static policy, uniform here) — with 130% over-selection
+// discarding the slow worker's updates.
 //
 // A second phase runs the same population under the tiered-asynchronous
 // socket protocol (flnet.TieredAsyncAggregator): workers are profiled over
@@ -124,7 +126,15 @@ func main() {
 		fmt.Printf("  profiled worker %d: %.3fs\n", id, lat[id])
 	}
 
-	res, err := agg.Run(flnet.UniformSelect(perRound))
+	// TiFL over TCP: tiers from the measured latencies (worker IDs are the
+	// selector's client indices), each round drawn from one tier.
+	syncTiers := core.BuildTiers(lat, 2, core.Quantile)
+	uniform := core.StaticPolicy{Name: "uniform", Probs: make([]float64, len(syncTiers))}
+	for i, tr := range syncTiers {
+		uniform.Probs[i] = 1 / float64(len(syncTiers))
+		fmt.Printf("  tier %d (mean latency %.3fs): workers %v\n", tr.ID+1, tr.MeanLatency, tr.Members)
+	}
+	res, err := agg.Run(core.NewStaticSelector(syncTiers, uniform, perRound))
 	if err != nil {
 		panic(err)
 	}

@@ -244,6 +244,14 @@ func mix(seed int64, a, b int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// SelectionRNG is round r's selector source, the rng Engine.Run hands
+// Selector.Select. The socket runtime's synchronous driver
+// (flnet.Aggregator.Run) calls it too, so one selector and one seed pick the
+// same clients in simulation and over sockets.
+func SelectionRNG(seed int64, round int) *rand.Rand {
+	return rand.New(rand.NewSource(mix(seed, round, -7)))
+}
+
 // TrainClient runs one client's local training for the round and returns
 // its update; exported so the distributed runtime (internal/flnet) can run
 // the identical computation on worker nodes.
@@ -343,8 +351,7 @@ func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []
 func (e *Engine) Run(sel Selector) *Result {
 	res := &Result{}
 	for r := e.completed; r < e.Cfg.Rounds; r++ {
-		selRng := rand.New(rand.NewSource(mix(e.Cfg.Seed, r, -7)))
-		selected := sel.Select(r, selRng)
+		selected := sel.Select(r, SelectionRNG(e.Cfg.Seed, r))
 		if len(selected) == 0 {
 			panic(fmt.Sprintf("flcore: selector returned no clients in round %d", r))
 		}

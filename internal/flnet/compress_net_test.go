@@ -41,7 +41,7 @@ func TestCompressedUpdateNegotiatedBothSides(t *testing.T) {
 	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := agg.Run(UniformSelect(2))
+	res, err := agg.Run(agg.UniformSelector(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMixedDenseAndCompressedWorkers(t *testing.T) {
 	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := agg.Run(UniformSelect(2))
+	res, err := agg.Run(agg.UniformSelector(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestWorkerDisconnectMidRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	res, err := agg.Run(UniformSelect(3))
+	res, err := agg.Run(agg.UniformSelector(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestCollectTimeoutWithOverselection(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	res, err := agg.Run(UniformSelect(2))
+	res, err := agg.Run(agg.UniformSelector(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +100,23 @@ func TestCollectTimeoutWithOverselection(t *testing.T) {
 // TestMalformedDenseUpdateDropped: a worker answering with a dense update
 // that is not a finite vector of the model's length is dropped like a
 // disconnected one — the round commits from the healthy workers instead of
-// panicking in FedAvg or averaging a NaN into every weight.
+// panicking in FedAvg or averaging a NaN into every weight. So is one whose
+// updates echo no Seq token: they are released on arrival, never queued, so
+// a peer that floods them and hangs up is reaped like any other dead
+// connection and its ID can register again.
 func TestMalformedDenseUpdateDropped(t *testing.T) {
 	cases := []struct {
 		name string
 		// malform builds the bad worker's reply from the round's broadcast.
 		malform func(w []float64, up *Update)
+		// flood, when positive, sends the reply that many times and hangs up.
+		flood int
 	}{
-		{"Raw with a wrong count", func(w []float64, up *Update) { up.Raw = nn.EncodeWeights(w[:len(w)-1]) }},
-		{"truncated Raw", func(w []float64, up *Update) { raw := nn.EncodeWeights(w); up.Raw = raw[:len(raw)-3] }},
-		{"Raw holding a NaN", func(w []float64, up *Update) { w[1] = math.NaN(); up.Raw = nn.EncodeWeights(w) }},
-		{"Raw holding an infinity", func(w []float64, up *Update) { w[2] = math.Inf(-1); up.Raw = nn.EncodeWeights(w) }},
+		{name: "Raw with a wrong count", malform: func(w []float64, up *Update) { up.Raw = nn.EncodeWeights(w[:len(w)-1]) }},
+		{name: "truncated Raw", malform: func(w []float64, up *Update) { raw := nn.EncodeWeights(w); up.Raw = raw[:len(raw)-3] }},
+		{name: "Raw holding a NaN", malform: func(w []float64, up *Update) { w[1] = math.NaN(); up.Raw = nn.EncodeWeights(w) }},
+		{name: "Raw holding an infinity", malform: func(w []float64, up *Update) { w[2] = math.Inf(-1); up.Raw = nn.EncodeWeights(w) }},
+		{name: "no Seq, flooded", malform: func(w []float64, up *Update) { up.Seq = 0; up.Raw = nn.EncodeWeights(w) }, flood: 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,10 +147,15 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						up := &Update{Round: env.Train.Round, ClientID: 2, NumSamples: 1}
+						up := &Update{Round: env.Train.Round, ClientID: 2, NumSamples: 1, Seq: env.Train.Seq}
 						tc.malform(w, up)
-						if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
-							return err
+						for i := 0; i < max(tc.flood, 1); i++ {
+							if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
+								return err
+							}
+						}
+						if tc.flood > 0 {
+							return c.close()
 						}
 					}
 				}()
@@ -153,7 +164,7 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 			if err := agg.WaitForWorkers(3, 5*time.Second); err != nil {
 				t.Fatal(err)
 			}
-			res, err := agg.Run(UniformSelect(3))
+			res, err := agg.Run(agg.UniformSelector(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,6 +178,24 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 			for i, v := range res.Weights {
 				if v != 2 {
 					t.Fatalf("weights[%d] = %v, want 2 (%v)", i, v, res.Weights)
+				}
+			}
+			if tc.flood == 0 {
+				return
+			}
+			// The hung-up peer's slot is free: the same ID registers again.
+			old := agg.workers[2]
+			stop := make(chan struct{})
+			defer close(stop)
+			go agg.acceptLoop(stop)
+			again := dialRegister(t, agg.Addr(), Register{ClientID: 2, NumSamples: 1})
+			defer again.close() //nolint:errcheck // test shutdown
+			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+				if w := agg.liveWorker(2); w != nil && w != old {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("worker 2 did not re-register: old connection dead = %v, %d messages queued", old.dead.Load(), len(old.inbox))
 				}
 			}
 		})

@@ -2,12 +2,13 @@ package flnet
 
 import (
 	"math"
-	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/flcore"
+	"repro/internal/nn"
 )
 
 // echoTrain returns a TrainFunc that adds delta to every weight; sample
@@ -100,7 +101,7 @@ func TestSingleRoundFedAvgOverTCP(t *testing.T) {
 	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := agg.Run(UniformSelect(2))
+	res, err := agg.Run(agg.UniformSelector(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestMultiRoundConvergence(t *testing.T) {
 	if err := agg.WaitForWorkers(3, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := agg.Run(UniformSelect(3))
+	res, err := agg.Run(agg.UniformSelector(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +178,96 @@ func TestProfileWorkersMeasuresLatency(t *testing.T) {
 }
 
 func TestStragglerDiscardedUnderOverselection(t *testing.T) {
+	// A discarded straggler that answers after its round ended, RoundTimeout
+	// 0, three rounds of target 2 over all 3 (hand-rolled, so that they and
+	// their readers outlive Run): peer 2 sits round 0 out until round 1 is
+	// under way, so its round-0 reply finds no waiter and is averaged into
+	// nothing; peer 1 never answers round 2, so that round counts peer 2;
+	// and nothing Run started is still running once it returns.
+	t.Run("late reply", func(t *testing.T) {
+		agg, err := NewAggregator("127.0.0.1:0", AggregatorConfig{
+			Rounds: 3, ClientsPerRound: 2, Overselect: 0.5,
+			InitialWeights: []float64{0}, Seed: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer agg.Close()
+		round1, finished := make(chan struct{}), make(chan struct{})
+		defer close(finished)
+		var once sync.Once
+		hold := func(id, round int) {
+			switch {
+			case round == 1:
+				once.Do(func() { close(round1) })
+			case id == 2 && round == 0:
+				<-round1
+			case id == 1 && round == 2:
+				<-finished
+			}
+		}
+		for id := 0; id < 3; id++ {
+			c := dialRegister(t, agg.Addr(), Register{ClientID: id, NumSamples: 1})
+			defer c.close() //nolint:errcheck // test shutdown
+			go func() {
+				for {
+					env, err := c.recv(0)
+					if err != nil {
+						return
+					}
+					if env.Type != MsgTrain {
+						continue // Done: stay connected
+					}
+					w, err := env.Train.roundWeights(nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					hold(id, env.Train.Round)
+					w[0]++
+					up := &Update{Round: env.Train.Round, ClientID: id, NumSamples: 1, Seq: env.Train.Seq, Raw: nn.EncodeWeights(w)}
+					if c.send(&Envelope{Type: MsgUpdate, Update: up}) != nil {
+						return
+					}
+				}
+			}()
+		}
+		if err := agg.WaitForWorkers(3, 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		ran := make(chan error, 1)
+		var res *RunResult
+		go func() {
+			var err error
+			res, err = agg.Run(agg.UniformSelector(2))
+			ran <- err
+		}()
+		select {
+		case err := <-ran:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatal("Run did not return: a reply was lost")
+		}
+		for _, rs := range res.Rounds {
+			if rs.Selected != 3 || rs.Used != 2 || rs.Discarded != 1 {
+				t.Fatalf("stats = %+v", rs)
+			}
+		}
+		// Every counted update is its round's weights + 1; the late round-0
+		// reply (0 + 1) averaged into a later round would break the 3.
+		if res.Weights[0] != 3 {
+			t.Fatalf("weights = %v, want 3 after three rounds of +1", res.Weights)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines after Run, %d before it", runtime.NumGoroutine(), before)
+			}
+		}
+	})
+
 	// 3 workers, target 2, overselect 0.5 → select 3; the slow worker's
 	// update must be discarded and the round must finish fast.
 	agg, err := NewAggregator("127.0.0.1:0", AggregatorConfig{
@@ -194,7 +285,7 @@ func TestStragglerDiscardedUnderOverselection(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	res, err := agg.Run(UniformSelect(2))
+	res, err := agg.Run(agg.UniformSelector(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +311,7 @@ func TestRoundTimeoutDropsDeadWorker(t *testing.T) {
 	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := agg.Run(func(r int, ids []int, rng *rand.Rand) []int { return ids })
+	res, err := agg.Run(agg.UniformSelector(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +348,7 @@ func TestDistributedMatchesInProcessTraining(t *testing.T) {
 	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := agg.Run(UniformSelect(2))
+	res, err := agg.Run(agg.UniformSelector(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +400,7 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 	if got := len(agg.ids()); got != 1 {
 		t.Fatalf("registry holds %d workers, want 1", got)
 	}
-	res, err := agg.Run(UniformSelect(1))
+	res, err := agg.Run(agg.UniformSelector(1))
 	if err != nil {
 		t.Fatal(err)
 	}

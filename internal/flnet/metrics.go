@@ -474,5 +474,5 @@ func (ta *TieredAsyncAggregator) Close() {
 	if ta.metrics != nil {
 		ta.metrics.srv.Close() //nolint:errcheck // shutdown path
 	}
-	ta.Aggregator.Close()
+	ta.server.Close()
 }

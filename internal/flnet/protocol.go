@@ -5,10 +5,13 @@
 // tiering, per-round timeouts, and the 130% over-selection straggler
 // mitigation the paper discusses (Section 2).
 //
-// Two training protocols run over the same worker connections:
+// Two training protocols run over the same worker connections, through one
+// dispatch-and-collect fan-in (fanIn.gather):
 //
-//   - Aggregator drives synchronous FedAvg rounds (Algorithm 1), with
-//     tier-based selection plugged in via TierSelectFunc.
+//   - Aggregator drives synchronous FedAvg rounds (Algorithm 1) over the
+//     cohorts a flcore.Selector picks — the simulator's selector type and
+//     per-round seed, worker IDs as client indices — so tier-based
+//     selection is a core.StaticSelector over network-profiled tiers.
 //   - TieredAsyncAggregator is the socket port of the FedAT-style
 //     tiered-asynchronous engine (flcore.TieredAsyncEngine): one goroutine
 //     per tier drives synchronous mini-FedAvg rounds over that tier's live
@@ -173,14 +176,13 @@ type ProfileReply struct {
 // worker masks its sample-weighted update with pairwise masks over the
 // cohort (see secure.go) scaled by MaskScale.
 //
-// Seq is a per-request token the worker echoes back in its update. Live
-// re-tiering makes it necessary: while a migration is in flight a worker
-// can be trained by its old tier's in-flight round and its new tier's next
-// round concurrently, and the two tiers' local round counters can collide
-// — matching replies by round number alone would let one tier aggregate an
-// update trained against the other tier's weights. Every tiered-async
-// request carries a non-zero Seq; the synchronous Aggregator, which has one
-// round in flight at a time, sends 0 and matches replies by Round.
+// Seq is a per-request token, never zero, that the worker echoes back in
+// its update: a reply is matched to the request waiting for it by Seq
+// alone, and one that echoes no live token is dropped. Round numbers cannot
+// do that: a straggler discarded from one round answers during a later one,
+// and while a live re-tiering migration is in flight a worker can be
+// trained by its old tier's in-flight round and its new tier's next round
+// concurrently, with colliding local round counters.
 type Train struct {
 	Round        int
 	Participants []int

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/flcore"
-	"repro/internal/nn"
 	"repro/internal/secagg"
 )
 
@@ -30,42 +29,23 @@ func SecureRoundSeed(base int64, round int) int64 {
 // their true updates, which the server computes without observing any
 // individual update.
 func (a *Aggregator) RunSecureRound(round int, chosen []int, weights []float64, maskScale float64) ([]float64, error) {
-	live := make([]*registered, 0, len(chosen))
-	liveIDs := make([]int, 0, len(chosen))
-	for _, id := range chosen {
-		a.mu.Lock()
-		w := a.workers[id]
-		a.mu.Unlock()
-		if w != nil {
-			live = append(live, w)
-			liveIDs = append(liveIDs, id)
-		}
-	}
-	if len(live) == 0 {
+	// Secure rounds need the full cohort: every reachable member is
+	// announced as a participant, and Aggregate refuses a round in which one
+	// of them did not answer.
+	cr := &cohortRound{round: round, cohort: chosen, target: len(chosen), weights: weights, secure: true, maskScale: maskScale}
+	if a.fan.gather(cr) == roundNoCohort {
 		return nil, fmt.Errorf("flnet: secure round %d: no reachable workers", round)
 	}
-	raw := nn.EncodeWeights(weights)
-	for _, w := range live {
-		msg := &Envelope{Type: MsgTrain, Train: &Train{
-			Round: round, Raw: raw,
-			Participants: liveIDs, MaskScale: maskScale,
-		}}
-		if err := w.c.send(msg); err != nil {
-			return nil, fmt.Errorf("flnet: secure round %d: worker %d unreachable mid-setup: %w", round, w.id, err)
-		}
-	}
-	// Secure rounds need the full cohort: collect len(live) updates.
-	// Workers always send masked updates dense (see WorkerConfig.Codec),
-	// but collect still takes the broadcast weights for uniformity.
-	updates := a.collect(live, len(live), round, weights)
-	if len(updates) != len(live) {
-		return nil, fmt.Errorf("flnet: secure round %d: %d of %d submissions (dropout breaks mask cancellation)", round, len(updates), len(live))
-	}
-	subs := make([]secagg.Submission, len(updates))
-	for i, u := range updates {
+	defer a.fan.recycle(cr.updates...)
+	subs := make([]secagg.Submission, len(cr.updates))
+	for i, u := range cr.updates {
 		subs[i] = secagg.Submission{ClientID: u.ClientID, Masked: u.Weights, NumSamples: u.NumSamples}
 	}
-	return secagg.Aggregate(subs, liveIDs)
+	avg, err := secagg.Aggregate(subs, cr.live)
+	if err != nil {
+		return nil, fmt.Errorf("flnet: secure round %d: %w", round, err)
+	}
+	return avg, nil
 }
 
 // maskedTrainResult applies worker-side masking when the Train message

@@ -73,26 +73,29 @@ func TestSecureRoundIndividualUpdatesMasked(t *testing.T) {
 	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	// Send the secure Train ourselves and read raw submissions.
+	// Send the secure Train ourselves and read raw submissions, each through
+	// the waiter registered for its Seq.
 	liveIDs := []int{0, 1}
-	for _, id := range liveIDs {
-		agg.mu.Lock()
-		w := agg.workers[id]
-		agg.mu.Unlock()
+	waiters := make([]chan *Envelope, len(liveIDs))
+	for i, id := range liveIDs {
+		w, seq := agg.liveWorker(id), int64(i+1)
+		waiters[i] = w.addPending(seq)
 		err := w.c.send(&Envelope{Type: MsgTrain, Train: &Train{
-			Round: 0, Raw: nn.EncodeWeights(init), Participants: liveIDs, MaskScale: 50,
+			Round: 0, Seq: seq, Raw: nn.EncodeWeights(init), Participants: liveIDs, MaskScale: 50,
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range liveIDs {
-		agg.mu.Lock()
-		w := agg.workers[id]
-		agg.mu.Unlock()
-		env, ok := recvTimeout(w, 5*time.Second)
-		if !ok || env.Type != MsgUpdate {
+	for i, id := range liveIDs {
+		var env *Envelope
+		select {
+		case env = <-waiters[i]:
+		case <-time.After(5 * time.Second):
 			t.Fatalf("no update from worker %d", id)
+		}
+		if env.Type != MsgUpdate {
+			t.Fatalf("worker %d answered a secure round with message type %d", id, env.Type)
 		}
 		// True update is 0.5 everywhere (n=1); the masked one must differ
 		// wildly.

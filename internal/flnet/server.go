@@ -12,32 +12,13 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/core"
 	"repro/internal/flcore"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// SelectFunc chooses the client IDs participating in a round from the
-// registered population. The aggregator passes a deterministic per-round
-// rng.
-type SelectFunc func(round int, ids []int, rng *rand.Rand) []int
-
-// UniformSelect returns a vanilla-FL selector over the registered IDs.
-func UniformSelect(clientsPerRound int) SelectFunc {
-	return func(round int, ids []int, rng *rand.Rand) []int {
-		if clientsPerRound >= len(ids) {
-			return ids
-		}
-		perm := rng.Perm(len(ids))
-		out := make([]int, clientsPerRound)
-		for i := range out {
-			out[i] = ids[perm[i]]
-		}
-		return out
-	}
-}
-
-// AggregatorConfig configures a (master) aggregator run.
+// AggregatorConfig configures a synchronous aggregator run (Algorithm 1).
 type AggregatorConfig struct {
 	Rounds          int
 	ClientsPerRound int
@@ -46,11 +27,15 @@ type AggregatorConfig struct {
 	// the Bonawitz et al. 130% mitigation the paper contrasts with (0.3
 	// reproduces it; 0 disables over-selection).
 	Overselect float64
-	// RoundTimeout bounds how long the aggregator waits for updates each
-	// round; 0 means wait indefinitely.
+	// RoundTimeout is the fan-in's collection window, as in
+	// TieredAsyncConfig.RoundTimeout: a round whose window closes with at
+	// least one update ends there, and a cohort that delivered nothing gets
+	// up to two more windows before the round fails. 0 waits indefinitely.
 	RoundTimeout   time.Duration
 	InitialWeights []float64
-	Seed           int64
+	// Seed keys the per-round selection source (flcore.SelectionRNG), the
+	// one flcore.Engine.Run uses.
+	Seed int64
 	// SendTimeout bounds every send to a worker with a write deadline, so
 	// a peer that stops draining its socket cannot wedge a round's
 	// broadcast; 0 = block forever (the historical behaviour).
@@ -109,17 +94,19 @@ type registered struct {
 	cmu       sync.Mutex
 	codec     byte
 	prevCodec byte
-	updates   chan *Envelope
-	dead      atomic.Bool   // set by the reader goroutine when the conn drops
-	deadCh    chan struct{} // closed by the reader goroutine on exit
-	err       error
+	// inbox carries what the reader does not route by Seq: profile replies
+	// and, from a tree child, tier commits. Closed by the reader on exit.
+	inbox  chan *Envelope
+	dead   atomic.Bool   // set by the reader goroutine when the conn drops
+	deadCh chan struct{} // closed by the reader goroutine on exit
+	err    error
 
-	// pending routes seq-tagged updates (Train.Seq echoes) to the exact
-	// train request waiting for them. Registered before the request is
+	// pending routes updates to the exact train request waiting for them,
+	// by the Train.Seq token they echo. Registered before the request is
 	// sent, so a reply can never beat its waiter; buffered size 1, so the
-	// reader never blocks on delivery. Updates whose seq has no waiter are
-	// stragglers of an abandoned round and are discarded, mirroring the
-	// synchronous path's straggler-discard semantics.
+	// reader never blocks on delivery. An update whose seq has no waiter —
+	// a straggler of a round that ended without it, or one that echoes no
+	// token at all — is released undecoded.
 	pmu     sync.Mutex
 	pending map[int64]chan *Envelope
 
@@ -222,52 +209,54 @@ func (w *registered) route(seq int64, env *Envelope) bool {
 	return true
 }
 
-// Aggregator is the FL server: it accepts worker registrations, optionally
-// profiles them, then drives synchronous FedAvg rounds.
-type Aggregator struct {
-	cfg AggregatorConfig
-	ln  net.Listener
-	// blobMax is blobBound of the model this aggregator serves, the blob
-	// bound of every connection it accepts (0 = not known yet: a tree child
+// server is what the synchronous Aggregator, the TieredAsyncAggregator and a
+// tree Child share: the listener, the roster of registered peers with its
+// handshake and per-connection readers, the mid-run rejoin hook, and the
+// profiling pass.
+type server struct {
+	ln             *net.TCPListener
+	sendTimeout    time.Duration // write deadline of every accepted connection (0 = none)
+	profileWeights []float64     // the model ProfileWorkers hands out
+	// blobMax is blobBound of the model this server holds, the blob bound
+	// of every connection it accepts (0 = not known yet: a tree child
 	// learns it from its first pull).
 	blobMax atomic.Int64
 
 	mu      sync.Mutex
 	workers map[int]*registered
-	// onRejoin observes mid-run re-registrations: it fires (outside a.mu,
-	// on the handshake goroutine) whenever a registration replaces a dead
+	// onRejoin observes mid-run re-registrations: it fires (outside mu, on
+	// the handshake goroutine) whenever a registration replaces a dead
 	// entry for the same ID. The tiered-async runs install it to
 	// re-announce the returning worker's tier or revive a tree child.
 	onRejoin func(w *registered)
 }
 
+// listen opens a server on addr for peers exchanging the given model.
+func listen(addr string, sendTimeout time.Duration, model []float64) (*server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("flnet: listen: %w", err)
+	}
+	s := &server{ln: ln.(*net.TCPListener), sendTimeout: sendTimeout, profileWeights: model, workers: make(map[int]*registered)}
+	if len(model) > 0 {
+		s.blobMax.Store(blobBound(len(model)))
+	}
+	return s, nil
+}
+
 // setRejoinHook installs (or, with nil, clears) the mid-run
 // re-registration observer.
-func (a *Aggregator) setRejoinHook(h func(*registered)) {
+func (a *server) setRejoinHook(h func(*registered)) {
 	a.mu.Lock()
 	a.onRejoin = h
 	a.mu.Unlock()
 }
 
-// NewAggregator listens on addr (e.g. "127.0.0.1:0").
-func NewAggregator(addr string, cfg AggregatorConfig) (*Aggregator, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("flnet: listen: %w", err)
-	}
-	a := &Aggregator{cfg: cfg, ln: ln, workers: make(map[int]*registered)}
-	a.blobMax.Store(blobBound(len(cfg.InitialWeights)))
-	return a, nil
-}
-
 // Addr returns the aggregator's listen address.
-func (a *Aggregator) Addr() string { return a.ln.Addr().String() }
+func (a *server) Addr() string { return a.ln.Addr().String() }
 
 // Close shuts the listener and all worker connections.
-func (a *Aggregator) Close() {
+func (a *server) Close() {
 	a.ln.Close() //nolint:errcheck // shutdown path
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -276,12 +265,27 @@ func (a *Aggregator) Close() {
 	}
 }
 
+// admit waits until the given time for one connection and hands it to the
+// handshake. A wait that ends without one is not an error.
+func (a *server) admit(until time.Time) error {
+	if err := a.ln.SetDeadline(until); err != nil {
+		return err
+	}
+	raw, err := a.ln.Accept()
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		return nil
+	}
+	if err == nil {
+		go a.handshake(raw)
+	}
+	return err
+}
+
 // WaitForWorkers accepts connections until n workers have registered or the
 // timeout elapses. Accepting polls in short slices so registration progress
 // is observed promptly even while the listener is idle.
-func (a *Aggregator) WaitForWorkers(n int, timeout time.Duration) error {
+func (a *server) WaitForWorkers(n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	tcp, _ := a.ln.(*net.TCPListener)
 	for {
 		a.mu.Lock()
 		have := len(a.workers)
@@ -289,34 +293,25 @@ func (a *Aggregator) WaitForWorkers(n int, timeout time.Duration) error {
 		if have >= n {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		now := time.Now()
+		if now.After(deadline) {
 			return fmt.Errorf("flnet: waiting for %d workers, have %d: timeout", n, have)
 		}
-		if tcp != nil {
-			slice := time.Now().Add(50 * time.Millisecond)
-			if slice.After(deadline) {
-				slice = deadline
-			}
-			if err := tcp.SetDeadline(slice); err != nil {
-				return fmt.Errorf("flnet: accept deadline: %w", err)
-			}
+		slice := now.Add(50 * time.Millisecond)
+		if slice.After(deadline) {
+			slice = deadline
 		}
-		raw, err := a.ln.Accept()
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue // poll registration progress
-			}
+		if err := a.admit(slice); err != nil {
 			return fmt.Errorf("flnet: accept: %w", err)
 		}
-		go a.handshake(raw)
 	}
 }
 
 // handshake performs registration — of workers and tree children alike —
 // and starts the per-connection reader.
-func (a *Aggregator) handshake(raw net.Conn) {
+func (a *server) handshake(raw net.Conn) {
 	c := newConn(raw)
-	c.writeTimeout = a.cfg.SendTimeout
+	c.writeTimeout = a.sendTimeout
 	c.limit = &a.blobMax
 	// What this build can never serve — another wire version, an update
 	// codec it cannot decode — is told why before the hang-up, so the peer
@@ -344,7 +339,7 @@ func (a *Aggregator) handshake(raw net.Conn) {
 		role:    env.Register.Role,
 		members: append([]int(nil), env.Register.Members...),
 		addr:    env.Register.Addr, c: c,
-		updates: make(chan *Envelope, 4),
+		inbox:   make(chan *Envelope, 4), // slack for a reply sent ahead of its reader; nothing relies on the size
 		deadCh:  make(chan struct{}),
 		pending: make(map[int64]chan *Envelope),
 		ackTier: -1, ackVer: -1,
@@ -371,22 +366,21 @@ func (a *Aggregator) handshake(raw net.Conn) {
 				w.err = err
 				w.dead.Store(true)
 				close(w.deadCh)
-				close(w.updates)
+				close(w.inbox)
 				return
 			}
-			// Seq-tagged updates go straight to the train request that is
-			// waiting for them; everything else (profile replies, the
-			// synchronous Aggregator's round-matched updates, tree commits)
-			// flows through the shared channel.
-			switch {
-			case env.Type == MsgUpdate && env.Update.Seq != 0:
+			// An update goes straight to the train request waiting for its
+			// Seq, or nowhere: one that echoes no token (they start at 1) is
+			// released like any straggler's, never queued where no round
+			// would drain it. Profile replies and tree commits take the inbox.
+			switch env.Type {
+			case MsgUpdate:
 				w.route(env.Update.Seq, env)
-				continue
-			case env.Type == MsgCompressedUpdate && env.CompressedUpdate.Seq != 0:
+			case MsgCompressedUpdate:
 				w.route(env.CompressedUpdate.Seq, env)
-				continue
+			default:
+				w.inbox <- env
 			}
-			w.updates <- env
 		}
 	}()
 	if old != nil && hook != nil {
@@ -401,36 +395,22 @@ func (a *Aggregator) handshake(raw net.Conn) {
 // mid-run — WaitForWorkers only accepts until the fleet is assembled.
 // It polls the listener in short deadline slices and exits when done is
 // closed or the listener dies.
-func (a *Aggregator) acceptLoop(done <-chan struct{}) {
-	tcp, _ := a.ln.(*net.TCPListener)
+func (a *server) acceptLoop(done <-chan struct{}) {
 	for {
 		select {
 		case <-done:
-			if tcp != nil {
-				tcp.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-			}
 			return
 		default:
 		}
-		if tcp != nil {
-			if err := tcp.SetDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
-				return
-			}
-		}
-		raw, err := a.ln.Accept()
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
+		if a.admit(time.Now().Add(100*time.Millisecond)) != nil {
 			return // listener closed
 		}
-		go a.handshake(raw)
 	}
 }
 
 // liveWorker returns the registered worker with the given ID if its
 // connection is still up, nil otherwise.
-func (a *Aggregator) liveWorker(id int) *registered {
+func (a *server) liveWorker(id int) *registered {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	w := a.workers[id]
@@ -441,7 +421,7 @@ func (a *Aggregator) liveWorker(id int) *registered {
 }
 
 // anyLive reports whether any of the given workers has its connection up.
-func (a *Aggregator) anyLive(ids []int) bool {
+func (a *server) anyLive(ids []int) bool {
 	for _, id := range ids {
 		if a.liveWorker(id) != nil {
 			return true
@@ -450,15 +430,24 @@ func (a *Aggregator) anyLive(ids []int) bool {
 	return false
 }
 
-// ids returns the sorted registered client IDs.
-func (a *Aggregator) ids() []int {
+// roster returns every registered peer, live or not, sorted by ID.
+func (a *server) roster() []*registered {
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]int, 0, len(a.workers))
-	for id := range a.workers {
-		out = append(out, id)
+	out := make([]*registered, 0, len(a.workers))
+	for _, w := range a.workers {
+		out = append(out, w)
 	}
-	sort.Ints(out)
+	a.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// ids returns the sorted registered client IDs.
+func (a *server) ids() []int {
+	var out []int
+	for _, w := range a.roster() {
+		out = append(out, w.id)
+	}
 	return out
 }
 
@@ -468,34 +457,27 @@ func (a *Aggregator) ids() []int {
 // seconds are not a positive finite number (the value seeds tier building
 // and latency EWMAs, which neither order NaN nor bound Inf), are reported in
 // the dropouts list.
-func (a *Aggregator) ProfileWorkers(timeout time.Duration) (map[int]float64, []int, error) {
-	ids := a.ids()
-	lat := make(map[int]float64, len(ids))
+func (a *server) ProfileWorkers(timeout time.Duration) (map[int]float64, []int, error) {
+	peers := a.roster()
+	lat := make(map[int]float64, len(peers))
 	var dropouts []int
-	for _, id := range ids {
-		a.mu.Lock()
-		w := a.workers[id]
-		a.mu.Unlock()
-		if err := w.c.send(&Envelope{Type: MsgProfile, Profile: &Profile{Weights: a.cfg.InitialWeights}}); err != nil {
-			dropouts = append(dropouts, id)
-			continue
+	for _, w := range peers {
+		if err := w.c.send(&Envelope{Type: MsgProfile, Profile: &Profile{Weights: a.profileWeights}}); err != nil {
+			dropouts = append(dropouts, w.id)
 		}
 	}
-	for _, id := range ids {
-		a.mu.Lock()
-		w := a.workers[id]
-		a.mu.Unlock()
+	for _, w := range peers {
 		env, ok := recvTimeout(w, timeout)
 		if !ok || env.Type != MsgProfileReply {
-			dropouts = append(dropouts, id)
+			dropouts = append(dropouts, w.id)
 			continue
 		}
 		secs := env.ProfileReply.Seconds
 		if !(secs > 0) || math.IsInf(secs, 1) { // NaN fails the first test
-			dropouts = append(dropouts, id)
+			dropouts = append(dropouts, w.id)
 			continue
 		}
-		lat[id] = secs
+		lat[w.id] = secs
 	}
 	if len(lat) == 0 {
 		return nil, dropouts, fmt.Errorf("flnet: no workers completed profiling")
@@ -503,71 +485,78 @@ func (a *Aggregator) ProfileWorkers(timeout time.Duration) (map[int]float64, []i
 	return lat, dropouts, nil
 }
 
-// recvTimeout pops the worker's next message through its reader channel.
+// recvTimeout pops the worker's next inbox message.
 func recvTimeout(w *registered, timeout time.Duration) (*Envelope, bool) {
-	if timeout <= 0 {
-		env, ok := <-w.updates
-		return env, ok
+	var expired <-chan time.Time // nil, never ready: no timeout waits for good
+	if timeout > 0 {
+		expired = time.After(timeout)
 	}
 	select {
-	case env, ok := <-w.updates:
+	case env, ok := <-w.inbox:
 		return env, ok
-	case <-time.After(timeout):
+	case <-expired:
 		return nil, false
 	}
 }
 
-// Run drives cfg.Rounds synchronous rounds using sel to pick participants
-// and returns final weights plus per-round stats. It requires at least one
-// registered worker.
-func (a *Aggregator) Run(sel SelectFunc) (*RunResult, error) {
+// Aggregator is the synchronous FL server of Algorithm 1: it registers and
+// optionally profiles workers, then drives FedAvg rounds over the cohorts a
+// flcore.Selector picks, through the fan-in the tier loops and tree children run.
+type Aggregator struct {
+	*server
+	cfg AggregatorConfig
+	fan *fanIn
+}
+
+// NewAggregator listens on addr (e.g. "127.0.0.1:0").
+func NewAggregator(addr string, cfg AggregatorConfig) (*Aggregator, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	srv, err := listen(addr, cfg.SendTimeout, cfg.InitialWeights)
+	if err != nil {
+		return nil, err
+	}
+	return &Aggregator{server: srv, cfg: cfg, fan: &fanIn{srv: srv, obs: &obsState{}, timeout: cfg.RoundTimeout}}, nil
+}
+
+// UniformSelector is vanilla FL over the workers registered so far, as a
+// one-tier core.StaticSelector: each round draws clientsPerRound uniformly.
+func (a *Aggregator) UniformSelector(clientsPerRound int) flcore.Selector {
+	everyone := []core.Tier{{Members: a.ids()}}
+	return core.NewStaticSelector(everyone, core.StaticPolicy{Name: "vanilla", Probs: []float64{1}}, clientsPerRound)
+}
+
+// Run drives cfg.Rounds synchronous rounds and returns the final weights
+// plus per-round stats. sel picks each round's participants by worker ID
+// from the source flcore.Engine.Run would hand it, and updates are averaged
+// in selection order whatever order they arrive in: the same selector and
+// seed give the simulation's run. Under over-selection the first
+// ClientsPerRound decoded updates count.
+func (a *Aggregator) Run(sel flcore.Selector) (*RunResult, error) {
 	weights := append([]float64(nil), a.cfg.InitialWeights...)
 	res := &RunResult{}
 	for r := 0; r < a.cfg.Rounds; r++ {
-		rng := rand.New(rand.NewSource(a.cfg.Seed + int64(r)*1_000_003))
-		target := a.cfg.ClientsPerRound
-		want := target
-		if a.cfg.Overselect > 0 {
-			want = int(float64(target)*(1+a.cfg.Overselect) + 0.999)
-		}
-		all := a.ids()
-		if len(all) == 0 {
-			return nil, fmt.Errorf("flnet: round %d: no registered workers", r)
-		}
-		chosen := sel(r, all, rng)
-		if extra := want - len(chosen); a.cfg.Overselect > 0 && extra > 0 {
-			// Over-selection: top up with uniformly drawn spares beyond the
-			// policy's picks; only the first `target` responses count.
-			inChosen := make(map[int]bool, len(chosen))
-			for _, id := range chosen {
-				inChosen[id] = true
-			}
-			for _, i := range rng.Perm(len(all)) {
-				if extra == 0 {
-					break
-				}
-				if !inChosen[all[i]] {
-					chosen = append(chosen, all[i])
-					extra--
-				}
-			}
-		}
 		start := time.Now()
-		stats := RoundStats{Round: r, Selected: len(chosen)}
-		updates, err := a.RunRound(r, chosen, weights, target)
-		if err != nil {
-			return nil, err
+		rng := flcore.SelectionRNG(a.cfg.Seed, r)
+		chosen := sel.Select(r, rng)
+		if a.cfg.Overselect > 0 {
+			chosen = a.overselect(chosen, rng)
 		}
-		stats.Used = len(updates)
-		if d := stats.Selected - stats.Used; d > 0 {
-			stats.Discarded = d
+		cr := &cohortRound{round: r, cohort: chosen, target: a.cfg.ClientsPerRound, weights: weights}
+		switch a.fan.gather(cr) {
+		case roundNoCohort:
+			return nil, fmt.Errorf("flnet: round %d: no reachable workers", r)
+		case roundEmpty:
+			return nil, fmt.Errorf("flnet: round %d: no updates before timeout", r)
 		}
-		for _, u := range updates {
-			stats.UplinkBytes += int64(u.WireBytes)
+		flcore.FedAvgInto(weights, cr.plain)
+		a.fan.recycle(cr.updates...)
+		stats := RoundStats{
+			Round: r, Selected: len(chosen), Used: len(cr.updates),
+			Discarded: len(chosen) - len(cr.updates), UplinkBytes: cr.upBytes, Wall: time.Since(start),
 		}
 		res.UplinkBytes += stats.UplinkBytes
-		weights = flcore.FedAvg(updates)
-		stats.Wall = time.Since(start)
 		res.Rounds = append(res.Rounds, stats)
 	}
 	res.Weights = weights
@@ -575,40 +564,29 @@ func (a *Aggregator) Run(sel SelectFunc) (*RunResult, error) {
 	return res, nil
 }
 
-// RunRound drives one synchronous round over the chosen registered workers:
-// broadcast weights, collect up to target updates (stragglers beyond target
-// or the round timeout are discarded), and return the updates.
-func (a *Aggregator) RunRound(round int, chosen []int, weights []float64, target int) ([]flcore.Update, error) {
-	live := make([]*registered, 0, len(chosen))
-	raw := nn.EncodeWeights(weights) // once per round, shared by the cohort
+// overselect tops the selector's picks up to ceil((1+Overselect)·target)
+// with uniformly drawn spares from the rest of the roster.
+func (a *Aggregator) overselect(chosen []int, rng *rand.Rand) []int {
+	want := int(float64(a.cfg.ClientsPerRound)*(1+a.cfg.Overselect) + 0.999)
+	picked := make(map[int]bool, want)
 	for _, id := range chosen {
-		a.mu.Lock()
-		w := a.workers[id]
-		a.mu.Unlock()
-		if w == nil {
-			continue
+		picked[id] = true
+	}
+	all := a.ids()
+	for _, i := range rng.Perm(len(all)) {
+		if len(chosen) >= want {
+			break
 		}
-		if err := w.c.send(&Envelope{Type: MsgTrain, Train: &Train{Round: round, Raw: raw}}); err != nil {
-			continue
+		if !picked[all[i]] {
+			chosen = append(chosen, all[i])
 		}
-		live = append(live, w)
 	}
-	if len(live) == 0 {
-		return nil, fmt.Errorf("flnet: round %d: no reachable workers", round)
-	}
-	updates := a.collect(live, target, round, weights)
-	if len(updates) == 0 {
-		return nil, fmt.Errorf("flnet: round %d: no updates before timeout", round)
-	}
-	return updates, nil
+	return chosen
 }
 
 // FinishWorkers notifies every registered worker that training is over.
-func (a *Aggregator) FinishWorkers(rounds int) {
-	for _, id := range a.ids() {
-		a.mu.Lock()
-		w := a.workers[id]
-		a.mu.Unlock()
+func (a *server) FinishWorkers(rounds int) {
+	for _, w := range a.roster() {
 		w.c.send(&Envelope{Type: MsgDone, Done: &Done{Rounds: rounds}}) //nolint:errcheck // best effort
 	}
 }
@@ -624,8 +602,8 @@ func (a *Aggregator) FinishWorkers(rounds int) {
 // Compressed updates and Committer.Apply are not checked for finiteness
 // here (ROADMAP item 4).
 //
-// With a non-nil vecs a dense update decodes into a vector drawn from it,
-// which the caller returns once the round's FedAvg has read it; a
+// A dense update decodes into a vector drawn from vecs (nil: a fresh one),
+// which the caller returns once the round's aggregation has read it; a
 // compressed update's vector is always fresh and never the pool's.
 func decodeUpdate(w *registered, env *Envelope, weights []float64, vecs *tensor.Pool) (flcore.Update, bool) {
 	defer env.release()
@@ -672,72 +650,4 @@ func decodeUpdate(w *registered, env *Envelope, weights []float64, vecs *tensor.
 		}, true
 	}
 	return flcore.Update{}, false
-}
-
-// updateRound extracts the round an update envelope claims, or -1.
-func updateRound(env *Envelope) int {
-	switch env.Type {
-	case MsgUpdate:
-		return env.Update.Round
-	case MsgCompressedUpdate:
-		return env.CompressedUpdate.Round
-	}
-	return -1
-}
-
-// drainFor pulls one round-r update from the worker's shared channel,
-// draining stale messages (e.g. a previous round's straggler update) until
-// the round's update arrives or the deadline passes (zero deadline blocks
-// indefinitely).
-func drainFor(w *registered, round int, weights []float64, deadline time.Time) (flcore.Update, bool) {
-	for {
-		wait := time.Duration(0)
-		if !deadline.IsZero() {
-			wait = time.Until(deadline)
-			if wait <= 0 {
-				return flcore.Update{}, false
-			}
-		}
-		env, ok := recvTimeout(w, wait)
-		if !ok {
-			return flcore.Update{}, false
-		}
-		if updateRound(env) == round {
-			return decodeUpdate(w, env, weights, nil) // the caller keeps the vectors
-		}
-		env.release() // a stale message, skipped undecoded
-	}
-}
-
-// collect gathers up to target updates for round r from the live workers,
-// respecting the round timeout; late updates are discarded (straggler
-// mitigation). weights is the round's broadcast weight vector, against
-// which compressed deltas are reconstructed.
-func (a *Aggregator) collect(live []*registered, target, round int, weights []float64) []flcore.Update {
-	type got struct {
-		u  flcore.Update
-		ok bool
-	}
-	ch := make(chan got, len(live))
-	var deadline time.Time
-	if a.cfg.RoundTimeout > 0 {
-		deadline = time.Now().Add(a.cfg.RoundTimeout)
-	}
-	for _, w := range live {
-		go func(w *registered) {
-			u, ok := drainFor(w, round, weights, deadline)
-			ch <- got{u: u, ok: ok}
-		}(w)
-	}
-	var updates []flcore.Update
-	for i := 0; i < len(live); i++ {
-		g := <-ch
-		if g.ok {
-			updates = append(updates, g.u)
-			if len(updates) >= target {
-				break // remaining responders are stragglers; discard
-			}
-		}
-	}
-	return updates
 }

@@ -19,8 +19,8 @@ import (
 // flcore.TieredAsyncEngine (FedAT-style, Chai et al., SC 2021) onto the TCP
 // runtime. One aggregator goroutine per tier drives synchronous mini-FedAvg
 // rounds over that tier's live worker connections — broadcast the pulled
-// global snapshot, collect updates with the same disconnect tolerance and
-// round timeout as the synchronous Aggregator — and every finished tier
+// global snapshot, collect updates through the fan-in the synchronous
+// Aggregator's rounds run too — and every finished tier
 // round travels as a TierCommit through a commit channel into a single
 // committer goroutine, which owns the flcore.Committer — the one
 // implementation of the staleness-discounted, cross-tier-weighted mixing
@@ -207,12 +207,11 @@ type TieredAsyncRunResult struct {
 	Retiers, Reassigned int
 }
 
-// TieredAsyncAggregator is the FL server for tiered-asynchronous training.
-// It reuses the base Aggregator's listener, registration, and profiling;
-// Run replaces the synchronous round loop with per-tier loops and the
-// asynchronous commit protocol.
+// TieredAsyncAggregator is the FL server for tiered-asynchronous training:
+// the shared listener, registration and profiling, driven by per-tier loops
+// and the asynchronous commit protocol.
 type TieredAsyncAggregator struct {
-	*Aggregator
+	*server
 	tcfg TieredAsyncConfig
 
 	// members publishes the Committer's membership view to the other
@@ -241,25 +240,21 @@ func NewTieredAsyncAggregator(addr string, cfg TieredAsyncConfig) (*TieredAsyncA
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	base, err := NewAggregator(addr, AggregatorConfig{
-		Rounds: cfg.GlobalCommits, ClientsPerRound: cfg.ClientsPerRound,
-		RoundTimeout: cfg.RoundTimeout, InitialWeights: cfg.InitialWeights,
-		Seed: cfg.Seed, SendTimeout: cfg.SendTimeout,
-	})
+	srv, err := listen(addr, cfg.SendTimeout, cfg.InitialWeights)
 	if err != nil {
 		return nil, err
 	}
 	obs := &obsState{}
 	ta := &TieredAsyncAggregator{
-		Aggregator: base,
-		tcfg:       cfg,
-		fan:        &fanIn{agg: base, obs: obs, timeout: cfg.RoundTimeout, retries: cfg.MaxRetries, rejoinWait: cfg.RejoinWait},
-		obs:        obs,
+		server: srv,
+		tcfg:   cfg,
+		fan:    &fanIn{srv: srv, obs: obs, timeout: cfg.RoundTimeout, retries: cfg.MaxRetries, rejoinWait: cfg.RejoinWait},
+		obs:    obs,
 	}
 	ta.publishTiers(nil)
 	if cfg.MetricsAddr != "" {
 		if err := ta.startMetrics(cfg.MetricsAddr); err != nil {
-			base.Close()
+			srv.Close()
 			return nil, err
 		}
 	}
@@ -469,13 +464,14 @@ func (ta *TieredAsyncAggregator) tierOf(id int) int {
 	return -1
 }
 
-// fanIn is the synchronous mini-FedAvg fan-in machinery shared by the two
-// places a cohort is trained and collected: the in-process tier loops of
+// fanIn is the one place in flnet that sends a MsgTrain and waits for its
+// update (gather), shared by everything that trains a cohort: the
+// synchronous Aggregator's rounds, the in-process tier loops of
 // TieredAsyncAggregator and the per-tier Child aggregator processes of the
-// hierarchical tree (tree.go). Both get identical dispatch, seq routing,
+// hierarchical tree (tree.go). All get identical dispatch, seq routing,
 // disconnect tolerance, and aggregation-order semantics by construction.
 type fanIn struct {
-	agg     *Aggregator
+	srv     *server
 	obs     *obsState
 	timeout time.Duration // per-collection-window bound (0 = indefinite)
 	seq     atomic.Int64  // train-request token source (Train.Seq)
@@ -486,7 +482,8 @@ type fanIn struct {
 	retries    int
 	rejoinWait time.Duration
 	// vecs holds the vectors dense updates decode into: decodeUpdate draws
-	// one per update, runRound returns them once FedAvg has read them.
+	// one per update, recycle returns them once the aggregation has read
+	// them.
 	vecs tensor.Pool
 }
 
@@ -514,7 +511,7 @@ type timedUpdate struct {
 	flcore.Update
 	arrival float64
 	src     *registered
-	pooled  bool // Weights came out of fanIn.vecs (dense updates only) and goes back after FedAvg
+	pooled  bool // Weights came out of fanIn.vecs (dense updates only) and goes back through recycle
 }
 
 // trainReq is one outstanding train request of a tier round: the worker
@@ -546,27 +543,14 @@ func (rq *trainReq) rebind(w *registered, ch chan *Envelope) {
 	rq.mu.Unlock()
 }
 
-// retryCtx is what a mid-round redispatch needs to re-send a request on a
-// rejoined member's fresh connection: the round's tier and index, the
-// shared broadcast, the round's versioned-broadcast counter, and an
-// atomic counter accumulating the broadcast bytes redispatches add. A
-// rejoined connection holds no delta base (its registration starts
-// unacked), so retried requests always carry the dense snapshot.
-type retryCtx struct {
-	tier, round int
-	bc          *broadcast
-	dlVer       int
-	extraDown   atomic.Int64
-}
-
 // redispatch waits (bounded by rejoinWait and the collection deadline) for
 // a dead cohort member to re-register, then re-sends its round request on
 // the fresh connection under the SAME seq token: the pending waiter moves
 // to the new connection, so whichever connection delivers first wins and
 // the other reply finds no waiter — a retried round cannot double-count.
 // It reports whether the request was rebound.
-func (f *fanIn) redispatch(rq *trainReq, rc *retryCtx, deadline time.Time) bool {
-	if f.retries <= 0 || rc == nil {
+func (f *fanIn) redispatch(rq *trainReq, cr *cohortRound, deadline time.Time) bool {
+	if f.retries <= 0 {
 		return false
 	}
 	rq.mu.Lock()
@@ -583,7 +567,7 @@ func (f *fanIn) redispatch(rq *trainReq, rc *retryCtx, deadline time.Time) bool 
 	}
 	var nw *registered
 	for {
-		if w := f.agg.liveWorker(rq.id); w != nil && w != old {
+		if w := f.srv.liveWorker(rq.id); w != nil && w != old {
 			nw = w
 			break
 		}
@@ -593,16 +577,16 @@ func (f *fanIn) redispatch(rq *trainReq, rc *retryCtx, deadline time.Time) bool 
 		time.Sleep(10 * time.Millisecond)
 	}
 	nch := nw.addPending(rq.seq)
-	// The dense snapshot, version-tagged on downlink runs: the fresh
-	// connection adopts it as its base and becomes delta-eligible again
-	// next round.
-	tr := &Train{Round: rc.round, Seq: rq.seq, Version: rc.dlVer, Raw: rc.bc.raw()}
+	// The dense snapshot (a rejoined connection starts unacked and holds no
+	// delta base), version-tagged on downlink runs: the fresh connection
+	// adopts it as its base and becomes delta-eligible again next round.
+	tr := &Train{Round: cr.round, Seq: rq.seq, Version: cr.dlVer, Raw: cr.bc.raw()}
 	if err := nw.c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
 		nw.dropPending(rq.seq)
 		return false
 	}
 	db := int64(len(tr.Raw))
-	rc.extraDown.Add(db)
+	cr.extraDown.Add(db)
 	f.obs.addDownlink(db)
 	f.obs.noteRetry()
 	rq.rebind(nw, nch)
@@ -610,18 +594,20 @@ func (f *fanIn) redispatch(rq *trainReq, rc *retryCtx, deadline time.Time) bool 
 }
 
 // collect gathers the round's updates for the given outstanding requests,
-// respecting the round timeout (0 = wait indefinitely). Replies arrive
-// through their per-request waiters, so a migrated worker trained
-// concurrently by its old and new tier can never have its updates
-// cross-matched between the two rounds. When rc is non-nil and retries are
+// respecting the round timeout (0 = wait indefinitely): the first target
+// decoded replies count, and once they are in the remaining requests stop
+// waiting. Replies arrive through their per-request waiters, so a migrated
+// worker trained concurrently by its old and new tier can never have its
+// updates cross-matched between the two rounds. When retries are
 // configured, a request whose connection dies mid-window is redispatched to
 // the member's rejoined connection instead of being dropped.
-func (f *fanIn) collect(reqs []*trainReq, weights []float64, start time.Time, rc *retryCtx) []timedUpdate {
+func (f *fanIn) collect(reqs []*trainReq, cr *cohortRound) []timedUpdate {
 	type got struct {
 		u  timedUpdate
 		ok bool
 	}
 	ch := make(chan got, len(reqs))
+	full := make(chan struct{}) // closed when the target is reached
 	var deadline time.Time
 	if f.timeout > 0 {
 		deadline = time.Now().Add(f.timeout)
@@ -637,8 +623,8 @@ func (f *fanIn) collect(reqs []*trainReq, weights []float64, start time.Time, rc
 			for {
 				w, wch := rq.current()
 				deliver := func(env *Envelope) {
-					u, ok := decodeUpdate(w, env, weights, &f.vecs)
-					ch <- got{u: timedUpdate{Update: u, arrival: time.Since(start).Seconds(), src: w, pooled: env.Type == MsgUpdate}, ok: ok}
+					u, ok := decodeUpdate(w, env, cr.weights, &f.vecs)
+					ch <- got{u: timedUpdate{Update: u, arrival: time.Since(cr.start).Seconds(), src: w, pooled: env.Type == MsgUpdate}, ok: ok}
 				}
 				// A reply that was routed before the connection dropped (or
 				// just before the deadline) still counts: always drain the
@@ -662,7 +648,7 @@ func (f *fanIn) collect(reqs []*trainReq, weights []float64, start time.Time, rc
 					if take() {
 						return
 					}
-					if f.redispatch(rq, rc, deadline) {
+					if f.redispatch(rq, cr, deadline) {
 						continue // wait on the rebound connection
 					}
 					ch <- got{ok: false}
@@ -672,47 +658,107 @@ func (f *fanIn) collect(reqs []*trainReq, weights []float64, start time.Time, rc
 						ch <- got{ok: false}
 					}
 					return
+				case <-full: // a straggler: its reply will find the waiter gone
+					ch <- got{ok: false}
+					return
 				}
 			}
 		}(rq)
 	}
 	var updates []timedUpdate
 	for range reqs {
-		if g := <-ch; g.ok {
-			updates = append(updates, g.u)
+		g := <-ch
+		switch {
+		case !g.ok:
+		case len(updates) < cr.target:
+			if updates = append(updates, g.u); len(updates) == cr.target {
+				close(full)
+			}
+		default:
+			// Decoded in the instant the target was reached: a straggler too.
+			f.recycle(g.u)
 		}
 	}
 	return updates
 }
 
-// tierRoundStatus is the outcome of one attempted tier mini-round.
+// tierRoundStatus is the outcome of one attempted round.
 type tierRoundStatus int
 
 const (
-	roundCommitted tierRoundStatus = iota // updates aggregated and committed
+	roundCommitted tierRoundStatus = iota // updates collected (runRound: aggregated into a commit)
 	roundNoCohort                         // whole cohort unreachable; redraw next round
 	roundEmpty                            // cohort reached but no updates before the windows closed
 	roundAbort                            // the tier cannot continue
 )
 
-// runRound executes one mini-round of tier t: send the cohort the round's
-// weights, collect the matched replies (with extra collection windows for
-// all-slow cohorts — a cohort slower than one timeout window still commits
-// instead of being perpetually one round behind; a single member
-// persistently slower than its cohort is still dropped each round, and
-// live re-tiering is the mitigation: its EWMA drifts up until a rebuild
-// moves it to a slower tier), and return the FedAvg aggregate as a
-// TierCommit ready for the committer — in-process or over the wire.
-func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64, dl *downTier, done <-chan struct{}) (*TierCommit, tierRoundStatus) {
+// cohortRound is one round through the fan-in: what gather is asked, the
+// round's in-flight state, and what gather hands back.
+type cohortRound struct {
+	// The request, set by the caller. target is how many decoded replies
+	// count: len(cohort) for a tier round, ClientsPerRound for a synchronous
+	// round over an over-selected cohort, whose later replies are discarded
+	// stragglers. secure announces the reached cohort and maskScale to every
+	// member (Train.Participants/MaskScale, see secure.go).
+	tier, round int // tier keys the delta acks
+	cohort      []int
+	target      int
+	weights     []float64 // on a downlink round gather swaps in the chain's post-encode base
+	dl          *downTier // nil broadcasts dense
+	secure      bool
+	maskScale   float64
+	done        <-chan struct{} // closed when the run ends; nil never aborts
+
+	// In flight: what a mid-round redispatch re-sends, and the broadcast
+	// bytes redispatches add.
+	start     time.Time
+	bc        *broadcast
+	dlVer     int // the round's versioned-broadcast counter (0 = untracked)
+	extraDown atomic.Int64
+
+	// The result. updates are the replies that count, in cohort order
+	// (plain: without the arrival bookkeeping); their pooled vectors go back
+	// through fanIn.recycle. live are the members whose connections were up
+	// at dispatch — a secure round's announced participants. sent is each
+	// reached member's broadcast bytes, upBytes and downBytes the round's
+	// encoded traffic, seconds its wall clock.
+	updates            []timedUpdate
+	plain              []flcore.Update
+	live               []int
+	sent               map[int]int64
+	upBytes, downBytes int64
+	seconds            float64
+}
+
+// recycle returns the updates' pooled vectors once nothing reads them.
+func (f *fanIn) recycle(updates ...timedUpdate) {
+	for _, u := range updates {
+		if u.pooled {
+			f.vecs.Put(u.Weights)
+		}
+	}
+}
+
+// gather is the dispatch-and-collect half of every round: send the live
+// cohort the round's weights (one shared blob, or the tier's delta where
+// the ack state allows it), collect the matched replies — with extra
+// collection windows for all-slow cohorts: a cohort slower than one timeout
+// window still delivers instead of being perpetually one round behind; a
+// single member persistently slower than its cohort is still dropped each
+// round, and live re-tiering is the mitigation: its EWMA drifts up until a
+// rebuild moves it to a slower tier — and leave the counted ones in cr, in
+// cohort order, with the round's exact byte counts.
+func (f *fanIn) gather(cr *cohortRound) tierRoundStatus {
 	const maxCollects = 3
 	var conns []*registered
-	for _, id := range cohort {
-		if w := f.agg.liveWorker(id); w != nil {
+	for _, id := range cr.cohort {
+		if w := f.srv.liveWorker(id); w != nil {
 			conns = append(conns, w) // dead cohort members: train the rest
+			cr.live = append(cr.live, id)
 		}
 	}
 	if len(conns) == 0 {
-		return nil, roundNoCohort
+		return roundNoCohort
 	}
 	// Delta broadcast: the chain advances exactly once per round — the
 	// payload is encoded against the chain's base and shared by every
@@ -722,21 +768,21 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 	// weights the delta recipients reconstruct, not the pre-loss snapshot.
 	var dlPayload []byte
 	var dlCodec byte
-	dlBase, dlVer := 0, 0
-	if dl != nil {
+	dlBase := 0
+	if dl := cr.dl; dl != nil {
 		if dl.chain.HasBase() {
-			dlPayload, dlCodec = dl.chain.Encode(weights)
+			dlPayload, dlCodec = dl.chain.Encode(cr.weights)
 			dlBase = dl.seq
 		} else {
-			dl.chain.Adopt(weights)
+			dl.chain.Adopt(cr.weights)
 		}
 		dl.seq++
-		dlVer = dl.seq
+		cr.dlVer = dl.seq
 		// The chain's own base, read-only: nothing advances the chain again
 		// before this round's last reader (collect) has returned.
-		weights = dl.chain.Base()
+		cr.weights = dl.chain.Base()
 	}
-	start := time.Now()
+	cr.start = time.Now()
 	var reqs []*trainReq
 	defer func() {
 		for _, rq := range reqs {
@@ -746,21 +792,22 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 			w.dropPending(rq.seq)
 		}
 	}()
-	bc := newBroadcast(weights)
+	cr.bc = newBroadcast(cr.weights)
 	// Every send of the round — redispatches run inside collect — has
-	// returned by the time runRound does.
-	defer bc.release()
-	sent := make(map[int]int64, len(conns))
-	var downBytes int64
-	rc := &retryCtx{tier: t, round: r, bc: bc, dlVer: dlVer}
+	// returned by the time gather does.
+	defer cr.bc.release()
+	cr.sent = make(map[int]int64, len(conns))
 	for _, w := range conns {
 		rq := &trainReq{id: w.id, w: w, seq: f.seq.Add(1)}
 		rq.ch = w.addPending(rq.seq)
-		tr := &Train{Round: r, Seq: rq.seq, Version: dlVer}
-		if dlPayload != nil && w.ackMatch(t, dlBase) {
+		tr := &Train{Round: cr.round, Seq: rq.seq, Version: cr.dlVer}
+		if cr.secure {
+			tr.Participants, tr.MaskScale = cr.live, cr.maskScale
+		}
+		if dlPayload != nil && w.ackMatch(cr.tier, dlBase) {
 			tr.Delta, tr.DeltaBase, tr.DeltaCodec = dlPayload, dlBase, dlCodec
 		} else {
-			tr.Raw = bc.raw()
+			tr.Raw = cr.bc.raw()
 		}
 		db := int64(len(tr.Delta) + len(tr.Raw))
 		if err := w.c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
@@ -768,71 +815,77 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 			continue
 		}
 		f.obs.addDownlink(db)
-		downBytes += db
-		sent[w.id] = db
+		cr.downBytes += db
+		cr.sent[w.id] = db
 		reqs = append(reqs, rq)
 	}
 	if len(reqs) == 0 {
-		return nil, roundNoCohort
+		return roundNoCohort
 	}
-	updates := f.collect(reqs, weights, start, rc)
-	for retry := 0; len(updates) == 0 && retry < maxCollects-1; retry++ {
+	cr.updates = f.collect(reqs, cr)
+	for retry := 0; len(cr.updates) == 0 && retry < maxCollects-1; retry++ {
 		select {
-		case <-done:
-			return nil, roundAbort
+		case <-cr.done:
+			return roundAbort
 		default:
 		}
-		updates = f.collect(reqs, weights, start, rc)
+		cr.updates = f.collect(reqs, cr)
 	}
-	downBytes += rc.extraDown.Load()
-	if len(updates) == 0 {
-		return nil, roundEmpty
-	}
-	// A responding worker has provably received and adopted this round's
-	// versioned base — record the ack that makes it delta-eligible next
-	// round. The ack lands on the exact connection the reply came from
-	// (u.src), so a redispatched request acks the rejoined connection, never
-	// the dead one. Workers that received the broadcast but never replied
-	// stay unacked and fall back to dense, which is always safe.
-	if dlVer != 0 {
-		for _, u := range updates {
-			u.src.setAck(t, dlVer)
-		}
+	cr.downBytes += cr.extraDown.Load()
+	if len(cr.updates) == 0 {
+		return roundEmpty
 	}
 	// Deterministic aggregation order: replies arrive in wall-clock order,
-	// FedAvg's float sums are order-sensitive, and the simulated engine
-	// aggregates in cohort order — reorder to match.
-	pos := make(map[int]int, len(cohort))
-	for i, id := range cohort {
+	// FedAvg's float sums are order-sensitive, and the simulated engines
+	// aggregate in cohort order — reorder to match.
+	pos := make(map[int]int, len(cr.cohort))
+	for i, id := range cr.cohort {
 		pos[id] = i
 	}
-	sort.Slice(updates, func(i, j int) bool { return pos[updates[i].ClientID] < pos[updates[j].ClientID] })
-	wall := time.Since(start).Seconds()
-	var upBytes int64
-	obs := make([]ClientSeconds, len(updates))
-	plain := make([]flcore.Update, len(updates))
-	for i, u := range updates {
-		plain[i] = u.Update
-		upBytes += int64(u.WireBytes)
+	sort.Slice(cr.updates, func(i, j int) bool { return pos[cr.updates[i].ClientID] < pos[cr.updates[j].ClientID] })
+	cr.seconds = time.Since(cr.start).Seconds()
+	cr.plain = make([]flcore.Update, len(cr.updates))
+	for i, u := range cr.updates {
+		cr.plain[i] = u.Update
+		cr.upBytes += int64(u.WireBytes)
+		// A responding worker has provably received and adopted this
+		// round's versioned base — record the ack that makes it
+		// delta-eligible next round. The ack lands on the exact connection
+		// the reply came from (u.src), so a redispatched request acks the
+		// rejoined connection, never the dead one. Workers that received the
+		// broadcast but never replied stay unacked and fall back to dense,
+		// which is always safe.
+		if cr.dlVer != 0 {
+			u.src.setAck(cr.tier, cr.dlVer)
+		}
+	}
+	return roundCommitted
+}
+
+// runRound executes one mini-round of tier t: gather the cohort's replies
+// and return their FedAvg as a TierCommit, in-process or over the wire.
+func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64, dl *downTier, done <-chan struct{}) (*TierCommit, tierRoundStatus) {
+	cr := &cohortRound{tier: t, round: r, cohort: cohort, target: len(cohort), weights: weights, dl: dl, done: done}
+	if status := f.gather(cr); status != roundCommitted {
+		return nil, status
+	}
+	obs := make([]ClientSeconds, len(cr.updates))
+	for i, u := range cr.updates {
 		secs := u.Latency // worker-reported training seconds
 		if secs <= 0 {
-			secs = wall // peer-supplied, so guarded: the round's wall clock instead
+			secs = cr.seconds // peer-supplied, so guarded: the round's wall clock instead
 		}
 		obs[i] = ClientSeconds{
 			Client: u.ClientID, Seconds: secs,
-			Bytes: sent[u.ClientID] + int64(u.WireBytes), EndToEnd: u.arrival,
+			Bytes: cr.sent[u.ClientID] + int64(u.WireBytes), EndToEnd: u.arrival,
 		}
 	}
-	avg := flcore.FedAvg(plain)
-	for _, u := range updates {
-		if u.pooled {
-			f.vecs.Put(u.Weights)
-		}
-	}
+	avg := flcore.FedAvg(cr.plain)
+	f.recycle(cr.updates...)
 	return &TierCommit{
 		Tier: t, TierRound: r, PulledVersion: version,
-		Weights: avg, Clients: len(updates),
-		Seconds: wall, UplinkBytes: upBytes, DownlinkBytes: downBytes,
+		Weights: avg, Clients: len(cr.updates),
+		Seconds: cr.seconds, UplinkBytes: cr.upBytes, DownlinkBytes: cr.downBytes,
 		Observed: obs,
 	}, roundCommitted
 }

@@ -1,45 +1,11 @@
 package flnet
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 )
-
-func TestTierSelectFuncBuildsFromProfiledLatencies(t *testing.T) {
-	lat := map[int]float64{}
-	for i := 0; i < 20; i++ {
-		lat[i] = float64(1 + i) // IDs 0..4 fastest
-	}
-	policy := core.StaticPolicy{Name: "fast", Probs: []float64{1, 0, 0, 0}}
-	fn, tiers, err := TierSelectFunc(lat, 4, policy, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tiers) != 4 {
-		t.Fatalf("tiers = %d", len(tiers))
-	}
-	rng := rand.New(rand.NewSource(1))
-	for r := 0; r < 50; r++ {
-		for _, id := range fn(r, nil, rng) {
-			if id > 4 {
-				t.Fatalf("fast policy selected worker %d outside the fastest tier", id)
-			}
-		}
-	}
-}
-
-func TestTierSelectFuncValidation(t *testing.T) {
-	lat := map[int]float64{0: 1, 1: 2}
-	if _, _, err := TierSelectFunc(lat, 2, core.StaticPolicy{Name: "bad", Probs: []float64{0.9, 0.9}}, 1); err == nil {
-		t.Fatal("invalid policy accepted")
-	}
-	if _, _, err := TierSelectFunc(lat, 2, core.PolicyUniform, 1); err == nil {
-		t.Fatal("5-probability policy over 2 tiers accepted")
-	}
-}
 
 func TestTiFLOverTCPEndToEnd(t *testing.T) {
 	// Full pipeline: register workers with different speeds, profile over
@@ -66,11 +32,10 @@ func TestTiFLOverTCPEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := core.StaticPolicy{Name: "fast", Probs: []float64{1, 0}}
-	fn, tiers, err := TierSelectFunc(lat, 2, policy, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Worker IDs are the selector's client indices: the tiers are built from
+	// the latency map's keys.
+	tiers := core.BuildTiers(lat, 2, core.Quantile)
+	sel := core.NewStaticSelector(tiers, core.StaticPolicy{Name: "fast", Probs: []float64{1, 0}}, 2)
 	fastTier := map[int]bool{}
 	for _, id := range tiers[0].Members {
 		fastTier[id] = true
@@ -81,7 +46,7 @@ func TestTiFLOverTCPEndToEnd(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	res, err := agg.Run(fn)
+	res, err := agg.Run(sel)
 	if err != nil {
 		t.Fatal(err)
 	}

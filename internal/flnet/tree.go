@@ -101,7 +101,7 @@ type ChildConfig struct {
 // tree root.
 type Child struct {
 	cfg  ChildConfig
-	agg  *Aggregator
+	agg  *server
 	fan  *fanIn
 	done chan struct{}
 
@@ -129,19 +129,15 @@ func NewChild(cfg ChildConfig) (*Child, error) {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	ln, err := net.Listen("tcp", addr)
+	// No model yet: the child learns its blob bound from its first pull.
+	agg, err := listen(addr, cfg.RPCTimeout, nil)
 	if err != nil {
-		return nil, fmt.Errorf("flnet: child listen: %w", err)
+		return nil, err
 	}
-	// Constructed directly rather than through NewAggregator: the child
-	// reuses only the registration/reader/fan-in machinery, so the
-	// synchronous-run fields NewAggregator validates (Rounds,
-	// ClientsPerRound, InitialWeights) have no meaningful values here.
-	agg := &Aggregator{cfg: AggregatorConfig{RoundTimeout: cfg.RoundTimeout, SendTimeout: cfg.RPCTimeout}, ln: ln, workers: make(map[int]*registered)}
 	return &Child{
 		cfg:  cfg,
 		agg:  agg,
-		fan:  &fanIn{agg: agg, obs: &obsState{}, timeout: cfg.RoundTimeout, retries: cfg.MaxRetries, rejoinWait: cfg.RejoinWait},
+		fan:  &fanIn{srv: agg, obs: &obsState{}, timeout: cfg.RoundTimeout, retries: cfg.MaxRetries, rejoinWait: cfg.RejoinWait},
 		done: make(chan struct{}),
 	}, nil
 }
@@ -190,11 +186,9 @@ func (ch *Child) Run() error {
 	}
 	members := ch.agg.ids()
 	total := 0
-	ch.agg.mu.Lock()
-	for _, w := range ch.agg.workers {
+	for _, w := range ch.agg.roster() {
 		total += w.samples
 	}
-	ch.agg.mu.Unlock()
 
 	dt := ch.cfg.DialTimeout
 	if dt <= 0 {
@@ -393,13 +387,7 @@ func (ta *TieredAsyncAggregator) WaitForChildren(n int, timeout time.Duration) e
 // treeChildren snapshots and validates the registered child aggregators,
 // sorted by tier ID.
 func (ta *TieredAsyncAggregator) treeChildren() ([]*registered, error) {
-	ta.mu.Lock()
-	children := make([]*registered, 0, len(ta.workers))
-	for _, w := range ta.workers {
-		children = append(children, w)
-	}
-	ta.mu.Unlock()
-	sort.Slice(children, func(i, j int) bool { return children[i].id < children[j].id })
+	children := ta.roster()
 	seen := make(map[int]int)
 	for i, c := range children {
 		if c.role != RoleChildAggregator {
@@ -539,12 +527,12 @@ func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 	tp := &topology{events: make(chan tierEvent), done: make(chan struct{}), rejoin: make(chan *registered, 4), grace: ta.tcfg.RejoinWait}
 	tp.dispatch = func(t int, p flcore.TierPull) { ta.sendPull(children[t], pulls[t], p) }
 	// One pump per child: commits flow from the connection reader into the
-	// committer; a closed updates channel is the child's death.
+	// committer; a closed inbox is the child's death.
 	pump := func(t int, c *registered) {
 		defer tp.wg.Done()
 		for {
 			select {
-			case env, ok := <-c.updates:
+			case env, ok := <-c.inbox:
 				if !ok {
 					ta.obs.noteChildDown(t)
 					tp.post(tierEvent{tier: t, gone: true})
