@@ -133,6 +133,8 @@ func main() {
 	flag.Parse()
 
 	codec := compOpts.Compression
+	// How the tiered roots' tier loops and a child's leaf rounds wait.
+	fanIn := flnet.FanInConfig{RoundTimeout: *timeout, MaxRetries: robOpts.MaxRetries, RejoinWait: robOpts.RejoinWait}
 
 	spec := dataset.CIFAR10Like
 	arch := func(rng *rand.Rand) *nn.Model {
@@ -208,16 +210,17 @@ func main() {
 			ckptEvery = ckptOpts.CheckpointEvery
 		}
 		agg, err := flnet.NewTieredAsyncAggregator(*addr, flnet.TieredAsyncConfig{
-			GlobalCommits: *commits, ClientsPerRound: *perRound,
-			Alpha: *alpha, StalenessExp: *staleExp,
-			TierWeight:   core.FedATWeights(),
-			RoundTimeout: *timeout, InitialWeights: init, Seed: *seed,
-			CheckpointEvery: ckptEvery, CheckpointPath: ckptOpts.CheckpointPath,
-			MetricsAddr:   *metrics,
-			ReassignCodec: compOpts.ReassignPolicy(),
-			Downlink:      compOpts.Downlink,
-			MaxRetries:    robOpts.MaxRetries, RejoinWait: robOpts.RejoinWait,
-			SendTimeout: robOpts.RPCTimeout,
+			CommitterConfig: flcore.CommitterConfig{
+				ClientsPerRound: *perRound, Alpha: *alpha, StalenessExp: *staleExp,
+				TierWeight: core.FedATWeights(), Seed: *seed,
+				CheckpointEvery: ckptEvery, Downlink: compOpts.Downlink,
+			},
+			FanInConfig:   fanIn,
+			GlobalCommits: *commits, InitialWeights: init,
+			CheckpointPath: ckptOpts.CheckpointPath,
+			MetricsAddr:    *metrics,
+			ReassignCodec:  compOpts.ReassignPolicy(),
+			SendTimeout:    robOpts.RPCTimeout,
 		})
 		if err != nil {
 			fail("%v", err)
@@ -325,10 +328,8 @@ func main() {
 		}
 		ch, err := flnet.NewChild(flnet.ChildConfig{
 			ID: *id, Addr: *addr, RootAddr: *rootAddr,
-			Workers: *workers, WorkerTimeout: 10 * time.Minute, RoundTimeout: *timeout,
-			Downlink:   compOpts.Downlink,
-			RPCTimeout: robOpts.RPCTimeout, MaxRetries: robOpts.MaxRetries,
-			RejoinWait: robOpts.RejoinWait,
+			Workers: *workers, WorkerTimeout: 10 * time.Minute, FanInConfig: fanIn,
+			Downlink: compOpts.Downlink, RPCTimeout: robOpts.RPCTimeout,
 		})
 		if err != nil {
 			fail("%v", err)

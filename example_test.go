@@ -34,7 +34,8 @@ func ExampleSystem_TrainTieredAsync() {
 	// 60 simulated seconds of tiered-asynchronous training. FedAT's
 	// cross-tier weights are the default.
 	res := sys.TrainTieredAsync(tifl.TieredAsyncConfig{
-		Duration: 60, ClientsPerRound: 2, Seed: 7, BatchSize: 10,
+		CommitterConfig: tifl.CommitterConfig{ClientsPerRound: 2, Seed: 7},
+		Duration:        60, BatchSize: 10,
 		Model: func(rng *rand.Rand) *nn.Model {
 			return nn.NewMLP(rng, dataset.MNISTLike.Dim, []int{8}, 10, 0)
 		},

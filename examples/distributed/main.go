@@ -155,13 +155,17 @@ func main() {
 	// discarding the slow worker's updates, profile-built tiers let it
 	// commit at its own pace with FedAT's cross-tier weighting.
 	fmt.Println("\n--- tiered-asynchronous (FedAT-style) over TCP ---")
+	// One protocol spec for every tiered run below (the simulation's
+	// flcore.TieredAsyncConfig embeds the same struct).
+	protocol := flcore.CommitterConfig{ClientsPerRound: perRound, TierWeight: core.FedATWeights(), Seed: 1}
+	wait := flnet.FanInConfig{RoundTimeout: 30 * time.Second}
+	dlProtocol := protocol
+	// Broadcasts travel as int8-quantized deltas against each worker's
+	// last-acked version (first contact goes dense automatically).
+	dlProtocol.Downlink = &compress.Downlink{Codec: compress.NewInt8(0)}
 	tagg, err := flnet.NewTieredAsyncAggregator("127.0.0.1:0", flnet.TieredAsyncConfig{
-		GlobalCommits: 8 * rounds, ClientsPerRound: perRound,
-		TierWeight:   core.FedATWeights(),
-		RoundTimeout: 30 * time.Second, InitialWeights: init, Seed: 1,
-		// Broadcasts travel as int8-quantized deltas against each worker's
-		// last-acked version (first contact goes dense automatically).
-		Downlink: &compress.Downlink{Codec: compress.NewInt8(0)},
+		CommitterConfig: dlProtocol, FanInConfig: wait,
+		GlobalCommits: 8 * rounds, InitialWeights: init,
 	})
 	if err != nil {
 		panic(err)
@@ -211,11 +215,10 @@ func main() {
 	ckptPath := filepath.Join(ckptDir, "run.ckpt")
 	const ckptTarget = 6 * rounds
 	ckptCfg := flnet.TieredAsyncConfig{
-		GlobalCommits: ckptTarget, ClientsPerRound: perRound,
-		TierWeight:   core.FedATWeights(),
-		RoundTimeout: 30 * time.Second, InitialWeights: init, Seed: 1,
-		CheckpointEvery: 5, CheckpointPath: ckptPath,
+		CommitterConfig: protocol, FanInConfig: wait,
+		GlobalCommits: ckptTarget, InitialWeights: init, CheckpointPath: ckptPath,
 	}
+	ckptCfg.CheckpointEvery = 5
 	crashCfg := ckptCfg
 	crashCfg.MetricsAddr = "127.0.0.1:0"
 	var cagg *flnet.TieredAsyncAggregator
@@ -293,9 +296,8 @@ func main() {
 	fmt.Println("\n--- hierarchical aggregation tree: root + per-tier child aggregators ---")
 	treeTiers := [][]int{{0, 1, 2}, {3, 4, 5}} // fast half, slow half (worker 5's 400ms delay)
 	root, err := flnet.NewTieredAsyncAggregator("127.0.0.1:0", flnet.TieredAsyncConfig{
-		GlobalCommits: 4 * rounds, ClientsPerRound: perRound,
-		TierWeight:   core.FedATWeights(),
-		RoundTimeout: 30 * time.Second, InitialWeights: init, Seed: 1,
+		CommitterConfig: protocol, FanInConfig: wait,
+		GlobalCommits: 4 * rounds, InitialWeights: init,
 	})
 	if err != nil {
 		panic(err)
@@ -304,8 +306,7 @@ func main() {
 	var twgTree sync.WaitGroup
 	for t, members := range treeTiers {
 		ch, err := flnet.NewChild(flnet.ChildConfig{
-			ID: t, RootAddr: root.Addr(), Workers: len(members),
-			RoundTimeout: 30 * time.Second,
+			ID: t, RootAddr: root.Addr(), Workers: len(members), FanInConfig: wait,
 		})
 		if err != nil {
 			panic(err)

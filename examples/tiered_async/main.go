@@ -58,8 +58,8 @@ func main() {
 
 	// Tiered-async: FedAT cross-tier weights are the default.
 	tiered := sys.TrainTieredAsync(tifl.TieredAsyncConfig{
-		Duration: budget, ClientsPerRound: 5, EvalInterval: budget / 10,
-		Seed: 5, BatchSize: 10, LocalEpochs: 1,
+		CommitterConfig: tifl.CommitterConfig{ClientsPerRound: 5, Seed: 5},
+		Duration:        budget, EvalInterval: budget / 10, BatchSize: 10, LocalEpochs: 1,
 		Model: cfg.Model, Optimizer: cfg.Optimizer, EvalBatch: 256,
 	}, test)
 
@@ -102,8 +102,8 @@ func main() {
 		panic(err)
 	}
 	live := liveSys.TrainTieredAsync(tifl.TieredAsyncConfig{
-		Duration: budget, ClientsPerRound: 5, EvalInterval: budget / 10,
-		Seed: 5, BatchSize: 10, LocalEpochs: 1,
+		CommitterConfig: tifl.CommitterConfig{ClientsPerRound: 5, Seed: 5},
+		Duration:        budget, EvalInterval: budget / 10, BatchSize: 10, LocalEpochs: 1,
 		Model: cfg.Model, Optimizer: cfg.Optimizer, EvalBatch: 256,
 	}, test)
 	fmt.Printf("\nlive re-tiering under mid-run drift: %d re-tierings moved %d clients, final accuracy %.4f\n",

@@ -44,9 +44,10 @@ func ChurnSweep(s Scale) []ChurnArm {
 
 	run := func(rate float64) ChurnArm {
 		res := flcore.RunTieredAsync(flcore.TieredAsyncConfig{
-			Duration: duration, ClientsPerRound: s.ClientsPerRound,
-			TierWeight:   core.FedATWeights(),
-			EvalInterval: duration, Seed: s.Seed,
+			CommitterConfig: flcore.CommitterConfig{
+				ClientsPerRound: s.ClientsPerRound, TierWeight: core.FedATWeights(), Seed: s.Seed,
+			},
+			Duration: duration, EvalInterval: duration,
 			BatchSize: 10, LocalEpochs: 1,
 			Model: base.Model, Optimizer: base.Optimizer, Latency: CommLatencyModel,
 			EvalBatch: 256, ChurnRate: rate,

@@ -44,9 +44,10 @@ func TestChurnAccountingExact(t *testing.T) {
 	run := func(rate float64) (*flcore.TieredAsyncResult, int) {
 		participations := 0
 		res := flcore.RunTieredAsync(flcore.TieredAsyncConfig{
-			Duration: duration, ClientsPerRound: s.ClientsPerRound,
-			TierWeight:   core.FedATWeights(),
-			EvalInterval: duration, Seed: s.Seed,
+			CommitterConfig: flcore.CommitterConfig{
+				ClientsPerRound: s.ClientsPerRound, TierWeight: core.FedATWeights(), Seed: s.Seed,
+			},
+			Duration: duration, EvalInterval: duration,
 			BatchSize: 10, LocalEpochs: 1,
 			Model: base.Model, Optimizer: base.Optimizer, Latency: CommLatencyModel,
 			EvalBatch: 256, ChurnRate: rate,

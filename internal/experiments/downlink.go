@@ -71,12 +71,14 @@ func DownlinkSweep(s Scale) []DownlinkArm {
 			panic("experiments: downlink sweep mode " + mode + ": " + err.Error())
 		}
 		res := flcore.RunTieredAsync(flcore.TieredAsyncConfig{
-			Duration: duration, ClientsPerRound: clientsPerRound,
-			TierWeight:   core.FedATWeights(),
-			EvalInterval: duration, Seed: s.Seed,
+			CommitterConfig: flcore.CommitterConfig{
+				ClientsPerRound: clientsPerRound, TierWeight: core.FedATWeights(), Seed: s.Seed,
+				Downlink: dl,
+			},
+			Duration: duration, EvalInterval: duration,
 			BatchSize: 10, LocalEpochs: 1,
 			Model: base.Model, Optimizer: base.Optimizer, Latency: CommLatencyModel,
-			EvalBatch: 256, Downlink: dl,
+			EvalBatch: 256,
 		}, core.TierMembers(tiers), sc.clients(s), sc.test)
 		return DownlinkArm{
 			Mode: dl.Name(), FinalAcc: res.FinalAcc,

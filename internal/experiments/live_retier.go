@@ -75,13 +75,14 @@ func LiveRetierComparison(s Scale) LiveRetierOutcome {
 	run := func(retierEvery int) *flcore.TieredAsyncResult {
 		base := s.engineConfig(sc.spec)
 		return flcore.RunTieredAsync(flcore.TieredAsyncConfig{
-			Duration: duration, ClientsPerRound: s.ClientsPerRound,
-			TierWeight:   core.FedATWeights(),
-			EvalInterval: duration / 25, Seed: s.Seed,
+			CommitterConfig: flcore.CommitterConfig{
+				ClientsPerRound: s.ClientsPerRound, TierWeight: core.FedATWeights(), Seed: s.Seed,
+				Manager: mkManager(retierEvery),
+			},
+			Duration: duration, EvalInterval: duration / 25,
 			BatchSize: 10, LocalEpochs: 1,
 			Model: base.Model, Optimizer: base.Optimizer, Latency: LatencyModel,
 			EvalBatch: 256,
-			Manager:   mkManager(retierEvery),
 		}, nil, mkClients(), sc.test)
 	}
 

@@ -123,8 +123,8 @@ func MillionRun(s Scale) MillionOutcome {
 	}
 	commits := 0
 	cfg := flcore.TieredAsyncConfig{
-		Duration: millionDuration, ClientsPerRound: s.ClientsPerRound,
-		Seed: s.Seed, BatchSize: 8, LocalEpochs: 1,
+		CommitterConfig: flcore.CommitterConfig{ClientsPerRound: s.ClientsPerRound, Seed: s.Seed},
+		Duration:        millionDuration, BatchSize: 8, LocalEpochs: 1,
 		Model: func(rng *rand.Rand) *nn.Model {
 			return nn.NewMLP(rng, dataset.MNISTLike.Dim, []int{16}, dataset.MNISTLike.NumClasses, 0)
 		},

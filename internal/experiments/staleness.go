@@ -46,10 +46,11 @@ func StalenessSweep(s Scale) []StalenessArm {
 	arms := make([]StalenessArm, 0, len(configs))
 	for _, c := range configs {
 		res := flcore.RunTieredAsync(flcore.TieredAsyncConfig{
-			Duration: duration, ClientsPerRound: s.ClientsPerRound,
-			Alpha: c.alpha, StalenessExp: c.exp,
-			TierWeight:   core.FedATWeights(),
-			EvalInterval: duration, Seed: s.Seed,
+			CommitterConfig: flcore.CommitterConfig{
+				ClientsPerRound: s.ClientsPerRound, Alpha: c.alpha, StalenessExp: c.exp,
+				TierWeight: core.FedATWeights(), Seed: s.Seed,
+			},
+			Duration: duration, EvalInterval: duration,
 			BatchSize: 10, LocalEpochs: 1,
 			Model: base.Model, Optimizer: base.Optimizer, Latency: LatencyModel,
 			EvalBatch: 256,

@@ -36,9 +36,10 @@ func RunExtensionTieredAsync(s Scale) *Output {
 	}, sc.clients(s), sc.test)
 
 	tiered := flcore.RunTieredAsync(flcore.TieredAsyncConfig{
-		Duration: budget, ClientsPerRound: s.ClientsPerRound,
-		TierWeight:   core.FedATWeights(),
-		EvalInterval: budget / 20, Seed: s.Seed,
+		CommitterConfig: flcore.CommitterConfig{
+			ClientsPerRound: s.ClientsPerRound, TierWeight: core.FedATWeights(), Seed: s.Seed,
+		},
+		Duration: budget, EvalInterval: budget / 20,
 		BatchSize: 10, LocalEpochs: 1,
 		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: LatencyModel,
 		EvalBatch: 256,

@@ -5,6 +5,9 @@ import (
 	"container/heap"
 	"encoding/gob"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -366,20 +369,88 @@ func DecodeTieredCheckpoint(data []byte) (*TieredCheckpoint, error) {
 	return &c, nil
 }
 
-// SaveFile writes the checkpoint to path atomically (temp file + fsync +
-// rename), rotating any existing snapshot to path.prev first — the same
-// crash discipline as Checkpoint.SaveFile.
+// finiteWeights rejects NaN or ±Inf entries — a model restored from such a
+// vector trains garbage silently, so corruption must fail loudly at load.
+func finiteWeights(w []float64) error {
+	for i, v := range w {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("weight %d is %v; refusing non-finite model state", i, v)
+		}
+	}
+	return nil
+}
+
+// prevSuffix names the rotated previous snapshot kept beside every
+// checkpoint file: SaveFile moves the old snapshot there before the rename,
+// and LoadTieredCheckpointFile falls back to it when the primary is
+// unreadable.
+const prevSuffix = ".prev"
+
+// SaveFile writes the checkpoint to path so that a crash at any instant
+// leaves a loadable checkpoint behind: the bytes go to a temp file in the
+// same directory (same filesystem, so the rename is atomic), are fsynced,
+// the existing snapshot is rotated to path.prev, and only then does the
+// temp file take the primary name.
 func (c *TieredCheckpoint) SaveFile(path string) error {
 	data, err := c.Encode()
 	if err != nil {
 		return err
 	}
-	return saveFileAtomic(path, data)
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("flcore: creating checkpoint temp file: %w", err)
+	}
+	tmpName := tmp.Name()
+	defer os.Remove(tmpName) //nolint:errcheck // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close() //nolint:errcheck // write error takes precedence
+		return fmt.Errorf("flcore: writing checkpoint: %w", err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close() //nolint:errcheck // sync error takes precedence
+		return fmt.Errorf("flcore: syncing checkpoint: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("flcore: closing checkpoint temp file: %w", err)
+	}
+	// Keep the last good snapshot around: if the new primary is later found
+	// corrupted (torn write, bad disk), loads fall back to it.
+	if _, err := os.Stat(path); err == nil {
+		if err := os.Rename(path, path+prevSuffix); err != nil {
+			return fmt.Errorf("flcore: rotating previous checkpoint: %w", err)
+		}
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		return fmt.Errorf("flcore: installing checkpoint: %w", err)
+	}
+	// Persist the renames themselves; best effort — some filesystems refuse
+	// directory fsync.
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()  //nolint:errcheck // advisory
+		d.Close() //nolint:errcheck // read-only handle
+	}
+	return nil
 }
 
 // LoadTieredCheckpointFile reads a checkpoint written by SaveFile, falling
 // back to the rotated previous snapshot when the primary is missing or
-// fails to decode.
+// fails to decode, so one corrupted write never strands a resume.
 func LoadTieredCheckpointFile(path string) (*TieredCheckpoint, error) {
-	return loadWithFallback(path, DecodeTieredCheckpoint)
+	load := func(p string) (*TieredCheckpoint, error) {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return nil, fmt.Errorf("flcore: reading checkpoint: %w", err)
+		}
+		return DecodeTieredCheckpoint(data)
+	}
+	c, err := load(path)
+	if err == nil {
+		return c, nil
+	}
+	prev, prevErr := load(path + prevSuffix)
+	if prevErr == nil {
+		return prev, nil
+	}
+	return nil, fmt.Errorf("%w (fallback %s%s also failed: %v)", err, path, prevSuffix, prevErr)
 }

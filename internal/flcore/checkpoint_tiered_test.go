@@ -283,43 +283,3 @@ func TestTieredCheckpointSaveFileCrashSafe(t *testing.T) {
 		t.Fatal("two corrupt snapshots accepted")
 	}
 }
-
-// The plain synchronous Checkpoint shares the atomic SaveFile path; pin its
-// fallback too.
-func TestCheckpointSaveFileFallback(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.gob")
-	a := &Checkpoint{CompletedRounds: 1, SimTime: 1, Weights: []float64{1}, Seed: 3}
-	b := &Checkpoint{CompletedRounds: 2, SimTime: 2, Weights: []float64{2}, Seed: 3}
-	if err := a.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte("torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpointFile(path)
-	if err != nil {
-		t.Fatalf("no fallback: %v", err)
-	}
-	if got.CompletedRounds != 1 {
-		t.Fatalf("fallback loaded %+v, want the previous snapshot", got)
-	}
-}
-
-// Restore must reject non-finite model state in the synchronous checkpoint
-// as well.
-func TestRestoreRejectsNonFiniteWeights(t *testing.T) {
-	clients, test := testPopulation(t, 10)
-	eng := NewEngine(testConfig(5), clients, test)
-	w := make([]float64, len(eng.GlobalWeights()))
-	w[0] = math.NaN()
-	if err := eng.Restore(&Checkpoint{Seed: 42, Weights: w}); err == nil {
-		t.Fatal("NaN weights accepted")
-	}
-	w[0] = math.Inf(-1)
-	if err := eng.Restore(&Checkpoint{Seed: 42, Weights: w}); err == nil {
-		t.Fatal("Inf weights accepted")
-	}
-}

@@ -136,7 +136,8 @@ func BenchmarkTieredAsyncCohort(b *testing.B) {
 		tiers[i*5/n] = append(tiers[i*5/n], i)
 	}
 	cfg := flcore.TieredAsyncConfig{
-		Duration: 60, ClientsPerRound: 5, Seed: 7,
+		CommitterConfig: flcore.CommitterConfig{ClientsPerRound: 5, Seed: 7},
+		Duration:        60,
 		Model: func(rng *rand.Rand) *nn.Model {
 			return nn.NewMLP(rng, train.Dim(), []int{32}, 10, 0)
 		},

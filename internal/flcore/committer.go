@@ -3,6 +3,8 @@ package flcore
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/compress"
 )
 
 // Committer is the FedAT server update, once. It owns everything a
@@ -34,16 +36,77 @@ type Committer struct {
 	uplink, downlink    int64
 }
 
-// CommitterConfig is the protocol half of a tiered-asynchronous config:
-// the fields flcore.TieredAsyncConfig and flnet.TieredAsyncConfig both
-// carry, with the meaning documented there.
+// CommitterConfig is the spec of a tiered-asynchronous run: the fields that
+// must be equal for the simulation (TieredAsyncConfig), the flat socket
+// runtime and the tree (flnet.TieredAsyncConfig) to produce the same run.
+// Both configs embed it; what only one runtime reads — the budget, the
+// codec, the transport — stays on that runtime's config.
 type CommitterConfig struct {
-	Alpha, StalenessExp float64
-	TierWeight          TierWeightFunc
-	ClientsPerRound     int
-	Seed                int64
-	Manager             TierManager
-	CheckpointEvery     int
+	// ClientsPerRound is |C| within each tier's synchronous mini-round.
+	ClientsPerRound int
+	// Alpha is the base server mixing rate per committed tier round, in
+	// [0,1] (0 = the default 0.6, matching the async baseline's per-update
+	// rate).
+	Alpha float64
+	// StalenessExp is the staleness discount exponent a in
+	// (staleness+1)^(−a) (0 = the default 0.5, matching the async baseline).
+	StalenessExp float64
+	// TierWeight supplies the cross-tier commit weight; nil means neutral
+	// for every tier (core.FedATWeights gives FedAT's
+	// slower-tier-favoring policy).
+	TierWeight TierWeightFunc
+	// Seed keys every random stream — model init, per-tier cohort
+	// selection (TierCohort), and per-client local training.
+	Seed int64
+	// Manager, if set, makes tiering live: every committed tier round's
+	// observed client latencies are fed to it, cohorts are drawn through it
+	// (Algorithm-2 adaptive selection when enabled) instead of the static
+	// TierCohort draw, and at its rebuild points clients migrate between
+	// the running tier loops — in-flight rounds complete under the
+	// membership they were dispatched with. nil keeps the tiers frozen.
+	Manager TierManager
+	// CheckpointEvery, when positive, snapshots the run as a
+	// TieredCheckpoint every so many global commits and hands it to
+	// OnCheckpoint. A Manager used with checkpointing must implement
+	// TierManagerState.
+	CheckpointEvery int
+	// OnCheckpoint receives each periodic snapshot (see CheckpointEvery);
+	// over sockets it runs after the snapshot was persisted.
+	OnCheckpoint func(c *TieredCheckpoint)
+	// Downlink, if set, delta-compresses the broadcast direction: each tier
+	// keeps a compress.Chain advanced once per tier round, clients whose
+	// last participation matches the chain's base receive (and are charged)
+	// the shared delta payload, and everyone else (first contact,
+	// migration, resume) a dense snapshot. Chain state is a pure function
+	// of the broadcast sequence, so the simulation and the socket runtime
+	// report identical DownlinkBytes on the same seed. With a nil Codec the
+	// delta is the lossless XOR stream and the run is byte-identical to a
+	// dense one; a lossy codec keeps a per-tier error-feedback residual.
+	// nil keeps dense broadcasts.
+	Downlink *compress.Downlink
+}
+
+// Validate checks the spec's protocol fields: a positive cohort size, a
+// mixing rate in [0,1], a non-negative staleness exponent (NaN fails both),
+// a non-negative checkpoint cadence, and a Manager that can checkpoint its
+// state whenever the run checkpoints.
+func (c CommitterConfig) Validate() error {
+	switch {
+	case c.ClientsPerRound <= 0:
+		return fmt.Errorf("flcore: ClientsPerRound = %d", c.ClientsPerRound)
+	case !(c.Alpha >= 0 && c.Alpha <= 1):
+		return fmt.Errorf("flcore: Alpha = %v outside [0,1]", c.Alpha)
+	case !(c.StalenessExp >= 0):
+		return fmt.Errorf("flcore: StalenessExp = %v is negative or NaN", c.StalenessExp)
+	case c.CheckpointEvery < 0:
+		return fmt.Errorf("flcore: CheckpointEvery = %d", c.CheckpointEvery)
+	}
+	if c.CheckpointEvery > 0 && c.Manager != nil {
+		if _, ok := c.Manager.(TierManagerState); !ok {
+			return fmt.Errorf("flcore: CheckpointEvery set but Manager %T does not implement TierManagerState", c.Manager)
+		}
+	}
+	return nil
 }
 
 // Observation is one client's observed round cost, fed to the tiering

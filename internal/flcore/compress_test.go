@@ -84,8 +84,9 @@ func TestTieredAsyncCompressed(t *testing.T) {
 	mk := func(codec compress.Codec) TieredAsyncConfig {
 		base := commTestConfig(1, codec)
 		return TieredAsyncConfig{
-			Duration: 120, ClientsPerRound: 2, Seed: base.Seed,
-			Model: base.Model, Optimizer: base.Optimizer, Latency: base.Latency,
+			CommitterConfig: CommitterConfig{ClientsPerRound: 2, Seed: base.Seed},
+			Duration:        120,
+			Model:           base.Model, Optimizer: base.Optimizer, Latency: base.Latency,
 			Codec: codec,
 		}
 	}

@@ -148,10 +148,9 @@ type Engine struct {
 	Clients    []*Client
 	GlobalTest *dataset.Dataset
 
-	global    *nn.Model
-	weights   []float64
-	clock     simres.Clock
-	completed int // rounds finished so far (supports checkpoint/resume)
+	global  *nn.Model
+	weights []float64
+	clock   simres.Clock
 
 	// scratch holds one trainScratch per concurrently training goroutine:
 	// the workspace (pooled layer buffers), the cached model replica, and
@@ -345,12 +344,11 @@ func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []
 	return u
 }
 
-// Run executes the remaining federated rounds (all of Cfg.Rounds on a
-// fresh engine, or the tail after Restore) with the given selector and
-// returns the result history for the rounds it ran.
+// Run executes Cfg.Rounds federated rounds (fewer when TargetAccuracy is
+// reached) with the given selector and returns the result history.
 func (e *Engine) Run(sel Selector) *Result {
 	res := &Result{}
-	for r := e.completed; r < e.Cfg.Rounds; r++ {
+	for r := 0; r < e.Cfg.Rounds; r++ {
 		selected := sel.Select(r, SelectionRNG(e.Cfg.Seed, r))
 		if len(selected) == 0 {
 			panic(fmt.Sprintf("flcore: selector returned no clients in round %d", r))
@@ -385,17 +383,12 @@ func (e *Engine) Run(sel Selector) *Result {
 				return acc
 			})
 		}
-		e.completed = r + 1
 		if e.Cfg.TargetAccuracy > 0 && !math.IsNaN(rec.Acc) && rec.Acc >= e.Cfg.TargetAccuracy {
 			break // desired accuracy reached (Section 3.1 stop condition)
 		}
 	}
 	res.TotalTime = e.clock.Now()
 	res.Weights = append([]float64(nil), e.weights...)
-	if len(res.History) == 0 { // resumed past the final round
-		res.FinalAcc, res.FinalLoss = math.NaN(), math.NaN()
-		return res
-	}
 	final := res.History[len(res.History)-1]
 	res.FinalAcc, res.FinalLoss = final.Acc, final.Loss
 	return res

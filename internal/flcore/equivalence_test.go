@@ -85,8 +85,8 @@ func newEqFixture(t *testing.T, n int) *eqFixture {
 		fx.lat[i] = 1/cpu + float64(i)*1e-6
 	}
 	fx.cfg = flcore.TieredAsyncConfig{
-		Duration: 40, ClientsPerRound: 2,
-		EvalInterval: 15, Seed: 7, BatchSize: 10, LocalEpochs: 1,
+		CommitterConfig: flcore.CommitterConfig{ClientsPerRound: 2, Seed: 7},
+		Duration:        40, EvalInterval: 15, BatchSize: 10, LocalEpochs: 1,
 		Model: func(rng *rand.Rand) *nn.Model {
 			return nn.NewMLP(rng, train.Dim(), []int{8}, 10, 0)
 		},

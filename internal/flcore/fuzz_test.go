@@ -5,32 +5,6 @@ import (
 	"testing"
 )
 
-// FuzzDecodeCheckpoint exercises the checkpoint codec against arbitrary
-// bytes: never panic; accepted inputs must round-trip.
-func FuzzDecodeCheckpoint(f *testing.F) {
-	good, _ := (&Checkpoint{CompletedRounds: 2, SimTime: 3.5, Weights: []float64{1, 2}, Seed: 7}).Encode()
-	f.Add(good)
-	f.Add([]byte{})
-	f.Add([]byte("garbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeCheckpoint(data)
-		if err != nil {
-			return
-		}
-		re, err := c.Encode()
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		back, err := DecodeCheckpoint(re)
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if back.CompletedRounds != c.CompletedRounds || back.Seed != c.Seed || len(back.Weights) != len(c.Weights) {
-			t.Fatalf("round trip diverged: %+v vs %+v", back, c)
-		}
-	})
-}
-
 // FuzzDecodeTieredCheckpoint exercises the bytes a resume reads off disk:
 // DecodeTieredCheckpoint and then Validate — against the checkpoint's own
 // seed and weight count, with flnet's unbounded client IDs — never panic,

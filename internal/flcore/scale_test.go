@@ -218,8 +218,8 @@ func TestLazyEngineMemoryBounded(t *testing.T) {
 	const n = 100_000
 	src := NewLazyClients(n, syntheticFactory(11, n, 8))
 	cfg := TieredAsyncConfig{
-		Duration: 8, ClientsPerRound: 4, Seed: 11,
-		BatchSize: 8, LocalEpochs: 1,
+		CommitterConfig: CommitterConfig{ClientsPerRound: 4, Seed: 11},
+		Duration:        8, BatchSize: 8, LocalEpochs: 1,
 		Model: func(rng *rand.Rand) *nn.Model {
 			return nn.NewMLP(rng, dataset.MNISTLike.Dim, []int{8}, 10, 0)
 		},

@@ -110,19 +110,12 @@ type TierWeightFunc func(tier int, commits []int) float64
 // Manager, TierWeight, OnCommit and OnCheckpoint are only ever called from
 // the goroutine that called Run.
 type TieredAsyncConfig struct {
+	// CommitterConfig is the run's protocol spec, shared with the socket
+	// runtime (flnet.TieredAsyncConfig); Downlink charges the simulated
+	// broadcasts exactly as the sockets send them.
+	CommitterConfig
 	// Duration is the simulated training time budget in seconds.
 	Duration float64
-	// ClientsPerRound is |C| within each tier's synchronous round.
-	ClientsPerRound int
-	// Alpha is the base server mixing rate per committed tier round
-	// (default 0.6, matching the async baseline's per-update rate).
-	Alpha float64
-	// StalenessExp is the staleness discount exponent a in
-	// (staleness+1)^(−a) (default 0.5, matching the async baseline).
-	StalenessExp float64
-	// TierWeight supplies the slower-tier-favoring cross-tier weight;
-	// nil means uniform (see core.FedATWeights for the FedAT policy).
-	TierWeight TierWeightFunc
 	// EvalInterval evaluates the global model every so many simulated
 	// seconds (0 = only at the end).
 	EvalInterval float64
@@ -132,9 +125,6 @@ type TieredAsyncConfig struct {
 	// LocalEpochs is the local epochs per selected client per tier round
 	// (default 1).
 	LocalEpochs int
-	// Seed keys every random stream — model init, per-tier cohort
-	// selection, and per-client local training.
-	Seed int64
 	// Model builds a fresh model replica (see ModelFactory).
 	Model ModelFactory
 	// Optimizer receives the committing tier's LOCAL round index: each
@@ -159,24 +149,6 @@ type TieredAsyncConfig struct {
 	// compression FedAT motivates: slow tiers stop paying a dense model
 	// transfer per commit.
 	Codec compress.Codec
-	// Downlink, if set, delta-compresses the broadcast direction: each
-	// tier keeps a compress.Chain advanced once per tier round, clients
-	// whose last participation matches the chain's base are charged the
-	// shared delta payload, and everyone else (first contact, migration,
-	// resume) is charged a dense snapshot. Chain state is a pure function
-	// of the broadcast sequence, so the socket runtime
-	// (flnet.TieredAsyncAggregator) configured with the same spec reports
-	// identical DownlinkBytes on the same seed. nil keeps dense
-	// broadcasts.
-	Downlink *compress.Downlink
-	// Manager, if set, makes tiering live: every committed tier round's
-	// observed client latencies are fed to it, and at its rebuild points
-	// clients migrate between the running tier loops (the engine swaps its
-	// membership view; in-flight rounds complete under the membership they
-	// were dispatched with). Cohorts are then drawn through the Manager
-	// (Algorithm-2 adaptive selection when enabled) instead of the static
-	// TierCohort draw. nil keeps the tiers frozen as constructed.
-	Manager TierManager
 	// ChurnRate, when positive, flaps each drawn cohort member out of its
 	// round with this probability: a deterministic coin keyed on
 	// (ChurnSeed, tier, tier round, client) models the worker being
@@ -191,13 +163,6 @@ type TieredAsyncConfig struct {
 	// (0 = derive from Seed), so the same run can be replayed under a
 	// different churn pattern without touching model randomness.
 	ChurnSeed int64
-	// CheckpointEvery, when positive, snapshots the engine every so many
-	// global commits and hands the checkpoint to OnCheckpoint. A Manager
-	// used with checkpointing must implement TierManagerState.
-	CheckpointEvery int
-	// OnCheckpoint receives each periodic snapshot (see CheckpointEvery);
-	// typical handlers call TieredCheckpoint.SaveFile.
-	OnCheckpoint func(c *TieredCheckpoint)
 }
 
 func (c *TieredAsyncConfig) withDefaults() {
@@ -357,7 +322,10 @@ func NewTieredAsyncEngine(cfg TieredAsyncConfig, tiers [][]int, clients []*Clien
 // the population.
 func NewTieredAsyncEngineFrom(cfg TieredAsyncConfig, tiers [][]int, src ClientSource, test *dataset.Dataset) *TieredAsyncEngine {
 	cfg.withDefaults()
-	if cfg.Duration <= 0 || cfg.ClientsPerRound <= 0 || cfg.Model == nil || cfg.Optimizer == nil {
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
+	if cfg.Duration <= 0 || cfg.Model == nil || cfg.Optimizer == nil {
 		panic(fmt.Sprintf("flcore: invalid TieredAsyncConfig %+v", cfg))
 	}
 	if src == nil {
@@ -391,11 +359,6 @@ func NewTieredAsyncEngineFrom(cfg TieredAsyncConfig, tiers [][]int, src ClientSo
 			seen[ci] = true
 		}
 	}
-	if cfg.CheckpointEvery > 0 && cfg.Manager != nil {
-		if _, ok := cfg.Manager.(TierManagerState); !ok {
-			panic("flcore: CheckpointEvery set but the TierManager does not implement TierManagerState")
-		}
-	}
 	global := cfg.Model(rand.New(rand.NewSource(cfg.Seed)))
 	var clients []*Client
 	if eager, ok := src.(*EagerClients); ok {
@@ -415,16 +378,12 @@ func NewTieredAsyncEngineFrom(cfg TieredAsyncConfig, tiers [][]int, src ClientSo
 		Parallel: true,
 	}
 	e := &TieredAsyncEngine{
-		Cfg:     cfg,
-		Clients: clients,
-		Test:    test,
-		src:     src,
-		eng:     &Engine{Cfg: syncCfg, Clients: clients, global: global},
-		com: NewCommitter(CommitterConfig{
-			Alpha: cfg.Alpha, StalenessExp: cfg.StalenessExp, TierWeight: cfg.TierWeight,
-			ClientsPerRound: cfg.ClientsPerRound, Seed: cfg.Seed, Manager: cfg.Manager,
-			CheckpointEvery: cfg.CheckpointEvery,
-		}, tiers, global.WeightsVector()),
+		Cfg:      cfg,
+		Clients:  clients,
+		Test:     test,
+		src:      src,
+		eng:      &Engine{Cfg: syncCfg, Clients: clients, global: global},
+		com:      NewCommitter(cfg.CommitterConfig, tiers, global.WeightsVector()),
 		nextEval: cfg.EvalInterval,
 	}
 	e.resetDownlink()

@@ -45,8 +45,8 @@ func liveFixture(t *testing.T, driftAfter int) ([]*flcore.Client, *dataset.Datas
 		}
 	}
 	cfg := flcore.TieredAsyncConfig{
-		Duration: 240, ClientsPerRound: 2,
-		EvalInterval: 60, Seed: 7, BatchSize: 10, LocalEpochs: 1,
+		CommitterConfig: flcore.CommitterConfig{ClientsPerRound: 2, Seed: 7},
+		Duration:        240, EvalInterval: 60, BatchSize: 10, LocalEpochs: 1,
 		Model: func(rng *rand.Rand) *nn.Model {
 			return nn.NewMLP(rng, train.Dim(), []int{8}, 10, 0)
 		},

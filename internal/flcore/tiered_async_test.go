@@ -26,8 +26,8 @@ func tieredFixture(t *testing.T, nClients int) ([]*Client, [][]int, *dataset.Dat
 		tiers[i/per] = append(tiers[i/per], i)
 	}
 	cfg := TieredAsyncConfig{
-		Duration: 120, ClientsPerRound: 2,
-		EvalInterval: 40, Seed: 7, BatchSize: 10, LocalEpochs: 1,
+		CommitterConfig: CommitterConfig{ClientsPerRound: 2, Seed: 7},
+		Duration:        120, EvalInterval: 40, BatchSize: 10, LocalEpochs: 1,
 		Model: func(rng *rand.Rand) *nn.Model {
 			return nn.NewMLP(rng, train.Dim(), []int{8}, 10, 0)
 		},

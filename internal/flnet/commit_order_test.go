@@ -42,10 +42,7 @@ func stubFleet(t *testing.T, agg *TieredAsyncAggregator, ids ...int) func() {
 // its own previous commit.
 func TestTieredAsyncNetSingleTierNeverStale(t *testing.T) {
 	const commits = 300
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: commits, ClientsPerRound: 2,
-		RoundTimeout: 10 * time.Second, InitialWeights: make([]float64, 100), Seed: 1,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(commits, 2, 1, 10*time.Second, make([]float64, 100)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +79,7 @@ func TestTieredAsyncNetSingleTierNeverStale(t *testing.T) {
 func TestTieredAsyncNetStalenessIsCommitsSinceOwnPull(t *testing.T) {
 	const commits = 300
 	tiers := [][]int{{0, 1}, {2, 3}, {4}}
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: commits, ClientsPerRound: 2,
-		RoundTimeout: 10 * time.Second, InitialWeights: make([]float64, 100), Seed: 1,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(commits, 2, 1, 10*time.Second, make([]float64, 100)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,10 +127,7 @@ func TestCompressedTieredAsyncLoopback(t *testing.T) {
 	// with a sane model.
 	const n = 200
 	codec := compress.NewInt8(64)
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 8, ClientsPerRound: 2,
-		RoundTimeout: 10 * time.Second, InitialWeights: initVec(n), Seed: 14,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(8, 2, 14, 10*time.Second, initVec(n)))
 	if err != nil {
 		t.Fatal(err)
 	}

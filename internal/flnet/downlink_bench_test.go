@@ -41,11 +41,9 @@ func BenchmarkDownlinkBroadcast(b *testing.B) {
 		return dl
 	}
 	cfg := func(dl *compress.Downlink) TieredAsyncConfig {
-		return TieredAsyncConfig{
-			GlobalCommits: commits, ClientsPerRound: perTier,
-			RoundTimeout: 10 * time.Second, InitialWeights: weights, Seed: 1,
-			Downlink: dl,
-		}
+		c := tieredConfig(commits, perTier, 1, 10*time.Second, weights)
+		c.Downlink = dl
+		return c
 	}
 	checkRun := func(b *testing.B, res *TieredAsyncRunResult, err error) {
 		b.Helper()
@@ -95,7 +93,7 @@ func BenchmarkDownlinkBroadcast(b *testing.B) {
 				for t, members := range tiers {
 					ch, err := NewChild(ChildConfig{
 						ID: t, RootAddr: root.Addr(), Workers: len(members),
-						RoundTimeout: 10 * time.Second, Downlink: dl,
+						FanInConfig: FanInConfig{RoundTimeout: 10 * time.Second}, Downlink: dl,
 					})
 					if err != nil {
 						b.Fatal(err)

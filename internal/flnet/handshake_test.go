@@ -81,9 +81,7 @@ func TestHandshakeRefusesOtherVersions(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			reg := tc.reg
-			agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-				GlobalCommits: 1, ClientsPerRound: 1, InitialWeights: []float64{0}, Seed: 1,
-			})
+			agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(1, 1, 1, 0, []float64{0}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,13 +2,11 @@ package flnet
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/faultnet"
-	"repro/internal/flcore"
 )
 
 // TestWorkerReconnectResumesRun is the basic self-healing path: a worker
@@ -19,11 +17,9 @@ import (
 // worker's row returns to "connected", and its tier's live-member
 // fraction recovers to 1.
 func TestWorkerReconnectResumesRun(t *testing.T) {
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 14, ClientsPerRound: 2,
-		RoundTimeout: 10 * time.Second, InitialWeights: []float64{0, 0}, Seed: 3,
-		MaxRetries: 2, RejoinWait: 5 * time.Second,
-	})
+	rootCfg := tieredConfig(14, 2, 3, 10*time.Second, []float64{0, 0})
+	rootCfg.MaxRetries, rootCfg.RejoinWait = 2, 5*time.Second
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", rootCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,49 +160,25 @@ func TestChaosReconnectAccuracyBand(t *testing.T) {
 		commits = 9
 	}
 	clients, tiers, test, cfg := netFixture(t, 0)
-	init := cfg.Model(rand.New(rand.NewSource(cfg.Seed))).WeightsVector()
-	eng := flcore.NewEngine(flcore.Config{
-		Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
-		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
-		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
-	}, clients, nil)
-	evalAcc := func(weights []float64) float64 {
-		model := cfg.Model(rand.New(rand.NewSource(cfg.Seed)))
-		model.SetWeightsVector(weights)
-		acc, _ := model.Evaluate(test.InputTensor(), test.Y, cfg.EvalBatch)
-		return acc
-	}
-	taCfg := func() TieredAsyncConfig {
-		return TieredAsyncConfig{
-			GlobalCommits: commits, ClientsPerRound: cfg.ClientsPerRound,
-			RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-			MaxRetries: 2, RejoinWait: 5 * time.Second, SendTimeout: 20 * time.Second,
-		}
-	}
+	worker := workerEngine(cfg, clients)
+	root := rootConfig(cfg, commits)
+	root.MaxRetries, root.RejoinWait, root.SendTimeout = 2, 5*time.Second, 20*time.Second
 	// Pacing recreates the tier latency spread in real time (as in
 	// TestTieredAsyncNetTracksSimulation) and stretches the run far past
 	// the reconnect backoff horizon, so cut workers rejoin mid-run.
 	pacing := []time.Duration{5 * time.Millisecond, 9 * time.Millisecond, 25 * time.Millisecond}
 	runFleet := func(ft *faultnet.Transport) *TieredAsyncRunResult {
 		t.Helper()
-		agg, err := NewTieredAsyncAggregator("127.0.0.1:0", taCfg())
+		agg, err := NewTieredAsyncAggregator("127.0.0.1:0", root)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer agg.Close()
 		for ti, members := range tiers {
 			for _, ci := range members {
-				ci, ti := ci, ti
-				wc := WorkerConfig{
-					ClientID: ci, NumSamples: clients[ci].NumSamples(),
-					Reconnect: true, MaxReconnects: 50,
-					ReconnectBase: 5 * time.Millisecond, ReconnectMax: 50 * time.Millisecond,
-					Train: func(round int, weights []float64) ([]float64, int, error) {
-						time.Sleep(pacing[ti])
-						u := eng.TrainClient(round, ci, weights)
-						return u.Weights, u.NumSamples, nil
-					},
-				}
+				wc := paced(worker(ci), pacing[ti])
+				wc.Reconnect, wc.MaxReconnects = true, 50
+				wc.ReconnectBase, wc.ReconnectMax = 5*time.Millisecond, 50*time.Millisecond
 				if ft != nil {
 					wc.Dial = ft.Dial
 				}
@@ -244,7 +216,7 @@ func TestChaosReconnectAccuracyBand(t *testing.T) {
 				t.Fatalf("commit %d counted %d clients, cohort size is %d", i, rec.Clients, cfg.ClientsPerRound)
 			}
 		}
-		return evalAcc(res.Weights)
+		return accuracy(cfg, test, res.Weights)
 	}
 
 	cleanAcc := check(runFleet(nil))
@@ -287,23 +259,16 @@ func TestTreeChildRevival(t *testing.T) {
 	// (death detection + leaf reconnects + child respawn, ~100ms).
 	pacing := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
 	clients, tiers, test, cfg := netFixture(t, 0)
-	init := cfg.Model(rand.New(rand.NewSource(cfg.Seed))).WeightsVector()
-	eng := flcore.NewEngine(flcore.Config{
-		Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
-		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
-		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
-	}, clients, nil)
+	worker := workerEngine(cfg, clients)
 
-	root, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: commits, ClientsPerRound: cfg.ClientsPerRound,
-		RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-		RejoinWait: 10 * time.Second,
-	})
+	rootCfg := rootConfig(cfg, commits)
+	rootCfg.RejoinWait = 10 * time.Second
+	root, err := NewTieredAsyncAggregator("127.0.0.1:0", rootCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	children, _ := startChildren(t, root.Addr(), tiers)
+	children, _ := startChildren(t, root.Addr(), tiers, nil)
 
 	// A fast-tier leaf assassinates the slowest tier's child on its second
 	// round; the doomed tier's leaves then hammer the child's old address
@@ -313,20 +278,17 @@ func TestTreeChildRevival(t *testing.T) {
 	doomedAddr := doomed.Addr()
 	for ti, members := range tiers {
 		for _, ci := range members {
-			ci, fast, pace := ci, ti == 0, pacing[ti]
-			go RunWorker(children[ti].Addr(), WorkerConfig{ //nolint:errcheck // doomed-tier leaves see expected errors
-				ClientID: ci, NumSamples: clients[ci].NumSamples(),
-				Reconnect: true, MaxReconnects: 100,
-				ReconnectBase: 5 * time.Millisecond, ReconnectMax: 100 * time.Millisecond,
-				Train: func(round int, weights []float64) ([]float64, int, error) {
-					time.Sleep(pace)
-					if fast && round >= 1 {
-						kill.Do(doomed.Close)
-					}
-					u := eng.TrainClient(round, ci, weights)
-					return u.Weights, u.NumSamples, nil
-				},
-			})
+			wc, fast := paced(worker(ci), pacing[ti]), ti == 0
+			wc.Reconnect, wc.MaxReconnects = true, 100
+			wc.ReconnectBase, wc.ReconnectMax = 5*time.Millisecond, 100*time.Millisecond
+			train := wc.Train
+			wc.Train = func(round int, weights []float64) ([]float64, int, error) {
+				if fast && round >= 1 {
+					kill.Do(doomed.Close)
+				}
+				return train(round, weights)
+			}
+			go RunWorker(children[ti].Addr(), wc) //nolint:errcheck // doomed-tier leaves see expected errors
 		}
 	}
 	if err := root.WaitForChildren(len(tiers), 15*time.Second); err != nil {
@@ -368,7 +330,7 @@ func TestTreeChildRevival(t *testing.T) {
 
 	respawn, err := NewChild(ChildConfig{
 		ID: last, Addr: doomedAddr, RootAddr: root.Addr(),
-		Workers: len(tiers[last]), RoundTimeout: 20 * time.Second,
+		Workers: len(tiers[last]), FanInConfig: FanInConfig{RoundTimeout: 20 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -410,10 +372,7 @@ func TestTreeChildRevival(t *testing.T) {
 
 	// The revived model must stay inside the flat run's accuracy band —
 	// the same band TestTreeChildDeathDegrades holds the degraded run to.
-	flatAgg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: commits, ClientsPerRound: cfg.ClientsPerRound,
-		RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-	})
+	flatAgg, err := NewTieredAsyncAggregator("127.0.0.1:0", rootConfig(cfg, commits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,15 +380,7 @@ func TestTreeChildRevival(t *testing.T) {
 	var cfgs []WorkerConfig
 	for ti, members := range tiers {
 		for _, ci := range members {
-			ci, pace := ci, pacing[ti]
-			cfgs = append(cfgs, WorkerConfig{
-				ClientID: ci, NumSamples: clients[ci].NumSamples(),
-				Train: func(round int, weights []float64) ([]float64, int, error) {
-					time.Sleep(pace)
-					u := eng.TrainClient(round, ci, weights)
-					return u.Weights, u.NumSamples, nil
-				},
-			})
+			cfgs = append(cfgs, paced(worker(ci), pacing[ti]))
 		}
 	}
 	wait := startWorkers(t, flatAgg.Addr(), cfgs)
@@ -441,13 +392,7 @@ func TestTreeChildRevival(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait()
-	evalAcc := func(weights []float64) float64 {
-		model := cfg.Model(rand.New(rand.NewSource(cfg.Seed)))
-		model.SetWeightsVector(weights)
-		acc, _ := model.Evaluate(test.InputTensor(), test.Y, cfg.EvalBatch)
-		return acc
-	}
-	treeAcc, flatAcc := evalAcc(out.res.Weights), evalAcc(flat.Weights)
+	treeAcc, flatAcc := accuracy(cfg, test, out.res.Weights), accuracy(cfg, test, flat.Weights)
 	t.Logf("accuracy revived-tree=%.4f flat=%.4f", treeAcc, flatAcc)
 	if diff := math.Abs(treeAcc - flatAcc); diff > 0.2 {
 		t.Errorf("revived tree accuracy %.4f vs flat %.4f (diff %.4f > 0.2)", treeAcc, flatAcc, diff)
@@ -460,11 +405,9 @@ func TestTreeChildRevival(t *testing.T) {
 // run still drives to its commit target.
 func BenchmarkReconnectStorm(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-			GlobalCommits: 6, ClientsPerRound: 2,
-			RoundTimeout: 10 * time.Second, InitialWeights: []float64{0, 0}, Seed: 17,
-			MaxRetries: 2, RejoinWait: 5 * time.Second,
-		})
+		cfg := tieredConfig(6, 2, 17, 10*time.Second, []float64{0, 0})
+		cfg.MaxRetries, cfg.RejoinWait = 2, 5*time.Second
+		agg, err := NewTieredAsyncAggregator("127.0.0.1:0", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

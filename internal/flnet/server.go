@@ -517,7 +517,7 @@ func NewAggregator(addr string, cfg AggregatorConfig) (*Aggregator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Aggregator{server: srv, cfg: cfg, fan: &fanIn{srv: srv, obs: &obsState{}, timeout: cfg.RoundTimeout}}, nil
+	return &Aggregator{server: srv, cfg: cfg, fan: newFanIn(srv, &obsState{}, FanInConfig{RoundTimeout: cfg.RoundTimeout})}, nil
 }
 
 // UniformSelector is vanilla FL over the workers registered so far, as a

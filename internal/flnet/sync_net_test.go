@@ -22,8 +22,8 @@ import (
 // a different order each round (the delays rotate through the cohort).
 // Dense, and int8 with the codec on the worker side: the simulation's
 // clients and the workers then keep the same error-feedback residuals.
-// (TestDownlinkSimSocketByteAgreement's fixture carries no worker-side
-// codec; this one is TestCompressedTieredAsyncLoopback's.)
+// (TestRuntimesConform's int8 row runs the same codec on the tiered path;
+// this one is TestCompressedTieredAsyncLoopback's.)
 func TestSyncMatchesSimLockstep(t *testing.T) {
 	const rounds, perRound = 6, 3
 	for name, codec := range map[string]compress.Codec{"dense": nil, "int8": compress.NewInt8(64)} {

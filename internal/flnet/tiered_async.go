@@ -43,50 +43,35 @@ import (
 // the migrated clients up on their next round — and announces each
 // migration to the affected worker as a MsgTierReassign envelope.
 
-// TieredAsyncConfig configures a distributed tiered-asynchronous run.
+// TieredAsyncConfig configures a distributed tiered-asynchronous run — the
+// flat root's and the tree root's.
 type TieredAsyncConfig struct {
+	// CommitterConfig is the run's protocol spec, shared with the
+	// simulation (flcore.TieredAsyncConfig): a flat or tree run whose
+	// commits apply in the sim's order is bit-identical to it. Over
+	// sockets Downlink is what each tier loop (and, on the tree, each
+	// root→child pull) sends; a Manager is typically an
+	// internal/tiering.Manager built from ProfileWorkers measurements (see
+	// SetManager), and the tree rejects one.
+	flcore.CommitterConfig
+	// FanInConfig is how each tier loop waits for its cohort. Its
+	// RejoinWait doubles as the tier loops' grace window — a tier whose
+	// members are all momentarily dead waits this long for a rejoin before
+	// declaring itself stopped — and a tree root whose last child died
+	// waits this long for a respawn.
+	FanInConfig
 	// GlobalCommits is the total number of tier-round commits to apply to
 	// the global model before finishing — the distributed analogue of the
 	// simulated engine's Duration budget.
 	GlobalCommits int
-	// ClientsPerRound is |C| within each tier's synchronous mini-round.
-	ClientsPerRound int
-	// Alpha is the base server mixing rate per committed tier round
-	// (default 0.6, matching flcore.TieredAsyncConfig).
-	Alpha float64
-	// StalenessExp is the staleness discount exponent a in
-	// (staleness+1)^(−a) (default 0.5, matching flcore.TieredAsyncConfig).
-	StalenessExp float64
-	// TierWeight supplies the cross-tier commit weight; nil means neutral
-	// for every tier (core.FedATWeights gives FedAT's
-	// slower-tier-favoring policy).
-	TierWeight flcore.TierWeightFunc
-	// RoundTimeout bounds how long a tier waits for its cohort's updates
-	// each mini-round; 0 means wait indefinitely.
-	RoundTimeout time.Duration
 	// InitialWeights is the starting global model.
 	InitialWeights []float64
-	// Seed keys per-tier cohort selection (flcore.TierCohort).
-	Seed int64
-	// Manager, if set, makes tiering live (see the package comment above):
-	// commit latencies feed it, cohorts are drawn through it, and its
-	// rebuild points migrate workers between the running tier loops.
-	// Typically an internal/tiering.Manager built from ProfileWorkers
-	// measurements (see SetManager for the profile-then-run flow).
-	Manager flcore.TierManager
-	// CheckpointEvery, when positive, snapshots the run every so many
-	// applied commits as a flcore.TieredCheckpoint: written atomically to
-	// CheckpointPath (when set) and handed to OnCheckpoint (when set). At
-	// least one of the two must be configured. A Manager used with
-	// checkpointing must implement flcore.TierManagerState. A failed
-	// checkpoint write fails the run — crash-safety silently gone is worse
-	// than a loud stop.
-	CheckpointEvery int
-	// CheckpointPath is the durable snapshot file (see CheckpointEvery);
-	// the previous snapshot is kept at CheckpointPath+".prev".
+	// CheckpointPath is the durable snapshot file written atomically every
+	// CheckpointEvery commits; the previous snapshot is kept at
+	// CheckpointPath+".prev". Checkpointing needs CheckpointPath,
+	// OnCheckpoint or both, and a failed checkpoint write fails the run —
+	// crash-safety silently gone is worse than a loud stop.
 	CheckpointPath string
-	// OnCheckpoint observes every periodic snapshot after it was persisted.
-	OnCheckpoint func(c *flcore.TieredCheckpoint)
 	// MetricsAddr, when set (e.g. "127.0.0.1:9090" or ":0"), serves the
 	// live observability endpoint: GET /metrics returns a MetricsSnapshot
 	// as JSON, GET /healthz returns 200. Empty disables the endpoint.
@@ -99,67 +84,69 @@ type TieredAsyncConfig struct {
 	// differ. nil disables renegotiation: every worker keeps its handshake
 	// codec.
 	ReassignCodec func(tier, numTiers int) string
+	// SendTimeout bounds every per-worker send with a write deadline; 0 =
+	// block forever (the historical behaviour).
+	SendTimeout time.Duration
+}
+
+func (c TieredAsyncConfig) validate() error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if err := c.FanInConfig.validate(); err != nil {
+		return err
+	}
+	switch {
+	case c.GlobalCommits <= 0:
+		return fmt.Errorf("flnet: GlobalCommits = %d", c.GlobalCommits)
+	case len(c.InitialWeights) == 0:
+		return fmt.Errorf("flnet: InitialWeights empty")
+	case c.CheckpointEvery > 0 && c.CheckpointPath == "" && c.OnCheckpoint == nil:
+		return fmt.Errorf("flnet: CheckpointEvery set but neither CheckpointPath nor OnCheckpoint is")
+	}
+	return nil
+}
+
+// FanInConfig is how a tier round's fan-in waits for its cohort, declared
+// once for the flat root's tier loops and a tree child's leaf rounds.
+type FanInConfig struct {
+	// RoundTimeout bounds each mini-round collection window; 0 waits
+	// indefinitely.
+	RoundTimeout time.Duration
 	// MaxRetries bounds per-request redispatches after a cohort member's
-	// connection drops mid-round: the tier loop waits up to RejoinWait for
+	// connection drops mid-round: the fan-in waits up to RejoinWait for
 	// the member to re-register (workers running with Reconnect do so
 	// automatically) and re-sends the round's request on the fresh
 	// connection under the SAME Train.Seq token — the pending waiter moves
 	// with it, so whichever connection replies first wins and the other
 	// reply finds no waiter: a retried round can never double-count an
-	// update. 0 disables redispatch (the historical drop-the-member
-	// behaviour).
+	// update. 0 disables redispatch (dead members are skipped).
 	MaxRetries int
 	// RejoinWait bounds how long a redispatch waits for the dead worker to
 	// re-register before giving the member up for the round (default 2s
-	// when MaxRetries > 0). It doubles as the tier loops' grace window: a
-	// tier whose members are all momentarily dead waits this long for a
-	// rejoin before declaring itself stopped, and a tree root whose last
-	// child died waits this long for a respawn.
+	// when MaxRetries > 0).
 	RejoinWait time.Duration
-	// SendTimeout bounds every per-worker send with a write deadline; 0 =
-	// block forever (the historical behaviour).
-	SendTimeout time.Duration
-	// Downlink enables the version-acked delta broadcast: each tier's
-	// aggregator loop keeps one delta chain (compress.Downlink.NewChain),
-	// encodes the round's snapshot against the chain's base exactly once,
-	// and sends the shared payload to every cohort member whose last acked
-	// broadcast matches that base — everyone else (first contact, a missed
-	// round, a migrated worker, a resume) receives the dense snapshot and
-	// adopts it as its new base. With a nil Codec the delta is the lossless
-	// XOR stream and the run is byte-identical to a dense one; with a lossy
-	// codec the chain keeps a server-side error-feedback residual per tier.
-	// nil keeps the dense broadcast everywhere.
-	Downlink *compress.Downlink
 }
 
-func (c *TieredAsyncConfig) withDefaults() {
-	if c.MaxRetries > 0 && c.RejoinWait == 0 {
-		c.RejoinWait = 2 * time.Second
-	}
-}
-
-func (c TieredAsyncConfig) validate() error {
+func (c FanInConfig) validate() error {
 	switch {
-	case c.GlobalCommits <= 0:
-		return fmt.Errorf("flnet: GlobalCommits = %d", c.GlobalCommits)
-	case c.ClientsPerRound <= 0:
-		return fmt.Errorf("flnet: ClientsPerRound = %d", c.ClientsPerRound)
-	case len(c.InitialWeights) == 0:
-		return fmt.Errorf("flnet: InitialWeights empty")
-	case c.Alpha < 0 || c.Alpha > 1:
-		return fmt.Errorf("flnet: Alpha = %v", c.Alpha)
-	case c.StalenessExp < 0:
-		return fmt.Errorf("flnet: StalenessExp = %v", c.StalenessExp)
+	case c.RoundTimeout < 0:
+		return fmt.Errorf("flnet: RoundTimeout = %v", c.RoundTimeout)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("flnet: MaxRetries = %d", c.MaxRetries)
 	case c.RejoinWait < 0:
 		return fmt.Errorf("flnet: RejoinWait = %v", c.RejoinWait)
-	case c.CheckpointEvery < 0:
-		return fmt.Errorf("flnet: CheckpointEvery = %d", c.CheckpointEvery)
-	case c.CheckpointEvery > 0 && c.CheckpointPath == "" && c.OnCheckpoint == nil:
-		return fmt.Errorf("flnet: CheckpointEvery set but neither CheckpointPath nor OnCheckpoint is")
 	}
 	return nil
+}
+
+// newFanIn builds the fan-in over srv that waits per c (already
+// validated), with RejoinWait's default filled in.
+func newFanIn(srv *server, obs *obsState, c FanInConfig) *fanIn {
+	if c.MaxRetries > 0 && c.RejoinWait == 0 {
+		c.RejoinWait = 2 * time.Second
+	}
+	return &fanIn{srv: srv, obs: obs, FanInConfig: c}
 }
 
 // TierCommitStats records one applied commit, in commit order — the network
@@ -236,7 +223,6 @@ type TieredAsyncAggregator struct {
 
 // NewTieredAsyncAggregator listens on addr (e.g. "127.0.0.1:0").
 func NewTieredAsyncAggregator(addr string, cfg TieredAsyncConfig) (*TieredAsyncAggregator, error) {
-	cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -248,7 +234,7 @@ func NewTieredAsyncAggregator(addr string, cfg TieredAsyncConfig) (*TieredAsyncA
 	ta := &TieredAsyncAggregator{
 		server: srv,
 		tcfg:   cfg,
-		fan:    &fanIn{srv: srv, obs: obs, timeout: cfg.RoundTimeout, retries: cfg.MaxRetries, rejoinWait: cfg.RejoinWait},
+		fan:    newFanIn(srv, obs, cfg.FanInConfig),
 		obs:    obs,
 	}
 	ta.publishTiers(nil)
@@ -347,11 +333,7 @@ func (ta *TieredAsyncAggregator) ResumeModel(c *flcore.TieredCheckpoint) error {
 // newCommitter builds the run's Committer over tiers and, on a resumed
 // run, loads the checkpoint Resume validated into it.
 func (ta *TieredAsyncAggregator) newCommitter(tiers [][]int) (*flcore.Committer, error) {
-	com := flcore.NewCommitter(flcore.CommitterConfig{
-		Alpha: ta.tcfg.Alpha, StalenessExp: ta.tcfg.StalenessExp, TierWeight: ta.tcfg.TierWeight,
-		ClientsPerRound: ta.tcfg.ClientsPerRound, Seed: ta.tcfg.Seed, Manager: ta.tcfg.Manager,
-		CheckpointEvery: ta.tcfg.CheckpointEvery,
-	}, tiers, append([]float64(nil), ta.tcfg.InitialWeights...))
+	com := flcore.NewCommitter(ta.tcfg.CommitterConfig, tiers, append([]float64(nil), ta.tcfg.InitialWeights...))
 	if ta.resume != nil {
 		if err := com.Restore(ta.resume, ta.resumeModel); err != nil {
 			return nil, err
@@ -435,10 +417,10 @@ func (ta *TieredAsyncAggregator) writeCheckpoint(com *flcore.Committer) error {
 // a chance to heal instead of permanently exiting its loop. Zero
 // RejoinWait reports failure immediately (the historical behaviour).
 func (ta *TieredAsyncAggregator) waitTierAlive(t int, done <-chan struct{}) bool {
-	if ta.tcfg.RejoinWait <= 0 {
+	if ta.fan.RejoinWait <= 0 {
 		return false
 	}
-	deadline := time.Now().Add(ta.tcfg.RejoinWait)
+	deadline := time.Now().Add(ta.fan.RejoinWait)
 	for time.Now().Before(deadline) {
 		select {
 		case <-done:
@@ -471,16 +453,10 @@ func (ta *TieredAsyncAggregator) tierOf(id int) int {
 // hierarchical tree (tree.go). All get identical dispatch, seq routing,
 // disconnect tolerance, and aggregation-order semantics by construction.
 type fanIn struct {
-	srv     *server
-	obs     *obsState
-	timeout time.Duration // per-collection-window bound (0 = indefinite)
-	seq     atomic.Int64  // train-request token source (Train.Seq)
-	// retries bounds per-request redispatches after a cohort member's
-	// connection dies mid-round (TieredAsyncConfig.MaxRetries; 0 = none),
-	// and rejoinWait bounds how long each redispatch waits for the member
-	// to re-register.
-	retries    int
-	rejoinWait time.Duration
+	srv *server
+	obs *obsState
+	FanInConfig
+	seq atomic.Int64 // train-request token source (Train.Seq)
 	// vecs holds the vectors dense updates decode into: decodeUpdate draws
 	// one per update, recycle returns them once the aggregation has read
 	// them.
@@ -516,7 +492,7 @@ type timedUpdate struct {
 
 // trainReq is one outstanding train request of a tier round: the worker
 // connection it went to, its Train.Seq token, and the waiter the reply
-// echoing that token is routed to. A redispatch (bounded by fanIn.retries)
+// echoing that token is routed to. A redispatch (bounded by MaxRetries)
 // rebinds the request to the member's fresh connection under the same seq
 // token; mu guards the binding.
 type trainReq struct {
@@ -550,18 +526,18 @@ func (rq *trainReq) rebind(w *registered, ch chan *Envelope) {
 // the other reply finds no waiter — a retried round cannot double-count.
 // It reports whether the request was rebound.
 func (f *fanIn) redispatch(rq *trainReq, cr *cohortRound, deadline time.Time) bool {
-	if f.retries <= 0 {
+	if f.MaxRetries <= 0 {
 		return false
 	}
 	rq.mu.Lock()
-	if rq.attempts >= f.retries {
+	if rq.attempts >= f.MaxRetries {
 		rq.mu.Unlock()
 		return false
 	}
 	rq.attempts++
 	old := rq.w
 	rq.mu.Unlock()
-	until := time.Now().Add(f.rejoinWait)
+	until := time.Now().Add(f.RejoinWait)
 	if !deadline.IsZero() && deadline.Before(until) {
 		until = deadline
 	}
@@ -609,8 +585,8 @@ func (f *fanIn) collect(reqs []*trainReq, cr *cohortRound) []timedUpdate {
 	ch := make(chan got, len(reqs))
 	full := make(chan struct{}) // closed when the target is reached
 	var deadline time.Time
-	if f.timeout > 0 {
-		deadline = time.Now().Add(f.timeout)
+	if f.RoundTimeout > 0 {
+		deadline = time.Now().Add(f.RoundTimeout)
 	}
 	for _, rq := range reqs {
 		go func(rq *trainReq) {
@@ -1002,10 +978,9 @@ func (ta *TieredAsyncAggregator) Run(tiers [][]int) (*TieredAsyncRunResult, erro
 	if len(tiers) == 0 {
 		return nil, fmt.Errorf("flnet: tiered-async needs at least one tier")
 	}
-	if ta.tcfg.CheckpointEvery > 0 && ta.tcfg.Manager != nil {
-		if _, ok := ta.tcfg.Manager.(flcore.TierManagerState); !ok {
-			return nil, fmt.Errorf("flnet: CheckpointEvery set but Manager %T does not implement flcore.TierManagerState", ta.tcfg.Manager)
-		}
+	// Validated again: SetManager may have installed a Manager since.
+	if err := ta.tcfg.Validate(); err != nil {
+		return nil, err
 	}
 	// Worker IDs are whatever the fleet registered with: no upper bound.
 	if err := flcore.ValidateTiers(tiers, math.MaxInt); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,8 +32,8 @@ func netFixture(t *testing.T, duration float64) ([]*flcore.Client, [][]int, *dat
 		tiers[i/per] = append(tiers[i/per], i)
 	}
 	cfg := flcore.TieredAsyncConfig{
-		Duration: duration, ClientsPerRound: 2,
-		EvalInterval: duration, Seed: 7, BatchSize: 10, LocalEpochs: 1,
+		CommitterConfig: flcore.CommitterConfig{ClientsPerRound: 2, Seed: 7},
+		Duration:        duration, EvalInterval: duration, BatchSize: 10, LocalEpochs: 1,
 		Model: func(rng *rand.Rand) *nn.Model {
 			return nn.NewMLP(rng, train.Dim(), []int{8}, 10, 0)
 		},
@@ -41,6 +42,71 @@ func netFixture(t *testing.T, duration float64) ([]*flcore.Client, [][]int, *dat
 		EvalBatch: 64,
 	}
 	return clients, tiers, test, cfg
+}
+
+// rootConfig is the flat or tree root of a spec-built run: the spec's
+// CommitterConfig whole, commits commits from the spec's initial model,
+// each round collected within 20 s.
+func rootConfig(spec flcore.TieredAsyncConfig, commits int) TieredAsyncConfig {
+	return TieredAsyncConfig{
+		CommitterConfig: spec.CommitterConfig,
+		FanInConfig:     FanInConfig{RoundTimeout: 20 * time.Second},
+		GlobalCommits:   commits,
+		InitialWeights:  spec.Model(rand.New(rand.NewSource(spec.Seed))).WeightsVector(),
+	}
+}
+
+// tieredConfig is the root of a stub-fleet run: commits commits of
+// perRound-client cohorts from init, each round collected within timeout.
+func tieredConfig(commits, perRound int, seed int64, timeout time.Duration, init []float64) TieredAsyncConfig {
+	return TieredAsyncConfig{
+		CommitterConfig: flcore.CommitterConfig{ClientsPerRound: perRound, Seed: seed},
+		FanInConfig:     FanInConfig{RoundTimeout: timeout},
+		GlobalCommits:   commits, InitialWeights: init,
+	}
+}
+
+// workerEngine returns the builder of a spec-built fleet's workers: client
+// ci trains through the engine's deterministic per-client pass — the
+// simulation's own computation — and reports the pass's simulated latency
+// as its round time, so a live Manager hears what the simulation's hears.
+func workerEngine(spec flcore.TieredAsyncConfig, clients []*flcore.Client) func(ci int) WorkerConfig {
+	eng := flcore.NewEngine(flcore.Config{
+		Rounds: 1, ClientsPerRound: 1, LocalEpochs: spec.LocalEpochs,
+		BatchSize: spec.BatchSize, Seed: spec.Seed,
+		Model: spec.Model, Optimizer: spec.Optimizer, Latency: spec.Latency,
+	}, clients, nil)
+	return func(ci int) WorkerConfig {
+		var lat float64 // Train and ReportSeconds run on the worker's one goroutine
+		return WorkerConfig{
+			ClientID: ci, NumSamples: clients[ci].NumSamples(),
+			Train: func(round int, weights []float64) ([]float64, int, error) {
+				u := eng.TrainClient(round, ci, weights)
+				lat = u.Latency
+				return u.Weights, u.NumSamples, nil
+			},
+			ReportSeconds: func(int) float64 { return lat },
+		}
+	}
+}
+
+// paced delays every round of wc by d: a tier's real-time speed, for runs
+// that commit in arrival order.
+func paced(wc WorkerConfig, d time.Duration) WorkerConfig {
+	train := wc.Train
+	wc.Train = func(round int, weights []float64) ([]float64, int, error) {
+		time.Sleep(d)
+		return train(round, weights)
+	}
+	return wc
+}
+
+// accuracy evaluates weights on test under the spec's model.
+func accuracy(spec flcore.TieredAsyncConfig, test *dataset.Dataset, weights []float64) float64 {
+	model := spec.Model(rand.New(rand.NewSource(spec.Seed)))
+	model.SetWeightsVector(weights)
+	acc, _ := model.Evaluate(test.InputTensor(), test.Y, spec.EvalBatch)
+	return acc
 }
 
 // TestTieredAsyncNetTracksSimulation is the loopback acceptance test: the
@@ -62,44 +128,27 @@ func TestTieredAsyncNetTracksSimulation(t *testing.T) {
 		t.Fatal("simulation committed nothing")
 	}
 
-	init := cfg.Model(rand.New(rand.NewSource(cfg.Seed))).WeightsVector()
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: len(sim.TierRounds), ClientsPerRound: cfg.ClientsPerRound,
-		RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", rootConfig(cfg, len(sim.TierRounds)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer agg.Close()
 
-	// Workers run the exact local computation the simulation runs, via the
-	// engine's exported per-client trainer; a small per-tier delay recreates
-	// the latency spread (tier 0 fastest) in real time.
-	eng := flcore.NewEngine(flcore.Config{
-		Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
-		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
-		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
-	}, clients, nil)
 	// Delays proportional to the simulation's per-tier round times (commit
-	// rates ≈ 88:50:18 per 60 simulated seconds), so the real-time commit
-	// mix tracks the simulated one.
+	// rates ≈ 88:50:18 per 60 simulated seconds) recreate the latency spread
+	// in real time, so the real-time commit mix tracks the simulated one.
 	pacing := []time.Duration{5 * time.Millisecond, 9 * time.Millisecond, 25 * time.Millisecond}
+	worker := workerEngine(cfg, clients)
 	var assigned atomic.Int32
 	for ti, members := range tiers {
 		for _, ci := range members {
-			go RunWorker(agg.Addr(), WorkerConfig{ //nolint:errcheck
-				ClientID: ci, NumSamples: clients[ci].NumSamples(),
-				OnTierAssign: func(tier, numTiers int) {
-					if tier == ti && numTiers == len(tiers) {
-						assigned.Add(1)
-					}
-				},
-				Train: func(round int, weights []float64) ([]float64, int, error) {
-					time.Sleep(pacing[ti])
-					u := eng.TrainClient(round, ci, weights)
-					return u.Weights, u.NumSamples, nil
-				},
-			})
+			wc := paced(worker(ci), pacing[ti])
+			wc.OnTierAssign = func(tier, numTiers int) {
+				if tier == ti && numTiers == len(tiers) {
+					assigned.Add(1)
+				}
+			}
+			go RunWorker(agg.Addr(), wc) //nolint:errcheck
 		}
 	}
 	if err := agg.WaitForWorkers(len(clients), 10*time.Second); err != nil {
@@ -129,9 +178,7 @@ func TestTieredAsyncNetTracksSimulation(t *testing.T) {
 		}
 	}
 
-	model := cfg.Model(rand.New(rand.NewSource(cfg.Seed)))
-	model.SetWeightsVector(res.Weights)
-	netAcc, _ := model.Evaluate(test.InputTensor(), test.Y, cfg.EvalBatch)
+	netAcc := accuracy(cfg, test, res.Weights)
 	t.Logf("commits sim=%v net=%v; accuracy sim=%.4f net=%.4f", sim.Commits, res.Commits, sim.FinalAcc, netAcc)
 	if netAcc < 0.4 {
 		t.Fatalf("distributed final accuracy %.4f barely above chance", netAcc)
@@ -146,10 +193,7 @@ func TestTieredAsyncNetTracksSimulation(t *testing.T) {
 // and the job must still reach the full commit target.
 func TestTieredAsyncNetToleratesDisconnect(t *testing.T) {
 	init := []float64{0, 0}
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 18, ClientsPerRound: 2,
-		RoundTimeout: 5 * time.Second, InitialWeights: init, Seed: 3,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(18, 2, 3, 5*time.Second, init))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +254,7 @@ func TestTieredAsyncNetToleratesDisconnect(t *testing.T) {
 // tier loses all of its workers before the commit target, Run returns an
 // error instead of hanging.
 func TestTieredAsyncNetAllWorkersGone(t *testing.T) {
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 1000, ClientsPerRound: 2,
-		RoundTimeout: 2 * time.Second, InitialWeights: []float64{0}, Seed: 4,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(1000, 2, 4, 2*time.Second, []float64{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +284,7 @@ func TestTieredAsyncNetAllWorkersGone(t *testing.T) {
 // server-side tier construction from measured latencies, then the
 // tiered-async protocol over the built tiers.
 func TestTieredAsyncProfileAndRun(t *testing.T) {
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 8, ClientsPerRound: 2,
-		RoundTimeout: 5 * time.Second, InitialWeights: []float64{0}, Seed: 5,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(8, 2, 5, 5*time.Second, []float64{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,10 +332,7 @@ func TestTieredAsyncProfileAndRun(t *testing.T) {
 // stay valid across the extra collection windows) instead of being
 // perpetually one round behind with every late update discarded as stale.
 func TestTieredAsyncSlowTierOutlastsRoundTimeout(t *testing.T) {
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 3, ClientsPerRound: 1,
-		RoundTimeout: 150 * time.Millisecond, InitialWeights: []float64{0}, Seed: 9,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(3, 1, 9, 150*time.Millisecond, []float64{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,10 +358,7 @@ func TestTieredAsyncSlowTierOutlastsRoundTimeout(t *testing.T) {
 // profiling and Run: a tier member that registered but dropped before Run
 // must not fail the job — its tier keeps training with the survivors.
 func TestTieredAsyncToleratesDeadMemberAtStart(t *testing.T) {
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 4, ClientsPerRound: 1,
-		RoundTimeout: 2 * time.Second, InitialWeights: []float64{0}, Seed: 10,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(4, 1, 10, 2*time.Second, []float64{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +390,7 @@ func TestTieredAsyncToleratesDeadMemberAtStart(t *testing.T) {
 // at decode, so the tier's rounds come up empty until it gives up; the short
 // RoundTimeout only bounds those empty collection windows.
 func TestTieredAsyncMalformedCommitErrors(t *testing.T) {
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 5, ClientsPerRound: 1,
-		RoundTimeout: 200 * time.Millisecond, InitialWeights: []float64{0}, Seed: 8,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(5, 1, 8, 200*time.Millisecond, []float64{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,27 +419,66 @@ func TestTieredAsyncMalformedCommitErrors(t *testing.T) {
 	}
 }
 
+// TestTieredAsyncConfigValidation is the one validation's table: a bad
+// spec value is refused by the simulation (a panic) and the flat root, a bad
+// fan-in value by the flat root and a tree child, and every refusal names
+// the same field.
 func TestTieredAsyncConfigValidation(t *testing.T) {
-	bad := []TieredAsyncConfig{
-		{GlobalCommits: 0, ClientsPerRound: 1, InitialWeights: []float64{1}},
-		{GlobalCommits: 1, ClientsPerRound: 0, InitialWeights: []float64{1}},
-		{GlobalCommits: 1, ClientsPerRound: 1},
-		{GlobalCommits: 1, ClientsPerRound: 1, InitialWeights: []float64{1}, Alpha: -0.5},
-		{GlobalCommits: 1, ClientsPerRound: 1, InitialWeights: []float64{1}, Alpha: 1.5},
-		{GlobalCommits: 1, ClientsPerRound: 1, InitialWeights: []float64{1}, StalenessExp: -1},
-	}
-	for i, cfg := range bad {
-		if _, err := NewTieredAsyncAggregator("127.0.0.1:0", cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+	clients, tiers, _, spec := netFixture(t, 10)
+	noState := struct{ flcore.TierManager }{} // a Manager that cannot checkpoint its state
+	for _, row := range []struct {
+		field string
+		spec  func(*flcore.CommitterConfig)
+		fan   func(*FanInConfig)
+		root  func(*TieredAsyncConfig)
+	}{
+		{field: "ClientsPerRound", spec: func(c *flcore.CommitterConfig) { c.ClientsPerRound = 0 }},
+		{field: "Alpha", spec: func(c *flcore.CommitterConfig) { c.Alpha = -0.5 }},
+		{field: "Alpha", spec: func(c *flcore.CommitterConfig) { c.Alpha = 1.5 }},
+		{field: "Alpha", spec: func(c *flcore.CommitterConfig) { c.Alpha = math.NaN() }},
+		{field: "StalenessExp", spec: func(c *flcore.CommitterConfig) { c.StalenessExp = -1 }},
+		{field: "StalenessExp", spec: func(c *flcore.CommitterConfig) { c.StalenessExp = math.NaN() }},
+		{field: "CheckpointEvery", spec: func(c *flcore.CommitterConfig) { c.CheckpointEvery = -1 }},
+		{field: "TierManagerState", spec: func(c *flcore.CommitterConfig) { c.CheckpointEvery, c.Manager = 1, noState }},
+		{field: "RoundTimeout", fan: func(c *FanInConfig) { c.RoundTimeout = -1 }},
+		{field: "MaxRetries", fan: func(c *FanInConfig) { c.MaxRetries = -1 }},
+		{field: "RejoinWait", fan: func(c *FanInConfig) { c.MaxRetries, c.RejoinWait = 1, -1 }},
+		{field: "GlobalCommits", root: func(c *TieredAsyncConfig) { c.GlobalCommits = 0 }},
+		{field: "InitialWeights", root: func(c *TieredAsyncConfig) { c.InitialWeights = nil }},
+	} {
+		root := rootConfig(spec, 1)
+		if row.spec != nil {
+			sim := spec
+			row.spec(&sim.CommitterConfig)
+			row.spec(&root.CommitterConfig)
+			var msg string
+			func() {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				flcore.NewTieredAsyncEngine(sim, tiers, clients, nil)
+			}()
+			if !strings.Contains(msg, row.field) {
+				t.Errorf("%s: the simulation panicked with %q", row.field, msg)
+			}
+		}
+		if row.fan != nil {
+			row.fan(&root.FanInConfig)
+			child := ChildConfig{RootAddr: "127.0.0.1:1", Workers: 1}
+			row.fan(&child.FanInConfig)
+			if _, err := NewChild(child); err == nil || !strings.Contains(err.Error(), row.field) {
+				t.Errorf("%s: NewChild returned %v", row.field, err)
+			}
+		}
+		if row.root != nil {
+			row.root(&root)
+		}
+		if _, err := NewTieredAsyncAggregator("127.0.0.1:0", root); err == nil || !strings.Contains(err.Error(), row.field) {
+			t.Errorf("%s: NewTieredAsyncAggregator returned %v", row.field, err)
 		}
 	}
 }
 
 func TestTieredAsyncRunRejectsBadTiers(t *testing.T) {
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 1, ClientsPerRound: 1,
-		RoundTimeout: 2 * time.Second, InitialWeights: []float64{0}, Seed: 6,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(1, 1, 6, 2*time.Second, []float64{0}))
 	if err != nil {
 		t.Fatal(err)
 	}

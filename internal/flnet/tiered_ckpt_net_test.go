@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"math/rand"
 	"net/http"
 	"path/filepath"
 	"sync"
@@ -26,37 +25,16 @@ import (
 func TestTieredAsyncNetChaosKillResume(t *testing.T) {
 	const target = 48
 	clients, tiers, test, cfg := netFixture(t, 60)
-	init := cfg.Model(rand.New(rand.NewSource(cfg.Seed))).WeightsVector()
-	eng := flcore.NewEngine(flcore.Config{
-		Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
-		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
-		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
-	}, clients, nil)
+	worker := workerEngine(cfg, clients)
 	pacing := []time.Duration{5 * time.Millisecond, 9 * time.Millisecond, 25 * time.Millisecond}
 	launch := func(addr string) {
 		for ti, members := range tiers {
 			for _, ci := range members {
-				go RunWorker(addr, WorkerConfig{ //nolint:errcheck
-					ClientID: ci, NumSamples: clients[ci].NumSamples(),
-					Train: func(round int, weights []float64) ([]float64, int, error) {
-						time.Sleep(pacing[ti])
-						u := eng.TrainClient(round, ci, weights)
-						return u.Weights, u.NumSamples, nil
-					},
-				})
+				go RunWorker(addr, paced(worker(ci), pacing[ti])) //nolint:errcheck
 			}
 		}
 	}
-	accuracy := func(weights []float64) float64 {
-		model := cfg.Model(rand.New(rand.NewSource(cfg.Seed)))
-		model.SetWeightsVector(weights)
-		acc, _ := model.Evaluate(test.InputTensor(), test.Y, cfg.EvalBatch)
-		return acc
-	}
-	base := TieredAsyncConfig{
-		GlobalCommits: target, ClientsPerRound: cfg.ClientsPerRound,
-		RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-	}
+	base := rootConfig(cfg, target)
 
 	// Uninterrupted reference run.
 	ref, err := NewTieredAsyncAggregator("127.0.0.1:0", base)
@@ -72,7 +50,7 @@ func TestTieredAsyncNetChaosKillResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refAcc := accuracy(refRes.Weights)
+	refAcc := accuracy(cfg, test, refRes.Weights)
 
 	// Chaos run: checkpoint every 5 commits, kill the aggregator from
 	// inside the hook once past the halfway snapshot.
@@ -144,7 +122,7 @@ func TestTieredAsyncNetChaosKillResume(t *testing.T) {
 	if rres.UplinkBytes <= ckpt.UplinkBytes {
 		t.Fatalf("cumulative uplink %d did not grow past checkpointed %d", rres.UplinkBytes, ckpt.UplinkBytes)
 	}
-	resAcc := accuracy(rres.Weights)
+	resAcc := accuracy(cfg, test, rres.Weights)
 	t.Logf("crash at version %d; accuracy uninterrupted=%.4f resumed=%.4f", ckpt.Version, refAcc, resAcc)
 	if resAcc < 0.4 {
 		t.Fatalf("resumed final accuracy %.4f barely above chance", resAcc)
@@ -161,10 +139,7 @@ func TestTieredAsyncNetChaosKillResume(t *testing.T) {
 // the same absolute commit target.
 func TestTieredAsyncNetResumeRosterChanged(t *testing.T) {
 	const target = 12
-	base := TieredAsyncConfig{
-		GlobalCommits: target, ClientsPerRound: 2,
-		RoundTimeout: 2 * time.Second, InitialWeights: []float64{0, 0}, Seed: 11,
-	}
+	base := tieredConfig(target, 2, 11, 2*time.Second, []float64{0, 0})
 	first := base
 	var raw []byte
 	var once sync.Once
@@ -248,10 +223,7 @@ func TestTieredAsyncNetResumeValidation(t *testing.T) {
 			Tiers: [][]int{{0}, {1}},
 		}
 	}
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 10, ClientsPerRound: 1,
-		RoundTimeout: 2 * time.Second, InitialWeights: []float64{0}, Seed: 5,
-	})
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(10, 1, 5, 2*time.Second, []float64{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,10 +282,7 @@ func TestTieredAsyncNetResumeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	managed, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 10, ClientsPerRound: 1,
-		RoundTimeout: 2 * time.Second, InitialWeights: []float64{0}, Seed: 5,
-	})
+	managed, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(10, 1, 5, 2*time.Second, []float64{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,31 +309,27 @@ func TestTieredAsyncNetMetricsEndpoint(t *testing.T) {
 	var once sync.Once
 	var snap MetricsSnapshot
 	var healthy atomic.Bool
-	cfg := TieredAsyncConfig{
-		GlobalCommits: target, ClientsPerRound: 1,
-		RoundTimeout: 2 * time.Second, InitialWeights: []float64{0}, Seed: 12,
-		MetricsAddr:     "127.0.0.1:0",
-		CheckpointEvery: 2,
-		OnCheckpoint: func(c *flcore.TieredCheckpoint) {
-			if c.Version != target/2 {
+	cfg := tieredConfig(target, 1, 12, 2*time.Second, []float64{0})
+	cfg.MetricsAddr, cfg.CheckpointEvery = "127.0.0.1:0", 2
+	cfg.OnCheckpoint = func(c *flcore.TieredCheckpoint) {
+		if c.Version != target/2 {
+			return
+		}
+		once.Do(func() {
+			resp, err := http.Get("http://" + agg.MetricsAddr() + "/metrics")
+			if err != nil {
+				t.Errorf("GET /metrics: %v", err)
 				return
 			}
-			once.Do(func() {
-				resp, err := http.Get("http://" + agg.MetricsAddr() + "/metrics")
-				if err != nil {
-					t.Errorf("GET /metrics: %v", err)
-					return
-				}
-				defer resp.Body.Close()
-				if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-					t.Errorf("decoding metrics: %v", err)
-				}
-				if h, err := http.Get("http://" + agg.MetricsAddr() + "/healthz"); err == nil {
-					healthy.Store(h.StatusCode == http.StatusOK)
-					h.Body.Close()
-				}
-			})
-		},
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+				t.Errorf("decoding metrics: %v", err)
+			}
+			if h, err := http.Get("http://" + agg.MetricsAddr() + "/healthz"); err == nil {
+				healthy.Store(h.StatusCode == http.StatusOK)
+				h.Body.Close()
+			}
+		})
 	}
 	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", cfg)
 	if err != nil {
@@ -443,17 +408,15 @@ func TestTieredAsyncNetCodecRenegotiationOnReassign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 20, ClientsPerRound: 2,
-		RoundTimeout: 2 * time.Second, InitialWeights: []float64{0, 0}, Seed: 9,
-		Manager: mgr,
-		ReassignCodec: func(tier, numTiers int) string {
-			if tier == 0 {
-				return "none"
-			}
-			return "topk@0.5"
-		},
-	})
+	rootCfg := tieredConfig(20, 2, 9, 2*time.Second, []float64{0, 0})
+	rootCfg.Manager = mgr
+	rootCfg.ReassignCodec = func(tier, numTiers int) string {
+		if tier == 0 {
+			return "none"
+		}
+		return "topk@0.5"
+	}
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", rootCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ import (
 // — the same dispatch-at-commit the flat tier loops get from the same
 // committer loop (drive) and the same flcore.Committer. A tree run whose
 // commits apply in the same order as a flat run's is therefore
-// byte-identical to it (the tree-vs-flat parity tests script the order);
+// byte-identical to it (TestRuntimesConform scripts the order);
 // otherwise only the wall-clock commit interleaving differs, exactly as
 // between two flat runs.
 //
@@ -67,9 +67,9 @@ type ChildConfig struct {
 	Workers int
 	// WorkerTimeout bounds the leaf registration wait (default 60s).
 	WorkerTimeout time.Duration
-	// RoundTimeout bounds each mini-round collection window, exactly like
-	// TieredAsyncConfig.RoundTimeout (0 = wait indefinitely).
-	RoundTimeout time.Duration
+	// FanInConfig is how each leaf round waits for its cohort, exactly as
+	// the flat root's tier loops do.
+	FanInConfig
 	// DialTimeout bounds the dial to the root (default 10s).
 	DialTimeout time.Duration
 	// Downlink enables the version-acked delta broadcast on the child's
@@ -87,12 +87,6 @@ type ChildConfig struct {
 	// it zero against a root whose parity test scripts the commit order:
 	// there a reply pull is deferred until the script reaches this tier.
 	RPCTimeout time.Duration
-	// MaxRetries bounds per-request redispatches when a leaf dies mid-round
-	// (TieredAsyncConfig.MaxRetries semantics; 0 = dead leaves are skipped).
-	MaxRetries int
-	// RejoinWait bounds how long a redispatch waits for the dead leaf to
-	// reconnect and re-register (default 2s when MaxRetries > 0).
-	RejoinWait time.Duration
 }
 
 // Child is a per-tier child aggregator: an FL server to its leaf workers
@@ -119,11 +113,9 @@ func NewChild(cfg ChildConfig) (*Child, error) {
 		return nil, fmt.Errorf("flnet: child Workers = %d", cfg.Workers)
 	case cfg.RootAddr == "":
 		return nil, fmt.Errorf("flnet: child needs a RootAddr")
-	case cfg.MaxRetries < 0:
-		return nil, fmt.Errorf("flnet: child MaxRetries = %d", cfg.MaxRetries)
 	}
-	if cfg.MaxRetries > 0 && cfg.RejoinWait <= 0 {
-		cfg.RejoinWait = 2 * time.Second
+	if err := cfg.FanInConfig.validate(); err != nil {
+		return nil, err
 	}
 	addr := cfg.Addr
 	if addr == "" {
@@ -137,7 +129,7 @@ func NewChild(cfg ChildConfig) (*Child, error) {
 	return &Child{
 		cfg:  cfg,
 		agg:  agg,
-		fan:  &fanIn{srv: agg, obs: &obsState{}, timeout: cfg.RoundTimeout, retries: cfg.MaxRetries, rejoinWait: cfg.RejoinWait},
+		fan:  newFanIn(agg, &obsState{}, cfg.FanInConfig),
 		done: make(chan struct{}),
 	}, nil
 }
@@ -524,7 +516,7 @@ func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 
 	// rejoin is buffered so a burst of respawned children registering at
 	// once does not hold their handshake goroutines on the committer.
-	tp := &topology{events: make(chan tierEvent), done: make(chan struct{}), rejoin: make(chan *registered, 4), grace: ta.tcfg.RejoinWait}
+	tp := &topology{events: make(chan tierEvent), done: make(chan struct{}), rejoin: make(chan *registered, 4), grace: ta.fan.RejoinWait}
 	tp.dispatch = func(t int, p flcore.TierPull) { ta.sendPull(children[t], pulls[t], p) }
 	// One pump per child: commits flow from the connection reader into the
 	// committer; a closed inbox is the child's death.

@@ -3,7 +3,6 @@ package flnet
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -14,10 +13,10 @@ import (
 	"repro/internal/flcore"
 )
 
-// startChildren builds one Child per tier against the root, starts their
-// Run loops, and returns the children plus a wait function that checks
-// every Run returned nil.
-func startChildren(t *testing.T, rootAddr string, tiers [][]int) ([]*Child, func()) {
+// startChildren builds one Child per tier against the root, its leaf
+// broadcasts under dl, starts their Run loops, and returns the children plus
+// a wait function that checks every Run returned nil.
+func startChildren(t *testing.T, rootAddr string, tiers [][]int, dl *compress.Downlink) ([]*Child, func()) {
 	t.Helper()
 	children := make([]*Child, len(tiers))
 	errs := make([]error, len(tiers))
@@ -25,7 +24,7 @@ func startChildren(t *testing.T, rootAddr string, tiers [][]int) ([]*Child, func
 	for ti, members := range tiers {
 		ch, err := NewChild(ChildConfig{
 			ID: ti, RootAddr: rootAddr, Workers: len(members),
-			RoundTimeout: 20 * time.Second,
+			FanInConfig: FanInConfig{RoundTimeout: 20 * time.Second}, Downlink: dl,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -52,139 +51,6 @@ func startChildren(t *testing.T, rootAddr string, tiers [][]int) ([]*Child, func
 	}
 }
 
-// TestTreeMatchesFlatLockstep is the tentpole equivalence test: a 1-root +
-// 3-children tree run under a Lockstep schedule must be byte-identical to
-// the flat TieredAsyncAggregator run under the same schedule on the same
-// seed — same commit log (tier, round, version, staleness, mix weight) and
-// bit-equal final global weights. The tree's commit→pull reply cycle is
-// exactly the lockstep dispatch-at-commit discipline, so any divergence
-// means the child fan-in, the wire codecs, or the root committer changed
-// semantics. Covered per subtest: dense fast wire, int8 quantization, and
-// top-k sparsification (both with error feedback).
-func TestTreeMatchesFlatLockstep(t *testing.T) {
-	commits := 12
-	if testing.Short() {
-		commits = 6
-	}
-	clients, tiers, _, cfg := netFixture(t, 0)
-	schedule := make([]int, commits)
-	for i := range schedule {
-		schedule[i] = i % len(tiers)
-	}
-	init := cfg.Model(rand.New(rand.NewSource(cfg.Seed))).WeightsVector()
-	eng := flcore.NewEngine(flcore.Config{
-		Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
-		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
-		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
-	}, clients, nil)
-	workerCfg := func(ci int, spec string) WorkerConfig {
-		wc := WorkerConfig{
-			ClientID: ci, NumSamples: clients[ci].NumSamples(),
-			Train: func(round int, weights []float64) ([]float64, int, error) {
-				u := eng.TrainClient(round, ci, weights)
-				return u.Weights, u.NumSamples, nil
-			},
-		}
-		if spec != "" {
-			codec, err := compress.Parse(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wc.Codec = codec
-		}
-		return wc
-	}
-	taCfg := func() TieredAsyncConfig {
-		return TieredAsyncConfig{
-			GlobalCommits: commits, ClientsPerRound: cfg.ClientsPerRound,
-			RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-		}
-	}
-
-	for _, tc := range []struct{ name, spec string }{
-		{"dense", ""},
-		{"int8", "int8"},
-		{"topk", "topk@0.25"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// Flat reference run.
-			flatAgg, err := NewTieredAsyncAggregator("127.0.0.1:0", taCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer flatAgg.Close()
-			scriptCommitOrder(flatAgg, schedule)
-			var cfgs []WorkerConfig
-			for _, members := range tiers {
-				for _, ci := range members {
-					cfgs = append(cfgs, workerCfg(ci, tc.spec))
-				}
-			}
-			wait := startWorkers(t, flatAgg.Addr(), cfgs)
-			if err := flatAgg.WaitForWorkers(len(clients), 10*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			flat, err := flatAgg.Run(tiers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wait()
-
-			// Tree run: one child aggregator per tier, same seed and schedule.
-			root, err := NewTieredAsyncAggregator("127.0.0.1:0", taCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer root.Close()
-			scriptCommitOrder(root, schedule)
-			children, waitChildren := startChildren(t, root.Addr(), tiers)
-			var leafWaits []func()
-			for ti, members := range tiers {
-				var cfgs []WorkerConfig
-				for _, ci := range members {
-					cfgs = append(cfgs, workerCfg(ci, tc.spec))
-				}
-				leafWaits = append(leafWaits, startWorkers(t, children[ti].Addr(), cfgs))
-			}
-			if err := root.WaitForChildren(len(tiers), 15*time.Second); err != nil {
-				t.Fatal(err)
-			}
-			tree, err := root.RunTree()
-			if err != nil {
-				t.Fatal(err)
-			}
-			waitChildren()
-			for _, wait := range leafWaits {
-				wait()
-			}
-
-			if len(tree.Log) != len(flat.Log) {
-				t.Fatalf("tree applied %d commits, flat %d", len(tree.Log), len(flat.Log))
-			}
-			for i, rec := range tree.Log {
-				want := flat.Log[i]
-				if rec.Tier != want.Tier || rec.TierRound != want.TierRound ||
-					rec.Version != want.Version || rec.Staleness != want.Staleness ||
-					math.Float64bits(rec.Weight) != math.Float64bits(want.Weight) {
-					t.Fatalf("commit %d diverges: tree %+v vs flat %+v", i, rec, want)
-				}
-			}
-			if len(tree.Weights) != len(flat.Weights) {
-				t.Fatalf("weight lengths differ: %d vs %d", len(tree.Weights), len(flat.Weights))
-			}
-			for i := range tree.Weights {
-				if math.Float64bits(tree.Weights[i]) != math.Float64bits(flat.Weights[i]) {
-					t.Fatalf("global model diverges at weight %d: %x vs %x",
-						i, math.Float64bits(tree.Weights[i]), math.Float64bits(flat.Weights[i]))
-				}
-			}
-			if tree.UplinkBytes != flat.UplinkBytes {
-				t.Errorf("tree reported %d uplink bytes, flat %d", tree.UplinkBytes, flat.UplinkBytes)
-			}
-		})
-	}
-}
-
 // TestTreeChildDeathDegrades is the chaos case: killing one child
 // aggregator mid-run (taking its whole leaf fleet with it) must degrade
 // that tier — the remaining children keep committing until the target — and
@@ -195,37 +61,17 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 		commits = 9
 	}
 	clients, tiers, test, cfg := netFixture(t, 0)
-	init := cfg.Model(rand.New(rand.NewSource(cfg.Seed))).WeightsVector()
-	eng := flcore.NewEngine(flcore.Config{
-		Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
-		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
-		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
-	}, clients, nil)
-	trainFor := func(ci int) TrainFunc {
-		return func(round int, weights []float64) ([]float64, int, error) {
-			u := eng.TrainClient(round, ci, weights)
-			return u.Weights, u.NumSamples, nil
-		}
-	}
-	evalAcc := func(weights []float64) float64 {
-		model := cfg.Model(rand.New(rand.NewSource(cfg.Seed)))
-		model.SetWeightsVector(weights)
-		acc, _ := model.Evaluate(test.InputTensor(), test.Y, cfg.EvalBatch)
-		return acc
-	}
+	worker := workerEngine(cfg, clients)
 
 	// Flat reference accuracy on the full federation.
-	flatAgg, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: commits, ClientsPerRound: cfg.ClientsPerRound,
-		RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-	})
+	flatAgg, err := NewTieredAsyncAggregator("127.0.0.1:0", rootConfig(cfg, commits))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer flatAgg.Close()
 	var cfgs []WorkerConfig
 	for ci := range clients {
-		cfgs = append(cfgs, WorkerConfig{ClientID: ci, NumSamples: clients[ci].NumSamples(), Train: trainFor(ci)})
+		cfgs = append(cfgs, worker(ci))
 	}
 	wait := startWorkers(t, flatAgg.Addr(), cfgs)
 	if err := flatAgg.WaitForWorkers(len(clients), 10*time.Second); err != nil {
@@ -236,18 +82,15 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait()
-	flatAcc := evalAcc(flat.Weights)
+	flatAcc := accuracy(cfg, test, flat.Weights)
 
 	// Tree run with a mid-flight kill of the slowest tier's child.
-	root, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: commits, ClientsPerRound: cfg.ClientsPerRound,
-		RoundTimeout: 20 * time.Second, InitialWeights: init, Seed: cfg.Seed,
-	})
+	root, err := NewTieredAsyncAggregator("127.0.0.1:0", rootConfig(cfg, commits))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	children, _ := startChildren(t, root.Addr(), tiers)
+	children, _ := startChildren(t, root.Addr(), tiers, nil)
 	// A fast-tier leaf assassinates the slowest tier's child the moment its
 	// own second round starts — deterministically mid-run, with most of the
 	// commit budget still ahead — and holds its update back until the root
@@ -265,19 +108,17 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 	}
 	for ti, members := range tiers {
 		for _, ci := range members {
-			ci, fast := ci, ti == 0
-			train := trainFor(ci)
+			wc, fast := worker(ci), ti == 0
+			train := wc.Train
+			wc.Train = func(round int, weights []float64) ([]float64, int, error) {
+				if fast && round >= 1 {
+					kill.Do(killAndAwaitDeath)
+				}
+				return train(round, weights)
+			}
 			// The doomed tier's leaves die with their child; ignore their
 			// (expected) connection errors.
-			go RunWorker(children[ti].Addr(), WorkerConfig{ //nolint:errcheck
-				ClientID: ci, NumSamples: clients[ci].NumSamples(),
-				Train: func(round int, weights []float64) ([]float64, int, error) {
-					if fast && round >= 1 {
-						kill.Do(killAndAwaitDeath)
-					}
-					return train(round, weights)
-				},
-			})
+			go RunWorker(children[ti].Addr(), wc) //nolint:errcheck
 		}
 	}
 	if err := root.WaitForChildren(len(tiers), 15*time.Second); err != nil {
@@ -302,7 +143,7 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 	if snap.Children[len(tiers)-1].Alive {
 		t.Error("killed child still marked alive in metrics")
 	}
-	treeAcc := evalAcc(tree.Weights)
+	treeAcc := accuracy(cfg, test, tree.Weights)
 	if diff := math.Abs(treeAcc - flatAcc); diff > 0.2 {
 		t.Errorf("degraded tree accuracy %.3f vs flat %.3f (diff %.3f > 0.2)", treeAcc, flatAcc, diff)
 	}
@@ -325,16 +166,14 @@ func TestTreeCheckpointResume(t *testing.T) {
 	}
 	runPhase := func(target int, resume bool) *TieredAsyncRunResult {
 		t.Helper()
-		root, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-			GlobalCommits: target, ClientsPerRound: 2,
-			RoundTimeout: 10 * time.Second, InitialWeights: init, Seed: 11,
-			CheckpointEvery: 2, CheckpointPath: path,
-		})
+		cfg := tieredConfig(target, 2, 11, 10*time.Second, init)
+		cfg.CheckpointEvery, cfg.CheckpointPath = 2, path
+		root, err := NewTieredAsyncAggregator("127.0.0.1:0", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer root.Close()
-		children, waitChildren := startChildren(t, root.Addr(), tiers)
+		children, waitChildren := startChildren(t, root.Addr(), tiers, nil)
 		var waits []func()
 		for ti, members := range tiers {
 			waits = append(waits, startWorkers(t, children[ti].Addr(), leafCfgs(members)))
@@ -395,16 +234,14 @@ func TestTreeResumeRosterChanged(t *testing.T) {
 	init := []float64{0, 0}
 	run := func(target int, tiers [][]int, prep func(*TieredAsyncAggregator)) *TieredAsyncRunResult {
 		t.Helper()
-		root, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-			GlobalCommits: target, ClientsPerRound: 1,
-			RoundTimeout: 10 * time.Second, InitialWeights: init, Seed: 5,
-			CheckpointEvery: 2, CheckpointPath: path,
-		})
+		cfg := tieredConfig(target, 1, 5, 10*time.Second, init)
+		cfg.CheckpointEvery, cfg.CheckpointPath = 2, path
+		root, err := NewTieredAsyncAggregator("127.0.0.1:0", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer root.Close()
-		children, waitChildren := startChildren(t, root.Addr(), tiers)
+		children, waitChildren := startChildren(t, root.Addr(), tiers, nil)
 		var waits []func()
 		for ti, members := range tiers {
 			var cfgs []WorkerConfig
@@ -460,16 +297,13 @@ func TestTreeResumeRosterChanged(t *testing.T) {
 func TestTreeUplinkAndChildMetrics(t *testing.T) {
 	tiers := [][]int{{0, 1}, {2, 3}}
 	init := make([]float64, 64)
-	root, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 4, ClientsPerRound: 2,
-		RoundTimeout: 10 * time.Second, InitialWeights: init, Seed: 9,
-	})
+	root, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(4, 2, 9, 10*time.Second, init))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
 	scriptCommitOrder(root, []int{0, 1, 0, 1})
-	children, waitChildren := startChildren(t, root.Addr(), tiers)
+	children, waitChildren := startChildren(t, root.Addr(), tiers, nil)
 	var waits []func()
 	for ti, members := range tiers {
 		var cfgs []WorkerConfig
@@ -530,10 +364,7 @@ func TestTreeUplinkAndChildMetrics(t *testing.T) {
 // the contiguous tier indexes.
 func TestTreeRejectsMalformedTopology(t *testing.T) {
 	t.Run("plain worker", func(t *testing.T) {
-		root, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-			GlobalCommits: 1, ClientsPerRound: 1,
-			InitialWeights: []float64{0}, Seed: 1,
-		})
+		root, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(1, 1, 1, 0, []float64{0}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,15 +376,12 @@ func TestTreeRejectsMalformedTopology(t *testing.T) {
 		}
 	})
 	t.Run("non-contiguous child IDs", func(t *testing.T) {
-		root, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-			GlobalCommits: 1, ClientsPerRound: 1,
-			InitialWeights: []float64{0}, Seed: 1,
-		})
+		root, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(1, 1, 1, 0, []float64{0}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer root.Close()
-		ch, err := NewChild(ChildConfig{ID: 1, RootAddr: root.Addr(), Workers: 1, RoundTimeout: 5 * time.Second})
+		ch, err := NewChild(ChildConfig{ID: 1, RootAddr: root.Addr(), Workers: 1, FanInConfig: FanInConfig{RoundTimeout: 5 * time.Second}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -574,15 +402,12 @@ func TestTreeRejectsMalformedTopology(t *testing.T) {
 // the well-formed one afterwards.
 func TestTreeResumeValidation(t *testing.T) {
 	tiers := [][]int{{0}, {1}}
-	root, err := NewTieredAsyncAggregator("127.0.0.1:0", TieredAsyncConfig{
-		GlobalCommits: 10, ClientsPerRound: 1,
-		RoundTimeout: 5 * time.Second, InitialWeights: []float64{0}, Seed: 5,
-	})
+	root, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(10, 1, 5, 5*time.Second, []float64{0}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	children, _ := startChildren(t, root.Addr(), tiers)
+	children, _ := startChildren(t, root.Addr(), tiers, nil)
 	for ti, members := range tiers {
 		for _, ci := range members {
 			go RunWorker(children[ti].Addr(), WorkerConfig{ClientID: ci, NumSamples: 1, Train: echoTrain(1, 1, 0)}) //nolint:errcheck // ends with its child

@@ -57,6 +57,10 @@ type (
 	// TieredAsyncConfig configures FedAT-style tiered-asynchronous training
 	// (see flcore.TieredAsyncConfig).
 	TieredAsyncConfig = flcore.TieredAsyncConfig
+	// CommitterConfig is the protocol spec a TieredAsyncConfig embeds —
+	// what the simulated, flat and tree runs of one job share (see
+	// flcore.CommitterConfig).
+	CommitterConfig = flcore.CommitterConfig
 	// TieredAsyncResult is a finished tiered-asynchronous job with its
 	// per-tier commit log (see flcore.TieredAsyncResult).
 	TieredAsyncResult = flcore.TieredAsyncResult
@@ -261,9 +265,9 @@ func (s *System) Train(cfg Config, test *Dataset, p Policy) *Result {
 }
 
 // Engine builds a training engine over this system's clients for callers
-// that need the lower-level API: checkpoint/resume (flcore.Checkpoint),
-// custom round loops, or manual update handling. The system's latency
-// model is applied when cfg leaves it zero.
+// that need the lower-level API: custom round loops or manual update
+// handling (Engine.TrainClient). The system's latency model and codec are
+// applied when cfg leaves them zero.
 func (s *System) Engine(cfg Config, test *Dataset) *flcore.Engine {
 	if cfg.Latency == (LatencyModel{}) {
 		cfg.Latency = s.latency
@@ -396,21 +400,24 @@ type NetOptions struct {
 // partitions the workers into this system's profiled tiers, and drives
 // per-tier mini-FedAvg rounds with asynchronous staleness-weighted commits
 // until net.GlobalCommits commits have been applied. cfg supplies the
-// training hyperparameters; its Duration, EvalInterval, and OnCommit fields
-// are ignored — pacing is real wall clock here. The final model is
-// evaluated on test when it is non-nil.
+// run's spec (its CommitterConfig; non-zero NetOptions fields override it)
+// and the training hyperparameters; its Duration, EvalInterval, and
+// OnCommit fields are ignored — pacing is real wall clock here. When
+// cfg.Manager is nil, the effective TieringOptions may build one. The
+// final model is evaluated on test when it is non-nil.
 func (s *System) TrainTieredAsyncNet(cfg TieredAsyncConfig, net NetOptions, test *Dataset) (*NetTieredAsyncResult, float64, error) {
 	eng, err := s.distributedDefaults("TrainTieredAsyncNet", &cfg, &net)
 	if err != nil {
 		return nil, 0, err
 	}
-	topts := s.opts
-	topts.TieringOptions = net.TieringOptions
-	mgr, err := s.tieringManager(topts, cfg.ClientsPerRound, cfg.Seed)
-	if err != nil {
-		return nil, 0, err
+	if cfg.Manager == nil {
+		topts := s.opts
+		topts.TieringOptions = net.TieringOptions
+		if cfg.Manager, err = s.tieringManager(topts, cfg.ClientsPerRound, cfg.Seed); err != nil {
+			return nil, 0, err
+		}
 	}
-	agg, err := flnet.NewTieredAsyncAggregator(net.Addr, aggregatorConfig(cfg, net, eng.GlobalWeights(), mgr))
+	agg, err := flnet.NewTieredAsyncAggregator(net.Addr, aggregatorConfig(cfg, net, eng.GlobalWeights()))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -423,7 +430,7 @@ func (s *System) TrainTieredAsyncNet(cfg TieredAsyncConfig, net NetOptions, test
 		return nil, 0, err
 	}
 	var tiers [][]int
-	if mgr == nil {
+	if cfg.Manager == nil {
 		tiers = core.TierMembers(s.tiers)
 	}
 	res, err := agg.Run(tiers)
@@ -442,17 +449,18 @@ func (s *System) TrainTieredAsyncNet(cfg TieredAsyncConfig, net NetOptions, test
 // under the same CompressionOptions policy as the flat run, and the
 // children report uplink traffic upstream into the root's metrics
 // endpoint. Live tiering is not supported over the tree — membership is
-// fixed at the profiled tiers — so effective TieringOptions asking for a
-// Manager (RetierEvery / AdaptiveSelection) are an error.
+// fixed at the profiled tiers — so a cfg.Manager, or effective
+// TieringOptions asking for one (RetierEvery / AdaptiveSelection), is an
+// error.
 func (s *System) TrainTieredAsyncTree(cfg TieredAsyncConfig, net NetOptions, test *Dataset) (*NetTieredAsyncResult, float64, error) {
 	eng, err := s.distributedDefaults("TrainTieredAsyncTree", &cfg, &net)
 	if err != nil {
 		return nil, 0, err
 	}
-	if net.TieringOptions.Live() {
-		return nil, 0, fmt.Errorf("tifl: live tiering (RetierEvery/AdaptiveSelection) is not supported over the tree topology; use TrainTieredAsyncNet")
+	if cfg.Manager != nil || net.TieringOptions.Live() {
+		return nil, 0, fmt.Errorf("tifl: live tiering (Manager/RetierEvery/AdaptiveSelection) is not supported over the tree topology; use TrainTieredAsyncNet")
 	}
-	root, err := flnet.NewTieredAsyncAggregator(net.Addr, aggregatorConfig(cfg, net, eng.GlobalWeights(), nil))
+	root, err := flnet.NewTieredAsyncAggregator(net.Addr, aggregatorConfig(cfg, net, eng.GlobalWeights()))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -460,9 +468,8 @@ func (s *System) TrainTieredAsyncTree(cfg TieredAsyncConfig, net NetOptions, tes
 	for t, tier := range s.tiers {
 		ch, err := flnet.NewChild(flnet.ChildConfig{
 			ID: t, RootAddr: root.Addr(), Workers: len(tier.Members),
-			WorkerTimeout: net.WorkerTimeout, RoundTimeout: net.RoundTimeout,
-			Downlink: net.Downlink, RejoinWait: net.RejoinWait,
-			RPCTimeout: net.RPCTimeout, MaxRetries: net.MaxRetries,
+			WorkerTimeout: net.WorkerTimeout, FanInConfig: fanInConfig(net),
+			Downlink: net.Downlink, RPCTimeout: net.RPCTimeout,
 		})
 		if err != nil {
 			return nil, 0, fmt.Errorf("tifl: starting child aggregator %d: %w", t, err)
@@ -537,18 +544,27 @@ func (s *System) distributedDefaults(name string, cfg *TieredAsyncConfig, net *N
 	}, s.clients, nil), nil
 }
 
-// aggregatorConfig is the root's configuration once the defaults are filled;
-// mgr is nil over the tree, where no worker migrates (ReassignCodec unused).
-func aggregatorConfig(cfg TieredAsyncConfig, net NetOptions, init []float64, mgr flcore.TierManager) flnet.TieredAsyncConfig {
-	return flnet.TieredAsyncConfig{
-		GlobalCommits: net.GlobalCommits, ClientsPerRound: cfg.ClientsPerRound,
-		Alpha: cfg.Alpha, StalenessExp: cfg.StalenessExp, TierWeight: cfg.TierWeight,
-		RoundTimeout: net.RoundTimeout, InitialWeights: init, Seed: cfg.Seed,
-		Manager: mgr, ReassignCodec: net.ReassignPolicy(), Downlink: net.Downlink,
-		CheckpointEvery: net.CheckpointEvery, CheckpointPath: net.CheckpointPath,
-		MetricsAddr: net.MetricsAddr, SendTimeout: net.RPCTimeout,
-		MaxRetries: net.MaxRetries, RejoinWait: net.RejoinWait,
+// aggregatorConfig is the root's configuration once the defaults are
+// filled: cfg's spec, with the non-zero NetOptions fields overriding it
+// (net.Downlink already falls back to cfg's).
+func aggregatorConfig(cfg TieredAsyncConfig, net NetOptions, init []float64) flnet.TieredAsyncConfig {
+	spec := cfg.CommitterConfig
+	spec.Downlink = net.Downlink
+	if net.CheckpointEvery > 0 {
+		spec.CheckpointEvery = net.CheckpointEvery
 	}
+	return flnet.TieredAsyncConfig{
+		CommitterConfig: spec, FanInConfig: fanInConfig(net),
+		GlobalCommits: net.GlobalCommits, InitialWeights: init,
+		CheckpointPath: net.CheckpointPath, MetricsAddr: net.MetricsAddr,
+		ReassignCodec: net.ReassignPolicy(), SendTimeout: net.RPCTimeout,
+	}
+}
+
+// fanInConfig is how the root's tier loops and the tree's children wait
+// for their cohorts.
+func fanInConfig(net NetOptions) flnet.FanInConfig {
+	return flnet.FanInConfig{RoundTimeout: net.RoundTimeout, MaxRetries: net.MaxRetries, RejoinWait: net.RejoinWait}
 }
 
 // startWorker launches client idx's in-process worker against addr (the flat

@@ -151,32 +151,6 @@ func TestEqualWidthOption(t *testing.T) {
 	}
 }
 
-func TestEngineAccessorCheckpointFlow(t *testing.T) {
-	clients, test := testPopulation(t)
-	sys, err := New(clients, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig(6)
-	sel := sys.Selector(Static(PolicyUniform), cfg.ClientsPerRound)
-
-	// Run 3 rounds, checkpoint, resume in a new engine for the tail.
-	half := cfg
-	half.Rounds = 3
-	engA := sys.Engine(half, test)
-	engA.Run(sel)
-	snap := engA.Snapshot()
-
-	engB := sys.Engine(cfg, test)
-	if err := engB.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	tail := engB.Run(sys.Selector(Static(PolicyUniform), cfg.ClientsPerRound))
-	if len(tail.History) != 3 || tail.History[0].Round != 3 {
-		t.Fatalf("resumed tail = %d rounds from %d", len(tail.History), tail.History[0].Round)
-	}
-}
-
 func TestTrainTieredAsync(t *testing.T) {
 	clients, test := testPopulation(t)
 	sys, err := New(clients, Options{})
@@ -185,7 +159,8 @@ func TestTrainTieredAsync(t *testing.T) {
 	}
 	cfg := testConfig(1)
 	res := sys.TrainTieredAsync(TieredAsyncConfig{
-		Duration: 60, ClientsPerRound: 5, EvalInterval: 20, Seed: 5,
+		CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
+		Duration:        60, EvalInterval: 20,
 		Model: cfg.Model, Optimizer: cfg.Optimizer, EvalBatch: 128,
 	}, test)
 	if len(res.Commits) != len(sys.Tiers()) {
@@ -212,12 +187,21 @@ func TestTrainTieredAsyncNet(t *testing.T) {
 	if testing.Short() {
 		commits = 15
 	}
+	// The spec's checkpoint cadence reaches the root: with no
+	// CheckpointPath, OnCheckpoint is the only sink.
+	var checkpoints []int
 	res, acc, err := sys.TrainTieredAsyncNet(TieredAsyncConfig{
-		ClientsPerRound: 5, Seed: 5, Model: cfg.Model, Optimizer: cfg.Optimizer,
-		EvalBatch: 128,
+		CommitterConfig: CommitterConfig{
+			ClientsPerRound: 5, Seed: 5, CheckpointEvery: 5,
+			OnCheckpoint: func(c *TieredCheckpoint) { checkpoints = append(checkpoints, c.Version) },
+		},
+		Model: cfg.Model, Optimizer: cfg.Optimizer, EvalBatch: 128,
 	}, NetOptions{GlobalCommits: commits}, test)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(checkpoints) != commits/5 || checkpoints[0] != 5 {
+		t.Fatalf("OnCheckpoint saw versions %v, want every 5th of %d", checkpoints, commits)
 	}
 	total := 0
 	for _, c := range res.Commits {
@@ -233,11 +217,12 @@ func TestTrainTieredAsyncNet(t *testing.T) {
 		t.Fatalf("distributed accuracy %v at chance", acc)
 	}
 	// Validation errors surface instead of panicking.
-	if _, _, err := sys.TrainTieredAsyncNet(TieredAsyncConfig{ClientsPerRound: 5}, NetOptions{GlobalCommits: 1}, nil); err == nil {
+	spec := CommitterConfig{ClientsPerRound: 5}
+	if _, _, err := sys.TrainTieredAsyncNet(TieredAsyncConfig{CommitterConfig: spec}, NetOptions{GlobalCommits: 1}, nil); err == nil {
 		t.Fatal("missing Model/Optimizer accepted")
 	}
 	if _, _, err := sys.TrainTieredAsyncNet(TieredAsyncConfig{
-		ClientsPerRound: 5, Model: cfg.Model, Optimizer: cfg.Optimizer,
+		CommitterConfig: spec, Model: cfg.Model, Optimizer: cfg.Optimizer,
 	}, NetOptions{}, nil); err == nil {
 		t.Fatal("zero GlobalCommits accepted")
 	}
@@ -259,8 +244,8 @@ func TestTrainTieredAsyncTree(t *testing.T) {
 		commits = 12
 	}
 	res, acc, err := sys.TrainTieredAsyncTree(TieredAsyncConfig{
-		ClientsPerRound: 5, Seed: 5, Model: cfg.Model, Optimizer: cfg.Optimizer,
-		EvalBatch: 128,
+		CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
+		Model:           cfg.Model, Optimizer: cfg.Optimizer, EvalBatch: 128,
 	}, NetOptions{
 		GlobalCommits:      commits,
 		CompressionOptions: CompressionOptions{AdaptiveCompression: true},
@@ -284,14 +269,17 @@ func TestTrainTieredAsyncTree(t *testing.T) {
 	if acc <= 0.15 {
 		t.Fatalf("tree accuracy %v at chance", acc)
 	}
-	// Live tiering cannot ride over the tree.
-	if _, _, err := sys.TrainTieredAsyncTree(TieredAsyncConfig{
-		ClientsPerRound: 5, Model: cfg.Model, Optimizer: cfg.Optimizer,
-	}, NetOptions{
+	// Live tiering cannot ride over the tree, asked for by option or by spec.
+	live := TieredAsyncConfig{CommitterConfig: CommitterConfig{ClientsPerRound: 5}, Model: cfg.Model, Optimizer: cfg.Optimizer}
+	if _, _, err := sys.TrainTieredAsyncTree(live, NetOptions{
 		GlobalCommits:  1,
 		TieringOptions: TieringOptions{RetierEvery: 5},
 	}, nil); err == nil {
 		t.Fatal("live tiering over the tree accepted")
+	}
+	live.Manager = struct{ flcore.TierManager }{}
+	if _, _, err := sys.TrainTieredAsyncTree(live, NetOptions{GlobalCommits: 1}, nil); err == nil {
+		t.Fatal("a Manager over the tree accepted")
 	}
 }
 
@@ -320,7 +308,8 @@ func TestTrainTieredAsyncLiveRetier(t *testing.T) {
 	}
 	cfg := testConfig(1)
 	res := sys.TrainTieredAsync(TieredAsyncConfig{
-		Duration: 120, ClientsPerRound: 5, EvalInterval: 40, Seed: 5,
+		CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
+		Duration:        120, EvalInterval: 40,
 		Model: cfg.Model, Optimizer: cfg.Optimizer, EvalBatch: 128,
 	}, test)
 	if res.Retiers < 1 || res.Migrations < 1 {
@@ -342,7 +331,8 @@ func TestTrainTieredAsyncAdaptiveSelection(t *testing.T) {
 	}
 	cfg := testConfig(1)
 	res := sys.TrainTieredAsync(TieredAsyncConfig{
-		Duration: 60, ClientsPerRound: 5, EvalInterval: 15, Seed: 5,
+		CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
+		Duration:        60, EvalInterval: 15,
 		Model: cfg.Model, Optimizer: cfg.Optimizer, EvalBatch: 128,
 	}, test)
 	if len(res.TierRounds) == 0 {
@@ -370,8 +360,8 @@ func TestTrainTieredAsyncNetLiveRetier(t *testing.T) {
 		commits = 12
 	}
 	res, acc, err := sys.TrainTieredAsyncNet(TieredAsyncConfig{
-		ClientsPerRound: 5, Seed: 5, Model: cfg.Model, Optimizer: cfg.Optimizer,
-		EvalBatch: 128,
+		CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
+		Model:           cfg.Model, Optimizer: cfg.Optimizer, EvalBatch: 128,
 	}, NetOptions{
 		GlobalCommits:      commits,
 		TieringOptions:     TieringOptions{RetierEvery: 50},
