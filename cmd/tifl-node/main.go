@@ -40,9 +40,10 @@
 //	tifl-node -role worker -addr host:7070 -id 2 -codec int8
 //
 // The broadcast direction compresses independently: -downlink-codec on the
-// aggregator roles sends each tier round's model as one shared delta
-// against the version-acked base its workers already hold (dense
-// snapshot on first contact, resume, or ack gap). "delta" is lossless,
+// aggregator roles encodes each tier round's model as one shared delta and
+// sends every worker the deltas since the base it acked (dense snapshot on
+// first contact, resume, or a gap longer than a dense model's worth of
+// deltas). "delta" is lossless,
 // "delta+int8" / "delta+topk@0.1" trade accuracy for bytes with a
 // server-side error-feedback residual:
 //

@@ -173,7 +173,7 @@ func EncodeFeedback(c Codec, delta, residual, rec []float64) (payload []byte, ne
 // a payload DecodePayload would reject is rejected here with no vector.
 func AddDecoded(id byte, payload []byte, base []float64) ([]float64, error) {
 	if id == IDInt8 {
-		return decodeInt8(payload, len(base), base)
+		return decodeInt8(nil, payload, len(base), base)
 	}
 	out, err := DecodePayload(id, payload, len(base))
 	if err != nil {

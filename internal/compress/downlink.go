@@ -20,9 +20,9 @@ import (
 const IDDeltaXOR byte = 0
 
 // Downlink describes how the aggregator compresses its broadcast
-// (server -> worker) traffic: always as a delta against the receiver's
-// last-acked model version, optionally through a lossy codec with
-// server-side error feedback.
+// (server -> worker) traffic: as the deltas that take the receiver's
+// last-acked model version to the current one, optionally through a lossy
+// codec with server-side error feedback.
 //
 // A nil *Downlink means dense broadcasts (the pre-delta wire format).
 // A Downlink with a nil Codec is the lossless mode: the delta is the XOR
@@ -83,12 +83,24 @@ func ParseDownlink(spec string) (*Downlink, error) {
 }
 
 // Chain is one tier's server-side downlink state: the reconstruction base
-// every up-to-date receiver in the tier currently holds, plus the
-// error-feedback residual for lossy modes. The aggregator advances the
-// chain exactly once per tier round — Encode is O(1) per round regardless
-// of cohort size, the same shared-blob trick the fast wire encoding uses —
-// and sends the resulting payload to every receiver whose last ack matches
-// the chain's base; everyone else gets the post-round Base() dense.
+// every up-to-date receiver in the tier currently holds, the
+// error-feedback residual for lossy modes, and a ring of the chain's most
+// recent payloads. The aggregator advances the chain exactly once per tier
+// round — Encode is O(1) per round regardless of cohort size, the same
+// shared-blob trick the fast wire encoding uses — and serves every
+// receiver from the state it last acked: one still in the ring gets the
+// payloads it missed, in order (CatchUp); everyone else gets the
+// post-round Base() dense.
+//
+// The chain numbers its states: Adopt and Encode each advance Version, and
+// Reset drops the base and the ring but never reuses a number, so one
+// number names one base for the chain's lifetime.
+//
+// The ring has no depth knob. A catch-up is worth sending only while it
+// is smaller than the dense model, so the ring keeps the trailing payloads
+// whose retained capacity stays under DenseBytes(n) and drops older ones:
+// beside its base, residual and scratch vectors, a chain holds less than
+// one dense model's bytes of payloads, in every mode.
 //
 // Chain state is a pure function of the sequence of broadcast vectors, so
 // the simulated and socket runtimes, fed the same weights, produce
@@ -98,6 +110,9 @@ type Chain struct {
 	base     []float64
 	residual []float64
 	delta    []float64 // lossy Encode's scratch: the delta in, its reconstruction out
+	ver      int       // the state base holds; 0 before the first Adopt
+	ring     [][]byte  // the payloads that took state ver-len(ring) to ver, oldest first
+	retained int       // Σ cap over ring, kept < DenseBytes(len(base))
 }
 
 // NewChain returns an empty chain for this downlink mode.
@@ -120,10 +135,17 @@ func (c *Chain) HasBase() bool { return c != nil && c.base != nil }
 // returned slice is owned by the chain; callers must not mutate it.
 func (c *Chain) Base() []float64 { return c.base }
 
+// Version returns the number of the state Base holds: 0 before the first
+// Adopt, then one more per Adopt or Encode.
+func (c *Chain) Version() int { return c.ver }
+
 // Adopt seeds the chain with a dense broadcast: cur is copied in as the
-// base every receiver of that dense snapshot now holds.
+// base every receiver of that dense snapshot now holds, as a new state no
+// payload leads to.
 func (c *Chain) Adopt(cur []float64) {
 	c.base = append(c.base[:0], cur...)
+	c.ver++
+	c.dropRing()
 }
 
 // Encode advances the chain from its base to cur and returns the delta
@@ -131,8 +153,55 @@ func (c *Chain) Adopt(cur []float64) {
 // flate-compressed XOR of bit patterns and the new base is cur itself; in
 // lossy mode the payload encodes cur − base (plus the carried residual),
 // and the new base is base + decode(payload) — exactly what every
-// receiver reconstructs. Callers must have checked HasBase.
+// receiver reconstructs. The payload joins the ring. Callers must have
+// checked HasBase.
 func (c *Chain) Encode(cur []float64) (payload []byte, id byte) {
+	payload, id = c.encode(cur)
+	c.ver++
+	c.ring = append(c.ring, payload)
+	c.retained += cap(payload)
+	drop := 0
+	for budget := DenseBytes(len(c.base)); c.retained >= budget; drop++ {
+		c.retained -= cap(c.ring[drop])
+	}
+	if drop > 0 {
+		n := copy(c.ring, c.ring[drop:])
+		clear(c.ring[n:])
+		c.ring = c.ring[:n]
+	}
+	return payload, id
+}
+
+// CatchUp returns the payloads that take a receiver holding state from to
+// the chain's current state, oldest first, and their total length — what
+// the wire carries and the receiver is billed. It returns nil, 0 when
+// there is no catch-up: from is the current state, was never a state of
+// this chain, or predates the ring, the last Adopt or the last Reset; that
+// receiver needs Base() dense. The slices are the chain's own and are
+// valid until its next Adopt, Encode or Reset.
+func (c *Chain) CatchUp(from int) (payloads [][]byte, size int) {
+	if c == nil {
+		return nil, 0
+	}
+	g := c.ver - from
+	if g < 1 || g > len(c.ring) {
+		return nil, 0
+	}
+	payloads = c.ring[len(c.ring)-g:]
+	for _, p := range payloads {
+		size += len(p)
+	}
+	return payloads, size
+}
+
+// dropRing forgets every payload: no earlier state reaches the base.
+func (c *Chain) dropRing() {
+	clear(c.ring)
+	c.ring = c.ring[:0]
+	c.retained = 0
+}
+
+func (c *Chain) encode(cur []float64) (payload []byte, id byte) {
 	if !c.HasBase() {
 		panic("compress: Chain.Encode without a base")
 	}
@@ -159,14 +228,17 @@ func (c *Chain) Encode(cur []float64) (payload []byte, id byte) {
 	return payload, c.d.Codec.ID()
 }
 
-// Reset drops the base and residual; the next broadcast goes dense. Used
-// on checkpoint resume, where no receiver's held version can be trusted.
+// Reset drops the base, residual and ring; the next broadcast goes dense.
+// The state number is kept, so no later state reuses one a receiver may
+// still hold. Used on checkpoint resume, where no receiver's held version
+// can be trusted.
 func (c *Chain) Reset() {
 	if c == nil {
 		return
 	}
 	c.base = nil
 	c.residual = nil
+	c.dropRing()
 }
 
 // ApplyDelta is the receiver side of Chain.Encode: it reconstructs the
@@ -176,9 +248,66 @@ func (c *Chain) Reset() {
 // slice is returned.
 func ApplyDelta(id byte, payload []byte, base []float64) ([]float64, error) {
 	if id == IDDeltaXOR {
-		return applyXORDelta(payload, base)
+		out := make([]float64, len(base))
+		if err := applyXORDelta(out, payload, base); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
 	return AddDecoded(id, payload, base)
+}
+
+// ApplyCatchUp is the receiver side of Chain.CatchUp: it applies the
+// payloads to the held base in order, as ApplyDelta would one by one.
+// Every payload is a delta against the previous state's base, so the
+// result is the chain's current base bit for bit — XOR composes exactly,
+// and a lossy step adds the same reconstruction the chain added. The steps
+// after the first apply in place to the one vector returned. base is not
+// mutated; an empty catch-up is an error.
+func ApplyCatchUp(id byte, payloads [][]byte, base []float64) ([]float64, error) {
+	if len(payloads) == 0 {
+		return nil, fmt.Errorf("compress: empty catch-up")
+	}
+	var out []float64
+	var err error
+	for i, p := range payloads {
+		switch {
+		case i == 0:
+			out, err = ApplyDelta(id, p, base)
+		case id == IDDeltaXOR:
+			err = applyXORDelta(out, p, out)
+		case id == IDInt8:
+			_, err = decodeInt8(out, p, len(out), out)
+		default:
+			out, err = AddDecoded(id, p, out)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("compress: catch-up payload %d of %d: %w", i+1, len(payloads), err)
+		}
+	}
+	return out, nil
+}
+
+// SplitCatchUp cuts a catch-up that travelled as one blob — its payloads
+// back to back — into the payloads, given their lengths. The lengths are
+// checked before anything is sliced: each must be positive, and together
+// they must cover blob exactly. The payloads alias blob.
+func SplitCatchUp(blob []byte, lens []int) ([][]byte, error) {
+	rest := len(blob)
+	for _, l := range lens {
+		if l <= 0 || l > rest {
+			return nil, fmt.Errorf("compress: catch-up lengths %v do not split a %d-byte blob", lens, len(blob))
+		}
+		rest -= l
+	}
+	if rest != 0 {
+		return nil, fmt.Errorf("compress: catch-up lengths %v leave %d of %d bytes", lens, rest, len(blob))
+	}
+	parts := make([][]byte, len(lens))
+	for i, l := range lens {
+		parts[i], blob = blob[:l:l], blob[l:]
+	}
+	return parts, nil
 }
 
 // xorDeltaHeader is the fixed prefix of an XOR delta payload: an 8-byte
@@ -191,7 +320,8 @@ const xorDeltaHeader = 8
 // sign, exponent, and high mantissa bits, so the XOR stream is mostly
 // zero bytes and deflates well; an unchanged coordinate contributes eight
 // zero bytes. The format is an 8-byte little-endian count followed by the
-// flate stream of the 8n XOR bytes.
+// flate stream of the 8n XOR bytes. The payload's capacity is its length:
+// a Chain's ring budget counts capacity.
 func encodeXORDelta(cur, base []float64) []byte {
 	raw := make([]byte, 8*len(cur))
 	for i := range cur {
@@ -213,37 +343,37 @@ func encodeXORDelta(cur, base []float64) []byte {
 	if err := zw.Close(); err != nil {
 		panic(fmt.Sprintf("compress: flate close: %v", err))
 	}
-	return buf.Bytes()
+	return append(make([]byte, 0, buf.Len()), buf.Bytes()...)
 }
 
 // applyXORDelta reconstructs the broadcast vector from an XOR delta
-// payload and the held base.
-func applyXORDelta(payload []byte, base []float64) ([]float64, error) {
+// payload and the held base into out, which may be base itself; out is
+// written only once the whole payload has inflated.
+func applyXORDelta(out []float64, payload []byte, base []float64) error {
 	if len(payload) < xorDeltaHeader {
-		return nil, fmt.Errorf("compress: xor delta payload %d bytes, want >= %d", len(payload), xorDeltaHeader)
+		return fmt.Errorf("compress: xor delta payload %d bytes, want >= %d", len(payload), xorDeltaHeader)
 	}
 	n := binary.LittleEndian.Uint64(payload)
 	if n != uint64(len(base)) {
-		return nil, fmt.Errorf("compress: xor delta for %d params, base has %d", n, len(base))
+		return fmt.Errorf("compress: xor delta for %d params, base has %d", n, len(base))
 	}
 	raw := make([]byte, 8*len(base))
 	zr := flate.NewReader(bytes.NewReader(payload[xorDeltaHeader:]))
 	if _, err := io.ReadFull(zr, raw); err != nil {
-		return nil, fmt.Errorf("compress: xor delta inflate: %v", err)
+		return fmt.Errorf("compress: xor delta inflate: %v", err)
 	}
 	// The stream must hold exactly 8n bytes; trailing garbage means the
 	// payload was built against a different-length vector.
 	var extra [1]byte
 	if m, _ := zr.Read(extra[:]); m != 0 {
-		return nil, fmt.Errorf("compress: xor delta has trailing data")
+		return fmt.Errorf("compress: xor delta has trailing data")
 	}
 	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("compress: xor delta close: %v", err)
+		return fmt.Errorf("compress: xor delta close: %v", err)
 	}
-	out := make([]float64, len(base))
 	for i := range out {
 		x := binary.LittleEndian.Uint64(raw[8*i:])
 		out[i] = math.Float64frombits(math.Float64bits(base[i]) ^ x)
 	}
-	return out, nil
+	return nil
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -75,9 +76,9 @@ func TestXORDeltaBitExact(t *testing.T) {
 	cur[2] = math.MaxFloat64
 	cur[3] = base[3] // unchanged coordinate -> zero XOR word
 	payload := encodeXORDelta(cur, base)
-	got, err := applyXORDelta(payload, base)
+	got, err := ApplyDelta(IDDeltaXOR, payload, base)
 	if err != nil {
-		t.Fatalf("applyXORDelta: %v", err)
+		t.Fatalf("ApplyDelta: %v", err)
 	}
 	for i := range cur {
 		if math.Float64bits(got[i]) != math.Float64bits(cur[i]) {
@@ -92,23 +93,23 @@ func TestXORDeltaBitExact(t *testing.T) {
 func TestXORDeltaRejectsBadPayloads(t *testing.T) {
 	base := []float64{1, 2, 3}
 	payload := encodeXORDelta([]float64{1.5, 2, 3}, base)
-	if _, err := applyXORDelta(payload[:4], base); err == nil {
+	if _, err := ApplyDelta(IDDeltaXOR, payload[:4], base); err == nil {
 		t.Fatal("truncated header accepted")
 	}
-	if _, err := applyXORDelta(payload, base[:2]); err == nil {
+	if _, err := ApplyDelta(IDDeltaXOR, payload, base[:2]); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := applyXORDelta(payload[:len(payload)-3], base); err == nil {
+	if _, err := ApplyDelta(IDDeltaXOR, payload[:len(payload)-3], base); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 	corrupt := append([]byte(nil), payload...)
 	corrupt[xorDeltaHeader] ^= 0xFF
-	if _, err := applyXORDelta(corrupt, base); err == nil {
+	if _, err := ApplyDelta(IDDeltaXOR, corrupt, base); err == nil {
 		t.Log("corrupt stream happened to inflate; acceptable (flate has no checksum)")
 	}
 	// A payload built for a longer vector must not apply to a shorter base.
 	long := encodeXORDelta(make([]float64, 5), make([]float64, 5))
-	if _, err := applyXORDelta(long, base); err == nil {
+	if _, err := ApplyDelta(IDDeltaXOR, long, base); err == nil {
 		t.Fatal("wrong-length payload accepted")
 	}
 	if _, err := ApplyDelta(77, []byte{1, 2, 3}, base); err == nil {
@@ -236,6 +237,119 @@ func TestChainLossyErrorFeedback(t *testing.T) {
 	second := errAt()
 	if second >= first {
 		t.Fatalf("error feedback did not shrink reconstruction error: %v -> %v", first, second)
+	}
+}
+
+// TestChainCatchUp is the ring's contract, per mode: from every state still
+// in the ring, the catch-up applied to the base held at that state
+// reproduces Base() bit for bit; the ring's retained capacity stays under
+// DenseBytes(n) across 200 encodes; and there is no catch-up from the
+// current state, from a state older than the ring, from one before the
+// last Adopt, or after Reset — whose state numbers are never reused.
+func TestChainCatchUp(t *testing.T) {
+	for _, spec := range []string{"delta", "delta+int8", "delta+topk@0.25"} {
+		t.Run(spec, func(t *testing.T) {
+			d, err := ParseDownlink(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 256
+			rng := rand.New(rand.NewSource(5))
+			w := make([]float64, n)
+			for i := range w {
+				w[i] = rng.NormFloat64()
+			}
+			ch := d.NewChain()
+			ch.Adopt(w)
+			held := map[int][]float64{ch.Version(): slices.Clone(ch.Base())} // the base a receiver holds at each state
+			deepest := 0
+			for step := 0; step < 200; step++ {
+				// A sparse step — a tenth of the coordinates move — so the
+				// lossless XOR payload, too, leaves room for several.
+				for k := 0; k < n/10; k++ {
+					w[rng.Intn(n)] += 0.01 * rng.NormFloat64()
+				}
+				_, id := ch.Encode(w)
+				held[ch.Version()] = slices.Clone(ch.Base())
+				retained := 0
+				for _, p := range ch.ring {
+					retained += cap(p)
+				}
+				if retained != ch.retained || retained >= DenseBytes(n) {
+					t.Fatalf("step %d: ring retains %d bytes (tracked %d), budget %d", step, retained, ch.retained, DenseBytes(n))
+				}
+				if p, size := ch.CatchUp(ch.Version()); p != nil || size != 0 {
+					t.Fatalf("step %d: catch-up from the current state", step)
+				}
+				oldest := ch.Version() - len(ch.ring)
+				for s := oldest; s < ch.Version(); s++ {
+					parts, size := ch.CatchUp(s)
+					if len(parts) != ch.Version()-s {
+						t.Fatalf("step %d: catch-up from state %d has %d payloads, want %d", step, s, len(parts), ch.Version()-s)
+					}
+					sum := 0
+					for _, p := range parts {
+						sum += len(p)
+					}
+					if size != sum || size >= DenseBytes(n) {
+						t.Fatalf("step %d: catch-up from state %d bills %d bytes of %d, dense %d", step, s, size, sum, DenseBytes(n))
+					}
+					got, err := ApplyCatchUp(id, parts, held[s])
+					if err != nil {
+						t.Fatalf("step %d from state %d: %v", step, s, err)
+					}
+					sameBits(t, "caught-up receiver", got, ch.Base())
+					deepest = max(deepest, len(parts))
+				}
+				if p, _ := ch.CatchUp(oldest - 1); p != nil {
+					t.Fatalf("step %d: catch-up from state %d, older than the ring", step, oldest-1)
+				}
+				delete(held, oldest-1)
+			}
+			if deepest < 2 {
+				t.Fatalf("the ring never held two payloads; the catch-ups were all one step")
+			}
+
+			before := ch.Version()
+			ch.Adopt(w)
+			ch.Encode(w)
+			if ch.Version() != before+2 {
+				t.Fatalf("Adopt and Encode took state %d to %d, want %d", before, ch.Version(), before+2)
+			}
+			if p, _ := ch.CatchUp(before); p != nil {
+				t.Fatal("catch-up across an Adopt")
+			}
+			if p, _ := ch.CatchUp(before + 1); len(p) != 1 {
+				t.Fatalf("catch-up from the adopted state has %d payloads, want 1", len(p))
+			}
+			ch.Reset()
+			if ch.HasBase() || ch.Version() != before+2 {
+				t.Fatalf("Reset left base %v, state %d; want none, %d", ch.HasBase(), ch.Version(), before+2)
+			}
+			if p, _ := ch.CatchUp(before + 1); p != nil {
+				t.Fatal("catch-up after Reset")
+			}
+			ch.Adopt(w)
+			if ch.Version() != before+3 {
+				t.Fatalf("Adopt after Reset reached state %d, want the unused %d", ch.Version(), before+3)
+			}
+		})
+	}
+}
+
+func TestSplitCatchUp(t *testing.T) {
+	blob := []byte{1, 2, 3, 4, 5, 6}
+	parts, err := SplitCatchUp(blob, []int{2, 1, 3})
+	if err != nil || len(parts) != 3 || !slices.Equal(parts[1], []byte{3}) || cap(parts[0]) != 2 {
+		t.Fatalf("SplitCatchUp = %v, %v", parts, err)
+	}
+	for _, lens := range [][]int{nil, {6, 1}, {5}, {7}, {0, 6}, {-1, 7}, {3, 3, 0}, {1 << 62, 1 << 62}} {
+		if _, err := SplitCatchUp(blob, lens); err == nil {
+			t.Errorf("lengths %v split a %d-byte blob", lens, len(blob))
+		}
+	}
+	if _, err := ApplyCatchUp(IDInt8, nil, []float64{1}); err == nil {
+		t.Error("empty catch-up applied")
 	}
 }
 

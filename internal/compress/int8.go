@@ -147,15 +147,17 @@ func (c Int8) encode(w, carry, rec, residual []float64) []byte {
 
 // Decode implements Codec.
 func (c Int8) Decode(payload []byte, n int) ([]float64, error) {
-	return decodeInt8(payload, n, nil)
+	return decodeInt8(nil, payload, n, nil)
 }
 
 // decodeInt8 is the one int8 decoder: it validates the payload and returns
-// base[i] + q·scale per coordinate in a single fresh slice (a nil base
-// yields the bare reconstruction q·scale). Each chunk's scale is checked
-// before any of that chunk's coordinates is written, and a rejected
-// payload returns no vector at all.
-func decodeInt8(payload []byte, n int, base []float64) ([]float64, error) {
+// base[i] + q·scale per coordinate in a single slice (a nil base yields
+// the bare reconstruction q·scale): out, which may be base itself, or a
+// fresh one when out is nil. Each chunk's scale is checked before any of
+// that chunk's coordinates is written, and a rejected payload returns no
+// vector at all — though it may have written the chunks before the bad one
+// into out.
+func decodeInt8(out []float64, payload []byte, n int, base []float64) ([]float64, error) {
 	if len(payload) < 12 {
 		return nil, fmt.Errorf("compress: int8 payload too short (%d bytes)", len(payload))
 	}
@@ -174,7 +176,9 @@ func decodeInt8(payload []byte, n int, base []float64) ([]float64, error) {
 	if want := 12 + 4*chunks + n; len(payload) != want {
 		return nil, fmt.Errorf("compress: int8 payload length %d, want %d for %d weights", len(payload), want, n)
 	}
-	out := make([]float64, n)
+	if out == nil {
+		out = make([]float64, n)
+	}
 	off := 12
 	for start := 0; start < n; start += chunk {
 		dst := out[start:min(start+chunk, n)]

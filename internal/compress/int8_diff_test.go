@@ -295,6 +295,73 @@ func FuzzApplyDelta(f *testing.F) {
 	})
 }
 
+// FuzzApplyCatchUp feeds the receiver side of a catch-up — a blob of
+// payloads back to back plus a length list, as the wire carries it — with
+// hostile lengths (zero, negative, short, long, overflowing) and payloads.
+// SplitCatchUp either refuses the lengths or cuts the blob into exactly
+// those pieces; ApplyCatchUp on them never panics, and whatever it accepts
+// is ApplyDelta applied piece by piece.
+func FuzzApplyCatchUp(f *testing.F) {
+	const n = 96
+	base := nastyVector(n, 6)
+	for _, d := range []*Downlink{{}, {Codec: NewInt8(0)}} {
+		ch := d.NewChain()
+		ch.Adopt(base)
+		next := slices.Clone(base)
+		for step := 0; step < 3; step++ {
+			next[step*7] += 1e-3
+			ch.Encode(next)
+		}
+		parts, _ := ch.CatchUp(1)
+		f.Add(bytes.Join(parts, nil), lensBytes(parts), d.Codec != nil)
+	}
+	f.Add([]byte{1, 2, 3}, []byte{0, 0, 3, 0}, true)       // a zero length
+	f.Add([]byte{1, 2, 3}, []byte{0xff, 0xff, 4, 0}, true) // a negative one
+	f.Add([]byte{1, 2, 3}, []byte{2, 0}, false)            // short of the blob
+	f.Add([]byte{}, []byte{}, true)                        // an empty catch-up
+	f.Fuzz(func(t *testing.T, blob, rawLens []byte, lossy bool) {
+		lens := make([]int, len(rawLens)/2)
+		for i := range lens {
+			lens[i] = int(int16(binary.LittleEndian.Uint16(rawLens[2*i:])))
+		}
+		parts, err := SplitCatchUp(blob, lens)
+		if err != nil {
+			return
+		}
+		if len(parts) != len(lens) || !bytes.Equal(bytes.Join(parts, nil), blob) {
+			t.Fatalf("lengths %v cut a %d-byte blob into %d pieces that do not rejoin", lens, len(blob), len(parts))
+		}
+		id := IDDeltaXOR
+		if lossy {
+			id = IDInt8
+		}
+		got, err := ApplyCatchUp(id, parts, base)
+		want, refOK := base, len(parts) > 0 // an empty catch-up is refused
+		for _, p := range parts {
+			var refErr error
+			if want, refErr = ApplyDelta(id, p, want); refErr != nil {
+				refOK = false
+				break
+			}
+		}
+		if (err == nil) != refOK {
+			t.Fatalf("ApplyCatchUp err = %v, piecewise ApplyDelta accepted = %v", err, refOK)
+		}
+		if err == nil {
+			sameBits(t, "catch-up", got, want)
+		}
+	})
+}
+
+// lensBytes is a length list as FuzzApplyCatchUp reads one.
+func lensBytes(parts [][]byte) []byte {
+	out := make([]byte, 2*len(parts))
+	for i, p := range parts {
+		binary.LittleEndian.PutUint16(out[2*i:], uint16(len(p)))
+	}
+	return out
+}
+
 // deflateBomb is an XOR-delta payload claiming n coordinates whose stream
 // inflates to size zero bytes.
 func deflateBomb(n, size int) []byte {

@@ -12,7 +12,7 @@ import (
 type DownlinkArm struct {
 	// Mode is the downlink spec ("dense", "delta", "delta+int8",
 	// "delta+topk@0.1", ...), suffixed with "(sampled)" for the
-	// sampled-cohort fallback arms.
+	// sampled-cohort arms.
 	Mode string
 	// FinalAcc is the run's final global test accuracy.
 	FinalAcc float64
@@ -30,14 +30,14 @@ type DownlinkArm struct {
 // scenario once per downlink mode in {dense, delta, delta+int8,
 // delta+topk@0.1, delta+topk@0.5} under identical seeds, clients, tiers,
 // and simulated time budgets, and returns each arm's final accuracy and
-// wire traffic. The delta arms run full-tier cohorts: a client is
-// delta-eligible only while its acked base matches the tier chain's
-// previous broadcast, so full participation keeps every ack current — the
-// regime where the version-acked scheme pays off. Two extra arms repeat
-// dense and delta+int8 with the scale's sampled cohorts to document the
-// fallback cost: members that sat out the previous round are re-sent
-// dense snapshots, capping the savings. Exported separately from
-// RunExtensionDownlink so tests can assert on the raw numbers.
+// wire traffic. The delta arms run full-tier cohorts, so every member
+// acks every round and is sent one payload per round. Two extra arms
+// repeat dense and delta+int8 with the scale's sampled cohorts: a member
+// that sat out rounds is sent the payloads it missed from the tier chain's
+// ring (a catch-up, cheaper than the dense model by construction), and
+// only one whose gap outgrew the ring is re-sent dense. Exported
+// separately from RunExtensionDownlink so tests can assert on the raw
+// numbers.
 //
 // The two top-k densities bracket a finding this sweep exists to record:
 // sparsified broadcast interacts badly with FedAT's commit rule. CommitMix
@@ -113,9 +113,9 @@ func DownlinkSweep(s Scale) []DownlinkArm {
 // under the byte-aware latency model, fits more commits into the same
 // simulated budget. The top-k arms document the negative result (see
 // DownlinkSweep: sparsified broadcast destabilizes FedAT's absolute-weight
-// commit mixing), and the sampled-cohort arms show the scheme degrading
-// gracefully rather than breaking: ack gaps silently fall back to dense
-// snapshots.
+// commit mixing), and the sampled-cohort arms show the savings surviving
+// partial participation: ack gaps are caught up from the ring, not re-sent
+// dense.
 func RunExtensionDownlink(s Scale) *Output {
 	arms := DownlinkSweep(s)
 	dense := arms[0]

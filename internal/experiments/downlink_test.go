@@ -92,14 +92,18 @@ func TestDownlinkSweepAcceptance(t *testing.T) {
 		t.Errorf("delta+topk@0.5 downlink reduction %.2fx outside (1x, 4x) (%d vs %d bytes)", r, a.DownlinkBytes, dense.DownlinkBytes)
 	}
 
-	// The sampled-cohort fallback arms document the ack-gap cost: savings
-	// survive but are capped well below the full-participation ratio.
+	// The sampled-cohort arms: members that sat out rounds are caught up
+	// from the tier chain's ring instead of re-sent the dense model, so the
+	// int8 delta keeps >=3x of its savings (1.77x when every gap fell back
+	// to dense) within a point of the sampled dense broadcast.
 	sd := arm("dense (sampled)")
 	si := arm("delta+int8 (sampled)")
-	if si.DownlinkBytes >= sd.DownlinkBytes {
-		t.Errorf("sampled delta+int8 moved %d downlink bytes, dense %d — no savings", si.DownlinkBytes, sd.DownlinkBytes)
+	r := float64(sd.DownlinkBytes) / float64(si.DownlinkBytes)
+	t.Logf("sampled delta+int8: %.2fx fewer downlink bytes (%d vs %d), accuracy %.4f vs dense %.4f", r, si.DownlinkBytes, sd.DownlinkBytes, si.FinalAcc, sd.FinalAcc)
+	if r < 3 {
+		t.Errorf("sampled delta+int8 downlink reduction %.2fx < 3x (%d vs %d bytes)", r, si.DownlinkBytes, sd.DownlinkBytes)
 	}
-	if r := float64(sd.DownlinkBytes) / float64(si.DownlinkBytes); r >= ratio(arm("delta+int8")) {
-		t.Errorf("sampled delta+int8 ratio %.2fx not capped below full-cohort %.2fx", r, ratio(arm("delta+int8")))
+	if si.FinalAcc < sd.FinalAcc-0.01 {
+		t.Errorf("sampled delta+int8 final accuracy %.4f more than 1 point below sampled dense %.4f", si.FinalAcc, sd.FinalAcc)
 	}
 }

@@ -75,11 +75,12 @@ type CommitterConfig struct {
 	OnCheckpoint func(c *TieredCheckpoint)
 	// Downlink, if set, delta-compresses the broadcast direction: each tier
 	// keeps a compress.Chain advanced once per tier round, clients whose
-	// last participation matches the chain's base receive (and are charged)
-	// the shared delta payload, and everyone else (first contact,
-	// migration, resume) a dense snapshot. Chain state is a pure function
-	// of the broadcast sequence, so the simulation and the socket runtime
-	// report identical DownlinkBytes on the same seed. With a nil Codec the
+	// last participation is still in the chain's ring receive (and are
+	// charged) the payloads they missed, and everyone else (first contact,
+	// a gap older than the ring, migration, resume) a dense snapshot. Chain
+	// state is a pure function of the broadcast sequence, so the simulation
+	// and the socket runtime report identical DownlinkBytes on the same
+	// seed. With a nil Codec the
 	// delta is the lossless XOR stream and the run is byte-identical to a
 	// dense one; a lossy codec keeps a per-tier error-feedback residual.
 	// nil keeps dense broadcasts.

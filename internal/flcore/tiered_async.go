@@ -273,13 +273,12 @@ type TieredAsyncEngine struct {
 	nextEval float64
 	resumed  bool
 
-	// Downlink-delta state (Cfg.Downlink only): one chain per tier, the
-	// global version each chain last advanced at, and the (tier, version)
-	// of every ever-selected client's last participation — the sim mirror
-	// of the socket runtime's per-worker ack tracking, kept sparse like
-	// the residual maps so population-scale runs stay affordable.
+	// Downlink-delta state (Cfg.Downlink only): one chain per tier and the
+	// (tier, chain state) of every ever-selected client's last
+	// participation — the sim mirror of the socket runtime's per-worker ack
+	// tracking, kept sparse like the residual maps so population-scale runs
+	// stay affordable.
 	downChains []*compress.Chain
-	downVers   []int
 	acked      map[int]ackRef
 
 	// dispatch's per-round staging, resliced every tier round, and Run's
@@ -391,8 +390,8 @@ func NewTieredAsyncEngineFrom(cfg TieredAsyncConfig, tiers [][]int, src ClientSo
 }
 
 // ackRef is one client's last participation under the downlink-delta
-// scheme: the tier whose round it trained in and the global version of
-// that round's broadcast.
+// scheme: the tier whose round it trained in and the chain state
+// (compress.Chain.Version) that round broadcast.
 type ackRef struct{ tier, ver int }
 
 // resetDownlink (re)initializes the per-tier delta chains and the ack map
@@ -403,10 +402,8 @@ func (e *TieredAsyncEngine) resetDownlink() {
 		return
 	}
 	e.downChains = make([]*compress.Chain, len(e.com.Tiers()))
-	e.downVers = make([]int, len(e.com.Tiers()))
 	for t := range e.downChains {
 		e.downChains[t] = e.Cfg.Downlink.NewChain()
-		e.downVers[t] = -1
 	}
 	e.acked = make(map[int]ackRef)
 }
@@ -483,10 +480,13 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
 	r, pulled := p.Round, p.Weights
 	// Downlink charging: every client is charged a dense snapshot unless
 	// the tier's delta chain covers it — the chain advances exactly once
-	// per round (shared payload, the O(1)-per-round encode), clients whose
-	// last participation matches the chain's base get the payload size,
-	// and the round then trains from the chain's post-round base so lossy
-	// broadcasts affect the model here exactly as they do over sockets.
+	// per round (shared payload, the O(1)-per-round encode), a client whose
+	// last participation in this tier is still in the chain's ring is
+	// charged the catch-up from there (the socket runtime's bill, by the
+	// same chain method), and the round then trains from the chain's
+	// post-round base so lossy broadcasts affect the model here exactly as
+	// they do over sockets. Every cohort member replies in the sim, so it
+	// acks at dispatch.
 	dense := int64(compress.DenseBytes(len(pulled)))
 	e.downs = grow(e.downs, len(selected))
 	downs := e.downs
@@ -499,17 +499,15 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
 		if !ch.HasBase() {
 			ch.Adopt(pulled)
 		} else {
-			payload, _ := ch.Encode(pulled)
-			baseVer := e.downVers[t]
-			for i, ci := range selected {
-				if a, ok := e.acked[ci]; ok && a.tier == t && a.ver == baseVer {
-					downs[i] = int64(len(payload))
+			ch.Encode(pulled)
+		}
+		for i, ci := range selected {
+			if a, ok := e.acked[ci]; ok && a.tier == t {
+				if _, n := ch.CatchUp(a.ver); n > 0 {
+					downs[i] = int64(n)
 				}
 			}
-		}
-		e.downVers[t] = p.Version
-		for _, ci := range selected {
-			e.acked[ci] = ackRef{tier: t, ver: p.Version}
+			e.acked[ci] = ackRef{tier: t, ver: ch.Version()}
 		}
 		pulled = ch.Base() // read-only until the round below has trained
 		charged = downs
@@ -564,9 +562,7 @@ func (e *TieredAsyncEngine) churnFilter(t, r int, selected []int) []int {
 	kept := make([]int, 0, len(selected))
 	for _, ci := range selected {
 		if churnFlap(cs, t, r, ci, e.Cfg.ChurnRate) {
-			if e.acked != nil {
-				delete(e.acked, ci)
-			}
+			delete(e.acked, ci)
 			continue
 		}
 		kept = append(kept, ci)
@@ -680,8 +676,14 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 		if len(moves) > 0 {
 			// Migrations take effect at each tier's next dispatch; the
 			// in-flight runs in the heap keep their cohorts. The pooled
-			// per-tier evaluation shards are stale now.
+			// per-tier evaluation shards are stale now, and a moved client's
+			// ack is forgotten, as the socket runtime voids it for the rounds
+			// pulled after the move: moved back before it trains elsewhere,
+			// it is re-sent dense.
 			e.tierTest = nil
+			for _, mv := range moves {
+				delete(e.acked, mv.Client)
+			}
 		}
 		rec.Selected, rec.Latency, rec.SimTime = run.selected, run.latency, now
 		res.TierRounds = append(res.TierRounds, rec)

@@ -186,6 +186,60 @@ func TestCompressedTieredAsyncLoopback(t *testing.T) {
 	}
 }
 
+// TestUnrepliedBroadcastGoesDense: a worker whose reply to a versioned
+// broadcast was not counted — here a straggler past the round timeout —
+// holds a base the aggregator cannot name, so its next round arrives dense.
+// A catch-up from its last counted ack would be a delta against a base the
+// worker has since replaced, which it refuses as a fatal protocol error.
+func TestUnrepliedBroadcastGoesDense(t *testing.T) {
+	const n = 64
+	cfg := tieredConfig(4, 2, 1, 500*time.Millisecond, initVec(n))
+	var err error
+	if cfg.Downlink, err = compress.ParseDownlink("delta+int8"); err != nil {
+		t.Fatal(err)
+	}
+	agg, err := NewTieredAsyncAggregator("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	// One tier {0, 1}, both in every round. Worker 1 sits on round 1 until
+	// worker 0 is asked for round 2 — round 1 has then committed without
+	// it — so its reply to round 1 finds no waiter.
+	gate := newTrainGate()
+	echo := echoTrain(0.01, 1, 0)
+	wait := startWorkers(t, agg.Addr(), []WorkerConfig{
+		{ClientID: 0, NumSamples: 1, Train: gate.openFrom(2, echo)},
+		{ClientID: 1, NumSamples: 1, Train: gate.holdFrom(1, echo)},
+	})
+	if err := agg.WaitForWorkers(2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	res, err := agg.Run([][]int{{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait()
+	dense, step := int64(compress.DenseBytes(n)), int64(compress.NewInt8(0).EncodedBytes(n))
+	want := []struct {
+		clients int
+		down    int64
+	}{
+		{2, 2 * dense},    // first contact
+		{1, 2 * step},     // worker 1 straggles
+		{2, step + dense}, // worker 1 is re-sent the model
+		{2, 2 * step},     // and acked again
+	}
+	if len(res.Log) != len(want) {
+		t.Fatalf("applied %d commits, want %d", len(res.Log), len(want))
+	}
+	for i, rec := range res.Log {
+		if rec.Clients != want[i].clients || rec.DownlinkBytes != want[i].down {
+			t.Errorf("round %d: %d clients, %d downlink bytes; want %d, %d", rec.TierRound, rec.Clients, rec.DownlinkBytes, want[i].clients, want[i].down)
+		}
+	}
+}
+
 // TestDecodeUpdateCompressed pins the aggregator's receive path for one
 // int8 update: the reconstruction is broadcast + decode(payload) bit for
 // bit, built in the single vector the Update keeps (no intermediate delta),

@@ -25,14 +25,15 @@ type conformFleet struct {
 }
 
 // driftingFleet is netFixture's population whose three fastest clients
-// collapse to 5% CPU from tier round 4 on — a pure function of the round,
-// so every runtime drifts alike — placed by Managers seeded from one
-// profiling pass that re-tier every 6 commits.
+// collapse to 5% CPU for tier rounds 4–7 and then recover — a pure function
+// of the round, so every runtime drifts alike — placed by Managers seeded
+// from one profiling pass that re-tier every 5 commits. Clients move out
+// and back, some before they train in the tier they were moved to.
 func driftingFleet(t *testing.T) conformFleet {
 	clients, _, _, spec := netFixture(t, 200)
 	for i := 0; i < 3; i++ {
 		clients[i].Drift = func(round int) float64 {
-			if round >= 4 {
+			if round >= 4 && round < 8 {
 				return 0.05
 			}
 			return 1
@@ -41,7 +42,7 @@ func driftingFleet(t *testing.T) conformFleet {
 	lat := core.Profile(clients, spec.Latency, core.ProfilerConfig{SyncRounds: 3, Tmax: 1e6, Epochs: 1, Seed: 5}).Latency
 	return conformFleet{clients: clients, spec: spec, newManager: func() flcore.TierManager {
 		mgr, err := tiering.NewManager(tiering.Config{
-			NumTiers: 3, RetierEvery: 6, ClientsPerRound: spec.ClientsPerRound, Seed: spec.Seed,
+			NumTiers: 3, RetierEvery: 5, ClientsPerRound: spec.ClientsPerRound, Seed: spec.Seed,
 		}, lat)
 		if err != nil {
 			t.Fatal(err)
@@ -65,6 +66,7 @@ type conformRun struct {
 	retiers, migrations int
 	placement           [][]int // the Manager's final membership (nil without one)
 	reassigns           int32   // MsgTierReassign envelopes the workers saw
+	catchUps            int64   // broadcasts sent as a catch-up of two or more payloads (flat root)
 }
 
 // finalTiers is a Manager's membership at the end of its run (nil without one).
@@ -97,7 +99,11 @@ func finalTiers(mgr flcore.TierManager) [][]int {
 //     does, each migration reaches its worker as one MsgTierReassign, and
 //     both Managers end on the same placement;
 //   - nothing is vacuous: the simulation commits more than once per tier,
-//     every run moves downlink bytes, and a Manager row migrates.
+//     every run moves downlink bytes, a Manager row migrates, and a lossy
+//     delta row (tiers of 3, cohorts of 2) catches some worker up over two
+//     or more rounds. A lossless XOR step of a training update deflates to
+//     over half the dense model, so the ring's one-model budget holds one
+//     and the lossless row never does.
 //
 // The tree takes no Manager, and a lossy downlink compresses its root→child
 // pulls and child→leaf broadcasts separately, so those rows skip it.
@@ -122,6 +128,7 @@ func TestRuntimesConform(t *testing.T) {
 		{name: "delta+int8", downlink: "delta+int8", fleet: frozen},
 		{name: "delta+topk@0.25", downlink: "delta+topk@0.25", fleet: frozen},
 		{name: "migration", fleet: driftingFleet},
+		{name: "migration/delta+int8", downlink: "delta+int8", fleet: driftingFleet},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			t.Parallel() // rows share nothing but the CPU
@@ -161,6 +168,9 @@ func TestRuntimesConform(t *testing.T) {
 			sameRun(t, "flat", flat, sim, true)
 			if flat.reassigns != int32(sim.migrations) {
 				t.Errorf("workers saw %d MsgTierReassign, want %d", flat.reassigns, sim.migrations)
+			}
+			if !spec.Downlink.Lossless() && flat.catchUps == 0 {
+				t.Errorf("no worker was caught up over two or more rounds; the ring went unexercised")
 			}
 			runs := map[string]conformRun{"sim": sim, "flat": flat}
 			if row.tree {
@@ -251,7 +261,7 @@ func runSockets(t *testing.T, f conformFleet, spec flcore.TieredAsyncConfig, sch
 	run := conformRun{
 		weights: res.Weights, up: res.UplinkBytes, down: res.DownlinkBytes,
 		retiers: res.Retiers, migrations: res.Reassigned, placement: finalTiers(spec.Manager),
-		reassigns: reassigns.Load(),
+		reassigns: reassigns.Load(), catchUps: root.Metrics().CatchUps,
 	}
 	for _, rec := range res.Log {
 		run.commits = append(run.commits, conformCommit{rec.Tier, rec.TierRound, rec.Version, rec.Staleness, math.Float64bits(rec.Weight), rec.UplinkBytes, rec.DownlinkBytes})

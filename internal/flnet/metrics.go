@@ -100,8 +100,12 @@ type MetricsSnapshot struct {
 	Children      []ChildMetrics `json:"children,omitempty"`
 	UplinkBytes   int64          `json:"uplink_bytes"`
 	DownlinkBytes int64          `json:"downlink_bytes"`
-	Retiers       int            `json:"retiers"`
-	Reassigned    int            `json:"reassigned"`
+	// CatchUps counts this node's broadcasts sent as a catch-up of two or
+	// more delta payloads: a worker that sat out rounds, served without a
+	// dense resend.
+	CatchUps   int64 `json:"catch_ups"`
+	Retiers    int   `json:"retiers"`
+	Reassigned int   `json:"reassigned"`
 	// Reconnects counts worker re-registrations, Retries counts mid-round
 	// request redispatches to rejoined workers, and ChildRejoins counts
 	// tree child-aggregator revivals.
@@ -131,6 +135,7 @@ type obsState struct {
 	members       []int
 	uplink        int64
 	downlink      int64
+	catchUps      int64
 	retiers       int
 	reassigned    int
 	ckptVersion   int
@@ -259,11 +264,15 @@ func (o *obsState) noteRetier(moved int, memberCounts []int) {
 	o.members = append(o.members[:0], memberCounts...)
 }
 
-// addDownlink accumulates broadcast traffic.
-func (o *obsState) addDownlink(n int64) {
+// addDownlink accumulates one broadcast's traffic: n bytes, sent as a
+// catch-up of steps delta payloads (0 = dense).
+func (o *obsState) addDownlink(n int64, steps int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.downlink += n
+	if steps >= 2 {
+		o.catchUps++
+	}
 }
 
 // noteCheckpoint records a checkpoint write attempt.
@@ -292,6 +301,7 @@ func (ta *TieredAsyncAggregator) Metrics() MetricsSnapshot {
 		LiveWorkers:           0,
 		UplinkBytes:           o.uplink,
 		DownlinkBytes:         o.downlink,
+		CatchUps:              o.catchUps,
 		Retiers:               o.retiers,
 		Reassigned:            o.reassigned,
 		Reconnects:            o.totalReconnects,

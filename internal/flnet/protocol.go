@@ -75,7 +75,7 @@ const (
 // number is refused with an error naming both, the handshake answers it once
 // with a Done carrying that reason, and mixed-version fleets are a non-goal.
 // Bump it whenever a message or the frame changes meaning.
-const wireVersion = 2
+const wireVersion = 3
 
 // Registration roles (Register.Role).
 const (
@@ -171,10 +171,13 @@ type ProfileReply struct {
 	Seconds  float64
 }
 
-// Train delivers the round's global weights to a selected worker. When
-// Participants is non-empty the round runs under secure aggregation: the
-// worker masks its sample-weighted update with pairwise masks over the
-// cohort (see secure.go) scaled by MaskScale.
+// Train delivers the round's global weights to a selected worker: dense
+// (Raw), or on a downlink run as a catch-up (Delta) — the tier chain's
+// payloads since the base the worker last acked, which a worker that sat
+// out rounds receives in one message while they total less than the dense
+// model. When Participants is non-empty the round runs under secure
+// aggregation: the worker masks its sample-weighted update with pairwise
+// masks over the cohort (see secure.go) scaled by MaskScale.
 //
 // Seq is a per-request token, never zero, that the worker echoes back in
 // its update: a reply is matched to the request waiting for it by Seq
@@ -194,18 +197,26 @@ type Train struct {
 	// until it releases the envelope.
 	Raw []byte
 	// Version identifies the broadcast snapshot under the delta-downlink
-	// scheme: the sending tier's 1-based versioned-broadcast counter (0 on
-	// runs without a downlink mode means "do not track a base"). A per-tier
-	// per-broadcast counter rather than the global model version, because a
-	// round that ends without a commit is redrawn from the same global
-	// version and every (tier, Version) pair must name exactly one base.
+	// scheme: the sending tier's chain state (compress.Chain.Version, from
+	// 1; 0 on runs without a downlink mode means "do not track a base"). A
+	// per-tier per-broadcast number rather than the global model version,
+	// because a round that ends without a commit is redrawn from the same
+	// global version and every (Tier, Version) pair must name exactly one
+	// base. The worker keeps one base per Tier: a migrating worker may be
+	// sent its old tier's request after its new tier's.
+	Tier    int
 	Version int
-	// Delta, when non-nil, replaces Raw: the compress delta payload to
-	// apply against the worker's held base. DeltaBase names that base (its
-	// Version value), and DeltaCodec is the compress delta codec ID
-	// (compress.IDDeltaXOR for the lossless XOR delta, the lossy codec's ID
-	// otherwise).
-	Delta      []byte
+	// Delta, when non-nil, replaces Raw: a catch-up, the compress delta
+	// payloads that take the worker's base for Tier to Version, oldest
+	// first (compress.ApplyCatchUp; one payload when the worker missed no
+	// round). DeltaBase names that base (its Version value), and DeltaCodec
+	// is the compress delta codec ID (compress.IDDeltaXOR for the lossless
+	// XOR delta, the lossy codec's ID otherwise). The payloads travel back
+	// to back as the frame's blob, written from the sender's slices, and
+	// DeltaLens carries their lengths in the control part; send fills it and
+	// recv consumes it, so neither side sets or reads it.
+	Delta      [][]byte
+	DeltaLens  []int
 	DeltaBase  int
 	DeltaCodec byte
 }
@@ -400,13 +411,14 @@ type CompressedUpdate struct {
 //	8       4     metaLen ≤ maxMetaBytes: the gob-encoded Envelope, bulk field cleared
 //	12      4     blobLen ≤ the connection's blob bound: the bulk field's bytes, as they are
 //
-// The blob is Train.Raw/Delta, Update.Raw, CompressedUpdate.Payload or
-// TreePull.Raw/Delta verbatim, or the nn.EncodeWeights form of
-// Profile.Weights or TierCommit.Weights; no other message carries one.
-// Whether a blob is present and which field it fills rides in flags, so a
-// zero-length payload arrives non-nil. Payload byte accounting
-// (UplinkBytes, DownlinkBytes) counts blob sizes; header and meta are not
-// payload.
+// The blob is Train.Raw, Update.Raw, CompressedUpdate.Payload or
+// TreePull.Raw/Delta verbatim, Train.Delta's payloads back to back (their
+// lengths, Train.DeltaLens, ride in the control part), or the
+// nn.EncodeWeights form of Profile.Weights or TierCommit.Weights; no other
+// message carries one. Whether a blob is present and which field it fills
+// rides in flags, so a zero-length payload arrives non-nil. Payload byte
+// accounting (UplinkBytes, DownlinkBytes) counts blob sizes; header and
+// meta are not payload.
 const (
 	frameHeaderLen        = 16
 	frameMagic     uint32 = 0x7F1F_F2A3
@@ -424,7 +436,8 @@ const (
 
 // blobBound is the largest blob a peer may send the aggregator of an
 // n-weight model: the dense vector, or the largest payload any uplink codec
-// encodes it to at its least favourable parameter.
+// encodes it to at its least favourable parameter. (A downlink catch-up is
+// never larger than the dense vector: a chain's ring keeps no more.)
 func blobBound(n int) int64 {
 	return int64(max(compress.DenseBytes(n), compress.NewInt8(1).EncodedBytes(n), compress.NewTopK(1).EncodedBytes(n)))
 }
@@ -481,10 +494,11 @@ type conn struct {
 	raw    net.Conn
 	sendMu sync.Mutex
 	// Send state: head holds the frame header and the gob control part, so a
-	// frame leaves in two writes (one writev on a bare TCP connection), the
-	// blob straight from the caller's slice.
+	// frame leaves in one writev on a bare TCP connection: iov is head, then
+	// the blob straight from the caller's slices.
 	head bytes.Buffer
 	enc  *gob.Encoder // → head
+	iov  [][]byte
 	// Receive state: the control part is read into meta and decoded from
 	// metaR, which dec reads; both persist so gob's type descriptions cross
 	// once per connection.
@@ -511,16 +525,22 @@ func newConn(raw net.Conn) *conn {
 
 // split returns env's control part — a shallow copy with the bulk field
 // cleared, so the caller's envelope, which a broadcast shares between
-// connections, is never written — and the blob with its flags. A []float64
-// bulk field is encoded into a recycled buffer, returned as encoded for the
-// caller to recycle once the frame is written. An envelope without its
-// payload passes through whole; the receiver refuses it.
-func split(env *Envelope) (meta Envelope, blob []byte, flags byte, encoded *[]byte) {
+// connections, is never written — and the blob with its flags, its
+// non-empty pieces appended to iov (an empty Write can block a synchronous
+// transport). A []float64 bulk field is encoded into a recycled buffer,
+// returned as encoded for the caller to recycle once the frame is written.
+// An envelope without its payload passes through whole; the receiver
+// refuses it.
+func split(env *Envelope, iov [][]byte) (meta Envelope, blob [][]byte, flags byte, encoded *[]byte) {
 	meta = *env
 	meta.blob = nil
+	blob = iov
 	carry := func(b []byte, f byte) {
 		if b != nil {
-			blob, flags = b, flagBlob|f
+			flags = flagBlob | f
+			if len(b) > 0 {
+				blob = append(blob, b)
+			}
 		}
 	}
 	vec := func(w []float64) {
@@ -533,7 +553,13 @@ func split(env *Envelope) (meta Envelope, blob []byte, flags byte, encoded *[]by
 	case env.Type == MsgTrain && env.Train != nil:
 		m := *env.Train
 		carry(m.Raw, 0)
-		carry(m.Delta, flagDelta)
+		if m.Delta != nil {
+			flags, m.DeltaLens = flagBlob|flagDelta, make([]int, len(m.Delta))
+			for i, p := range m.Delta {
+				carry(p, flagDelta)
+				m.DeltaLens[i] = len(p)
+			}
+		}
 		m.Raw, m.Delta, meta.Train = nil, nil, &m
 	case env.Type == MsgTreePull && env.TreePull != nil:
 		m := *env.TreePull
@@ -562,13 +588,20 @@ func split(env *Envelope) (meta Envelope, blob []byte, flags byte, encoded *[]by
 
 // attach puts a received blob where split took it from. The two []float64
 // fields are decoded here and their buffer recycled at once; the byte fields
-// alias the buffer until the handler releases the envelope.
+// alias the buffer until the handler releases the envelope. A catch-up is
+// cut back into its payloads by the lengths the control part carried, once
+// they are checked against the blob.
 func (e *Envelope) attach(b *[]byte, delta bool) error {
 	var vec *[]float64
 	switch e.Type {
 	case MsgTrain:
 		if delta {
-			e.Train.Delta = *b
+			parts, err := compress.SplitCatchUp(*b, e.Train.DeltaLens)
+			if err != nil {
+				putBlob(b)
+				return err
+			}
+			e.Train.Delta, e.Train.DeltaLens = parts, nil
 		} else {
 			e.Train.Raw = *b
 		}
@@ -606,8 +639,14 @@ func (c *conn) send(env *Envelope) error {
 		}
 		defer c.raw.SetWriteDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}
-	meta, blob, flags, encoded := split(env)
+	// iov[0] is the head, filled in once the control part is encoded.
+	meta, iov, flags, encoded := split(env, append(c.iov[:0], nil))
+	c.iov = iov
 	defer putBlob(encoded)
+	blobLen := int64(0)
+	for _, b := range iov[1:] {
+		blobLen += int64(len(b))
+	}
 	var hdr [frameHeaderLen]byte
 	c.head.Reset()
 	c.head.Write(hdr[:])
@@ -615,20 +654,17 @@ func (c *conn) send(env *Envelope) error {
 		return fmt.Errorf("flnet: send %d: %w", env.Type, err)
 	}
 	metaLen := c.head.Len() - frameHeaderLen
-	if metaLen > maxMetaBytes || int64(len(blob)) > maxBlobBytes {
-		return fmt.Errorf("flnet: send %d: frame of %d control and %d blob bytes is over the wire bounds", env.Type, metaLen, len(blob))
+	if metaLen > maxMetaBytes || blobLen > maxBlobBytes {
+		return fmt.Errorf("flnet: send %d: frame of %d control and %d blob bytes is over the wire bounds", env.Type, metaLen, blobLen)
 	}
 	h := c.head.Bytes()
 	binary.LittleEndian.PutUint32(h[0:], frameMagic)
 	binary.LittleEndian.PutUint16(h[4:], wireVersion)
 	h[6], h[7] = byte(env.Type), flags
 	binary.LittleEndian.PutUint32(h[8:], uint32(metaLen))
-	binary.LittleEndian.PutUint32(h[12:], uint32(len(blob)))
-	iov := [2][]byte{h, blob}
-	bufs := net.Buffers(iov[:1])
-	if len(blob) > 0 { // an empty Write can block a synchronous transport
-		bufs = iov[:2]
-	}
+	binary.LittleEndian.PutUint32(h[12:], uint32(blobLen))
+	iov[0] = h
+	bufs := net.Buffers(iov)
 	if _, err := bufs.WriteTo(c.raw); err != nil {
 		return fmt.Errorf("flnet: send %d: %w", env.Type, err)
 	}
@@ -708,6 +744,8 @@ func (c *conn) recv(timeout time.Duration) (*Envelope, error) {
 		return nil, fatalf("flnet: recv: frame of type %d holds a message of type %d", typ, env.Type)
 	case !env.hasPayload():
 		return nil, fatalf("flnet: recv: message type %d without its payload", env.Type)
+	case typ == MsgTrain && env.Train.DeltaLens != nil && flags&flagDelta == 0:
+		return nil, fatalf("flnet: recv: catch-up lengths on a train frame without a delta")
 	}
 	if flags&flagBlob != 0 {
 		b := getBlob(int(blobLen))

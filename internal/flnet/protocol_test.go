@@ -203,12 +203,15 @@ func frameOf(t testing.TB, env *Envelope) []byte {
 
 // TestBlobPresenceRidesInFlags: which bulk field arrives, and whether one
 // does, is the header's flags, not the blob's length — an empty payload
-// comes out empty and non-nil, an absent one nil, Raw and Delta never swap.
+// comes out empty and non-nil, an absent one nil, Raw and Delta never swap,
+// and a catch-up's payloads come back apart, cut by the lengths that rode
+// in the control part.
 func TestBlobPresenceRidesInFlags(t *testing.T) {
 	for name, tr := range map[string]*Train{
 		"empty Raw":   {Round: 1, Raw: []byte{}},
-		"empty Delta": {Round: 1, Delta: []byte{}, DeltaBase: 3},
-		"Delta":       {Round: 1, Delta: []byte{1, 2, 3}, DeltaBase: 3},
+		"empty Delta": {Round: 1, Delta: [][]byte{}, DeltaBase: 3},
+		"Delta":       {Round: 1, Delta: [][]byte{{1, 2, 3}}, DeltaBase: 3},
+		"catch-up":    {Round: 1, Delta: [][]byte{{1, 2}, {3}, {4, 5, 6}}, DeltaBase: 3},
 		"neither":     {Round: 1},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -217,8 +220,8 @@ func TestBlobPresenceRidesInFlags(t *testing.T) {
 				t.Fatal(err)
 			}
 			if (got.Train.Raw == nil) != (tr.Raw == nil) || (got.Train.Delta == nil) != (tr.Delta == nil) ||
-				!bytes.Equal(got.Train.Raw, tr.Raw) || !bytes.Equal(got.Train.Delta, tr.Delta) {
-				t.Fatalf("sent Raw %v Delta %v, received Raw %v Delta %v", tr.Raw, tr.Delta, got.Train.Raw, got.Train.Delta)
+				!bytes.Equal(got.Train.Raw, tr.Raw) || !reflect.DeepEqual(got.Train.Delta, tr.Delta) || got.Train.DeltaLens != nil {
+				t.Fatalf("sent Raw %v Delta %v, received Raw %v Delta %v (lengths %v)", tr.Raw, tr.Delta, got.Train.Raw, got.Train.Delta, got.Train.DeltaLens)
 			}
 		})
 	}
@@ -232,6 +235,7 @@ func TestRecvRefusesBadFrames(t *testing.T) {
 	done := frameOf(t, &Envelope{Type: MsgDone, Done: &Done{Rounds: 8}})
 	update := frameOf(t, &Envelope{Type: MsgUpdate, Update: &Update{Round: 3, ClientID: 7, Raw: nn.EncodeWeights([]float64{5, 6, 7})}})
 	commit := frameOf(t, &Envelope{Type: MsgTierCommit, TierCommit: &TierCommit{Tier: 1, Weights: []float64{0.5}}})
+	catchUp := frameOf(t, &Envelope{Type: MsgTrain, Train: &Train{Delta: [][]byte{{1, 2}, {3}}}}) // lengths [2 1]
 	// header returns frame with its header rewritten by edit.
 	header := func(frame []byte, edit func(h []byte)) []byte {
 		out := append([]byte(nil), frame...)
@@ -267,6 +271,10 @@ func TestRecvRefusesBadFrames(t *testing.T) {
 		{"stray control bytes", append(header(done, func(h []byte) { u32(h[8:], uint32(len(done)-frameHeaderLen+2)) }), 0, 0), true, false, agg},
 		{"control part is not gob", header(append(done[:frameHeaderLen:frameHeaderLen], 0xFF, 0xFF, 0xFF, 0xFF), func(h []byte) { u32(h[8:], 4) }), true, false, agg},
 		{"weights blob is not an nn.EncodeWeights vector", header(commit, func(h []byte) { u32(h[12:], 9) }), true, false, agg},
+		{"catch-up lengths short of the blob", append(header(catchUp, func(h []byte) { u32(h[12:], 4) }), 9), true, false, agg},
+		{"catch-up lengths past the blob", header(catchUp[:len(catchUp)-1], func(h []byte) { u32(h[12:], 2) }), true, false, agg},
+		{"empty payload in a catch-up", frameOf(t, &Envelope{Type: MsgTrain, Train: &Train{Delta: [][]byte{{1, 2}, {}}}}), true, false, agg},
+		{"catch-up lengths on a dense train", frameOf(t, &Envelope{Type: MsgTrain, Train: &Train{Raw: []byte{1, 2, 3}, DeltaLens: []int{3}}}), true, false, agg},
 		{"truncated header", done[:frameHeaderLen/2], false, false, agg},
 		{"truncated control part", done[:len(done)-3], false, false, agg},
 		{"truncated blob", update[:len(update)-5], false, false, agg},
@@ -311,6 +319,12 @@ func FuzzEnvelopeRecv(f *testing.F) {
 	}
 	f.Add([]byte("not a frame at all"))
 	model := []float64{0.5, -1, 2}
+	ch := (&compress.Downlink{Codec: compress.NewInt8(0)}).NewChain()
+	ch.Adopt(model)
+	ch.Encode([]float64{0.25, -1, 2.5})
+	ch.Encode([]float64{0, -1, 3})
+	parts, _ := ch.CatchUp(1)
+	f.Add(frameOf(f, &Envelope{Type: MsgTrain, Train: &Train{Round: 2, Version: 3, Delta: parts, DeltaBase: 1, DeltaCodec: compress.IDInt8}}))
 	w := &registered{codec: compress.IDInt8, prevCodec: compress.IDNone}
 	var limit atomic.Int64
 	limit.Store(blobBound(len(model)))
@@ -324,7 +338,11 @@ func FuzzEnvelopeRecv(f *testing.F) {
 			}
 			switch env.Type {
 			case MsgTrain:
-				env.Train.roundWeights(nil) //nolint:errcheck // must not panic
+				if env.Train.Delta != nil {
+					compress.ApplyCatchUp(env.Train.DeltaCodec, env.Train.Delta, model) //nolint:errcheck // must not panic
+				} else {
+					env.Train.roundWeights(nil) //nolint:errcheck // must not panic
+				}
 			case MsgTreePull:
 				env.TreePull.pullWeights(nil) //nolint:errcheck // must not panic
 			case MsgUpdate, MsgCompressedUpdate:

@@ -110,41 +110,69 @@ type registered struct {
 	pmu     sync.Mutex
 	pending map[int64]chan *Envelope
 
-	// Delta-downlink ack state (runs with a downlink mode): the tier and
-	// versioned-broadcast counter of the last snapshot this worker is known
-	// to hold — recorded when its update for that broadcast arrives, never
-	// merely when the broadcast was sent. A delta is only dispatched when
-	// the ack matches the tier chain's base exactly; everything else (first
-	// contact, a missed round, a migration, a resume) degrades to the dense
+	// Delta-downlink ack state (runs with a downlink mode): per tier, the
+	// chain state this worker is known to hold — recorded when that tier
+	// counts the worker's reply to it, spent by the tier's next request —
+	// and the global versions at which re-tierings moved the worker. Acks
+	// are kept per tier, as the worker keeps its bases, because a migrating
+	// worker can be sent requests by its old and its new tier in either
+	// order. A catch-up is only dispatched from an ack still in the tier
+	// chain's ring; everything else (first contact, a gap older than the
+	// ring, an uncounted reply, a migration, a resume) degrades to the dense
 	// snapshot.
-	amu     sync.Mutex
-	ackTier int
-	ackVer  int
+	amu   sync.Mutex
+	acks  map[int]ackState
+	moves []int
 }
 
-// setAck records that the worker acknowledged (responded to) the versioned
-// broadcast of tier t at global version ver.
-func (w *registered) setAck(t, ver int) {
+// ackState is one tier's acked chain state and the global version the
+// round that broadcast it was pulled at.
+type ackState struct{ ver, at int }
+
+// takeAck returns the chain state the worker holds in tier t, for a round
+// pulled at global version at, and spends it: 0 when none is known. Only a
+// counted reply (setAck) names the state the worker holds next — a
+// straggler's or a timed-out reply's worker holds one the aggregator
+// cannot name, and is sent dense next time. An ack is also void once a
+// re-tiering moved the worker after the ack's round was pulled and no
+// later than this round was: a migration takes effect at the pulls after
+// it, as in the simulation, however late a tier loop writes a request it
+// pulled earlier.
+func (w *registered) takeAck(t, at int) int {
 	w.amu.Lock()
 	defer w.amu.Unlock()
-	w.ackTier, w.ackVer = t, ver
+	a, ok := w.acks[t]
+	delete(w.acks, t)
+	if !ok {
+		return 0
+	}
+	for _, m := range w.moves {
+		if a.at < m && m <= at {
+			return 0
+		}
+	}
+	return a.ver
 }
 
-// clearAck forgets the worker's ack — called when a re-tiering migrates it,
-// so a stale same-tier ack can never resurface after the worker returns to
-// a tier it left.
-func (w *registered) clearAck() {
+// setAck records that tier t counted the worker's reply to the broadcast of
+// chain state ver, whose round was pulled at global version at.
+func (w *registered) setAck(t, ver, at int) {
 	w.amu.Lock()
 	defer w.amu.Unlock()
-	w.ackTier, w.ackVer = -1, -1
+	if w.acks == nil {
+		w.acks = make(map[int]ackState)
+	}
+	w.acks[t] = ackState{ver: ver, at: at}
 }
 
-// ackMatch reports whether the worker's last ack is exactly tier t at
-// version ver — the eligibility test for a delta against that base.
-func (w *registered) ackMatch(t, ver int) bool {
+// noteMove records a re-tiering that moved the worker at global version
+// version, voiding its acks for every round pulled from then on. The list
+// is never pruned: a round pulled before a move may still be counted after
+// it, and it grows by one per move of this worker.
+func (w *registered) noteMove(version int) {
 	w.amu.Lock()
 	defer w.amu.Unlock()
-	return ver >= 0 && w.ackTier == t && w.ackVer == ver
+	w.moves = append(w.moves, version)
 }
 
 // codecID returns the worker's current negotiated codec.
@@ -342,7 +370,6 @@ func (a *server) handshake(raw net.Conn) {
 		inbox:   make(chan *Envelope, 4), // slack for a reply sent ahead of its reader; nothing relies on the size
 		deadCh:  make(chan struct{}),
 		pending: make(map[int64]chan *Envelope),
-		ackTier: -1, ackVer: -1,
 	}
 	a.mu.Lock()
 	old := a.workers[w.id]

@@ -349,22 +349,22 @@ func (ta *TieredAsyncAggregator) publishTiers(tiers [][]int) { ta.members.Store(
 // tiers returns the published membership view (empty before the first run).
 func (ta *TieredAsyncAggregator) tiers() [][]int { return *ta.members.Load() }
 
-// migrate carries out a re-tiering the Committer just applied: it swaps
-// the published membership view (tier loops pick it up next round;
-// in-flight rounds complete under the membership they were dispatched
-// with) and announces each migration to the moved worker.
-func (ta *TieredAsyncAggregator) migrate(tiers [][]int, moves []flcore.TierMove) {
+// migrate carries out a re-tiering the Committer just applied at global
+// version version: it swaps the published membership view (tier loops pick
+// it up next round; in-flight rounds complete under the membership they
+// were dispatched with) and announces each migration to the moved worker.
+func (ta *TieredAsyncAggregator) migrate(version int, tiers [][]int, moves []flcore.TierMove) {
 	ta.publishTiers(tiers)
 	for _, mv := range moves {
 		w := ta.liveWorker(mv.Client)
 		if w == nil {
 			continue
 		}
-		// A migrated worker's delta-downlink ack is void: its new tier's
-		// chain has a different base, and clearing (rather than leaving) the
-		// ack also keeps a stale same-tier ack from resurfacing if a later
-		// rebuild moves the worker back.
-		w.clearAck()
+		// A migrated worker's delta-downlink ack is void for the rounds
+		// pulled from here on: its new tier's chain has a different base,
+		// and a stale same-tier ack must not resurface if a later rebuild
+		// moves the worker back.
+		w.noteMove(version)
 		tr := &TierReassign{From: mv.From, To: mv.To, NumTiers: len(tiers)}
 		// Per-tier compression policy: renegotiate the migrating worker's
 		// codec over the same envelope when the destination tier's policy
@@ -463,20 +463,6 @@ type fanIn struct {
 	vecs tensor.Pool
 }
 
-// downTier is one tier's delta-broadcast state: the chain holding the
-// tier's last reconstructed base (plus, for lossy codecs, the server-side
-// error-feedback residual), and the tier's versioned-broadcast counter —
-// the Train.Version value of the chain's current base. The counter is
-// per-tier and per-broadcast rather than the global model version because
-// a round that ends without a commit is redrawn from the same global
-// version; a per-broadcast counter keeps every (tier, version) pair
-// naming exactly one base, so a stale ack can never alias a newer one.
-// Owned by the tier's single aggregator loop — no locking needed.
-type downTier struct {
-	chain *compress.Chain
-	seq   int // versioned broadcasts sent so far (0 = none)
-}
-
 // timedUpdate is one collected update plus its aggregator-side arrival
 // time, measured from the round's broadcast — the end-to-end response
 // latency that feeds comm-aware tiering. src is the exact connection the
@@ -555,15 +541,16 @@ func (f *fanIn) redispatch(rq *trainReq, cr *cohortRound, deadline time.Time) bo
 	nch := nw.addPending(rq.seq)
 	// The dense snapshot (a rejoined connection starts unacked and holds no
 	// delta base), version-tagged on downlink runs: the fresh connection
-	// adopts it as its base and becomes delta-eligible again next round.
-	tr := &Train{Round: cr.round, Seq: rq.seq, Version: cr.dlVer, Raw: cr.bc.raw()}
+	// adopts it as its base and, once its reply counts, is caught up from
+	// there in later rounds.
+	tr := &Train{Round: cr.round, Seq: rq.seq, Tier: cr.tier, Version: cr.dlVer, Raw: cr.bc.raw()}
 	if err := nw.c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
 		nw.dropPending(rq.seq)
 		return false
 	}
 	db := int64(len(tr.Raw))
 	cr.extraDown.Add(db)
-	f.obs.addDownlink(db)
+	f.obs.addDownlink(db, 0)
 	f.obs.noteRetry()
 	rq.rebind(nw, nch)
 	return true
@@ -675,12 +662,18 @@ type cohortRound struct {
 	// count: len(cohort) for a tier round, ClientsPerRound for a synchronous
 	// round over an over-selected cohort, whose later replies are discarded
 	// stragglers. secure announces the reached cohort and maskScale to every
-	// member (Train.Participants/MaskScale, see secure.go).
+	// member (Train.Participants/MaskScale, see secure.go). dl is the tier's
+	// delta-broadcast chain, owned by the tier's one driver (no locking);
+	// nil broadcasts dense. Its state numbers are the Train.Version values:
+	// per tier and per broadcast rather than the global model version,
+	// because a round that ends without a commit is redrawn from the same
+	// global version.
 	tier, round int // tier keys the delta acks
+	version     int // the global version the round was pulled at, which orders acks against migrations
 	cohort      []int
 	target      int
 	weights     []float64 // on a downlink round gather swaps in the chain's post-encode base
-	dl          *downTier // nil broadcasts dense
+	dl          *compress.Chain
 	secure      bool
 	maskScale   float64
 	done        <-chan struct{} // closed when the run ends; nil never aborts
@@ -689,7 +682,7 @@ type cohortRound struct {
 	// bytes redispatches add.
 	start     time.Time
 	bc        *broadcast
-	dlVer     int // the round's versioned-broadcast counter (0 = untracked)
+	dlVer     int // the round's chain state (0 = untracked)
 	extraDown atomic.Int64
 
 	// The result. updates are the replies that count, in cohort order
@@ -716,8 +709,9 @@ func (f *fanIn) recycle(updates ...timedUpdate) {
 }
 
 // gather is the dispatch-and-collect half of every round: send the live
-// cohort the round's weights (one shared blob, or the tier's delta where
-// the ack state allows it), collect the matched replies — with extra
+// cohort the round's weights (one shared blob, or the catch-up from a
+// member's acked state where the tier's chain still holds it), collect the
+// matched replies — with extra
 // collection windows for all-slow cohorts: a cohort slower than one timeout
 // window still delivers instead of being perpetually one round behind; a
 // single member persistently slower than its cohort is still dropped each
@@ -737,26 +731,23 @@ func (f *fanIn) gather(cr *cohortRound) tierRoundStatus {
 		return roundNoCohort
 	}
 	// Delta broadcast: the chain advances exactly once per round — the
-	// payload is encoded against the chain's base and shared by every
-	// eligible recipient (the O(1)-per-round encode) — and the round then
-	// proceeds from the chain's post-encode base, so with a lossy codec
-	// training, uplink reconstruction, and every dense fallback all see the
-	// weights the delta recipients reconstruct, not the pre-loss snapshot.
-	var dlPayload []byte
+	// payload is encoded against the chain's base and joins its ring, whose
+	// slices every catch-up shares (the O(1)-per-round encode) — and the
+	// round then proceeds from the chain's post-encode base, so with a lossy
+	// codec training, uplink reconstruction, and every dense fallback all
+	// see the weights the delta recipients reconstruct, not the pre-loss
+	// snapshot.
 	var dlCodec byte
-	dlBase := 0
 	if dl := cr.dl; dl != nil {
-		if dl.chain.HasBase() {
-			dlPayload, dlCodec = dl.chain.Encode(cr.weights)
-			dlBase = dl.seq
+		if dl.HasBase() {
+			_, dlCodec = dl.Encode(cr.weights)
 		} else {
-			dl.chain.Adopt(cr.weights)
+			dl.Adopt(cr.weights)
 		}
-		dl.seq++
-		cr.dlVer = dl.seq
+		cr.dlVer = dl.Version()
 		// The chain's own base, read-only: nothing advances the chain again
 		// before this round's last reader (collect) has returned.
-		cr.weights = dl.chain.Base()
+		cr.weights = dl.Base()
 	}
 	cr.start = time.Now()
 	var reqs []*trainReq
@@ -776,21 +767,27 @@ func (f *fanIn) gather(cr *cohortRound) tierRoundStatus {
 	for _, w := range conns {
 		rq := &trainReq{id: w.id, w: w, seq: f.seq.Add(1)}
 		rq.ch = w.addPending(rq.seq)
-		tr := &Train{Round: cr.round, Seq: rq.seq, Version: cr.dlVer}
+		tr := &Train{Round: cr.round, Seq: rq.seq, Tier: cr.tier, Version: cr.dlVer}
 		if cr.secure {
 			tr.Participants, tr.MaskScale = cr.live, cr.maskScale
 		}
-		if dlPayload != nil && w.ackMatch(cr.tier, dlBase) {
-			tr.Delta, tr.DeltaBase, tr.DeltaCodec = dlPayload, dlBase, dlCodec
-		} else {
-			tr.Raw = cr.bc.raw()
+		var n int // the blob's length: what the wire carries and the round bills
+		if cr.dl != nil {
+			from := w.takeAck(cr.tier, cr.version)
+			if tr.Delta, n = cr.dl.CatchUp(from); tr.Delta != nil {
+				tr.DeltaBase, tr.DeltaCodec = from, dlCodec
+			}
 		}
-		db := int64(len(tr.Delta) + len(tr.Raw))
+		if tr.Delta == nil {
+			tr.Raw = cr.bc.raw()
+			n = len(tr.Raw)
+		}
 		if err := w.c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
 			w.dropPending(rq.seq)
 			continue
 		}
-		f.obs.addDownlink(db)
+		db := int64(n)
+		f.obs.addDownlink(db, len(tr.Delta))
 		cr.downBytes += db
 		cr.sent[w.id] = db
 		reqs = append(reqs, rq)
@@ -824,15 +821,15 @@ func (f *fanIn) gather(cr *cohortRound) tierRoundStatus {
 	for i, u := range cr.updates {
 		cr.plain[i] = u.Update
 		cr.upBytes += int64(u.WireBytes)
-		// A responding worker has provably received and adopted this
+		// A counted reply proves the worker received and adopted this
 		// round's versioned base — record the ack that makes it
-		// delta-eligible next round. The ack lands on the exact connection
-		// the reply came from (u.src), so a redispatched request acks the
-		// rejoined connection, never the dead one. Workers that received the
-		// broadcast but never replied stay unacked and fall back to dense,
-		// which is always safe.
+		// catch-up-eligible in later rounds. The ack lands on the exact
+		// connection the reply came from (u.src), so a redispatched request
+		// acks the rejoined connection, never the dead one. A worker whose
+		// reply was not counted spent its ack on the send and falls back to
+		// dense, which is always safe.
 		if cr.dlVer != 0 {
-			u.src.setAck(cr.tier, cr.dlVer)
+			u.src.setAck(cr.tier, cr.dlVer, cr.version)
 		}
 	}
 	return roundCommitted
@@ -840,8 +837,8 @@ func (f *fanIn) gather(cr *cohortRound) tierRoundStatus {
 
 // runRound executes one mini-round of tier t: gather the cohort's replies
 // and return their FedAvg as a TierCommit, in-process or over the wire.
-func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64, dl *downTier, done <-chan struct{}) (*TierCommit, tierRoundStatus) {
-	cr := &cohortRound{tier: t, round: r, cohort: cohort, target: len(cohort), weights: weights, dl: dl, done: done}
+func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64, dl *compress.Chain, done <-chan struct{}) (*TierCommit, tierRoundStatus) {
+	cr := &cohortRound{tier: t, round: r, version: version, cohort: cohort, target: len(cohort), weights: weights, dl: dl, done: done}
 	if status := f.gather(cr); status != roundCommitted {
 		return nil, status
 	}
@@ -915,7 +912,7 @@ func (tp *topology) post(ev tierEvent) bool {
 // the pre-drawn cohort — so it trains from exactly the state the simulated
 // engine's dispatch would see, and re-tierings take effect at the tier's
 // next pull.
-func (ta *TieredAsyncAggregator) tierLoop(t int, pulls <-chan flcore.TierPull, dl *downTier, tp *topology) {
+func (ta *TieredAsyncAggregator) tierLoop(t int, pulls <-chan flcore.TierPull, dl *compress.Chain, tp *topology) {
 	// A tier that times out this many rounds in a row (each with several
 	// collection windows) stops participating; when every tier stops, Run
 	// reports the failure instead of hanging.
@@ -1030,13 +1027,11 @@ func (ta *TieredAsyncAggregator) Run(tiers [][]int) (*TieredAsyncRunResult, erro
 		}
 	})
 	for t := range tiers {
-		var dl *downTier // the tier's delta-broadcast chain (Downlink runs)
-		if ta.tcfg.Downlink != nil {
-			// Fresh chains every Run — on a resumed run the workers' held
-			// bases did not survive the crash any more than the chains did,
-			// so every tier re-enters through the dense first-contact path.
-			dl = &downTier{chain: ta.tcfg.Downlink.NewChain()}
-		}
+		// The tier's delta-broadcast chain (nil without a Downlink), fresh
+		// every Run — on a resumed run the workers' held bases did not
+		// survive the crash any more than the chains did, so every tier
+		// re-enters through the dense first-contact path.
+		dl := ta.tcfg.Downlink.NewChain()
 		pulls[t] = make(chan flcore.TierPull, 1)
 		tp.dispatch(t, com.Pull(t))
 		tp.wg.Add(1)
@@ -1156,7 +1151,7 @@ func (ta *TieredAsyncAggregator) drive(com *flcore.Committer, tp *topology) (*Ti
 		ta.obs.noteCommit(stats)
 		ta.obs.noteChildCommit(stats.Tier, stats.UplinkBytes, stats.DownlinkBytes) // no-op without children
 		if len(moves) > 0 {
-			ta.migrate(com.Tiers(), moves)
+			ta.migrate(rec.Version, com.Tiers(), moves)
 		}
 		// The committing tier's next pull: the post-commit model and its
 		// next round's cohort, both taken after any re-tiering at this

@@ -265,10 +265,7 @@ func (ch *Child) Run() error {
 	// cycle is strictly sequential, and nothing downstream of localRound
 	// keeps the slice past the round.
 	var weights []float64
-	var leafDL *downTier
-	if ch.cfg.Downlink != nil {
-		leafDL = &downTier{chain: ch.cfg.Downlink.NewChain()}
-	}
+	leafDL := ch.cfg.Downlink.NewChain() // nil without a Downlink
 	for {
 		env, err := root.recv(ch.cfg.RPCTimeout)
 		if err != nil {
@@ -328,7 +325,7 @@ var errChildClosed = fmt.Errorf("flnet: child closed")
 // collection windows closed) are retried up to the same bound, and the
 // round index advances per attempt either way. The committed aggregate is
 // returned for shipping to the root.
-func (ch *Child) localRound(r *int, as *TierAssign, members []int, version int, weights []float64, dl *downTier) (*TierCommit, error) {
+func (ch *Child) localRound(r *int, as *TierAssign, members []int, version int, weights []float64, dl *compress.Chain) (*TierCommit, error) {
 	const maxEmptyRounds = 3
 	empty := 0
 	for {
@@ -448,32 +445,38 @@ func (ta *TieredAsyncAggregator) ResumeTree(c *flcore.TieredCheckpoint) error {
 	return nil
 }
 
+// pullChain is one child's root→child delta state: the chain and the
+// Version of the pull its base holds, for the child-side sanity check.
+type pullChain struct {
+	*compress.Chain
+	ver int
+}
+
 // sendPull hands a child its next pull — the tree's dispatch-at-commit.
 // Best effort: a dead child is degraded by its pump, not here. With a
-// Downlink config every pull after the first travels as a delta against
-// the previous pull: the strict pull→commit cycle means the received commit
-// IS the ack that the child holds that base, so no explicit ack tracking is
-// needed. dl.seq holds the previous pull's Version for the child-side
-// sanity check. p.Weights is the live model; it is fully encoded before
-// sendPull returns.
-func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *downTier, p flcore.TierPull) {
+// Downlink config every pull after the first travels as a one-payload
+// delta against the previous pull: the strict pull→commit cycle means the
+// received commit IS the ack that the child holds that base, so the hop
+// never has a gap and needs no ack tracking. p.Weights is the live model;
+// it is fully encoded before sendPull returns.
+func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *pullChain, p flcore.TierPull) {
 	pull := &TreePull{Version: p.Version}
-	if dl != nil && dl.chain.HasBase() {
-		pull.Delta, pull.DeltaCodec = dl.chain.Encode(p.Weights)
-		pull.DeltaBase = dl.seq
+	if dl != nil && dl.HasBase() {
+		pull.Delta, pull.DeltaCodec = dl.Encode(p.Weights)
+		pull.DeltaBase = dl.ver
 	} else {
 		raw := encodeBlob(p.Weights)
 		defer putBlob(raw)
 		pull.Raw = *raw
 		if dl != nil {
-			dl.chain.Adopt(p.Weights)
+			dl.Adopt(p.Weights)
 		}
 	}
 	if dl != nil {
-		dl.seq = p.Version
+		dl.ver = p.Version
 	}
 	if c.c.send(&Envelope{Type: MsgTreePull, TreePull: pull}) == nil {
-		ta.obs.addDownlink(int64(len(pull.Delta) + len(pull.Raw)))
+		ta.obs.addDownlink(int64(len(pull.Delta)+len(pull.Raw)), 0)
 	}
 }
 
@@ -512,7 +515,7 @@ func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 	}
 	// Per-child pull-delta chains (fresh every run: a resumed child holds
 	// no base, so it re-enters through the dense first pull).
-	pulls := make([]*downTier, k)
+	pulls := make([]*pullChain, k)
 
 	// rejoin is buffered so a burst of respawned children registering at
 	// once does not hold their handshake goroutines on the committer.
@@ -549,7 +552,7 @@ func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 	join := func(t int, c *registered) {
 		children[t] = c
 		if ta.tcfg.Downlink != nil {
-			pulls[t] = &downTier{chain: ta.tcfg.Downlink.NewChain()}
+			pulls[t] = &pullChain{Chain: ta.tcfg.Downlink.NewChain()}
 		}
 		addr := c.addr
 		if addr == "" {

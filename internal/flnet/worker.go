@@ -214,13 +214,19 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 	// last one's (see TrainFunc for what that asks of cfg.Train).
 	var tw []float64
 	var upRaw []byte
-	// Delta-downlink base: the last versioned broadcast this worker
-	// received (Train.Version value; 0 = none yet). The aggregator only
-	// sends a delta whose DeltaBase matches dlVer after seeing this
-	// worker's update for that broadcast, so a mismatch here is a protocol
-	// violation, not a recoverable race.
-	dlVer := 0
-	var dlBase []float64
+	// Delta-downlink bases, one per tier that sent this worker a versioned
+	// broadcast: the last one it received from that tier (Train.Version)
+	// and its weights. A tier sends a catch-up from a base only after
+	// counting this worker's update for the broadcast that set it — a
+	// broadcast whose reply it did not count voids its record — so a
+	// mismatch here is a protocol violation, not a recoverable race. More
+	// than one base is held only by a worker that re-tierings moved, whose
+	// old tier may still send the round it pulled before the move.
+	type heldBase struct {
+		ver int
+		w   []float64
+	}
+	held := make(map[int]*heldBase)
 	for {
 		env, err := c.recv(cfg.RPCTimeout)
 		if err != nil {
@@ -244,11 +250,12 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 		case MsgTrain:
 			start := time.Now()
 			var err error
+			base := held[env.Train.Tier]
 			if env.Train.Delta != nil {
-				if dlBase == nil || env.Train.DeltaBase != dlVer {
-					return progressed, fatalf("flnet: worker %d round %d: delta against base %d, holding %d", cfg.ClientID, env.Train.Round, env.Train.DeltaBase, dlVer)
+				if base == nil || env.Train.DeltaBase != base.ver {
+					return progressed, fatalf("flnet: worker %d round %d: tier %d delta against base %d, which it does not hold", cfg.ClientID, env.Train.Round, env.Train.Tier, env.Train.DeltaBase)
 				}
-				tw, err = compress.ApplyDelta(env.Train.DeltaCodec, env.Train.Delta, dlBase)
+				tw, err = compress.ApplyCatchUp(env.Train.DeltaCodec, env.Train.Delta, base.w)
 			} else {
 				tw, err = env.Train.roundWeights(tw)
 			}
@@ -258,9 +265,12 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 			}
 			if env.Train.Version != 0 {
 				// A versioned broadcast — dense or reconstructed — becomes
-				// the base the aggregator may delta against next round.
-				dlVer = env.Train.Version
-				dlBase = append(dlBase[:0], tw...)
+				// the base its tier may catch this worker up from later.
+				if base == nil {
+					base = &heldBase{}
+					held[env.Train.Tier] = base
+				}
+				base.ver, base.w = env.Train.Version, append(base.w[:0], tw...)
 			}
 			w, n, err := cfg.Train(env.Train.Round, tw)
 			if err != nil {

@@ -84,10 +84,11 @@ type CompressionOptions struct {
 	// stay dense. Ignored by the pure simulation paths.
 	AdaptiveCompression bool
 	// Downlink, if set, delta-compresses the broadcast direction: the
-	// aggregator encodes each tier round's model as one shared delta
-	// against the version-acked base delta-capable workers already hold,
-	// falling back to a dense snapshot on first contact, resume, or ack
-	// gap. nil keeps plain dense broadcasts. Applies identically to the
+	// aggregator encodes each tier round's model as one shared delta and
+	// sends each worker the deltas since the base it acked, falling back to
+	// a dense snapshot on first contact, resume, migration, or a gap longer
+	// than a dense model's worth of deltas. nil keeps plain dense
+	// broadcasts. Applies identically to the
 	// simulated and distributed tiered-async paths, so both report the
 	// same DownlinkBytes on the same seed.
 	Downlink *compress.Downlink

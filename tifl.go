@@ -74,9 +74,10 @@ type (
 	// compress.Codec). Int8Codec, TopKCodec, and ParseCodec build them.
 	Codec = compress.Codec
 	// Downlink delta-compresses the broadcast (aggregator → worker)
-	// direction against each worker's last-acked model version (see
-	// compress.Downlink). Delta, DeltaCodec, and ParseDownlink build them;
-	// nil means dense snapshots.
+	// direction: each worker is sent the deltas from its last-acked model
+	// version, while they total less than the dense model (see
+	// compress.Downlink and compress.Chain). Delta, DeltaCodec, and
+	// ParseDownlink build them; nil means dense snapshots.
 	Downlink = compress.Downlink
 	// TieredCheckpoint is a crash-safe snapshot of a tiered-asynchronous
 	// run — simulated or distributed (see flcore.TieredCheckpoint).
@@ -107,7 +108,7 @@ func TopKCodec(fraction float64) Codec { return compress.NewTopK(fraction) }
 func ParseCodec(spec string) (Codec, error) { return compress.Parse(spec) }
 
 // Delta is the lossless downlink mode: broadcasts travel as the
-// DEFLATE-compressed XOR of float64 bit patterns against each worker's
+// DEFLATE-compressed XOR of float64 bit patterns from each worker's
 // last-acked version, reconstructing bit-exactly (see compress.Downlink).
 func Delta() *Downlink { return &compress.Downlink{} }
 
