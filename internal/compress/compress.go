@@ -57,8 +57,6 @@ type Codec interface {
 	// EncodedBytes reports the payload size for an n-vector without
 	// encoding one — the quantity the simulated latency model charges for.
 	EncodedBytes(n int) int
-	// Lossless reports whether Decode(Encode(w)) reproduces w exactly.
-	Lossless() bool
 }
 
 // Known reports whether id names a codec this build can decode.

@@ -51,10 +51,6 @@ func (d *Downlink) Name() string {
 	return "delta+" + d.Codec.Name()
 }
 
-// Lossless reports whether every receiver reconstructs the broadcast
-// vector bit-exactly.
-func (d *Downlink) Lossless() bool { return d == nil || d.Codec == nil }
-
 // ParseDownlink builds a downlink mode from its spec string: "dense" (or
 // "none", or empty) for plain dense broadcasts, "delta" for the lossless
 // XOR delta, or "delta+<codec>" (e.g. "delta+int8", "delta+topk@0.1")
@@ -92,9 +88,10 @@ func ParseDownlink(spec string) (*Downlink, error) {
 // payloads it missed, in order (CatchUp); everyone else gets the
 // post-round Base() dense.
 //
-// The chain numbers its states: Adopt and Encode each advance Version, and
-// Reset drops the base and the ring but never reuses a number, so one
-// number names one base for the chain's lifetime.
+// The chain numbers its states: Adopt and Encode each advance Version, so
+// one number names one base for the chain's lifetime. A checkpoint resume
+// builds fresh chains rather than keeping any, since no receiver's held
+// state can be trusted then.
 //
 // The ring has no depth knob. A catch-up is worth sending only while it
 // is smaller than the dense model, so the ring keeps the trailing payloads
@@ -124,7 +121,7 @@ func (d *Downlink) NewChain() *Chain {
 }
 
 // HasBase reports whether the chain has adopted a base yet; until it has,
-// the broadcast must go dense (first contact, or just after Reset).
+// the broadcast must go dense (first contact).
 func (c *Chain) HasBase() bool { return c != nil && c.base != nil }
 
 // Base returns the chain's current reconstruction base — the vector every
@@ -176,9 +173,9 @@ func (c *Chain) Encode(cur []float64) (payload []byte, id byte) {
 // the chain's current state, oldest first, and their total length — what
 // the wire carries and the receiver is billed. It returns nil, 0 when
 // there is no catch-up: from is the current state, was never a state of
-// this chain, or predates the ring, the last Adopt or the last Reset; that
-// receiver needs Base() dense. The slices are the chain's own and are
-// valid until its next Adopt, Encode or Reset.
+// this chain, or predates the ring or the last Adopt; that receiver needs
+// Base() dense. The slices are the chain's own and are valid until its
+// next Adopt or Encode.
 func (c *Chain) CatchUp(from int) (payloads [][]byte, size int) {
 	if c == nil {
 		return nil, 0
@@ -226,19 +223,6 @@ func (c *Chain) encode(cur []float64) (payload []byte, id byte) {
 		c.base[i] += r
 	}
 	return payload, c.d.Codec.ID()
-}
-
-// Reset drops the base, residual and ring; the next broadcast goes dense.
-// The state number is kept, so no later state reuses one a receiver may
-// still hold. Used on checkpoint resume, where no receiver's held version
-// can be trusted.
-func (c *Chain) Reset() {
-	if c == nil {
-		return
-	}
-	c.base = nil
-	c.residual = nil
-	c.dropRing()
 }
 
 // ApplyDelta is the receiver side of Chain.Encode: it reconstructs the

@@ -18,15 +18,12 @@ func TestParseDownlink(t *testing.T) {
 	if err != nil || d == nil || d.Codec != nil {
 		t.Fatalf("ParseDownlink(delta) = %v, %v; want lossless", d, err)
 	}
-	if !d.Lossless() || d.Name() != "delta" {
-		t.Fatalf("lossless delta: Lossless=%v Name=%q", d.Lossless(), d.Name())
+	if d.Name() != "delta" {
+		t.Fatalf("lossless delta: Name=%q", d.Name())
 	}
 	d, err = ParseDownlink("delta+int8")
 	if err != nil || d == nil || d.Codec == nil || d.Codec.ID() != IDInt8 {
 		t.Fatalf("ParseDownlink(delta+int8) = %v, %v", d, err)
-	}
-	if d.Lossless() {
-		t.Fatal("delta+int8 must not report lossless")
 	}
 	d, err = ParseDownlink("delta+topk@0.25")
 	if err != nil || d == nil || d.Codec == nil || d.Codec.ID() != IDTopK {
@@ -158,10 +155,6 @@ func TestChainLosslessRoundTrip(t *testing.T) {
 				t.Fatalf("step %d: chain base diverged at %d", step, i)
 			}
 		}
-	}
-	ch.Reset()
-	if ch.HasBase() {
-		t.Fatal("Reset left a base behind")
 	}
 }
 
@@ -321,17 +314,6 @@ func TestChainCatchUp(t *testing.T) {
 			}
 			if p, _ := ch.CatchUp(before + 1); len(p) != 1 {
 				t.Fatalf("catch-up from the adopted state has %d payloads, want 1", len(p))
-			}
-			ch.Reset()
-			if ch.HasBase() || ch.Version() != before+2 {
-				t.Fatalf("Reset left base %v, state %d; want none, %d", ch.HasBase(), ch.Version(), before+2)
-			}
-			if p, _ := ch.CatchUp(before + 1); p != nil {
-				t.Fatal("catch-up after Reset")
-			}
-			ch.Adopt(w)
-			if ch.Version() != before+3 {
-				t.Fatalf("Adopt after Reset reached state %d, want the unused %d", ch.Version(), before+3)
 			}
 		})
 	}

@@ -46,9 +46,6 @@ func (c Int8) Name() string {
 // ID implements Codec.
 func (Int8) ID() byte { return IDInt8 }
 
-// Lossless implements Codec.
-func (Int8) Lossless() bool { return false }
-
 // EncodedBytes implements Codec: 12-byte header, float32 scale per chunk,
 // one byte per coordinate.
 func (c Int8) EncodedBytes(n int) int {

@@ -17,9 +17,6 @@ func (None) Name() string { return "none" }
 // ID implements Codec.
 func (None) ID() byte { return IDNone }
 
-// Lossless implements Codec.
-func (None) Lossless() bool { return true }
-
 // EncodedBytes implements Codec.
 func (None) EncodedBytes(n int) int { return DenseBytes(n) }
 

@@ -54,9 +54,6 @@ func (c TopK) Name() string { return fmt.Sprintf("topk@%g", c.Fraction) }
 // ID implements Codec.
 func (TopK) ID() byte { return IDTopK }
 
-// Lossless implements Codec.
-func (TopK) Lossless() bool { return false }
-
 // EncodedBytes implements Codec: 16-byte header plus 8 bytes per kept
 // coordinate.
 func (c TopK) EncodedBytes(n int) int { return 16 + 8*c.K(n) }

@@ -55,9 +55,6 @@ func NewDeadlineSelector(latency map[int]float64, deadline float64, clientsPerRo
 	return s
 }
 
-// Eligible returns how many clients fit within the deadline.
-func (s *DeadlineSelector) Eligible() int { return len(s.eligible) }
-
 // Select implements flcore.Selector.
 func (s *DeadlineSelector) Select(r int, rng *rand.Rand) []int {
 	pool := s.eligible

@@ -11,8 +11,8 @@ func TestDeadlineSelectorFilters(t *testing.T) {
 	// Deadline between the tier-2 and tier-5 latencies: slow clients never
 	// get picked.
 	sel := NewDeadlineSelector(res.Latency, 3.0, 5)
-	if sel.Eligible() == 0 || sel.Eligible() == 50 {
-		t.Fatalf("eligible = %d, expected a strict subset", sel.Eligible())
+	if len(sel.eligible) == 0 || len(sel.eligible) == 50 {
+		t.Fatalf("eligible = %d, expected a strict subset", len(sel.eligible))
 	}
 	rng := rand.New(rand.NewSource(1))
 	for r := 0; r < 100; r++ {
@@ -27,8 +27,8 @@ func TestDeadlineSelectorFilters(t *testing.T) {
 func TestDeadlineSelectorFallbackToFastest(t *testing.T) {
 	lat := map[int]float64{0: 10, 1: 20, 2: 30, 3: 40}
 	sel := NewDeadlineSelector(lat, 5, 2) // nobody fits
-	if sel.Eligible() != 0 {
-		t.Fatalf("eligible = %d", sel.Eligible())
+	if len(sel.eligible) != 0 {
+		t.Fatalf("eligible = %d", len(sel.eligible))
 	}
 	rng := rand.New(rand.NewSource(2))
 	picked := sel.Select(0, rng)

@@ -360,18 +360,6 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
-func TestExpectedRoundLatency(t *testing.T) {
-	tiers := []Tier{
-		{ID: 0, Members: []int{0}, MeanLatency: 1},
-		{ID: 1, Members: []int{1}, MeanLatency: 3},
-	}
-	sel := NewStaticSelector(tiers, StaticPolicy{Name: "x", Probs: []float64{0.25, 0.75}}, 1)
-	want := 0.25*1 + 0.75*3
-	if got := sel.ExpectedRoundLatency(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ExpectedRoundLatency = %v, want %v", got, want)
-	}
-}
-
 func buildAdaptive(t *testing.T, cfg AdaptiveConfig) (*AdaptiveSelector, []Tier) {
 	t.Helper()
 	clients := makeClients(t, 50)

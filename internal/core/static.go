@@ -84,13 +84,3 @@ func (s *StaticSelector) Select(r int, rng *rand.Rand) []int {
 	t := PickTier(s.Policy.Probs, rng)
 	return sampleClients(s.Tiers[t].Members, s.ClientsPerRound, rng)
 }
-
-// ExpectedRoundLatency returns Σ_i L_tier_i · P_i, the per-round latency
-// expectation underlying the estimation model (Eq. 6).
-func (s *StaticSelector) ExpectedRoundLatency() float64 {
-	sum := 0.0
-	for i, t := range s.Tiers {
-		sum += t.MeanLatency * s.Policy.Probs[i]
-	}
-	return sum
-}

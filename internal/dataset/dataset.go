@@ -66,18 +66,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return &Dataset{X: x, Y: y, NumClasses: d.NumClasses, SampleShape: d.SampleShape}
 }
 
-// Split partitions d into a training set with ceil(frac·N) samples and a
-// test set with the remainder, shuffled by rng.
-func (d *Dataset) Split(frac float64, rng *rand.Rand) (train, test *Dataset) {
-	n := d.Len()
-	idx := rng.Perm(n)
-	cut := int(frac*float64(n) + 0.9999)
-	if cut > n {
-		cut = n
-	}
-	return d.Subset(idx[:cut]), d.Subset(idx[cut:])
-}
-
 // Concat returns the concatenation of the given datasets. All inputs must
 // share the feature dimension and class count.
 func Concat(parts ...*Dataset) *Dataset {
@@ -187,15 +175,6 @@ func (d *Dataset) BatchesBuf(batchSize int, rng *rand.Rand, buf *BatchBuf, fn fu
 		buf.view = tensor.AliasSlice(buf.view, bx, buf.shape)
 		fn(buf.view, by)
 	}
-}
-
-// ClassCounts returns the number of samples per class.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.NumClasses)
-	for _, c := range d.Y {
-		counts[c]++
-	}
-	return counts
 }
 
 // ClassIndices returns, for each class, the row indices holding that class.

@@ -9,7 +9,7 @@ import (
 )
 
 // GenerateImages produces an image-shaped synthetic dataset for the
-// convolutional models (nn.NewPaperMNISTCNN / NewPaperCIFARCNN): each class
+// convolutional models (nn.NewPaperMNISTCNN): each class
 // has a spatially smooth prototype image (a coarse random grid upsampled
 // bilinearly, so nearby pixels correlate like real images) and samples are
 // prototypes plus pixel noise. SampleShape is set to (channels, h, w) so

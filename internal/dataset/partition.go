@@ -79,36 +79,6 @@ func PartitionByClass(d *Dataset, clients, classesPerClient int, rng *rand.Rand)
 	return out
 }
 
-// PartitionShards implements the McMahan et al. non-IID split used by the
-// paper for MNIST/Fashion-MNIST: sort samples by label, cut into
-// clients·shardsPerClient equal shards, and deal each client
-// shardsPerClient shards, so each client holds samples from at most
-// shardsPerClient classes.
-func PartitionShards(d *Dataset, clients, shardsPerClient int, rng *rand.Rand) [][]int {
-	n := d.Len()
-	numShards := clients * shardsPerClient
-	if numShards > n {
-		panic(fmt.Sprintf("dataset: %d shards for %d samples", numShards, n))
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return d.Y[idx[a]] < d.Y[idx[b]] })
-	shardSize := n / numShards
-	shardOrder := rng.Perm(numShards)
-	out := make([][]int, clients)
-	for c := 0; c < clients; c++ {
-		var own []int
-		for s := 0; s < shardsPerClient; s++ {
-			sh := shardOrder[c*shardsPerClient+s]
-			own = append(own, idx[sh*shardSize:(sh+1)*shardSize]...)
-		}
-		out[c] = own
-	}
-	return out
-}
-
 // QuantityFractions is the paper's data-quantity heterogeneity setting: the
 // five resource groups hold 10%, 15%, 20%, 25% and 30% of the total
 // training data (Section 5.1).

@@ -61,8 +61,8 @@ func TestFig1bOrdering(t *testing.T) {
 	if len(series) != 4 {
 		t.Fatalf("series = %d", len(series))
 	}
-	iid := series[0].FinalY()
-	non2 := series[3].FinalY()
+	iid := series[0].Y[len(series[0].Y)-1]
+	non2 := series[3].Y[len(series[3].Y)-1]
 	if iid < non2-0.03 {
 		t.Fatalf("IID final %v should not trail non-IID(2) %v", iid, non2)
 	}
@@ -213,7 +213,7 @@ func TestExtensionTieredAsync(t *testing.T) {
 	if len(series) != 3 {
 		t.Fatalf("series = %d, want sync/async/tiered", len(series))
 	}
-	target := series[0].FinalY()
+	target := series[0].Y[len(series[0].Y)-1]
 	asyncTime := metrics.TimeToAccuracy(series[1], target)
 	tieredTime := metrics.TimeToAccuracy(series[2], target)
 	if math.IsNaN(tieredTime) {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/compress"
 	"repro/internal/dataset"
 	"repro/internal/simres"
 )
@@ -20,6 +19,13 @@ import (
 // new task. Time is the same simulated latency model as the synchronous
 // engine, so wall-clock comparisons are apples-to-apples.
 
+// asyncAlpha and asyncStalenessExp are the base server mixing rate α and
+// the staleness discount exponent a of α·(staleness+1)^(−a).
+const (
+	asyncAlpha        = 0.6
+	asyncStalenessExp = 0.5
+)
+
 // AsyncConfig configures an asynchronous run.
 type AsyncConfig struct {
 	// Duration is the simulated training time budget in seconds.
@@ -27,10 +33,6 @@ type AsyncConfig struct {
 	// Concurrency is how many clients train at any moment (the async
 	// analogue of |C|).
 	Concurrency int
-	// Alpha is the base server mixing rate (default 0.6).
-	Alpha float64
-	// StalenessExp is the staleness discount exponent a (default 0.5).
-	StalenessExp float64
 	// EvalInterval evaluates the global model every so many simulated
 	// seconds (0 = only at the end).
 	EvalInterval float64
@@ -41,18 +43,9 @@ type AsyncConfig struct {
 	Optimizer    OptimizerFactory
 	Latency      simres.LatencyModel
 	EvalBatch    int
-	// Codec, if set, applies error-feedback update compression exactly as
-	// in the synchronous engine (Config.Codec).
-	Codec compress.Codec
 }
 
 func (c *AsyncConfig) withDefaults() {
-	if c.Alpha == 0 {
-		c.Alpha = 0.6
-	}
-	if c.StalenessExp == 0 {
-		c.StalenessExp = 0.5
-	}
 	if c.LocalEpochs == 0 {
 		c.LocalEpochs = 1
 	}
@@ -100,14 +93,12 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *dataset.Dataset) *Result
 	global := cfg.Model(rand.New(rand.NewSource(cfg.Seed)))
 	weights := global.WeightsVector()
 	version := 0
-	resetResiduals(clients)
 
 	// trainOnce runs one local pass for a dispatch at global version v.
 	syncCfg := Config{
 		Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
 		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
 		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
-		Codec: cfg.Codec,
 	}
 	eng := &Engine{Cfg: syncCfg, Clients: clients}
 
@@ -151,7 +142,7 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *dataset.Dataset) *Result
 			nextEval += cfg.EvalInterval
 		}
 		staleness := float64(version - p.startVer)
-		alpha := cfg.Alpha * math.Pow(staleness+1, -cfg.StalenessExp)
+		alpha := asyncAlpha * math.Pow(staleness+1, -asyncStalenessExp)
 		for i := range weights {
 			weights[i] = (1-alpha)*weights[i] + alpha*p.weights[i]
 		}

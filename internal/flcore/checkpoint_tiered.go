@@ -44,13 +44,10 @@ type PendingTierRound struct {
 	Latency                        float64
 	Lats                           []float64
 	UplinkBytes                    int64
-	// DownlinkBytes and CommBytes mirror tierRun's broadcast accounting:
-	// the round's total broadcast charge and each selected client's
-	// down+up wire bytes (parallel to Selected). Checkpoints from before
-	// the fields gob-decode to zero/nil; a resumed commit then feeds the
-	// Manager zero bytes for those rounds, which the EWMA simply skips.
+	// DownlinkBytes is the round's total broadcast charge. Checkpoints that
+	// also carry a per-client CommBytes list restore unchanged: gob skips a
+	// field the receiver lacks.
 	DownlinkBytes int64
-	CommBytes     []int64
 }
 
 // TieredCheckpoint captures a tiered-asynchronous job between commits:
@@ -182,7 +179,6 @@ func (e *TieredAsyncEngine) Snapshot() (*TieredCheckpoint, error) {
 			Lats:          append([]float64(nil), run.lats...),
 			UplinkBytes:   run.upBytes,
 			DownlinkBytes: run.downBytes,
-			CommBytes:     append([]int64(nil), run.bytes...),
 		})
 	}
 	// Canonical order: the heap's internal layout is an implementation
@@ -290,7 +286,6 @@ func (e *TieredAsyncEngine) Restore(c *TieredCheckpoint) error {
 			lats:      append([]float64(nil), p.Lats...),
 			upBytes:   p.UplinkBytes,
 			downBytes: p.DownlinkBytes,
-			bytes:     append([]int64(nil), p.CommBytes...),
 		})
 	}
 	switch src := e.src.(type) {

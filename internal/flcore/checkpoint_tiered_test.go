@@ -1,6 +1,8 @@
 package flcore
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,8 +15,9 @@ import (
 // runTieredResumeBitExact is the core crash-safety contract of the sim
 // engine: an uninterrupted run vs snapshot-at-version-10 + restore into a
 // fresh engine + tail must be bit-identical — weights, clock, commit log
-// suffix, and cumulative totals.
-func runTieredResumeBitExact(t *testing.T, mutate func(*TieredAsyncConfig)) {
+// suffix, and cumulative totals. With legacy set, the snapshot is written in
+// the shape earlier builds wrote (legacyCheckpoint) before it is decoded.
+func runTieredResumeBitExact(t *testing.T, mutate func(*TieredAsyncConfig), legacy bool) {
 	t.Helper()
 	apply := func(cfg *TieredAsyncConfig) {
 		if mutate != nil {
@@ -48,6 +51,9 @@ func runTieredResumeBitExact(t *testing.T, mutate func(*TieredAsyncConfig)) {
 	data, err := snap.Encode()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if legacy {
+		data = legacyBlob(t, snap)
 	}
 	restored, err := DecodeTieredCheckpoint(data)
 	if err != nil {
@@ -86,7 +92,73 @@ func runTieredResumeBitExact(t *testing.T, mutate func(*TieredAsyncConfig)) {
 }
 
 func TestTieredCheckpointResumeBitExact(t *testing.T) {
-	runTieredResumeBitExact(t, nil)
+	runTieredResumeBitExact(t, nil, false)
+}
+
+// A checkpoint written before the per-client CommBytes of in-flight rounds
+// was retired still decodes, validates and resumes bit-exact, in the same
+// format version.
+func TestTieredCheckpointResumeFromBlobWithCommBytes(t *testing.T) {
+	runTieredResumeBitExact(t, nil, true)
+}
+
+// legacyPending and legacyCheckpoint are PendingTierRound and
+// TieredCheckpoint as earlier builds encoded them, CommBytes included.
+type legacyPending struct {
+	Tier, TierRound, PulledVersion int
+	Finish                         float64
+	Selected                       []int
+	Weights                        []float64
+	Latency                        float64
+	Lats                           []float64
+	UplinkBytes, DownlinkBytes     int64
+	CommBytes                      []int64
+}
+
+type legacyCheckpoint struct {
+	Format                     int
+	Seed                       int64
+	Version                    int
+	SimTime, NextEval          float64
+	Weights                    []float64
+	Rounds, Commits            []int
+	Retiers, Migrations        int
+	UplinkBytes, DownlinkBytes int64
+	Tiers                      [][]int
+	Pending                    []legacyPending
+	ManagerState               []byte
+	Residuals                  map[int][]float64
+}
+
+// legacyBlob encodes c as a legacyCheckpoint whose in-flight rounds bill
+// every selected client some CommBytes.
+func legacyBlob(t *testing.T, c *TieredCheckpoint) []byte {
+	t.Helper()
+	old := legacyCheckpoint{
+		Format: c.Format, Seed: c.Seed, Version: c.Version, SimTime: c.SimTime, NextEval: c.NextEval,
+		Weights: c.Weights, Rounds: c.Rounds, Commits: c.Commits, Retiers: c.Retiers, Migrations: c.Migrations,
+		UplinkBytes: c.UplinkBytes, DownlinkBytes: c.DownlinkBytes, Tiers: c.Tiers,
+		ManagerState: c.ManagerState, Residuals: c.Residuals,
+	}
+	for _, p := range c.Pending {
+		lp := legacyPending{
+			Tier: p.Tier, TierRound: p.TierRound, PulledVersion: p.PulledVersion, Finish: p.Finish,
+			Selected: p.Selected, Weights: p.Weights, Latency: p.Latency, Lats: p.Lats,
+			UplinkBytes: p.UplinkBytes, DownlinkBytes: p.DownlinkBytes,
+		}
+		for range p.Selected {
+			lp.CommBytes = append(lp.CommBytes, 1000+p.UplinkBytes)
+		}
+		old.Pending = append(old.Pending, lp)
+	}
+	if len(old.Pending) == 0 {
+		t.Fatal("snapshot has no in-flight round to carry CommBytes")
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // The compressed variant additionally carries the clients' error-feedback
@@ -95,7 +167,7 @@ func TestTieredCheckpointResumeBitExact(t *testing.T) {
 func TestTieredCheckpointResumeBitExactCompressed(t *testing.T) {
 	runTieredResumeBitExact(t, func(cfg *TieredAsyncConfig) {
 		cfg.Codec = compress.NewTopK(0.25)
-	})
+	}, false)
 }
 
 func TestTieredCheckpointEncodeDecodeRoundTrip(t *testing.T) {
@@ -145,7 +217,7 @@ func TestTieredCheckpointEncodeDecodeRoundTrip(t *testing.T) {
 func TestTieredCheckpointRestoreValidation(t *testing.T) {
 	clients, tiers, test, cfg := tieredFixture(t, 9)
 	eng := NewTieredAsyncEngine(cfg, tiers, clients, test)
-	nw := len(eng.GlobalWeights())
+	nw := len(eng.com.Weights())
 	good := func() *TieredCheckpoint {
 		return &TieredCheckpoint{
 			Format: TieredCheckpointFormat, Seed: cfg.Seed, Version: 2,

@@ -38,7 +38,7 @@ func TestCNNFederatedTraining(t *testing.T) {
 				nn.NewDense(rng, 8*5*5, 4),
 			)
 		},
-		Optimizer: func(round int) nn.Optimizer { return nn.NewAdam(0.005) },
+		Optimizer: func(round int) nn.Optimizer { return nn.NewSGD(0.05, 0.9) },
 		Latency:   simres.DefaultModel,
 		EvalEvery: 4,
 		Parallel:  true,

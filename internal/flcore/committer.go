@@ -110,23 +110,11 @@ func (c CommitterConfig) Validate() error {
 	return nil
 }
 
-// Observation is one client's observed round cost, fed to the tiering
-// Manager when the round commits: the compute-side latency plus, when the
-// driver measures them, the end-to-end response time and the wire traffic
-// the client caused. Bytes and EndToEnd feed the comm-aware tiering signal
-// (tiering.Config.CommAware); a driver that does not measure them leaves
-// them zero, and the Manager then falls back to Seconds alone.
+// Observation is one client's observed round latency, fed to the tiering
+// Manager when the round commits.
 type Observation struct {
 	Client  int
 	Seconds float64
-	// Bytes is the client's total wire traffic for the round: its share
-	// of the broadcast (dense or delta payload) plus its update as
-	// encoded on the wire.
-	Bytes int64
-	// EndToEnd is the aggregator-measured time from broadcast to the
-	// arrival of the client's update — queueing and transfer included,
-	// unlike the worker-reported Seconds.
-	EndToEnd float64
 }
 
 // Commit is one finished tier round on its way into the global model: the
@@ -248,23 +236,14 @@ func (k *Committer) Apply(c Commit) (TierRoundRecord, []TierMove, error) {
 }
 
 // feedManager routes one applied commit's observations into the live
-// tiering Manager and applies the re-tiering it may answer with. A
-// CommObserver gets the full observation — the end-to-end response time and
-// the wire traffic next to the compute-side seconds — plain TierManagers
-// the seconds alone.
+// tiering Manager and applies the re-tiering it may answer with.
 func (k *Committer) feedManager(observed []Observation) []TierMove {
 	mgr := k.cfg.Manager
 	if mgr == nil {
 		return nil
 	}
-	if co, ok := mgr.(CommObserver); ok {
-		for _, o := range observed {
-			co.ObserveRound(o.Client, o.Seconds, o.EndToEnd, o.Bytes)
-		}
-	} else {
-		for _, o := range observed {
-			mgr.Observe(o.Client, o.Seconds)
-		}
+	for _, o := range observed {
+		mgr.Observe(o.Client, o.Seconds)
 	}
 	tiers, moves, changed := mgr.MaybeRetier(k.version)
 	if !changed {

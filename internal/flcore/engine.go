@@ -63,11 +63,6 @@ type Config struct {
 	// OnRound, if set, receives every round's record as it completes —
 	// the hook internal/trace uses to stream JSONL run traces.
 	OnRound func(rec RoundRecord)
-	// TargetAccuracy, when positive, stops training early once the global
-	// test accuracy reaches it (requires periodic evaluation); the paper's
-	// FL formulation runs "until a certain number of rounds are completed
-	// or a desired accuracy is reached".
-	TargetAccuracy float64
 	// EpochsFor, if set, overrides LocalEpochs per client per round —
 	// FedProx-style partial work on stragglers (slow clients train fewer
 	// epochs so they respond in time).
@@ -124,21 +119,6 @@ type Result struct {
 	// the whole job — the quantity update compression shrinks.
 	UplinkBytes int64
 	Weights     []float64
-}
-
-// AccuracyAt returns the last evaluated accuracy at or before simulated
-// time t, for accuracy-over-wall-clock curves (Fig. 3e/f).
-func (r *Result) AccuracyAt(t float64) float64 {
-	best := math.NaN()
-	for _, rec := range r.History {
-		if rec.SimTime > t {
-			break
-		}
-		if !math.IsNaN(rec.Acc) {
-			best = rec.Acc
-		}
-	}
-	return best
 }
 
 // Engine drives synchronous federated rounds over a fixed client
@@ -231,9 +211,6 @@ func (e *Engine) GlobalWeights() []float64 { return e.weights }
 
 // GlobalModel returns the engine's global model with current weights.
 func (e *Engine) GlobalModel() *nn.Model { return e.global }
-
-// Clock returns the engine's simulated clock.
-func (e *Engine) Clock() *simres.Clock { return &e.clock }
 
 // mix derives a deterministic sub-seed from (seed, a, b) via splitmix64.
 func mix(seed int64, a, b int) int64 {
@@ -344,8 +321,8 @@ func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []
 	return u
 }
 
-// Run executes Cfg.Rounds federated rounds (fewer when TargetAccuracy is
-// reached) with the given selector and returns the result history.
+// Run executes Cfg.Rounds federated rounds with the given selector and
+// returns the result history.
 func (e *Engine) Run(sel Selector) *Result {
 	res := &Result{}
 	for r := 0; r < e.Cfg.Rounds; r++ {
@@ -382,9 +359,6 @@ func (e *Engine) Run(sel Selector) *Result {
 				acc, _ := e.global.Evaluate(d.InputTensor(), d.Y, e.Cfg.EvalBatch)
 				return acc
 			})
-		}
-		if e.Cfg.TargetAccuracy > 0 && !math.IsNaN(rec.Acc) && rec.Acc >= e.Cfg.TargetAccuracy {
-			break // desired accuracy reached (Section 3.1 stop condition)
 		}
 	}
 	res.TotalTime = e.clock.Now()

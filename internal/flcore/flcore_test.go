@@ -263,23 +263,6 @@ func (o *observingSelector) AfterRound(r int, eval func(d *dataset.Dataset) floa
 	o.lastAcc = eval(o.testSet)
 }
 
-func TestAccuracyAt(t *testing.T) {
-	res := &Result{History: []RoundRecord{
-		{SimTime: 1, Acc: 0.2},
-		{SimTime: 2, Acc: math.NaN()},
-		{SimTime: 3, Acc: 0.5},
-	}}
-	if got := res.AccuracyAt(2.5); got != 0.2 {
-		t.Fatalf("AccuracyAt(2.5) = %v, want 0.2", got)
-	}
-	if got := res.AccuracyAt(3); got != 0.5 {
-		t.Fatalf("AccuracyAt(3) = %v, want 0.5", got)
-	}
-	if got := res.AccuracyAt(0.5); !math.IsNaN(got) {
-		t.Fatalf("AccuracyAt before first eval = %v, want NaN", got)
-	}
-}
-
 func TestBuildClientsLocalTests(t *testing.T) {
 	train := dataset.Generate(dataset.CIFAR10Like, 1000, 1)
 	test := dataset.Generate(dataset.CIFAR10Like, 500, 2)

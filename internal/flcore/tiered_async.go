@@ -75,20 +75,6 @@ type TierManager interface {
 	MaybeRetier(version int) (tiers [][]int, moves []TierMove, changed bool)
 }
 
-// CommObserver is the optional comm-aware extension of TierManager: a
-// Manager implementing it receives the full per-client round observation —
-// the client-measured compute seconds, the end-to-end response time, and
-// the wire bytes the round moved for that client — instead of the bare
-// Observe(seconds) call. Both tiered-async engines probe for it at commit
-// time, so re-tiering can rank clients by what a round actually costs
-// (transfer included) rather than compute latency alone. The canonical
-// implementation is internal/tiering.Manager, which keys the behavior on
-// its CommAware config so observation-richness alone never changes
-// placement.
-type CommObserver interface {
-	ObserveRound(client int, seconds, endToEnd float64, bytes int64)
-}
-
 // TierWeightFunc maps a committing tier to its cross-tier aggregation
 // weight given the per-tier commit counts so far (commits[k] includes the
 // current commit of tier `tier`). The weight is a multiplier on the base
@@ -151,7 +137,7 @@ type TieredAsyncConfig struct {
 	Codec compress.Codec
 	// ChurnRate, when positive, flaps each drawn cohort member out of its
 	// round with this probability: a deterministic coin keyed on
-	// (ChurnSeed, tier, tier round, client) models the worker being
+	// (Seed, tier, tier round, client) models the worker being
 	// disconnected when the round dispatched. A flapped client's update
 	// never reaches FedAvg and its downlink-delta ack is forgotten —
 	// mirroring the socket runtime, where a reconnecting worker
@@ -159,10 +145,6 @@ type TieredAsyncConfig struct {
 	// Must be < 1; rounds whose whole cohort flapped consume their round
 	// index and redraw, exactly like dead-cohort rounds over sockets.
 	ChurnRate float64
-	// ChurnSeed keys the flap coins independently of the training streams
-	// (0 = derive from Seed), so the same run can be replayed under a
-	// different churn pattern without touching model randomness.
-	ChurnSeed int64
 }
 
 func (c *TieredAsyncConfig) withDefaults() {
@@ -225,7 +207,6 @@ type tierRun struct {
 	lats      []float64 // per-client observed latencies, parallel to selected
 	upBytes   int64     // total encoded uplink bytes of the round's updates
 	downBytes int64     // total broadcast bytes charged for the round
-	bytes     []int64   // per-client down+up wire bytes, parallel to selected
 }
 
 type tierRunHeap []*tierRun
@@ -411,15 +392,6 @@ func (e *TieredAsyncEngine) resetDownlink() {
 // numClients returns the registered population size N.
 func (e *TieredAsyncEngine) numClients() int { return e.src.NumClients() }
 
-// Source returns the engine's client source.
-func (e *TieredAsyncEngine) Source() ClientSource { return e.src }
-
-// GlobalWeights returns the current global weight vector (not a copy).
-func (e *TieredAsyncEngine) GlobalWeights() []float64 { return e.com.Weights() }
-
-// Clock returns the engine's simulated clock.
-func (e *TieredAsyncEngine) Clock() *simres.Clock { return &e.clock }
-
 // TierCohort draws tier t's participants for its local round r from the
 // tier's member list: everyone when want covers the tier, otherwise a
 // permutation prefix from an rng keyed on (seed, tier round, tier). A client
@@ -536,12 +508,10 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
 	}
 	lat := MaxLatency(updates)
 	run.lats = grow(run.lats, len(updates))
-	run.bytes = grow(run.bytes, len(updates))
 	run.upBytes, run.downBytes = 0, 0
 	for i, u := range updates {
 		run.upBytes += int64(u.WireBytes)
 		run.downBytes += downs[i]
-		run.bytes[i] = downs[i] + int64(u.WireBytes)
 		run.lats[i] = u.Latency
 	}
 	run.tier, run.tierRound, run.pulledVer = t, r, p.Version
@@ -555,13 +525,9 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
 // re-registers holding no downlink base — its delta-chain ack is forgotten
 // and its next participation is charged a dense snapshot.
 func (e *TieredAsyncEngine) churnFilter(t, r int, selected []int) []int {
-	cs := e.Cfg.ChurnSeed
-	if cs == 0 {
-		cs = e.Cfg.Seed
-	}
 	kept := make([]int, 0, len(selected))
 	for _, ci := range selected {
-		if churnFlap(cs, t, r, ci, e.Cfg.ChurnRate) {
+		if churnFlap(e.Cfg.Seed, t, r, ci, e.Cfg.ChurnRate) {
 			delete(e.acked, ci)
 			continue
 		}
@@ -653,15 +619,9 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 			e.nextEval += e.Cfg.EvalInterval
 		}
 
-		// What the Manager hears: in the simulation the per-client latency
-		// already is the end-to-end round cost, so it doubles as both
-		// signals, plus the round's wire bytes.
 		e.observed = grow(e.observed, len(run.selected))
 		for i, ci := range run.selected {
-			e.observed[i] = Observation{Client: ci, Seconds: run.lats[i], EndToEnd: run.lats[i]}
-			if run.bytes != nil {
-				e.observed[i].Bytes = run.bytes[i]
-			}
+			e.observed[i] = Observation{Client: ci, Seconds: run.lats[i]}
 		}
 		rec, moves, err := e.com.Apply(Commit{
 			Tier: run.tier, TierRound: run.tierRound, PulledVersion: run.pulledVer,

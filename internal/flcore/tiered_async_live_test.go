@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -85,7 +86,7 @@ func TestTieredAsyncLiveRetierMigratesDriftedClients(t *testing.T) {
 	}
 	moved := false
 	for i := 0; i < 3; i++ {
-		if tier, ok := mgr.TierOf(i); ok && tier != 0 {
+		if !slices.Contains(mgr.Tiers()[0], i) {
 			moved = true
 		}
 	}
@@ -97,8 +98,8 @@ func TestTieredAsyncLiveRetierMigratesDriftedClients(t *testing.T) {
 			t.Fatalf("commit %d malformed after migration: %+v", i, rec)
 		}
 	}
-	if len(mgr.Log()) != res.Retiers {
-		t.Fatalf("manager log %d entries, result counted %d retiers", len(mgr.Log()), res.Retiers)
+	if mgr.Retiers() != res.Retiers {
+		t.Fatalf("manager counted %d retiers, result %d", mgr.Retiers(), res.Retiers)
 	}
 }
 

@@ -356,8 +356,10 @@ type TierCommit struct {
 	Observed []ClientSeconds
 }
 
-// ClientSeconds is one client's observed round cost as it travels inside
-// a TierCommit: the Committer's flcore.Observation, field for field.
+// ClientSeconds is one client's observed round latency as it travels
+// inside a TierCommit: the Committer's flcore.Observation, field for field.
+// A TierCommit from an older child that also carries Bytes and EndToEnd
+// decodes unchanged: gob skips a field the receiver lacks.
 type ClientSeconds = flcore.Observation
 
 // TierReassign tells a worker it migrated between latency tiers at a live

@@ -463,17 +463,14 @@ type fanIn struct {
 	vecs tensor.Pool
 }
 
-// timedUpdate is one collected update plus its aggregator-side arrival
-// time, measured from the round's broadcast — the end-to-end response
-// latency that feeds comm-aware tiering. src is the exact connection the
-// update arrived on, so ack recording survives mid-round redispatches (a
-// retried request's reply may come from a different *registered instance
-// of the same client ID).
+// timedUpdate is one collected update plus the exact connection it arrived
+// on, so ack recording survives mid-round redispatches (a retried request's
+// reply may come from a different *registered instance of the same client
+// ID).
 type timedUpdate struct {
 	flcore.Update
-	arrival float64
-	src     *registered
-	pooled  bool // Weights came out of fanIn.vecs (dense updates only) and goes back through recycle
+	src    *registered
+	pooled bool // Weights came out of fanIn.vecs (dense updates only) and goes back through recycle
 }
 
 // trainReq is one outstanding train request of a tier round: the worker
@@ -587,7 +584,7 @@ func (f *fanIn) collect(reqs []*trainReq, cr *cohortRound) []timedUpdate {
 				w, wch := rq.current()
 				deliver := func(env *Envelope) {
 					u, ok := decodeUpdate(w, env, cr.weights, &f.vecs)
-					ch <- got{u: timedUpdate{Update: u, arrival: time.Since(cr.start).Seconds(), src: w, pooled: env.Type == MsgUpdate}, ok: ok}
+					ch <- got{u: timedUpdate{Update: u, src: w, pooled: env.Type == MsgUpdate}, ok: ok}
 				}
 				// A reply that was routed before the connection dropped (or
 				// just before the deadline) still counts: always drain the
@@ -688,13 +685,11 @@ type cohortRound struct {
 	// The result. updates are the replies that count, in cohort order
 	// (plain: without the arrival bookkeeping); their pooled vectors go back
 	// through fanIn.recycle. live are the members whose connections were up
-	// at dispatch — a secure round's announced participants. sent is each
-	// reached member's broadcast bytes, upBytes and downBytes the round's
-	// encoded traffic, seconds its wall clock.
+	// at dispatch — a secure round's announced participants. upBytes and
+	// downBytes are the round's encoded traffic, seconds its wall clock.
 	updates            []timedUpdate
 	plain              []flcore.Update
 	live               []int
-	sent               map[int]int64
 	upBytes, downBytes int64
 	seconds            float64
 }
@@ -763,7 +758,6 @@ func (f *fanIn) gather(cr *cohortRound) tierRoundStatus {
 	// Every send of the round — redispatches run inside collect — has
 	// returned by the time gather does.
 	defer cr.bc.release()
-	cr.sent = make(map[int]int64, len(conns))
 	for _, w := range conns {
 		rq := &trainReq{id: w.id, w: w, seq: f.seq.Add(1)}
 		rq.ch = w.addPending(rq.seq)
@@ -789,7 +783,6 @@ func (f *fanIn) gather(cr *cohortRound) tierRoundStatus {
 		db := int64(n)
 		f.obs.addDownlink(db, len(tr.Delta))
 		cr.downBytes += db
-		cr.sent[w.id] = db
 		reqs = append(reqs, rq)
 	}
 	if len(reqs) == 0 {
@@ -848,10 +841,7 @@ func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64,
 		if secs <= 0 {
 			secs = cr.seconds // peer-supplied, so guarded: the round's wall clock instead
 		}
-		obs[i] = ClientSeconds{
-			Client: u.ClientID, Seconds: secs,
-			Bytes: cr.sent[u.ClientID] + int64(u.WireBytes), EndToEnd: u.arrival,
-		}
+		obs[i] = ClientSeconds{Client: u.ClientID, Seconds: secs}
 	}
 	avg := flcore.FedAvg(cr.plain)
 	f.recycle(cr.updates...)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -489,8 +490,8 @@ func TestTieredAsyncNetCodecRenegotiationOnReassign(t *testing.T) {
 	if res.Retiers < 1 {
 		t.Fatalf("slow-reporting worker never re-tiered: %+v", res)
 	}
-	if tier, ok := mgr.TierOf(1); !ok || tier != 1 {
-		t.Fatalf("worker 1 in tier %d after rebuild, want 1", tier)
+	if !slices.Contains(mgr.Tiers()[1], 1) {
+		t.Fatalf("worker 1 not in tier 1 after rebuild: %v", mgr.Tiers())
 	}
 	mu.Lock()
 	got := append([]string(nil), specs...)

@@ -3,6 +3,7 @@ package leaf
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -94,7 +95,7 @@ func TestBuildDeterministic(t *testing.T) {
 	if a.Clients[3].Train.Len() != b.Clients[3].Train.Len() {
 		t.Fatal("population not deterministic")
 	}
-	if !a.Clients[3].Train.X.AllClose(b.Clients[3].Train.X, 0) {
+	if !slices.Equal(a.Clients[3].Train.X.Data, b.Clients[3].Train.X.Data) {
 		t.Fatal("client data not deterministic")
 	}
 }

@@ -15,33 +15,3 @@ func TimeToAccuracy(s Series, target float64) float64 {
 	}
 	return math.NaN()
 }
-
-// SpeedupAt returns how much faster `fast` reaches the target accuracy
-// than `base` (base time / fast time); NaN when either never reaches it.
-func SpeedupAt(base, fast Series, target float64) float64 {
-	tb := TimeToAccuracy(base, target)
-	tf := TimeToAccuracy(fast, target)
-	if math.IsNaN(tb) || math.IsNaN(tf) || tf == 0 {
-		return math.NaN()
-	}
-	return tb / tf
-}
-
-// BestAccuracyWithin returns the highest accuracy the series achieves at
-// x ≤ budget (NaN when no point qualifies) — "accuracy within a time
-// budget", the quantity the paper argues TiFL improves most.
-func BestAccuracyWithin(s Series, budget float64) float64 {
-	best := math.NaN()
-	for i, y := range s.Y {
-		if s.X[i] > budget {
-			break
-		}
-		if math.IsNaN(y) {
-			continue
-		}
-		if math.IsNaN(best) || y > best {
-			best = y
-		}
-	}
-	return best
-}

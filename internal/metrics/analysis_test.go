@@ -24,27 +24,3 @@ func TestTimeToAccuracySkipsNaN(t *testing.T) {
 		t.Fatalf("got %v", got)
 	}
 }
-
-func TestSpeedupAt(t *testing.T) {
-	base := Series{X: []float64{100, 200}, Y: []float64{0.4, 0.8}}
-	fast := Series{X: []float64{10, 20}, Y: []float64{0.4, 0.8}}
-	if got := SpeedupAt(base, fast, 0.8); got != 10 {
-		t.Fatalf("speedup = %v, want 10", got)
-	}
-	if got := SpeedupAt(base, fast, 0.99); !math.IsNaN(got) {
-		t.Fatalf("unreachable speedup = %v, want NaN", got)
-	}
-}
-
-func TestBestAccuracyWithin(t *testing.T) {
-	s := Series{X: []float64{1, 2, 3}, Y: []float64{0.5, 0.9, 0.7}}
-	if got := BestAccuracyWithin(s, 2.5); got != 0.9 {
-		t.Fatalf("best = %v", got)
-	}
-	if got := BestAccuracyWithin(s, 0.5); !math.IsNaN(got) {
-		t.Fatalf("pre-budget best = %v, want NaN", got)
-	}
-	if got := BestAccuracyWithin(s, 10); got != 0.9 {
-		t.Fatalf("full-budget best = %v", got)
-	}
-}

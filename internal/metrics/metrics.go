@@ -24,14 +24,6 @@ type Series struct {
 // Len returns the number of points.
 func (s Series) Len() int { return len(s.X) }
 
-// FinalY returns the last y value (NaN for empty series).
-func (s Series) FinalY() float64 {
-	if len(s.Y) == 0 {
-		return math.NaN()
-	}
-	return s.Y[len(s.Y)-1]
-}
-
 // AccuracyOverRounds extracts the evaluated (round, accuracy) points from a
 // training result — the x-axis of the paper's accuracy-over-rounds plots.
 func AccuracyOverRounds(res *flcore.Result, name string) Series {

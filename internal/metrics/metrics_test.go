@@ -26,21 +26,12 @@ func TestAccuracyOverRoundsSkipsNaN(t *testing.T) {
 	if s.X[1] != 2 || s.Y[1] != 0.5 {
 		t.Fatalf("series = %+v", s)
 	}
-	if s.FinalY() != 0.5 {
-		t.Fatalf("FinalY = %v", s.FinalY())
-	}
 }
 
 func TestAccuracyOverTimeUsesSimTime(t *testing.T) {
 	s := AccuracyOverTime(fakeResult(), "test")
 	if s.X[0] != 1 || s.X[1] != 4 {
 		t.Fatalf("time axis = %v", s.X)
-	}
-}
-
-func TestEmptySeriesFinalY(t *testing.T) {
-	if !math.IsNaN((Series{}).FinalY()) {
-		t.Fatal("empty FinalY must be NaN")
 	}
 }
 

@@ -98,21 +98,6 @@ func TestEvaluateSteadyStateAllocsBounded(t *testing.T) {
 	}
 }
 
-// The workspace must be shareable across successive model replicas of the
-// same architecture without growing: release returns every buffer.
-func TestWorkspaceHandoffBetweenModels(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ws := NewWorkspace()
-	x := tensor.RandNormal(rng, 0, 1, 4, 6)
-	labels := []int{0, 1, 0, 1}
-	for i := 0; i < 3; i++ {
-		m := NewMLP(rand.New(rand.NewSource(7)), 6, []int{5}, 2, 0)
-		m.SetWorkspace(ws)
-		m.TrainBatch(x, labels, NewSGD(0.1, 0))
-		m.ReleaseScratch()
-	}
-}
-
 // Concurrent per-goroutine workspaces share nothing; one shared tensor pool
 // under them must be race-free. Run with -race.
 func TestConcurrentWorkspacesRace(t *testing.T) {
@@ -131,7 +116,6 @@ func TestConcurrentWorkspacesRace(t *testing.T) {
 			for it := 0; it < 50; it++ {
 				m.TrainBatch(x, labels, opt)
 			}
-			m.ReleaseScratch()
 		}(g)
 	}
 	wg.Wait()

@@ -49,30 +49,3 @@ func NewPaperMNISTCNN(rng *rand.Rand, h, w, channels, classes int) *Model {
 		NewDense(rng, 128, classes),
 	)
 }
-
-// NewPaperCIFARCNN builds the paper's CIFAR-10 model: a four-layer
-// convolutional network ending in two fully connected layers before softmax,
-// trained with dropout 0.25. Input shape is (N, channels, h, w).
-func NewPaperCIFARCNN(rng *rand.Rand, h, w, channels, classes int) *Model {
-	// conv1..conv2 (same padding) → pool → conv3..conv4 → pool
-	h1, w1 := h/2, w/2
-	h2, w2 := h1/2, w1/2
-	return NewModel(
-		NewConv2D(rng, channels, 32, 3, 3, 1, 1),
-		NewReLU(),
-		NewConv2D(rng, 32, 32, 3, 3, 1, 1),
-		NewReLU(),
-		NewMaxPool(2, 2),
-		NewDropout(rng, 0.25),
-		NewConv2D(rng, 32, 64, 3, 3, 1, 1),
-		NewReLU(),
-		NewConv2D(rng, 64, 64, 3, 3, 1, 1),
-		NewReLU(),
-		NewMaxPool(2, 2),
-		NewDropout(rng, 0.25),
-		NewFlatten(),
-		NewDense(rng, 64*h2*w2, 128),
-		NewReLU(),
-		NewDense(rng, 128, classes),
-	)
-}

@@ -110,13 +110,6 @@ func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.dW, c.dB} 
 
 func (c *Conv2D) setWorkspace(ws *Workspace) { c.ws = ws }
 
-func (c *Conv2D) releaseScratch() {
-	for _, t := range []*tensor.Tensor{c.cols, c.flat, c.out, c.gflat, c.dcols, c.dx} {
-		c.ws.Release(t)
-	}
-	c.cols, c.flat, c.out, c.gflat, c.dcols, c.dx = nil, nil, nil, nil, nil, nil
-}
-
 // nhwcToNCHWInto converts a (N*OH*OW, C) activation matrix into the
 // (N, C, OH, OW) tensor out, overwriting every element.
 func nhwcToNCHWInto(out, flat *tensor.Tensor, n, oh, ow, ch int) {
@@ -200,9 +193,3 @@ func (m *MaxPool) Params() []*tensor.Tensor { return nil }
 func (m *MaxPool) Grads() []*tensor.Tensor { return nil }
 
 func (m *MaxPool) setWorkspace(ws *Workspace) { m.ws = ws }
-
-func (m *MaxPool) releaseScratch() {
-	m.ws.Release(m.out)
-	m.ws.Release(m.dx)
-	m.out, m.dx = nil, nil
-}

@@ -107,12 +107,6 @@ func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.dW, d.dB} }
 
 func (d *Dense) setWorkspace(ws *Workspace) { d.ws = ws }
 
-func (d *Dense) releaseScratch() {
-	d.ws.Release(d.out)
-	d.ws.Release(d.dx)
-	d.out, d.dx, d.in = nil, nil, nil
-}
-
 // ReLU applies max(0, x) element-wise.
 type ReLU struct {
 	mask []bool
@@ -180,12 +174,6 @@ func (r *ReLU) Grads() []*tensor.Tensor { return nil }
 
 func (r *ReLU) setWorkspace(ws *Workspace) { r.ws = ws }
 
-func (r *ReLU) releaseScratch() {
-	r.ws.Release(r.out)
-	r.ws.Release(r.gout)
-	r.out, r.gout = nil, nil
-}
-
 // Dropout zeroes a fraction Rate of activations during training and scales
 // the survivors by 1/(1-Rate) (inverted dropout), so inference needs no
 // rescaling. The paper's CNNs use 0.25 after pooling and 0.5 before the
@@ -252,12 +240,6 @@ func (d *Dropout) Params() []*tensor.Tensor { return nil }
 func (d *Dropout) Grads() []*tensor.Tensor { return nil }
 
 func (d *Dropout) setWorkspace(ws *Workspace) { d.ws = ws }
-
-func (d *Dropout) releaseScratch() {
-	d.ws.Release(d.out)
-	d.ws.Release(d.gout)
-	d.out, d.gout = nil, nil
-}
 
 // Flatten reshapes (N, C, H, W) activations to (N, C·H·W) so convolutional
 // features can feed dense layers. Both directions are views sharing the

@@ -38,17 +38,9 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// SoftmaxCrossEntropy computes mean cross-entropy loss of logits (N, K)
-// against integer labels, plus dLoss/dLogits.
-func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, grad *tensor.Tensor) {
-	grad = tensor.New(logits.Dim(0), logits.Dim(1))
-	loss = SoftmaxCrossEntropyInto(grad, logits, labels)
-	return loss, grad
-}
-
-// SoftmaxCrossEntropyInto is the fused, allocation-free core of
-// SoftmaxCrossEntropy: it computes the mean loss and writes dLoss/dLogits
-// into grad in a single pass over each row (softmax, loss, label
+// SoftmaxCrossEntropyInto computes the mean cross-entropy loss of logits
+// (N, K) against integer labels and writes dLoss/dLogits into grad, without
+// allocating, in a single pass over each row (softmax, loss, label
 // subtraction, and 1/N scaling while the row is cache-hot). grad must have
 // logits' shape. Results are bit-identical to the historical multi-pass
 // formulation: per element the operation order is exp → ·1/Σ → (label −1)
@@ -96,30 +88,6 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.Tensor, labels []int) float64 
 	return loss / float64(n)
 }
 
-// Softmax returns row-wise softmax probabilities of logits.
-func Softmax(logits *tensor.Tensor) *tensor.Tensor {
-	n, k := logits.Dim(0), logits.Dim(1)
-	out := logits.Clone()
-	for i := 0; i < n; i++ {
-		row := out.Data[i*k : (i+1)*k]
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			row[j] = math.Exp(v - maxv)
-			sum += row[j]
-		}
-		for j := range row {
-			row[j] /= sum
-		}
-	}
-	return out
-}
-
 // paramGradOnly is implemented by layers that can compute their parameter
 // gradients without also producing the input gradient. The training loop
 // uses it for the first layer of the stack, whose input gradient nobody
@@ -150,11 +118,6 @@ func (m *Model) TrainBatch(x *tensor.Tensor, labels []int, opt Optimizer) float6
 	}
 	opt.Step(m.cachedParams(), m.cachedGrads())
 	return loss
-}
-
-// Predict returns the argmax class for each row of x.
-func (m *Model) Predict(x *tensor.Tensor) []int {
-	return m.Forward(x, false).ArgMaxRows()
 }
 
 // Evaluate returns accuracy and mean loss of the model on (x, labels),

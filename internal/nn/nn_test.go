@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -40,7 +41,7 @@ func TestDropoutEvalIsIdentity(t *testing.T) {
 	d := NewDropout(rand.New(rand.NewSource(1)), 0.5)
 	x := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 4)
 	y := d.Forward(x, false)
-	if !y.AllClose(x, 0) {
+	if !slices.Equal(y.Data, x.Data) {
 		t.Fatal("dropout at eval must be identity")
 	}
 }
@@ -49,9 +50,13 @@ func TestDropoutPreservesExpectation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	d := NewDropout(rng, 0.25)
 	n := 20000
-	x := tensor.Full(1, 1, n)
+	x := tensor.New(1, n)
+	x.Fill(1)
 	y := d.Forward(x, true)
-	mean := y.Mean()
+	mean := 0.0
+	for _, v := range y.Data {
+		mean += v / float64(n)
+	}
 	if math.Abs(mean-1) > 0.03 {
 		t.Fatalf("inverted dropout mean = %v, want ≈1", mean)
 	}
@@ -84,20 +89,31 @@ func TestFlattenRoundTrip(t *testing.T) {
 		t.Fatalf("Flatten shape = %v", y.Shape())
 	}
 	back := f.Backward(y)
-	if !back.AllClose(x, 0) {
+	if !slices.Equal(back.Shape(), x.Shape()) || !slices.Equal(back.Data, x.Data) {
 		t.Fatal("Flatten backward must restore shape and values")
 	}
 }
 
+// softmaxCrossEntropy runs SoftmaxCrossEntropyInto into a fresh gradient.
+func softmaxCrossEntropy(logits *tensor.Tensor, labels []int) (float64, *tensor.Tensor) {
+	grad := tensor.New(logits.Dim(0), logits.Dim(1))
+	return SoftmaxCrossEntropyInto(grad, logits, labels), grad
+}
+
+// The gradient SoftmaxCrossEntropyInto writes is (p − onehot)/N, so with
+// every label 0 the softmax row p is N·grad plus one in column 0.
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n, k := 1+r.Intn(5), 2+r.Intn(8)
-		p := Softmax(tensor.RandNormal(r, 0, 3, n, k))
+		_, grad := softmaxCrossEntropy(tensor.RandNormal(r, 0, 3, n, k), make([]int, n))
 		for i := 0; i < n; i++ {
 			s := 0.0
 			for j := 0; j < k; j++ {
-				v := p.At(i, j)
+				v := float64(n) * grad.Data[i*k+j]
+				if j == 0 {
+					v++
+				}
 				if v < 0 || v > 1 {
 					return false
 				}
@@ -116,7 +132,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 
 func TestSoftmaxCrossEntropyPerfectPrediction(t *testing.T) {
 	logits := tensor.FromSlice([]float64{100, 0, 0}, 1, 3)
-	loss, _ := SoftmaxCrossEntropy(logits, []int{0})
+	loss, _ := softmaxCrossEntropy(logits, []int{0})
 	if loss > 1e-9 {
 		t.Fatalf("loss of confident correct prediction = %v", loss)
 	}
@@ -126,14 +142,14 @@ func TestSoftmaxCrossEntropyGradNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	logits := tensor.RandNormal(rng, 0, 1, 3, 4)
 	labels := []int{1, 3, 0}
-	_, grad := SoftmaxCrossEntropy(logits, labels)
+	_, grad := softmaxCrossEntropy(logits, labels)
 	const h = 1e-6
 	for i := range logits.Data {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + h
-		lp, _ := SoftmaxCrossEntropy(logits, labels)
+		lp, _ := softmaxCrossEntropy(logits, labels)
 		logits.Data[i] = orig - h
-		lm, _ := SoftmaxCrossEntropy(logits, labels)
+		lm, _ := softmaxCrossEntropy(logits, labels)
 		logits.Data[i] = orig
 		num := (lp - lm) / (2 * h)
 		if math.Abs(num-grad.Data[i]) > 1e-5 {
@@ -148,7 +164,7 @@ func TestSoftmaxCrossEntropyBadLabelPanics(t *testing.T) {
 			t.Fatal("out-of-range label did not panic")
 		}
 	}()
-	SoftmaxCrossEntropy(tensor.New(1, 3), []int{5})
+	softmaxCrossEntropy(tensor.New(1, 3), []int{5})
 }
 
 // numericalGradCheck verifies model end-to-end backward gradients against
@@ -156,7 +172,7 @@ func TestSoftmaxCrossEntropyBadLabelPanics(t *testing.T) {
 func numericalGradCheck(t *testing.T, m *Model, x *tensor.Tensor, labels []int, tol float64) {
 	t.Helper()
 	logits := m.Forward(x, true)
-	_, grad := SoftmaxCrossEntropy(logits, labels)
+	_, grad := softmaxCrossEntropy(logits, labels)
 	for i := len(m.Layers) - 1; i >= 0; i-- {
 		grad = m.Layers[i].Backward(grad)
 	}
@@ -166,9 +182,9 @@ func numericalGradCheck(t *testing.T, m *Model, x *tensor.Tensor, labels []int, 
 		for j := 0; j < p.Size(); j += 1 + p.Size()/17 { // sample indices
 			orig := p.Data[j]
 			p.Data[j] = orig + h
-			lp, _ := SoftmaxCrossEntropy(m.Forward(x, false), labels)
+			lp, _ := softmaxCrossEntropy(m.Forward(x, false), labels)
 			p.Data[j] = orig - h
-			lm, _ := SoftmaxCrossEntropy(m.Forward(x, false), labels)
+			lm, _ := softmaxCrossEntropy(m.Forward(x, false), labels)
 			p.Data[j] = orig
 			num := (lp - lm) / (2 * h)
 			got := grads[pi].Data[j]
@@ -216,12 +232,12 @@ func TestConv2DMatchesNaive(t *testing.T) {
 							if iy < 0 || iy >= 5 || ix < 0 || ix >= 5 {
 								continue
 							}
-							s += x.At(0, ic, iy, ix) * c.W.At(oc, (ic*3+ky)*3+kx)
+							s += x.Data[(ic*5+iy)*5+ix] * c.W.Data[oc*18+(ic*3+ky)*3+kx]
 						}
 					}
 				}
-				if math.Abs(got.At(0, oc, oy, ox)-s) > 1e-9 {
-					t.Fatalf("conv mismatch at (%d,%d,%d): %v vs %v", oc, oy, ox, got.At(0, oc, oy, ox), s)
+				if g := got.Data[(oc*5+oy)*5+ox]; math.Abs(g-s) > 1e-9 {
+					t.Fatalf("conv mismatch at (%d,%d,%d): %v vs %v", oc, oy, ox, g, s)
 				}
 			}
 		}
@@ -239,8 +255,8 @@ func TestModelLearnsToyProblem(t *testing.T) {
 		c := i % 2
 		labels[i] = c
 		cx := float64(2*c) - 1
-		x.Set(cx+0.3*rng.NormFloat64(), i, 0)
-		x.Set(cx+0.3*rng.NormFloat64(), i, 1)
+		x.Data[2*i] = cx + 0.3*rng.NormFloat64()
+		x.Data[2*i+1] = cx + 0.3*rng.NormFloat64()
 	}
 	opt := NewSGD(0.1, 0.9)
 	for epoch := 0; epoch < 30; epoch++ {
@@ -277,7 +293,7 @@ func TestWeightsVectorRoundTrip(t *testing.T) {
 	}
 	b.SetWeightsVector(w)
 	x := tensor.RandNormal(rng, 0, 1, 3, 4)
-	if !a.Forward(x, false).AllClose(b.Forward(x, false), 1e-12) {
+	if ya, yb := a.Forward(x, false), b.Forward(x, false); !slices.Equal(ya.Data, yb.Data) {
 		t.Fatal("models disagree after weight transfer")
 	}
 }
@@ -325,16 +341,6 @@ func TestRMSpropConvergesOnQuadratic(t *testing.T) {
 	}
 }
 
-func TestRMSpropDecay(t *testing.T) {
-	opt := NewRMSprop(0.01, 0.995)
-	opt.DecayLR()
-	opt.DecayLR()
-	want := 0.01 * 0.995 * 0.995
-	if math.Abs(opt.LR-want) > 1e-15 {
-		t.Fatalf("LR after two decays = %v, want %v", opt.LR, want)
-	}
-}
-
 func TestBuilderShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	mnist := NewPaperMNISTCNN(rng, 28, 28, 1, 10)
@@ -342,12 +348,6 @@ func TestBuilderShapes(t *testing.T) {
 	out := mnist.Forward(x, false)
 	if out.Dim(0) != 2 || out.Dim(1) != 10 {
 		t.Fatalf("MNIST CNN output shape = %v", out.Shape())
-	}
-	cifar := NewPaperCIFARCNN(rng, 32, 32, 3, 10)
-	xc := tensor.RandNormal(rng, 0, 1, 1, 3, 32, 32)
-	outc := cifar.Forward(xc, false)
-	if outc.Dim(0) != 1 || outc.Dim(1) != 10 {
-		t.Fatalf("CIFAR CNN output shape = %v", outc.Shape())
 	}
 }
 

@@ -99,12 +99,13 @@ func (s *SGD) Step(params, grads []*tensor.Tensor) {
 
 // RMSprop is the optimizer used for the paper's synthetic-dataset
 // experiments: initial learning rate 0.01 with multiplicative decay 0.995
-// applied once per local training pass (see DecayLR).
+// per round, which the optimizer factories apply by building each round's
+// optimizer at LR·Decay^round.
 type RMSprop struct {
-	LR    float64 // current learning rate
+	LR    float64 // learning rate
 	Rho   float64 // gradient second-moment smoothing, typically 0.9
 	Eps   float64 // numerical stabilizer
-	Decay float64 // multiplicative LR decay factor, e.g. 0.995
+	Decay float64 // the schedule's per-round LR decay factor, e.g. 0.995
 	cache optState
 }
 
@@ -137,14 +138,5 @@ func (r *RMSprop) Step(params, grads []*tensor.Tensor) {
 			c[j] = cj
 			pd[j] -= lr * gj / (math.Sqrt(cj) + eps)
 		}
-	}
-}
-
-// DecayLR applies one multiplicative decay step (LR *= Decay). The FL round
-// loop calls this once per round, matching the paper's "initial learning
-// rate 0.01 and decay 0.995".
-func (r *RMSprop) DecayLR() {
-	if r.Decay > 0 {
-		r.LR *= r.Decay
 	}
 }

@@ -9,8 +9,7 @@ import (
 // gradient, im2col, and mask buffers. Attach one to a model with
 // Model.SetWorkspace; after that, steady-state training batches allocate
 // (almost) nothing — each layer keeps its buffers across batches while
-// shapes repeat, and returns them to the pool on Model.ReleaseScratch or
-// when the batch shape changes.
+// shapes repeat, and returns them to the pool when the batch shape changes.
 //
 // Ownership rules:
 //
@@ -58,15 +57,6 @@ func (w *Workspace) Ensure(cur *tensor.Tensor, shape ...int) *tensor.Tensor {
 	return w.pool.GetTensor(shape...)
 }
 
-// Release returns a scratch tensor to the pool (no-op for nil workspace or
-// nil tensor). The caller must drop every reference to t.
-func (w *Workspace) Release(t *tensor.Tensor) {
-	if w == nil {
-		return
-	}
-	w.pool.PutTensor(t)
-}
-
 func sameShape(t *tensor.Tensor, shape []int) bool {
 	s := t.Shape()
 	if len(s) != len(shape) {
@@ -81,12 +71,9 @@ func sameShape(t *tensor.Tensor, shape []int) bool {
 }
 
 // workspaced is implemented by layers that draw scratch buffers from a
-// workspace. setWorkspace attaches the arena (nil detaches); releaseScratch
-// hands every cached scratch buffer back to the pool so the workspace can
-// serve the next model.
+// workspace; setWorkspace attaches the arena (nil detaches).
 type workspaced interface {
 	setWorkspace(ws *Workspace)
-	releaseScratch()
 }
 
 // SetWorkspace attaches ws to the model and all its layers. Pass nil to
@@ -99,22 +86,4 @@ func (m *Model) SetWorkspace(ws *Workspace) {
 			wl.setWorkspace(ws)
 		}
 	}
-}
-
-// ReleaseScratch returns every cached scratch buffer (layer activations,
-// gradients, im2col matrices, the loss-gradient buffer) to the attached
-// workspace's pool. Trainable parameters and their gradient tensors are
-// kept — they belong to the model. Call it when the model goes idle so the
-// workspace can serve another replica of the same architecture without
-// growing.
-func (m *Model) ReleaseScratch() {
-	for _, l := range m.Layers {
-		if wl, ok := l.(workspaced); ok {
-			wl.releaseScratch()
-		}
-	}
-	if m.ws != nil {
-		m.ws.Release(m.lossGrad)
-	}
-	m.lossGrad = nil
 }

@@ -112,17 +112,3 @@ func Aggregate(subs []Submission, participants []int) ([]float64, error) {
 	}
 	return sum, nil
 }
-
-// SecureFedAvg masks every update and aggregates the masked submissions —
-// the drop-in secure analogue of flcore.FedAvg for one round.
-func SecureFedAvg(updates []flcore.Update, roundSeed int64, maskScale float64) ([]float64, error) {
-	ids := make([]int, len(updates))
-	for i, u := range updates {
-		ids[i] = u.ClientID
-	}
-	subs := make([]Submission, len(updates))
-	for i, u := range updates {
-		subs[i] = MaskUpdate(u, ids, roundSeed, maskScale)
-	}
-	return Aggregate(subs, ids)
-}

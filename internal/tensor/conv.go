@@ -6,17 +6,6 @@ func ConvOutSize(in, kernel, stride, pad int) int {
 	return (in+2*pad-kernel)/stride + 1
 }
 
-// Im2Col lowers a batched image tensor x with shape (N, C, H, W) into a
-// matrix of shape (N*OH*OW, C*KH*KW) where each row holds one receptive
-// field. Convolution then becomes a single MatMul against the reshaped
-// kernel, which is how internal/nn implements Conv2D.
-func Im2Col(x *Tensor, kh, kw, stride, pad int) *Tensor {
-	oh, ow, colW := im2ColDims(x, kh, kw, stride, pad)
-	out := New(x.shape[0]*oh*ow, colW)
-	im2ColInto(out, x, kh, kw, stride, pad, oh, ow)
-	return out
-}
-
 // Im2ColInto lowers x into dst, reusing dst's storage. dst must have shape
 // (N*OH*OW, C*KH*KW); every element (including padding zeros) is written,
 // so dst's prior contents do not matter.
@@ -31,7 +20,7 @@ func Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) {
 
 func im2ColDims(x *Tensor, kh, kw, stride, pad int) (oh, ow, colW int) {
 	if x.Rank() != 4 {
-		panicConvRank("Im2Col", x)
+		panicConvRank("Im2ColInto", x)
 	}
 	c, h, w := x.shape[1], x.shape[2], x.shape[3]
 	oh = ConvOutSize(h, kh, stride, pad)
@@ -81,15 +70,6 @@ func im2ColInto(out, x *Tensor, kh, kw, stride, pad, oh, ow int) {
 	}
 }
 
-// Col2Im is the adjoint of Im2Col: it scatters a (N*OH*OW, C*KH*KW) matrix
-// of receptive-field gradients back into an image tensor of shape
-// (N, C, H, W), accumulating where fields overlap.
-func Col2Im(cols *Tensor, n, c, h, w, kh, kw, stride, pad int) *Tensor {
-	out := New(n, c, h, w)
-	col2ImInto(out, cols, n, c, h, w, kh, kw, stride, pad, "Col2Im")
-	return out
-}
-
 // Col2ImInto scatters cols into dst, reusing dst's storage. dst must have
 // shape (N, C, H, W); it is zeroed before accumulation.
 func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) {
@@ -98,15 +78,15 @@ func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) {
 	}
 	n, c, h, w := dst.shape[0], dst.shape[1], dst.shape[2], dst.shape[3]
 	dst.Zero()
-	col2ImInto(dst, cols, n, c, h, w, kh, kw, stride, pad, "Col2ImInto")
+	col2ImInto(dst, cols, n, c, h, w, kh, kw, stride, pad)
 }
 
-func col2ImInto(out, cols *Tensor, n, c, h, w, kh, kw, stride, pad int, op string) {
+func col2ImInto(out, cols *Tensor, n, c, h, w, kh, kw, stride, pad int) {
 	oh := ConvOutSize(h, kh, stride, pad)
 	ow := ConvOutSize(w, kw, stride, pad)
 	colW := c * kh * kw
 	if cols.Rank() != 2 || cols.shape[0] != n*oh*ow || cols.shape[1] != colW {
-		panicCol2ImShape(op, cols, n*oh*ow, colW)
+		panicCol2ImShape("Col2ImInto", cols, n*oh*ow, colW)
 	}
 	for img := 0; img < n; img++ {
 		base := img * c * h * w
@@ -135,23 +115,6 @@ func col2ImInto(out, cols *Tensor, n, c, h, w, kh, kw, stride, pad int, op strin
 			}
 		}
 	}
-}
-
-// MaxPool2D applies 2-D max pooling with a square window and equal stride to
-// x with shape (N, C, H, W). It returns the pooled tensor of shape
-// (N, C, OH, OW) and the flat argmax indices into x.Data used by the
-// backward pass.
-func MaxPool2D(x *Tensor, size, stride int) (*Tensor, []int) {
-	if x.Rank() != 4 {
-		panicConvRank("MaxPool2D", x)
-	}
-	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh := ConvOutSize(h, size, stride, 0)
-	ow := ConvOutSize(w, size, stride, 0)
-	out := New(n, c, oh, ow)
-	arg := make([]int, out.Size())
-	maxPool2DInto(out, arg, x, size, stride, oh, ow)
-	return out, arg
 }
 
 // MaxPool2DInto pools x into dst, reusing dst's storage and the arg index
@@ -201,17 +164,6 @@ func maxPool2DInto(out *Tensor, arg []int, x *Tensor, size, stride, oh, ow int) 
 			}
 		}
 	}
-}
-
-// MaxUnpool2D scatters pooled gradients grad back to input positions using
-// the argmax indices produced by MaxPool2D. inputShape is the shape of the
-// original input tensor.
-func MaxUnpool2D(grad *Tensor, arg []int, inputShape []int) *Tensor {
-	out := New(inputShape...)
-	for i, g := range grad.Data {
-		out.Data[arg[i]] += g
-	}
-	return out
 }
 
 // MaxUnpool2DInto scatters grad into dst (which must have the pooling

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -25,14 +26,14 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel with stride 1 and no padding is a pure reshuffle.
 	rng := rand.New(rand.NewSource(1))
 	x := RandNormal(rng, 0, 1, 2, 3, 4, 4)
-	cols := Im2Col(x, 1, 1, 1, 0)
+	cols := im2col(x, 1, 1, 1, 0)
 	if cols.Dim(0) != 2*4*4 || cols.Dim(1) != 3 {
-		t.Fatalf("Im2Col shape = %v", cols.Shape())
+		t.Fatalf("Im2ColInto shape = %v", cols.Shape())
 	}
 	// Element (img=0, oy=1, ox=2, ch=1) must equal x[0,1,1,2].
-	row := cols.Row((0*4+1)*4 + 2)
-	if row.Data[1] != x.At(0, 1, 1, 2) {
-		t.Fatal("Im2Col 1x1 mapping wrong")
+	row := (0*4+1)*4 + 2
+	if cols.Data[row*3+1] != x.Data[((0*3+1)*4+1)*4+2] {
+		t.Fatal("Im2ColInto 1x1 mapping wrong")
 	}
 }
 
@@ -43,7 +44,7 @@ func TestIm2ColKnownValues(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 1, 3, 3)
-	cols := Im2Col(x, 2, 2, 1, 0)
+	cols := im2col(x, 2, 2, 1, 0)
 	want := [][]float64{
 		{1, 2, 4, 5},
 		{2, 3, 5, 6},
@@ -51,10 +52,10 @@ func TestIm2ColKnownValues(t *testing.T) {
 		{5, 6, 8, 9},
 	}
 	for i, w := range want {
-		row := cols.Row(i)
+		row := cols.Data[i*4 : (i+1)*4]
 		for j, v := range w {
-			if row.Data[j] != v {
-				t.Fatalf("row %d = %v, want %v", i, row.Data, w)
+			if row[j] != v {
+				t.Fatalf("row %d = %v, want %v", i, row, w)
 			}
 		}
 	}
@@ -62,22 +63,22 @@ func TestIm2ColKnownValues(t *testing.T) {
 
 func TestIm2ColPaddingZeros(t *testing.T) {
 	x := FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
-	cols := Im2Col(x, 3, 3, 1, 1) // padded 3x3 windows over 2x2 input
+	cols := im2col(x, 3, 3, 1, 1) // padded 3x3 windows over 2x2 input
 	if cols.Dim(0) != 4 || cols.Dim(1) != 9 {
 		t.Fatalf("shape = %v", cols.Shape())
 	}
 	// First window (oy=0,ox=0) has top row and left column zero-padded.
-	row := cols.Row(0)
+	row := cols.Data[:9]
 	want := []float64{0, 0, 0, 0, 1, 2, 0, 3, 4}
 	for j, v := range want {
-		if row.Data[j] != v {
-			t.Fatalf("padded row = %v, want %v", row.Data, want)
+		if row[j] != v {
+			t.Fatalf("padded row = %v, want %v", row, want)
 		}
 	}
 }
 
-// Property: Col2Im(Im2Col(x)) with a 1x1 kernel reproduces x exactly, and
-// with overlapping kernels each element is counted once per covering window.
+// Property: Col2ImInto(Im2ColInto(x)) with a 1x1 kernel reproduces x
+// exactly.
 func TestCol2ImAdjointOfIm2Col(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -85,9 +86,9 @@ func TestCol2ImAdjointOfIm2Col(t *testing.T) {
 		h := 3 + r.Intn(4)
 		w := 3 + r.Intn(4)
 		x := RandNormal(r, 0, 1, n, c, h, w)
-		cols := Im2Col(x, 1, 1, 1, 0)
-		back := Col2Im(cols, n, c, h, w, 1, 1, 1, 0)
-		return back.AllClose(x, 1e-12)
+		back := New(n, c, h, w)
+		Col2ImInto(back, im2col(x, 1, 1, 1, 0), 1, 1, 1, 0)
+		return allClose(back, x, 1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -103,15 +104,25 @@ func TestIm2ColCol2ImAdjointIdentity(t *testing.T) {
 		kh, kw := 2, 2
 		pad := r.Intn(2)
 		x := RandNormal(r, 0, 1, n, c, h, w)
-		cols := Im2Col(x, kh, kw, 1, pad)
+		cols := im2col(x, kh, kw, 1, pad)
 		y := RandNormal(r, 0, 1, cols.Dim(0), cols.Dim(1))
-		lhs := cols.Dot(y)
-		rhs := x.Dot(Col2Im(y, n, c, h, w, kh, kw, 1, pad))
+		back := New(n, c, h, w)
+		Col2ImInto(back, y, kh, kw, 1, pad)
+		lhs, rhs := dot(cols, y), dot(x, back)
 		return absf(lhs-rhs) < 1e-9*(1+absf(lhs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// dot is the inner product of two same-size tensors.
+func dot(a, b *Tensor) float64 {
+	s := 0.0
+	for i, v := range a.Data {
+		s += v * b.Data[i]
+	}
+	return s
 }
 
 func absf(x float64) float64 {
@@ -128,20 +139,22 @@ func TestMaxPool2DKnown(t *testing.T) {
 		9, 10, 13, 14,
 		11, 12, 15, 16,
 	}, 1, 1, 4, 4)
-	out, arg := MaxPool2D(x, 2, 2)
+	out := New(1, 1, 2, 2)
+	arg := MaxPool2DInto(out, nil, x, 2, 2)
 	want := []float64{4, 8, 12, 16}
 	for i, v := range want {
 		if out.Data[i] != v {
-			t.Fatalf("MaxPool2D = %v, want %v", out.Data, want)
+			t.Fatalf("MaxPool2DInto = %v, want %v", out.Data, want)
 		}
 	}
 	// Gradient routed back through argmax positions only.
 	g := FromSlice([]float64{1, 1, 1, 1}, 1, 1, 2, 2)
-	back := MaxUnpool2D(g, arg, []int{1, 1, 4, 4})
-	if back.Sum() != 4 {
-		t.Fatalf("unpooled gradient mass = %v, want 4", back.Sum())
+	back := New(1, 1, 4, 4)
+	MaxUnpool2DInto(back, g, arg)
+	if mass := dot(back, full(1, 1, 1, 4, 4)); mass != 4 {
+		t.Fatalf("unpooled gradient mass = %v, want 4", mass)
 	}
-	if back.At(0, 0, 1, 1) != 1 || back.At(0, 0, 0, 0) != 0 {
+	if back.Data[1*4+1] != 1 || back.Data[0] != 0 {
 		t.Fatal("gradient routed to wrong positions")
 	}
 }
@@ -150,8 +163,9 @@ func TestMaxPoolPreservesMax(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		x := RandNormal(r, 0, 1, 1, 2, 4, 4)
-		out, _ := MaxPool2D(x, 2, 2)
-		return out.Max() == x.Max()
+		out := New(1, 2, 2, 2)
+		MaxPool2DInto(out, nil, x, 2, 2)
+		return slices.Max(out.Data) == slices.Max(x.Data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -161,8 +175,8 @@ func TestMaxPoolPreservesMax(t *testing.T) {
 func TestIm2ColBadRankPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Im2Col on rank-2 input did not panic")
+			t.Fatal("Im2ColInto on rank-2 input did not panic")
 		}
 	}()
-	Im2Col(New(3, 3), 2, 2, 1, 0)
+	Im2ColInto(New(4, 4), New(3, 3), 2, 2, 1, 0)
 }

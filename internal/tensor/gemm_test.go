@@ -17,7 +17,7 @@ func abtBothPaths(t *testing.T, a, b, bias *Tensor) (scalar, simd *Tensor) {
 		t.Skip("no SIMD ABT kernel on this CPU")
 	}
 	m, n := a.Dim(0), b.Dim(0)
-	scalar, simd = Full(999, m, n), Full(-999, m, n)
+	scalar, simd = full(999, m, n), full(-999, m, n)
 	useSIMD = false
 	defer func() { useSIMD = true }()
 	matMulABTBiasInto(scalar, a, b, bias, "scalar")
@@ -133,8 +133,9 @@ func TestMatMulABTConcurrentPanels(t *testing.T) {
 	type job struct{ a, b, want *Tensor }
 	var jobs []job
 	for _, s := range [][3]int{{40, 72, 32}, {12, 128, 160}, {300, 30, 64}, {3, 9, 16}} {
-		a, b := randTensor(rng, s[0], s[1]), randTensor(rng, s[2], s[1])
-		jobs = append(jobs, job{a, b, MatMulABT(a, b)})
+		a, b, want := randTensor(rng, s[0], s[1]), randTensor(rng, s[2], s[1]), New(s[0], s[2])
+		MatMulABTInto(want, a, b)
+		jobs = append(jobs, job{a, b, want})
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

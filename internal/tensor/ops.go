@@ -1,98 +1,9 @@
 package tensor
 
 import (
-	"math"
 	"runtime"
 	"sync"
 )
-
-// Add returns t + o element-wise as a new tensor.
-func (t *Tensor) Add(o *Tensor) *Tensor {
-	t.mustSameSize(o, "Add")
-	r := t.Clone()
-	for i, v := range o.Data {
-		r.Data[i] += v
-	}
-	return r
-}
-
-// AddInto computes dst = a + b element-wise, reusing dst's storage.
-// All three tensors must have the same size; dst may alias a or b.
-func AddInto(dst, a, b *Tensor) {
-	dst.mustSameSize(a, "AddInto")
-	dst.mustSameSize(b, "AddInto")
-	bd := b.Data[:len(dst.Data)]
-	for i, v := range a.Data {
-		dst.Data[i] = v + bd[i]
-	}
-}
-
-// Sub returns t - o element-wise as a new tensor.
-func (t *Tensor) Sub(o *Tensor) *Tensor {
-	t.mustSameSize(o, "Sub")
-	r := t.Clone()
-	for i, v := range o.Data {
-		r.Data[i] -= v
-	}
-	return r
-}
-
-// SubInto computes dst = a - b element-wise, reusing dst's storage.
-// All three tensors must have the same size; dst may alias a or b.
-func SubInto(dst, a, b *Tensor) {
-	dst.mustSameSize(a, "SubInto")
-	dst.mustSameSize(b, "SubInto")
-	bd := b.Data[:len(dst.Data)]
-	for i, v := range a.Data {
-		dst.Data[i] = v - bd[i]
-	}
-}
-
-// Mul returns the element-wise product t ⊙ o as a new tensor.
-func (t *Tensor) Mul(o *Tensor) *Tensor {
-	t.mustSameSize(o, "Mul")
-	r := t.Clone()
-	for i, v := range o.Data {
-		r.Data[i] *= v
-	}
-	return r
-}
-
-// MulInto computes dst = a ⊙ b element-wise, reusing dst's storage.
-// All three tensors must have the same size; dst may alias a or b.
-func MulInto(dst, a, b *Tensor) {
-	dst.mustSameSize(a, "MulInto")
-	dst.mustSameSize(b, "MulInto")
-	bd := b.Data[:len(dst.Data)]
-	for i, v := range a.Data {
-		dst.Data[i] = v * bd[i]
-	}
-}
-
-// Scale returns s·t as a new tensor.
-func (t *Tensor) Scale(s float64) *Tensor {
-	r := t.Clone()
-	for i := range r.Data {
-		r.Data[i] *= s
-	}
-	return r
-}
-
-// ScaleInto computes dst = s·a, reusing dst's storage. dst may alias a.
-func ScaleInto(dst, a *Tensor, s float64) {
-	dst.mustSameSize(a, "ScaleInto")
-	for i, v := range a.Data {
-		dst.Data[i] = v * s
-	}
-}
-
-// AddInPlace adds o to t element-wise, modifying t.
-func (t *Tensor) AddInPlace(o *Tensor) {
-	t.mustSameSize(o, "AddInPlace")
-	for i, v := range o.Data {
-		t.Data[i] += v
-	}
-}
 
 // AxpyInPlace computes t += a·o, modifying t.
 func (t *Tensor) AxpyInPlace(a float64, o *Tensor) {
@@ -100,90 +11,6 @@ func (t *Tensor) AxpyInPlace(a float64, o *Tensor) {
 	for i, v := range o.Data {
 		t.Data[i] += a * v
 	}
-}
-
-// ScaleInPlace multiplies every element of t by s.
-func (t *Tensor) ScaleInPlace(s float64) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
-// Apply returns a new tensor with f applied to every element.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	r := t.Clone()
-	for i, v := range r.Data {
-		r.Data[i] = f(v)
-	}
-	return r
-}
-
-// ApplyInto computes dst = f(a) element-wise, reusing dst's storage.
-// dst may alias a.
-func ApplyInto(dst, a *Tensor, f func(float64) float64) {
-	dst.mustSameSize(a, "ApplyInto")
-	for i, v := range a.Data {
-		dst.Data[i] = f(v)
-	}
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of all elements (0 for empty tensors).
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
-}
-
-// Max returns the maximum element. It panics on an empty tensor.
-func (t *Tensor) Max() float64 {
-	if len(t.Data) == 0 {
-		panic("tensor: Max of empty tensor")
-	}
-	m := t.Data[0]
-	for _, v := range t.Data[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Dot returns the inner product of t and o viewed as flat vectors.
-func (t *Tensor) Dot(o *Tensor) float64 {
-	t.mustSameSize(o, "Dot")
-	s := 0.0
-	for i, v := range t.Data {
-		s += v * o.Data[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean (L2) norm of t viewed as a flat vector.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// ArgMaxRows returns, for each row of a matrix, the column index of the
-// largest element.
-func (t *Tensor) ArgMaxRows() []int {
-	t.mustRank(2)
-	out := make([]int, t.shape[0])
-	t.ArgMaxRowsInto(out)
-	return out
 }
 
 // ArgMaxRowsInto fills out with the per-row argmax of a matrix, reusing
@@ -215,25 +42,10 @@ func (t *Tensor) mustSameSize(o *Tensor, op string) {
 	}
 }
 
-// parallelThreshold is the number of multiply-adds below which MatMul runs
+// parallelThreshold is the number of multiply-adds below which a product runs
 // single-threaded; smaller problems lose more to goroutine scheduling than
 // they gain from parallelism.
 const parallelThreshold = 1 << 17
-
-// MatMul returns the matrix product a·b for rank-2 tensors.
-// It panics unless a is (m×k) and b is (k×n).
-func MatMul(a, b *Tensor) *Tensor {
-	a.mustRank(2)
-	b.mustRank(2)
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panicMatMulDims("MatMul", a, b)
-	}
-	out := New(m, n)
-	matMulInto(out, a, b, nil, m, k, n)
-	return out
-}
 
 // MatMulInto computes dst = a·b, reusing dst's storage. dst must be (m×n).
 func MatMulInto(dst, a, b *Tensor) {
@@ -360,21 +172,6 @@ func matMulRows(out, a, b, bias *Tensor, k, n, lo, hi int) {
 	}
 }
 
-// MatMulATB returns aᵀ·b for rank-2 tensors a (k×m) and b (k×n), producing
-// an (m×n) result without materializing the transpose.
-func MatMulATB(a, b *Tensor) *Tensor {
-	a.mustRank(2)
-	b.mustRank(2)
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panicMatMulDims("MatMulATB", a, b)
-	}
-	out := New(m, n)
-	matMulATBInto(out, a, b, k, m, n)
-	return out
-}
-
 // MatMulATBInto computes dst = aᵀ·b, reusing dst's storage. dst must be
 // (m×n) for a (k×m) and b (k×n).
 func MatMulATBInto(dst, a, b *Tensor) {
@@ -441,21 +238,6 @@ func matMulATBInto(out, a, b *Tensor, k, m, n int) {
 			}
 		}
 	}
-}
-
-// MatMulABT returns a·bᵀ for rank-2 tensors a (m×k) and b (n×k), producing
-// an (m×n) result without materializing the transpose.
-func MatMulABT(a, b *Tensor) *Tensor {
-	a.mustRank(2)
-	b.mustRank(2)
-	m, k := a.shape[0], a.shape[1]
-	n, k2 := b.shape[0], b.shape[1]
-	if k != k2 {
-		panicMatMulDims("MatMulABT", a, b)
-	}
-	out := New(m, n)
-	matMulABTInto(out, a, b, nil, m, k, n)
-	return out
 }
 
 // MatMulABTInto computes dst = a·bᵀ, reusing dst's storage. dst must be
@@ -623,19 +405,6 @@ func matMulABTRows(out, a, b, bias *Tensor, panel []float64, k, n, nb, lo, hi in
 			orow[j] = s
 		}
 	}
-}
-
-// Transpose returns the transpose of a rank-2 tensor as a new tensor.
-func (t *Tensor) Transpose() *Tensor {
-	t.mustRank(2)
-	m, n := t.shape[0], t.shape[1]
-	out := New(n, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			out.Data[j*m+i] = t.Data[i*n+j]
-		}
-	}
-	return out
 }
 
 // parallelRows splits [0,m) into contiguous chunks, one per worker, and runs

@@ -60,7 +60,7 @@ func panicConvRank(op string, t *Tensor) {
 
 //go:noinline
 func panicIm2ColEmpty(x *Tensor, kh, kw, stride, pad int) {
-	panic(fmt.Sprintf("tensor: Im2Col produces empty output for input %v kernel %dx%d stride %d pad %d", x.shape, kh, kw, stride, pad))
+	panic(fmt.Sprintf("tensor: Im2ColInto produces empty output for input %v kernel %dx%d stride %d pad %d", x.shape, kh, kw, stride, pad))
 }
 
 //go:noinline

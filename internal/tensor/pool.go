@@ -110,15 +110,6 @@ func (p *Pool) Get(n int) []float64 {
 	return make([]float64, n, 1<<(b+minBucketBits))
 }
 
-// GetZeroed returns a zero-filled []float64 of length n.
-func (p *Pool) GetZeroed(n int) []float64 {
-	s := p.Get(n)
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
 // Put returns a buffer to the pool. The caller must not use s afterwards.
 func (p *Pool) Put(s []float64) {
 	if cap(s) == 0 {

@@ -3,14 +3,13 @@
 // arithmetic, matrix multiplication, 2-D convolution via im2col, and pooling.
 //
 // Tensors are row-major. The package is intentionally small and allocation
-// conscious: hot paths (MatMul, im2col) reuse caller-provided destinations
-// where possible and parallelize across goroutines when the work is large
+// conscious: hot paths (matrix products, im2col) reuse caller-provided
+// destinations and parallelize across goroutines when the work is large
 // enough to amortize scheduling.
 package tensor
 
 import (
 	"fmt"
-	"math"
 )
 
 // Tensor is a dense, row-major float64 tensor.
@@ -41,15 +40,6 @@ func FromSlice(data []float64, shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), Data: data}
 }
 
-// Full returns a tensor with every element set to v.
-func Full(v float64, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-	return t
-}
-
 // checkedSize panics with a precomputed message: formatting the shape here
 // would make every caller's shape slice escape to the heap (escape analysis
 // is flow-insensitive), putting an allocation on every hot-path tensor
@@ -78,38 +68,12 @@ func (t *Tensor) Rank() int { return len(t.shape) }
 // Dim returns the size of dimension i.
 func (t *Tensor) Dim(i int) int { return t.shape[i] }
 
-// Rows returns the first dimension of a matrix (rank-2 tensor).
-func (t *Tensor) Rows() int { t.mustRank(2); return t.shape[0] }
-
-// Cols returns the second dimension of a matrix (rank-2 tensor).
-func (t *Tensor) Cols() int { t.mustRank(2); return t.shape[1] }
-
 // mustRank panics unless t has rank r; the message formatting lives in a
 // cold helper so the guard inlines allocation-free into hot paths.
 func (t *Tensor) mustRank(r int) {
 	if len(t.shape) != r {
 		panicRank(t, r)
 	}
-}
-
-// At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float64 { return t.Data[t.offset(idx)] }
-
-// Set stores v at the given multi-dimensional index.
-func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.offset(idx)] = v }
-
-func (t *Tensor) offset(idx []int) int {
-	if len(idx) != len(t.shape) {
-		panic(fmt.Sprintf("tensor: index %v does not match shape %v", idx, t.shape))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= t.shape[i] {
-			panic(fmt.Sprintf("tensor: index %v out of range for shape %v", idx, t.shape))
-		}
-		off = off*t.shape[i] + x
-	}
-	return off
 }
 
 // Reshape returns a view of t with a new shape of the same total size.
@@ -129,14 +93,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// CopyFrom copies src's data into t. Shapes must have equal sizes.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(t.Data) != len(src.Data) {
-		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.Data), len(src.Data)))
-	}
-	copy(t.Data, src.Data)
-}
-
 // Zero sets every element of t to zero.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
@@ -151,41 +107,7 @@ func (t *Tensor) Fill(v float64) {
 	}
 }
 
-// SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.shape) != len(o.shape) {
-		return false
-	}
-	for i, d := range t.shape {
-		if o.shape[i] != d {
-			return false
-		}
-	}
-	return true
-}
-
-// AllClose reports whether every element of t is within tol of the
-// corresponding element of o, and the shapes match.
-func (t *Tensor) AllClose(o *Tensor, tol float64) bool {
-	if !t.SameShape(o) {
-		return false
-	}
-	for i, v := range t.Data {
-		if math.Abs(v-o.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders a compact description, e.g. "Tensor[2 3]".
 func (t *Tensor) String() string {
 	return fmt.Sprintf("Tensor%v", t.shape)
-}
-
-// Row returns a view of row i of a matrix as a rank-1 tensor sharing data.
-func (t *Tensor) Row(i int) *Tensor {
-	t.mustRank(2)
-	cols := t.shape[1]
-	return &Tensor{shape: []int{cols}, Data: t.Data[i*cols : (i+1)*cols]}
 }

@@ -21,9 +21,9 @@ func TestSelectorDrivesManagerFromSyncRounds(t *testing.T) {
 		for r := 0; r <= retierEvery; r++ {
 			rng := rand.New(rand.NewSource(int64(100 + r)))
 			got := sel.Select(r, rng)
-			home, _ := m.TierOf(got[0])
+			home, _ := tierOf(m, got[0])
 			for _, id := range got {
-				if tier, ok := m.TierOf(id); !ok || tier != home {
+				if tier, ok := tierOf(m, id); !ok || tier != home {
 					t.Fatalf("round %d: selected %v, but %d is not a current member of tier %d", r, got, id, home)
 				}
 			}
@@ -42,7 +42,7 @@ func TestSelectorDrivesManagerFromSyncRounds(t *testing.T) {
 	if m.Retiers() != 1 {
 		t.Fatalf("rebuilds at round %d = %d, want 1", retierEvery, m.Retiers())
 	}
-	if tier, _ := m.TierOf(0); tier != 2 {
+	if tier, _ := tierOf(m, 0); tier != 2 {
 		t.Fatalf("drifted client 0 in tier %d after the rebuild, want the slowest", tier)
 	}
 	if again, _ := run(); !reflect.DeepEqual(picks, again) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 
 	"repro/internal/flcore"
 )
@@ -15,9 +16,10 @@ import (
 // counters — so a restored Manager continues the run exactly where the
 // checkpointed one stopped (same cohort draws, same rebuild points).
 //
-// Blobs written while the Manager still had migration pins carry a Pinned
-// field; gob skips a stream field the receiver lacks, so they restore
-// unchanged and the pins lapse.
+// Blobs written by earlier Managers may carry fields State no longer has
+// (Pinned migration pins, the Log of reassignments, the CommBytes wire-byte
+// estimates); gob skips a stream field the receiver lacks, so they restore
+// unchanged and the retired state lapses.
 type State struct {
 	Tiers    [][]int
 	EWMA     map[int]float64
@@ -28,13 +30,6 @@ type State struct {
 	Draws    []int
 
 	Retiers, Rebuilds, Skipped, LastVersion int
-	Log                                     []Reassignment
-
-	// CommBytes carries the per-client wire-byte EWMAs (comm-aware
-	// tiering). Snapshots from before the field gob-decode to nil, which
-	// restores as an empty map — byte estimates simply rebuild from the
-	// resumed run's observations.
-	CommBytes map[int]float64
 }
 
 // SnapshotState serializes the Manager's current state with gob. It is
@@ -57,15 +52,8 @@ func (m *Manager) SnapshotState() ([]byte, error) {
 	for c, v := range m.ewma {
 		s.EWMA[c] = v
 	}
-	s.CommBytes = make(map[int]float64, len(m.commBytes))
-	for c, v := range m.commBytes {
-		s.CommBytes[c] = v
-	}
 	for c, v := range m.placed {
 		s.Placed[c] = v
-	}
-	for _, r := range m.log {
-		s.Log = append(s.Log, Reassignment{Version: r.Version, Moves: append([]Move(nil), r.Moves...)})
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
@@ -77,7 +65,11 @@ func (m *Manager) SnapshotState() ([]byte, error) {
 // RestoreState replaces the Manager's state with a blob produced by
 // SnapshotState. The Manager must have been constructed with the same tier
 // count the snapshot maintains (NewManager over any profile of the same
-// population; the restored EWMAs supersede the profile's estimates).
+// population; the restored EWMAs supersede the profile's estimates). The
+// blob comes off disk, so every number in it is checked before any state
+// changes: latencies finite and positive, an estimate for every tier
+// member (a rebuild places only clients it has one for), probabilities a
+// distribution, and no negative credits or draws.
 func (m *Manager) RestoreState(data []byte) error {
 	var s State
 	r := bytes.NewReader(data)
@@ -105,7 +97,32 @@ func (m *Manager) RestoreState(data []byte) error {
 			if prev, dup := tierOf[c]; dup {
 				return fmt.Errorf("tiering: state places client %d in tiers %d and %d", c, prev, t)
 			}
+			if _, ok := s.EWMA[c]; !ok {
+				return fmt.Errorf("tiering: state has no latency estimate for tier %d member %d", t, c)
+			}
 			tierOf[c] = t
+		}
+	}
+	for name, lat := range map[string]map[int]float64{"estimate": s.EWMA, "placement": s.Placed} {
+		for c, v := range lat {
+			if !(v > 0) || math.IsInf(v, 0) {
+				return fmt.Errorf("tiering: state %s latency %v for client %d is not finite and positive", name, v, c)
+			}
+		}
+	}
+	sum := 0.0
+	for t, p := range s.Probs {
+		if !(p >= 0) || math.IsInf(p, 0) {
+			return fmt.Errorf("tiering: state probability %v for tier %d", p, t)
+		}
+		sum += p
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		return fmt.Errorf("tiering: state probabilities sum to %v, not 1", sum)
+	}
+	for t := range s.Tiers {
+		if s.Credits[t] < 0 || s.Draws[t] < 0 {
+			return fmt.Errorf("tiering: state tier %d has %d credits and %d draws", t, s.Credits[t], s.Draws[t])
 		}
 	}
 	m.tiers = copyTiers(s.Tiers)
@@ -118,20 +135,12 @@ func (m *Manager) RestoreState(data []byte) error {
 	for c, v := range s.Placed {
 		m.placed[c] = v
 	}
-	m.commBytes = make(map[int]float64, len(s.CommBytes))
-	for c, v := range s.CommBytes {
-		m.commBytes[c] = v
-	}
 	m.probs = append([]float64(nil), s.Probs...)
 	m.haveAccs = s.HaveAccs
 	m.credits = append([]int(nil), s.Credits...)
 	m.draws = append([]int(nil), s.Draws...)
 	m.retiers, m.rebuilds, m.skipped = s.Retiers, s.Rebuilds, s.Skipped
 	m.lastVersion = s.LastVersion
-	m.log = m.log[:0]
-	for _, rec := range s.Log {
-		m.log = append(m.log, Reassignment{Version: rec.Version, Moves: append([]Move(nil), rec.Moves...)})
-	}
 	return nil
 }
 

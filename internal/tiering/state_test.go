@@ -3,8 +3,11 @@ package tiering
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/flcore"
 )
 
 // stateFixture builds a Manager, feeds it observations, and forces a
@@ -71,8 +74,8 @@ func TestManagerStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(dst.CreditsRemaining(), src.CreditsRemaining()) {
 		t.Fatalf("credits differ: %v vs %v", dst.CreditsRemaining(), src.CreditsRemaining())
 	}
-	if !reflect.DeepEqual(dst.Log(), src.Log()) {
-		t.Fatalf("re-tier logs differ")
+	if dst.Retiers() != src.Retiers() {
+		t.Fatalf("re-tier counts differ: %d vs %d", dst.Retiers(), src.Retiers())
 	}
 	for i := 0; i < 9; i++ {
 		sv, sok := src.EWMA(i)
@@ -126,6 +129,35 @@ func TestManagerRestoreStateValidation(t *testing.T) {
 		t.Error("wrong-tier-count state accepted")
 	}
 
+	// One row per number the blob carries: each is rewritten in a decoded
+	// copy of the good state, which must then be refused.
+	for name, corrupt := range map[string]func(s *State){
+		"NaN estimate":         func(s *State) { s.EWMA[0] = math.NaN() },
+		"infinite estimate":    func(s *State) { s.EWMA[1] = math.Inf(1) },
+		"zero estimate":        func(s *State) { s.EWMA[2] = 0 },
+		"negative placement":   func(s *State) { s.Placed[3] = -1 },
+		"NaN placement":        func(s *State) { s.Placed[4] = math.NaN() },
+		"member without EWMA":  func(s *State) { delete(s.EWMA, s.Tiers[1][0]) },
+		"negative probability": func(s *State) { s.Probs[0], s.Probs[1] = -0.5, s.Probs[1]+0.5+s.Probs[0] },
+		"NaN probability":      func(s *State) { s.Probs[2] = math.NaN() },
+		"probabilities sum":    func(s *State) { s.Probs[0] += 0.25 },
+		"negative credits":     func(s *State) { s.Credits[1] = -1 },
+		"negative draws":       func(s *State) { s.Draws[2] = -3 },
+	} {
+		var s State
+		if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&s)
+		var bad bytes.Buffer
+		if err := gob.NewEncoder(&bad).Encode(&s); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.RestoreState(bad.Bytes()); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+
 	// After any rejected restore the Manager must still work.
 	if err := src.RestoreState(good); err != nil {
 		t.Fatalf("valid state rejected after failed attempts: %v", err)
@@ -136,10 +168,15 @@ func TestManagerRestoreStateValidation(t *testing.T) {
 }
 
 // TestRestoreStateSkipsRetiredPinnedField pins the checkpoint-compatibility
-// promise in State's godoc: a blob written while State still had its Pinned
-// field restores, and the restored Manager is the one the same blob without
-// the field yields — the formerly pinned client re-tiers like any other.
+// promise in State's godoc: a blob written while State still had its
+// Pinned, Log and CommBytes fields restores, and the restored Manager is the
+// one the same blob without the fields yields — the formerly pinned client
+// re-tiers like any other.
 func TestRestoreStateSkipsRetiredPinnedField(t *testing.T) {
+	type reassignment struct {
+		Version int
+		Moves   []flcore.TierMove
+	}
 	type stateWithPins struct {
 		Tiers                                   [][]int
 		EWMA, Placed                            map[int]float64
@@ -148,7 +185,7 @@ func TestRestoreStateSkipsRetiredPinnedField(t *testing.T) {
 		HaveAccs                                bool
 		Credits, Draws                          []int
 		Retiers, Rebuilds, Skipped, LastVersion int
-		Log                                     []Reassignment
+		Log                                     []reassignment
 		CommBytes                               map[int]float64
 	}
 	good, err := stateFixture(t).SnapshotState()
@@ -160,6 +197,8 @@ func TestRestoreStateSkipsRetiredPinnedField(t *testing.T) {
 		t.Fatal(err)
 	}
 	old.Pinned = []int{0, 4}
+	old.Log = []reassignment{{Version: 4, Moves: []flcore.TierMove{{Client: 0, From: 0, To: 2}}}}
+	old.CommBytes = map[int]float64{0: 4096, 2: 512}
 	var blob bytes.Buffer
 	if err := gob.NewEncoder(&blob).Encode(&old); err != nil {
 		t.Fatal(err)
@@ -174,8 +213,19 @@ func TestRestoreStateSkipsRetiredPinnedField(t *testing.T) {
 	if err := got.RestoreState(blob.Bytes()); err != nil {
 		t.Fatalf("blob carrying Pinned rejected: %v", err)
 	}
-	if !reflect.DeepEqual(got.Tiers(), want.Tiers()) {
-		t.Fatalf("tiers differ: %v vs %v", got.Tiers(), want.Tiers())
+	snapshot := func(m *Manager) State {
+		data, err := m.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s State
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if a, b := snapshot(got), snapshot(want); !reflect.DeepEqual(a, b) {
+		t.Fatalf("restored states differ:\n%+v\n%+v", a, b)
 	}
 	// Client 0 speeds back up on both; the retired pin must not hold it back.
 	for _, m := range []*Manager{want, got} {

@@ -17,9 +17,8 @@
 //   - Every RetierEvery global commits, MaybeRetier rebuilds the tiers
 //     from the EWMA estimates via core.BuildTiers. Hysteresis damps
 //     thrash: a client's tracked latency participates in the rebuild at
-//     its last placement value until it has moved by more than the
-//     Hysteresis fraction, so a single outlier round cannot shuffle
-//     membership.
+//     its last placement value until it has moved by more than 20 %
+//     (hysteresis), so a single outlier round cannot shuffle membership.
 //   - Cohort draws each tier round's participants with the same
 //     (seed, tier round, tier) keying as flcore.TierCohort, so a Manager
 //     with re-tiering disabled reproduces the static engines exactly.
@@ -60,10 +59,6 @@ type Config struct {
 	// EWMABeta is the weight of a new latency observation in the running
 	// estimate: ewma ← (1−β)·ewma + β·observed. 0 defaults to 0.5.
 	EWMABeta float64
-	// Hysteresis is the relative EWMA move a client needs before its
-	// tracked latency can affect a rebuild (0 defaults to 0.2; negative
-	// disables hysteresis entirely).
-	Hysteresis float64
 	// EqualWidth selects the paper's equal-width histogram split for
 	// builds and rebuilds instead of the default balanced Quantile split
 	// (which always yields NumTiers non-empty tiers when clients ≥ tiers,
@@ -76,16 +71,6 @@ type Config struct {
 	// Seed keys every cohort draw (shared with the engines' seed so sim
 	// and socket runs draw identical cohorts).
 	Seed int64
-	// CommAware switches the EWMA signal from compute-side latency to
-	// end-to-end round cost: when an engine reports a full observation
-	// through ObserveRound (worker-measured seconds, aggregator-measured
-	// end-to-end seconds, wire bytes), the end-to-end value — transfer
-	// and queueing included — is what gets folded, so rebuilds rank
-	// clients by what a round actually costs, not compute alone. Off by
-	// default: the compute-only signal is what the sim-vs-socket parity suite
-	// (and every pre-existing run) was calibrated against. Byte EWMAs are
-	// tracked either way for observability (CommBytes).
-	CommAware bool
 
 	// Adaptive enables Algorithm-2 selection: tier probabilities from
 	// accuracy feedback scale cohort sizes under per-tier credits.
@@ -102,14 +87,15 @@ func (c Config) withDefaults() Config {
 	if c.EWMABeta == 0 {
 		c.EWMABeta = 0.5
 	}
-	if c.Hysteresis == 0 {
-		c.Hysteresis = 0.2
-	}
 	if c.Temperature <= 0 {
 		c.Temperature = 2
 	}
 	return c
 }
+
+// hysteresis is the relative EWMA move a client needs before its tracked
+// latency can affect a rebuild.
+const hysteresis = 0.2
 
 func (c Config) strategy() core.TieringStrategy {
 	if c.EqualWidth {
@@ -118,28 +104,16 @@ func (c Config) strategy() core.TieringStrategy {
 	return core.Quantile
 }
 
-// Move is one client migrating between tiers at a rebuild point.
-type Move = flcore.TierMove
-
-// Reassignment records one applied rebuild.
-type Reassignment struct {
-	// Version is the global commit count at which the rebuild happened.
-	Version int
-	// Moves lists the migrated clients in ascending client order.
-	Moves []Move
-}
-
 // Manager owns tier membership, latency estimates, and tier selection for
 // one training run. Construct with NewManager; the zero value is unusable.
 type Manager struct {
 	cfg Config
 
-	mu        sync.Mutex
-	tiers     [][]int     // members per tier, ascending client ID
-	tierOf    map[int]int // client → tier index
-	ewma      map[int]float64
-	commBytes map[int]float64 // EWMA of per-round wire bytes (observability)
-	placed    map[int]float64 // hysteresis-frozen latency of last placement
+	mu     sync.Mutex
+	tiers  [][]int     // members per tier, ascending client ID
+	tierOf map[int]int // client → tier index
+	ewma   map[int]float64
+	placed map[int]float64 // hysteresis-frozen latency of last placement
 
 	probs    []float64 // Algorithm-2 tier probabilities
 	haveAccs bool      // accuracies observed at least once
@@ -150,7 +124,6 @@ type Manager struct {
 	rebuilds    int // rebuild points reached (including no-ops)
 	skipped     int // rebuilds skipped on degenerate estimates
 	lastVersion int // last version MaybeRetier acted on (idempotency)
-	log         []Reassignment
 }
 
 // NewManager builds the Manager over an initial latency profile (client →
@@ -175,13 +148,12 @@ func NewManager(cfg Config, latency map[int]float64) (*Manager, error) {
 	}
 	cfg.NumTiers = len(built) // degenerate profiles collapse; keep the count
 	m := &Manager{
-		cfg:       cfg,
-		tierOf:    make(map[int]int, len(latency)),
-		ewma:      make(map[int]float64, len(latency)),
-		commBytes: make(map[int]float64),
-		placed:    make(map[int]float64, len(latency)),
-		probs:     make([]float64, len(built)),
-		draws:     make([]int, len(built)),
+		cfg:    cfg,
+		tierOf: make(map[int]int, len(latency)),
+		ewma:   make(map[int]float64, len(latency)),
+		placed: make(map[int]float64, len(latency)),
+		probs:  make([]float64, len(built)),
+		draws:  make([]int, len(built)),
 	}
 	m.tiers = canonical(built)
 	for t, members := range m.tiers {
@@ -196,69 +168,6 @@ func NewManager(cfg Config, latency map[int]float64) (*Manager, error) {
 	m.credits = make([]int, len(built))
 	for t := range m.probs {
 		m.probs[t] = 1 / float64(len(built)) // equal initial probability
-		if cfg.Credits > 0 {
-			m.credits[t] = cfg.Credits
-		} else {
-			m.credits[t] = math.MaxInt
-		}
-	}
-	return m, nil
-}
-
-// NewManagerWithTiers builds a Manager over explicit initial membership
-// (fastest tier first) instead of a full latency profile — the
-// population-scale construction path: profiling all N clients of a
-// million-client population is exactly the O(N) sweep the scaled engine
-// exists to avoid, so the caller supplies membership derived some other way
-// (e.g. by id-keyed resource group) plus whatever latency estimates it
-// happens to have. latency may be sparse or nil; clients without an entry
-// are adopted into the EWMA map at their first Observe, so the Manager's
-// per-client bookkeeping stays keyed on ever-selected clients only.
-// Rebuilds re-place only clients with latency estimates — everyone else
-// keeps their current tier (see MaybeRetier).
-func NewManagerWithTiers(cfg Config, tiers [][]int, latency map[int]float64) (*Manager, error) {
-	cfg = cfg.withDefaults()
-	if cfg.ClientsPerRound <= 0 {
-		return nil, fmt.Errorf("tiering: ClientsPerRound = %d", cfg.ClientsPerRound)
-	}
-	if cfg.EWMABeta <= 0 || cfg.EWMABeta > 1 {
-		return nil, fmt.Errorf("tiering: EWMABeta = %v", cfg.EWMABeta)
-	}
-	if len(tiers) == 0 {
-		return nil, fmt.Errorf("tiering: no initial tiers")
-	}
-	if cfg.NumTiers > 0 && cfg.NumTiers != len(tiers) {
-		return nil, fmt.Errorf("tiering: NumTiers %d != %d initial tiers", cfg.NumTiers, len(tiers))
-	}
-	cfg.NumTiers = len(tiers)
-	m := &Manager{
-		cfg:       cfg,
-		tierOf:    make(map[int]int),
-		ewma:      make(map[int]float64, len(latency)),
-		commBytes: make(map[int]float64),
-		placed:    make(map[int]float64, len(latency)),
-		probs:     make([]float64, len(tiers)),
-		draws:     make([]int, len(tiers)),
-	}
-	m.tiers = copyTiers(tiers)
-	for t, members := range m.tiers {
-		if len(members) == 0 {
-			return nil, fmt.Errorf("tiering: initial tier %d is empty", t)
-		}
-		for _, c := range members {
-			if prev, dup := m.tierOf[c]; dup {
-				return nil, fmt.Errorf("tiering: client %d in tiers %d and %d", c, prev, t)
-			}
-			m.tierOf[c] = t
-		}
-	}
-	for c, l := range latency {
-		m.ewma[c] = l
-		m.placed[c] = l
-	}
-	m.credits = make([]int, len(tiers))
-	for t := range m.probs {
-		m.probs[t] = 1 / float64(len(tiers))
 		if cfg.Credits > 0 {
 			m.credits[t] = cfg.Credits
 		} else {
@@ -296,17 +205,6 @@ func copyTiers(tiers [][]int) [][]int {
 	return out
 }
 
-// NumTiers returns the maintained tier count.
-func (m *Manager) NumTiers() int { return m.cfg.NumTiers }
-
-// TierOf returns a client's current tier.
-func (m *Manager) TierOf(client int) (int, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t, ok := m.tierOf[client]
-	return t, ok
-}
-
 // EWMA returns the tracked latency estimate for a client.
 func (m *Manager) EWMA(client int) (float64, bool) {
 	m.mu.Lock()
@@ -322,17 +220,6 @@ func (m *Manager) Retiers() int {
 	return m.retiers
 }
 
-// Log returns every applied reassignment in version order.
-func (m *Manager) Log() []Reassignment {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Reassignment, len(m.log))
-	for i, r := range m.log {
-		out[i] = Reassignment{Version: r.Version, Moves: append([]Move(nil), r.Moves...)}
-	}
-	return out
-}
-
 // Observe folds one observed response latency into the client's EWMA.
 // Unknown clients (late joiners) are adopted at the observed value but do
 // not enter a tier until the next rebuild.
@@ -342,56 +229,12 @@ func (m *Manager) Observe(client int, seconds float64) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.fold(client, seconds)
-}
-
-// fold applies the EWMA update for one validated latency sample. Callers
-// hold mu.
-func (m *Manager) fold(client int, seconds float64) {
 	prev, ok := m.ewma[client]
 	if !ok {
 		m.ewma[client] = seconds
 		return
 	}
 	m.ewma[client] = (1-m.cfg.EWMABeta)*prev + m.cfg.EWMABeta*seconds
-}
-
-// ObserveRound is the full per-round observation (flcore.CommObserver):
-// the client's compute-side seconds, the end-to-end response time measured
-// at the aggregator, and the wire bytes the round moved for this client.
-// With CommAware set, the end-to-end time is what enters the latency EWMA
-// — so a fast trainer behind a slow link ranks slow, which is what
-// re-tiering should see; otherwise the compute-side seconds are folded
-// exactly as Observe would, keeping pre-existing placement behavior.
-// Bytes are folded into a separate per-client EWMA (CommBytes) in both
-// modes. Non-positive or non-finite values are dropped field by field,
-// falling back from end-to-end to seconds when only the former is bad.
-func (m *Manager) ObserveRound(client int, seconds, endToEnd float64, bytes int64) {
-	lat := seconds
-	if m.cfg.CommAware && endToEnd > 0 && !math.IsNaN(endToEnd) && !math.IsInf(endToEnd, 0) {
-		lat = endToEnd
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if lat > 0 && !math.IsNaN(lat) && !math.IsInf(lat, 0) {
-		m.fold(client, lat)
-	}
-	if bytes > 0 {
-		prev, ok := m.commBytes[client]
-		if !ok {
-			m.commBytes[client] = float64(bytes)
-		} else {
-			m.commBytes[client] = (1-m.cfg.EWMABeta)*prev + m.cfg.EWMABeta*float64(bytes)
-		}
-	}
-}
-
-// CommBytes returns the tracked per-round wire-byte estimate for a client.
-func (m *Manager) CommBytes(client int) (float64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	v, ok := m.commBytes[client]
-	return v, ok
 }
 
 // ObserveAccuracy records per-tier test accuracies (index = tier, NaN for
@@ -507,7 +350,7 @@ func (m *Manager) MaybeRetier(version int) ([][]int, []flcore.TierMove, bool) {
 		if !ok {
 			base = est // late joiner: adopt at its EWMA
 		}
-		if m.cfg.Hysteresis < 0 || math.Abs(est-base) > m.cfg.Hysteresis*base {
+		if math.Abs(est-base) > hysteresis*base {
 			base = est
 		}
 		eff[c] = base
@@ -519,24 +362,6 @@ func (m *Manager) MaybeRetier(version int) ([][]int, []flcore.TierMove, bool) {
 		return nil, nil, false
 	}
 	next := canonical(cand)
-
-	// Members without a latency estimate are not re-placed: they keep
-	// their current tier. A full-profile Manager (NewManager) never hits
-	// this — every member was profiled — but a sparse Manager over a lazy
-	// population (NewManagerWithTiers) only ever hears about selected
-	// clients, and a rebuild must not drop the silent majority from
-	// membership. Ascending client order keeps the result independent of
-	// map iteration order.
-	var unseen []int
-	for c := range m.tierOf {
-		if _, ok := eff[c]; !ok {
-			unseen = append(unseen, c)
-		}
-	}
-	sort.Ints(unseen)
-	for _, c := range unseen {
-		next[m.tierOf[c]] = append(next[m.tierOf[c]], c)
-	}
 
 	// Commit the placement latencies the rebuild used, so the next
 	// hysteresis window is measured from this placement.
@@ -565,7 +390,6 @@ func (m *Manager) MaybeRetier(version int) ([][]int, []flcore.TierMove, bool) {
 	m.tiers = next
 	m.tierOf = nextOf
 	m.retiers++
-	m.log = append(m.log, Reassignment{Version: version, Moves: append([]Move(nil), moves...)})
 	return copyTiers(next), moves, true
 }
 
@@ -574,10 +398,7 @@ func (m *Manager) String() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return fmt.Sprintf("tiering.Manager(tiers=%d, retierEvery=%d, beta=%.2f, hysteresis=%.2f, adaptive=%v, retiers=%d)",
-		len(m.tiers), m.cfg.RetierEvery, m.cfg.EWMABeta, m.cfg.Hysteresis, m.cfg.Adaptive, m.retiers)
+		len(m.tiers), m.cfg.RetierEvery, m.cfg.EWMABeta, hysteresis, m.cfg.Adaptive, m.retiers)
 }
 
-var (
-	_ flcore.TierManager  = (*Manager)(nil)
-	_ flcore.CommObserver = (*Manager)(nil)
-)
+var _ flcore.TierManager = (*Manager)(nil)

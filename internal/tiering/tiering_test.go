@@ -29,6 +29,14 @@ func newTestManager(t *testing.T, cfg Config, lat map[int]float64) *Manager {
 	return m
 }
 
+// tierOf reads a client's current tier off the Manager.
+func tierOf(m *Manager, client int) (int, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	t, ok := m.tierOf[client]
+	return t, ok
+}
+
 func TestManagerInitialTiersPartition(t *testing.T) {
 	lat := profile(12)
 	m := newTestManager(t, Config{NumTiers: 3, ClientsPerRound: 2, Seed: 1}, lat)
@@ -53,7 +61,7 @@ func TestManagerInitialTiersPartition(t *testing.T) {
 				t.Fatalf("client %d in two tiers", c)
 			}
 			seen[c] = true
-			if got, ok := m.TierOf(c); !ok || got != ti {
+			if got, ok := tierOf(m, c); !ok || got != ti {
 				t.Fatalf("TierOf(%d) = %d,%v want %d", c, got, ok, ti)
 			}
 		}
@@ -62,10 +70,10 @@ func TestManagerInitialTiersPartition(t *testing.T) {
 		t.Fatalf("tiers cover %d of 12 clients", len(seen))
 	}
 	// The fast group (latency ~1) must land in tier 0.
-	if got, _ := m.TierOf(0); got != 0 {
+	if got, _ := tierOf(m, 0); got != 0 {
 		t.Fatalf("fast client 0 in tier %d", got)
 	}
-	if got, _ := m.TierOf(2); got != 2 {
+	if got, _ := tierOf(m, 2); got != 2 {
 		t.Fatalf("slow client 2 in tier %d", got)
 	}
 }
@@ -91,8 +99,8 @@ func TestManagerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumTiers() != 2 {
-		t.Fatalf("degenerate profile kept %d tiers, want 2", m.NumTiers())
+	if got := len(m.Tiers()); got != 2 {
+		t.Fatalf("degenerate profile kept %d tiers, want 2", got)
 	}
 }
 
@@ -160,7 +168,7 @@ func TestMaybeRetierMigratesDriftedClient(t *testing.T) {
 	if len(moves) == 0 || m.Retiers() != 1 {
 		t.Fatalf("moves %v, retiers %d", moves, m.Retiers())
 	}
-	if got, _ := m.TierOf(0); got != 1 {
+	if got, _ := tierOf(m, 0); got != 1 {
 		t.Fatalf("drifted client 0 in tier %d after rebuild", got)
 	}
 	for _, mv := range moves {
@@ -174,21 +182,18 @@ func TestMaybeRetierMigratesDriftedClient(t *testing.T) {
 		}
 	}
 	// Same version again is a no-op (idempotent per commit).
-	if _, _, changed := m.MaybeRetier(4); changed {
-		t.Fatal("same version rebuilt twice")
-	}
-	log := m.Log()
-	if len(log) != 1 || log[0].Version != 4 {
-		t.Fatalf("log %+v", log)
+	if _, _, changed := m.MaybeRetier(4); changed || m.Retiers() != 1 {
+		t.Fatalf("same version rebuilt twice (changed %v, %d retiers)", changed, m.Retiers())
 	}
 }
 
 func TestHysteresisDampsOutlierRounds(t *testing.T) {
-	lat := map[int]float64{0: 1, 1: 1.1, 2: 10, 3: 11}
-	m := newTestManager(t, Config{NumTiers: 2, RetierEvery: 2, ClientsPerRound: 1, Hysteresis: 0.5, EWMABeta: 0.5}, lat)
-	// One bad round nudges client 1's EWMA to 1.6 — within the 50%
-	// hysteresis band relative to... 1.1*1.5 = 1.65, so frozen.
-	m.Observe(1, 2.1)
+	lat := map[int]float64{0: 1, 1: 2, 2: 2.1, 3: 10}
+	m := newTestManager(t, Config{NumTiers: 2, RetierEvery: 2, ClientsPerRound: 1, EWMABeta: 0.5}, lat)
+	// One bad round nudges client 1's EWMA to 2.2: past client 2's 2.1, so
+	// an undamped rebuild would swap the two, but within the 20 %
+	// hysteresis band of its 2 s placement, so it stays frozen.
+	m.Observe(1, 2.4)
 	if _, _, changed := m.MaybeRetier(2); changed {
 		t.Fatal("single outlier round re-tiered membership")
 	}
@@ -199,8 +204,27 @@ func TestHysteresisDampsOutlierRounds(t *testing.T) {
 	if _, _, changed := m.MaybeRetier(4); !changed {
 		t.Fatal("sustained drift did not re-tier")
 	}
-	if got, _ := m.TierOf(1); got != 1 {
+	if got, _ := tierOf(m, 1); got != 1 {
 		t.Fatalf("drifted client 1 in tier %d", got)
+	}
+}
+
+// TestRebuildSkippedBelowTierCount: when the estimates no longer split into
+// the maintained tier count (an equal-width bin ran empty), the rebuild is
+// skipped and membership is untouched.
+func TestRebuildSkippedBelowTierCount(t *testing.T) {
+	lat := map[int]float64{0: 1, 1: 2, 2: 3}
+	m := newTestManager(t, Config{NumTiers: 3, EqualWidth: true, RetierEvery: 1, EWMABeta: 1, ClientsPerRound: 1}, lat)
+	before := m.Tiers()
+	m.Observe(1, 1) // client 1 joins client 0's bin; the middle one empties
+	if _, _, changed := m.MaybeRetier(1); changed {
+		t.Fatal("rebuild into 2 equal-width tiers of a 3-tier run was not skipped")
+	}
+	if got := m.Tiers(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("membership changed on a skipped rebuild: %v, was %v", got, before)
+	}
+	if m.skipped != 1 {
+		t.Fatalf("skipped rebuilds = %d, want 1", m.skipped)
 	}
 }
 
@@ -257,12 +281,13 @@ func TestManagerDeterministicReplay(t *testing.T) {
 	// Two Managers fed the identical call sequence must produce identical
 	// cohorts, membership, and logs — the property the byte-identical
 	// sim-vs-net parity rests on.
-	run := func() ([][]int, []Reassignment, [][]int) {
+	run := func() ([][]int, [][]flcore.TierMove, [][]int) {
 		m, err := NewManager(Config{NumTiers: 3, RetierEvery: 5, ClientsPerRound: 2, Seed: 11}, profile(12))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var cohorts [][]int
+		var moves [][]flcore.TierMove
 		rng := rand.New(rand.NewSource(99))
 		for v := 1; v <= 30; v++ {
 			tier := v % 3
@@ -271,9 +296,11 @@ func TestManagerDeterministicReplay(t *testing.T) {
 			for _, ci := range c {
 				m.Observe(ci, 1+float64(ci%3)*10+rng.Float64())
 			}
-			m.MaybeRetier(v)
+			if _, mv, changed := m.MaybeRetier(v); changed {
+				moves = append(moves, mv)
+			}
 		}
-		return cohorts, m.Log(), m.Tiers()
+		return cohorts, moves, m.Tiers()
 	}
 	c1, l1, t1 := run()
 	c2, l2, t2 := run()

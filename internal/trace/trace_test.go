@@ -119,28 +119,3 @@ func TestEngineTracingEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-func TestEarlyStopOnTargetAccuracy(t *testing.T) {
-	train := dataset.Generate(dataset.MNISTLike, 800, 1)
-	test := dataset.Generate(dataset.MNISTLike, 200, 2)
-	rng := rand.New(rand.NewSource(3))
-	parts := dataset.PartitionIID(train.Len(), 10, rng)
-	clients := flcore.BuildClients(train, test, parts, simres.AssignGroups(10, []float64{2, 2, 2, 2, 2}), 30, 4)
-	cfg := flcore.Config{
-		Rounds: 200, ClientsPerRound: 3, LocalEpochs: 1, BatchSize: 10, Seed: 5,
-		Model: func(rng *rand.Rand) *nn.Model {
-			return nn.NewMLP(rng, train.Dim(), []int{16}, 10, 0)
-		},
-		Optimizer:      func(round int) nn.Optimizer { return nn.NewSGD(0.05, 0.9) },
-		Latency:        simres.DefaultModel,
-		EvalEvery:      1,
-		TargetAccuracy: 0.6,
-	}
-	res := flcore.NewEngine(cfg, clients, test).Run(&flcore.RandomSelector{NumClients: 10, ClientsPerRound: 3})
-	if len(res.History) >= 200 {
-		t.Fatal("early stopping never fired")
-	}
-	if res.FinalAcc < 0.6 {
-		t.Fatalf("stopped at accuracy %v below target", res.FinalAcc)
-	}
-}
