@@ -12,11 +12,10 @@
 // then runs FedAT-style per-tier rounds until -commits commits). With
 // -retier-every the tiering goes live: observed round latencies feed EWMA
 // estimates and workers migrate between tiers mid-run (announced to them
-// as MsgTierReassign); -adaptive-select adds Algorithm-2 cohort sizing
-// under per-tier -credits budgets:
+// as MsgTierReassign):
 //
 //	tifl-node -role tiered-aggregator -addr :7070 -workers 5 -tiers 2 -commits 40 -per-round 2
-//	tifl-node -role tiered-aggregator -addr :7070 -workers 5 -tiers 2 -commits 80 -retier-every 10 -adaptive-select -credits 20
+//	tifl-node -role tiered-aggregator -addr :7070 -workers 5 -tiers 2 -commits 80 -retier-every 10
 //
 // Crash safety and observability: -checkpoint snapshots the run durably
 // every -checkpoint-every commits, and the same flag resumes it — when the
@@ -186,7 +185,7 @@ func main() {
 		init := arch(rand.New(rand.NewSource(*seed))).WeightsVector()
 		live := tierOpts.Live()
 		if *children > 0 && live {
-			fail("live tiering (-retier-every/-adaptive-select) is not supported over the tree; drop -children or the tiering flags")
+			fail("live tiering (-retier-every) is not supported over the tree; drop -children or -retier-every")
 		}
 		// A checkpoint file already on disk means this invocation is a
 		// restart: load it (falling back to the rotated .prev snapshot if
@@ -198,7 +197,7 @@ func main() {
 				fail("loading checkpoint: %v", err)
 			}
 			if hasMgr := len(c.ManagerState) > 0; hasMgr != live {
-				fail("checkpoint %s live tiering = %v; rerun with matching -retier-every/-adaptive-select flags", ckptOpts.CheckpointPath, hasMgr)
+				fail("checkpoint %s live tiering = %v; rerun with a matching -retier-every", ckptOpts.CheckpointPath, hasMgr)
 			}
 			if c.Version >= *commits {
 				fail("checkpoint %s is already at version %d; raise -commits above it to continue the job", ckptOpts.CheckpointPath, c.Version)
@@ -255,7 +254,6 @@ func main() {
 			mgr, err = tiering.NewManager(tiering.Config{
 				NumTiers: *numTiers, RetierEvery: tierOpts.RetierEvery, EWMABeta: tierOpts.EWMABeta,
 				ClientsPerRound: *perRound, Seed: *seed,
-				Adaptive: tierOpts.AdaptiveSelection, Credits: tierOpts.Credits,
 			}, lat)
 			if err != nil {
 				fail("%v", err)

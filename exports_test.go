@@ -16,9 +16,6 @@ import (
 // that stay, each with its reason; a file's name covers all it declares.
 var testOnlyAllowed = map[string]string{
 	"internal/faultnet/faultnet.go":       "test support by design: the fault-injecting net.Conn the flnet tests drive",
-	"internal/core/adaptive.go":           "Algorithm 2's state and accessors, which ROADMAP item 7 rewrites",
-	"(*tiering.Manager).Probabilities":    "Algorithm 2's state, which ROADMAP item 7 rewrites",
-	"(*tiering.Manager).CreditsRemaining": "Algorithm 2's state, which ROADMAP item 7 rewrites",
 	"(*flcore.TieredAsyncEngine).Restore": "the sim side of bit-exact resume, the oracle of the checkpoint suites",
 	"(*flnet.Aggregator).RunSecureRound":  "secure aggregation, which per-tier secure aggregation (ROADMAP Deferred) builds on",
 	"(*flnet.fatalWorkerError).Unwrap":    "errors.Is and errors.As call it",

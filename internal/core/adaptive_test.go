@@ -10,11 +10,19 @@ import (
 	"repro/internal/flcore"
 )
 
-func TestTierTestDataPooling(t *testing.T) {
+// tierTestData is the selector's per-tier evaluation sets (TestData_t),
+// pooled by flcore.TierTestPools.
+func tierTestData(t *testing.T, perTier int) ([]*dataset.Dataset, []Tier, []*flcore.Client) {
+	t.Helper()
 	clients := makeClients(t, 50)
 	res := Profile(clients, testLM, DefaultProfiler)
 	tiers := BuildTiers(res.Latency, 5, Quantile)
-	data := TierTestData(tiers, clients, 0, 1)
+	sel := NewAdaptiveSelector(tiers, clients, AdaptiveConfig{ClientsPerRound: 5, TestPerTier: perTier, Seed: 1})
+	return sel.tierTest, tiers, clients
+}
+
+func TestTierTestDataPooling(t *testing.T) {
+	data, tiers, clients := tierTestData(t, 0)
 	if len(data) != 5 {
 		t.Fatalf("tier test sets = %d", len(data))
 	}
@@ -30,14 +38,18 @@ func TestTierTestDataPooling(t *testing.T) {
 	}
 }
 
+// The cap keeps a subset keyed on seed+tier: the selector's Algorithm-2
+// picks depend on which samples it scores.
 func TestTierTestDataCap(t *testing.T) {
-	clients := makeClients(t, 50)
-	res := Profile(clients, testLM, DefaultProfiler)
-	tiers := BuildTiers(res.Latency, 5, Quantile)
-	data := TierTestData(tiers, clients, 25, 1)
+	data, _, _ := tierTestData(t, 25)
+	full, _, _ := tierTestData(t, 0)
 	for ti, d := range data {
-		if d.Len() > 25 {
+		if d.Len() != 25 {
 			t.Fatalf("tier %d has %d samples, cap 25", ti, d.Len())
+		}
+		want := full[ti].Subset(rand.New(rand.NewSource(1 + int64(ti))).Perm(full[ti].Len())[:25])
+		if !slices.Equal(d.Y, want.Y) || !slices.Equal(d.X.Data, want.X.Data) {
+			t.Fatalf("tier %d subset is not the seed+tier-keyed one", ti)
 		}
 	}
 }
@@ -48,7 +60,7 @@ func TestTierTestDataNoTestShardsPanics(t *testing.T) {
 		c.Test = nil
 	}
 	tiers := []Tier{{ID: 0, Members: []int{0, 1}}}
-	mustPanic(t, func() { TierTestData(tiers, clients, 0, 1) })
+	mustPanic(t, func() { NewAdaptiveSelector(tiers, clients, AdaptiveConfig{ClientsPerRound: 1}) })
 }
 
 func TestAdaptiveAfterRoundRecordsAllTiers(t *testing.T) {
@@ -62,11 +74,11 @@ func TestAdaptiveAfterRoundRecordsAllTiers(t *testing.T) {
 		t.Fatalf("eval called %d times, want %d", calls, len(tiers))
 	}
 	for ti := range tiers {
-		if got := sel.TierAccuracy(ti, 3); got != 0.5 {
+		if got := sel.tierAccuracy(ti, 3); got != 0.5 {
 			t.Fatalf("tier %d accuracy = %v", ti, got)
 		}
 	}
-	if !math.IsNaN(sel.TierAccuracy(0, 7)) {
+	if !math.IsNaN(sel.tierAccuracy(0, 7)) {
 		t.Fatal("future round accuracy must be NaN")
 	}
 }
@@ -76,12 +88,12 @@ func TestAdaptiveAfterRoundGapsFilledWithNaN(t *testing.T) {
 	// Record round 7 without round 3: rounds 0-6 must read as NaN.
 	sel.AfterRound(7, func(d *dataset.Dataset) float64 { return 0.7 })
 	for r := 0; r < 7; r++ {
-		if !math.IsNaN(sel.TierAccuracy(0, r)) {
-			t.Fatalf("round %d accuracy = %v, want NaN", r, sel.TierAccuracy(0, r))
+		if !math.IsNaN(sel.tierAccuracy(0, r)) {
+			t.Fatalf("round %d accuracy = %v, want NaN", r, sel.tierAccuracy(0, r))
 		}
 	}
-	if sel.TierAccuracy(0, 7) != 0.7 {
-		t.Fatalf("round 7 accuracy = %v", sel.TierAccuracy(0, 7))
+	if sel.tierAccuracy(0, 7) != 0.7 {
+		t.Fatalf("round 7 accuracy = %v", sel.tierAccuracy(0, 7))
 	}
 }
 
@@ -109,20 +121,20 @@ func TestAdaptiveEvaluatesOnlyReadRounds(t *testing.T) {
 		}
 	}
 	selRNG, refRNG := rand.New(rand.NewSource(40)), rand.New(rand.NewSource(40))
-	uniform := ref.Probabilities()
+	uniform := ref.alg2.probs
 	changed := false
 	for r := 0; r <= 3*I; r++ {
 		got, want := sel.Select(r, selRNG), ref.Select(r, refRNG)
 		if !slices.Equal(got, want) {
 			t.Fatalf("round %d picks %v, reference %v", r, got, want)
 		}
-		if p, q := sel.Probabilities(), ref.Probabilities(); !slices.Equal(p, q) {
+		if p, q := sel.alg2.probs, ref.alg2.probs; !slices.Equal(p, q) {
 			t.Fatalf("round %d probabilities %v, reference %v", r, p, q)
 		}
-		if c, d := sel.CreditsRemaining(), ref.CreditsRemaining(); !slices.Equal(c, d) {
+		if c, d := sel.alg2.credits, ref.alg2.credits; !slices.Equal(c, d) {
 			t.Fatalf("round %d credits %v, reference %v", r, c, d)
 		}
-		changed = changed || !slices.Equal(ref.Probabilities(), uniform)
+		changed = changed || !slices.Equal(ref.alg2.probs, uniform)
 		if r == 3*I {
 			break
 		}
@@ -147,8 +159,8 @@ func TestAdaptiveEvaluatesOnlyReadRounds(t *testing.T) {
 	if !changed {
 		t.Fatal("probabilities never left uniform: the comparison proves nothing")
 	}
-	if sel.FallbackRounds != ref.FallbackRounds || sel.FallbackRounds == 0 {
-		t.Fatalf("fallback rounds %d, reference %d (want equal and > 0)", sel.FallbackRounds, ref.FallbackRounds)
+	if sel.FallbackRounds() != ref.FallbackRounds() || sel.FallbackRounds() == 0 {
+		t.Fatalf("fallback rounds %d, reference %d (want equal and > 0)", sel.FallbackRounds(), ref.FallbackRounds())
 	}
 }
 
@@ -157,7 +169,7 @@ func TestAdaptiveChangeProbsAllPerfect(t *testing.T) {
 	for t2 := range sel.accHist {
 		sel.accHist[t2] = []float64{1.0}
 	}
-	probs := sel.changeProbs(0)
+	probs := changeProbs(sel.accuracies(0), sel.alg2.temperature)
 	for _, p := range probs {
 		if math.Abs(p-1/float64(len(tiers))) > 1e-12 {
 			t.Fatalf("all-perfect tiers should give uniform probs: %v", probs)
@@ -169,7 +181,7 @@ func TestAdaptiveChangeProbsUnevaluatedTreatedAsStruggling(t *testing.T) {
 	sel, _ := buildAdaptive(t, AdaptiveConfig{ClientsPerRound: 5, Temperature: 1})
 	sel.accHist[0] = []float64{0.9}
 	// Other tiers unevaluated → gap 1.0 → highest probability.
-	probs := sel.changeProbs(0)
+	probs := changeProbs(sel.accuracies(0), sel.alg2.temperature)
 	if probs[0] >= probs[1] {
 		t.Fatalf("evaluated tier should rank below unevaluated: %v", probs)
 	}
@@ -187,9 +199,9 @@ func TestAdaptiveProbUpdateTriggersOnStall(t *testing.T) {
 			sel.accHist[ti] = append(sel.accHist[ti], accs[ti])
 		}
 	}
-	before := sel.Probabilities()
+	before := sel.alg2.probs
 	sel.Select(4, rng)
-	after := sel.Probabilities()
+	after := sel.alg2.probs
 	changed := false
 	for i := range before {
 		if before[i] != after[i] {
@@ -211,19 +223,6 @@ func TestStaticSelectorUndersizedTier(t *testing.T) {
 	got := sel.Select(0, rand.New(rand.NewSource(1)))
 	if len(got) != 2 {
 		t.Fatalf("selected %v", got)
-	}
-}
-
-func TestAccuracyHistoryIsACopy(t *testing.T) {
-	sel, _ := buildAdaptive(t, AdaptiveConfig{ClientsPerRound: 5, Interval: 2})
-	sel.AfterRound(1, func(d *dataset.Dataset) float64 { return 0.42 })
-	h := sel.AccuracyHistory()
-	if len(h) != len(sel.Tiers) || !math.IsNaN(h[0][0]) || h[0][1] != 0.42 {
-		t.Fatalf("history = %v", h)
-	}
-	h[0][1] = 99
-	if sel.TierAccuracy(0, 1) != 0.42 {
-		t.Fatal("AccuracyHistory must return a copy")
 	}
 }
 

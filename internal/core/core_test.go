@@ -223,13 +223,13 @@ func TestBuildTiersDegenerateInputs(t *testing.T) {
 func TestAdaptiveProbsShared(t *testing.T) {
 	// Uniform when equally accurate, boosted when struggling, NaN treated
 	// as accuracy 0, and always a probability vector.
-	p := AdaptiveProbs([]float64{0.5, 0.5, 0.5}, 2)
+	p := changeProbs([]float64{0.5, 0.5, 0.5}, 2)
 	for _, v := range p {
 		if math.Abs(v-1.0/3) > 1e-12 {
 			t.Fatalf("equal accuracies not uniform: %v", p)
 		}
 	}
-	p = AdaptiveProbs([]float64{0.9, math.NaN(), 0.5}, 2)
+	p = changeProbs([]float64{0.9, math.NaN(), 0.5}, 2)
 	if !(p[1] > p[2] && p[2] > p[0]) {
 		t.Fatalf("struggling tiers not boosted: %v", p)
 	}
@@ -241,7 +241,7 @@ func TestAdaptiveProbsShared(t *testing.T) {
 		t.Fatalf("probs sum to %v", sum)
 	}
 	// All tiers at perfect accuracy degrade to uniform, not zero.
-	p = AdaptiveProbs([]float64{1, 1}, 2)
+	p = changeProbs([]float64{1, 1}, 2)
 	if p[0] != 0.5 || p[1] != 0.5 {
 		t.Fatalf("perfect accuracies: %v", p)
 	}
@@ -370,7 +370,7 @@ func buildAdaptive(t *testing.T, cfg AdaptiveConfig) (*AdaptiveSelector, []Tier)
 
 func TestAdaptiveInitialUniformProbs(t *testing.T) {
 	sel, tiers := buildAdaptive(t, AdaptiveConfig{ClientsPerRound: 5})
-	probs := sel.Probabilities()
+	probs := sel.alg2.probs
 	for _, p := range probs {
 		if math.Abs(p-1/float64(len(tiers))) > 1e-12 {
 			t.Fatalf("initial probs = %v, want uniform", probs)
@@ -400,7 +400,7 @@ func TestAdaptiveChangeProbsDirect(t *testing.T) {
 	for t2 := range sel.accHist {
 		sel.accHist[t2] = []float64{accs[t2]}
 	}
-	probs := sel.changeProbs(0)
+	probs := changeProbs(sel.accuracies(0), sel.alg2.temperature)
 	sum := 0.0
 	for i := 1; i < len(probs); i++ {
 		if probs[i] < probs[i-1] {
@@ -426,17 +426,17 @@ func TestAdaptiveCreditsExhaustion(t *testing.T) {
 	for r := 0; r < 10; r++ {
 		sel.Select(r, rng)
 	}
-	if sel.FallbackRounds != 0 {
-		t.Fatalf("fallback before credits exhausted: %d", sel.FallbackRounds)
+	if sel.FallbackRounds() != 0 {
+		t.Fatalf("fallback before credits exhausted: %d", sel.FallbackRounds())
 	}
-	for _, c := range sel.CreditsRemaining() {
+	for _, c := range sel.alg2.credits {
 		if c != 0 {
-			t.Fatalf("credits remaining %v after exhaustion", sel.CreditsRemaining())
+			t.Fatalf("credits remaining %v after exhaustion", sel.alg2.credits)
 		}
 	}
 	sel.Select(10, rng)
-	if sel.FallbackRounds != 1 {
-		t.Fatalf("fallback count = %d, want 1", sel.FallbackRounds)
+	if sel.FallbackRounds() != 1 {
+		t.Fatalf("fallback count = %d, want 1", sel.FallbackRounds())
 	}
 }
 
@@ -445,7 +445,7 @@ func TestAdaptiveCreditsNeverNegative(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for r := 0; r < 100; r++ {
 		sel.Select(r, rng)
-		for _, c := range sel.CreditsRemaining() {
+		for _, c := range sel.alg2.credits {
 			if c < 0 {
 				t.Fatalf("negative credits at round %d", r)
 			}

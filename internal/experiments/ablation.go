@@ -96,7 +96,7 @@ func RunAblationCredits(s Scale) *Output {
 		if b > 0 {
 			label = fmt.Sprintf("%d", b)
 		}
-		tab.AddRow(label, res.TotalTime, res.FinalAcc, sel.FallbackRounds)
+		tab.AddRow(label, res.TotalTime, res.FinalAcc, sel.FallbackRounds())
 	}
 	return &Output{
 		ID:     "ablation_credits",

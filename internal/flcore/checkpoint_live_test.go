@@ -1,9 +1,9 @@
 package flcore_test
 
 // Checkpoint/resume of a MANAGED sim run: the tiering.Manager's state
-// (EWMA estimates, membership, credits, re-tier log) rides inside the
-// TieredCheckpoint, so a resumed run replays the uninterrupted one
-// bit-for-bit through live re-tierings.
+// (membership, EWMA estimates, hysteresis placements, rebuild counters)
+// rides inside the TieredCheckpoint, so a resumed run replays the
+// uninterrupted one bit-for-bit through live re-tierings.
 
 import (
 	"math"

@@ -23,6 +23,7 @@ func (m *scriptedManager) Tiers() [][]int { return m.tiers }
 func (m *scriptedManager) Observe(client int, seconds float64) {
 	m.observed = append(m.observed, flcore.Observation{Client: client, Seconds: seconds})
 }
+func (m *scriptedManager) Adaptive() bool            { return false }
 func (m *scriptedManager) ObserveAccuracy([]float64) {}
 func (m *scriptedManager) Cohort(tier, round, want int) []int {
 	m.cohorts = append(m.cohorts, [2]int{tier, round})

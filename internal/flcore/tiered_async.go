@@ -41,8 +41,9 @@ type TierMove struct {
 // The canonical implementation is internal/tiering.Manager: it owns tier
 // membership, folds observed per-client latencies into EWMA estimates,
 // periodically rebuilds tiers (core.BuildTiers with hysteresis), and draws
-// each tier round's cohort — uniformly, or via Algorithm-2 adaptive sizing
-// (accuracy-driven tier probabilities under per-tier credit budgets). The
+// each tier round's cohort — uniformly, or in the sim via Algorithm-2
+// adaptive sizing (accuracy-driven tier probabilities under per-tier
+// credit budgets). The
 // interface lives here rather than in internal/tiering so flcore does not
 // import the packages built on top of it (core imports flcore already).
 //
@@ -58,10 +59,14 @@ type TierManager interface {
 	// Observe folds one observed response latency (seconds) into the
 	// client's running estimate. Engines call it once per committed update.
 	Observe(client int, seconds float64)
+	// Adaptive reports whether cohorts follow Algorithm-2 adaptive
+	// selection, which needs per-tier accuracies fed to ObserveAccuracy.
+	// The sim evaluates tier shards only for such a Manager; the socket
+	// runtime, which evaluates nothing, refuses one.
+	Adaptive() bool
 	// ObserveAccuracy records per-tier test accuracies (index = tier) for
-	// Algorithm-2 adaptive selection. Engines without evaluation data
-	// (the socket runtime) never call it; the Manager then falls back to
-	// commit-share-driven probabilities.
+	// Algorithm-2 adaptive selection. The sim calls it at every
+	// EvalInterval boundary of an adaptive run.
 	ObserveAccuracy(accs []float64)
 	// Cohort draws tier t's participants for its local round — the live
 	// replacement for the static TierCohort draw, identically seed-keyed.
@@ -103,7 +108,8 @@ type TieredAsyncConfig struct {
 	// Duration is the simulated training time budget in seconds.
 	Duration float64
 	// EvalInterval evaluates the global model every so many simulated
-	// seconds (0 = only at the end).
+	// seconds (0 = only at the end). An adaptive Manager needs it positive:
+	// its per-tier accuracies are scored at these evaluations.
 	EvalInterval float64
 	// BatchSize is the local mini-batch size (default 10, the paper's
 	// setting).
@@ -268,8 +274,8 @@ type TieredAsyncEngine struct {
 	acquired []*Client
 	observed []Observation
 
-	// tierTest caches the per-tier pooled evaluation shards for adaptive
-	// accuracy feedback; rebuilt lazily when membership changes.
+	// tierTest caches the per-tier pooled evaluation shards for an adaptive
+	// Manager's accuracy feedback; rebuilt lazily when membership changes.
 	tierTest []*dataset.Dataset
 }
 
@@ -319,6 +325,9 @@ func NewTieredAsyncEngineFrom(cfg TieredAsyncConfig, tiers [][]int, src ClientSo
 	}
 	if cfg.ChurnRate < 0 || cfg.ChurnRate >= 1 {
 		panic(fmt.Sprintf("flcore: ChurnRate %v outside [0,1)", cfg.ChurnRate))
+	}
+	if cfg.Manager != nil && cfg.Manager.Adaptive() && cfg.EvalInterval <= 0 {
+		panic("flcore: an adaptive Manager needs EvalInterval > 0: nothing else feeds it per-tier accuracies")
 	}
 	if len(tiers) == 0 {
 		panic("flcore: tiered-async needs at least one tier")
@@ -598,12 +607,10 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 		}
 		res.History = append(res.History, rec)
 		// Algorithm-2 accuracy feedback: evaluate the global model on each
-		// tier's pooled member test shards and hand the accuracies to the
-		// Manager, which drives its tier-selection probabilities from them.
-		if e.Cfg.Manager != nil {
-			if accs := e.tierAccuracies(); accs != nil {
-				e.Cfg.Manager.ObserveAccuracy(accs)
-			}
+		// tier's pooled member test shards and hand the accuracies to an
+		// adaptive Manager, which drives its tier probabilities from them.
+		if e.Cfg.Manager != nil && e.Cfg.Manager.Adaptive() {
+			e.Cfg.Manager.ObserveAccuracy(e.tierAccuracies())
 		}
 	}
 
@@ -680,54 +687,54 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 const tierTestCap = 256
 
 // tierAccuracies evaluates the current global model on every tier's pooled
-// member test shards (the tiered-async analogue of core.TierTestData —
-// only accuracies ever reach the Manager, so the privacy posture matches
-// the synchronous adaptive selector). Pools are cached per membership
-// epoch and capped at tierTestCap samples with a (Seed, tier)-keyed
-// subset. Returns nil when no tier has any client test data.
+// member test shards, NaN for a tier without any. Pools are cached per
+// membership epoch; they are built through the source, so managed lazy runs
+// stay byte-identical to eager ones.
 func (e *TieredAsyncEngine) tierAccuracies() []float64 {
 	if e.tierTest == nil {
-		e.tierTest = make([]*dataset.Dataset, len(e.com.Tiers()))
-		for t, members := range e.com.Tiers() {
-			var parts []*dataset.Dataset
-			// Pooling runs through the source so managed lazy runs stay
-			// byte-identical to eager ones; each member is materialized only
-			// for the duration of the shard copy. This is an O(|tier|) sweep
-			// per membership epoch — population-scale runs should not pair a
-			// lazy source with Manager accuracy feedback (ext_million uses
-			// static tiers).
-			for _, ci := range members {
-				c := e.src.Acquire(ci)
-				if c.Test != nil && c.Test.Len() > 0 {
-					parts = append(parts, c.Test)
-				}
-				e.src.Release(c)
-			}
-			if len(parts) == 0 {
-				continue
-			}
-			pooled := dataset.Concat(parts...)
-			if pooled.Len() > tierTestCap {
-				rng := rand.New(rand.NewSource(mix(e.Cfg.Seed, -7, t)))
-				pooled = pooled.Subset(rng.Perm(pooled.Len())[:tierTestCap])
-			}
-			e.tierTest[t] = pooled
-		}
+		e.tierTest = TierTestPools(e.com.Tiers(), e.src, tierTestCap, e.Cfg.Seed)
 	}
 	accs := make([]float64, len(e.tierTest))
-	any := false
 	e.eng.global.SetWeightsVector(e.com.Weights())
-	for t := range accs {
+	for t, d := range e.tierTest {
 		accs[t] = math.NaN()
-		if e.tierTest[t] != nil {
-			accs[t], _ = e.eng.global.Evaluate(e.tierTest[t].InputTensor(), e.tierTest[t].Y, e.Cfg.EvalBatch)
-			any = true
+		if d != nil {
+			accs[t], _ = e.eng.global.Evaluate(d.InputTensor(), d.Y, e.Cfg.EvalBatch)
 		}
 	}
-	if !any {
-		return nil
-	}
 	return accs
+}
+
+// TierTestPools assembles each tier's evaluation set (TestData_t in TiFL's
+// Algorithm 2) by pooling its members' local test shards, capped at
+// maxPerTier samples (0 = unlimited) by a subset keyed on seed+tier; a tier
+// whose members hold no test data gets nil. Only accuracies computed on
+// these sets reach a scheduler, so the aggregator never observes raw data
+// or class distributions. Each member is acquired from src only for the
+// shard copy, but the sweep covers every member: a population-scale run
+// should not pair a lazy source with adaptive selection.
+func TierTestPools(tiers [][]int, src ClientSource, maxPerTier int, seed int64) []*dataset.Dataset {
+	out := make([]*dataset.Dataset, len(tiers))
+	for t, members := range tiers {
+		var parts []*dataset.Dataset
+		for _, ci := range members {
+			c := src.Acquire(ci)
+			if c.Test != nil && c.Test.Len() > 0 {
+				parts = append(parts, c.Test)
+			}
+			src.Release(c)
+		}
+		if len(parts) == 0 {
+			continue
+		}
+		pooled := dataset.Concat(parts...)
+		if maxPerTier > 0 && pooled.Len() > maxPerTier {
+			rng := rand.New(rand.NewSource(seed + int64(t)))
+			pooled = pooled.Subset(rng.Perm(pooled.Len())[:maxPerTier])
+		}
+		out[t] = pooled
+	}
+	return out
 }
 
 // RunTieredAsync is the one-shot convenience wrapper mirroring RunAsync.

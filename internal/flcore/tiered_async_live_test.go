@@ -5,6 +5,8 @@ package flcore_test
 // These live in an external test package because tiering imports flcore.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
@@ -130,17 +132,25 @@ func TestTieredAsyncManagedDeterministic(t *testing.T) {
 // Manager with re-tiering and adaptive selection off must reproduce the
 // legacy static-tier engine bit for bit — against the raw core.BuildTiers
 // membership the static path would use, member order included (TierCohort
-// draws are permutations over member positions).
+// draws are permutations over member positions). A non-adaptive Manager
+// reads no accuracies, so the managed run pools and scores no tier shard:
+// it acquires exactly the clients the static run trains.
 func TestTieredAsyncManagerFrozenMatchesStatic(t *testing.T) {
 	clients, test, cfg, lat := liveFixture(t, -1)
-	mgr := liveManager(t, cfg, lat, 0) // RetierEvery 0: frozen
+	mgr := &accuracyCounter{Manager: liveManager(t, cfg, lat, 0)} // RetierEvery 0: frozen
 	managedCfg := cfg
 	managedCfg.Manager = mgr
-	managed := flcore.RunTieredAsync(managedCfg, nil, clients, test)
-	static := flcore.RunTieredAsync(cfg, core.TierMembers(core.BuildTiers(lat, 3, core.Quantile)), clients, test)
+	managedSrc := &countingSource{ClientSource: flcore.NewEagerClients(clients)}
+	managed := flcore.NewTieredAsyncEngineFrom(managedCfg, nil, managedSrc, test).Run()
+	staticSrc := &countingSource{ClientSource: flcore.NewEagerClients(clients)}
+	static := flcore.NewTieredAsyncEngineFrom(cfg, core.TierMembers(core.BuildTiers(lat, 3, core.Quantile)), staticSrc, test).Run()
 
 	if len(managed.TierRounds) == 0 {
 		t.Fatal("no commits")
+	}
+	if mgr.observed != 0 || managedSrc.acquired != staticSrc.acquired {
+		t.Fatalf("non-adaptive managed run scored tier shards %d times and acquired %d clients, static %d",
+			mgr.observed, managedSrc.acquired, staticSrc.acquired)
 	}
 	if managed.Retiers != 0 || managed.Migrations != 0 {
 		t.Fatalf("frozen manager re-tiered: %d/%d", managed.Retiers, managed.Migrations)
@@ -184,19 +194,48 @@ func TestTieredAsyncAdaptiveSelectionRuns(t *testing.T) {
 			t.Fatalf("cohort %v exceeds the 2x boost cap", rec.Selected)
 		}
 	}
-	probs := mgr.Probabilities()
+	blob, err := mgr.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st tiering.State
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
 	uniform := true
-	for _, p := range probs {
+	for _, p := range st.Probs {
 		if math.Abs(p-1.0/3) > 1e-9 {
 			uniform = false
 		}
 	}
 	if uniform {
-		t.Fatalf("accuracy feedback never moved the probabilities: %v (boosted rounds seen: %v)", probs, grew)
+		t.Fatalf("accuracy feedback never moved the probabilities: %v (boosted rounds seen: %v)", st.Probs, grew)
 	}
-	for _, c := range mgr.CreditsRemaining() {
+	for _, c := range st.Credits {
 		if c < 0 {
-			t.Fatalf("credits went negative: %v", mgr.CreditsRemaining())
+			t.Fatalf("credits went negative: %v", st.Credits)
 		}
 	}
+}
+
+// countingSource counts the clients a run acquires.
+type countingSource struct {
+	flcore.ClientSource
+	acquired int
+}
+
+func (s *countingSource) Acquire(id int) *flcore.Client {
+	s.acquired++
+	return s.ClientSource.Acquire(id)
+}
+
+// accuracyCounter counts the accuracies the engine feeds its Manager.
+type accuracyCounter struct {
+	*tiering.Manager
+	observed int
+}
+
+func (m *accuracyCounter) ObserveAccuracy(accs []float64) {
+	m.observed++
+	m.Manager.ObserveAccuracy(accs)
 }

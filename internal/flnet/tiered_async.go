@@ -52,7 +52,8 @@ type TieredAsyncConfig struct {
 	// sockets Downlink is what each tier loop (and, on the tree, each
 	// root→child pull) sends; a Manager is typically an
 	// internal/tiering.Manager built from ProfileWorkers measurements (see
-	// SetManager), and the tree rejects one.
+	// SetManager), and the tree rejects one. Run refuses an adaptive
+	// Manager: nothing here evaluates the per-tier accuracies it needs.
 	flcore.CommitterConfig
 	// FanInConfig is how each tier loop waits for its cohort. Its
 	// RejoinWait doubles as the tier loops' grace window — a tier whose
@@ -949,12 +950,12 @@ func (ta *TieredAsyncAggregator) tierLoop(t int, pulls <-chan flcore.TierPull, d
 // IDs per tier, fastest first — core.TierMembers form; nil uses the live
 // Manager's membership), announces the placement to each worker, and drives
 // tiered-asynchronous training until GlobalCommits commits have been
-// applied. Workers that disconnect — even between profiling and Run — are
-// tolerated round to round; Run fails if every tier stops making progress
-// (all workers lost, or rounds repeatedly timing out empty) before the
-// commit target is reached, or on the first malformed commit (wrong weight
-// length, invalid TierWeight) — a configuration error no later commit can
-// heal.
+// applied. An adaptive Manager is refused. Workers that disconnect — even
+// between profiling and Run — are tolerated round to round; Run fails if
+// every tier stops making progress (all workers lost, or rounds repeatedly
+// timing out empty) before the commit target is reached, or on the first
+// malformed commit (wrong weight length, invalid TierWeight) — a
+// configuration error no later commit can heal.
 func (ta *TieredAsyncAggregator) Run(tiers [][]int) (*TieredAsyncRunResult, error) {
 	if tiers == nil && ta.tcfg.Manager != nil {
 		tiers = ta.tcfg.Manager.Tiers()
@@ -968,6 +969,9 @@ func (ta *TieredAsyncAggregator) Run(tiers [][]int) (*TieredAsyncRunResult, erro
 	// Validated again: SetManager may have installed a Manager since.
 	if err := ta.tcfg.Validate(); err != nil {
 		return nil, err
+	}
+	if ta.tcfg.Manager != nil && ta.tcfg.Manager.Adaptive() {
+		return nil, fmt.Errorf("flnet: an adaptive Manager needs per-tier accuracies, which no socket run evaluates")
 	}
 	// Worker IDs are whatever the fleet registered with: no upper bound.
 	if err := flcore.ValidateTiers(tiers, math.MaxInt); err != nil {

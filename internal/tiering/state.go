@@ -12,22 +12,23 @@ import (
 // State is the serializable snapshot of a Manager, carried opaquely inside
 // flcore.TieredCheckpoint.ManagerState. It captures everything behind the
 // Manager's mutex — membership, EWMA latency estimates, hysteresis
-// placements, Algorithm-2 probabilities and credits, and the rebuild
-// counters — so a restored Manager continues the run exactly where the
-// checkpointed one stopped (same cohort draws, same rebuild points).
+// placements, an adaptive Manager's Algorithm-2 probabilities and credits
+// (nil otherwise), and the rebuild counters — so a restored Manager
+// continues the run exactly where the checkpointed one stopped (same cohort
+// draws, same rebuild points).
 //
 // Blobs written by earlier Managers may carry fields State no longer has
 // (Pinned migration pins, the Log of reassignments, the CommBytes wire-byte
-// estimates); gob skips a stream field the receiver lacks, so they restore
-// unchanged and the retired state lapses.
+// estimates, the HaveAccs flag and Draws counts of the retired commit-share
+// fallback); gob skips a stream field the receiver lacks, so they restore
+// unchanged and the retired state lapses. A non-adaptive Manager ignores
+// the probabilities and credits such blobs always carry.
 type State struct {
-	Tiers    [][]int
-	EWMA     map[int]float64
-	Placed   map[int]float64
-	Probs    []float64
-	HaveAccs bool
-	Credits  []int
-	Draws    []int
+	Tiers   [][]int
+	EWMA    map[int]float64
+	Placed  map[int]float64
+	Probs   []float64
+	Credits []int
 
 	Retiers, Rebuilds, Skipped, LastVersion int
 }
@@ -39,15 +40,14 @@ func (m *Manager) SnapshotState() ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := State{
-		Tiers:    copyTiers(m.tiers),
-		EWMA:     make(map[int]float64, len(m.ewma)),
-		Placed:   make(map[int]float64, len(m.placed)),
-		Probs:    append([]float64(nil), m.probs...),
-		HaveAccs: m.haveAccs,
-		Credits:  append([]int(nil), m.credits...),
-		Draws:    append([]int(nil), m.draws...),
-		Retiers:  m.retiers, Rebuilds: m.rebuilds, Skipped: m.skipped,
+		Tiers:   copyTiers(m.tiers),
+		EWMA:    make(map[int]float64, len(m.ewma)),
+		Placed:  make(map[int]float64, len(m.placed)),
+		Retiers: m.retiers, Rebuilds: m.rebuilds, Skipped: m.skipped,
 		LastVersion: m.lastVersion,
+	}
+	if m.alg2 != nil {
+		s.Probs, s.Credits = m.alg2.Snapshot()
 	}
 	for c, v := range m.ewma {
 		s.EWMA[c] = v
@@ -68,8 +68,9 @@ func (m *Manager) SnapshotState() ([]byte, error) {
 // population; the restored EWMAs supersede the profile's estimates). The
 // blob comes off disk, so every number in it is checked before any state
 // changes: latencies finite and positive, an estimate for every tier
-// member (a rebuild places only clients it has one for), probabilities a
-// distribution, and no negative credits or draws.
+// member (a rebuild places only clients it has one for), and, for an
+// adaptive Manager, core.AdaptiveState.Restore's checks on the
+// probabilities and credits.
 func (m *Manager) RestoreState(data []byte) error {
 	var s State
 	r := bytes.NewReader(data)
@@ -83,10 +84,6 @@ func (m *Manager) RestoreState(data []byte) error {
 	defer m.mu.Unlock()
 	if len(s.Tiers) != m.cfg.NumTiers {
 		return fmt.Errorf("tiering: state has %d tiers, manager maintains %d", len(s.Tiers), m.cfg.NumTiers)
-	}
-	if len(s.Probs) != len(s.Tiers) || len(s.Credits) != len(s.Tiers) || len(s.Draws) != len(s.Tiers) {
-		return fmt.Errorf("tiering: state vectors (%d probs, %d credits, %d draws) do not match %d tiers",
-			len(s.Probs), len(s.Credits), len(s.Draws), len(s.Tiers))
 	}
 	tierOf := make(map[int]int, len(s.EWMA))
 	for t, members := range s.Tiers {
@@ -110,19 +107,11 @@ func (m *Manager) RestoreState(data []byte) error {
 			}
 		}
 	}
-	sum := 0.0
-	for t, p := range s.Probs {
-		if !(p >= 0) || math.IsInf(p, 0) {
-			return fmt.Errorf("tiering: state probability %v for tier %d", p, t)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return fmt.Errorf("tiering: state probabilities sum to %v, not 1", sum)
-	}
-	for t := range s.Tiers {
-		if s.Credits[t] < 0 || s.Draws[t] < 0 {
-			return fmt.Errorf("tiering: state tier %d has %d credits and %d draws", t, s.Credits[t], s.Draws[t])
+	// Checked last: Restore validates before it assigns, so a refused blob
+	// changes nothing.
+	if m.alg2 != nil {
+		if err := m.alg2.Restore(s.Probs, s.Credits); err != nil {
+			return fmt.Errorf("tiering: state: %w", err)
 		}
 	}
 	m.tiers = copyTiers(s.Tiers)
@@ -135,10 +124,6 @@ func (m *Manager) RestoreState(data []byte) error {
 	for c, v := range s.Placed {
 		m.placed[c] = v
 	}
-	m.probs = append([]float64(nil), s.Probs...)
-	m.haveAccs = s.HaveAccs
-	m.credits = append([]int(nil), s.Credits...)
-	m.draws = append([]int(nil), s.Draws...)
 	m.retiers, m.rebuilds, m.skipped = s.Retiers, s.Rebuilds, s.Skipped
 	m.lastVersion = s.LastVersion
 	return nil

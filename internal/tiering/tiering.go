@@ -22,9 +22,9 @@
 //   - Cohort draws each tier round's participants with the same
 //     (seed, tier round, tier) keying as flcore.TierCohort, so a Manager
 //     with re-tiering disabled reproduces the static engines exactly.
-//     With Adaptive selection on, cohort sizes follow Algorithm 2:
-//     accuracy-driven tier probabilities (core.AdaptiveProbs over the
-//     accuracies supplied via ObserveAccuracy) scale each tier's
+//     With Adaptive selection on, cohort sizes follow Algorithm 2
+//     (core.AdaptiveState): tier probabilities driven by the accuracies
+//     the sim supplies via ObserveAccuracy scale each tier's
 //     participation, under per-tier Credits budgets that bound how many
 //     boosted rounds a tier may take.
 //
@@ -73,22 +73,17 @@ type Config struct {
 	Seed int64
 
 	// Adaptive enables Algorithm-2 selection: tier probabilities from
-	// accuracy feedback scale cohort sizes under per-tier credits.
+	// accuracy feedback scale cohort sizes under per-tier credits. Only
+	// the sim feeds accuracies, so only the sim runs an adaptive Manager.
 	Adaptive bool
 	// Credits is the per-tier boosted-round budget Credits_t; 0 or
 	// negative means unlimited (credits never bind).
 	Credits int
-	// Temperature shapes the ChangeProbs rule (core.AdaptiveProbs);
-	// 0 defaults to 2.
-	Temperature float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.EWMABeta == 0 {
 		c.EWMABeta = 0.5
-	}
-	if c.Temperature <= 0 {
-		c.Temperature = 2
 	}
 	return c
 }
@@ -115,10 +110,7 @@ type Manager struct {
 	ewma   map[int]float64
 	placed map[int]float64 // hysteresis-frozen latency of last placement
 
-	probs    []float64 // Algorithm-2 tier probabilities
-	haveAccs bool      // accuracies observed at least once
-	credits  []int     // remaining boosted-round budget per tier
-	draws    []int     // Cohort calls per tier (commit-share fallback)
+	alg2 *core.AdaptiveState // Algorithm 2's probabilities and credits; nil unless Adaptive
 
 	retiers     int // rebuilds that moved at least one client
 	rebuilds    int // rebuild points reached (including no-ops)
@@ -152,8 +144,9 @@ func NewManager(cfg Config, latency map[int]float64) (*Manager, error) {
 		tierOf: make(map[int]int, len(latency)),
 		ewma:   make(map[int]float64, len(latency)),
 		placed: make(map[int]float64, len(latency)),
-		probs:  make([]float64, len(built)),
-		draws:  make([]int, len(built)),
+	}
+	if cfg.Adaptive {
+		m.alg2 = core.NewAdaptiveState(len(built), cfg.Credits, 0)
 	}
 	m.tiers = canonical(built)
 	for t, members := range m.tiers {
@@ -164,15 +157,6 @@ func NewManager(cfg Config, latency map[int]float64) (*Manager, error) {
 	for c, l := range latency {
 		m.ewma[c] = l
 		m.placed[c] = l
-	}
-	m.credits = make([]int, len(built))
-	for t := range m.probs {
-		m.probs[t] = 1 / float64(len(built)) // equal initial probability
-		if cfg.Credits > 0 {
-			m.credits[t] = cfg.Credits
-		} else {
-			m.credits[t] = math.MaxInt
-		}
 	}
 	return m, nil
 }
@@ -237,61 +221,27 @@ func (m *Manager) Observe(client int, seconds float64) {
 	m.ewma[client] = (1-m.cfg.EWMABeta)*prev + m.cfg.EWMABeta*seconds
 }
 
+// Adaptive reports whether cohorts follow Algorithm 2 (Config.Adaptive).
+func (m *Manager) Adaptive() bool { return m.alg2 != nil }
+
 // ObserveAccuracy records per-tier test accuracies (index = tier, NaN for
 // tiers without data) and recomputes the Algorithm-2 selection
-// probabilities from them.
+// probabilities from them. A non-adaptive Manager ignores them.
 func (m *Manager) ObserveAccuracy(accs []float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(accs) != len(m.tiers) {
+	if m.alg2 == nil || len(accs) != len(m.tiers) {
 		return
 	}
-	m.probs = core.AdaptiveProbs(accs, m.cfg.Temperature)
-	m.haveAccs = true
-}
-
-// Probabilities returns a copy of the current tier-selection probabilities.
-func (m *Manager) Probabilities() []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]float64(nil), m.currentProbs()...)
-}
-
-// currentProbs is the live probability vector: accuracy-driven once
-// ObserveAccuracy has fired, otherwise (adaptive runs without evaluation
-// data, e.g. over sockets) inverse commit shares — tiers that have drawn
-// fewer cohorts get boosted, the credit-relevant dimension. Callers hold mu.
-func (m *Manager) currentProbs() []float64 {
-	if m.haveAccs || !m.cfg.Adaptive {
-		return m.probs
-	}
-	out := make([]float64, len(m.draws))
-	total := 0.0
-	for t, d := range m.draws {
-		out[t] = 1 / float64(d+1)
-		total += out[t]
-	}
-	for t := range out {
-		out[t] /= total
-	}
-	return out
-}
-
-// CreditsRemaining returns a copy of the per-tier credit counters.
-func (m *Manager) CreditsRemaining() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]int(nil), m.credits...)
+	m.alg2.Reweight(accs)
 }
 
 // Cohort draws tier t's participants for its local round r. want ≤ 0 uses
 // the configured ClientsPerRound. The draw is flcore.TierCohort's
 // (seed, tier round, tier) keying over the tier's current members; with
-// Adaptive on, the size is scaled by the tier's selection probability
-// (p_t·m, the uniform-relative boost), clamped to [1, 2·want], and a tier
-// whose credits are exhausted is capped back at the uniform size — each
-// boosted round consumes one credit, so Credits_t bounds the extra
-// participation a struggling tier can claim.
+// Adaptive on, its size is core.AdaptiveState.CohortSize: each boosted
+// round consumes one credit, so Credits_t bounds the extra participation a
+// struggling tier can claim.
 func (m *Manager) Cohort(tier, tierRound, want int) []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -306,24 +256,9 @@ func (m *Manager) Cohort(tier, tierRound, want int) []int {
 		return nil
 	}
 	size := want
-	if m.cfg.Adaptive {
-		boost := m.currentProbs()[tier] * float64(len(m.tiers))
-		size = int(math.Round(float64(want) * boost))
-		if size < 1 {
-			size = 1
-		}
-		if size > 2*want {
-			size = 2 * want
-		}
-		if size > want {
-			if m.credits[tier] <= 0 {
-				size = want
-			} else if m.credits[tier] != math.MaxInt {
-				m.credits[tier]--
-			}
-		}
+	if m.alg2 != nil {
+		size = m.alg2.CohortSize(tier, want, len(members))
 	}
-	m.draws[tier]++
 	return flcore.TierCohort(m.cfg.Seed, tierRound, tier, members, size)
 }
 
@@ -398,7 +333,7 @@ func (m *Manager) String() string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return fmt.Sprintf("tiering.Manager(tiers=%d, retierEvery=%d, beta=%.2f, hysteresis=%.2f, adaptive=%v, retiers=%d)",
-		len(m.tiers), m.cfg.RetierEvery, m.cfg.EWMABeta, hysteresis, m.cfg.Adaptive, m.retiers)
+		len(m.tiers), m.cfg.RetierEvery, m.cfg.EWMABeta, hysteresis, m.alg2 != nil, m.retiers)
 }
 
 var _ flcore.TierManager = (*Manager)(nil)

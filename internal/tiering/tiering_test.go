@@ -228,52 +228,59 @@ func TestRebuildSkippedBelowTierCount(t *testing.T) {
 	}
 }
 
-func TestAdaptiveCohortSizingAndCredits(t *testing.T) {
-	lat := profile(12)
-	m := newTestManager(t, Config{
-		NumTiers: 3, ClientsPerRound: 2, Seed: 3,
-		Adaptive: true, Credits: 2, Temperature: 2,
-	}, lat)
-	// Tier 2 struggles (low accuracy) → boosted cohorts; tier 0 is nearly
-	// perfect → shrunk cohorts.
-	m.ObserveAccuracy([]float64{0.99, 0.6, 0.1})
-	p := m.Probabilities()
-	if !(p[2] > p[1] && p[1] > p[0]) {
-		t.Fatalf("probabilities not accuracy-ordered: %v", p)
-	}
-	if got := len(m.Cohort(2, 0, 2)); got <= 2 {
-		t.Fatalf("struggling tier cohort size %d not boosted", got)
-	}
-	if got := len(m.Cohort(0, 0, 2)); got != 1 {
-		t.Fatalf("near-perfect tier cohort size %d, want shrunk to 1", got)
-	}
-	// Credits bound boosted rounds: after the budget, tier 2 falls back to
-	// the uniform size.
-	m.Cohort(2, 1, 2) // second (and last) boosted round
-	if c := m.CreditsRemaining()[2]; c != 0 {
-		t.Fatalf("credits remaining %d, want 0", c)
-	}
-	if got := len(m.Cohort(2, 2, 2)); got != 2 {
-		t.Fatalf("credit-exhausted tier cohort size %d, want uniform 2", got)
-	}
-	// Boosted size never exceeds 2×want even at extreme probabilities.
-	m2 := newTestManager(t, Config{NumTiers: 3, ClientsPerRound: 2, Adaptive: true}, profile(30))
-	m2.ObserveAccuracy([]float64{1, 1, 0})
-	if got := len(m2.Cohort(2, 0, 3)); got > 6 {
-		t.Fatalf("boost cap violated: %d > 6", got)
-	}
+// alg2 reads an adaptive Manager's Algorithm-2 probabilities and credits.
+func alg2(m *Manager) ([]float64, []int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.alg2.Snapshot()
 }
 
-func TestAdaptiveFallbackWithoutAccuracies(t *testing.T) {
-	// Socket runs never call ObserveAccuracy: probabilities fall back to
-	// inverse commit shares, boosting tiers that have drawn fewer cohorts.
-	m := newTestManager(t, Config{NumTiers: 3, ClientsPerRound: 2, Adaptive: true}, profile(12))
-	for r := 0; r < 10; r++ {
-		m.Cohort(0, r, 2) // fast tier draws often
-	}
-	p := m.Probabilities()
-	if !(p[2] > p[0] && p[1] > p[0]) {
-		t.Fatalf("rarely-drawn tiers not boosted: %v", p)
+// TestAdaptiveCohortSizingAndCredits: each row feeds one set of accuracies
+// and then draws cohorts, checking each cohort's size and the drawn tier's
+// credits after it. Lower accuracy must mean higher probability.
+func TestAdaptiveCohortSizingAndCredits(t *testing.T) {
+	type draw struct{ tier, want, size, credits int }
+	for _, row := range []struct {
+		name             string
+		clients, credits int
+		accs             []float64
+		draws            []draw
+	}{{
+		// Tier 2 struggles → boosted (p·3·2 = 5, capped at 2·want) until its
+		// 2 credits are spent, then uniform; tier 0 is nearly perfect → 1.
+		name: "credits bound boosted rounds", clients: 12, credits: 2,
+		accs:  []float64{0.99, 0.6, 0.1},
+		draws: []draw{{2, 2, 4, 1}, {0, 2, 1, 2}, {2, 2, 4, 0}, {2, 2, 2, 0}},
+	}, {
+		name: "boost capped at 2·want", clients: 30,
+		accs:  []float64{1, 1, 0},
+		draws: []draw{{2, 3, 6, math.MaxInt}},
+	}, {
+		// A 2-member tier cannot grow past want 2: not a boosted round.
+		name: "no credit for a boost the tier cannot hold", clients: 6, credits: 3,
+		accs:  []float64{0.99, 0.99, 0.1},
+		draws: []draw{{2, 2, 2, 3}},
+	}} {
+		m := newTestManager(t, Config{
+			NumTiers: 3, ClientsPerRound: 2, Seed: 3, Adaptive: true, Credits: row.credits,
+		}, profile(row.clients))
+		m.ObserveAccuracy(row.accs)
+		p, _ := alg2(m)
+		for i := range p {
+			for j := range p {
+				if row.accs[i] < row.accs[j] && !(p[i] > p[j]) {
+					t.Fatalf("%s: probabilities %v not ordered against accuracies %v", row.name, p, row.accs)
+				}
+			}
+		}
+		for r, d := range row.draws {
+			if got := len(m.Cohort(d.tier, r, d.want)); got != d.size {
+				t.Fatalf("%s: draw %d: tier %d cohort size %d, want %d", row.name, r, d.tier, got, d.size)
+			}
+			if _, c := alg2(m); c[d.tier] != d.credits {
+				t.Fatalf("%s: draw %d: tier %d has %d credits, want %d", row.name, r, d.tier, c[d.tier], d.credits)
+			}
+		}
 	}
 }
 
@@ -332,7 +339,9 @@ func TestManagerConcurrentUse(t *testing.T) {
 			m.MaybeRetier(v)
 			m.ObserveAccuracy([]float64{0.9, 0.5, 0.2})
 			m.Tiers()
-			m.Probabilities()
+			if _, err := m.SnapshotState(); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	wg.Wait()

@@ -29,7 +29,8 @@ type TieringOptions struct {
 	EWMABeta float64
 	// AdaptiveSelection enables Algorithm-2 selection inside the tier
 	// loops: accuracy-driven tier probabilities size each tier's cohorts
-	// under per-tier Credits budgets.
+	// under per-tier Credits budgets. Simulation only: the accuracies come
+	// from the sim's evaluations, and socket runs refuse it.
 	AdaptiveSelection bool
 	// Credits is the per-tier boosted-round budget Credits_t for
 	// AdaptiveSelection (0 = unlimited).
@@ -65,10 +66,6 @@ func (o *TieringOptions) AddFlags(fs *flag.FlagSet) {
 		"tiered-aggregator: rebuild tiers every k commits from observed latencies (0 = frozen tiers)")
 	fs.Float64Var(&o.EWMABeta, "ewma-beta", o.EWMABeta,
 		"tiered-aggregator: EWMA weight of new latency observations (0 = default 0.5)")
-	fs.BoolVar(&o.AdaptiveSelection, "adaptive-select", o.AdaptiveSelection,
-		"tiered-aggregator: Algorithm-2 adaptive per-tier cohort sizing")
-	fs.IntVar(&o.Credits, "credits", o.Credits,
-		"tiered-aggregator: per-tier boosted-round budget for -adaptive-select (0 = unlimited)")
 }
 
 // CompressionOptions are the update-compression knobs. Embedded in Options

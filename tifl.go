@@ -384,7 +384,8 @@ type NetOptions struct {
 	MetricsAddr string
 	// TieringOptions overrides the system Options' live-tiering fields for
 	// this distributed job when non-zero (TieringOptions.Overlay
-	// precedence). Not supported by TrainTieredAsyncTree.
+	// precedence). Not supported by TrainTieredAsyncTree; AdaptiveSelection
+	// is refused by both socket runs.
 	TieringOptions
 	// RobustnessOptions turns on the self-healing layer for this job:
 	// worker reconnect loops, per-RPC deadlines, bounded idempotent
@@ -404,12 +405,17 @@ type NetOptions struct {
 // run's spec (its CommitterConfig; non-zero NetOptions fields override it)
 // and the training hyperparameters; its Duration, EvalInterval, and
 // OnCommit fields are ignored — pacing is real wall clock here. When
-// cfg.Manager is nil, the effective TieringOptions may build one. The
-// final model is evaluated on test when it is non-nil.
+// cfg.Manager is nil, the effective TieringOptions may build one; effective
+// AdaptiveSelection is an error, as no socket run evaluates the per-tier
+// accuracies Algorithm 2 needs. The final model is evaluated on test when
+// it is non-nil.
 func (s *System) TrainTieredAsyncNet(cfg TieredAsyncConfig, net NetOptions, test *Dataset) (*NetTieredAsyncResult, float64, error) {
 	eng, err := s.distributedDefaults("TrainTieredAsyncNet", &cfg, &net)
 	if err != nil {
 		return nil, 0, err
+	}
+	if net.AdaptiveSelection {
+		return nil, 0, fmt.Errorf("tifl: AdaptiveSelection needs per-tier accuracies, which no socket run evaluates; use TrainTieredAsync")
 	}
 	if cfg.Manager == nil {
 		topts := s.opts

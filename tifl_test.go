@@ -1,14 +1,18 @@
 package tifl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/flcore"
+	"repro/internal/flnet"
 	"repro/internal/nn"
 	"repro/internal/simres"
+	"repro/internal/tiering"
 )
 
 func testPopulation(t testing.TB) ([]*Client, *Dataset) {
@@ -341,6 +345,70 @@ func TestTrainTieredAsyncAdaptiveSelection(t *testing.T) {
 	for _, rec := range res.TierRounds {
 		if len(rec.Selected) > 10 {
 			t.Fatalf("cohort %v exceeds the 2x boost cap", rec.Selected)
+		}
+	}
+}
+
+// TestAdaptiveSelectionWithoutAccuraciesRefused: Algorithm 2 needs per-tier
+// accuracies, which only the sim's EvalInterval evaluations supply, so
+// every run that would leave an adaptive Manager without them is refused.
+func TestAdaptiveSelectionWithoutAccuraciesRefused(t *testing.T) {
+	clients, _ := testPopulation(t)
+	plain, err := New(clients, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive, err := New(clients, Options{TieringOptions: TieringOptions{AdaptiveSelection: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := testConfig(1)
+	cfg := TieredAsyncConfig{
+		CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
+		Duration:        10, Model: tc.Model, Optimizer: tc.Optimizer,
+	}
+	for _, row := range []struct {
+		name, want string
+		run        func() error
+	}{
+		{"sim with EvalInterval 0", "EvalInterval", func() (err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("%v", p)
+				}
+			}()
+			adaptive.TrainTieredAsync(cfg, nil)
+			return nil
+		}},
+		{"flat Run", "adaptive Manager", func() error {
+			agg, err := flnet.NewTieredAsyncAggregator("127.0.0.1:0", flnet.TieredAsyncConfig{
+				CommitterConfig: CommitterConfig{ClientsPerRound: 2}, GlobalCommits: 1, InitialWeights: []float64{0},
+			})
+			if err != nil {
+				return err
+			}
+			defer agg.Close()
+			mgr, err := tiering.NewManager(tiering.Config{NumTiers: 2, ClientsPerRound: 2, Adaptive: true}, map[int]float64{0: 1, 1: 2})
+			if err != nil {
+				return err
+			}
+			agg.SetManager(mgr)
+			_, err = agg.Run(nil)
+			return err
+		}},
+		{"TrainTieredAsyncNet, Options.AdaptiveSelection", "AdaptiveSelection", func() error {
+			_, _, err := adaptive.TrainTieredAsyncNet(cfg, NetOptions{GlobalCommits: 1}, nil)
+			return err
+		}},
+		{"TrainTieredAsyncNet, NetOptions.AdaptiveSelection", "AdaptiveSelection", func() error {
+			_, _, err := plain.TrainTieredAsyncNet(cfg, NetOptions{
+				GlobalCommits: 1, TieringOptions: TieringOptions{AdaptiveSelection: true},
+			}, nil)
+			return err
+		}},
+	} {
+		if err := row.run(); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: got %v, want an error naming %q", row.name, err, row.want)
 		}
 	}
 }
