@@ -21,7 +21,7 @@ const IDDeltaXOR byte = 0
 
 // Downlink describes how the aggregator compresses its broadcast
 // (server -> worker) traffic: as the deltas that take the receiver's
-// last-acked model version to the current one, optionally through a lossy
+// last acknowledged model version to the current one, optionally through a lossy
 // codec with server-side error feedback.
 //
 // A nil *Downlink means dense broadcasts (the pre-delta wire format).
@@ -84,7 +84,7 @@ func ParseDownlink(spec string) (*Downlink, error) {
 // recent payloads. The aggregator advances the chain exactly once per tier
 // round — Encode is O(1) per round regardless of cohort size, the same
 // shared-blob trick the fast wire encoding uses — and serves every
-// receiver from the state it last acked: one still in the ring gets the
+// receiver from the state its last ack names: one still in the ring gets the
 // payloads it missed, in order (CatchUp); everyone else gets the
 // post-round Base() dense.
 //

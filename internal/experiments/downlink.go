@@ -136,7 +136,7 @@ func RunExtensionDownlink(s Scale) *Output {
 	}
 	return &Output{
 		ID:     "ext_downlink",
-		Title:  "Version-acked delta broadcast vs dense snapshots",
+		Title:  "Ack-versioned delta broadcast vs dense snapshots",
 		Tables: []metrics.Table{tab},
 	}
 }

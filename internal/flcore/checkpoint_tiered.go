@@ -170,15 +170,16 @@ func (e *TieredAsyncEngine) Snapshot() (*TieredCheckpoint, error) {
 	}
 	c.SimTime, c.NextEval = e.clock.Now(), e.nextEval
 	for _, run := range e.pending {
+		selected, lats := run.split()
 		c.Pending = append(c.Pending, PendingTierRound{
-			Tier: run.tier, TierRound: run.tierRound, PulledVersion: run.pulledVer,
+			Tier: run.Tier, TierRound: run.TierRound, PulledVersion: run.PulledVersion,
 			Finish:        run.finish,
-			Selected:      append([]int(nil), run.selected...),
-			Weights:       append([]float64(nil), run.weights...),
+			Selected:      selected,
+			Weights:       append([]float64(nil), run.Weights...),
 			Latency:       run.latency,
-			Lats:          append([]float64(nil), run.lats...),
-			UplinkBytes:   run.upBytes,
-			DownlinkBytes: run.downBytes,
+			Lats:          lats,
+			UplinkBytes:   run.UplinkBytes,
+			DownlinkBytes: run.DownlinkBytes,
 		})
 	}
 	// Canonical order: the heap's internal layout is an implementation
@@ -277,15 +278,18 @@ func (e *TieredAsyncEngine) Restore(c *TieredCheckpoint) error {
 	e.pending = e.pending[:0]
 	heap.Init(&e.pending)
 	for _, p := range c.Pending {
+		obs := make([]Observation, len(p.Selected))
+		for i, ci := range p.Selected {
+			obs[i] = Observation{Client: ci, Seconds: p.Lats[i]}
+		}
 		heap.Push(&e.pending, &tierRun{
-			tier: p.Tier, tierRound: p.TierRound, pulledVer: p.PulledVersion,
-			finish:    p.Finish,
-			selected:  append([]int(nil), p.Selected...),
-			weights:   append([]float64(nil), p.Weights...),
-			latency:   p.Latency,
-			lats:      append([]float64(nil), p.Lats...),
-			upBytes:   p.UplinkBytes,
-			downBytes: p.DownlinkBytes,
+			Commit: Commit{
+				Tier: p.Tier, TierRound: p.TierRound, PulledVersion: p.PulledVersion,
+				Weights:     append([]float64(nil), p.Weights...),
+				UplinkBytes: p.UplinkBytes, DownlinkBytes: p.DownlinkBytes,
+				Observed: obs,
+			},
+			finish: p.Finish, latency: p.Latency,
 		})
 	}
 	switch src := e.src.(type) {

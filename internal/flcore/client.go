@@ -87,25 +87,14 @@ type Update struct {
 	WireBytes int
 }
 
-// FedAvg computes the sample-weighted average of client weight vectors
-// (line 8 of Algorithm 1). It panics if updates is empty or the vectors
-// disagree in length.
-func FedAvg(updates []Update) []float64 {
-	if len(updates) == 0 {
-		panic("flcore: FedAvg of no updates")
-	}
-	out := make([]float64, len(updates[0].Weights))
-	FedAvgInto(out, updates)
-	return out
-}
-
-// FedAvgInto computes FedAvg into dst, reusing dst's storage (the round
-// loops aggregate into the standing global vector instead of reallocating
-// it every round). dst must have the updates' length and must not alias any
-// update's weight vector. The reduction runs chunk-parallel across elements
-// via tensor.AxpySharded — serial and in update order within each element —
-// so the result is byte-identical to the historical serial loop for any
-// worker count.
+// FedAvgInto computes the sample-weighted average of the updates' weight
+// vectors (line 8 of Algorithm 1) into dst, reusing dst's storage (the
+// round loops aggregate into a standing vector instead of reallocating it
+// every round). dst must have the updates' length and must not alias any
+// update's weight vector; it panics on no updates or a length mismatch. The
+// reduction runs chunk-parallel across elements via tensor.AxpySharded —
+// serial and in update order within each element — so the result is
+// byte-identical to the historical serial loop for any worker count.
 func FedAvgInto(dst []float64, updates []Update) {
 	if len(updates) == 0 {
 		panic("flcore: FedAvg of no updates")

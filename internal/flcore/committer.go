@@ -73,17 +73,11 @@ type CommitterConfig struct {
 	// OnCheckpoint receives each periodic snapshot (see CheckpointEvery);
 	// over sockets it runs after the snapshot was persisted.
 	OnCheckpoint func(c *TieredCheckpoint)
-	// Downlink, if set, delta-compresses the broadcast direction: each tier
-	// keeps a compress.Chain advanced once per tier round, clients whose
-	// last participation is still in the chain's ring receive (and are
-	// charged) the payloads they missed, and everyone else (first contact,
-	// a gap older than the ring, migration, resume) a dense snapshot. Chain
-	// state is a pure function of the broadcast sequence, so the simulation
-	// and the socket runtime report identical DownlinkBytes on the same
-	// seed. With a nil Codec the
-	// delta is the lossless XOR stream and the run is byte-identical to a
-	// dense one; a lossy codec keeps a per-tier error-feedback residual.
-	// nil keeps dense broadcasts.
+	// Downlink, if set, delta-compresses the broadcast direction: one
+	// compress.Chain per tier, billed per member by RunTierRound through an
+	// AckLedger, so every runtime reports the same DownlinkBytes. A nil Codec
+	// is the lossless XOR delta, byte-identical to a dense run. nil keeps
+	// dense broadcasts.
 	Downlink *compress.Downlink
 }
 
@@ -128,11 +122,12 @@ type Commit struct {
 	Observed                       []Observation
 }
 
-// TierPull is what a tier trains its next round from: the global version
-// and weights, the round's local index and its cohort, all taken at one
-// point between two commits. Weights aliases the live global vector: a
+// TierPull is what a tier trains its next round from: the tier, the global
+// version and weights, the round's local index and its cohort, all taken at
+// one point between two commits. Weights aliases the live global vector: a
 // driver whose round outlives the next Apply must copy it.
 type TierPull struct {
+	Tier    int
 	Version int
 	Weights []float64
 	Round   int
@@ -270,7 +265,7 @@ func (k *Committer) Pull(tier int) TierPull {
 	} else {
 		cohort = TierCohort(k.cfg.Seed, r, tier, k.tiers[tier], k.cfg.ClientsPerRound)
 	}
-	return TierPull{Version: k.version, Weights: k.weights, Round: r, Cohort: cohort}
+	return TierPull{Tier: tier, Version: k.version, Weights: k.weights, Round: r, Cohort: cohort}
 }
 
 // CheckpointDue reports whether the commit just applied lands on the

@@ -380,9 +380,9 @@ func (e *Engine) trainRound(round int, selected []int) []Update {
 
 // trainCohort is the one place a cohort trains — a synchronous round's
 // selection or a tier's mini-round: clients[i] trains from weights, charged
-// downs[i] downlink bytes (downs nil = the historical dense charging, see
-// trainOn), and lands in slot i of the returned slice, which the engine owns
-// and overwrites on the next call.
+// bills[i].Bytes downlink bytes (bills nil = the historical dense charging,
+// see trainOn), and lands in slot i of the returned slice, which the engine
+// owns and overwrites on the next call.
 //
 // With Cfg.Parallel, min(GOMAXPROCS, len(clients)) goroutines — the caller's
 // among them, and the caller's alone for a cohort too small to be worth
@@ -393,7 +393,7 @@ func (e *Engine) trainRound(round int, selected []int) []Update {
 // writes only its own residual and its own slot. Everything order-sensitive
 // (FedAvg, latency max, byte accounting) is the caller's, over the slots in
 // cohort order.
-func (e *Engine) trainCohort(round int, clients []*Client, weights []float64, downs []int64) []Update {
+func (e *Engine) trainCohort(round int, clients []*Client, weights []float64, bills []Bill) []Update {
 	// The last cohort's weight vectors are dead; dropped here they are
 	// garbage while this one trains instead of live heap until overwritten.
 	clear(e.updates[:cap(e.updates)])
@@ -409,8 +409,8 @@ func (e *Engine) trainCohort(round int, clients []*Client, weights []float64, do
 				return
 			}
 			down := -1
-			if downs != nil {
-				down = int(downs[i])
+			if bills != nil {
+				down = bills[i].Bytes
 			}
 			updates[i] = e.trainOn(s, round, clients[i], weights, down)
 		}

@@ -40,7 +40,7 @@ func TestFedAvgShardedBitEqualSerial(t *testing.T) {
 			ups[k] = Update{Weights: w, NumSamples: k} // includes a 0-sample client
 		}
 		want := serialFedAvg(ups)
-		got := FedAvg(ups)
+		got := fedAvg(ups)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("n=%d: FedAvg[%d] = %v, want %v", n, i, got[i], want[i])

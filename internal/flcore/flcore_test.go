@@ -44,7 +44,7 @@ func TestFedAvgWeightedMean(t *testing.T) {
 		{Weights: []float64{1, 1}, NumSamples: 1},
 		{Weights: []float64{4, 4}, NumSamples: 3},
 	}
-	got := FedAvg(ups)
+	got := fedAvg(ups)
 	if math.Abs(got[0]-3.25) > 1e-12 {
 		t.Fatalf("FedAvg = %v, want [3.25 3.25]", got)
 	}
@@ -53,7 +53,7 @@ func TestFedAvgWeightedMean(t *testing.T) {
 func TestFedAvgIdenticalInputsFixedPoint(t *testing.T) {
 	w := []float64{0.5, -1, 2}
 	ups := []Update{{Weights: w, NumSamples: 5}, {Weights: w, NumSamples: 9}}
-	got := FedAvg(ups)
+	got := fedAvg(ups)
 	for i := range w {
 		if math.Abs(got[i]-w[i]) > 1e-12 {
 			t.Fatalf("FedAvg of identical weights changed them: %v", got)
@@ -76,7 +76,7 @@ func TestFedAvgConvexityProperty(t *testing.T) {
 			}
 			ups[i] = Update{Weights: w, NumSamples: 1 + r.Intn(100)}
 		}
-		avg := FedAvg(ups)
+		avg := fedAvg(ups)
 		for j := 0; j < n; j++ {
 			lo, hi := math.Inf(1), math.Inf(-1)
 			for i := range ups {
@@ -97,10 +97,17 @@ func TestFedAvgConvexityProperty(t *testing.T) {
 func TestFedAvgEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FedAvg(nil) did not panic")
+			t.Fatal("FedAvgInto of no updates did not panic")
 		}
 	}()
-	FedAvg(nil)
+	FedAvgInto(nil, nil)
+}
+
+// fedAvg is FedAvgInto into a fresh vector.
+func fedAvg(ups []Update) []float64 {
+	out := make([]float64, len(ups[0].Weights))
+	FedAvgInto(out, ups)
+	return out
 }
 
 func TestMaxLatency(t *testing.T) {

@@ -68,10 +68,10 @@ func FuzzTierRunHeap(f *testing.F) {
 			if run.finish < lastFinish {
 				t.Fatalf("clock ran backwards: %v after %v", run.finish, lastFinish)
 			}
-			if run.finish == lastFinish && run.tier < lastTier {
-				t.Fatalf("tie at %v broke out of tier order: %d after %d", run.finish, run.tier, lastTier)
+			if run.finish == lastFinish && run.Tier < lastTier {
+				t.Fatalf("tie at %v broke out of tier order: %d after %d", run.finish, run.Tier, lastTier)
 			}
-			lastFinish, lastTier = run.finish, run.tier
+			lastFinish, lastTier = run.finish, run.Tier
 		}
 		for i := 0; i+1 < len(data); i += 2 {
 			if data[i]%5 == 0 && h.Len() > 0 {
@@ -84,7 +84,7 @@ func FuzzTierRunHeap(f *testing.F) {
 			}
 			heap.Push(&h, &tierRun{
 				finish: float64(data[i]) / 16,
-				tier:   int(data[i+1] % 8),
+				Commit: Commit{Tier: int(data[i+1] % 8)},
 			})
 			pushed++
 		}

@@ -142,14 +142,10 @@ type TieredAsyncConfig struct {
 	// transfer per commit.
 	Codec compress.Codec
 	// ChurnRate, when positive, flaps each drawn cohort member out of its
-	// round with this probability: a deterministic coin keyed on
-	// (Seed, tier, tier round, client) models the worker being
-	// disconnected when the round dispatched. A flapped client's update
-	// never reaches FedAvg and its downlink-delta ack is forgotten —
-	// mirroring the socket runtime, where a reconnecting worker
-	// re-registers with no held base and falls back to a dense broadcast.
-	// Must be < 1; rounds whose whole cohort flapped consume their round
-	// index and redraw, exactly like dead-cohort rounds over sockets.
+	// round with this probability, by a coin keyed on (Seed, tier, tier
+	// round, client): the member is unreachable, as a disconnected socket
+	// worker is, and its acks are forgotten, as a reconnect's are. Must be
+	// < 1; a round whose whole cohort flapped redraws.
 	ChurnRate float64
 }
 
@@ -201,18 +197,22 @@ type TieredAsyncResult struct {
 	DownlinkBytes int64
 }
 
-// tierRun is one in-flight tier round in the event queue.
+// tierRun is one in-flight tier round in the event queue: its commit, the
+// simulated time it lands at, and its duration (the slowest member's
+// latency).
 type tierRun struct {
-	tier      int
-	tierRound int
-	pulledVer int     // global version at dispatch (pull) time
-	finish    float64 // simulated completion time
-	selected  []int
-	weights   []float64 // tier-level FedAvg of the round's client updates
-	latency   float64
-	lats      []float64 // per-client observed latencies, parallel to selected
-	upBytes   int64     // total encoded uplink bytes of the round's updates
-	downBytes int64     // total broadcast bytes charged for the round
+	Commit
+	finish, latency float64
+}
+
+// split returns the clients whose updates the round aggregated and their
+// observed seconds, in cohort order.
+func (r *tierRun) split() (clients []int, secs []float64) {
+	clients, secs = make([]int, len(r.Observed)), make([]float64, len(r.Observed))
+	for i, o := range r.Observed {
+		clients[i], secs[i] = o.Client, o.Seconds
+	}
+	return clients, secs
 }
 
 type tierRunHeap []*tierRun
@@ -222,7 +222,7 @@ func (h tierRunHeap) Less(i, j int) bool {
 	if h[i].finish != h[j].finish {
 		return h[i].finish < h[j].finish
 	}
-	return h[i].tier < h[j].tier // deterministic tie-break
+	return h[i].Tier < h[j].Tier // deterministic tie-break
 }
 func (h tierRunHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *tierRunHeap) Push(x any)   { *h = append(*h, x.(*tierRun)) }
@@ -260,52 +260,39 @@ type TieredAsyncEngine struct {
 	nextEval float64
 	resumed  bool
 
-	// Downlink-delta state (Cfg.Downlink only): one chain per tier and the
-	// (tier, chain state) of every ever-selected client's last
-	// participation — the sim mirror of the socket runtime's per-worker ack
-	// tracking, kept sparse like the residual maps so population-scale runs
-	// stay affordable.
-	downChains []*compress.Chain
-	acked      map[int]ackRef
+	// Downlink state: one chain per tier (nil without a Downlink) and the
+	// ledger every tier round bills its members through.
+	chains []*compress.Chain
+	acks   *AckLedger
 
-	// dispatch's per-round staging, resliced every tier round, and Run's
-	// per-commit one.
-	downs    []int64
-	acquired []*Client
-	observed []Observation
+	// The simTrainer's per-round staging, and its last round's latency (the
+	// slowest member's).
+	acquired     []*Client
+	replies      []Reply
+	roundLatency float64
 
 	// tierTest caches the per-tier pooled evaluation shards for an adaptive
 	// Manager's accuracy feedback; rebuilt lazily when membership changes.
 	tierTest []*dataset.Dataset
 }
 
-// NewTieredAsyncEngine validates the configuration and tier membership and
-// builds the engine from a resident client slice. It is a thin shim over
-// NewTieredAsyncEngineFrom with an EagerClients source — the slice-based
-// and source-based constructors were unified behind the same engine, so
-// every behaviour documented there (determinism, Manager ownership,
-// per-client bookkeeping) holds identically here; only client
-// materialization differs. Tiers are ordered fastest first
-// (core.BuildTiers order); every tier must be non-empty and the tiers
-// disjoint. When
-// Cfg.Manager is set, tiers may be nil — membership then comes from the
-// Manager, which owns it for the rest of the run. Randomness stays keyed on
-// (Seed, tier round, client); under live re-tiering a migrated client can
-// revisit a (round, client) key it trained under in its old tier, which
-// reuses that key's random stream — still fully deterministic, just no
-// longer collision-free across the whole run.
+// NewTieredAsyncEngine is NewTieredAsyncEngineFrom over a resident client
+// slice (an EagerClients source).
 func NewTieredAsyncEngine(cfg TieredAsyncConfig, tiers [][]int, clients []*Client, test *dataset.Dataset) *TieredAsyncEngine {
 	return NewTieredAsyncEngineFrom(cfg, tiers, NewEagerClients(clients), test)
 }
 
-// NewTieredAsyncEngineFrom is the source-based constructor: the engine's
-// clients come from src instead of a resident slice, which is what makes
-// million-client populations affordable — with a LazyClients source only
-// the round's cohort is ever materialized, and all server-side per-client
-// bookkeeping (error-feedback residuals, Manager EWMAs) stays keyed on the
-// ever-selected clients only. Construction itself holds no per-client
-// state: tier validation uses a transient membership bitmap, never a map of
-// the population.
+// NewTieredAsyncEngineFrom validates the configuration and tier membership
+// and builds the engine over src. Tiers are ordered fastest first
+// (core.BuildTiers order), non-empty and disjoint; with Cfg.Manager set they
+// may be nil, and the Manager owns membership for the run. With a
+// LazyClients source only a round's cohort is ever materialized, and the
+// per-client bookkeeping (residuals, Manager EWMAs, acks) covers the
+// ever-selected clients only; construction validates tiers with a transient
+// bitmap, never a map of the population. Randomness is keyed on (Seed,
+// tier round, client); a client migrated by live re-tiering may revisit a
+// key it trained under in its old tier — still deterministic, no longer
+// collision-free.
 func NewTieredAsyncEngineFrom(cfg TieredAsyncConfig, tiers [][]int, src ClientSource, test *dataset.Dataset) *TieredAsyncEngine {
 	cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -379,23 +366,15 @@ func NewTieredAsyncEngineFrom(cfg TieredAsyncConfig, tiers [][]int, src ClientSo
 	return e
 }
 
-// ackRef is one client's last participation under the downlink-delta
-// scheme: the tier whose round it trained in and the chain state
-// (compress.Chain.Version) that round broadcast.
-type ackRef struct{ tier, ver int }
-
-// resetDownlink (re)initializes the per-tier delta chains and the ack map
-// — fresh construction and checkpoint restore alike, since a resumed run
-// cannot trust any client's held version and must fall back to dense.
+// resetDownlink (re)initializes the per-tier delta chains and the ack
+// ledger — fresh construction and checkpoint restore alike, since a resumed
+// run cannot trust any client's held version and must fall back to dense.
 func (e *TieredAsyncEngine) resetDownlink() {
-	if e.Cfg.Downlink == nil {
-		return
+	e.chains = make([]*compress.Chain, len(e.com.Tiers()))
+	for t := range e.chains {
+		e.chains[t] = e.Cfg.Downlink.NewChain()
 	}
-	e.downChains = make([]*compress.Chain, len(e.com.Tiers()))
-	for t := range e.downChains {
-		e.downChains[t] = e.Cfg.Downlink.NewChain()
-	}
-	e.acked = make(map[int]ackRef)
+	e.acks = &AckLedger{}
 }
 
 // numClients returns the registered population size N.
@@ -421,128 +400,69 @@ func TierCohort(seed int64, tierRound, tier int, members []int, want int) []int 
 	return out
 }
 
-// dispatch runs tier t's next synchronous mini-round from the Committer's
-// pull — the global model as it stands right after the tier's own last
-// commit — and queues its completion event. The round's clients are
-// drawn with an rng keyed on (Seed, tier round, tier), and each client's
-// local pass is keyed on (Seed, tier round, client), so neither dispatch
-// order nor how many goroutines Engine.trainCohort trains the cohort on can
-// perturb results. run is the tier's just-committed round, whose buffers
-// the new round takes over (nil on a tier's first dispatch).
+// dispatch runs tier t's next round from the Committer's pull (the model
+// right after the tier's own last commit, trained from without a copy:
+// nothing commits before dispatch returns) and queues its completion event
+// in run, whose buffers it reuses (nil on a tier's first dispatch). A round
+// whose whole cohort churned out consumes its round index and redraws, as a
+// socket tier redraws a dead cohort; the attempt bound is a backstop that
+// drops the tier, as an empty membership does.
 func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
-	p := e.com.Pull(t)
-	selected := p.Cohort
-	if len(selected) == 0 {
-		// Defensive: the Manager guarantees non-empty tiers, but a
-		// membership that somehow shrank to nothing has no runnable round
-		// — drop the tier from the event loop instead of panicking.
-		return
-	}
-	if e.Cfg.ChurnRate > 0 {
-		// A fully-flapped round consumes its round index and redraws —
-		// the same advance-and-retry the socket runtime applies to rounds
-		// whose whole cohort died. The flap coins are keyed per round, so
-		// with ChurnRate < 1 a runnable cohort arrives almost surely; the
-		// attempt bound is a defensive backstop, dropping the tier like an
-		// emptied membership would.
-		selected = e.churnFilter(t, p.Round, selected)
-		for attempts := 0; len(selected) == 0 && attempts < 1000; attempts++ {
-			if p = e.com.Pull(t); len(p.Cohort) == 0 {
-				return
-			}
-			selected = e.churnFilter(t, p.Round, p.Cohort)
-		}
-		if len(selected) == 0 {
-			return
-		}
-	}
-	// The round trains straight from the global vector: nothing commits
-	// until dispatch has returned, so the pull needs no copy.
-	r, pulled := p.Round, p.Weights
-	// Downlink charging: every client is charged a dense snapshot unless
-	// the tier's delta chain covers it — the chain advances exactly once
-	// per round (shared payload, the O(1)-per-round encode), a client whose
-	// last participation in this tier is still in the chain's ring is
-	// charged the catch-up from there (the socket runtime's bill, by the
-	// same chain method), and the round then trains from the chain's
-	// post-round base so lossy broadcasts affect the model here exactly as
-	// they do over sockets. Every cohort member replies in the sim, so it
-	// acks at dispatch.
-	dense := int64(compress.DenseBytes(len(pulled)))
-	e.downs = grow(e.downs, len(selected))
-	downs := e.downs
-	for i := range downs {
-		downs[i] = dense
-	}
-	var charged []int64 // nil keeps the dense run on its historical latency path
-	if e.Cfg.Downlink != nil {
-		ch := e.downChains[t]
-		if !ch.HasBase() {
-			ch.Adopt(pulled)
-		} else {
-			ch.Encode(pulled)
-		}
-		for i, ci := range selected {
-			if a, ok := e.acked[ci]; ok && a.tier == t {
-				if _, n := ch.CatchUp(a.ver); n > 0 {
-					downs[i] = int64(n)
-				}
-			}
-			e.acked[ci] = ackRef{tier: t, ver: ch.Version()}
-		}
-		pulled = ch.Base() // read-only until the round below has trained
-		charged = downs
-	}
-	// The round's cohort is materialized through the source for exactly the
-	// span of its local training: acquire everyone (so the round is a unit
-	// of client-state lifetime), train, aggregate, release. With a lazy
-	// source this is THE memory bound of a population-scale run — at most
-	// one cohort of client state is ever resident. Acquire and Release stay
-	// on this goroutine, in selection order; only the training between them
-	// fans out.
-	e.acquired = grow(e.acquired, len(selected))
-	acquired := e.acquired
-	for i, ci := range selected {
-		acquired[i] = e.src.Acquire(ci)
-	}
-	updates := e.eng.trainCohort(r, acquired, pulled, charged)
 	if run == nil {
 		run = &tierRun{}
 	}
-	run.weights = grow(run.weights, len(pulled))
-	FedAvgInto(run.weights, updates)
-	for i, c := range acquired {
-		e.src.Release(c)
-		acquired[i] = nil // a lazy client's shard must not outlive its round
+	for attempt := 0; attempt <= 1000; attempt++ {
+		p := e.com.Pull(t)
+		if len(p.Cohort) == 0 {
+			return
+		}
+		if RunTierRound(p, e.chains[t], e.acks, (*simTrainer)(e), &run.Commit) == RoundCommitted {
+			run.latency, run.finish = e.roundLatency, now+e.roundLatency
+			heap.Push(&e.pending, run)
+			return
+		}
 	}
-	lat := MaxLatency(updates)
-	run.lats = grow(run.lats, len(updates))
-	run.upBytes, run.downBytes = 0, 0
-	for i, u := range updates {
-		run.upBytes += int64(u.WireBytes)
-		run.downBytes += downs[i]
-		run.lats[i] = u.Latency
-	}
-	run.tier, run.tierRound, run.pulledVer = t, r, p.Version
-	run.finish, run.latency, run.selected = now+lat, lat, selected
-	heap.Push(&e.pending, run)
 }
 
-// churnFilter drops a round's flapped clients: each coin models the member
-// being disconnected when the round dispatched, so its update never reaches
-// the round's FedAvg and — mirroring a socket-runtime reconnect, which
-// re-registers holding no downlink base — its delta-chain ack is forgotten
-// and its next participation is charged a dense snapshot.
-func (e *TieredAsyncEngine) churnFilter(t, r int, selected []int) []int {
-	kept := make([]int, 0, len(selected))
-	for _, ci := range selected {
-		if churnFlap(e.Cfg.Seed, t, r, ci, e.Cfg.ChurnRate) {
-			delete(e.acked, ci)
-			continue
-		}
-		kept = append(kept, ci)
+// simTrainer is the engine as RunTierRound's Trainer. Its churn coin flaps
+// a member out of a round as a disconnect would, forgetting its acks as a
+// reconnect does; every reached member replies at once.
+type simTrainer TieredAsyncEngine
+
+func (s *simTrainer) Reach(tier, round, member int) (int, bool) {
+	if s.Cfg.ChurnRate > 0 && churnFlap(s.Cfg.Seed, tier, round, member, s.Cfg.ChurnRate) {
+		s.acks.Forget(member)
+		return 0, false
 	}
-	return kept
+	return 0, true
+}
+
+// Train acquires the cohort through the source for exactly its training —
+// with a lazy source at most one cohort of client state is resident —
+// acquiring and releasing on this goroutine in cohort order. Under a
+// downlink chain each member's latency is charged its bill's bytes.
+func (s *simTrainer) Train(req *RoundRequest) ([]Reply, int64, RoundStatus) {
+	s.acquired = grow(s.acquired, len(req.Bills))
+	var down int64
+	for i, b := range req.Bills {
+		s.acquired[i] = s.src.Acquire(b.Member)
+		down += int64(b.Bytes)
+	}
+	charged := req.Bills
+	if req.ChainVersion == 0 {
+		charged = nil // the dense run keeps its historical latency path
+	}
+	updates := s.eng.trainCohort(req.Round, s.acquired, req.Base, charged)
+	s.roundLatency = MaxLatency(updates)
+	for i, c := range s.acquired {
+		s.src.Release(c)
+		s.acquired[i] = nil // a lazy client's shard must not outlive its round
+	}
+	s.replies = grow(s.replies, len(updates))
+	for i, u := range updates {
+		s.replies[i] = Reply{Update: u, Bill: i}
+	}
+	return s.replies, down, RoundCommitted
 }
 
 // churnFlap is the deterministic per-(tier, round, client) churn coin,
@@ -626,15 +546,7 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 			e.nextEval += e.Cfg.EvalInterval
 		}
 
-		e.observed = grow(e.observed, len(run.selected))
-		for i, ci := range run.selected {
-			e.observed[i] = Observation{Client: ci, Seconds: run.lats[i]}
-		}
-		rec, moves, err := e.com.Apply(Commit{
-			Tier: run.tier, TierRound: run.tierRound, PulledVersion: run.pulledVer,
-			Weights: run.weights, Observed: e.observed,
-			UplinkBytes: run.upBytes, DownlinkBytes: run.downBytes,
-		})
+		rec, moves, err := e.com.Apply(run.Commit)
 		if err != nil {
 			// The engine built every field of the commit itself; only a
 			// broken TierWeight policy can land here.
@@ -644,20 +556,19 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 			// Migrations take effect at each tier's next dispatch; the
 			// in-flight runs in the heap keep their cohorts. The pooled
 			// per-tier evaluation shards are stale now, and a moved client's
-			// ack is forgotten, as the socket runtime voids it for the rounds
-			// pulled after the move: moved back before it trains elsewhere,
-			// it is re-sent dense.
+			// acks are void for the rounds pulled from here on.
 			e.tierTest = nil
 			for _, mv := range moves {
-				delete(e.acked, mv.Client)
+				e.acks.Move(mv.Client, rec.Version)
 			}
 		}
-		rec.Selected, rec.Latency, rec.SimTime = run.selected, run.latency, now
+		rec.Selected, _ = run.split()
+		rec.Latency, rec.SimTime = run.latency, now
 		res.TierRounds = append(res.TierRounds, rec)
 		if e.Cfg.OnCommit != nil {
 			e.Cfg.OnCommit(rec)
 		}
-		e.dispatch(run.tier, now, run)
+		e.dispatch(run.Tier, now, run)
 		// The snapshot point: the commit is applied, the Manager fed, and
 		// the committing tier re-dispatched, so the heap holds every
 		// in-flight round and the checkpoint is a clean between-commits cut.

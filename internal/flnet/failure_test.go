@@ -103,7 +103,8 @@ func TestCollectTimeoutWithOverselection(t *testing.T) {
 // panicking in FedAvg or averaging a NaN into every weight. So is one whose
 // updates echo no Seq token: they are released on arrival, never queued, so
 // a peer that floods them and hangs up is reaped like any other dead
-// connection and its ID can register again.
+// connection and its ID can register again. So is one claiming another
+// member's ClientID: an update's identity is its connection's.
 func TestMalformedDenseUpdateDropped(t *testing.T) {
 	cases := []struct {
 		name string
@@ -117,6 +118,7 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 		{name: "Raw holding a NaN", malform: func(w []float64, up *Update) { w[1] = math.NaN(); up.Raw = nn.EncodeWeights(w) }},
 		{name: "Raw holding an infinity", malform: func(w []float64, up *Update) { w[2] = math.Inf(-1); up.Raw = nn.EncodeWeights(w) }},
 		{name: "no Seq, flooded", malform: func(w []float64, up *Update) { up.Seq = 0; up.Raw = nn.EncodeWeights(w) }, flood: 6},
+		{name: "ClientID naming another member", malform: func(w []float64, up *Update) { up.ClientID = 0; up.Raw = nn.EncodeWeights(w) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

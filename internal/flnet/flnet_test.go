@@ -324,14 +324,14 @@ func TestRoundTimeoutDropsDeadWorker(t *testing.T) {
 }
 
 func TestDistributedMatchesInProcessTraining(t *testing.T) {
-	// The same deterministic arithmetic run through flcore.FedAvg directly
+	// The same deterministic arithmetic run through flcore.FedAvgInto directly
 	// and through the TCP stack must agree bit-for-bit.
 	init := []float64{0.5, -0.5}
 	ups := []flcore.Update{
 		{Weights: []float64{1.5, 0.5}, NumSamples: 2},
 		{Weights: []float64{2.5, 1.5}, NumSamples: 6},
 	}
-	want := flcore.FedAvg(ups)
+	want := fedAvg(ups)
 
 	agg, err := NewAggregator("127.0.0.1:0", AggregatorConfig{
 		Rounds: 1, ClientsPerRound: 2, InitialWeights: init, Seed: 8,
@@ -407,4 +407,11 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 	if res.Weights[0] != 1 {
 		t.Fatalf("weights = %v", res.Weights)
 	}
+}
+
+// fedAvg is flcore.FedAvgInto into a fresh vector.
+func fedAvg(ups []flcore.Update) []float64 {
+	out := make([]float64, len(ups[0].Weights))
+	flcore.FedAvgInto(out, ups)
+	return out
 }

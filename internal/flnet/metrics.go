@@ -57,7 +57,7 @@ type ChildMetrics struct {
 	UplinkBytes int64 `json:"uplink_bytes"`
 	// DownlinkBytes is the child's cumulative reported leaf-side broadcast
 	// traffic across its applied commits — delta payloads where the
-	// child's version-acked scheme allowed them, dense snapshots otherwise.
+	// child's ack-versioned scheme allowed them, dense snapshots otherwise.
 	DownlinkBytes int64 `json:"downlink_bytes"`
 }
 
@@ -194,18 +194,6 @@ func (o *obsState) noteChildUp(t int, addr string) {
 	o.children[t] = childObs{addr: addr, alive: true}
 }
 
-// noteChildCommit records one applied partial from tier t's child.
-func (o *obsState) noteChildCommit(t int, uplink, downlink int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if t < 0 || t >= len(o.children) {
-		return
-	}
-	o.children[t].last = time.Now()
-	o.children[t].uplink += uplink
-	o.children[t].downlink += downlink
-}
-
 // noteChildDown marks tier t's child connection as gone.
 func (o *obsState) noteChildDown(t int) {
 	o.mu.Lock()
@@ -242,7 +230,7 @@ func (o *obsState) noteRunEnd() {
 	o.running = false
 }
 
-// noteCommit records one applied commit.
+// noteCommit records one applied commit and, on a tree, its child's partial.
 func (o *obsState) noteCommit(s TierCommitStats) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -253,6 +241,10 @@ func (o *obsState) noteCommit(s TierCommitStats) {
 		o.lastSeconds[s.Tier] = s.Seconds
 	}
 	o.uplink += s.UplinkBytes
+	if s.Tier >= 0 && s.Tier < len(o.children) {
+		c := &o.children[s.Tier]
+		c.last, c.uplink, c.downlink = time.Now(), c.uplink+s.UplinkBytes, c.downlink+s.DownlinkBytes
+	}
 }
 
 // noteRetier records one applied re-tiering and the new member counts.

@@ -6,7 +6,7 @@
 // mitigation the paper discusses (Section 2).
 //
 // Two training protocols run over the same worker connections, through one
-// dispatch-and-collect fan-in (fanIn.gather):
+// dispatch-and-collect fan-in (fanIn.exchange):
 //
 //   - Aggregator drives synchronous FedAvg rounds (Algorithm 1) over the
 //     cohorts a flcore.Selector picks — the simulator's selector type and
@@ -75,7 +75,7 @@ const (
 // number is refused with an error naming both, the handshake answers it once
 // with a Done carrying that reason, and mixed-version fleets are a non-goal.
 // Bump it whenever a message or the frame changes meaning.
-const wireVersion = 3
+const wireVersion = 4
 
 // Registration roles (Register.Role).
 const (
@@ -173,9 +173,9 @@ type ProfileReply struct {
 
 // Train delivers the round's global weights to a selected worker: dense
 // (Raw), or on a downlink run as a catch-up (Delta) — the tier chain's
-// payloads since the base the worker last acked, which a worker that sat
-// out rounds receives in one message while they total less than the dense
-// model. When Participants is non-empty the round runs under secure
+// payloads since the base the worker's last ack names, which a worker that
+// sat out rounds receives in one message while they total less than the
+// dense model. When Participants is non-empty the round runs under secure
 // aggregation: the worker masks its sample-weighted update with pairwise
 // masks over the cohort (see secure.go) scaled by MaskScale.
 //
@@ -196,14 +196,12 @@ type Train struct {
 	// whichever it is travels as the frame's blob and is the receiver's only
 	// until it releases the envelope.
 	Raw []byte
-	// Version identifies the broadcast snapshot under the delta-downlink
-	// scheme: the sending tier's chain state (compress.Chain.Version, from
-	// 1; 0 on runs without a downlink mode means "do not track a base"). A
-	// per-tier per-broadcast number rather than the global model version,
-	// because a round that ends without a commit is redrawn from the same
-	// global version and every (Tier, Version) pair must name exactly one
-	// base. The worker keeps one base per Tier: a migrating worker may be
-	// sent its old tier's request after its new tier's.
+	// Version is the sending tier's chain state (compress.Chain.Version,
+	// from 1; 0 without a downlink mode: track no base) — per broadcast, not
+	// the global version, which a redrawn round repeats — so every (Tier,
+	// Version) names one base. The worker keeps one base per Tier: a
+	// migrating worker may be sent its old tier's request after its new
+	// tier's.
 	Tier    int
 	Version int
 	// Delta, when non-nil, replaces Raw: a catch-up, the compress delta
@@ -326,41 +324,18 @@ func (p *TreePull) pullWeights(dst []float64) ([]float64, error) {
 	return w, err
 }
 
-// TierCommit is one tier's finished mini-FedAvg round on its way to the
-// global model: the tier-level aggregate, the tier's local round counter,
-// and the global version the round was trained from (PulledVersion), from
-// which the committer derives staleness. Inside TieredAsyncAggregator these
-// envelopes flow over the in-process commit channel; the wire encoding
-// exists so a tier loop can run as a separate child-aggregator process
-// (tree.go) without a protocol change. On the wire Weights is the frame's
-// blob in the nn.EncodeWeights form, like every other vector, and arrives
-// as a fresh vector the receiver owns.
+// TierCommit is one tier's finished round on its way to the global model:
+// the flcore.Commit flcore.RunTierRound produced, plus how many clients it
+// aggregated and its wall-clock seconds. A flat root's tier loops hand it
+// to the committer in process; a tree child sends it (tree.go). On the
+// wire Weights is the frame's blob in the nn.EncodeWeights form and arrives
+// as a fresh vector the receiver owns — a finite one: recv refuses a
+// commit holding a NaN or ±Inf.
 type TierCommit struct {
-	Tier          int
-	TierRound     int
-	PulledVersion int
-	Weights       []float64
-	Clients       int
-	Seconds       float64 // wall-clock duration of the tier round
-	// UplinkBytes is the tier round's worker→aggregator update traffic as
-	// encoded on the wire (compressed payloads where negotiated).
-	UplinkBytes int64
-	// DownlinkBytes is the tier round's aggregator→worker broadcast
-	// traffic as encoded on the wire (delta payloads where the ack state
-	// allowed them, dense snapshots otherwise).
-	DownlinkBytes int64
-	// Observed carries each contributing client's observed response
-	// latency, feeding the live tiering Manager's EWMA estimates at the
-	// committer (worker-reported seconds where available, the tier round's
-	// wall clock otherwise).
-	Observed []ClientSeconds
+	flcore.Commit
+	Clients int
+	Seconds float64
 }
-
-// ClientSeconds is one client's observed round latency as it travels
-// inside a TierCommit: the Committer's flcore.Observation, field for field.
-// A TierCommit from an older child that also carries Bytes and EndToEnd
-// decodes unchanged: gob skips a field the receiver lacks.
-type ClientSeconds = flcore.Observation
 
 // TierReassign tells a worker it migrated between latency tiers at a live
 // re-tiering point (tier 0 is fastest, per core.BuildTiers). Like
@@ -627,8 +602,12 @@ func (e *Envelope) attach(b *[]byte, delta bool) error {
 		return nil
 	}
 	defer putBlob(b)
-	var err error
-	*vec, err = nn.DecodeWeights(*b)
+	w, finite, err := nn.DecodeWeightsInto(nil, *b)
+	if err == nil && !finite && e.Type == MsgTierCommit {
+		// A non-finite aggregate would poison the global model for good.
+		err = fmt.Errorf("tier commit weights are not finite")
+	}
+	*vec = w
 	return err
 }
 

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/flcore"
 	"repro/internal/nn"
 )
 
@@ -37,8 +38,8 @@ func allMessages() []*Envelope {
 			Payload: compress.NewInt8(0).Encode([]float64{0.1, 0, -0.1}), NumSamples: 4}},
 		{Type: MsgDone, Done: &Done{Rounds: 8}},
 		{Type: MsgTierAssign, TierAssign: &TierAssign{Tier: 1, NumTiers: 3}},
-		{Type: MsgTierCommit, TierCommit: &TierCommit{Tier: 1, TierRound: 4, PulledVersion: 9, Weights: []float64{0.5}, Clients: 2, Seconds: 0.125,
-			Observed: []ClientSeconds{{Client: 3, Seconds: 0.5}}}},
+		{Type: MsgTierCommit, TierCommit: &TierCommit{Commit: flcore.Commit{Tier: 1, TierRound: 4, PulledVersion: 9, Weights: []float64{0.5},
+			Observed: []flcore.Observation{{Client: 3, Seconds: 0.5}}}, Clients: 2, Seconds: 0.125}},
 		{Type: MsgTierReassign, TierReassign: &TierReassign{From: 0, To: 2, NumTiers: 3}},
 		{Type: MsgTreePull, TreePull: &TreePull{Version: 2, Raw: nn.EncodeWeights([]float64{0.5})}},
 	}
@@ -234,7 +235,7 @@ func TestBlobPresenceRidesInFlags(t *testing.T) {
 func TestRecvRefusesBadFrames(t *testing.T) {
 	done := frameOf(t, &Envelope{Type: MsgDone, Done: &Done{Rounds: 8}})
 	update := frameOf(t, &Envelope{Type: MsgUpdate, Update: &Update{Round: 3, ClientID: 7, Raw: nn.EncodeWeights([]float64{5, 6, 7})}})
-	commit := frameOf(t, &Envelope{Type: MsgTierCommit, TierCommit: &TierCommit{Tier: 1, Weights: []float64{0.5}}})
+	commit := frameOf(t, &Envelope{Type: MsgTierCommit, TierCommit: &TierCommit{Commit: flcore.Commit{Tier: 1, Weights: []float64{0.5}}}})
 	catchUp := frameOf(t, &Envelope{Type: MsgTrain, Train: &Train{Delta: [][]byte{{1, 2}, {3}}}}) // lengths [2 1]
 	// header returns frame with its header rewritten by edit.
 	header := func(frame []byte, edit func(h []byte)) []byte {
@@ -271,6 +272,7 @@ func TestRecvRefusesBadFrames(t *testing.T) {
 		{"stray control bytes", append(header(done, func(h []byte) { u32(h[8:], uint32(len(done)-frameHeaderLen+2)) }), 0, 0), true, false, agg},
 		{"control part is not gob", header(append(done[:frameHeaderLen:frameHeaderLen], 0xFF, 0xFF, 0xFF, 0xFF), func(h []byte) { u32(h[8:], 4) }), true, false, agg},
 		{"weights blob is not an nn.EncodeWeights vector", header(commit, func(h []byte) { u32(h[12:], 9) }), true, false, agg},
+		{"tier commit holding a NaN", frameOf(t, &Envelope{Type: MsgTierCommit, TierCommit: &TierCommit{Commit: flcore.Commit{Weights: []float64{0.5, math.NaN()}}}}), true, false, agg},
 		{"catch-up lengths short of the blob", append(header(catchUp, func(h []byte) { u32(h[12:], 4) }), 9), true, false, agg},
 		{"catch-up lengths past the blob", header(catchUp[:len(catchUp)-1], func(h []byte) { u32(h[12:], 2) }), true, false, agg},
 		{"empty payload in a catch-up", frameOf(t, &Envelope{Type: MsgTrain, Train: &Train{Delta: [][]byte{{1, 2}, {}}}}), true, false, agg},

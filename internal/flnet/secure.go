@@ -32,8 +32,8 @@ func (a *Aggregator) RunSecureRound(round int, chosen []int, weights []float64, 
 	// Secure rounds need the full cohort: every reachable member is
 	// announced as a participant, and Aggregate refuses a round in which one
 	// of them did not answer.
-	cr := &cohortRound{round: round, cohort: chosen, target: len(chosen), weights: weights, secure: true, maskScale: maskScale}
-	if a.fan.gather(cr) == roundNoCohort {
+	cr := &cohortRound{RoundRequest: flcore.RoundRequest{Round: round, Base: weights}, target: len(chosen), secure: true, maskScale: maskScale}
+	if a.fan.gather(cr, chosen) == flcore.RoundNoCohort {
 		return nil, fmt.Errorf("flnet: secure round %d: no reachable workers", round)
 	}
 	defer a.fan.recycle(cr.updates...)

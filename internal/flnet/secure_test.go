@@ -43,7 +43,7 @@ func TestSecureRoundMatchesPlainFedAvg(t *testing.T) {
 			}
 			ups = append(ups, flcore.Update{ClientID: i, Weights: w, NumSamples: samples[i]})
 		}
-		want = flcore.FedAvg(ups)
+		want = fedAvg(ups)
 	}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {

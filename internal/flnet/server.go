@@ -85,6 +85,9 @@ type registered struct {
 	members []int  // leaf worker IDs behind a child aggregator (RoleChildAggregator only)
 	addr    string // self-reported listen address (child aggregators; informational)
 	c       *conn
+	// reg is this connection's registration number from the ack ledger: no
+	// ack an earlier connection of the same ID earned bills this one.
+	reg int
 
 	// codec is the worker's current update compression (compress.IDNone =
 	// dense), negotiated at the handshake and renegotiated on tier
@@ -99,7 +102,6 @@ type registered struct {
 	inbox  chan *Envelope
 	dead   atomic.Bool   // set by the reader goroutine when the conn drops
 	deadCh chan struct{} // closed by the reader goroutine on exit
-	err    error
 
 	// pending routes updates to the exact train request waiting for them,
 	// by the Train.Seq token they echo. Registered before the request is
@@ -109,70 +111,6 @@ type registered struct {
 	// token at all — is released undecoded.
 	pmu     sync.Mutex
 	pending map[int64]chan *Envelope
-
-	// Delta-downlink ack state (runs with a downlink mode): per tier, the
-	// chain state this worker is known to hold — recorded when that tier
-	// counts the worker's reply to it, spent by the tier's next request —
-	// and the global versions at which re-tierings moved the worker. Acks
-	// are kept per tier, as the worker keeps its bases, because a migrating
-	// worker can be sent requests by its old and its new tier in either
-	// order. A catch-up is only dispatched from an ack still in the tier
-	// chain's ring; everything else (first contact, a gap older than the
-	// ring, an uncounted reply, a migration, a resume) degrades to the dense
-	// snapshot.
-	amu   sync.Mutex
-	acks  map[int]ackState
-	moves []int
-}
-
-// ackState is one tier's acked chain state and the global version the
-// round that broadcast it was pulled at.
-type ackState struct{ ver, at int }
-
-// takeAck returns the chain state the worker holds in tier t, for a round
-// pulled at global version at, and spends it: 0 when none is known. Only a
-// counted reply (setAck) names the state the worker holds next — a
-// straggler's or a timed-out reply's worker holds one the aggregator
-// cannot name, and is sent dense next time. An ack is also void once a
-// re-tiering moved the worker after the ack's round was pulled and no
-// later than this round was: a migration takes effect at the pulls after
-// it, as in the simulation, however late a tier loop writes a request it
-// pulled earlier.
-func (w *registered) takeAck(t, at int) int {
-	w.amu.Lock()
-	defer w.amu.Unlock()
-	a, ok := w.acks[t]
-	delete(w.acks, t)
-	if !ok {
-		return 0
-	}
-	for _, m := range w.moves {
-		if a.at < m && m <= at {
-			return 0
-		}
-	}
-	return a.ver
-}
-
-// setAck records that tier t counted the worker's reply to the broadcast of
-// chain state ver, whose round was pulled at global version at.
-func (w *registered) setAck(t, ver, at int) {
-	w.amu.Lock()
-	defer w.amu.Unlock()
-	if w.acks == nil {
-		w.acks = make(map[int]ackState)
-	}
-	w.acks[t] = ackState{ver: ver, at: at}
-}
-
-// noteMove records a re-tiering that moved the worker at global version
-// version, voiding its acks for every round pulled from then on. The list
-// is never pruned: a round pulled before a move may still be counted after
-// it, and it grows by one per move of this worker.
-func (w *registered) noteMove(version int) {
-	w.amu.Lock()
-	defer w.amu.Unlock()
-	w.moves = append(w.moves, version)
 }
 
 // codecID returns the worker's current negotiated codec.
@@ -249,6 +187,7 @@ type server struct {
 	// of every connection it accepts (0 = not known yet: a tree child
 	// learns it from its first pull).
 	blobMax atomic.Int64
+	acks    flcore.AckLedger // bills the tier rounds this server's fan-in runs
 
 	mu      sync.Mutex
 	workers map[int]*registered
@@ -383,6 +322,9 @@ func (a *server) handshake(raw net.Conn) {
 		c.close() //nolint:errcheck // duplicate registration
 		return
 	}
+	// Forgotten before the swap: once liveWorker can reach the new
+	// connection, no ack its predecessor earned bills it a catch-up.
+	w.reg = a.acks.Forget(w.id)
 	a.workers[w.id] = w
 	hook := a.onRejoin
 	a.mu.Unlock()
@@ -390,7 +332,8 @@ func (a *server) handshake(raw net.Conn) {
 		for {
 			env, err := c.recv(0)
 			if err != nil {
-				w.err = err
+				// A refused frame ends the connection, so the peer learns.
+				c.close() //nolint:errcheck // already failed
 				w.dead.Store(true)
 				close(w.deadCh)
 				close(w.inbox)
@@ -570,19 +513,22 @@ func (a *Aggregator) Run(sel flcore.Selector) (*RunResult, error) {
 		if a.cfg.Overselect > 0 {
 			chosen = a.overselect(chosen, rng)
 		}
-		cr := &cohortRound{round: r, cohort: chosen, target: a.cfg.ClientsPerRound, weights: weights}
-		switch a.fan.gather(cr) {
-		case roundNoCohort:
+		cr := &cohortRound{RoundRequest: flcore.RoundRequest{Round: r, Base: weights}, target: a.cfg.ClientsPerRound}
+		switch a.fan.gather(cr, chosen) {
+		case flcore.RoundNoCohort:
 			return nil, fmt.Errorf("flnet: round %d: no reachable workers", r)
-		case roundEmpty:
+		case flcore.RoundEmpty:
 			return nil, fmt.Errorf("flnet: round %d: no updates before timeout", r)
 		}
-		flcore.FedAvgInto(weights, cr.plain)
-		a.fan.recycle(cr.updates...)
-		stats := RoundStats{
-			Round: r, Selected: len(chosen), Used: len(cr.updates),
-			Discarded: len(chosen) - len(cr.updates), UplinkBytes: cr.upBytes, Wall: time.Since(start),
+		stats := RoundStats{Round: r, Selected: len(chosen), Used: len(cr.updates), Discarded: len(chosen) - len(cr.updates)}
+		plain := make([]flcore.Update, len(cr.updates))
+		for i, u := range cr.updates {
+			plain[i] = u.Update
+			stats.UplinkBytes += int64(u.WireBytes)
 		}
+		flcore.FedAvgInto(weights, plain)
+		a.fan.recycle(cr.updates...)
+		stats.Wall = time.Since(start)
 		res.UplinkBytes += stats.UplinkBytes
 		res.Rounds = append(res.Rounds, stats)
 	}
@@ -626,8 +572,7 @@ func (a *server) FinishWorkers(rounds int) {
 // treated like a dropped worker: one bad update must not kill the round. So
 // is a dense update holding a NaN or ±Inf, which FedAvg would spread over
 // the whole model; the decode pass reads that off the bits it loads.
-// Compressed updates and Committer.Apply are not checked for finiteness
-// here (ROADMAP item 4).
+// Compressed updates are not checked for finiteness (ROADMAP item 4).
 //
 // A dense update decodes into a vector drawn from vecs (nil: a fresh one),
 // which the caller returns once the round's aggregation has read it; a

@@ -17,31 +17,16 @@ import (
 
 // Tiered-asynchronous training over real sockets: the port of
 // flcore.TieredAsyncEngine (FedAT-style, Chai et al., SC 2021) onto the TCP
-// runtime. One aggregator goroutine per tier drives synchronous mini-FedAvg
-// rounds over that tier's live worker connections — broadcast the pulled
-// global snapshot, collect updates through the fan-in the synchronous
-// Aggregator's rounds run too — and every finished tier
-// round travels as a TierCommit through a commit channel into a single
-// committer goroutine, which owns the flcore.Committer — the one
-// implementation of the staleness-discounted, cross-tier-weighted mixing
-// the simulated engine and the aggregation tree run too — and answers each
-// applied commit with the tier's next pull. Tiers therefore advance at
-// their real network and compute speeds: a fast tier commits many rounds
-// while a slow tier finishes one, exactly the behaviour the simulated
-// engine models with its event queue.
-//
-// The Committer draws every cohort (flcore.TierCohort, or the live
-// Manager) with the same (seed, tier round, tier) keying as the
-// simulation, so under identical seeds and tier membership both runtimes
-// draw identical cohorts; only the commit interleaving differs (real wall
-// clock here, simulated latency there).
-//
-// Tiering goes live through TieredAsyncConfig.Manager (the
-// internal/tiering subsystem): every applied commit's worker-reported
-// latencies feed the Manager's EWMA estimates, and at its rebuild points
-// the committer swaps the shared membership view — the per-tier loops pick
-// the migrated clients up on their next round — and announces each
-// migration to the affected worker as a MsgTierReassign envelope.
+// runtime. One goroutine per tier runs the tier's rounds over its live
+// worker connections — flcore.RunTierRound through the fan-in — and every
+// finished round travels as a TierCommit into a single committer goroutine
+// (drive), which owns the run's flcore.Committer and answers each applied
+// commit with the tier's next pull. Tiers advance at their real network and
+// compute speeds, as the simulated engine's event queue models; cohorts are
+// drawn by the Committer with the simulation's keying, so only the commit
+// interleaving differs. A live Manager (TieredAsyncConfig.Manager) is fed
+// every commit's worker-reported latencies, and each re-tiering it answers
+// with is announced to the moved workers as MsgTierReassign.
 
 // TieredAsyncConfig configures a distributed tiered-asynchronous run — the
 // flat root's and the tree root's.
@@ -150,29 +135,15 @@ func newFanIn(srv *server, obs *obsState, c FanInConfig) *fanIn {
 	return &fanIn{srv: srv, obs: obs, FanInConfig: c}
 }
 
-// TierCommitStats records one applied commit, in commit order — the network
-// analogue of flcore.TierRoundRecord.
+// TierCommitStats records one applied commit, in commit order: the
+// Committer's flcore.TierRoundRecord (its sim-only Selected, Latency and
+// SimTime stay zero) plus how many cohort members' updates made the tier
+// aggregate (fewer than the cohort under disconnects or the round timeout)
+// and the tier round's wall-clock seconds.
 type TierCommitStats struct {
-	// Tier is the committing tier (0 = fastest), TierRound its local round
-	// counter, Version the global commit index this commit produced.
-	Tier, TierRound, Version int
-	// Staleness is the number of global commits applied between this
-	// tier's pull and its commit.
-	Staleness int
-	// Weight is the effective mixing rate applied (alpha after tier
-	// weighting and staleness discount).
-	Weight float64
-	// Clients is how many cohort members' updates made the tier aggregate
-	// (fewer than the cohort under disconnects or the round timeout).
+	flcore.TierRoundRecord
 	Clients int
-	// Seconds is the tier round's wall-clock duration.
 	Seconds float64
-	// UplinkBytes is the tier round's encoded update traffic.
-	UplinkBytes int64
-	// DownlinkBytes is the tier round's broadcast traffic as encoded on
-	// the wire (delta payloads where the ack state allowed them, dense
-	// snapshots otherwise).
-	DownlinkBytes int64
 }
 
 // TieredAsyncRunResult is a finished distributed tiered-asynchronous job.
@@ -188,7 +159,7 @@ type TieredAsyncRunResult struct {
 	UplinkBytes int64
 	// DownlinkBytes is the total broadcast traffic across all applied
 	// commits as encoded on the wire — delta payloads where the
-	// version-acked scheme allowed them, dense snapshots otherwise.
+	// ack-versioned scheme allowed them, dense snapshots otherwise.
 	DownlinkBytes int64
 	// Retiers counts live re-tierings that moved workers; Reassigned is
 	// the total workers migrated (Manager runs only).
@@ -357,15 +328,13 @@ func (ta *TieredAsyncAggregator) tiers() [][]int { return *ta.members.Load() }
 func (ta *TieredAsyncAggregator) migrate(version int, tiers [][]int, moves []flcore.TierMove) {
 	ta.publishTiers(tiers)
 	for _, mv := range moves {
+		// Its acks are void for rounds pulled from here on, even should a
+		// later rebuild move it back.
+		ta.acks.Move(mv.Client, version)
 		w := ta.liveWorker(mv.Client)
 		if w == nil {
 			continue
 		}
-		// A migrated worker's delta-downlink ack is void for the rounds
-		// pulled from here on: its new tier's chain has a different base,
-		// and a stale same-tier ack must not resurface if a later rebuild
-		// moves the worker back.
-		w.noteMove(version)
 		tr := &TierReassign{From: mv.From, To: mv.To, NumTiers: len(tiers)}
 		// Per-tier compression policy: renegotiate the migrating worker's
 		// codec over the same envelope when the destination tier's policy
@@ -448,11 +417,9 @@ func (ta *TieredAsyncAggregator) tierOf(id int) int {
 }
 
 // fanIn is the one place in flnet that sends a MsgTrain and waits for its
-// update (gather), shared by everything that trains a cohort: the
-// synchronous Aggregator's rounds, the in-process tier loops of
-// TieredAsyncAggregator and the per-tier Child aggregator processes of the
-// hierarchical tree (tree.go). All get identical dispatch, seq routing,
-// disconnect tolerance, and aggregation-order semantics by construction.
+// update (exchange): the synchronous Aggregator's rounds (gather) and every
+// tier round — a flat root's or a tree child's — share its dispatch, seq
+// routing, disconnect tolerance and aggregation order.
 type fanIn struct {
 	srv *server
 	obs *obsState
@@ -464,24 +431,23 @@ type fanIn struct {
 	vecs tensor.Pool
 }
 
-// timedUpdate is one collected update plus the exact connection it arrived
-// on, so ack recording survives mid-round redispatches (a retried request's
-// reply may come from a different *registered instance of the same client
-// ID).
+// timedUpdate is one collected update, the position of the request it
+// answers, and the exact connection it arrived on — a redispatched
+// request's reply comes from a different registration of the same member.
 type timedUpdate struct {
 	flcore.Update
+	idx    int
 	src    *registered
 	pooled bool // Weights came out of fanIn.vecs (dense updates only) and goes back through recycle
 }
 
-// trainReq is one outstanding train request of a tier round: the worker
-// connection it went to, its Train.Seq token, and the waiter the reply
-// echoing that token is routed to. A redispatch (bounded by MaxRetries)
-// rebinds the request to the member's fresh connection under the same seq
-// token; mu guards the binding.
+// trainReq is one outstanding train request: its position in the round,
+// the member, its Train.Seq token, and the connection and waiter it is
+// bound to — a redispatch rebinds them to the member's fresh connection
+// under the same token; mu guards the binding.
 type trainReq struct {
-	id  int // the member's client ID, stable across rejoins
-	seq int64
+	idx, id int
+	seq     int64
 
 	mu       sync.Mutex
 	w        *registered
@@ -501,6 +467,32 @@ func (rq *trainReq) rebind(w *registered, ch chan *Envelope) {
 	rq.mu.Lock()
 	rq.w, rq.ch = w, ch
 	rq.mu.Unlock()
+}
+
+// cohortRound is one round through the fan-in — its request (a synchronous
+// round sets only Round and Base) and in-flight state — and a tier round's
+// flcore.Trainer: Reach finds a member's live connection and registration,
+// Train sends the bills and collects. target is how many decoded replies
+// count: all of a tier round's, ClientsPerRound of an over-selected
+// synchronous cohort. secure announces live and maskScale to every member
+// (Train.Participants/MaskScale, see secure.go).
+type cohortRound struct {
+	flcore.RoundRequest
+	f         *fanIn
+	target    int
+	secure    bool
+	maskScale float64
+	done      <-chan struct{} // closed when the run ends; nil never aborts
+	conns     []*registered   // the reached connections, in request order
+	live      []int           // their members
+
+	// In flight: what a mid-round redispatch re-sends and the broadcast
+	// bytes redispatches add. The result: the counted replies, in arrival
+	// order, and the round's wall clock.
+	bc        *broadcast
+	extraDown atomic.Int64
+	updates   []timedUpdate
+	seconds   float64
 }
 
 // redispatch waits (bounded by rejoinWait and the collection deadline) for
@@ -537,11 +529,9 @@ func (f *fanIn) redispatch(rq *trainReq, cr *cohortRound, deadline time.Time) bo
 		time.Sleep(10 * time.Millisecond)
 	}
 	nch := nw.addPending(rq.seq)
-	// The dense snapshot (a rejoined connection starts unacked and holds no
-	// delta base), version-tagged on downlink runs: the fresh connection
-	// adopts it as its base and, once its reply counts, is caught up from
-	// there in later rounds.
-	tr := &Train{Round: cr.round, Seq: rq.seq, Tier: cr.tier, Version: cr.dlVer, Raw: cr.bc.raw()}
+	// Dense (a rejoined connection holds no base) but version-tagged: the
+	// connection adopts it, and a counted reply acks it.
+	tr := &Train{Round: cr.Round, Seq: rq.seq, Tier: cr.Tier, Version: cr.ChainVersion, Raw: cr.bc.raw()}
 	if err := nw.c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
 		nw.dropPending(rq.seq)
 		return false
@@ -554,14 +544,13 @@ func (f *fanIn) redispatch(rq *trainReq, cr *cohortRound, deadline time.Time) bo
 	return true
 }
 
-// collect gathers the round's updates for the given outstanding requests,
-// respecting the round timeout (0 = wait indefinitely): the first target
-// decoded replies count, and once they are in the remaining requests stop
-// waiting. Replies arrive through their per-request waiters, so a migrated
-// worker trained concurrently by its old and new tier can never have its
-// updates cross-matched between the two rounds. When retries are
-// configured, a request whose connection dies mid-window is redispatched to
-// the member's rejoined connection instead of being dropped.
+// collect gathers the round's updates for the outstanding requests within
+// the round timeout (0 = wait indefinitely): the first target decoded
+// replies count, then the rest stop waiting. Each reply reaches its own
+// request's waiter, so a worker trained by its old and new tier at once
+// cannot have its updates cross-matched, and an update naming another
+// client than its connection's is dropped. With retries configured, a
+// request whose connection dies is redispatched to the rejoined one.
 func (f *fanIn) collect(reqs []*trainReq, cr *cohortRound) []timedUpdate {
 	type got struct {
 		u  timedUpdate
@@ -584,8 +573,13 @@ func (f *fanIn) collect(reqs []*trainReq, cr *cohortRound) []timedUpdate {
 			for {
 				w, wch := rq.current()
 				deliver := func(env *Envelope) {
-					u, ok := decodeUpdate(w, env, cr.weights, &f.vecs)
-					ch <- got{u: timedUpdate{Update: u, src: w, pooled: env.Type == MsgUpdate}, ok: ok}
+					u, ok := decodeUpdate(w, env, cr.Base, &f.vecs)
+					tu := timedUpdate{Update: u, idx: rq.idx, src: w, pooled: env.Type == MsgUpdate}
+					if ok && u.ClientID != w.id {
+						f.recycle(tu)
+						ok = false
+					}
+					ch <- got{u: tu, ok: ok}
 				}
 				// A reply that was routed before the connection dropped (or
 				// just before the deadline) still counts: always drain the
@@ -643,58 +637,6 @@ func (f *fanIn) collect(reqs []*trainReq, cr *cohortRound) []timedUpdate {
 	return updates
 }
 
-// tierRoundStatus is the outcome of one attempted round.
-type tierRoundStatus int
-
-const (
-	roundCommitted tierRoundStatus = iota // updates collected (runRound: aggregated into a commit)
-	roundNoCohort                         // whole cohort unreachable; redraw next round
-	roundEmpty                            // cohort reached but no updates before the windows closed
-	roundAbort                            // the tier cannot continue
-)
-
-// cohortRound is one round through the fan-in: what gather is asked, the
-// round's in-flight state, and what gather hands back.
-type cohortRound struct {
-	// The request, set by the caller. target is how many decoded replies
-	// count: len(cohort) for a tier round, ClientsPerRound for a synchronous
-	// round over an over-selected cohort, whose later replies are discarded
-	// stragglers. secure announces the reached cohort and maskScale to every
-	// member (Train.Participants/MaskScale, see secure.go). dl is the tier's
-	// delta-broadcast chain, owned by the tier's one driver (no locking);
-	// nil broadcasts dense. Its state numbers are the Train.Version values:
-	// per tier and per broadcast rather than the global model version,
-	// because a round that ends without a commit is redrawn from the same
-	// global version.
-	tier, round int // tier keys the delta acks
-	version     int // the global version the round was pulled at, which orders acks against migrations
-	cohort      []int
-	target      int
-	weights     []float64 // on a downlink round gather swaps in the chain's post-encode base
-	dl          *compress.Chain
-	secure      bool
-	maskScale   float64
-	done        <-chan struct{} // closed when the run ends; nil never aborts
-
-	// In flight: what a mid-round redispatch re-sends, and the broadcast
-	// bytes redispatches add.
-	start     time.Time
-	bc        *broadcast
-	dlVer     int // the round's chain state (0 = untracked)
-	extraDown atomic.Int64
-
-	// The result. updates are the replies that count, in cohort order
-	// (plain: without the arrival bookkeeping); their pooled vectors go back
-	// through fanIn.recycle. live are the members whose connections were up
-	// at dispatch — a secure round's announced participants. upBytes and
-	// downBytes are the round's encoded traffic, seconds its wall clock.
-	updates            []timedUpdate
-	plain              []flcore.Update
-	live               []int
-	upBytes, downBytes int64
-	seconds            float64
-}
-
 // recycle returns the updates' pooled vectors once nothing reads them.
 func (f *fanIn) recycle(updates ...timedUpdate) {
 	for _, u := range updates {
@@ -704,48 +646,15 @@ func (f *fanIn) recycle(updates ...timedUpdate) {
 	}
 }
 
-// gather is the dispatch-and-collect half of every round: send the live
-// cohort the round's weights (one shared blob, or the catch-up from a
-// member's acked state where the tier's chain still holds it), collect the
-// matched replies — with extra
-// collection windows for all-slow cohorts: a cohort slower than one timeout
-// window still delivers instead of being perpetually one round behind; a
-// single member persistently slower than its cohort is still dropped each
-// round, and live re-tiering is the mitigation: its EWMA drifts up until a
-// rebuild moves it to a slower tier — and leave the counted ones in cr, in
-// cohort order, with the round's exact byte counts.
-func (f *fanIn) gather(cr *cohortRound) tierRoundStatus {
+// exchange sends each reached connection the round's request — its bill's
+// catch-up where it has one, else the round's one shared dense blob — and
+// collects the matched replies into cr.updates, granting an all-slow cohort
+// extra collection windows (a member persistently slower than its cohort is
+// still dropped each round; live re-tiering moves it to a slower tier). It
+// returns the downlink bytes sent, redispatches included.
+func (f *fanIn) exchange(cr *cohortRound) (int64, flcore.RoundStatus) {
 	const maxCollects = 3
-	var conns []*registered
-	for _, id := range cr.cohort {
-		if w := f.srv.liveWorker(id); w != nil {
-			conns = append(conns, w) // dead cohort members: train the rest
-			cr.live = append(cr.live, id)
-		}
-	}
-	if len(conns) == 0 {
-		return roundNoCohort
-	}
-	// Delta broadcast: the chain advances exactly once per round — the
-	// payload is encoded against the chain's base and joins its ring, whose
-	// slices every catch-up shares (the O(1)-per-round encode) — and the
-	// round then proceeds from the chain's post-encode base, so with a lossy
-	// codec training, uplink reconstruction, and every dense fallback all
-	// see the weights the delta recipients reconstruct, not the pre-loss
-	// snapshot.
-	var dlCodec byte
-	if dl := cr.dl; dl != nil {
-		if dl.HasBase() {
-			_, dlCodec = dl.Encode(cr.weights)
-		} else {
-			dl.Adopt(cr.weights)
-		}
-		cr.dlVer = dl.Version()
-		// The chain's own base, read-only: nothing advances the chain again
-		// before this round's last reader (collect) has returned.
-		cr.weights = dl.Base()
-	}
-	cr.start = time.Now()
+	start := time.Now()
 	var reqs []*trainReq
 	defer func() {
 		for _, rq := range reqs {
@@ -755,25 +664,23 @@ func (f *fanIn) gather(cr *cohortRound) tierRoundStatus {
 			w.dropPending(rq.seq)
 		}
 	}()
-	cr.bc = newBroadcast(cr.weights)
+	cr.bc = newBroadcast(cr.Base)
 	// Every send of the round — redispatches run inside collect — has
-	// returned by the time gather does.
+	// returned by the time exchange does.
 	defer cr.bc.release()
-	for _, w := range conns {
-		rq := &trainReq{id: w.id, w: w, seq: f.seq.Add(1)}
+	var down int64
+	for i, w := range cr.conns {
+		rq := &trainReq{idx: i, id: w.id, w: w, seq: f.seq.Add(1)}
 		rq.ch = w.addPending(rq.seq)
-		tr := &Train{Round: cr.round, Seq: rq.seq, Tier: cr.tier, Version: cr.dlVer}
+		tr := &Train{Round: cr.Round, Seq: rq.seq, Tier: cr.Tier, Version: cr.ChainVersion}
 		if cr.secure {
 			tr.Participants, tr.MaskScale = cr.live, cr.maskScale
 		}
 		var n int // the blob's length: what the wire carries and the round bills
-		if cr.dl != nil {
-			from := w.takeAck(cr.tier, cr.version)
-			if tr.Delta, n = cr.dl.CatchUp(from); tr.Delta != nil {
-				tr.DeltaBase, tr.DeltaCodec = from, dlCodec
-			}
-		}
-		if tr.Delta == nil {
+		if cr.Bills != nil && cr.Bills[i].Delta != nil {
+			b := cr.Bills[i]
+			tr.Delta, tr.DeltaBase, tr.DeltaCodec, n = b.Delta, b.From, cr.DeltaCodec, b.Bytes
+		} else {
 			tr.Raw = cr.bc.raw()
 			n = len(tr.Raw)
 		}
@@ -781,77 +688,82 @@ func (f *fanIn) gather(cr *cohortRound) tierRoundStatus {
 			w.dropPending(rq.seq)
 			continue
 		}
-		db := int64(n)
-		f.obs.addDownlink(db, len(tr.Delta))
-		cr.downBytes += db
+		f.obs.addDownlink(int64(n), len(tr.Delta))
+		down += int64(n)
 		reqs = append(reqs, rq)
 	}
 	if len(reqs) == 0 {
-		return roundNoCohort
+		return down, flcore.RoundNoCohort
 	}
 	cr.updates = f.collect(reqs, cr)
 	for retry := 0; len(cr.updates) == 0 && retry < maxCollects-1; retry++ {
 		select {
 		case <-cr.done:
-			return roundAbort
+			return down, flcore.RoundAbort
 		default:
 		}
 		cr.updates = f.collect(reqs, cr)
 	}
-	cr.downBytes += cr.extraDown.Load()
+	down += cr.extraDown.Load()
+	cr.seconds = time.Since(start).Seconds()
 	if len(cr.updates) == 0 {
-		return roundEmpty
+		return down, flcore.RoundEmpty
 	}
-	// Deterministic aggregation order: replies arrive in wall-clock order,
-	// FedAvg's float sums are order-sensitive, and the simulated engines
-	// aggregate in cohort order — reorder to match.
-	pos := make(map[int]int, len(cr.cohort))
-	for i, id := range cr.cohort {
-		pos[id] = i
-	}
-	sort.Slice(cr.updates, func(i, j int) bool { return pos[cr.updates[i].ClientID] < pos[cr.updates[j].ClientID] })
-	cr.seconds = time.Since(cr.start).Seconds()
-	cr.plain = make([]flcore.Update, len(cr.updates))
-	for i, u := range cr.updates {
-		cr.plain[i] = u.Update
-		cr.upBytes += int64(u.WireBytes)
-		// A counted reply proves the worker received and adopted this
-		// round's versioned base — record the ack that makes it
-		// catch-up-eligible in later rounds. The ack lands on the exact
-		// connection the reply came from (u.src), so a redispatched request
-		// acks the rejoined connection, never the dead one. A worker whose
-		// reply was not counted spent its ack on the send and falls back to
-		// dense, which is always safe.
-		if cr.dlVer != 0 {
-			u.src.setAck(cr.tier, cr.dlVer, cr.version)
-		}
-	}
-	return roundCommitted
+	return down, flcore.RoundCommitted
 }
 
-// runRound executes one mini-round of tier t: gather the cohort's replies
-// and return their FedAvg as a TierCommit, in-process or over the wire.
-func (f *fanIn) runRound(t, r int, cohort []int, version int, weights []float64, dl *compress.Chain, done <-chan struct{}) (*TierCommit, tierRoundStatus) {
-	cr := &cohortRound{tier: t, round: r, version: version, cohort: cohort, target: len(cohort), weights: weights, dl: dl, done: done}
-	if status := f.gather(cr); status != roundCommitted {
+func (cr *cohortRound) Reach(_, _, member int) (int, bool) {
+	w := cr.f.srv.liveWorker(member)
+	if w == nil {
+		return 0, false
+	}
+	cr.conns, cr.live = append(cr.conns, w), append(cr.live, member)
+	return w.reg, true
+}
+
+func (cr *cohortRound) Train(req *flcore.RoundRequest) ([]flcore.Reply, int64, flcore.RoundStatus) {
+	cr.RoundRequest, cr.target = *req, len(req.Bills)
+	down, status := cr.f.exchange(cr)
+	replies := make([]flcore.Reply, len(cr.updates))
+	for i, u := range cr.updates {
+		if u.Latency <= 0 {
+			u.Latency = cr.seconds // peer-supplied, so guarded: the round's wall clock instead
+		}
+		replies[i] = flcore.Reply{Update: u.Update, Bill: u.idx, Reg: u.src.reg}
+	}
+	return replies, down, status
+}
+
+// gather is a synchronous round's fan-in: the live members of cohort are
+// sent the dense weights, and cr.updates holds the counted replies in
+// cohort order.
+func (f *fanIn) gather(cr *cohortRound, cohort []int) flcore.RoundStatus {
+	cr.f = f
+	for _, id := range cohort {
+		cr.Reach(0, 0, id) // dead cohort members: train the rest
+	}
+	if len(cr.conns) == 0 {
+		return flcore.RoundNoCohort
+	}
+	_, status := f.exchange(cr)
+	// FedAvg's float sums are order-sensitive and the simulated engines
+	// aggregate in cohort order: reorder the arrivals to match.
+	sort.Slice(cr.updates, func(i, j int) bool { return cr.updates[i].idx < cr.updates[j].idx })
+	return status
+}
+
+// tierRound is flcore.RunTierRound over a cohortRound and the server's ack
+// ledger; it returns the round's TierCommit (nil unless it committed).
+func (f *fanIn) tierRound(p flcore.TierPull, dl *compress.Chain, done <-chan struct{}) (*TierCommit, flcore.RoundStatus) {
+	cr := &cohortRound{f: f, done: done}
+	tc := &TierCommit{}
+	status := flcore.RunTierRound(p, dl, &f.srv.acks, cr, &tc.Commit)
+	f.recycle(cr.updates...)
+	if status != flcore.RoundCommitted {
 		return nil, status
 	}
-	obs := make([]ClientSeconds, len(cr.updates))
-	for i, u := range cr.updates {
-		secs := u.Latency // worker-reported training seconds
-		if secs <= 0 {
-			secs = cr.seconds // peer-supplied, so guarded: the round's wall clock instead
-		}
-		obs[i] = ClientSeconds{Client: u.ClientID, Seconds: secs}
-	}
-	avg := flcore.FedAvg(cr.plain)
-	f.recycle(cr.updates...)
-	return &TierCommit{
-		Tier: t, TierRound: r, PulledVersion: version,
-		Weights: avg, Clients: len(cr.updates),
-		Seconds: cr.seconds, UplinkBytes: cr.upBytes, DownlinkBytes: cr.downBytes,
-		Observed: obs,
-	}, roundCommitted
+	tc.Clients, tc.Seconds = len(cr.updates), cr.seconds
+	return tc, status
 }
 
 // tierEvent is what a tier's driver — a flat tier loop, a tree child's
@@ -879,10 +791,14 @@ type topology struct {
 	dispatch func(tier int, p flcore.TierPull)
 	// Tree only: re-registrations arrive on rejoin, revive reports whether
 	// one brought its tier's driver back, and grace is how long a run whose
-	// every driver is gone waits for that before failing.
+	// every driver is gone waits for that before failing. evict closes the
+	// connection of a child whose commit Apply refused, so its tier
+	// degrades as after a crash. The flat root builds its own commits: nil,
+	// and such a commit fails the run.
 	rejoin chan *registered
 	revive func(w *registered) bool
 	grace  time.Duration
+	evict  func(tier int)
 }
 
 // post delivers ev to the committer, or reports false once the run is over.
@@ -895,19 +811,12 @@ func (tp *topology) post(ev tierEvent) bool {
 	}
 }
 
-// tierLoop drives tier t's synchronous mini-FedAvg rounds until the global
-// committer signals done or the tier can no longer make progress (its last
-// live worker is gone, or maxEmptyRounds consecutive rounds produced no
-// update). Every round starts from a pull the committer took after the
-// tier's previous event was handled — version, weights, round index AND
-// the pre-drawn cohort — so it trains from exactly the state the simulated
-// engine's dispatch would see, and re-tierings take effect at the tier's
-// next pull.
+// tierLoop runs tier t's rounds until the run ends or the tier gives up
+// (its last live worker gone, or giveUp). Every round starts from a pull
+// the committer took after the tier's previous event — version, weights,
+// round index and cohort — so it trains from exactly the state the sim's
+// dispatch sees, and re-tierings take effect at the tier's next pull.
 func (ta *TieredAsyncAggregator) tierLoop(t int, pulls <-chan flcore.TierPull, dl *compress.Chain, tp *topology) {
-	// A tier that times out this many rounds in a row (each with several
-	// collection windows) stops participating; when every tier stops, Run
-	// reports the failure instead of hanging.
-	const maxEmptyRounds = 3
 	for empty := 0; ; {
 		var p flcore.TierPull
 		select {
@@ -921,21 +830,8 @@ func (ta *TieredAsyncAggregator) tierLoop(t int, pulls <-chan flcore.TierPull, d
 		if len(p.Cohort) == 0 || (!ta.anyLive(ta.tiers()[t]) && !ta.waitTierAlive(t, tp.done)) {
 			return
 		}
-		tc, status := ta.fan.runRound(t, p.Round, p.Cohort, p.Version, p.Weights, dl, tp.done)
-		switch status {
-		case roundCommitted:
-			empty = 0
-		case roundNoCohort:
-			// Whole cohort dead while the tier still has live members
-			// elsewhere: the redraw is a different cohort. Back off briefly
-			// so the redraw loop cannot burn a core while dead flags
-			// propagate.
-			time.Sleep(10 * time.Millisecond)
-		case roundEmpty:
-			if empty++; empty >= maxEmptyRounds {
-				return
-			}
-		case roundAbort:
+		tc, status := ta.fan.tierRound(p, dl, tp.done)
+		if giveUp(status, &empty) {
 			return
 		}
 		// A commit, or (tc nil) the request for the round's redraw: either
@@ -944,6 +840,27 @@ func (ta *TieredAsyncAggregator) tierLoop(t int, pulls <-chan flcore.TierPull, d
 			return
 		}
 	}
+}
+
+// giveUp is the retry policy a flat tier loop and a tree child share, applied
+// to how a tier's round ended: a dead cohort is redrawn after a brief
+// back-off (so the redraw loop cannot burn a core while dead flags
+// propagate), and the tier gives up when the run ends or after
+// maxEmptyRounds consecutive rounds, each with several collection windows,
+// counted no update — when every tier has, the run fails instead of
+// hanging. empty carries the consecutive count.
+func giveUp(status flcore.RoundStatus, empty *int) bool {
+	const maxEmptyRounds = 3
+	switch status {
+	case flcore.RoundCommitted:
+		*empty = 0
+	case flcore.RoundNoCohort:
+		time.Sleep(10 * time.Millisecond)
+	case flcore.RoundEmpty:
+		*empty++
+		return *empty >= maxEmptyRounds
+	}
+	return status == flcore.RoundAbort
 }
 
 // Run partitions the registered workers into the given tiers (member worker
@@ -1105,8 +1022,6 @@ func (ta *TieredAsyncAggregator) drive(com *flcore.Committer, tp *topology) (*Ti
 					alive--
 				case ev.commit == nil:
 					tp.dispatch(ev.tier, com.Pull(ev.tier))
-				case ev.commit.Tier != ev.tier:
-					return nil, fmt.Errorf("flnet: tier %d delivered a commit labeled tier %d", ev.tier, ev.commit.Tier)
 				default:
 					queue = append(queue, ev.commit)
 				}
@@ -1127,23 +1042,17 @@ func (ta *TieredAsyncAggregator) drive(com *flcore.Committer, tp *topology) (*Ti
 		if err != nil {
 			return finish(err)
 		}
-		rec, moves, err := com.Apply(flcore.Commit{
-			Tier: tc.Tier, TierRound: tc.TierRound, PulledVersion: tc.PulledVersion,
-			Weights: tc.Weights, UplinkBytes: tc.UplinkBytes, DownlinkBytes: tc.DownlinkBytes,
-			Observed: tc.Observed,
-		})
+		rec, moves, err := com.Apply(tc.Commit)
 		if err != nil {
-			return finish(err)
+			if tp.evict == nil {
+				return finish(err)
+			}
+			tp.evict(tc.Tier)
+			continue
 		}
-		stats := TierCommitStats{
-			Tier: rec.Tier, TierRound: rec.TierRound, Version: rec.Version,
-			Staleness: rec.Staleness, Weight: rec.Weight, Clients: tc.Clients,
-			Seconds: tc.Seconds, UplinkBytes: rec.UplinkBytes,
-			DownlinkBytes: rec.DownlinkBytes,
-		}
+		stats := TierCommitStats{TierRoundRecord: rec, Clients: tc.Clients, Seconds: tc.Seconds}
 		res.Log = append(res.Log, stats)
 		ta.obs.noteCommit(stats)
-		ta.obs.noteChildCommit(stats.Tier, stats.UplinkBytes, stats.DownlinkBytes) // no-op without children
 		if len(moves) > 0 {
 			ta.migrate(rec.Version, com.Tiers(), moves)
 		}

@@ -14,16 +14,11 @@ import (
 
 // Hierarchical aggregation tree: the paper's master/child design for
 // fan-in scale and fault isolation (Section 3.1/4.1), one process per
-// node. A child aggregator owns a subset of workers and presents itself to
-// the root as a single worker whose "update" is the FedAvg of its subtree;
-// because FedAvg is a weighted mean, root-of-children equals a flat
-// aggregation over all leaves. A root TieredAsyncAggregator
-// speaks the reserved MsgTierCommit envelope to per-tier Child aggregator
-// processes; each child runs its own mini-FedAvg fan-in (the exact fanIn
-// machinery the in-process tier loops use) over the leaf workers that
-// registered with it, so the root only ever sees one pre-reduced vector
-// per tier round and FedAT's staleness-discounted commit mixing applies
-// unchanged.
+// node. A per-tier Child aggregator runs the tier's rounds over its own
+// leaf workers — flcore.RunTierRound through the fan-in the flat tier loops
+// use — and presents each round's FedAvg to the root as one MsgTierCommit;
+// FedAvg is a weighted mean, so root-of-children equals a flat aggregation
+// and FedAT's commit mixing applies unchanged.
 //
 // The protocol is a strict commit/pull cycle per child:
 //
@@ -35,22 +30,17 @@ import (
 //	              ... root applies, replies the next MsgTreePull ...
 //	root → child  MsgDone
 //
-// Because the pull is the reply to the child's own applied commit, each
-// tier trains round r+1 from exactly the post-commit state of its round r
-// — the same dispatch-at-commit the flat tier loops get from the same
-// committer loop (drive) and the same flcore.Committer. A tree run whose
-// commits apply in the same order as a flat run's is therefore
-// byte-identical to it (TestRuntimesConform scripts the order);
-// otherwise only the wall-clock commit interleaving differs, exactly as
-// between two flat runs.
+// The pull answers the child's own applied commit — the dispatch-at-commit
+// the flat tier loops get from the same committer loop (drive) — so a tree
+// run whose commits apply in a flat run's order is byte-identical to it
+// (TestRuntimesConform scripts the order).
 //
-// Failure semantics: a child tolerates leaf-worker disconnects with the
-// flat runtime's collect semantics (dead cohort members are skipped, empty
-// rounds retried); the root tolerates a child death by degrading that tier
-// — its pump goroutine exits and the remaining tiers keep committing — and
-// only fails when every child is gone. Checkpoint/resume composes: the root checkpoints child-reported
-// leaf membership per tier, and ResumeTree validates re-registered
-// children against it, falling back to ResumeModel on ErrRosterChanged.
+// Failure semantics: a child skips dead leaves and retries empty rounds as
+// the flat tier loops do; the root degrades the tier of a child that died
+// or sent a commit it refuses (evicting it), and fails only when every
+// child is gone. Checkpoints record child-reported leaf membership per
+// tier, which ResumeTree validates re-registered children against
+// (ErrRosterChanged: fall back to ResumeModel).
 
 // ChildConfig configures one child-aggregator process of the tree.
 type ChildConfig struct {
@@ -72,11 +62,9 @@ type ChildConfig struct {
 	FanInConfig
 	// DialTimeout bounds the dial to the root (default 10s).
 	DialTimeout time.Duration
-	// Downlink enables the version-acked delta broadcast on the child's
-	// leaf-worker fan-in, exactly as TieredAsyncConfig.Downlink does on the
-	// flat runtime. It is independent of the root→child pull deltas, which
-	// the root enables through its own Downlink config; a child re-encodes
-	// each reconstructed pull against its own leaf-side chains.
+	// Downlink compresses the child's leaf broadcasts, as
+	// TieredAsyncConfig.Downlink does a flat root's; the root→child pulls
+	// follow the root's own Downlink, and a child re-encodes each pull.
 	Downlink *compress.Downlink
 	// Dial overrides the transport used to reach the root (fault injection;
 	// nil = net.DialTimeout).
@@ -235,8 +223,8 @@ func (ch *Child) Run() error {
 	}
 	// Keep accepting leaf connections for the rest of the run so a flapped
 	// worker's reconnect loop can re-register mid-run. A rejoined leaf gets
-	// its placement re-announced; its codec/downlink state was rebuilt by
-	// the handshake (fresh ack state means its next broadcast is dense).
+	// its placement re-announced; the handshake gave it a fresh codec state
+	// and registration, so its next broadcast is dense.
 	ch.agg.setRejoinHook(func(w *registered) {
 		if w.role != RoleWorker {
 			w.c.close() //nolint:errcheck // reject non-leaf registrations
@@ -319,16 +307,11 @@ func (ch *Child) runErr(err error) error {
 // errChildClosed signals localRound abandonment after Close.
 var errChildClosed = fmt.Errorf("flnet: child closed")
 
-// localRound drives mini-rounds of the child's tier until one commits,
-// mirroring the flat tierLoop's retry policy: dead cohort draws are
-// redrawn next round, empty rounds (cohort reached, no update before the
-// collection windows closed) are retried up to the same bound, and the
-// round index advances per attempt either way. The committed aggregate is
-// returned for shipping to the root.
+// localRound runs rounds of the child's tier, drawing each cohort itself
+// and advancing the round index per attempt, until one commits; the retry
+// policy is the flat tier loops' (giveUp).
 func (ch *Child) localRound(r *int, as *TierAssign, members []int, version int, weights []float64, dl *compress.Chain) (*TierCommit, error) {
-	const maxEmptyRounds = 3
-	empty := 0
-	for {
+	for empty := 0; ; {
 		select {
 		case <-ch.done:
 			return nil, errChildClosed
@@ -337,26 +320,20 @@ func (ch *Child) localRound(r *int, as *TierAssign, members []int, version int, 
 		if !ch.agg.anyLive(members) {
 			return nil, fmt.Errorf("every leaf worker disconnected")
 		}
-		if empty >= maxEmptyRounds {
-			return nil, fmt.Errorf("%d consecutive rounds produced no update", empty)
-		}
 		cohort := flcore.TierCohort(as.Seed, *r, as.Tier, members, as.ClientsPerRound)
 		if len(cohort) == 0 {
 			return nil, fmt.Errorf("round %d drew an empty cohort", *r)
 		}
-		tc, status := ch.fan.runRound(as.Tier, *r, cohort, version, weights, dl, ch.done)
+		p := flcore.TierPull{Tier: as.Tier, Version: version, Weights: weights, Round: *r, Cohort: cohort}
+		tc, status := ch.fan.tierRound(p, dl, ch.done)
 		*r++
-		switch status {
-		case roundCommitted:
+		switch {
+		case status == flcore.RoundCommitted:
 			return tc, nil
-		case roundNoCohort:
-			// Whole cohort dead while other members live: next round draws a
-			// different cohort. Back off briefly while dead flags propagate.
-			time.Sleep(10 * time.Millisecond)
-		case roundEmpty:
-			empty++
-		case roundAbort:
+		case status == flcore.RoundAbort:
 			return nil, errChildClosed
+		case giveUp(status, &empty):
+			return nil, fmt.Errorf("%d consecutive rounds produced no update", empty)
 		}
 	}
 }
@@ -489,10 +466,11 @@ func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *pullChain, p flcore
 // remaining tiers); the root keeps accepting, so a respawned child that
 // re-registers with the pinned leaf membership revives its tier mid-run
 // (assignment with the tier's current round cursor, dense first pull,
-// /metrics flips the tier back to alive). RunTree fails when every child
-// is gone before the target (after a RejoinWait grace, if set) or on the
-// first malformed commit. Live tiering Managers are not supported over the
-// tree.
+// /metrics flips the tier back to alive). A child whose commit the root
+// refuses — non-finite, mislabeled, or rejected by Apply — is evicted, its
+// tier degrading as after a crash. RunTree fails when every child is gone
+// before the target (after a RejoinWait grace, if set). Live tiering
+// Managers are not supported over the tree.
 func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 	if ta.tcfg.Manager != nil {
 		return nil, fmt.Errorf("flnet: the tree topology does not support a live tiering Manager; run flat or pre-assign tiers")
@@ -521,6 +499,7 @@ func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 	// once does not hold their handshake goroutines on the committer.
 	tp := &topology{events: make(chan tierEvent), done: make(chan struct{}), rejoin: make(chan *registered, 4), grace: ta.fan.RejoinWait}
 	tp.dispatch = func(t int, p flcore.TierPull) { ta.sendPull(children[t], pulls[t], p) }
+	tp.evict = func(t int) { children[t].c.close() } //nolint:errcheck // the pump reports the death
 	// One pump per child: commits flow from the connection reader into the
 	// committer; a closed inbox is the child's death.
 	pump := func(t int, c *registered) {
@@ -535,6 +514,10 @@ func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 				}
 				if env.Type != MsgTierCommit {
 					continue // stray profile replies etc.; commits are the contract
+				}
+				if env.TierCommit.Tier != t {
+					c.c.close() //nolint:errcheck // a mislabeled commit evicts its child, as a refused one does
+					continue
 				}
 				if !tp.post(tierEvent{tier: t, commit: env.TierCommit}) {
 					return

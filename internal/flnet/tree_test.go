@@ -149,6 +149,98 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 	}
 }
 
+// TestTreeEvictsMalformedCommit: a child whose commit the root refuses is
+// evicted — its connection closes and its tier degrades exactly as after a
+// crash — and the other tiers reach the commit target over a finite model.
+// One row per way a commit can be malformed; the last is refused at recv.
+func TestTreeEvictsMalformedCommit(t *testing.T) {
+	const commits = 4
+	for _, row := range []struct {
+		name    string
+		malform func(tc *TierCommit)
+	}{
+		{"wrong length", func(tc *TierCommit) { tc.Weights = append(tc.Weights, 1) }},
+		{"wrong tier label", func(tc *TierCommit) { tc.Tier = 0 }},
+		{"pulled version ahead of the root", func(tc *TierCommit) { tc.PulledVersion = commits + 3 }},
+		{"NaN weight", func(tc *TierCommit) { tc.Weights[1] = math.NaN() }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			root, err := NewTieredAsyncAggregator("127.0.0.1:0", tieredConfig(commits, 1, 5, 10*time.Second, []float64{0, 0}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer root.Close()
+			badDown := func() bool {
+				snap := root.Metrics()
+				return len(snap.Children) == 2 && !snap.Children[1].Alive
+			}
+			// Tier 0 is healthy; its leaf holds its second round until the
+			// root has marked the bad child down, so the eviction lands
+			// mid-run.
+			children, waitChildren := startChildren(t, root.Addr(), [][]int{{0}}, nil)
+			echo := echoTrain(1, 1, 0)
+			wait := startWorkers(t, children[0].Addr(), []WorkerConfig{{ClientID: 0, NumSamples: 1,
+				Train: func(round int, w []float64) ([]float64, int, error) {
+					for deadline := time.Now().Add(5 * time.Second); round >= 1 && !badDown() && time.Now().Before(deadline); {
+						time.Sleep(time.Millisecond)
+					}
+					return echo(round, w)
+				}}})
+			// Tier 1 is a hand-rolled child answering every pull with the
+			// row's commit.
+			c := dialRegister(t, root.Addr(), Register{ClientID: 1, NumSamples: 1, Role: RoleChildAggregator, Members: []int{1}})
+			defer c.close() //nolint:errcheck // test shutdown
+			bad := make(chan error, 1)
+			go func() {
+				bad <- func() error {
+					for {
+						env, err := c.recv(10 * time.Second)
+						if err != nil || env.Type == MsgDone {
+							return nil // evicted, or the run ended
+						}
+						if env.Type != MsgTreePull {
+							continue
+						}
+						w, err := env.TreePull.pullWeights(nil)
+						env.release()
+						if err != nil {
+							return err
+						}
+						tc := &TierCommit{Commit: flcore.Commit{Tier: 1, PulledVersion: env.TreePull.Version, Weights: w}, Clients: 1}
+						row.malform(tc)
+						if err := c.send(&Envelope{Type: MsgTierCommit, TierCommit: tc}); err != nil {
+							return err
+						}
+					}
+				}()
+			}()
+			if err := root.WaitForChildren(2, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			res, err := root.RunTree()
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitChildren()
+			wait()
+			if err := <-bad; err != nil {
+				t.Fatalf("bad child: %v", err)
+			}
+			if res.Commits[0] != commits || res.Commits[1] != 0 {
+				t.Fatalf("commits per tier %v, want [%d 0]", res.Commits, commits)
+			}
+			if !badDown() {
+				t.Error("metrics still mark the bad child alive")
+			}
+			for i, w := range res.Weights {
+				if math.IsNaN(w) || math.IsInf(w, 0) {
+					t.Fatalf("weight %d is %v", i, w)
+				}
+			}
+		})
+	}
+}
+
 // TestTreeCheckpointResume proves crash-safety composes with the topology:
 // a tree run checkpoints at the root, and a brand-new root + children +
 // leaves resume from the durable snapshot toward the absolute commit

@@ -39,7 +39,7 @@ type WorkerConfig struct {
 	// deterministic jitter, re-registers under the same ClientID, and
 	// resumes serving requests. The aggregator re-announces the tier it
 	// still holds for the worker, and the delta-downlink scheme composes
-	// automatically — a fresh registration starts unacked, so the first
+	// automatically — a fresh registration starts with no ack, so the first
 	// broadcast after a rejoin is always the dense snapshot.
 	Reconnect bool
 	// MaxReconnects bounds consecutive failed reconnection attempts
@@ -190,7 +190,7 @@ func RunWorker(addr string, cfg WorkerConfig) error {
 // budget. All per-session state — the error-feedback residual, the
 // delta-downlink base, the renegotiated codec — is scoped here: a fresh
 // session starts from the registration defaults, matching the
-// aggregator's view of a fresh unacked registration.
+// aggregator's view of a fresh registration, which holds no ack.
 func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, error), dt time.Duration, cfg WorkerConfig) (progressed bool, err error) {
 	raw, err := dial(addr, dt)
 	if err != nil {
@@ -216,12 +216,9 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 	var upRaw []byte
 	// Delta-downlink bases, one per tier that sent this worker a versioned
 	// broadcast: the last one it received from that tier (Train.Version)
-	// and its weights. A tier sends a catch-up from a base only after
-	// counting this worker's update for the broadcast that set it — a
-	// broadcast whose reply it did not count voids its record — so a
-	// mismatch here is a protocol violation, not a recoverable race. More
-	// than one base is held only by a worker that re-tierings moved, whose
-	// old tier may still send the round it pulled before the move.
+	// and its weights. The aggregator's ack ledger names only a base this
+	// connection adopted, so a mismatch is a protocol violation. A worker
+	// that re-tierings moved may hold its old tier's base too.
 	type heldBase struct {
 		ver int
 		w   []float64

@@ -38,7 +38,7 @@ func secureFedAvg(updates []flcore.Update, roundSeed int64, maskScale float64) (
 func TestSecureFedAvgMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ups := randomUpdates(rng, 5, 40)
-	want := flcore.FedAvg(ups)
+	want := fedAvg(ups)
 	got, err := secureFedAvg(ups, 42, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestMaskCancellationProperty(t *testing.T) {
 		k := 2 + rng.Intn(6)
 		n := 1 + rng.Intn(30)
 		ups := randomUpdates(rng, k, n)
-		want := flcore.FedAvg(ups)
+		want := fedAvg(ups)
 		got, err := secureFedAvg(ups, seed, 1000)
 		if err != nil {
 			return false
@@ -147,7 +147,7 @@ func TestSecureAggregationWithinFLRound(t *testing.T) {
 	// (Uses the flcore test population helpers' shape: small MLP updates.)
 	rng := rand.New(rand.NewSource(4))
 	ups := randomUpdates(rng, 5, 2330)
-	plain := flcore.FedAvg(ups)
+	plain := fedAvg(ups)
 	secure, err := secureFedAvg(ups, 99, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -161,4 +161,11 @@ func TestSecureAggregationWithinFLRound(t *testing.T) {
 	if maxDiff > 1e-8 {
 		t.Fatalf("secure round diverges by %v", maxDiff)
 	}
+}
+
+// fedAvg is flcore.FedAvgInto into a fresh vector.
+func fedAvg(ups []flcore.Update) []float64 {
+	out := make([]float64, len(ups[0].Weights))
+	flcore.FedAvgInto(out, ups)
+	return out
 }
