@@ -4,8 +4,9 @@ import "testing"
 
 // Allocation contract of the int8 delta path, in the style of
 // nn/alloc_test.go: at steady state (residual carried, chain scratch sized)
-// an encode allocates its payload and nothing else, and a decode-and-add
-// allocates the one vector it returns.
+// an encode allocates its payload and nothing else, a decode-and-add
+// allocates the one vector it returns, and a catch-up into a held vector
+// allocates nothing.
 
 func wantAllocs(t *testing.T, what string, want float64, f func()) {
 	t.Helper()
@@ -45,6 +46,14 @@ func TestInt8DecodeAddAllocs(t *testing.T) {
 	payload, id := ch.Encode(testVector(n, 2))
 	wantAllocs(t, "ApplyDelta", 1, func() {
 		if _, err := ApplyDelta(id, payload, base); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// A receiver's catch-up lands in the vector it holds for the round.
+	second, _ := ch.Encode(testVector(n, 4))
+	held, parts := make([]float64, n), [][]byte{payload, second}
+	wantAllocs(t, "ApplyCatchUp into a held destination", 0, func() {
+		if _, err := ApplyCatchUp(held, id, parts, base); err != nil {
 			t.Fatal(err)
 		}
 	})

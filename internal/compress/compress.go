@@ -92,11 +92,13 @@ func Parse(spec string) (Codec, error) {
 		if !hasArg {
 			return NewInt8(0), nil
 		}
-		chunk, err := strconv.Atoi(arg)
-		if err != nil || chunk <= 0 {
+		// The payload header stores the chunk as a u32: a larger one would
+		// travel as its low 32 bits, which no decoder accepts.
+		chunk, err := strconv.ParseUint(arg, 10, 32)
+		if err != nil || chunk == 0 {
 			return nil, fmt.Errorf("compress: bad int8 chunk %q", arg)
 		}
-		return NewInt8(chunk), nil
+		return NewInt8(int(chunk)), nil
 	case "topk":
 		if !hasArg {
 			return NewTopK(0.10), nil

@@ -295,10 +295,17 @@ func TestParseRoundTripsNames(t *testing.T) {
 			t.Fatalf("Parse(%q).ID = %d, want %d", c.Name(), got.ID(), c.ID())
 		}
 	}
-	for _, spec := range []string{"gzip", "topk@0", "topk@2", "topk@x", "int8@0", "int8@-1", "int8@x"} {
+	for _, spec := range []string{
+		"gzip", "topk@0", "topk@2", "topk@x", "int8@0", "int8@-1", "int8@x",
+		"int8@4294967296",          // past the header's u32: every payload would say chunk 0
+		"int8@9223372036854775807", // EncodedBytes would overflow and Encode panic
+	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
+	}
+	if c, err := Parse("int8@4294967295"); err != nil || uint64(c.(Int8).Chunk) != math.MaxUint32 {
+		t.Fatalf("Parse(\"int8@4294967295\") = %v, %v", c, err)
 	}
 	if c, err := Parse(""); err != nil || c.ID() != IDNone {
 		t.Fatalf("Parse(\"\") = %v, %v", c, err)

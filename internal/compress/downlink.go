@@ -213,14 +213,16 @@ func (c *Chain) encode(cur []float64) (payload []byte, id byte) {
 	if cap(c.delta) < len(cur) {
 		c.delta = make([]float64, len(cur))
 	}
-	delta := c.delta[:len(cur)]
-	for i := range delta {
-		delta[i] = cur[i] - c.base[i]
+	// Locals, not c.base: the stores through delta would otherwise make the
+	// compiler reload the field on every coordinate.
+	delta, base := c.delta[:len(cur)], c.base[:len(cur)]
+	for i, x := range cur {
+		delta[i] = x - base[i]
 	}
 	// rec lands in delta itself: one scratch vector serves both.
 	payload, c.residual = EncodeFeedback(c.d.Codec, delta, c.residual, delta)
 	for i, r := range delta {
-		c.base[i] += r
+		base[i] += r
 	}
 	return payload, c.d.Codec.ID()
 }
@@ -242,32 +244,39 @@ func ApplyDelta(id byte, payload []byte, base []float64) ([]float64, error) {
 }
 
 // ApplyCatchUp is the receiver side of Chain.CatchUp: it applies the
-// payloads to the held base in order, as ApplyDelta would one by one.
-// Every payload is a delta against the previous state's base, so the
-// result is the chain's current base bit for bit — XOR composes exactly,
-// and a lossy step adds the same reconstruction the chain added. The steps
-// after the first apply in place to the one vector returned. base is not
-// mutated; an empty catch-up is an error.
-func ApplyCatchUp(id byte, payloads [][]byte, base []float64) ([]float64, error) {
+// payloads to the held base in order, as ApplyDelta would one by one, into
+// dst's storage — allocating only when cap(dst) is short of len(base) — and
+// returns the result. Every payload is a delta against the previous state's
+// base, so the result is the chain's current base bit for bit — XOR
+// composes exactly, and a lossy step adds the same reconstruction the chain
+// added. The first step reads base and every later one works in place. dst
+// may be base itself; otherwise base is not mutated. An empty catch-up is
+// an error; on error dst's contents are unspecified.
+func ApplyCatchUp(dst []float64, id byte, payloads [][]byte, base []float64) ([]float64, error) {
 	if len(payloads) == 0 {
 		return nil, fmt.Errorf("compress: empty catch-up")
 	}
-	var out []float64
-	var err error
+	if cap(dst) < len(base) {
+		dst = make([]float64, len(base))
+	}
+	out, from := dst[:len(base)], base
 	for i, p := range payloads {
-		switch {
-		case i == 0:
-			out, err = ApplyDelta(id, p, base)
-		case id == IDDeltaXOR:
-			err = applyXORDelta(out, p, out)
-		case id == IDInt8:
-			_, err = decodeInt8(out, p, len(out), out)
+		var err error
+		switch id {
+		case IDDeltaXOR:
+			err = applyXORDelta(out, p, from)
+		case IDInt8:
+			_, err = decodeInt8(out, p, len(out), from)
 		default:
-			out, err = AddDecoded(id, p, out)
+			var sum []float64
+			if sum, err = AddDecoded(id, p, from); err == nil {
+				copy(out, sum)
+			}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("compress: catch-up payload %d of %d: %w", i+1, len(payloads), err)
 		}
+		from = out
 	}
 	return out, nil
 }

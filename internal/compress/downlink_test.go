@@ -255,6 +255,7 @@ func TestChainCatchUp(t *testing.T) {
 			ch := d.NewChain()
 			ch.Adopt(w)
 			held := map[int][]float64{ch.Version(): slices.Clone(ch.Base())} // the base a receiver holds at each state
+			var into []float64
 			deepest := 0
 			for step := 0; step < 200; step++ {
 				// A sparse step — a tenth of the coordinates move — so the
@@ -287,11 +288,19 @@ func TestChainCatchUp(t *testing.T) {
 					if size != sum || size >= DenseBytes(n) {
 						t.Fatalf("step %d: catch-up from state %d bills %d bytes of %d, dense %d", step, s, size, sum, DenseBytes(n))
 					}
-					got, err := ApplyCatchUp(id, parts, held[s])
+					// Into a held destination, reused from the last catch-up;
+					// then into the base's own storage.
+					got, err := ApplyCatchUp(into, id, parts, held[s])
 					if err != nil {
 						t.Fatalf("step %d from state %d: %v", step, s, err)
 					}
 					sameBits(t, "caught-up receiver", got, ch.Base())
+					into = got
+					inPlace := slices.Clone(held[s])
+					if got, err = ApplyCatchUp(inPlace, id, parts, inPlace); err != nil {
+						t.Fatalf("step %d from state %d in place: %v", step, s, err)
+					}
+					sameBits(t, "caught-up receiver, in place", got, ch.Base())
 					deepest = max(deepest, len(parts))
 				}
 				if p, _ := ch.CatchUp(oldest - 1); p != nil {
@@ -330,7 +339,7 @@ func TestSplitCatchUp(t *testing.T) {
 			t.Errorf("lengths %v split a %d-byte blob", lens, len(blob))
 		}
 	}
-	if _, err := ApplyCatchUp(IDInt8, nil, []float64{1}); err == nil {
+	if _, err := ApplyCatchUp(nil, IDInt8, nil, []float64{1}); err == nil {
 		t.Error("empty catch-up applied")
 	}
 }

@@ -83,7 +83,16 @@ func FuzzInt8Decode(f *testing.F) {
 	f.Add(NewInt8(7).Encode(testVector(100, 3))) // odd chunk from a differently-configured peer
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, n := range []int{0, 1, 100, 2000} {
-			fuzzRoundTrip(t, c, c, data, n)
+			var scalar []float64
+			bothPaths(func(simd bool) {
+				fuzzRoundTrip(t, c, c, data, n)
+				w, _ := c.Decode(data, n)
+				if !simd {
+					scalar = w
+					return
+				}
+				sameBits(t, "SIMD decode", w, scalar)
+			})
 		}
 	})
 }

@@ -67,7 +67,9 @@ func (c Int8) Encode(w []float64) []byte { return c.encode(w, nil, nil, nil) }
 // the caller wants the reconstruction) while the chunk is still in cache.
 // carry and residual may be the same slice, and so may w and rec (the
 // reconstruction then replaces the input). Every output is bit-equal to
-// add, Encode, Decode, subtract run as four separate passes.
+// add, Encode, Decode, subtract run as four separate passes. With useSIMD
+// the kernels in int8_amd64.s take each chunk's whole 4-lane groups and the
+// loops below only its last len%4 coordinates.
 func (c Int8) encode(w, carry, rec, residual []float64) []byte {
 	chunk := c.chunk()
 	buf := make([]byte, c.EncodedBytes(len(w)))
@@ -77,17 +79,29 @@ func (c Int8) encode(w, carry, rec, residual []float64) []byte {
 	off := 12
 	for start := 0; start < len(w); start += chunk {
 		v := w[start:min(start+chunk, len(w))]
+		var cv, out, res []float64
 		if carry != nil {
-			for i, r := range carry[start : start+len(v)] {
-				v[i] += r
+			cv = carry[start : start+len(v)]
+		}
+		if residual != nil {
+			res = residual[start : start+len(v)]
+			if rec != nil {
+				out = rec[start : start+len(v)]
 			}
+		}
+		groups, maxAbs := 0, 0.0
+		if useSIMD {
+			groups = len(v) &^ 3
+			maxAbs = int8CarryMax(v[:groups], cv)
+		}
+		for i := groups; i < len(cv); i++ {
+			v[i] += cv[i]
 		}
 		// Non-finite coordinates (diverged training) are excluded from the
 		// scale and quantized deterministically below — NaN to 0, ±Inf to
 		// the chunk extremes — so encoding never depends on the platform's
 		// float→int conversion of non-finite values.
-		maxAbs := 0.0
-		for _, x := range v {
+		for _, x := range v[groups:] {
 			if a := math.Abs(x); a > maxAbs && a <= math.MaxFloat64 {
 				maxAbs = a
 			}
@@ -102,11 +116,16 @@ func (c Int8) encode(w, carry, rec, residual []float64) []byte {
 		codes := buf[off+4 : off+4+len(v)]
 		off += 4 + len(v)
 		s := float64(scale)
+		done := 0 // coordinates whose code, rec and residual are written
+		if useSIMD && scale > 0 {
+			done = groups
+			int8Quantize(codes, v[:done], out, res, s)
+		}
 		if scale > 0 { // an all-zero (or all-non-finite) chunk keeps its zero codes
-			for i, x := range v {
+			for i := done; i < len(v); i++ {
 				// The division and RoundToEven are the wire contract: a
 				// reciprocal multiply rounds differently and changes bytes.
-				r := math.RoundToEven(x / s)
+				r := math.RoundToEven(v[i] / s)
 				if !(math.Abs(r) <= 127) {
 					switch {
 					case r > 127: // includes +Inf
@@ -120,21 +139,19 @@ func (c Int8) encode(w, carry, rec, residual []float64) []byte {
 				codes[i] = byte(int8(r))
 			}
 		}
-		if residual == nil {
+		if res == nil {
 			continue
 		}
-		res := residual[start : start+len(v)]
 		// The explicit float64 conversions round the product before the
 		// subtraction, so no platform may fuse the two into an FMA.
-		if rec == nil {
-			for i, b := range codes {
-				res[i] = v[i] - float64(float64(int8(b))*s)
+		if out == nil {
+			for i := done; i < len(v); i++ {
+				res[i] = v[i] - float64(float64(int8(codes[i]))*s)
 			}
 			continue
 		}
-		out := rec[start : start+len(v)]
-		for i, b := range codes {
-			x, d := float64(float64(int8(b))*s), v[i] // d first: rec may be w itself
+		for i := done; i < len(v); i++ {
+			x, d := float64(float64(int8(codes[i]))*s), v[i] // d first: rec may be w itself
 			out[i] = x
 			res[i] = d - x
 		}
@@ -190,16 +207,24 @@ func decodeInt8(out []float64, payload []byte, n int, base []float64) ([]float64
 		}
 		codes := payload[off+4 : off+4+len(dst)]
 		off += 4 + len(dst)
-		if base == nil {
-			for i, b := range codes {
-				dst[i] = float64(int8(b)) * s
+		var from []float64
+		if base != nil {
+			from = base[start : start+len(dst)]
+		}
+		done := 0
+		if useSIMD {
+			done = len(dst) &^ 3
+			int8Decode(dst[:done], from, codes, s)
+		}
+		if from == nil {
+			for i := done; i < len(dst); i++ {
+				dst[i] = float64(int8(codes[i])) * s
 			}
 			continue
 		}
 		// As in encode: round the product before the add, never an FMA.
-		from := base[start : start+len(dst)]
-		for i, b := range codes {
-			dst[i] = from[i] + float64(float64(int8(b))*s)
+		for i := done; i < len(dst); i++ {
+			dst[i] = from[i] + float64(float64(int8(codes[i]))*s)
 		}
 	}
 	return out, nil

@@ -153,9 +153,11 @@ func FuzzInt8EncodeMatchesReference(f *testing.F) {
 		w := vectorFromBytes(data)
 		// 1 and 3 leave a ragged last chunk for most n; 0 is the default
 		// 1024, larger than most fuzz inputs (a single partial chunk).
-		for _, chunk := range []int{0, 1, 3, 16} {
-			checkInt8AgainstReference(t, NewInt8(chunk), w)
-		}
+		bothPaths(func(bool) {
+			for _, chunk := range []int{0, 1, 3, 16} {
+				checkInt8AgainstReference(t, NewInt8(chunk), w)
+			}
+		})
 	})
 }
 
@@ -281,17 +283,21 @@ func FuzzApplyDelta(f *testing.F) {
 			}
 			sameBits(t, "xor round trip", back, out)
 		}
-		out, err := ApplyDelta(IDInt8, payload, base)
 		rec, refErr := refInt8Decode(payload, n)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("int8 delta: ApplyDelta err = %v, reference Decode err = %v", err, refErr)
-		}
-		if err == nil {
+		if refErr == nil {
 			for i := range rec {
 				rec[i] = base[i] + rec[i]
 			}
-			sameBits(t, "int8 delta", out, rec)
 		}
+		bothPaths(func(bool) {
+			out, err := ApplyDelta(IDInt8, payload, base)
+			if (err == nil) != (refErr == nil) {
+				t.Fatalf("int8 delta: ApplyDelta err = %v, reference Decode err = %v", err, refErr)
+			}
+			if err == nil {
+				sameBits(t, "int8 delta", out, rec)
+			}
+		})
 	})
 }
 
@@ -335,21 +341,24 @@ func FuzzApplyCatchUp(f *testing.F) {
 		if lossy {
 			id = IDInt8
 		}
-		got, err := ApplyCatchUp(id, parts, base)
-		want, refOK := base, len(parts) > 0 // an empty catch-up is refused
-		for _, p := range parts {
-			var refErr error
-			if want, refErr = ApplyDelta(id, p, want); refErr != nil {
-				refOK = false
-				break
+		dst := make([]float64, n) // a held destination, as the worker's
+		bothPaths(func(bool) {
+			got, err := ApplyCatchUp(dst, id, parts, base)
+			want, refOK := base, len(parts) > 0 // an empty catch-up is refused
+			for _, p := range parts {
+				var refErr error
+				if want, refErr = ApplyDelta(id, p, want); refErr != nil {
+					refOK = false
+					break
+				}
 			}
-		}
-		if (err == nil) != refOK {
-			t.Fatalf("ApplyCatchUp err = %v, piecewise ApplyDelta accepted = %v", err, refOK)
-		}
-		if err == nil {
-			sameBits(t, "catch-up", got, want)
-		}
+			if (err == nil) != refOK {
+				t.Fatalf("ApplyCatchUp err = %v, piecewise ApplyDelta accepted = %v", err, refOK)
+			}
+			if err == nil {
+				sameBits(t, "catch-up", got, want)
+			}
+		})
 	})
 }
 

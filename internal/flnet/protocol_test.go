@@ -341,7 +341,7 @@ func FuzzEnvelopeRecv(f *testing.F) {
 			switch env.Type {
 			case MsgTrain:
 				if env.Train.Delta != nil {
-					compress.ApplyCatchUp(env.Train.DeltaCodec, env.Train.Delta, model) //nolint:errcheck // must not panic
+					compress.ApplyCatchUp(nil, env.Train.DeltaCodec, env.Train.Delta, model) //nolint:errcheck // must not panic
 				} else {
 					env.Train.roundWeights(nil) //nolint:errcheck // must not panic
 				}

@@ -252,7 +252,7 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 				if base == nil || env.Train.DeltaBase != base.ver {
 					return progressed, fatalf("flnet: worker %d round %d: tier %d delta against base %d, which it does not hold", cfg.ClientID, env.Train.Round, env.Train.Tier, env.Train.DeltaBase)
 				}
-				tw, err = compress.ApplyCatchUp(env.Train.DeltaCodec, env.Train.Delta, base.w)
+				tw, err = compress.ApplyCatchUp(tw, env.Train.DeltaCodec, env.Train.Delta, base.w)
 			} else {
 				tw, err = env.Train.roundWeights(tw)
 			}

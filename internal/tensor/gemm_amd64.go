@@ -3,7 +3,7 @@ package tensor
 // useSIMD routes matMulABTInto's 16-column blocks through the AVX2 kernel
 // in gemm_amd64.s. It is set once from the CPU; only in-package tests flip
 // it, to compare the two paths.
-var useSIMD = hasAVX2()
+var useSIMD = HasAVX2()
 
 // abtKernel16 writes a 16-column block of out = a·b (+bias) for rows
 // consecutive rows: a rows are k apart, out rows n apart, b is one packed
@@ -16,10 +16,11 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax uint32)
 
-// hasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state:
+// HasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state:
 // CPUID.1:ECX OSXSAVE (bit 27) and AVX (bit 28), XCR0 XMM|YMM (bits 1–2),
-// CPUID.(7,0):EBX AVX2 (bit 5).
-func hasAVX2() bool {
+// CPUID.(7,0):EBX AVX2 (bit 5). It is the one CPU probe behind every SIMD
+// kernel in the module (this package's and internal/compress's).
+func HasAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
 		return false
