@@ -1,8 +1,10 @@
 package tensor
 
 // useSIMD routes matMulABTInto's 16-column blocks through the AVX2 kernel
-// in gemm_amd64.s. It is set once from the CPU; only in-package tests flip
-// it, to compare the two paths.
+// in gemm_amd64.s, and the whole 4-lane groups of matMulRows' and
+// matMulATBInto's inner sweeps through the kernels in axpy_amd64.s. It is
+// set once from the CPU; only in-package tests flip it, to compare the
+// two paths.
 var useSIMD = HasAVX2()
 
 // abtKernel16 writes a 16-column block of out = a·b (+bias) for rows
@@ -11,6 +13,18 @@ var useSIMD = HasAVX2()
 //
 //go:noescape
 func abtKernel16(out, a, b, bias *float64, rows, k, n int)
+
+// axpyKernel, axpyRowsKernel and axpyStepsKernel are axpy, axpyRows and
+// axpySteps (ops.go) over the first n&^3 elements.
+//
+//go:noescape
+func axpyKernel(o, b *float64, a float64, n int)
+
+//go:noescape
+func axpyRowsKernel(o0, o1, b *float64, a0, a1 float64, n int)
+
+//go:noescape
+func axpyStepsKernel(o, b0, b1 *float64, a0, a1 float64, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -9,21 +10,39 @@ import (
 	"testing"
 )
 
-// abtBothPaths returns a·bᵀ (+bias) computed by the scalar loop and by the
-// SIMD kernel. It skips the test on a CPU without the kernel.
-func abtBothPaths(t *testing.T, a, b, bias *Tensor) (scalar, simd *Tensor) {
+// bothPaths returns product's m×n result computed by the scalar loops and
+// by the SIMD kernels, each into a destination of stale values. It skips
+// the test on a CPU without the kernels.
+func bothPaths(t *testing.T, m, n int, product func(dst *Tensor)) (scalar, simd *Tensor) {
 	t.Helper()
 	if !useSIMD {
-		t.Skip("no SIMD ABT kernel on this CPU")
+		t.Skip("no SIMD kernels on this CPU")
 	}
-	m, n := a.Dim(0), b.Dim(0)
 	scalar, simd = full(999, m, n), full(-999, m, n)
 	useSIMD = false
 	defer func() { useSIMD = true }()
-	matMulABTBiasInto(scalar, a, b, bias, "scalar")
+	product(scalar)
 	useSIMD = true
-	matMulABTBiasInto(simd, a, b, bias, "simd")
+	product(simd)
 	return scalar, simd
+}
+
+// abtBothPaths returns a·bᵀ (+bias) on both paths.
+func abtBothPaths(t *testing.T, a, b, bias *Tensor) (scalar, simd *Tensor) {
+	t.Helper()
+	return bothPaths(t, a.Dim(0), b.Dim(0), func(dst *Tensor) { matMulABTBiasInto(dst, a, b, bias, "abt") })
+}
+
+// abBothPaths returns a·b (+bias) on both paths.
+func abBothPaths(t *testing.T, a, b, bias *Tensor) (scalar, simd *Tensor) {
+	t.Helper()
+	return bothPaths(t, a.Dim(0), b.Dim(1), func(dst *Tensor) { matMulBiasInto(dst, a, b, bias, "ab") })
+}
+
+// atbBothPaths returns aᵀ·b on both paths.
+func atbBothPaths(t *testing.T, a, b *Tensor) (scalar, simd *Tensor) {
+	t.Helper()
+	return bothPaths(t, a.Dim(1), b.Dim(1), func(dst *Tensor) { MatMulATBInto(dst, a, b) })
 }
 
 // mustSameResult compares bit patterns, except that a NaN only has to meet
@@ -55,6 +74,26 @@ func randSpecialTensor(rng *rand.Rand, shape ...int) *Tensor {
 	}
 	return t
 }
+
+// withZeros sets each element of t to +0 with probability frac and
+// returns t: the left operands of a·b and aᵀ·b are ReLU and max-pool
+// outputs and gradients, whose zero products the loops skip.
+func withZeros(rng *rand.Rand, frac float64, t *Tensor) *Tensor {
+	for i := range t.Data {
+		if rng.Float64() < frac {
+			t.Data[i] = 0
+		}
+	}
+	return t
+}
+
+// zeroDensities are the left-operand zero fractions every a·b and aᵀ·b
+// shape runs at: no skips, the workloads' ~70 %, and every product skipped.
+var zeroDensities = []float64{0, 0.7, 1}
+
+// tailNs are output widths with no whole 4-lane group (n < 4), every
+// len%4 tail, and several groups before a tail.
+var tailNs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 31}
 
 func TestMatMulABTSIMDBitEqualScalar(t *testing.T) {
 	for _, tc := range []struct {
@@ -89,33 +128,155 @@ func TestMatMulABTSIMDBitEqualScalar(t *testing.T) {
 	}
 }
 
-// FuzzMatMulABT checks the SIMD kernel against the scalar loop on fuzzed
-// shapes and raw float64 bit patterns.
-func FuzzMatMulABT(f *testing.F) {
-	seed := make([]byte, 0, 8*len(specials))
+type gemmCase struct {
+	name    string
+	m, k, n int
+}
+
+// abShapes are the workloads' a·b products (m×k times k×n): the CNN's
+// conv2 input gradient and dense forward, and the 256→128→10 MLP's two
+// forwards at batch 10.
+var abShapes = []gemmCase{
+	{"conv2_dcols", 1000, 64, 288},
+	{"dense_fwd", 10, 1600, 128},
+	{"mlp_hidden", 10, 256, 128},
+	{"mlp_out", 10, 128, 10},
+}
+
+// atbShapes are the workloads' aᵀ·b products (k×m transposed times k×n):
+// the weight gradients of both convs, the CNN's dense layer and both MLP
+// layers.
+var atbShapes = []gemmCase{
+	{"conv2_dW", 64, 1000, 288},
+	{"conv1_dW", 32, 1440, 9},
+	{"dense_dW", 1600, 10, 128},
+	{"mlp_hidden_dW", 256, 10, 128},
+	{"mlp_out_dW", 128, 10, 10},
+}
+
+// tailCases returns one m×k·k×n case per n in tailNs, then extra.
+func tailCases(m, k int, extra ...gemmCase) []gemmCase {
+	var cs []gemmCase
+	for _, n := range tailNs {
+		cs = append(cs, gemmCase{fmt.Sprintf("n%d", n), m, k, n})
+	}
+	return append(cs, extra...)
+}
+
+func TestMatMulABSIMDBitEqualScalar(t *testing.T) {
+	// Odd m leaves matMulRows an unpaired last row.
+	for _, tc := range tailCases(5, 6, append(abShapes, gemmCase{"odd_m", 37, 20, 48}, gemmCase{"m1", 1, 50, 32})...) {
+		for _, zeros := range zeroDensities {
+			t.Run(fmt.Sprintf("%s/zeros%.0f%%", tc.name, 100*zeros), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(tc.m*tc.k + tc.n)))
+				a := withZeros(rng, zeros, randSpecialTensor(rng, tc.m, tc.k))
+				b, bias := randSpecialTensor(rng, tc.k, tc.n), randTensor(rng, tc.n)
+				scalar, simd := abBothPaths(t, a, b, bias)
+				mustSameResult(t, "ab", simd, scalar)
+			})
+		}
+	}
+}
+
+func TestMatMulATBSIMDBitEqualScalar(t *testing.T) {
+	// Odd k leaves matMulATBInto an unpaired last step.
+	for _, tc := range tailCases(6, 7, append(atbShapes, gemmCase{"odd_k", 12, 37, 48}, gemmCase{"k1", 9, 1, 16})...) {
+		for _, zeros := range zeroDensities {
+			t.Run(fmt.Sprintf("%s/zeros%.0f%%", tc.name, 100*zeros), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(tc.m*tc.k + tc.n)))
+				a := withZeros(rng, zeros, randSpecialTensor(rng, tc.k, tc.m))
+				b := randSpecialTensor(rng, tc.k, tc.n)
+				scalar, simd := atbBothPaths(t, a, b)
+				mustSameResult(t, "atb", simd, scalar)
+			})
+		}
+	}
+}
+
+// A zero left entry never multiplies b, so ±Inf and NaN in b rows that
+// only zeros reach leave the output finite (0·Inf would be NaN). Steps
+// p%3 == 0 of b are non-finite; output row i is clean when its left
+// entries at those steps are zero, which the rule i%3 != 1 makes true of
+// 0, 2, 3, 5 and 6. Over 7 rows or steps that drives every arm of the
+// pair loops' switch (row/step pairs (0,1), (2,3), (4,5)) and the unpaired
+// last one into a poisoned b row.
+func TestMatMulZeroSkipsNonFinite(t *testing.T) {
+	const m, k, n = 7, 7, 31
+	rng := rand.New(rand.NewSource(9))
+	poison := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	b := randTensor(rng, k, n)
+	for p := 0; p < k; p += 3 {
+		for j := 0; j < n; j++ {
+			b.Data[p*n+j] = poison[j%len(poison)]
+		}
+	}
+	a := withZeros(rng, 0.5, randTensor(rng, m, k))
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p += 3 {
+			a.Data[i*k+p] = 0
+			if i%3 == 1 {
+				a.Data[i*k+p] = 1
+			}
+		}
+	}
+	abScalar, abSIMD := abBothPaths(t, a, b, nil)
+	atbScalar, atbSIMD := atbBothPaths(t, transpose(a), b) // column i of aᵀ is output row i
+	for _, tc := range []struct {
+		name         string
+		scalar, simd *Tensor
+	}{{"ab", abScalar, abSIMD}, {"atb", atbScalar, atbSIMD}} {
+		mustSameResult(t, tc.name, tc.simd, tc.scalar)
+		for i := 0; i < m; i++ {
+			if i%3 == 1 {
+				continue
+			}
+			for j := 0; j < n; j++ {
+				if v := tc.simd.Data[i*n+j]; math.IsInf(v, 0) || math.IsNaN(v) {
+					t.Fatalf("%s[%d,%d] = %v: a zero left entry reached a non-finite b", tc.name, i, j, v)
+				}
+			}
+		}
+	}
+}
+
+// fuzzOperands returns a fill function that lays data's raw float64 bit
+// patterns, cycled, across successive tensors, or small integers when
+// data holds less than one value.
+func fuzzOperands(data []byte) func(shape ...int) *Tensor {
+	i := 0
+	return func(shape ...int) *Tensor {
+		x := New(shape...)
+		for j := range x.Data {
+			if len(data) < 8 {
+				x.Data[j] = float64(i%7) - 3
+			} else {
+				x.Data[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[(i*8)%(len(data)-7):]))
+			}
+			i++
+		}
+		return x
+	}
+}
+
+// fuzzSeed holds specials and a few ordinary values as raw bit patterns.
+func fuzzSeed() []byte {
+	seed := make([]byte, 0, 8*(len(specials)+3))
 	for _, v := range append(specials, 1.5, -3, 1e308) {
 		seed = binary.LittleEndian.AppendUint64(seed, math.Float64bits(v))
 	}
+	return seed
+}
+
+// FuzzMatMulABT checks the SIMD kernel against the scalar loop on fuzzed
+// shapes and raw float64 bit patterns.
+func FuzzMatMulABT(f *testing.F) {
+	seed := fuzzSeed()
 	f.Add(uint8(3), uint8(9), uint8(32), true, seed)
 	f.Add(uint8(1), uint8(1), uint8(17), false, seed)
 	f.Add(uint8(4), uint8(0), uint8(16), true, []byte{})
 	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, withBias bool, data []byte) {
 		m, k, n := 1+int(mb%9), int(kb%40), 1+int(nb%48)
-		val := func(i int) float64 {
-			if len(data) < 8 {
-				return float64(i%7) - 3
-			}
-			return math.Float64frombits(binary.LittleEndian.Uint64(data[(i*8)%(len(data)-7):]))
-		}
-		i := 0
-		fill := func(shape ...int) *Tensor {
-			x := New(shape...)
-			for j := range x.Data {
-				x.Data[j] = val(i)
-				i++
-			}
-			return x
-		}
+		fill := fuzzOperands(data)
 		a, b := fill(m, k), fill(n, k)
 		var bias *Tensor
 		if withBias {
@@ -123,6 +284,44 @@ func FuzzMatMulABT(f *testing.F) {
 		}
 		scalar, simd := abtBothPaths(t, a, b, bias)
 		mustSameResult(t, "abt", simd, scalar)
+	})
+}
+
+// FuzzMatMulAB checks a·b's SIMD sweeps against the scalar loops on fuzzed
+// shapes, raw float64 bit patterns and a fuzzed share of zeros (zb%5
+// quarters) in the left operand.
+func FuzzMatMulAB(f *testing.F) {
+	seed := fuzzSeed()
+	f.Add(uint8(3), uint8(9), uint8(32), uint8(2), true, seed)
+	f.Add(uint8(1), uint8(1), uint8(17), uint8(4), false, seed)
+	f.Add(uint8(4), uint8(0), uint8(7), uint8(0), true, []byte{})
+	f.Fuzz(func(t *testing.T, mb, kb, nb, zb uint8, withBias bool, data []byte) {
+		m, k, n := 1+int(mb%9), int(kb%40), 1+int(nb%48)
+		fill := fuzzOperands(data)
+		a := withZeros(rand.New(rand.NewSource(int64(zb))), float64(zb%5)/4, fill(m, k))
+		b := fill(k, n)
+		var bias *Tensor
+		if withBias {
+			bias = fill(n)
+		}
+		scalar, simd := abBothPaths(t, a, b, bias)
+		mustSameResult(t, "ab", simd, scalar)
+	})
+}
+
+// FuzzMatMulATB checks aᵀ·b's SIMD sweeps against the scalar loops as
+// FuzzMatMulAB does.
+func FuzzMatMulATB(f *testing.F) {
+	seed := fuzzSeed()
+	f.Add(uint8(3), uint8(9), uint8(32), uint8(2), seed)
+	f.Add(uint8(1), uint8(2), uint8(17), uint8(4), seed)
+	f.Add(uint8(4), uint8(0), uint8(7), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, mb, kb, nb, zb uint8, data []byte) {
+		m, k, n := 1+int(mb%9), int(kb%40), 1+int(nb%48)
+		fill := fuzzOperands(data)
+		a := withZeros(rand.New(rand.NewSource(int64(zb))), float64(zb%5)/4, fill(k, m))
+		scalar, simd := atbBothPaths(t, a, fill(k, n))
+		mustSameResult(t, "atb", simd, scalar)
 	})
 }
 
@@ -170,6 +369,26 @@ func TestMatMulABTSteadyStateAllocs(t *testing.T) {
 	MatMulABTBiasInto(dst, a, b, bias)
 	if avg := testing.AllocsPerRun(100, func() { MatMulABTBiasInto(dst, a, b, bias) }); avg != 0 {
 		t.Fatalf("MatMulABTBiasInto allocates %v per call at steady state, want 0", avg)
+	}
+}
+
+// The serial a·b and aᵀ·b paths allocate nothing: the kernels take
+// pointers that do not escape.
+func TestMatMulABAndATBAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	a, b, bias := withZeros(rng, 0.7, randTensor(rng, 10, 128)), randTensor(rng, 128, 30), randTensor(rng, 30)
+	at, g := withZeros(rng, 0.7, randTensor(rng, 10, 256)), randTensor(rng, 10, 128)
+	dst, dstATB := New(10, 30), New(256, 128)
+	if 10*128*30 >= parallelThreshold {
+		t.Fatal("a·b shape must stay below parallelThreshold")
+	}
+	for name, product := range map[string]func(){
+		"MatMulBiasInto": func() { MatMulBiasInto(dst, a, b, bias) },
+		"MatMulATBInto":  func() { MatMulATBInto(dstATB, at, g) },
+	} {
+		if avg := testing.AllocsPerRun(100, product); avg != 0 {
+			t.Errorf("%s allocates %v per call, want 0", name, avg)
+		}
 	}
 }
 
@@ -235,3 +454,39 @@ func TestMatMulABTConcurrentSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("%d callers × 20 rounds of 3 shapes allocated %d B at steady state, want < %d (no panel)", procs, got, conv2)
 	}
 }
+
+// benchGemm reports product's throughput on the scalar loops and on the
+// SIMD kernels, counting 2·m·k·n flops per call. Operands are dense, so no
+// product is skipped. The left operand is k×m when leftT, else m×k.
+func benchGemm(b *testing.B, cases []gemmCase, leftT bool, product func(dst, a, b *Tensor)) {
+	simd := useSIMD
+	defer func() { useSIMD = simd }()
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(1))
+		left := randTensor(rng, c.m, c.k)
+		if leftT {
+			left = transpose(left)
+		}
+		right, dst := randTensor(rng, c.k, c.n), New(c.m, c.n)
+		for _, path := range []struct {
+			name string
+			on   bool
+		}{{"scalar", false}, {"simd", true}} {
+			b.Run(c.name+"/"+path.name, func(b *testing.B) {
+				if path.on && !simd {
+					b.Skip("no SIMD kernels on this CPU")
+				}
+				useSIMD = path.on
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					product(dst, left, right)
+				}
+				b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
+	}
+}
+
+func BenchmarkMatMulAB(b *testing.B) { benchGemm(b, abShapes, false, MatMulInto) }
+
+func BenchmarkMatMulATB(b *testing.B) { benchGemm(b, atbShapes, true, MatMulATBInto) }

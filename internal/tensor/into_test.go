@@ -103,7 +103,8 @@ func TestMatMulIntoVariantsBitEqual(t *testing.T) {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := randTensor(rng, m, k)
 		b := randTensor(rng, k, n)
-		// Inject zeros so the skip branches are exercised.
+		// Inject zeros into both left operands so the skip branches are
+		// exercised.
 		for i := 0; i < len(a.Data); i += 3 {
 			a.Data[i] = 0
 		}
@@ -116,6 +117,9 @@ func TestMatMulIntoVariantsBitEqual(t *testing.T) {
 		mustBitEqual(t, "MatMulBiasInto", dst, naiveMatMul(a, b, bias))
 
 		at := randTensor(rng, k, m)
+		for i := 0; i < len(at.Data); i += 3 {
+			at.Data[i] = 0
+		}
 		dstATB := New(m, n)
 		MatMulATBInto(dstATB, at, b)
 		mustBitEqual(t, "MatMulATBInto", dstATB, naiveMatMul(transpose(at), b, nil))

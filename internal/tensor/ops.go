@@ -104,7 +104,8 @@ func matMulInto(out, a, b, bias *Tensor, m, k, n int) {
 // element the operation order matches the historical
 // zero-all/accumulate-all/bias-all single-row formulation exactly: the
 // element's row accumulates av·b[p,j] for ascending p with zero products
-// skipped, then gains the bias.
+// skipped, then gains the bias. The zero tests live here; each sweep over
+// j is axpy or axpyRows.
 func matMulRows(out, a, b, bias *Tensor, k, n, lo, hi int) {
 	i := lo
 	for ; i+2 <= hi; i += 2 {
@@ -126,18 +127,11 @@ func matMulRows(out, a, b, bias *Tensor, k, n, lo, hi int) {
 			brow := b.Data[p*n:][:n]
 			switch {
 			case av1 == 0:
-				for j, bv := range brow {
-					orow0[j] += av0 * bv
-				}
+				axpy(orow0, brow, av0)
 			case av0 == 0:
-				for j, bv := range brow {
-					orow1[j] += av1 * bv
-				}
+				axpy(orow1, brow, av1)
 			default:
-				for j, bv := range brow {
-					orow0[j] += av0 * bv
-					orow1[j] += av1 * bv
-				}
+				axpyRows(orow0, orow1, brow, av0, av1)
 			}
 		}
 		if bias != nil {
@@ -159,10 +153,7 @@ func matMulRows(out, a, b, bias *Tensor, k, n, lo, hi int) {
 			if av == 0 {
 				continue
 			}
-			brow := b.Data[p*n:][:n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			axpy(orow, b.Data[p*n:][:n], av)
 		}
 		if bias != nil {
 			for j, bv := range bias.Data {
@@ -194,7 +185,8 @@ func MatMulATBInto(dst, a, b *Tensor) {
 // streaming over p so both reads are rows. p steps are processed in pairs
 // (two b rows per output-row sweep, halving the out traffic); per element
 // the accumulation still runs p ascending with zero products skipped, so
-// results are bit-identical to the single-step loop.
+// results are bit-identical to the single-step loop. The zero tests live
+// here; each sweep over j is axpy or axpySteps.
 func matMulATBInto(out, a, b *Tensor, k, m, n int) {
 	p := 0
 	for ; p+2 <= k; p += 2 {
@@ -210,18 +202,11 @@ func matMulATBInto(out, a, b *Tensor, k, m, n int) {
 			orow := out.Data[i*n:][:n]
 			switch {
 			case av1 == 0:
-				for j, bv := range brow0 {
-					orow[j] += av0 * bv
-				}
+				axpy(orow, brow0, av0)
 			case av0 == 0:
-				for j, bv := range brow1 {
-					orow[j] += av1 * bv
-				}
+				axpy(orow, brow1, av1)
 			default:
-				for j, bv := range brow0 {
-					orow[j] += av0 * bv
-					orow[j] += av1 * brow1[j]
-				}
+				axpySteps(orow, brow0, brow1, av0, av1)
 			}
 		}
 	}
@@ -232,11 +217,53 @@ func matMulATBInto(out, a, b *Tensor, k, m, n int) {
 			if av == 0 {
 				continue
 			}
-			orow := out.Data[i*n:][:n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+			axpy(out.Data[i*n:][:n], brow, av)
 		}
+	}
+}
+
+// axpy computes o[j] += a·b[j] for j < len(o). With useSIMD the whole
+// 4-lane groups run on axpyKernel and the last len(o)%4 on the loop; both
+// round the product, then the sum, per element, so the bits agree.
+func axpy(o, b []float64, a float64) {
+	b = b[:len(o)]
+	j := 0
+	if useSIMD && len(o) >= 4 {
+		j = len(o) &^ 3
+		axpyKernel(&o[0], &b[0], a, j)
+	}
+	for ; j < len(o); j++ {
+		o[j] += a * b[j]
+	}
+}
+
+// axpyRows computes o0[j] += a0·b[j] and o1[j] += a1·b[j], as axpy does.
+func axpyRows(o0, o1, b []float64, a0, a1 float64) {
+	o1, b = o1[:len(o0)], b[:len(o0)]
+	j := 0
+	if useSIMD && len(o0) >= 4 {
+		j = len(o0) &^ 3
+		axpyRowsKernel(&o0[0], &o1[0], &b[0], a0, a1, j)
+	}
+	for ; j < len(o0); j++ {
+		bv := b[j]
+		o0[j] += a0 * bv
+		o1[j] += a1 * bv
+	}
+}
+
+// axpySteps computes o[j] += a0·b0[j] and then o[j] += a1·b1[j], two
+// separately rounded adds per element, as axpy does.
+func axpySteps(o, b0, b1 []float64, a0, a1 float64) {
+	b0, b1 = b0[:len(o)], b1[:len(o)]
+	j := 0
+	if useSIMD && len(o) >= 4 {
+		j = len(o) &^ 3
+		axpyStepsKernel(&o[0], &b0[0], &b1[0], a0, a1, j)
+	}
+	for ; j < len(o); j++ {
+		o[j] += a0 * b0[j]
+		o[j] += a1 * b1[j]
 	}
 }
 
@@ -473,22 +500,10 @@ func AxpySharded(dst []float64, coeffs []float64, srcs [][]float64) {
 	parallelRows(len(dst), func(lo, hi int) { axpyRange(dst, coeffs, srcs, lo, hi) })
 }
 
-// axpyRange accumulates the k-sum for elements [lo,hi). The 4-wide unroll
-// touches disjoint elements, so per-element operation order is untouched.
+// axpyRange accumulates the k-sum for elements [lo,hi), one axpy sweep per
+// source in ascending k.
 func axpyRange(dst []float64, coeffs []float64, srcs [][]float64, lo, hi int) {
 	for k, src := range srcs {
-		c := coeffs[k]
-		d := dst[lo:hi]
-		s := src[lo:hi]
-		i := 0
-		for ; i+4 <= len(s); i += 4 {
-			d[i] += c * s[i]
-			d[i+1] += c * s[i+1]
-			d[i+2] += c * s[i+2]
-			d[i+3] += c * s[i+3]
-		}
-		for ; i < len(s); i++ {
-			d[i] += c * s[i]
-		}
+		axpy(dst[lo:hi], src[lo:hi], coeffs[k])
 	}
 }
