@@ -9,15 +9,16 @@ import (
 	"time"
 
 	"repro/internal/compress"
-	"repro/internal/tensor"
 )
 
 // Allocation contract of the socket path, in the style of nn/alloc_test.go
 // and compress/alloc_test.go: once every buffer is sized, a Train→Update
 // round trip of a 250 000-parameter model — the worker's whole session loop
 // on one end of a net.Pipe, an aggregator's send, recv, decodeUpdate and
-// vector return on the other — allocates less than one dense vector's worth
-// of bytes for both ends together.
+// recycle on the other — allocates less than one dense vector's worth of
+// bytes for both ends together. Both ends draw their receive buffers from
+// the one blob pool: the worker holds its last dense Train's, the
+// aggregator hands each update's back through recycle.
 
 const allocModelLen = 250_000
 
@@ -48,7 +49,6 @@ func steadyStateRoundTrips(t *testing.T, send func(c *conn, round int) (first, l
 	if env, err := c.recv(5 * time.Second); err != nil || env.Type != MsgRegister {
 		t.Fatalf("registration arrived as (%+v, %v)", env, err)
 	}
-	var vecs tensor.Pool
 	peer, weights := &registered{}, make([]float64, n)
 	roundTrip := func(round int) {
 		first, last := send(c, round)
@@ -56,11 +56,11 @@ func steadyStateRoundTrips(t *testing.T, send func(c *conn, round int) (first, l
 		if err != nil {
 			t.Fatal(err)
 		}
-		u, ok := decodeUpdate(peer, env, weights, &vecs)
+		u, ok := decodeUpdate(peer, env, weights)
 		if !ok || u.Weights[0] != first+1 || u.Weights[n-1] != last+1 {
 			t.Fatalf("round %d: update decoded as ok %v", round, ok)
 		}
-		vecs.Put(u.Weights)
+		recycle(u)
 	}
 	// The pools are the collector's to empty; with it off, what is measured
 	// is what the code itself allocates.
@@ -98,13 +98,12 @@ func allocModel() []float64 {
 	return model
 }
 
-// Before the frame each end allocated several payloads per dense round trip.
+// Before the frame each end allocated several payloads per dense round trip;
+// now neither end encodes or decodes a copy of one.
 func TestDenseRoundTripSteadyStateAllocs(t *testing.T) {
 	model := allocModel()
 	steadyStateRoundTrips(t, func(c *conn, round int) (float64, float64) {
-		bc := newBroadcast(model)
-		defer bc.release()
-		if err := c.send(&Envelope{Type: MsgTrain, Train: &Train{Round: round, Raw: bc.raw()}}); err != nil {
+		if err := c.send(&Envelope{Type: MsgTrain, Train: &Train{Round: round, weights: model}}); err != nil {
 			t.Fatal(err)
 		}
 		return model[0], model[len(model)-1]
@@ -118,8 +117,7 @@ func TestInt8CatchUpSteadyStateAllocs(t *testing.T) {
 	model := allocModel()
 	ch := (&compress.Downlink{Codec: compress.NewInt8(0)}).NewChain()
 	ch.Adopt(model)
-	bc := newBroadcast(slices.Clone(model))
-	defer bc.release()
+	dense := slices.Clone(model)
 	// The chain's payloads and the base each one leads to, built up front so
 	// the aggregator end allocates no payload while the test measures.
 	payloads := [][]byte{nil}
@@ -135,7 +133,7 @@ func TestInt8CatchUpSteadyStateAllocs(t *testing.T) {
 	steadyStateRoundTrips(t, func(c *conn, round int) (float64, float64) {
 		tr := &Train{Round: round, Version: round + 1}
 		if round == 0 {
-			tr.Raw = bc.raw()
+			tr.weights = dense
 		} else {
 			tr.Delta, tr.DeltaBase, tr.DeltaCodec = payloads[round:round+1], round, compress.IDInt8
 		}

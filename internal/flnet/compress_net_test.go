@@ -256,7 +256,7 @@ func TestDecodeUpdateCompressed(t *testing.T) {
 	env := &Envelope{Type: MsgCompressedUpdate, CompressedUpdate: &CompressedUpdate{
 		Round: 1, ClientID: 4, NumSamples: 9, Codec: codec.ID(), Payload: payload,
 	}}
-	u, ok := decodeUpdate(w, env, weights, nil)
+	u, ok := decodeUpdate(w, env, weights)
 	if !ok || u.ClientID != 4 || u.NumSamples != 9 || u.WireBytes != len(payload) || len(u.Weights) != n {
 		t.Fatalf("decoded update = %+v, ok %v", u, ok)
 	}
@@ -265,12 +265,12 @@ func TestDecodeUpdateCompressed(t *testing.T) {
 			t.Fatalf("weights[%d] = %v, want %v", i, u.Weights[i], want)
 		}
 	}
-	if got := testing.AllocsPerRun(20, func() { decodeUpdate(w, env, weights, nil) }); got != 1 {
+	if got := testing.AllocsPerRun(20, func() { decodeUpdate(w, env, weights) }); got != 1 {
 		t.Errorf("decodeUpdate allocates %v times per int8 update, want 1", got)
 	}
 	payload[12+2] |= 0x7F // first chunk's scale becomes NaN/huge
 	payload[12+3] |= 0x7F
-	if _, ok := decodeUpdate(w, env, weights, nil); ok {
+	if _, ok := decodeUpdate(w, env, weights); ok {
 		t.Fatal("corrupt int8 update must be rejected")
 	}
 }

@@ -145,7 +145,7 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 						if err != nil || env.Type != MsgTrain {
 							return err // MsgDone: the run finished without this worker
 						}
-						w, err := env.Train.roundWeights(nil)
+						w, err := env.Train.roundWeights()
 						if err != nil {
 							return err
 						}

@@ -218,7 +218,7 @@ func TestStragglerDiscardedUnderOverselection(t *testing.T) {
 					if env.Type != MsgTrain {
 						continue // Done: stay connected
 					}
-					w, err := env.Train.roundWeights(nil)
+					w, err := env.Train.roundWeights()
 					if err != nil {
 						t.Error(err)
 						return

@@ -26,11 +26,14 @@
 // against a bound before anything is allocated for them. A weight vector
 // crosses the socket in one encoding, the nn.EncodeWeights little-endian
 // blob (Raw and Weights fields), or as a compress delta against a base the
-// receiver holds (Delta fields). There is one dialect: a frame announcing
-// another wireVersion is refused, so every connection that survives the
-// handshake speaks every message below. The aggregator owns the global model
-// as a flat weight vector; workers run caller-supplied TrainFuncs, so the
-// same nn/flcore training code runs in-process or across machines.
+// receiver holds (Delta fields). A dense blob is neither encoded nor decoded
+// on a little-endian host: it leaves as its header plus the vector's own
+// bytes, and arrives into float64 storage that becomes the vector (see
+// Envelope). There is one dialect: a frame announcing another wireVersion
+// is refused, so every connection that survives the handshake speaks every
+// message below. The aggregator owns the global model as a flat weight
+// vector; workers run caller-supplied TrainFuncs, so the same nn/flcore
+// training code runs in-process or across machines.
 package flnet
 
 import (
@@ -93,9 +96,13 @@ const (
 //
 // Blob ownership: the bulk byte field of a received Train, Update,
 // CompressedUpdate or TreePull (Raw, Delta, Payload) points into a recycled
-// receive buffer. It is valid until the receiver calls release, which every
-// handler does as soon as it has decoded the field, and must not be read or
-// retained afterwards. An envelope that is dropped undecoded needs no
+// receive buffer. It is valid until the receiver calls release, or takes
+// the buffer over with take and hands it back with putBlob, and must not be
+// read or retained afterwards. A dense Raw decodes to a view of that buffer
+// (nn.ViewWeights), so whoever keeps the view keeps the buffer: the fan-in
+// until recycle, the worker until its next dense Train. A received
+// Profile's or TierCommit's Weights is the buffer itself, never recycled:
+// the vector owns it. An envelope that is dropped undecoded needs no
 // release; the buffer is then simply collected. A sender's bulk field is
 // only read, and only until send returns.
 type Envelope struct {
@@ -118,8 +125,16 @@ type Envelope struct {
 // release hands the receive buffer behind the bulk field back for reuse. The
 // field itself is left as it is: it dangles, it is not cleared.
 func (e *Envelope) release() {
-	putBlob(e.blob)
+	putBlob(e.take())
+}
+
+// take hands the receive buffer behind the bulk field to the caller, who
+// recycles it with putBlob once nothing reads the field any more; the
+// envelope's release is then a no-op.
+func (e *Envelope) take() *[]byte {
+	b := e.blob
 	e.blob = nil
+	return b
 }
 
 // hasPayload reports whether the payload pointer matching e.Type is set.
@@ -160,7 +175,8 @@ type Register struct {
 
 // Profile asks a worker to run one profiling task (Section 4.2's
 // lightweight profiler, over the network). Weights travels as the frame's
-// blob in the nn.EncodeWeights form and arrives as a fresh vector.
+// blob in the nn.EncodeWeights form, written from the sender's vector; the
+// receiver's Weights is the receive buffer, which it owns.
 type Profile struct {
 	Weights []float64
 }
@@ -191,11 +207,14 @@ type Train struct {
 	Participants []int
 	MaskScale    float64
 	Seq          int64
-	// Raw is the dense snapshot, one nn.EncodeWeights blob encoded once per
-	// round and shared by every recipient. Exactly one of Raw/Delta is set;
-	// whichever it is travels as the frame's blob and is the receiver's only
-	// until it releases the envelope.
-	Raw []byte
+	// Raw is the dense snapshot as an nn.EncodeWeights blob. A round sets
+	// weights, its base, instead, and split writes the blob from that
+	// vector for every dense recipient. Exactly one of Raw/weights and Delta
+	// is set; whichever it is travels as the frame's blob. The receiver's
+	// Raw lives in the receive buffer: the worker views it as its round
+	// vector (roundWeights) and keeps the buffer until its next dense Train.
+	Raw     []byte
+	weights []float64
 	// Version is the sending tier's chain state (compress.Chain.Version,
 	// from 1; 0 without a downlink mode: track no base) — per broadcast, not
 	// the global version, which a redrawn round repeats — so every (Tier,
@@ -219,34 +238,10 @@ type Train struct {
 	DeltaCodec byte
 }
 
-// broadcast is one round's dense snapshot on its way to a cohort: the blob
-// is encoded at most once per round, however many members receive it (and
-// not at all on a round every member takes as a delta), and shared
-// read-only across the per-worker Train envelopes.
-type broadcast struct {
-	weights []float64
-	once    sync.Once // redispatches ask from concurrent collector goroutines
-	blob    *[]byte
-}
-
-func newBroadcast(weights []float64) *broadcast { return &broadcast{weights: weights} }
-
-// raw returns the round's nn.EncodeWeights blob, encoding it on first use
-// into a recycled buffer.
-func (b *broadcast) raw() []byte {
-	b.once.Do(func() { b.blob = encodeBlob(b.weights) })
-	return *b.blob
-}
-
-// release recycles the blob once the round's last send has returned.
-func (b *broadcast) release() { putBlob(b.blob) }
-
-// roundWeights decodes the request's dense snapshot into dst's storage; a
-// request that carries none is an error, never a nil vector.
-func (t *Train) roundWeights(dst []float64) ([]float64, error) {
-	w, _, err := nn.DecodeWeightsInto(dst, t.Raw)
-	return w, err
-}
+// roundWeights is the request's dense snapshot, viewed in place in Raw's
+// buffer (nn.ViewWeights); a request that carries none is an error, never
+// a nil vector.
+func (t *Train) roundWeights() ([]float64, error) { return nn.ViewWeights(t.Raw) }
 
 // Update returns a worker's locally trained weights. Seconds is the
 // worker-measured duration of the local pass; it feeds the live tiering
@@ -260,8 +255,11 @@ type Update struct {
 	// Seq echoes Train.Seq.
 	Seq int64
 	// Raw is the trained weight vector as an nn.EncodeWeights blob, the
-	// frame's blob: the aggregator's until decodeUpdate releases it.
-	Raw []byte
+	// frame's blob. The worker sets weights instead, and split writes the
+	// blob from that vector. The aggregator's decodeUpdate views Raw in
+	// place and keeps its buffer, as the update's Weights, until recycle.
+	Raw     []byte
+	weights []float64
 }
 
 // Done ends a peer's session: training is finished or, with a Reason, the
@@ -301,10 +299,12 @@ type TierAssign struct {
 // against a flat one. Exactly one of Raw/Delta is set.
 type TreePull struct {
 	Version int
-	// Raw is the dense model as an nn.EncodeWeights blob. Raw or Delta,
-	// whichever is set, is the frame's blob: the child's until it releases
-	// the envelope, which it does once the pull is decoded.
-	Raw []byte
+	// Raw is the dense model as an nn.EncodeWeights blob; the root sets
+	// weights instead, and split writes the blob from that vector. Raw or
+	// Delta, whichever is set, is the frame's blob: the child's until it
+	// releases the envelope, which it does once the pull is decoded.
+	Raw     []byte
+	weights []float64
 	// Delta, when non-nil, replaces Raw: the compress delta payload against
 	// the child's previously applied pull. DeltaBase is that pull's
 	// Version, DeltaCodec the compress delta codec ID. The root may send
@@ -328,9 +328,9 @@ func (p *TreePull) pullWeights(dst []float64) ([]float64, error) {
 // the flcore.Commit flcore.RunTierRound produced, plus how many clients it
 // aggregated and its wall-clock seconds. A flat root's tier loops hand it
 // to the committer in process; a tree child sends it (tree.go). On the
-// wire Weights is the frame's blob in the nn.EncodeWeights form and arrives
-// as a fresh vector the receiver owns — a finite one: recv refuses a
-// commit holding a NaN or ±Inf.
+// wire Weights is the frame's blob in the nn.EncodeWeights form, written
+// from the child's vector. The root's Weights is the receive buffer, which
+// it owns, and finite: recv refuses a commit holding a NaN or ±Inf.
 type TierCommit struct {
 	flcore.Commit
 	Clients int
@@ -391,11 +391,12 @@ type CompressedUpdate struct {
 // The blob is Train.Raw, Update.Raw, CompressedUpdate.Payload or
 // TreePull.Raw/Delta verbatim, Train.Delta's payloads back to back (their
 // lengths, Train.DeltaLens, ride in the control part), or the
-// nn.EncodeWeights form of Profile.Weights or TierCommit.Weights; no other
-// message carries one. Whether a blob is present and which field it fills
-// rides in flags, so a zero-length payload arrives non-nil. Payload byte
-// accounting (UplinkBytes, DownlinkBytes) counts blob sizes; header and
-// meta are not payload.
+// nn.EncodeWeights form of a vector: Profile.Weights, TierCommit.Weights,
+// or the weights a Train, Update or TreePull sender set in place of Raw.
+// No other message carries one. Whether a blob is present and which field
+// it fills rides in flags, so a zero-length payload arrives non-nil.
+// Payload byte accounting (UplinkBytes, DownlinkBytes) counts blob sizes;
+// header and meta are not payload.
 const (
 	frameHeaderLen        = 16
 	frameMagic     uint32 = 0x7F1F_F2A3
@@ -419,11 +420,12 @@ func blobBound(n int) int64 {
 	return int64(max(compress.DenseBytes(n), compress.NewInt8(1).EncodedBytes(n), compress.NewTopK(1).EncodedBytes(n)))
 }
 
-// blobs recycles receive buffers and broadcast blobs across rounds and
-// connections, one pool per power-of-two size class (indexed by the bit
-// length of the capacity) so that a compressed payload never pins a buffer
-// sized for the dense model. Buffers are allocated at the requested length;
-// a fleet training one model asks for the same few lengths every round.
+// blobs recycles receive buffers across rounds and connections, one pool
+// per power-of-two size class (indexed by the bit length of the capacity)
+// so that a compressed payload never pins a buffer sized for the dense
+// model. Buffers are allocated at the requested length, with float64
+// storage behind them so a dense blob's body can be viewed as the vector; a
+// fleet training one model asks for the same few lengths every round.
 var blobs [bits.UintSize + 1]sync.Pool
 
 // getBlob returns a recycled buffer of length n with unspecified contents.
@@ -432,7 +434,7 @@ func getBlob(n int) *[]byte {
 		*b = (*b)[:n]
 		return b
 	}
-	b := make([]byte, n)
+	b := nn.NewWeightsBuffer(n)
 	return &b
 }
 
@@ -443,7 +445,8 @@ func putBlob(b *[]byte) {
 	}
 }
 
-// encodeBlob is nn.EncodeWeights into a recycled buffer.
+// encodeBlob is nn.EncodeWeights into a recycled buffer: a vector's blob
+// where nn.WeightsBody offers no view of it.
 func encodeBlob(w []float64) *[]byte {
 	b := getBlob(compress.DenseBytes(len(w)))
 	*b = nn.AppendWeights((*b)[:0], w)
@@ -476,6 +479,7 @@ type conn struct {
 	head bytes.Buffer
 	enc  *gob.Encoder // → head
 	iov  [][]byte
+	vhdr [8]byte // a vector blob's header; its body is the vector itself
 	// Receive state: the control part is read into meta and decoded from
 	// metaR, which dec reads; both persist so gob's type descriptions cross
 	// once per connection.
@@ -501,14 +505,15 @@ func newConn(raw net.Conn) *conn {
 }
 
 // split returns env's control part — a shallow copy with the bulk field
-// cleared, so the caller's envelope, which a broadcast shares between
-// connections, is never written — and the blob with its flags, its
-// non-empty pieces appended to iov (an empty Write can block a synchronous
-// transport). A []float64 bulk field is encoded into a recycled buffer,
-// returned as encoded for the caller to recycle once the frame is written.
-// An envelope without its payload passes through whole; the receiver
-// refuses it.
-func split(env *Envelope, iov [][]byte) (meta Envelope, blob [][]byte, flags byte, encoded *[]byte) {
+// cleared, so the caller's envelope is never written — and the blob with
+// its flags, its non-empty pieces appended to iov (an empty Write can block
+// a synchronous transport). A []float64 bulk field goes out as its header,
+// written to hdr, then the vector's own bytes (nn.WeightsBody), so the
+// vector must hold still until the frame is written. Where there is no view
+// it is encoded into a recycled buffer, returned as encoded for the caller
+// to recycle once the frame is written. An envelope without its payload
+// passes through whole; the receiver refuses it.
+func split(env *Envelope, iov [][]byte, hdr *[8]byte) (meta Envelope, blob [][]byte, flags byte, encoded *[]byte) {
 	meta = *env
 	meta.blob = nil
 	blob = iov
@@ -521,15 +526,23 @@ func split(env *Envelope, iov [][]byte) (meta Envelope, blob [][]byte, flags byt
 		}
 	}
 	vec := func(w []float64) {
-		if w != nil {
-			encoded = encodeBlob(w)
-			carry(*encoded, 0)
+		if w == nil {
+			return
 		}
+		if body, ok := nn.WeightsBody(w); ok {
+			nn.PutWeightsHeader(hdr, len(w))
+			carry(hdr[:], 0)
+			carry(body, 0)
+			return
+		}
+		encoded = encodeBlob(w)
+		carry(*encoded, 0)
 	}
 	switch {
 	case env.Type == MsgTrain && env.Train != nil:
 		m := *env.Train
 		carry(m.Raw, 0)
+		vec(m.weights)
 		if m.Delta != nil {
 			flags, m.DeltaLens = flagBlob|flagDelta, make([]int, len(m.Delta))
 			for i, p := range m.Delta {
@@ -537,16 +550,18 @@ func split(env *Envelope, iov [][]byte) (meta Envelope, blob [][]byte, flags byt
 				m.DeltaLens[i] = len(p)
 			}
 		}
-		m.Raw, m.Delta, meta.Train = nil, nil, &m
+		m.Raw, m.weights, m.Delta, meta.Train = nil, nil, nil, &m
 	case env.Type == MsgTreePull && env.TreePull != nil:
 		m := *env.TreePull
 		carry(m.Raw, 0)
+		vec(m.weights)
 		carry(m.Delta, flagDelta)
-		m.Raw, m.Delta, meta.TreePull = nil, nil, &m
+		m.Raw, m.weights, m.Delta, meta.TreePull = nil, nil, nil, &m
 	case env.Type == MsgUpdate && env.Update != nil:
 		m := *env.Update
 		carry(m.Raw, 0)
-		m.Raw, meta.Update = nil, &m
+		vec(m.weights)
+		m.Raw, m.weights, meta.Update = nil, nil, &m
 	case env.Type == MsgCompressedUpdate && env.CompressedUpdate != nil:
 		m := *env.CompressedUpdate
 		carry(m.Payload, 0)
@@ -563,11 +578,12 @@ func split(env *Envelope, iov [][]byte) (meta Envelope, blob [][]byte, flags byt
 	return meta, blob, flags, encoded
 }
 
-// attach puts a received blob where split took it from. The two []float64
-// fields are decoded here and their buffer recycled at once; the byte fields
-// alias the buffer until the handler releases the envelope. A catch-up is
-// cut back into its payloads by the lengths the control part carried, once
-// they are checked against the blob.
+// attach puts a received blob where split took it from. The byte fields
+// alias the buffer until the handler releases the envelope. The two
+// []float64 fields are decoded here, as a view of the buffer, which then
+// belongs to the vector and never returns to the pool. A catch-up is cut
+// back into its payloads by the lengths the control part carried, once they
+// are checked against the blob.
 func (e *Envelope) attach(b *[]byte, delta bool) error {
 	var vec *[]float64
 	switch e.Type {
@@ -601,14 +617,17 @@ func (e *Envelope) attach(b *[]byte, delta bool) error {
 		e.blob = b
 		return nil
 	}
-	defer putBlob(b)
-	w, finite, err := nn.DecodeWeightsInto(nil, *b)
-	if err == nil && !finite && e.Type == MsgTierCommit {
+	w, err := nn.ViewWeights(*b)
+	if err != nil {
+		putBlob(b)
+		return err
+	}
+	if e.Type == MsgTierCommit && !nn.AllFinite(w) {
 		// A non-finite aggregate would poison the global model for good.
-		err = fmt.Errorf("tier commit weights are not finite")
+		return fmt.Errorf("tier commit weights are not finite")
 	}
 	*vec = w
-	return err
+	return nil
 }
 
 func (c *conn) send(env *Envelope) error {
@@ -621,7 +640,7 @@ func (c *conn) send(env *Envelope) error {
 		defer c.raw.SetWriteDeadline(time.Time{}) //nolint:errcheck // best-effort reset
 	}
 	// iov[0] is the head, filled in once the control part is encoded.
-	meta, iov, flags, encoded := split(env, append(c.iov[:0], nil))
+	meta, iov, flags, encoded := split(env, append(c.iov[:0], nil), &c.vhdr)
 	c.iov = iov
 	defer putBlob(encoded)
 	blobLen := int64(0)

@@ -10,6 +10,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,7 +81,7 @@ func TestProtocolFieldFidelity(t *testing.T) {
 	if got.Train.Round != 42 {
 		t.Fatalf("round = %d", got.Train.Round)
 	}
-	back, err := got.Train.roundWeights(nil)
+	back, err := got.Train.roundWeights()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,20 +138,64 @@ func TestRecvRequiresMatchingPayload(t *testing.T) {
 	}
 }
 
-// TestBroadcastNegotiation: nothing is negotiated any more — a round has one
-// blob, encoded once and shared by every recipient (bit-fidelity of the
-// blob itself is TestProtocolFieldFidelity's).
+// TestBroadcastNegotiation: nothing is negotiated any more — every member
+// of a round is sent the same frame, written from the round's base vector,
+// which nothing copies or changes (bit-fidelity of the blob itself is
+// TestProtocolFieldFidelity's).
 func TestBroadcastNegotiation(t *testing.T) {
-	bc := newBroadcast([]float64{1.5, -2.25, math.Pi, 0})
-	if first, second := bc.raw(), bc.raw(); &first[0] != &second[0] {
-		t.Fatal("the round's blob must be encoded once and shared")
+	base := []float64{1.5, -2.25, math.Pi, 0}
+	before := slices.Clone(base)
+	first := frameOf(t, &Envelope{Type: MsgTrain, Train: &Train{Round: 2, weights: base}})
+	second := frameOf(t, &Envelope{Type: MsgTrain, Train: &Train{Round: 2, weights: base}})
+	if !bytes.Equal(first, second) || !slices.Equal(base, before) {
+		t.Fatal("a round's members must be sent one frame, and the base left as it is")
+	}
+}
+
+// TestVectorBlobsAreTheEncodedForm: a vector sent as its header plus its
+// own bytes is, byte for byte, the frame the nn.AppendWeights encoding
+// gave — for a Train broadcast, an Update, a TreePull, a Profile and a
+// TierCommit, with NaN, ±Inf, −0 and a subnormal among the weights. Where
+// the message has a Raw field the whole frame equals the encoded Raw's.
+func TestVectorBlobsAreTheEncodedForm(t *testing.T) {
+	w := []float64{1.5, math.Copysign(0, -1), math.NaN(), math.Inf(-1), math.SmallestNonzeroFloat64, -7}
+	enc := nn.AppendWeights(nil, w)
+	rows := []struct {
+		name      string
+		vec, want *Envelope // want: the same message with Raw encoded, or nil
+	}{
+		{"broadcast",
+			&Envelope{Type: MsgTrain, Train: &Train{Round: 3, Seq: 9, Tier: 1, Version: 4, weights: w}},
+			&Envelope{Type: MsgTrain, Train: &Train{Round: 3, Seq: 9, Tier: 1, Version: 4, Raw: enc}}},
+		{"update",
+			&Envelope{Type: MsgUpdate, Update: &Update{Round: 3, ClientID: 7, NumSamples: 4, Seconds: 0.5, Seq: 9, weights: w}},
+			&Envelope{Type: MsgUpdate, Update: &Update{Round: 3, ClientID: 7, NumSamples: 4, Seconds: 0.5, Seq: 9, Raw: enc}}},
+		{"pull",
+			&Envelope{Type: MsgTreePull, TreePull: &TreePull{Version: 5, weights: w}},
+			&Envelope{Type: MsgTreePull, TreePull: &TreePull{Version: 5, Raw: enc}}},
+		{"profile", &Envelope{Type: MsgProfile, Profile: &Profile{Weights: w}}, nil},
+		{"commit", &Envelope{Type: MsgTierCommit, TierCommit: &TierCommit{Commit: flcore.Commit{Tier: 1, TierRound: 2, Weights: w,
+			Observed: []flcore.Observation{{Client: 3, Seconds: 0.5}}}, Clients: 1}}, nil},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			got := frameOf(t, r.vec)
+			if r.want != nil && !bytes.Equal(got, frameOf(t, r.want)) {
+				t.Fatal("the frame differs from the one the encoded Raw gives")
+			}
+			metaLen := int(binary.LittleEndian.Uint32(got[8:]))
+			blobLen := int(binary.LittleEndian.Uint32(got[12:]))
+			if got[7] != flagBlob || blobLen != len(enc) || !bytes.Equal(got[frameHeaderLen+metaLen:], enc) {
+				t.Fatalf("flags %#x, a %d-byte blob: want flagBlob and the %d-byte nn.AppendWeights form", got[7], blobLen, len(enc))
+			}
+		})
 	}
 }
 
 func TestRoundWeightsRejectsCorruptRaw(t *testing.T) {
-	tr := &Train{Raw: newBroadcast([]float64{1, 2}).raw()}
+	tr := &Train{Raw: nn.EncodeWeights([]float64{1, 2})}
 	tr.Raw[0] ^= 0xFF // break the magic
-	if _, err := tr.roundWeights(nil); err == nil {
+	if _, err := tr.roundWeights(); err == nil {
 		t.Fatal("corrupt raw payload must error")
 	}
 }
@@ -161,7 +206,7 @@ func TestDecodeUpdateFastWire(t *testing.T) {
 	env := &Envelope{Type: MsgUpdate, Update: &Update{
 		Round: 1, ClientID: 4, NumSamples: 9, Raw: nn.EncodeWeights(weights),
 	}}
-	u, ok := decodeUpdate(w, env, weights, nil)
+	u, ok := decodeUpdate(w, env, weights)
 	if !ok {
 		t.Fatal("fast-wire update must decode")
 	}
@@ -175,7 +220,7 @@ func TestDecodeUpdateFastWire(t *testing.T) {
 	}
 	// A corrupt payload is treated like a dropped worker, not a dead round.
 	env.Update.Raw[0] ^= 0xFF
-	if _, ok := decodeUpdate(w, env, weights, nil); ok {
+	if _, ok := decodeUpdate(w, env, weights); ok {
 		t.Fatal("corrupt fast-wire update must be rejected")
 	}
 }
@@ -343,12 +388,12 @@ func FuzzEnvelopeRecv(f *testing.F) {
 				if env.Train.Delta != nil {
 					compress.ApplyCatchUp(nil, env.Train.DeltaCodec, env.Train.Delta, model) //nolint:errcheck // must not panic
 				} else {
-					env.Train.roundWeights(nil) //nolint:errcheck // must not panic
+					env.Train.roundWeights() //nolint:errcheck // must not panic
 				}
 			case MsgTreePull:
 				env.TreePull.pullWeights(nil) //nolint:errcheck // must not panic
 			case MsgUpdate, MsgCompressedUpdate:
-				u, ok := decodeUpdate(w, env, model, nil)
+				u, ok := decodeUpdate(w, env, model)
 				if !ok {
 					continue
 				}

@@ -36,7 +36,7 @@ func (a *Aggregator) RunSecureRound(round int, chosen []int, weights []float64, 
 	if a.fan.gather(cr, chosen) == flcore.RoundNoCohort {
 		return nil, fmt.Errorf("flnet: secure round %d: no reachable workers", round)
 	}
-	defer a.fan.recycle(cr.updates...)
+	defer recycle(cr.updates...)
 	subs := make([]secagg.Submission, len(cr.updates))
 	for i, u := range cr.updates {
 		subs[i] = secagg.Submission{ClientID: u.ClientID, Masked: u.Weights, NumSamples: u.NumSamples}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/flcore"
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // AggregatorConfig configures a synchronous aggregator run (Algorithm 1).
@@ -527,7 +526,7 @@ func (a *Aggregator) Run(sel flcore.Selector) (*RunResult, error) {
 			stats.UplinkBytes += int64(u.WireBytes)
 		}
 		flcore.FedAvgInto(weights, plain)
-		a.fan.recycle(cr.updates...)
+		recycle(cr.updates...)
 		stats.Wall = time.Since(start)
 		res.UplinkBytes += stats.UplinkBytes
 		res.Rounds = append(res.Rounds, stats)
@@ -566,60 +565,54 @@ func (a *server) FinishWorkers(rounds int) {
 
 // decodeUpdate converts a worker's update envelope into an aggregatable
 // flcore.Update against the round's broadcast weights, and releases the
-// envelope's receive buffer: this is the one place an update's blob is read.
-// It enforces the handshake codec negotiation; a payload that fails to
-// decode to a vector of the model's length — compressed or dense — is
-// treated like a dropped worker: one bad update must not kill the round. So
-// is a dense update holding a NaN or ±Inf, which FedAvg would spread over
-// the whole model; the decode pass reads that off the bits it loads.
+// envelope's receive buffer or takes it over: this is the one place an
+// update's blob is read. It enforces the handshake codec negotiation; a
+// payload that fails to decode to a vector of the model's length —
+// compressed or dense — is treated like a dropped worker: one bad update
+// must not kill the round. So is a dense update holding a NaN or ±Inf,
+// which FedAvg would spread over the whole model (one nn.AllFinite scan).
 // Compressed updates are not checked for finiteness (ROADMAP item 4).
 //
-// A dense update decodes into a vector drawn from vecs (nil: a fresh one),
-// which the caller returns once the round's aggregation has read it; a
-// compressed update's vector is always fresh and never the pool's.
-func decodeUpdate(w *registered, env *Envelope, weights []float64, vecs *tensor.Pool) (flcore.Update, bool) {
+// A dense update's Weights view its receive buffer (nn.ViewWeights), which
+// the result carries as blob for the caller to recycle once the round's
+// aggregation has read it; a compressed update's vector is always fresh.
+// The result's src is w; its idx is the caller's to set.
+func decodeUpdate(w *registered, env *Envelope, weights []float64) (timedUpdate, bool) {
 	defer env.release()
 	switch env.Type {
 	case MsgUpdate:
 		// A dense update of the wrong length would panic FedAvg; drop it like
 		// any other payload that does not decode to the model.
 		if len(env.Update.Raw) != compress.DenseBytes(len(weights)) {
-			return flcore.Update{}, false
+			return timedUpdate{}, false
 		}
-		var dst []float64
-		if vecs != nil {
-			dst = vecs.Get(len(weights))
+		uw, err := nn.ViewWeights(env.Update.Raw)
+		if err != nil || !nn.AllFinite(uw) {
+			return timedUpdate{}, false
 		}
-		uw, finite, err := nn.DecodeWeightsInto(dst, env.Update.Raw)
-		if err != nil || !finite {
-			if vecs != nil {
-				vecs.Put(dst)
-			}
-			return flcore.Update{}, false
-		}
-		return flcore.Update{
+		return timedUpdate{Update: flcore.Update{
 			ClientID: env.Update.ClientID, Weights: uw,
 			NumSamples: env.Update.NumSamples,
 			Latency:    env.Update.Seconds,
 			WireBytes:  compress.DenseBytes(len(uw)),
-		}, true
+		}, src: w, blob: env.take()}, true
 	case MsgCompressedUpdate:
 		cu := env.CompressedUpdate
 		// Enforce the negotiation: updates must arrive under the worker's
 		// negotiated codec (current, or the previous one during a live
 		// renegotiation window).
 		if !w.acceptsCodec(cu.Codec) {
-			return flcore.Update{}, false
+			return timedUpdate{}, false
 		}
 		rec, err := compress.AddDecoded(cu.Codec, cu.Payload, weights)
 		if err != nil {
-			return flcore.Update{}, false
+			return timedUpdate{}, false
 		}
-		return flcore.Update{
+		return timedUpdate{Update: flcore.Update{
 			ClientID: cu.ClientID, Weights: rec,
 			NumSamples: cu.NumSamples, Latency: cu.Seconds,
 			WireBytes: len(cu.Payload),
-		}, true
+		}, src: w}, true
 	}
-	return flcore.Update{}, false
+	return timedUpdate{}, false
 }

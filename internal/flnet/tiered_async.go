@@ -12,7 +12,6 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/flcore"
-	"repro/internal/tensor"
 )
 
 // Tiered-asynchronous training over real sockets: the port of
@@ -425,10 +424,6 @@ type fanIn struct {
 	obs *obsState
 	FanInConfig
 	seq atomic.Int64 // train-request token source (Train.Seq)
-	// vecs holds the vectors dense updates decode into: decodeUpdate draws
-	// one per update, recycle returns them once the aggregation has read
-	// them.
-	vecs tensor.Pool
 }
 
 // timedUpdate is one collected update, the position of the request it
@@ -436,9 +431,9 @@ type fanIn struct {
 // request's reply comes from a different registration of the same member.
 type timedUpdate struct {
 	flcore.Update
-	idx    int
-	src    *registered
-	pooled bool // Weights came out of fanIn.vecs (dense updates only) and goes back through recycle
+	idx  int
+	src  *registered
+	blob *[]byte // a dense update's receive buffer, which Weights views; recycle returns it
 }
 
 // trainReq is one outstanding train request: its position in the round,
@@ -486,10 +481,8 @@ type cohortRound struct {
 	conns     []*registered   // the reached connections, in request order
 	live      []int           // their members
 
-	// In flight: what a mid-round redispatch re-sends and the broadcast
-	// bytes redispatches add. The result: the counted replies, in arrival
-	// order, and the round's wall clock.
-	bc        *broadcast
+	// In flight: the broadcast bytes redispatches add. The result: the
+	// counted replies, in arrival order, and the round's wall clock.
 	extraDown atomic.Int64
 	updates   []timedUpdate
 	seconds   float64
@@ -531,12 +524,12 @@ func (f *fanIn) redispatch(rq *trainReq, cr *cohortRound, deadline time.Time) bo
 	nch := nw.addPending(rq.seq)
 	// Dense (a rejoined connection holds no base) but version-tagged: the
 	// connection adopts it, and a counted reply acks it.
-	tr := &Train{Round: cr.Round, Seq: rq.seq, Tier: cr.Tier, Version: cr.ChainVersion, Raw: cr.bc.raw()}
+	tr := &Train{Round: cr.Round, Seq: rq.seq, Tier: cr.Tier, Version: cr.ChainVersion, weights: cr.Base}
 	if err := nw.c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
 		nw.dropPending(rq.seq)
 		return false
 	}
-	db := int64(len(tr.Raw))
+	db := int64(compress.DenseBytes(len(cr.Base)))
 	cr.extraDown.Add(db)
 	f.obs.addDownlink(db, 0)
 	f.obs.noteRetry()
@@ -573,10 +566,10 @@ func (f *fanIn) collect(reqs []*trainReq, cr *cohortRound) []timedUpdate {
 			for {
 				w, wch := rq.current()
 				deliver := func(env *Envelope) {
-					u, ok := decodeUpdate(w, env, cr.Base, &f.vecs)
-					tu := timedUpdate{Update: u, idx: rq.idx, src: w, pooled: env.Type == MsgUpdate}
-					if ok && u.ClientID != w.id {
-						f.recycle(tu)
+					tu, ok := decodeUpdate(w, env, cr.Base)
+					tu.idx = rq.idx
+					if ok && tu.ClientID != w.id {
+						recycle(tu)
 						ok = false
 					}
 					ch <- got{u: tu, ok: ok}
@@ -631,23 +624,24 @@ func (f *fanIn) collect(reqs []*trainReq, cr *cohortRound) []timedUpdate {
 			}
 		default:
 			// Decoded in the instant the target was reached: a straggler too.
-			f.recycle(g.u)
+			recycle(g.u)
 		}
 	}
 	return updates
 }
 
-// recycle returns the updates' pooled vectors once nothing reads them.
-func (f *fanIn) recycle(updates ...timedUpdate) {
+// recycle returns the dense updates' receive buffers, which their Weights
+// view, once nothing reads them.
+func recycle(updates ...timedUpdate) {
 	for _, u := range updates {
-		if u.pooled {
-			f.vecs.Put(u.Weights)
-		}
+		putBlob(u.blob)
 	}
 }
 
 // exchange sends each reached connection the round's request — its bill's
-// catch-up where it has one, else the round's one shared dense blob — and
+// catch-up where it has one, else the round's base, written to the socket
+// from the vector itself, which nothing writes while the round is in
+// flight (a snapshot, a chain's base, the synchronous model) — and
 // collects the matched replies into cr.updates, granting an all-slow cohort
 // extra collection windows (a member persistently slower than its cohort is
 // still dropped each round; live re-tiering moves it to a slower tier). It
@@ -664,10 +658,6 @@ func (f *fanIn) exchange(cr *cohortRound) (int64, flcore.RoundStatus) {
 			w.dropPending(rq.seq)
 		}
 	}()
-	cr.bc = newBroadcast(cr.Base)
-	// Every send of the round — redispatches run inside collect — has
-	// returned by the time exchange does.
-	defer cr.bc.release()
 	var down int64
 	for i, w := range cr.conns {
 		rq := &trainReq{idx: i, id: w.id, w: w, seq: f.seq.Add(1)}
@@ -681,8 +671,7 @@ func (f *fanIn) exchange(cr *cohortRound) (int64, flcore.RoundStatus) {
 			b := cr.Bills[i]
 			tr.Delta, tr.DeltaBase, tr.DeltaCodec, n = b.Delta, b.From, cr.DeltaCodec, b.Bytes
 		} else {
-			tr.Raw = cr.bc.raw()
-			n = len(tr.Raw)
+			tr.weights, n = cr.Base, compress.DenseBytes(len(cr.Base))
 		}
 		if err := w.c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
 			w.dropPending(rq.seq)
@@ -753,17 +742,15 @@ func (f *fanIn) gather(cr *cohortRound, cohort []int) flcore.RoundStatus {
 }
 
 // tierRound is flcore.RunTierRound over a cohortRound and the server's ack
-// ledger; it returns the round's TierCommit (nil unless it committed).
-func (f *fanIn) tierRound(p flcore.TierPull, dl *compress.Chain, done <-chan struct{}) (*TierCommit, flcore.RoundStatus) {
+// ledger, filling tc — the tier's one commit, whose vectors every round
+// reuses — with the round's commit; any status but RoundCommitted leaves
+// tc unspecified.
+func (f *fanIn) tierRound(p flcore.TierPull, dl *compress.Chain, done <-chan struct{}, tc *TierCommit) flcore.RoundStatus {
 	cr := &cohortRound{f: f, done: done}
-	tc := &TierCommit{}
 	status := flcore.RunTierRound(p, dl, &f.srv.acks, cr, &tc.Commit)
-	f.recycle(cr.updates...)
-	if status != flcore.RoundCommitted {
-		return nil, status
-	}
+	recycle(cr.updates...)
 	tc.Clients, tc.Seconds = len(cr.updates), cr.seconds
-	return tc, status
+	return status
 }
 
 // tierEvent is what a tier's driver — a flat tier loop, a tree child's
@@ -817,6 +804,9 @@ func (tp *topology) post(ev tierEvent) bool {
 // round index and cohort — so it trains from exactly the state the sim's
 // dispatch sees, and re-tierings take effect at the tier's next pull.
 func (ta *TieredAsyncAggregator) tierLoop(t int, pulls <-chan flcore.TierPull, dl *compress.Chain, tp *topology) {
+	// The tier's one commit: its next round refills it only after the
+	// committer has applied it and answered with a pull.
+	tc := &TierCommit{}
 	for empty := 0; ; {
 		var p flcore.TierPull
 		select {
@@ -830,13 +820,17 @@ func (ta *TieredAsyncAggregator) tierLoop(t int, pulls <-chan flcore.TierPull, d
 		if len(p.Cohort) == 0 || (!ta.anyLive(ta.tiers()[t]) && !ta.waitTierAlive(t, tp.done)) {
 			return
 		}
-		tc, status := ta.fan.tierRound(p, dl, tp.done)
+		status := ta.fan.tierRound(p, dl, tp.done, tc)
 		if giveUp(status, &empty) {
 			return
 		}
-		// A commit, or (tc nil) the request for the round's redraw: either
-		// way the committer answers with the next pull.
-		if !tp.post(tierEvent{tier: t, commit: tc}) {
+		// A commit, or (nil) the request for the round's redraw: either way
+		// the committer answers with the next pull.
+		ev := tierEvent{tier: t}
+		if status == flcore.RoundCommitted {
+			ev.commit = tc
+		}
+		if !tp.post(ev) {
 			return
 		}
 	}
@@ -915,11 +909,15 @@ func (ta *TieredAsyncAggregator) Run(tiers [][]int) (*TieredAsyncRunResult, erro
 
 	tp := &topology{events: make(chan tierEvent), done: make(chan struct{})}
 	pulls := make([]chan flcore.TierPull, len(tiers))
+	snaps := make([][]float64, len(tiers))
 	tp.dispatch = func(t int, p flcore.TierPull) {
-		// The tier trains from the pull while later commits mix into the
-		// live vector. Buffered 1 and answered one request at a time, the
-		// channel never blocks the committer.
-		p.Weights = append([]float64(nil), p.Weights...)
+		// The tier trains from a snapshot while later commits mix into the
+		// live vector: one per tier, overwritten at each pull, because a
+		// tier asks for its next pull only once its round — every send
+		// included — has ended. Buffered 1 and answered one request at a
+		// time, the channel never blocks the committer.
+		snaps[t] = append(snaps[t][:0], p.Weights...)
+		p.Weights = snaps[t]
 		pulls[t] <- p
 	}
 	// Self-healing: keep accepting registrations while the run is in

@@ -249,10 +249,11 @@ func (ch *Child) Run() error {
 	// knowing about the other.
 	pullVer := -1
 	var pullBase []float64
-	// The round's weights live in one child-owned vector: the pull→commit
-	// cycle is strictly sequential, and nothing downstream of localRound
-	// keeps the slice past the round.
+	// The round's weights and its commit live in child-owned storage: the
+	// pull→commit cycle is strictly sequential, and nothing downstream of
+	// localRound keeps either past the commit's send.
 	var weights []float64
+	tc := &TierCommit{}
 	leafDL := ch.cfg.Downlink.NewChain() // nil without a Downlink
 	for {
 		env, err := root.recv(ch.cfg.RPCTimeout)
@@ -280,8 +281,7 @@ func (ch *Child) Run() error {
 			ch.agg.blobMax.Store(blobBound(len(weights))) // what a leaf of this model may send
 			pullVer = env.TreePull.Version
 			pullBase = append(pullBase[:0], weights...)
-			tc, err := ch.localRound(&r, as, members, env.TreePull.Version, weights, leafDL)
-			if err != nil {
+			if err := ch.localRound(&r, as, members, env.TreePull.Version, weights, leafDL, tc); err != nil {
 				return ch.runErr(err)
 			}
 			if err := root.send(&Envelope{Type: MsgTierCommit, TierCommit: tc}); err != nil {
@@ -308,32 +308,32 @@ func (ch *Child) runErr(err error) error {
 var errChildClosed = fmt.Errorf("flnet: child closed")
 
 // localRound runs rounds of the child's tier, drawing each cohort itself
-// and advancing the round index per attempt, until one commits; the retry
-// policy is the flat tier loops' (giveUp).
-func (ch *Child) localRound(r *int, as *TierAssign, members []int, version int, weights []float64, dl *compress.Chain) (*TierCommit, error) {
+// and advancing the round index per attempt, until one commits into tc; the
+// retry policy is the flat tier loops' (giveUp).
+func (ch *Child) localRound(r *int, as *TierAssign, members []int, version int, weights []float64, dl *compress.Chain, tc *TierCommit) error {
 	for empty := 0; ; {
 		select {
 		case <-ch.done:
-			return nil, errChildClosed
+			return errChildClosed
 		default:
 		}
 		if !ch.agg.anyLive(members) {
-			return nil, fmt.Errorf("every leaf worker disconnected")
+			return fmt.Errorf("every leaf worker disconnected")
 		}
 		cohort := flcore.TierCohort(as.Seed, *r, as.Tier, members, as.ClientsPerRound)
 		if len(cohort) == 0 {
-			return nil, fmt.Errorf("round %d drew an empty cohort", *r)
+			return fmt.Errorf("round %d drew an empty cohort", *r)
 		}
 		p := flcore.TierPull{Tier: as.Tier, Version: version, Weights: weights, Round: *r, Cohort: cohort}
-		tc, status := ch.fan.tierRound(p, dl, ch.done)
+		status := ch.fan.tierRound(p, dl, ch.done, tc)
 		*r++
 		switch {
 		case status == flcore.RoundCommitted:
-			return tc, nil
+			return nil
 		case status == flcore.RoundAbort:
-			return nil, errChildClosed
+			return errChildClosed
 		case giveUp(status, &empty):
-			return nil, fmt.Errorf("%d consecutive rounds produced no update", empty)
+			return fmt.Errorf("%d consecutive rounds produced no update", empty)
 		}
 	}
 }
@@ -435,16 +435,15 @@ type pullChain struct {
 // delta against the previous pull: the strict pull→commit cycle means the
 // received commit IS the ack that the child holds that base, so the hop
 // never has a gap and needs no ack tracking. p.Weights is the live model;
-// it is fully encoded before sendPull returns.
+// a dense pull is written to the socket from it before sendPull returns.
 func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *pullChain, p flcore.TierPull) {
 	pull := &TreePull{Version: p.Version}
+	n := compress.DenseBytes(len(p.Weights)) // the blob's length
 	if dl != nil && dl.HasBase() {
 		pull.Delta, pull.DeltaCodec = dl.Encode(p.Weights)
-		pull.DeltaBase = dl.ver
+		pull.DeltaBase, n = dl.ver, len(pull.Delta)
 	} else {
-		raw := encodeBlob(p.Weights)
-		defer putBlob(raw)
-		pull.Raw = *raw
+		pull.weights = p.Weights
 		if dl != nil {
 			dl.Adopt(p.Weights)
 		}
@@ -453,7 +452,7 @@ func (ta *TieredAsyncAggregator) sendPull(c *registered, dl *pullChain, p flcore
 		dl.ver = p.Version
 	}
 	if c.c.send(&Envelope{Type: MsgTreePull, TreePull: pull}) == nil {
-		ta.obs.addDownlink(int64(len(pull.Delta)+len(pull.Raw)), 0)
+		ta.obs.addDownlink(int64(n), 0)
 	}
 }
 

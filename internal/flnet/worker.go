@@ -8,18 +8,17 @@ import (
 	"time"
 
 	"repro/internal/compress"
-	"repro/internal/nn"
 )
 
 // TrainFunc runs one local training pass starting from the given global
 // weights and returns the updated weights and the number of samples trained
 // (the FedAvg aggregation weight). round is -1 for profiling tasks.
 //
-// weights is valid only for the duration of the call: the worker decodes
-// every broadcast into the same buffer, so an implementation that wants the
-// vector later copies it (nn.Model.SetWeightsVector does). Returning weights
-// itself, modified or not, is fine. newWeights is read until the update is
-// sent, before the next call.
+// weights is valid only for the duration of the call: the worker reuses
+// the buffer behind it for later broadcasts, so an implementation that
+// wants the vector later copies it (nn.Model.SetWeightsVector does).
+// Returning weights itself, modified or not, is fine. newWeights is read
+// until the update is sent, before the next call.
 type TrainFunc func(round int, weights []float64) (newWeights []float64, numSamples int, err error)
 
 // WorkerConfig configures one FL client worker process.
@@ -209,11 +208,13 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 	}
 	var residual []float64 // error-feedback state across compressed rounds
 	var delta []float64    // uplink delta scratch, reused every round
-	// The round's weights and the encoded dense update live in session-owned
-	// buffers: the loop is strictly sequential, so each round overwrites the
-	// last one's (see TrainFunc for what that asks of cfg.Train).
+	// The round's weights tw live in session-owned storage: the loop is
+	// strictly sequential, so each round overwrites the last one's (see
+	// TrainFunc for what that asks of cfg.Train). A dense Train's tw is its
+	// receive buffer, viewed in place and held in twBlob until the next
+	// dense Train replaces it; a catch-up rebuilds tw where it is.
 	var tw []float64
-	var upRaw []byte
+	var twBlob *[]byte
 	// Delta-downlink bases, one per tier that sent this worker a versioned
 	// broadcast: the last one it received from that tier (Train.Version)
 	// and its weights. The aggregator's ack ledger names only a base this
@@ -253,8 +254,9 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 					return progressed, fatalf("flnet: worker %d round %d: tier %d delta against base %d, which it does not hold", cfg.ClientID, env.Train.Round, env.Train.Tier, env.Train.DeltaBase)
 				}
 				tw, err = compress.ApplyCatchUp(tw, env.Train.DeltaCodec, env.Train.Delta, base.w)
-			} else {
-				tw, err = env.Train.roundWeights(tw)
+			} else if tw, err = env.Train.roundWeights(); err == nil {
+				putBlob(twBlob)
+				twBlob = env.take()
 			}
 			env.release()
 			if err != nil {
@@ -300,10 +302,9 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 				}
 				continue
 			}
-			upRaw = nn.AppendWeights(upRaw[:0], maskedTrainResult(env.Train, cfg.ClientID, w, n))
 			up := &Update{
 				Round: env.Train.Round, ClientID: cfg.ClientID, NumSamples: n,
-				Seconds: secs, Seq: env.Train.Seq, Raw: upRaw,
+				Seconds: secs, Seq: env.Train.Seq, weights: maskedTrainResult(env.Train, cfg.ClientID, w, n),
 			}
 			if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
 				return progressed, err

@@ -5,7 +5,7 @@ import (
 	"sync"
 )
 
-// Pool is a size-bucketed recycler for tensors and float64 buffers, backing
+// Pool is a size-bucketed recycler for tensors, backing
 // the training hot path's workspaces (internal/nn.Workspace). Storage is
 // bucketed by capacity rounded to a power of two and cached in sync.Pools,
 // so steady-state training batches reuse buffers instead of allocating,
@@ -15,11 +15,11 @@ import (
 // GetTensor/PutTensor round trip allocates nothing at all (sync.Pool stores
 // the pointer directly — no interface boxing).
 //
-// Ownership rule: a buffer obtained from Get/GetTensor is owned exclusively
-// by the caller until it is returned with Put/PutTensor; after returning it
-// (and any view sharing its data) must not be touched again. Returning
-// foreign slices is allowed (they are bucketed by capacity), returning nil
-// is a no-op. A Pool is safe for concurrent use; the zero value is ready.
+// Ownership rule: a tensor obtained from GetTensor is owned exclusively by
+// the caller until it is returned with PutTensor; after returning it (and
+// any view sharing its data) must not be touched again. Returning foreign
+// tensors is allowed (they are bucketed by capacity), returning nil is a
+// no-op. A Pool is safe for concurrent use; the zero value is ready.
 type Pool struct {
 	buckets [maxBucketBits - minBucketBits + 1]sync.Pool
 }
@@ -96,26 +96,6 @@ func (p *Pool) PutTensor(t *Tensor) {
 	t.Data = t.Data[:0]
 	t.shape = t.shape[:0]
 	p.buckets[b].Put(t)
-}
-
-// Get returns a []float64 of length n with unspecified contents.
-func (p *Pool) Get(n int) []float64 {
-	b := bucketFor(n)
-	if b < 0 {
-		return make([]float64, n)
-	}
-	if t, _ := p.buckets[b].Get().(*Tensor); t != nil {
-		return t.Data[:n]
-	}
-	return make([]float64, n, 1<<(b+minBucketBits))
-}
-
-// Put returns a buffer to the pool. The caller must not use s afterwards.
-func (p *Pool) Put(s []float64) {
-	if cap(s) == 0 {
-		return
-	}
-	p.PutTensor(&Tensor{Data: s})
 }
 
 // AliasView points view at src's data with the given shape, reusing view's

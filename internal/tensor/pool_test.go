@@ -65,26 +65,23 @@ func TestPoolBucketFor(t *testing.T) {
 
 func TestPoolSliceRoundTrip(t *testing.T) {
 	var p Pool
-	s := p.Get(200)
-	if len(s) != 200 {
-		t.Fatalf("Get length = %d", len(s))
+	s := p.GetTensor(200)
+	if len(s.Data) != 200 {
+		t.Fatalf("GetTensor length = %d", len(s.Data))
 	}
-	p.Put(s)
-	if r := p.Get(150); len(r) != 150 {
-		t.Fatalf("Get after Put: length %d", len(r))
+	p.PutTensor(s)
+	if r := p.GetTensor(150); len(r.Data) != 150 {
+		t.Fatalf("GetTensor after PutTensor: length %d", len(r.Data))
 	}
-	p.Put(nil) // no-op
-	p.PutTensor(nil)
+	p.PutTensor(nil) // no-op
 }
 
 func TestPoolForeignSliceBucketedByCapacity(t *testing.T) {
 	var p Pool
-	s := make([]float64, 100, 100) // not a power of two
-	p.Put(s)
-	// 100 cap covers bucket 64 fully: a 64-element Get must fit.
-	g := p.Get(64)
-	if len(g) != 64 {
-		t.Fatalf("Get(64) length = %d", len(g))
+	p.PutTensor(&Tensor{Data: make([]float64, 100, 100)}) // not a power of two
+	// 100 cap covers bucket 64 fully: a 64-element GetTensor must fit.
+	if g := p.GetTensor(64); len(g.Data) != 64 {
+		t.Fatalf("GetTensor(64) length = %d", len(g.Data))
 	}
 }
 
