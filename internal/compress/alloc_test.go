@@ -57,11 +57,17 @@ func TestInt8DecodeAddAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// An int8 update decodes into the receiver's recycled vector.
+	wantAllocs(t, "AddDecoded (int8) into a held destination", 0, func() {
+		if _, err := AddDecoded(held, id, payload, base); err != nil {
+			t.Fatal(err)
+		}
+	})
 	// The generic route (here top-k) adds into the slice Decode returned.
 	topk := NewTopK(0.1)
 	sparse := topk.Encode(testVector(n, 3))
 	wantAllocs(t, "AddDecoded (top-k)", 1, func() {
-		if _, err := AddDecoded(topk.ID(), sparse, base); err != nil {
+		if _, err := AddDecoded(nil, topk.ID(), sparse, base); err != nil {
 			t.Fatal(err)
 		}
 	})

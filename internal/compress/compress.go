@@ -167,20 +167,29 @@ func EncodeFeedback(c Codec, delta, residual, rec []float64) (payload []byte, ne
 }
 
 // AddDecoded decodes a payload by wire ID, as DecodePayload does, and
-// returns base + decoded elementwise in one fresh slice — the receiver side
-// of every compressed delta (a worker's uplink against the round's
-// broadcast, a lossy downlink against the held base). base is not mutated;
-// a payload DecodePayload would reject is rejected here with no vector.
-func AddDecoded(id byte, payload []byte, base []float64) ([]float64, error) {
-	if id == IDInt8 {
-		return decodeInt8(nil, payload, len(base), base)
+// returns base + decoded elementwise — the receiver side of every
+// compressed delta (a worker's uplink against the round's broadcast, a
+// lossy downlink against the held base). The sum lands in out, a
+// len(base) vector that may be base itself, or in a fresh slice when out
+// is nil; base is not otherwise mutated. An int8 payload decodes straight
+// into out and allocates nothing. A payload DecodePayload would reject is
+// rejected here with no vector, and out's contents are then unspecified.
+func AddDecoded(out []float64, id byte, payload []byte, base []float64) ([]float64, error) {
+	if out != nil && len(out) != len(base) {
+		panic(fmt.Sprintf("compress: out length %d != base length %d", len(out), len(base)))
 	}
-	out, err := DecodePayload(id, payload, len(base))
+	if id == IDInt8 {
+		return decodeInt8(out, payload, len(base), base)
+	}
+	dec, err := DecodePayload(id, payload, len(base))
 	if err != nil {
 		return nil, err
 	}
+	if out == nil {
+		out = dec
+	}
 	for i, b := range base {
-		out[i] = b + out[i]
+		out[i] = b + dec[i]
 	}
 	return out, nil
 }

@@ -240,7 +240,7 @@ func ApplyDelta(id byte, payload []byte, base []float64) ([]float64, error) {
 		}
 		return out, nil
 	}
-	return AddDecoded(id, payload, base)
+	return AddDecoded(nil, id, payload, base)
 }
 
 // ApplyCatchUp is the receiver side of Chain.CatchUp: it applies the
@@ -262,16 +262,10 @@ func ApplyCatchUp(dst []float64, id byte, payloads [][]byte, base []float64) ([]
 	out, from := dst[:len(base)], base
 	for i, p := range payloads {
 		var err error
-		switch id {
-		case IDDeltaXOR:
+		if id == IDDeltaXOR {
 			err = applyXORDelta(out, p, from)
-		case IDInt8:
-			_, err = decodeInt8(out, p, len(out), from)
-		default:
-			var sum []float64
-			if sum, err = AddDecoded(id, p, from); err == nil {
-				copy(out, sum)
-			}
+		} else {
+			_, err = AddDecoded(out, id, p, from)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("compress: catch-up payload %d of %d: %w", i+1, len(payloads), err)

@@ -242,8 +242,9 @@ func TestUnrepliedBroadcastGoesDense(t *testing.T) {
 
 // TestDecodeUpdateCompressed pins the aggregator's receive path for one
 // int8 update: the reconstruction is broadcast + decode(payload) bit for
-// bit, built in the single vector the Update keeps (no intermediate delta),
-// and a corrupt payload drops the update instead of yielding a partial one.
+// bit, built in the recycled buffer the update carries as blob (no
+// intermediate delta, no allocation once the pool is warm), and a corrupt
+// payload drops the update instead of yielding a partial one.
 func TestDecodeUpdateCompressed(t *testing.T) {
 	const n = 3000
 	codec := compress.NewInt8(0)
@@ -265,8 +266,13 @@ func TestDecodeUpdateCompressed(t *testing.T) {
 			t.Fatalf("weights[%d] = %v, want %v", i, u.Weights[i], want)
 		}
 	}
-	if got := testing.AllocsPerRun(20, func() { decodeUpdate(w, env, weights) }); got != 1 {
-		t.Errorf("decodeUpdate allocates %v times per int8 update, want 1", got)
+	if u.blob == nil {
+		t.Fatal("decoded update carries no buffer to recycle")
+	}
+	recycle(u)
+	// Under the race detector sync.Pool drops Puts, so the pool is not warm.
+	if got := testing.AllocsPerRun(20, func() { u, _ := decodeUpdate(w, env, weights); recycle(u) }); got != 0 && !raceEnabled {
+		t.Errorf("decodeUpdate allocates %v times per recycled int8 update, want 0", got)
 	}
 	payload[12+2] |= 0x7F // first chunk's scale becomes NaN/huge
 	payload[12+3] |= 0x7F

@@ -445,6 +445,20 @@ func putBlob(b *[]byte) {
 	}
 }
 
+// vectorBlob returns a recycled buffer with an n-weight EncodeWeights
+// header and w, an n-weight vector: the buffer's body on a little-endian
+// host (nn.ViewWeights), a fresh vector elsewhere. w's contents are
+// unspecified; it lives until the buffer goes back to putBlob.
+func vectorBlob(n int) (*[]byte, []float64) {
+	b := getBlob(compress.DenseBytes(n))
+	nn.PutWeightsHeader((*[8]byte)(*b), n)
+	w, err := nn.ViewWeights(*b)
+	if err != nil {
+		panic(err) // the header was just written for this length
+	}
+	return b, w
+}
+
 // encodeBlob is nn.EncodeWeights into a recycled buffer: a vector's blob
 // where nn.WeightsBody offers no view of it.
 func encodeBlob(w []float64) *[]byte {

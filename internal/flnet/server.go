@@ -573,9 +573,10 @@ func (a *server) FinishWorkers(rounds int) {
 // which FedAvg would spread over the whole model (one nn.AllFinite scan).
 // Compressed updates are not checked for finiteness (ROADMAP item 4).
 //
-// A dense update's Weights view its receive buffer (nn.ViewWeights), which
-// the result carries as blob for the caller to recycle once the round's
-// aggregation has read it; a compressed update's vector is always fresh.
+// A dense update's Weights view its receive buffer (nn.ViewWeights), and a
+// compressed update decodes into a recycled one (vectorBlob); either way
+// the result carries that buffer as blob for the caller to recycle once
+// the round's aggregation has read it.
 // The result's src is w; its idx is the caller's to set.
 func decodeUpdate(w *registered, env *Envelope, weights []float64) (timedUpdate, bool) {
 	defer env.release()
@@ -604,15 +605,17 @@ func decodeUpdate(w *registered, env *Envelope, weights []float64) (timedUpdate,
 		if !w.acceptsCodec(cu.Codec) {
 			return timedUpdate{}, false
 		}
-		rec, err := compress.AddDecoded(cu.Codec, cu.Payload, weights)
+		blob, out := vectorBlob(len(weights))
+		rec, err := compress.AddDecoded(out, cu.Codec, cu.Payload, weights)
 		if err != nil {
+			putBlob(blob)
 			return timedUpdate{}, false
 		}
 		return timedUpdate{Update: flcore.Update{
 			ClientID: cu.ClientID, Weights: rec,
 			NumSamples: cu.NumSamples, Latency: cu.Seconds,
 			WireBytes: len(cu.Payload),
-		}, src: w}, true
+		}, src: w, blob: blob}, true
 	}
 	return timedUpdate{}, false
 }

@@ -433,7 +433,7 @@ type timedUpdate struct {
 	flcore.Update
 	idx  int
 	src  *registered
-	blob *[]byte // a dense update's receive buffer, which Weights views; recycle returns it
+	blob *[]byte // the buffer Weights lives in (decodeUpdate); recycle returns it
 }
 
 // trainReq is one outstanding train request: its position in the round,
@@ -630,8 +630,8 @@ func (f *fanIn) collect(reqs []*trainReq, cr *cohortRound) []timedUpdate {
 	return updates
 }
 
-// recycle returns the dense updates' receive buffers, which their Weights
-// view, once nothing reads them.
+// recycle returns the buffers the updates' Weights live in once nothing
+// reads them.
 func recycle(updates ...timedUpdate) {
 	for _, u := range updates {
 		putBlob(u.blob)

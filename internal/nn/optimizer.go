@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/tensor"
@@ -121,10 +122,18 @@ func (r *RMSprop) AttachStatePool(p *tensor.Pool) { r.cache.pool = p }
 // ReleaseState implements StatePooled.
 func (r *RMSprop) ReleaseState() { r.cache.release() }
 
-// Step implements Optimizer. The hyperparameters are hoisted into locals so
-// the inner loop does not reload them past the parameter stores (the
-// compiler cannot prove p.Data writes leave the receiver untouched); the
-// per-element arithmetic is unchanged.
+// Step implements Optimizer: for each element, with ω = 1 − Rho,
+//
+//	c ← Rho·c + (ω·g)·g,   p ← p − (LR·g) / (√c + Eps),
+//
+// each operation rounded on its own, in that order. params and grads must
+// keep the shapes the state was built for at the first Step: a parameter
+// or gradient whose length differs from its cache's panics, on every path.
+// On AVX2 the whole 4-lane groups of each parameter run in rmspropKernel
+// (rmsprop_amd64.s), which repeats the sequence lane by lane; the loop
+// below finishes the last len%4 and is the kernel's bit-exact reference.
+// The hyperparameters are hoisted into locals so the loop does not reload
+// them past the parameter stores.
 func (r *RMSprop) Step(params, grads []*tensor.Tensor) {
 	r.cache.init(params)
 	lr, rho, oneMinusRho, eps := r.LR, r.Rho, 1-r.Rho, r.Eps
@@ -132,7 +141,15 @@ func (r *RMSprop) Step(params, grads []*tensor.Tensor) {
 		c := r.cache.bufs[i]
 		g := grads[i].Data
 		pd := p.Data
-		for j := range c {
+		if len(g) != len(c) || len(pd) != len(c) {
+			panic(fmt.Sprintf("nn: RMSprop parameter %d has %d values and gradient %d, state %d", i, len(pd), len(g), len(c)))
+		}
+		j := 0
+		if useSIMD && len(c) >= 4 {
+			j = len(c) &^ 3
+			rmspropKernel(&pd[0], &g[0], &c[0], j, lr, rho, oneMinusRho, eps)
+		}
+		for ; j < len(c); j++ {
 			gj := g[j]
 			cj := rho*c[j] + oneMinusRho*gj*gj
 			c[j] = cj
