@@ -26,6 +26,7 @@ package compress
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -93,9 +94,10 @@ func Parse(spec string) (Codec, error) {
 			return NewInt8(0), nil
 		}
 		// The payload header stores the chunk as a u32: a larger one would
-		// travel as its low 32 bits, which no decoder accepts.
+		// travel as its low 32 bits, which no decoder accepts. It must also
+		// fit an int, which on a 32-bit platform is the tighter bound.
 		chunk, err := strconv.ParseUint(arg, 10, 32)
-		if err != nil || chunk == 0 {
+		if err != nil || chunk == 0 || chunk > math.MaxInt {
 			return nil, fmt.Errorf("compress: bad int8 chunk %q", arg)
 		}
 		return NewInt8(int(chunk)), nil

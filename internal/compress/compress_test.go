@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -304,8 +305,13 @@ func TestParseRoundTripsNames(t *testing.T) {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
 	}
-	if c, err := Parse("int8@4294967295"); err != nil || uint64(c.(Int8).Chunk) != math.MaxUint32 {
-		t.Fatalf("Parse(\"int8@4294967295\") = %v, %v", c, err)
+	// The largest chunk is the header's u32, or a 32-bit int's maximum.
+	maxChunk := uint64(min(math.MaxUint32, math.MaxInt))
+	if c, err := Parse(fmt.Sprintf("int8@%d", maxChunk)); err != nil || uint64(c.(Int8).Chunk) != maxChunk {
+		t.Fatalf("Parse(\"int8@%d\") = %v, %v", maxChunk, c, err)
+	}
+	if _, err := Parse(fmt.Sprintf("int8@%d", maxChunk+1)); err == nil {
+		t.Errorf("Parse(\"int8@%d\") accepted", maxChunk+1)
 	}
 	if c, err := Parse(""); err != nil || c.ID() != IDNone {
 		t.Fatalf("Parse(\"\") = %v, %v", c, err)

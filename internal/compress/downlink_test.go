@@ -334,7 +334,7 @@ func TestSplitCatchUp(t *testing.T) {
 	if err != nil || len(parts) != 3 || !slices.Equal(parts[1], []byte{3}) || cap(parts[0]) != 2 {
 		t.Fatalf("SplitCatchUp = %v, %v", parts, err)
 	}
-	for _, lens := range [][]int{nil, {6, 1}, {5}, {7}, {0, 6}, {-1, 7}, {3, 3, 0}, {1 << 62, 1 << 62}} {
+	for _, lens := range [][]int{nil, {6, 1}, {5}, {7}, {0, 6}, {-1, 7}, {3, 3, 0}, {math.MaxInt/2 + 1, math.MaxInt/2 + 1}} {
 		if _, err := SplitCatchUp(blob, lens); err == nil {
 			t.Errorf("lengths %v split a %d-byte blob", lens, len(blob))
 		}

@@ -37,19 +37,25 @@ func TestDenseSteadyStateAllocs(t *testing.T) {
 }
 
 func TestConv2DSteadyStateAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	c := NewConv2D(rng, 2, 4, 3, 3, 1, 1)
-	c.setWorkspace(NewWorkspace())
-	x := tensor.RandNormal(rng, 0, 1, 2, 2, 8, 8)
-	grad := tensor.RandNormal(rng, 0, 1, 2, 4, 8, 8)
-	c.Forward(x, true)
-	c.Backward(grad)
-	avg := testing.AllocsPerRun(50, func() {
+	for _, nhwc := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(2))
+		c := NewConv2D(rng, 2, 4, 3, 3, 1, 1)
+		c.nhwcIn = nhwc
+		c.setWorkspace(NewWorkspace())
+		x := tensor.RandNormal(rng, 0, 1, 2, 2, 8, 8)
+		if nhwc {
+			x = tensor.RandNormal(rng, 0, 1, 2, 8, 8, 2)
+		}
+		grad := tensor.RandNormal(rng, 0, 1, 2, 8, 8, 4)
 		c.Forward(x, true)
 		c.Backward(grad)
-	})
-	if avg != 0 {
-		t.Fatalf("Conv2D forward+backward allocates %v per batch at steady state, want 0", avg)
+		avg := testing.AllocsPerRun(50, func() {
+			c.Forward(x, true)
+			c.Backward(grad)
+		})
+		if avg != 0 {
+			t.Fatalf("Conv2D (nhwcIn=%v) forward+backward allocates %v per batch at steady state, want 0", nhwc, avg)
+		}
 	}
 }
 

@@ -2,15 +2,24 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW batches, implemented by lowering
-// each batch to a column matrix (im2col) and multiplying against the kernel
-// matrix, the standard CPU formulation. The im2col matrix and every
-// intermediate are cached scratch reused across batches.
+// Conv2D is a 2-D convolution, implemented by lowering each batch to a
+// column matrix (im2col) and multiplying against the kernel matrix, the
+// standard CPU formulation. The im2col matrix and every intermediate are
+// cached scratch reused across batches.
+//
+// Its output is NHWC, (N, OH, OW, OutC): the product's (N·OH·OW, OutC)
+// matrix itself, not copied. Its input is NCHW, (N, InC, H, W), unless
+// NewModel finds an earlier Conv2D feeding it through element-wise layers;
+// then it reads that layer's NHWC output. A MaxPool turns the layout back to
+// NCHW, so a Flatten after a pool sees the usual order, while one right
+// after a conv flattens (h, w, c).
 type Conv2D struct {
 	InC, OutC     int
 	KH, KW        int
@@ -22,10 +31,13 @@ type Conv2D struct {
 	inN, inH, inW int
 	outH, outW    int
 	trained       bool // last Forward was a training pass (cols is valid)
+	nhwcIn        bool // input is an earlier Conv2D's NHWC output (set by NewModel)
 
-	ws               *Workspace
-	flat, out        *tensor.Tensor // forward scratch
-	gflat, dcols, dx *tensor.Tensor // backward scratch
+	ws         *Workspace
+	flat       *tensor.Tensor // forward product, (N·OH·OW, OutC)
+	dcols, dx  *tensor.Tensor // backward scratch
+	out, gflat *tensor.Tensor // views: flat as (N, OH, OW, OutC), grad as (N·OH·OW, OutC)
+	shape      []int          // scratch for the view shapes
 }
 
 // NewConv2D returns a convolution layer with Glorot-uniform kernels.
@@ -47,14 +59,24 @@ func NewConv2D(rng *rand.Rand, inC, outC, kh, kw, stride, pad int) *Conv2D {
 // Forward implements Layer. The bias add is fused into the matmul kernel's
 // final store.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if x.Rank() != 4 || x.Dim(1) != c.InC {
-		panic(fmt.Sprintf("nn: Conv2D input %v, want (N,%d,H,W)", x.Shape(), c.InC))
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("nn: Conv2D input %v, want rank 4", x.Shape()))
 	}
-	n, h, w := x.Dim(0), x.Dim(2), x.Dim(3)
+	n, ch, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	if c.nhwcIn {
+		h, w, ch = x.Dim(1), x.Dim(2), x.Dim(3)
+	}
 	oh := tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
 	ow := tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
+	if ch != c.InC || oh <= 0 || ow <= 0 {
+		panic(fmt.Sprintf("nn: Conv2D input %v, want %d channels and an output (nhwcIn=%v)", x.Shape(), c.InC, c.nhwcIn))
+	}
 	c.cols = c.ws.Ensure(c.cols, n*oh*ow, c.InC*c.KH*c.KW)
-	tensor.Im2ColInto(c.cols, x, c.KH, c.KW, c.Stride, c.Pad)
+	if c.nhwcIn {
+		im2colNHWC(c.cols.Data, x.Data, n, h, w, c.InC, c.KH, c.KW, c.Stride, c.Pad, oh, ow)
+	} else {
+		tensor.Im2ColInto(c.cols, x, c.KH, c.KW, c.Stride, c.Pad)
+	}
 	// The im2col scratch is shared between training and eval passes, so an
 	// eval forward invalidates a pending backward (flagged via trained).
 	c.trained = train
@@ -65,19 +87,24 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	// (N*OH*OW, OutC) = cols · Wᵀ + b
 	c.flat = c.ws.Ensure(c.flat, n*oh*ow, c.OutC)
 	tensor.MatMulABTBiasInto(c.flat, c.cols, c.W, c.B)
-	c.out = c.ws.Ensure(c.out, n, c.OutC, oh, ow)
-	nhwcToNCHWInto(c.out, c.flat, n, oh, ow, c.OutC)
+	c.shape = append(c.shape[:0], n, oh, ow, c.OutC)
+	c.out = tensor.AliasView(c.out, c.flat, c.shape)
 	return c.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. grad is NHWC, like the output.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(grad)
 	// dcols = gflat · W → scatter back to image space.
 	c.dcols = c.ws.Ensure(c.dcols, c.inN*c.outH*c.outW, c.InC*c.KH*c.KW)
 	tensor.MatMulInto(c.dcols, c.gflat, c.W)
-	c.dx = c.ws.Ensure(c.dx, c.inN, c.InC, c.inH, c.inW)
-	tensor.Col2ImInto(c.dx, c.dcols, c.KH, c.KW, c.Stride, c.Pad)
+	if c.nhwcIn {
+		c.dx = c.ws.Ensure(c.dx, c.inN, c.inH, c.inW, c.InC)
+		col2imNHWC(c.dx.Data, c.dcols.Data, c.inN, c.inH, c.inW, c.InC, c.KH, c.KW, c.Stride, c.Pad, c.outH, c.outW)
+	} else {
+		c.dx = c.ws.Ensure(c.dx, c.inN, c.InC, c.inH, c.inW)
+		tensor.Col2ImInto(c.dx, c.dcols, c.KH, c.KW, c.Stride, c.Pad)
+	}
 	return c.dx
 }
 
@@ -88,9 +115,9 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	if c.cols == nil || !c.trained {
 		panic("nn: Conv2D.Backward without a preceding Forward(train=true)")
 	}
-	// grad: (N, OutC, OH, OW) → flat (N*OH*OW, OutC)
-	c.gflat = c.ws.Ensure(c.gflat, c.inN*c.outH*c.outW, c.OutC)
-	nchwToNHWCInto(c.gflat, grad, c.inN, c.OutC, c.outH, c.outW)
+	// The NHWC gradient is already the (N*OH*OW, OutC) matrix.
+	c.shape = append(c.shape[:0], c.inN*c.outH*c.outW, c.OutC)
+	c.gflat = tensor.AliasView(c.gflat, grad, c.shape)
 	// dW = gflatᵀ · cols → (OutC, InC*KH*KW)
 	tensor.MatMulATBInto(c.dW, c.gflat, c.cols)
 	c.dB.Zero()
@@ -110,46 +137,85 @@ func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.dW, c.dB} 
 
 func (c *Conv2D) setWorkspace(ws *Workspace) { c.ws = ws }
 
-// nhwcToNCHWInto converts a (N*OH*OW, C) activation matrix into the
-// (N, C, OH, OW) tensor out, overwriting every element.
-func nhwcToNCHWInto(out, flat *tensor.Tensor, n, oh, ow, ch int) {
-	i := 0
+// im2colNHWC lowers the NHWC batch x, (n, h, w, ch), into cols, one row per
+// output pixel. A row is in (c, ky, kx) order, as tensor.Im2ColInto builds
+// it from NCHW, so each output sums its products in the same order: a tap's
+// ch input values, contiguous in x, land kh·kw apart in the row. A tap
+// outside the image (pad > 0) writes zeros; the bounds test is per tap,
+// not per element.
+func im2colNHWC(cols, x []float64, n, h, w, ch, kh, kw, stride, pad, oh, ow int) {
+	taps := kh * kw
+	colW := ch * taps
 	for img := 0; img < n; img++ {
-		for y := 0; y < oh; y++ {
-			for x := 0; x < ow; x++ {
-				row := flat.Data[i*ch : (i+1)*ch]
-				for cIdx, v := range row {
-					out.Data[((img*ch+cIdx)*oh+y)*ow+x] = v
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				row := cols[((img*oh+oy)*ow+ox)*colW:][:colW]
+				for ky := 0; ky < kh; ky++ {
+					iy := oy*stride - pad + ky
+					for kx := 0; kx < kw; kx++ {
+						ix := ox*stride - pad + kx
+						j := ky*kw + kx
+						if iy < 0 || iy >= h || ix < 0 || ix >= w {
+							for ; j < colW; j += taps {
+								row[j] = 0
+							}
+							continue
+						}
+						for _, v := range x[((img*h+iy)*w+ix)*ch:][:ch] {
+							row[j] = v
+							j += taps
+						}
+					}
 				}
-				i++
 			}
 		}
 	}
 }
 
-// nchwToNHWCInto converts a (N, C, OH, OW) tensor into the (N*OH*OW, C)
-// matrix out, overwriting every element.
-func nchwToNHWCInto(out, x *tensor.Tensor, n, ch, oh, ow int) {
-	i := 0
+// col2imNHWC is im2colNHWC's adjoint: it scatters cols into the NHWC
+// gradient dx, overwriting it. Pixels are visited in ascending order, so
+// each element of dx sums its contributions in the order
+// tensor.Col2ImInto sums them on NCHW, bit for bit.
+func col2imNHWC(dx, cols []float64, n, h, w, ch, kh, kw, stride, pad, oh, ow int) {
+	clear(dx)
+	taps := kh * kw
+	colW := ch * taps
 	for img := 0; img < n; img++ {
-		for y := 0; y < oh; y++ {
-			for xx := 0; xx < ow; xx++ {
-				row := out.Data[i*ch : (i+1)*ch]
-				for cIdx := 0; cIdx < ch; cIdx++ {
-					row[cIdx] = x.Data[((img*ch+cIdx)*oh+y)*ow+xx]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				row := cols[((img*oh+oy)*ow+ox)*colW:][:colW]
+				for ky := 0; ky < kh; ky++ {
+					iy := oy*stride - pad + ky
+					for kx := 0; kx < kw; kx++ {
+						ix := ox*stride - pad + kx
+						if iy < 0 || iy >= h || ix < 0 || ix >= w {
+							continue
+						}
+						j := ky*kw + kx
+						dst := dx[((img*h+iy)*w+ix)*ch:][:ch]
+						for c := range dst {
+							dst[c] += row[j]
+							j += taps
+						}
+					}
 				}
-				i++
 			}
 		}
 	}
 }
 
-// MaxPool is a 2-D max-pooling layer with a square window.
+// MaxPool is a 2-D max-pooling layer with a square window. Its output is
+// NCHW, (N, C, OH, OW). Its input is NCHW too, unless NewModel finds a
+// Conv2D feeding it through element-wise layers; then it reads the conv's
+// NHWC output, and the pool is where the activations return to NCHW. The
+// reorder sits here, not at a Flatten, because the tensor is 4× smaller
+// here and a Dropout after the pool draws its mask in NCHW order.
 type MaxPool struct {
 	Size, Stride int
 	arg          []int
 	inShape      []int
 	trained      bool // last Forward was a training pass (arg is valid)
+	nhwcIn       bool // input is a Conv2D's NHWC output (set by NewModel)
 
 	ws      *Workspace
 	out, dx *tensor.Tensor
@@ -162,11 +228,22 @@ func NewMaxPool(size, stride int) *MaxPool {
 
 // Forward implements Layer.
 func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n, c := x.Dim(0), x.Dim(1)
-	oh := tensor.ConvOutSize(x.Dim(2), m.Size, m.Stride, 0)
-	ow := tensor.ConvOutSize(x.Dim(3), m.Size, m.Stride, 0)
+	if x.Rank() != 4 {
+		panic(fmt.Sprintf("nn: MaxPool input %v, want rank 4", x.Shape()))
+	}
+	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	if m.nhwcIn {
+		h, w, c = x.Dim(1), x.Dim(2), x.Dim(3)
+	}
+	oh := tensor.ConvOutSize(h, m.Size, m.Stride, 0)
+	ow := tensor.ConvOutSize(w, m.Size, m.Stride, 0)
 	m.out = m.ws.Ensure(m.out, n, c, oh, ow)
-	m.arg = tensor.MaxPool2DInto(m.out, m.arg, x, m.Size, m.Stride)
+	if m.nhwcIn {
+		m.arg = slices.Grow(m.arg[:0], m.out.Size())[:m.out.Size()]
+		maxPoolNHWC(m.out.Data, m.arg, x.Data, n, h, w, c, m.Size, m.Stride, oh, ow)
+	} else {
+		m.arg = tensor.MaxPool2DInto(m.out, m.arg, x, m.Size, m.Stride)
+	}
 	// arg is shared between training and eval passes, so an eval forward
 	// invalidates a pending backward (flagged via trained).
 	m.trained = train
@@ -176,7 +253,8 @@ func (m *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return m.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It returns the gradient in the input's layout:
+// the arg indices point into the input.
 func (m *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !m.trained {
 		panic("nn: MaxPool.Backward without a preceding Forward(train=true)")
@@ -184,6 +262,39 @@ func (m *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	m.dx = m.ws.Ensure(m.dx, m.inShape...)
 	tensor.MaxUnpool2DInto(m.dx, grad, m.arg)
 	return m.dx
+}
+
+// maxPoolNHWC pools the NHWC batch x, (n, h, w, ch), into the NCHW out,
+// recording each output's input index in arg. A window's value is its first
+// maximum in (ky, kx) scan order (strict >), as in tensor.MaxPool2DInto, so
+// a NaN wins only from the window's first position. The window's first tap
+// seeds out and arg; each later tap, one contiguous run of ch values,
+// replaces them where it is greater, through a mask rather than a branch.
+func maxPoolNHWC(out []float64, arg []int, x []float64, n, h, w, ch, size, stride, oh, ow int) {
+	plane := oh * ow
+	for img := 0; img < n; img++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				origin := ((img*h+oy*stride)*w + ox*stride) * ch
+				o := img*ch*plane + oy*ow + ox
+				for c, v := range x[origin:][:ch] {
+					out[o+c*plane], arg[o+c*plane] = v, origin+c
+				}
+				for t := 1; t < size*size; t++ {
+					base := origin + (t/size*w+t%size)*ch
+					for c, v := range x[base:][:ch] {
+						j := o + c*plane
+						var m uint64
+						if v > out[j] {
+							m = ^uint64(0)
+						}
+						out[j] = math.Float64frombits(math.Float64bits(out[j])&^m | math.Float64bits(v)&m)
+						arg[j] = arg[j]&^int(m) | (base+c)&int(m)
+					}
+				}
+			}
+		}
+	}
 }
 
 // Params implements Layer.

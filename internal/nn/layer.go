@@ -16,6 +16,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
@@ -107,9 +108,11 @@ func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.dW, d.dB} }
 
 func (d *Dense) setWorkspace(ws *Workspace) { d.ws = ws }
 
-// ReLU applies max(0, x) element-wise.
+// ReLU applies v > 0 ? v : +0 element-wise, so NaN and −0 become +0.
+// Both directions are branch-free, and the backward reads which inputs were
+// positive off the layer's own output.
 type ReLU struct {
-	mask []bool
+	trained bool // last Forward was a training pass (out is valid)
 
 	ws        *Workspace
 	out, gout *tensor.Tensor
@@ -118,50 +121,41 @@ type ReLU struct {
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
+// posInfBits is +Inf's bit pattern. A float64 is > 0 exactly when its bits,
+// less one, are below it: the sign is clear, the bits are not +0's, and the
+// exponent and fraction are at most +Inf's, which excludes NaN.
+const posInfBits = 0x7FF0000000000000
+
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.out = r.ws.Ensure(r.out, x.Shape()...)
-	xd := x.Data
-	od := r.out.Data[:len(xd)]
-	if train {
-		if cap(r.mask) < len(xd) {
-			r.mask = make([]bool, len(xd))
+	od := r.out.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		b := math.Float64bits(v)
+		var o uint64
+		if b-1 < posInfBits {
+			o = b
 		}
-		r.mask = r.mask[:len(xd)]
-		mask := r.mask
-		for i, v := range xd {
-			pos := v > 0
-			if pos {
-				od[i] = v
-			} else {
-				od[i] = 0
-			}
-			mask[i] = pos
-		}
-		return r.out
+		od[i] = math.Float64frombits(o)
 	}
-	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-		} else {
-			od[i] = 0
-		}
-	}
+	r.trained = train
 	return r.out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: g where the output is > 0, +0 elsewhere.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	if !r.trained {
+		panic("nn: ReLU.Backward without a preceding Forward(train=true)")
+	}
 	r.gout = r.ws.Ensure(r.gout, grad.Shape()...)
 	gd := grad.Data
 	od := r.gout.Data[:len(gd)]
-	mask := r.mask[:len(gd)]
+	out := r.out.Data[:len(gd)]
 	for i, v := range gd {
-		if mask[i] {
-			od[i] = v
-		} else {
-			od[i] = 0
-		}
+		// An output is +0 or positive, so its negation has the sign bit
+		// set exactly when it is > 0: the mask is all ones there.
+		mask := uint64(-int64(math.Float64bits(out[i])) >> 63)
+		od[i] = math.Float64frombits(math.Float64bits(v) & mask)
 	}
 	return r.gout
 }

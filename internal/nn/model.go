@@ -26,8 +26,24 @@ type Model struct {
 	evalShp  []int            // scratch for Evaluate's batch shapes
 }
 
-// NewModel returns a sequential model over the given layers.
-func NewModel(layers ...Layer) *Model { return &Model{Layers: layers} }
+// NewModel returns a sequential model over the given layers. It wires the
+// activation layout: a Conv2D or MaxPool whose input is an earlier Conv2D's
+// output, through element-wise layers only, reads that output as NHWC.
+func NewModel(layers ...Layer) *Model {
+	nhwc := false // the running activation is a Conv2D's NHWC output
+	for _, l := range layers {
+		switch l := l.(type) {
+		case *Conv2D:
+			l.nhwcIn, nhwc = nhwc, true
+		case *MaxPool:
+			l.nhwcIn, nhwc = nhwc, false
+		case *ReLU, *Dropout: // element-wise: the layout passes through
+		default:
+			nhwc = false
+		}
+	}
+	return &Model{Layers: layers}
+}
 
 // Forward runs the full stack and returns the logits. The returned tensor
 // is scratch owned by the final layer, overwritten by the next pass.

@@ -215,35 +215,6 @@ func TestConvModelGradientCheck(t *testing.T) {
 	numericalGradCheck(t, m, x, []int{0, 2}, 1e-3)
 }
 
-func TestConv2DMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := NewConv2D(rng, 2, 3, 3, 3, 1, 1)
-	x := tensor.RandNormal(rng, 0, 1, 1, 2, 5, 5)
-	got := c.Forward(x, false)
-	// Naive direct convolution.
-	for oc := 0; oc < 3; oc++ {
-		for oy := 0; oy < 5; oy++ {
-			for ox := 0; ox < 5; ox++ {
-				s := c.B.Data[oc]
-				for ic := 0; ic < 2; ic++ {
-					for ky := 0; ky < 3; ky++ {
-						for kx := 0; kx < 3; kx++ {
-							iy, ix := oy-1+ky, ox-1+kx
-							if iy < 0 || iy >= 5 || ix < 0 || ix >= 5 {
-								continue
-							}
-							s += x.Data[(ic*5+iy)*5+ix] * c.W.Data[oc*18+(ic*3+ky)*3+kx]
-						}
-					}
-				}
-				if g := got.Data[(oc*5+oy)*5+ox]; math.Abs(g-s) > 1e-9 {
-					t.Fatalf("conv mismatch at (%d,%d,%d): %v vs %v", oc, oy, ox, g, s)
-				}
-			}
-		}
-	}
-}
-
 func TestModelLearnsToyProblem(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := NewMLP(rng, 2, []int{16}, 2, 0)

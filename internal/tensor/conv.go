@@ -15,6 +15,10 @@ func Im2ColInto(dst, x *Tensor, kh, kw, stride, pad int) {
 	if dst.Rank() != 2 || dst.shape[0] != rows || dst.shape[1] != colW {
 		panicConvDst("Im2ColInto", dst, rows, colW)
 	}
+	if pad == 0 {
+		im2ColValid(dst, x, kh, kw, stride, oh, ow)
+		return
+	}
 	im2ColInto(dst, x, kh, kw, stride, pad, oh, ow)
 }
 
@@ -70,6 +74,33 @@ func im2ColInto(out, x *Tensor, kh, kw, stride, pad, oh, ow int) {
 	}
 }
 
+// im2ColValid is im2ColInto for pad == 0, where every window lies inside
+// the image: each kernel row is one run of kw input values, copied without
+// a bounds branch per element.
+func im2ColValid(out, x *Tensor, kh, kw, stride, oh, ow int) {
+	n, c, h, w := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
+	colW := c * kh * kw
+	for img := 0; img < n; img++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				row := out.Data[((img*oh+oy)*ow+ox)*colW:][:colW]
+				origin := (img*c*h+oy*stride)*w + ox*stride
+				idx := 0
+				for ch := 0; ch < c; ch++ {
+					for ky := 0; ky < kh; ky++ {
+						dst := row[idx:][:kw]
+						src := x.Data[origin+(ch*h+ky)*w:][:kw]
+						for kx := range dst {
+							dst[kx] = src[kx]
+						}
+						idx += kw
+					}
+				}
+			}
+		}
+	}
+}
+
 // Col2ImInto scatters cols into dst, reusing dst's storage. dst must have
 // shape (N, C, H, W); it is zeroed before accumulation.
 func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) {
@@ -77,17 +108,24 @@ func Col2ImInto(dst, cols *Tensor, kh, kw, stride, pad int) {
 		panicConvRank("Col2ImInto", dst)
 	}
 	n, c, h, w := dst.shape[0], dst.shape[1], dst.shape[2], dst.shape[3]
-	dst.Zero()
-	col2ImInto(dst, cols, n, c, h, w, kh, kw, stride, pad)
-}
-
-func col2ImInto(out, cols *Tensor, n, c, h, w, kh, kw, stride, pad int) {
 	oh := ConvOutSize(h, kh, stride, pad)
 	ow := ConvOutSize(w, kw, stride, pad)
 	colW := c * kh * kw
 	if cols.Rank() != 2 || cols.shape[0] != n*oh*ow || cols.shape[1] != colW {
 		panicCol2ImShape("Col2ImInto", cols, n*oh*ow, colW)
 	}
+	dst.Zero()
+	if pad == 0 {
+		col2ImValid(dst, cols, n, c, h, w, kh, kw, stride, oh, ow)
+		return
+	}
+	col2ImInto(dst, cols, n, c, h, w, kh, kw, stride, pad, oh, ow)
+}
+
+// col2ImInto adds every row of cols back onto its receptive field in out,
+// skipping padded positions.
+func col2ImInto(out, cols *Tensor, n, c, h, w, kh, kw, stride, pad, oh, ow int) {
+	colW := c * kh * kw
 	for img := 0; img < n; img++ {
 		base := img * c * h * w
 		for oy := 0; oy < oh; oy++ {
@@ -110,6 +148,32 @@ func col2ImInto(out, cols *Tensor, n, c, h, w, kh, kw, stride, pad int) {
 							}
 							idx++
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// col2ImValid is col2ImInto for pad == 0. Pixels are visited in ascending
+// order, as there, so each input element sums its contributions in the
+// same order and every bit matches.
+func col2ImValid(out, cols *Tensor, n, c, h, w, kh, kw, stride, oh, ow int) {
+	colW := c * kh * kw
+	for img := 0; img < n; img++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				row := cols.Data[((img*oh+oy)*ow+ox)*colW:][:colW]
+				origin := (img*c*h+oy*stride)*w + ox*stride
+				idx := 0
+				for ch := 0; ch < c; ch++ {
+					for ky := 0; ky < kh; ky++ {
+						dst := out.Data[origin+(ch*h+ky)*w:][:kw]
+						src := row[idx:][:kw]
+						for kx := range dst {
+							dst[kx] += src[kx]
+						}
+						idx += kw
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -179,4 +180,28 @@ func TestIm2ColBadRankPanics(t *testing.T) {
 		}
 	}()
 	Im2ColInto(New(4, 4), New(3, 3), 2, 2, 1, 0)
+}
+
+// The pad == 0 lowering paths against the general ones, bit for bit, on
+// stale destinations: every shape, kernel and stride the general loops take.
+func TestConvValidPathsBitEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 40; trial++ {
+		n, c := 1+rng.Intn(2), 1+rng.Intn(3)
+		h, w := 3+rng.Intn(6), 3+rng.Intn(6)
+		kh, kw, stride := 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(2)
+		x := randTensor(rng, n, c, h, w)
+		oh, ow, colW := im2ColDims(x, kh, kw, stride, 0)
+		got, want := full(999, n*oh*ow, colW), full(-999, n*oh*ow, colW)
+		im2ColValid(got, x, kh, kw, stride, oh, ow)
+		im2ColInto(want, x, kh, kw, stride, 0, oh, ow)
+		mustBitEqual(t, "im2ColValid", got, want)
+
+		cols := randTensor(rng, n*oh*ow, colW)
+		cols.Data[0] = math.Copysign(0, -1)
+		gotImg, wantImg := New(n, c, h, w), New(n, c, h, w)
+		col2ImValid(gotImg, cols, n, c, h, w, kh, kw, stride, oh, ow)
+		col2ImInto(wantImg, cols, n, c, h, w, kh, kw, stride, 0, oh, ow)
+		mustBitEqual(t, "col2ImValid", gotImg, wantImg)
+	}
 }
