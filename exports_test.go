@@ -7,25 +7,25 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// testOnlyAllowed names the exports under internal/ that only tests use but
-// that stay, each with its reason; a file's name covers all it declares.
+// testOnlyAllowed names the test-only exports under internal/ that stay, by name
+// or by file, each with the test or product code that needs it. No stale entry.
 var testOnlyAllowed = map[string]string{
-	"internal/faultnet/faultnet.go":       "test support by design: the fault-injecting net.Conn the flnet tests drive",
-	"(*flcore.TieredAsyncEngine).Restore": "the sim side of bit-exact resume, the oracle of the checkpoint suites",
-	"(*flnet.Aggregator).RunSecureRound":  "secure aggregation, which per-tier secure aggregation (ROADMAP Deferred) builds on",
-	"(*flnet.fatalWorkerError).Unwrap":    "errors.Is and errors.As call it",
+	"internal/faultnet/faultnet.go":       "the fault-injecting net.Conn of TestChaosReconnectAccuracyBand and TestWorkerFailsOnceOnWhatNoRedialCures",
+	"(*flcore.TieredAsyncEngine).Restore": "the sim side of bit-exact resume, the oracle of TestTieredCheckpointResumeBitExact",
+	"(*flnet.fatalWorkerError).Unwrap":    "the handshake's errors.As calls it to find the wireVersionError it refuses",
 }
 
 // TestNoTestOnlyExports type-checks the non-test files of the module and of
 // benchmark/ and fails on each exported name, method or field under internal/
 // that they leave unused. A method that satisfies an interface counts as used.
 func TestNoTestOnlyExports(t *testing.T) {
-	fset, used, decls := token.NewFileSet(), map[token.Position]bool{}, []types.Object{}
+	fset, used, decls, stale := token.NewFileSet(), map[token.Position]bool{}, []types.Object{}, maps.Clone(testOnlyAllowed)
 	std, ifaces := importer.ForCompiler(fset, "source", nil), map[types.Type]bool{types.Universe.Lookup("error").Type(): true}
 	root, _ := filepath.Abs(".")
 	dirs, _ := filepath.Glob(filepath.Join(root, "*", "*")) // cmd/*, examples/*, internal/*; files load as empty packages
@@ -72,6 +72,12 @@ decls:
 		}
 		if file := strings.TrimPrefix(pos.Filename, root+"/"); !used[pos] && testOnlyAllowed[name]+testOnlyAllowed[file] == "" {
 			t.Errorf("only tests use %s (%s:%d)", name, file, pos.Line)
+		} else if !used[pos] {
+			delete(stale, name)
+			delete(stale, file)
 		}
+	}
+	for entry := range stale {
+		t.Errorf("testOnlyAllowed entry %s covers no test-only export", entry)
 	}
 }

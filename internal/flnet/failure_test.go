@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flcore"
 	"repro/internal/nn"
 )
 
@@ -198,6 +199,46 @@ func TestMalformedDenseUpdateDropped(t *testing.T) {
 				}
 				if time.Now().After(deadline) {
 					t.Fatalf("worker 2 did not re-register: old connection dead = %v, %d messages queued", old.dead.Load(), len(old.inbox))
+				}
+			}
+		})
+	}
+}
+
+// TestUnsolicitedMessagesCannotWedgeTheReader: nothing drains a worker's
+// inbox outside a profiling pass, so a peer that floods it with what no
+// round asked for must not block its connection's reader: its hang-up must
+// read as a dead connection, or the handshake refuses every redial under
+// its ID as a duplicate.
+func TestUnsolicitedMessagesCannotWedgeTheReader(t *testing.T) {
+	cases := []struct {
+		name string
+		env  *Envelope
+	}{
+		{"ProfileReply", &Envelope{Type: MsgProfileReply, ProfileReply: &ProfileReply{ClientID: 0, Seconds: 1}}},
+		{"TierAssign", &Envelope{Type: MsgTierAssign, TierAssign: &TierAssign{Tier: 0, NumTiers: 1}}},
+		{"TierCommit from a worker", &Envelope{Type: MsgTierCommit, TierCommit: &TierCommit{Commit: flcore.Commit{Weights: []float64{0}}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			agg, err := NewAggregator("127.0.0.1:0", AggregatorConfig{Rounds: 1, ClientsPerRound: 1, InitialWeights: []float64{0}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agg.Close()
+			c := dialRegister(t, agg.Addr(), Register{ClientID: 0, NumSamples: 1})
+			if err := agg.WaitForWorkers(1, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				if err := c.send(tc.env); err != nil {
+					break // the reader refused an earlier one and hung up
+				}
+			}
+			c.close() //nolint:errcheck // the hang-up under test
+			for deadline := time.Now().Add(3 * time.Second); agg.liveWorker(0) != nil; time.Sleep(10 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the flooding peer's closed connection never read as dead")
 				}
 			}
 		})

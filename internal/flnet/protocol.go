@@ -78,7 +78,7 @@ const (
 // number is refused with an error naming both, the handshake answers it once
 // with a Done carrying that reason, and mixed-version fleets are a non-goal.
 // Bump it whenever a message or the frame changes meaning.
-const wireVersion = 4
+const wireVersion = 5
 
 // Registration roles (Register.Role).
 const (
@@ -191,9 +191,7 @@ type ProfileReply struct {
 // (Raw), or on a downlink run as a catch-up (Delta) — the tier chain's
 // payloads since the base the worker's last ack names, which a worker that
 // sat out rounds receives in one message while they total less than the
-// dense model. When Participants is non-empty the round runs under secure
-// aggregation: the worker masks its sample-weighted update with pairwise
-// masks over the cohort (see secure.go) scaled by MaskScale.
+// dense model.
 //
 // Seq is a per-request token, never zero, that the worker echoes back in
 // its update: a reply is matched to the request waiting for it by Seq
@@ -203,10 +201,8 @@ type ProfileReply struct {
 // trained by its old tier's in-flight round and its new tier's next round
 // concurrently, with colliding local round counters.
 type Train struct {
-	Round        int
-	Participants []int
-	MaskScale    float64
-	Seq          int64
+	Round int
+	Seq   int64
 	// Raw is the dense snapshot as an nn.EncodeWeights blob. A round sets
 	// weights, its base, instead, and split writes the blob from that
 	// vector for every dense recipient. Exactly one of Raw/weights and Delta

@@ -328,27 +328,41 @@ func (a *server) handshake(raw net.Conn) {
 	hook := a.onRejoin
 	a.mu.Unlock()
 	go func() {
+		// A refused frame or message ends the connection, so the peer learns.
+		defer func() {
+			c.close() //nolint:errcheck // already failed
+			w.dead.Store(true)
+			close(w.deadCh)
+			close(w.inbox)
+		}()
 		for {
 			env, err := c.recv(0)
 			if err != nil {
-				// A refused frame ends the connection, so the peer learns.
-				c.close() //nolint:errcheck // already failed
-				w.dead.Store(true)
-				close(w.deadCh)
-				close(w.inbox)
 				return
 			}
 			// An update goes straight to the train request waiting for its
 			// Seq, or nowhere: one that echoes no token (they start at 1) is
 			// released like any straggler's, never queued where no round
-			// would drain it. Profile replies and tree commits take the inbox.
+			// would drain it. A profile reply takes the inbox's slack or is
+			// dropped; a tier commit queues only from a tree child, whose
+			// pump drains it. No peer sends anything else.
 			switch env.Type {
 			case MsgUpdate:
 				w.route(env.Update.Seq, env)
 			case MsgCompressedUpdate:
 				w.route(env.CompressedUpdate.Seq, env)
-			default:
+			case MsgProfileReply:
+				select {
+				case w.inbox <- env:
+				default:
+				}
+			case MsgTierCommit:
+				if w.role != RoleChildAggregator {
+					return
+				}
 				w.inbox <- env
+			default:
+				return
 			}
 		}
 	}()

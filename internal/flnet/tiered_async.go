@@ -469,17 +469,13 @@ func (rq *trainReq) rebind(w *registered, ch chan *Envelope) {
 // flcore.Trainer: Reach finds a member's live connection and registration,
 // Train sends the bills and collects. target is how many decoded replies
 // count: all of a tier round's, ClientsPerRound of an over-selected
-// synchronous cohort. secure announces live and maskScale to every member
-// (Train.Participants/MaskScale, see secure.go).
+// synchronous cohort.
 type cohortRound struct {
 	flcore.RoundRequest
-	f         *fanIn
-	target    int
-	secure    bool
-	maskScale float64
-	done      <-chan struct{} // closed when the run ends; nil never aborts
-	conns     []*registered   // the reached connections, in request order
-	live      []int           // their members
+	f      *fanIn
+	target int
+	done   <-chan struct{} // closed when the run ends; nil never aborts
+	conns  []*registered   // the reached connections, in request order
 
 	// In flight: the broadcast bytes redispatches add. The result: the
 	// counted replies, in arrival order, and the round's wall clock.
@@ -663,9 +659,6 @@ func (f *fanIn) exchange(cr *cohortRound) (int64, flcore.RoundStatus) {
 		rq := &trainReq{idx: i, id: w.id, w: w, seq: f.seq.Add(1)}
 		rq.ch = w.addPending(rq.seq)
 		tr := &Train{Round: cr.Round, Seq: rq.seq, Tier: cr.Tier, Version: cr.ChainVersion}
-		if cr.secure {
-			tr.Participants, tr.MaskScale = cr.live, cr.maskScale
-		}
 		var n int // the blob's length: what the wire carries and the round bills
 		if cr.Bills != nil && cr.Bills[i].Delta != nil {
 			b := cr.Bills[i]
@@ -706,7 +699,7 @@ func (cr *cohortRound) Reach(_, _, member int) (int, bool) {
 	if w == nil {
 		return 0, false
 	}
-	cr.conns, cr.live = append(cr.conns, w), append(cr.live, member)
+	cr.conns = append(cr.conns, w)
 	return w.reg, true
 }
 

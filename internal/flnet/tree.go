@@ -512,7 +512,7 @@ func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 					return
 				}
 				if env.Type != MsgTierCommit {
-					continue // stray profile replies etc.; commits are the contract
+					continue // a stray profile reply; commits are the contract
 				}
 				if env.TierCommit.Tier != t {
 					c.c.close() //nolint:errcheck // a mislabeled commit evicts its child, as a refused one does

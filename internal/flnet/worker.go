@@ -77,13 +77,11 @@ type WorkerConfig struct {
 	// delta (plus the error-feedback residual from earlier rounds) is
 	// encoded and sent as a MsgCompressedUpdate instead of a dense
 	// MsgUpdate. The codec is announced at registration; an aggregator
-	// that cannot decode it refuses the handshake. Secure-aggregation
-	// rounds (Train.Participants set) always send dense masked updates —
-	// pairwise masks are full-entropy vectors no lossy codec may touch.
-	// A tiered-async aggregator running per-tier compression policy may
-	// renegotiate the codec when a live re-tiering migrates this worker
-	// (MsgTierReassign with Renegotiate set); the worker then switches
-	// from its next round on and resets its error-feedback residual.
+	// that cannot decode it refuses the handshake. A tiered-async
+	// aggregator running per-tier compression policy may renegotiate the
+	// codec when a live re-tiering migrates this worker (MsgTierReassign
+	// with Renegotiate set); the worker then switches from its next round
+	// on and resets its error-feedback residual.
 	Codec compress.Codec
 	// OnCodecRenegotiate, if set, observes each applied codec switch with
 	// the new codec's spec (compress.Parse syntax, "none" for dense).
@@ -279,7 +277,7 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 			if cfg.ReportSeconds != nil {
 				secs = cfg.ReportSeconds(env.Train.Round)
 			}
-			if codec != nil && len(env.Train.Participants) == 0 && codec.ID() != compress.IDNone {
+			if codec != nil && codec.ID() != compress.IDNone {
 				if len(w) != len(tw) {
 					return progressed, fatalf("flnet: worker %d round %d: trained %d weights from %d", cfg.ClientID, env.Train.Round, len(w), len(tw))
 				}
@@ -304,7 +302,7 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 			}
 			up := &Update{
 				Round: env.Train.Round, ClientID: cfg.ClientID, NumSamples: n,
-				Seconds: secs, Seq: env.Train.Seq, weights: maskedTrainResult(env.Train, cfg.ClientID, w, n),
+				Seconds: secs, Seq: env.Train.Seq, weights: w,
 			}
 			if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
 				return progressed, err
