@@ -50,7 +50,10 @@ type Config struct {
 	// on (Seed, round, client). The Model, Optimizer, EpochsFor and
 	// TransformUpdate callbacks and the clients' Drift functions are then
 	// called from several goroutines at once — never for the same client —
-	// and must be safe for that.
+	// and must be safe for that. Engine.Run also scores an evaluated
+	// round's global test set on a replica of the model while the next
+	// round trains, so that round's record reaches History and OnRound once
+	// its evaluation finishes, after the next round's training.
 	Parallel bool
 	// TransformUpdate, if set, post-processes each client's update before
 	// aggregation — the hook where client-level differential privacy
@@ -61,7 +64,10 @@ type Config struct {
 	// every client's local objective (the paper's reference [23] baseline).
 	ProxMu float64
 	// OnRound, if set, receives every round's record as it completes —
-	// the hook internal/trace uses to stream JSONL run traces.
+	// the hook internal/trace uses to stream JSONL run traces. Records
+	// arrive in round order, and GlobalWeights then holds the record's
+	// round's model. Under Parallel an evaluated round's record arrives once
+	// its evaluation finishes, which overlaps the next round's training.
 	OnRound func(rec RoundRecord)
 	// EpochsFor, if set, overrides LocalEpochs per client per round —
 	// FedProx-style partial work on stragglers (slow clients train fewer
@@ -143,6 +149,9 @@ type Engine struct {
 
 	// updates is trainCohort's result, resliced every round.
 	updates []Update
+
+	// eval is Run's global-test evaluator under Cfg.Parallel.
+	eval *globalEval
 }
 
 // trainScratch is the per-goroutine reusable state of TrainClient.
@@ -323,14 +332,31 @@ func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []
 
 // Run executes Cfg.Rounds federated rounds with the given selector and
 // returns the result history.
+//
+// Under Cfg.Parallel an evaluated round's global-test score is computed on
+// its own replica while AfterRound, the next Select and the next round's
+// training proceed; the next round joins it after training and before its
+// FedAvg, and only then records the round and calls OnRound, so OnRound
+// still sees that round's model in GlobalWeights. Every bit of the result
+// is the same either way.
 func (e *Engine) Run(sel Selector) *Result {
 	res := &Result{}
+	inFlight := false // e.eval is scoring the round before this one
+	defer func() {
+		if inFlight { // unwinding a panic: free the replica for the next Run
+			<-e.eval.done
+		}
+	}()
 	for r := 0; r < e.Cfg.Rounds; r++ {
 		selected := sel.Select(r, SelectionRNG(e.Cfg.Seed, r))
 		if len(selected) == 0 {
 			panic(fmt.Sprintf("flcore: selector returned no clients in round %d", r))
 		}
 		updates := e.trainRound(r, selected)
+		if inFlight {
+			inFlight = false
+			e.record(res, e.eval.wait())
+		}
 		FedAvgInto(e.weights, updates)
 		e.global.SetWeightsVector(e.weights)
 		lat := MaxLatency(updates)
@@ -344,11 +370,15 @@ func (e *Engine) Run(sel Selector) *Result {
 		rec := RoundRecord{Round: r, Selected: selected, Latency: lat, SimTime: e.clock.Now(), Acc: math.NaN(), Loss: math.NaN(), UplinkBytes: upBytes}
 		last := r == e.Cfg.Rounds-1
 		if e.GlobalTest != nil && (last || (e.Cfg.EvalEvery > 0 && r%e.Cfg.EvalEvery == 0)) {
-			rec.Acc, rec.Loss = e.global.Evaluate(e.GlobalTest.InputTensor(), e.GlobalTest.Y, e.Cfg.EvalBatch)
+			if e.Cfg.Parallel {
+				e.startEval(rec)
+				inFlight = true
+			} else {
+				rec.Acc, rec.Loss = e.global.Evaluate(e.GlobalTest.InputTensor(), e.GlobalTest.Y, e.Cfg.EvalBatch)
+			}
 		}
-		res.History = append(res.History, rec)
-		if e.Cfg.OnRound != nil {
-			e.Cfg.OnRound(rec)
+		if !inFlight {
+			e.record(res, rec)
 		}
 
 		if obs, ok := sel.(LatencyObserver); ok {
@@ -361,11 +391,63 @@ func (e *Engine) Run(sel Selector) *Result {
 			})
 		}
 	}
+	if inFlight {
+		inFlight = false
+		e.record(res, e.eval.wait())
+	}
 	res.TotalTime = e.clock.Now()
 	res.Weights = append([]float64(nil), e.weights...)
 	final := res.History[len(res.History)-1]
 	res.FinalAcc, res.FinalLoss = final.Acc, final.Loss
 	return res
+}
+
+// record appends a finished round to the history and hands it to OnRound.
+func (e *Engine) record(res *Result, rec RoundRecord) {
+	res.History = append(res.History, rec)
+	if e.Cfg.OnRound != nil {
+		e.Cfg.OnRound(rec)
+	}
+}
+
+// globalEval scores GlobalTest off Run's goroutine on a replica of the
+// global model with its own workspace, so the global model stays free for
+// AfterRound and the next round meanwhile.
+type globalEval struct {
+	model    *nn.Model
+	rec      RoundRecord   // the round being scored
+	panicked any           // the evaluation's panic, if it had one
+	done     chan struct{} // one value per evaluation
+}
+
+// startEval copies the global weights into the replica (built on first use)
+// and scores GlobalTest with them into rec's Acc and Loss on a goroutine.
+func (e *Engine) startEval(rec RoundRecord) {
+	g := e.eval
+	if g == nil {
+		g = &globalEval{model: e.Cfg.Model(rand.New(rand.NewSource(e.Cfg.Seed))), done: make(chan struct{}, 1)}
+		g.model.SetWorkspace(nn.NewWorkspace())
+		e.eval = g
+	}
+	g.model.SetWeightsVector(e.weights)
+	g.rec, g.panicked = rec, nil
+	go func() {
+		defer func() {
+			g.panicked = recover()
+			g.done <- struct{}{}
+		}()
+		g.rec.Acc, g.rec.Loss = g.model.Evaluate(e.GlobalTest.InputTensor(), e.GlobalTest.Y, e.Cfg.EvalBatch)
+	}()
+}
+
+// wait joins the evaluation and returns its scored record; a panic in the
+// evaluation is raised again here, on the caller's goroutine.
+func (g *globalEval) wait() RoundRecord {
+	<-g.done
+	if g.panicked != nil {
+		panic(g.panicked)
+	}
+	return g.rec
 }
 
 // trainRound trains the round's selection from the global weights and

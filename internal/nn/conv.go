@@ -142,11 +142,20 @@ func (c *Conv2D) setWorkspace(ws *Workspace) { c.ws = ws }
 // it from NCHW, so each output sums its products in the same order: a tap's
 // ch input values, contiguous in x, land kh·kw apart in the row. A tap
 // outside the image (pad > 0) writes zeros; the bounds test is per tap,
-// not per element.
+// not per element. Above shardWork the images split across cores.
 func im2colNHWC(cols, x []float64, n, h, w, ch, kh, kw, stride, pad, oh, ow int) {
+	if work := n * oh * ow * ch * kh * kw; sharded(work) {
+		tensor.ParallelChunks(n, work, func(lo, hi int) { im2colImages(cols, x, lo, hi, h, w, ch, kh, kw, stride, pad, oh, ow) })
+		return
+	}
+	im2colImages(cols, x, 0, n, h, w, ch, kh, kw, stride, pad, oh, ow)
+}
+
+// im2colImages is im2colNHWC for images [lo,hi).
+func im2colImages(cols, x []float64, lo, hi, h, w, ch, kh, kw, stride, pad, oh, ow int) {
 	taps := kh * kw
 	colW := ch * taps
-	for img := 0; img < n; img++ {
+	for img := lo; img < hi; img++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				row := cols[((img*oh+oy)*ow+ox)*colW:][:colW]
@@ -175,12 +184,23 @@ func im2colNHWC(cols, x []float64, n, h, w, ch, kh, kw, stride, pad, oh, ow int)
 // col2imNHWC is im2colNHWC's adjoint: it scatters cols into the NHWC
 // gradient dx, overwriting it. Pixels are visited in ascending order, so
 // each element of dx sums its contributions in the order
-// tensor.Col2ImInto sums them on NCHW, bit for bit.
+// tensor.Col2ImInto sums them on NCHW, bit for bit. An image's
+// contributions land in its own slice of dx, so above shardWork the images
+// split across cores, each worker clearing and accumulating only its own.
 func col2imNHWC(dx, cols []float64, n, h, w, ch, kh, kw, stride, pad, oh, ow int) {
-	clear(dx)
+	if work := n * oh * ow * ch * kh * kw; sharded(work) {
+		tensor.ParallelChunks(n, work, func(lo, hi int) { col2imImages(dx, cols, lo, hi, h, w, ch, kh, kw, stride, pad, oh, ow) })
+		return
+	}
+	col2imImages(dx, cols, 0, n, h, w, ch, kh, kw, stride, pad, oh, ow)
+}
+
+// col2imImages is col2imNHWC for images [lo,hi).
+func col2imImages(dx, cols []float64, lo, hi, h, w, ch, kh, kw, stride, pad, oh, ow int) {
+	clear(dx[lo*h*w*ch : hi*h*w*ch])
 	taps := kh * kw
 	colW := ch * taps
-	for img := 0; img < n; img++ {
+	for img := lo; img < hi; img++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				row := cols[((img*oh+oy)*ow+ox)*colW:][:colW]
@@ -270,9 +290,19 @@ func (m *MaxPool) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // a NaN wins only from the window's first position. The window's first tap
 // seeds out and arg; each later tap, one contiguous run of ch values,
 // replaces them where it is greater, through a mask rather than a branch.
+// Above shardWork the images split across cores.
 func maxPoolNHWC(out []float64, arg []int, x []float64, n, h, w, ch, size, stride, oh, ow int) {
+	if work := n * oh * ow * ch * size * size; sharded(work) {
+		tensor.ParallelChunks(n, work, func(lo, hi int) { maxPoolImages(out, arg, x, lo, hi, h, w, ch, size, stride, oh, ow) })
+		return
+	}
+	maxPoolImages(out, arg, x, 0, n, h, w, ch, size, stride, oh, ow)
+}
+
+// maxPoolImages is maxPoolNHWC for images [lo,hi).
+func maxPoolImages(out []float64, arg []int, x []float64, lo, hi, h, w, ch, size, stride, oh, ow int) {
 	plane := oh * ow
-	for img := 0; img < n; img++ {
+	for img := lo; img < hi; img++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				origin := ((img*h+oy*stride)*w + ox*stride) * ch

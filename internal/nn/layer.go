@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"repro/internal/tensor"
 )
@@ -126,11 +127,24 @@ func NewReLU() *ReLU { return &ReLU{} }
 // exponent and fraction are at most +Inf's, which excludes NaN.
 const posInfBits = 0x7FF0000000000000
 
-// Forward implements Layer.
+// Forward implements Layer. Above shardWork the element range splits
+// across cores.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.out = r.ws.Ensure(r.out, x.Shape()...)
-	od := r.out.Data[:len(x.Data)]
-	for i, v := range x.Data {
+	od, xd := r.out.Data[:len(x.Data)], x.Data
+	if sharded(len(xd)) {
+		tensor.ParallelChunks(len(xd), len(xd), func(lo, hi int) { reluForward(od[lo:hi], xd[lo:hi]) })
+	} else {
+		reluForward(od, xd)
+	}
+	r.trained = train
+	return r.out
+}
+
+// reluForward writes x's ReLU into od, len(od) = len(x).
+func reluForward(od, x []float64) {
+	od = od[:len(x)]
+	for i, v := range x {
 		b := math.Float64bits(v)
 		var o uint64
 		if b-1 < posInfBits {
@@ -138,27 +152,46 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		od[i] = math.Float64frombits(o)
 	}
-	r.trained = train
-	return r.out
 }
 
-// Backward implements Layer: g where the output is > 0, +0 elsewhere.
+// Backward implements Layer: g where the output is > 0, +0 elsewhere. Above
+// shardWork the element range splits across cores.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !r.trained {
 		panic("nn: ReLU.Backward without a preceding Forward(train=true)")
 	}
 	r.gout = r.ws.Ensure(r.gout, grad.Shape()...)
 	gd := grad.Data
-	od := r.gout.Data[:len(gd)]
-	out := r.out.Data[:len(gd)]
-	for i, v := range gd {
+	od, out := r.gout.Data[:len(gd)], r.out.Data[:len(gd)]
+	if sharded(len(gd)) {
+		tensor.ParallelChunks(len(gd), len(gd), func(lo, hi int) { reluBackward(od[lo:hi], gd[lo:hi], out[lo:hi]) })
+	} else {
+		reluBackward(od, gd, out)
+	}
+	return r.gout
+}
+
+// reluBackward writes into od the gradient g masked by the forward output
+// out; the three have one length.
+func reluBackward(od, g, out []float64) {
+	od, out = od[:len(g)], out[:len(g)]
+	for i, v := range g {
 		// An output is +0 or positive, so its negation has the sign bit
 		// set exactly when it is > 0: the mask is all ones there.
 		mask := uint64(-int64(math.Float64bits(out[i])) >> 63)
 		od[i] = math.Float64frombits(math.Float64bits(v) & mask)
 	}
-	return r.gout
 }
+
+// shardWork is the element count from which a layout or element-wise pass
+// (ReLU, the NHWC im2col, col2im and max-pool) splits across cores: the
+// threshold tensor.ParallelChunks applies, tested before the call so the
+// serial path runs its loop directly and builds no closure, which would
+// heap-allocate on every batch.
+const shardWork = 1 << 17
+
+// sharded reports whether a pass over work elements splits across cores.
+func sharded(work int) bool { return work >= shardWork && runtime.GOMAXPROCS(0) > 1 }
 
 // Params implements Layer.
 func (r *ReLU) Params() []*tensor.Tensor { return nil }

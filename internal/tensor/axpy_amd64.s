@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// The inner sweeps of matMulRows (a·b) and matMulATBInto (aᵀ·b), four
+// The inner sweeps of matMulRows (a·b) and matMulATBRows (aᵀ·b), four
 // float64 lanes at a time over the first n&^3 elements; the Go wrappers in
 // ops.go finish the last n%4 on the scalar loop. Each lane rounds the
 // product (VMULPD) and then adds it to its output (VADDPD), never an FMA:
@@ -66,7 +66,7 @@ rdone:
 
 // func axpyStepsKernel(o, b0, b1 *float64, a0, a1 float64, n int)
 //
-// o[j] += a0·b0[j], then o[j] += a1·b1[j]: matMulATBInto's step pair, two
+// o[j] += a0·b0[j], then o[j] += a1·b1[j]: matMulATBRows's step pair, two
 // separately rounded adds in that order.
 TEXT ·axpyStepsKernel(SB), NOSPLIT, $0-48
 	MOVQ o+0(FP), DI

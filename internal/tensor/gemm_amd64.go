@@ -2,7 +2,7 @@ package tensor
 
 // useSIMD routes matMulABTInto's 16-column blocks through the AVX2 kernel
 // in gemm_amd64.s, and the whole 4-lane groups of matMulRows' and
-// matMulATBInto's inner sweeps through the kernels in axpy_amd64.s. It is
+// matMulATBRows's inner sweeps through the kernels in axpy_amd64.s. It is
 // set once from the CPU; only in-package tests flip it, to compare the
 // two paths.
 var useSIMD = HasAVX2()

@@ -179,7 +179,7 @@ func TestMatMulABSIMDBitEqualScalar(t *testing.T) {
 }
 
 func TestMatMulATBSIMDBitEqualScalar(t *testing.T) {
-	// Odd k leaves matMulATBInto an unpaired last step.
+	// Odd k leaves matMulATBRows an unpaired last step.
 	for _, tc := range tailCases(6, 7, append(atbShapes, gemmCase{"odd_k", 12, 37, 48}, gemmCase{"k1", 9, 1, 16})...) {
 		for _, zeros := range zeroDensities {
 			t.Run(fmt.Sprintf("%s/zeros%.0f%%", tc.name, 100*zeros), func(t *testing.T) {
@@ -377,10 +377,13 @@ func TestMatMulABTSteadyStateAllocs(t *testing.T) {
 func TestMatMulABAndATBAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	a, b, bias := withZeros(rng, 0.7, randTensor(rng, 10, 128)), randTensor(rng, 128, 30), randTensor(rng, 30)
-	at, g := withZeros(rng, 0.7, randTensor(rng, 10, 256)), randTensor(rng, 10, 128)
-	dst, dstATB := New(10, 30), New(256, 128)
+	at, g := withZeros(rng, 0.7, randTensor(rng, 10, 64)), randTensor(rng, 10, 128)
+	dst, dstATB := New(10, 30), New(64, 128)
 	if 10*128*30 >= parallelThreshold {
 		t.Fatal("a·b shape must stay below parallelThreshold")
+	}
+	if 10*64*128 >= parallelThreshold {
+		t.Fatal("aᵀ·b shape must stay below parallelThreshold")
 	}
 	for name, product := range map[string]func(){
 		"MatMulBiasInto": func() { MatMulBiasInto(dst, a, b, bias) },

@@ -164,7 +164,8 @@ func matMulRows(out, a, b, bias *Tensor, k, n, lo, hi int) {
 }
 
 // MatMulATBInto computes dst = aᵀ·b, reusing dst's storage. dst must be
-// (m×n) for a (k×m) and b (k×n).
+// (m×n) for a (k×m) and b (k×n). Every element is written, so dst's prior
+// contents do not matter.
 func MatMulATBInto(dst, a, b *Tensor) {
 	a.mustRank(2)
 	b.mustRank(2)
@@ -177,24 +178,30 @@ func MatMulATBInto(dst, a, b *Tensor) {
 	if dst.shape[0] != m || dst.shape[1] != n {
 		panicMatMulDst("MatMulATBInto", dst, m, n)
 	}
-	dst.Zero()
-	matMulATBInto(dst, a, b, k, m, n)
+	// As in matMulInto, only the parallel branch builds a closure.
+	if m*k*n < parallelThreshold || m == 1 {
+		matMulATBRows(dst, a, b, k, m, n, 0, m)
+		return
+	}
+	parallelRows(m, func(lo, hi int) { matMulATBRows(dst, a, b, k, m, n, lo, hi) })
 }
 
-// matMulATBInto accumulates aᵀ·b into out: out[i,j] += a[p,i]·b[p,j]
-// streaming over p so both reads are rows. p steps are processed in pairs
-// (two b rows per output-row sweep, halving the out traffic); per element
-// the accumulation still runs p ascending with zero products skipped, so
-// results are bit-identical to the single-step loop. The zero tests live
-// here; each sweep over j is axpy or axpySteps.
-func matMulATBInto(out, a, b *Tensor, k, m, n int) {
+// matMulATBRows writes rows [lo,hi) of aᵀ·b into out: it zeroes them, then
+// accumulates out[i,j] += a[p,i]·b[p,j] streaming over p so both reads are
+// rows. p steps are processed in pairs (two b rows per output-row sweep,
+// halving the out traffic); per element the accumulation still runs p
+// ascending with zero products skipped, so results are bit-identical to the
+// single-step loop whatever the row range. The zero tests live here; each
+// sweep over j is axpy or axpySteps.
+func matMulATBRows(out, a, b *Tensor, k, m, n, lo, hi int) {
+	clear(out.Data[lo*n : hi*n])
 	p := 0
 	for ; p+2 <= k; p += 2 {
 		arow0 := a.Data[p*m:][:m]
 		arow1 := a.Data[(p+1)*m:][:m]
 		brow0 := b.Data[p*n:][:n]
 		brow1 := b.Data[(p+1)*n:][:n]
-		for i := 0; i < m; i++ {
+		for i := lo; i < hi; i++ {
 			av0, av1 := arow0[i], arow1[i]
 			if av0 == 0 && av1 == 0 {
 				continue
@@ -213,11 +220,10 @@ func matMulATBInto(out, a, b *Tensor, k, m, n int) {
 	for ; p < k; p++ {
 		arow := a.Data[p*m:][:m]
 		brow := b.Data[p*n:][:n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
+		for i := lo; i < hi; i++ {
+			if av := arow[i]; av != 0 {
+				axpy(out.Data[i*n:][:n], brow, av)
 			}
-			axpy(out.Data[i*n:][:n], brow, av)
 		}
 	}
 }
@@ -435,7 +441,8 @@ func matMulABTRows(out, a, b, bias *Tensor, panel []float64, k, n, nb, lo, hi in
 }
 
 // parallelRows splits [0,m) into contiguous chunks, one per worker, and runs
-// fn on each chunk concurrently.
+// fn on each chunk concurrently: every chunk but the last on a goroutine of
+// its own, the last on the caller's.
 func parallelRows(m int, fn func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > m {
@@ -447,17 +454,15 @@ func parallelRows(m int, fn func(lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	chunk := (m + workers - 1) / workers
-	for lo := 0; lo < m; lo += chunk {
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
+	lo := 0
+	for ; lo+chunk < m; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(lo, lo+chunk)
 	}
+	fn(lo, m)
 	wg.Wait()
 }
 
