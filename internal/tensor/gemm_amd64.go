@@ -1,10 +1,9 @@
 package tensor
 
-// useSIMD routes matMulABTInto's 16-column blocks through the AVX2 kernel
-// in gemm_amd64.s, and the whole 4-lane groups of matMulRows' and
-// matMulATBRows's inner sweeps through the kernels in axpy_amd64.s. It is
-// set once from the CPU; only in-package tests flip it, to compare the
-// two paths.
+// useSIMD routes matMulABTInto's 16-column blocks and every row of a·b
+// and aᵀ·b through the AVX2 kernels in gemm_amd64.s, and the whole 4-lane
+// groups of axpy through the kernel in axpy_amd64.s. It is set once from
+// the CPU; only in-package tests flip it, to compare the two paths.
 var useSIMD = HasAVX2()
 
 // abtKernel16 writes a 16-column block of out = a·b (+bias) for rows
@@ -14,17 +13,25 @@ var useSIMD = HasAVX2()
 //go:noescape
 func abtKernel16(out, a, b, bias *float64, rows, k, n int)
 
-// axpyKernel, axpyRowsKernel and axpyStepsKernel are axpy, axpyRows and
-// axpySteps (ops.go) over the first n&^3 elements.
+// nzKernel writes the n columns of one output row: out[j] = Σ v·b[off+j]
+// over the count entries of list (offsets in bytes from b), starting from
+// +0, or from out's own values when acc, then adds bias[j] unless bias is
+// nil.
+//
+//go:noescape
+func nzKernel(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool)
+
+// listKernel lists the nonzeros among the count values left[0], left[ps],
+// left[2·ps], … in order, the i-th of them with byte offset off + i·step,
+// and returns how many it listed. list must hold count entries.
+//
+//go:noescape
+func listKernel(list *nonzero, left *float64, count, ps, off, step int) int
+
+// axpyKernel is axpy (ops.go) over the first n&^3 elements.
 //
 //go:noescape
 func axpyKernel(o, b *float64, a float64, n int)
-
-//go:noescape
-func axpyRowsKernel(o0, o1, b *float64, a0, a1 float64, n int)
-
-//go:noescape
-func axpyStepsKernel(o, b0, b1 *float64, a0, a1 float64, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -13,10 +13,10 @@ func axpyKernel(o, b *float64, a float64, n int) {
 	panic("tensor: no SIMD kernel on this architecture")
 }
 
-func axpyRowsKernel(o0, o1, b *float64, a0, a1 float64, n int) {
+func listKernel(list *nonzero, left *float64, count, ps, off, step int) int {
 	panic("tensor: no SIMD kernel on this architecture")
 }
 
-func axpyStepsKernel(o, b0, b1 *float64, a0, a1 float64, n int) {
+func nzKernel(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool) {
 	panic("tensor: no SIMD kernel on this architecture")
 }

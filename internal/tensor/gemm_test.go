@@ -88,12 +88,14 @@ func withZeros(rng *rand.Rand, frac float64, t *Tensor) *Tensor {
 }
 
 // zeroDensities are the left-operand zero fractions every a·b and aᵀ·b
-// shape runs at: no skips, the workloads' ~70 %, and every product skipped.
-var zeroDensities = []float64{0, 0.7, 1}
+// shape runs at: no skips, the workloads' ~70 %, conv2's output gradient's
+// ~95 %, and every product skipped.
+var zeroDensities = []float64{0, 0.7, 0.95, 1}
 
 // tailNs are output widths with no whole 4-lane group (n < 4), every
-// len%4 tail, and several groups before a tail.
-var tailNs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 31}
+// len%4 tail, several groups before a tail, and both sides of the a·b and
+// aᵀ·b kernel's 16- and 32-column blocks and of its masked tail.
+var tailNs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48}
 
 func TestMatMulABTSIMDBitEqualScalar(t *testing.T) {
 	for _, tc := range []struct {
@@ -134,24 +136,28 @@ type gemmCase struct {
 }
 
 // abShapes are the workloads' a·b products (m×k times k×n): the CNN's
-// conv2 input gradient and dense forward, and the 256→128→10 MLP's two
-// forwards at batch 10.
+// conv2 input gradient and dense forward, and the 256→128→10 and the
+// FedAT 48→32→10 MLPs' two forwards at batch 10.
 var abShapes = []gemmCase{
 	{"conv2_dcols", 1000, 64, 288},
 	{"dense_fwd", 10, 1600, 128},
 	{"mlp_hidden", 10, 256, 128},
 	{"mlp_out", 10, 128, 10},
+	{"fedat_hidden", 10, 48, 32},
+	{"fedat_out", 10, 32, 10},
 }
 
 // atbShapes are the workloads' aᵀ·b products (k×m transposed times k×n):
-// the weight gradients of both convs, the CNN's dense layer and both MLP
-// layers.
+// the weight gradients of both convs, the CNN's dense layer and both
+// layers of both MLPs.
 var atbShapes = []gemmCase{
 	{"conv2_dW", 64, 1000, 288},
 	{"conv1_dW", 32, 1440, 9},
 	{"dense_dW", 1600, 10, 128},
 	{"mlp_hidden_dW", 256, 10, 128},
 	{"mlp_out_dW", 128, 10, 10},
+	{"fedat_hidden_dW", 48, 10, 32},
+	{"fedat_out_dW", 32, 10, 10},
 }
 
 // tailCases returns one m×k·k×n case per n in tailNs, then extra.
@@ -164,8 +170,10 @@ func tailCases(m, k int, extra ...gemmCase) []gemmCase {
 }
 
 func TestMatMulABSIMDBitEqualScalar(t *testing.T) {
-	// Odd m leaves matMulRows an unpaired last row.
-	for _, tc := range tailCases(5, 6, append(abShapes, gemmCase{"odd_m", 37, 20, 48}, gemmCase{"m1", 1, 50, 32})...) {
+	// Odd m leaves matMulRows an unpaired last row. One row past a p-tile
+	// leaves nzRows a last tile of one step, which adds the bias.
+	for _, tc := range tailCases(5, 6, append(abShapes, gemmCase{"odd_m", 37, 20, 48}, gemmCase{"m1", 1, 50, 32},
+		gemmCase{"tile_plus1", 5, nzTile + 1, 33})...) {
 		for _, zeros := range zeroDensities {
 			t.Run(fmt.Sprintf("%s/zeros%.0f%%", tc.name, 100*zeros), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(tc.m*tc.k + tc.n)))
@@ -179,8 +187,11 @@ func TestMatMulABSIMDBitEqualScalar(t *testing.T) {
 }
 
 func TestMatMulATBSIMDBitEqualScalar(t *testing.T) {
-	// Odd k leaves matMulATBRows an unpaired last step.
-	for _, tc := range tailCases(6, 7, append(atbShapes, gemmCase{"odd_k", 12, 37, 48}, gemmCase{"k1", 9, 1, 16})...) {
+	// Odd k leaves matMulATBRows an unpaired last step. k = 1000 walks
+	// nzRows' p-tiles with a partial last one, and one row past a p-tile
+	// leaves it a last tile of one step.
+	for _, tc := range tailCases(6, 7, append(atbShapes, gemmCase{"odd_k", 12, 37, 48}, gemmCase{"k1", 9, 1, 16},
+		gemmCase{"k1000", 7, 1000, 33}, gemmCase{"tile_plus1", 5, nzTile + 1, 10})...) {
 		for _, zeros := range zeroDensities {
 			t.Run(fmt.Sprintf("%s/zeros%.0f%%", tc.name, 100*zeros), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(tc.m*tc.k + tc.n)))
@@ -295,6 +306,11 @@ func FuzzMatMulAB(f *testing.F) {
 	f.Add(uint8(3), uint8(9), uint8(32), uint8(2), true, seed)
 	f.Add(uint8(1), uint8(1), uint8(17), uint8(4), false, seed)
 	f.Add(uint8(4), uint8(0), uint8(7), uint8(0), true, []byte{})
+	// n = 10, 16 and 33 (the masked tail alone, one 16-column block, a
+	// 32-column block and a one-lane tail) at 75 % zeros.
+	f.Add(uint8(8), uint8(39), uint8(9), uint8(3), true, seed)
+	f.Add(uint8(2), uint8(25), uint8(15), uint8(3), false, seed)
+	f.Add(uint8(5), uint8(33), uint8(32), uint8(3), true, seed)
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zb uint8, withBias bool, data []byte) {
 		m, k, n := 1+int(mb%9), int(kb%40), 1+int(nb%48)
 		fill := fuzzOperands(data)
@@ -316,6 +332,10 @@ func FuzzMatMulATB(f *testing.F) {
 	f.Add(uint8(3), uint8(9), uint8(32), uint8(2), seed)
 	f.Add(uint8(1), uint8(2), uint8(17), uint8(4), seed)
 	f.Add(uint8(4), uint8(0), uint8(7), uint8(0), []byte{})
+	// n = 10, 16 and 33 at 75 % zeros, as in FuzzMatMulAB.
+	f.Add(uint8(8), uint8(39), uint8(9), uint8(3), seed)
+	f.Add(uint8(2), uint8(25), uint8(15), uint8(3), seed)
+	f.Add(uint8(5), uint8(33), uint8(32), uint8(3), seed)
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zb uint8, data []byte) {
 		m, k, n := 1+int(mb%9), int(kb%40), 1+int(nb%48)
 		fill := fuzzOperands(data)
@@ -458,34 +478,113 @@ func TestMatMulABTConcurrentSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// Up to GOMAXPROCS trainers run a·b and aᵀ·b at once: the FedAT MLP's
+// products, and longer ones that walk several of nzRows' p-tiles. The
+// lists live on nzRows' stack, so the steady state allocates nothing.
+// GOMAXPROCS is raised to at least 16 so a small box exercises many
+// callers; every product stays below parallelThreshold, so none fans out
+// to parallelRows' goroutines, which allocate.
+func TestMatMulABAndATBConcurrentSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	procs := max(16, runtime.GOMAXPROCS(0))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	rng := rand.New(rand.NewSource(11))
+	type job struct {
+		atb        bool
+		a, b, bias *Tensor
+		m, n       int
+	}
+	var jobs []job
+	for _, s := range []struct {
+		atb     bool
+		m, k, n int
+	}{{false, 10, 48, 32}, {false, 10, 32, 10}, {false, 2, 1600, 33}, {true, 48, 10, 32}, {true, 32, 10, 10}, {true, 8, 300, 47}} {
+		if s.m*s.k*s.n >= parallelThreshold {
+			t.Fatalf("%v must stay below parallelThreshold", s)
+		}
+		j := job{atb: s.atb, b: randTensor(rng, s.k, s.n), m: s.m, n: s.n}
+		if s.atb {
+			j.a = withZeros(rng, 0.5, randTensor(rng, s.k, s.m))
+		} else {
+			j.a, j.bias = withZeros(rng, 0.5, randTensor(rng, s.m, s.k)), randTensor(rng, s.n)
+		}
+		jobs = append(jobs, j)
+	}
+	dsts := make([][]*Tensor, procs)
+	for g := range dsts {
+		for _, j := range jobs {
+			dsts[g] = append(dsts[g], New(j.m, j.n))
+		}
+	}
+	run := func(iters int) {
+		var wg sync.WaitGroup
+		wg.Add(procs)
+		for g := 0; g < procs; g++ {
+			go func(g int) {
+				defer wg.Done()
+				for it := 0; it < iters; it++ {
+					for i, j := range jobs {
+						if j.atb {
+							MatMulATBInto(dsts[g][i], j.a, j.b)
+						} else {
+							MatMulBiasInto(dsts[g][i], j.a, j.b, j.bias)
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+	run(1) // threads for the raised GOMAXPROCS, goroutine stacks
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(20)
+	runtime.ReadMemStats(&after)
+	// run's goroutines and the runtime's own bookkeeping make a few dozen
+	// allocations; a list on the heap would make one per product.
+	if got, products := after.Mallocs-before.Mallocs, uint64(procs*20*len(jobs)); got >= products/10 {
+		t.Fatalf("%d callers × 20 rounds of %d products made %d allocations at steady state, want < %d", procs, len(jobs), got, products/10)
+	}
+}
+
+// benchZeros are the left-operand zero shares benchGemm runs each shape
+// at: dense, then the shares of a paper-CNN training run (conv2's columns
+// 51 %, the dense input gradient 85 %, conv2's output gradient 95 %).
+var benchZeros = []float64{0, 0.51, 0.85, 0.95}
+
 // benchGemm reports product's throughput on the scalar loops and on the
-// SIMD kernels, counting 2·m·k·n flops per call. Operands are dense, so no
-// product is skipped. The left operand is k×m when leftT, else m×k.
+// SIMD kernels, counting 2·m·k·n flops per call at every zero share, so a
+// sparse row's GFLOP/s counts the skipped products as done. The left
+// operand is k×m when leftT, else m×k.
 func benchGemm(b *testing.B, cases []gemmCase, leftT bool, product func(dst, a, b *Tensor)) {
 	simd := useSIMD
 	defer func() { useSIMD = simd }()
 	for _, c := range cases {
-		rng := rand.New(rand.NewSource(1))
-		left := randTensor(rng, c.m, c.k)
-		if leftT {
-			left = transpose(left)
-		}
-		right, dst := randTensor(rng, c.k, c.n), New(c.m, c.n)
-		for _, path := range []struct {
-			name string
-			on   bool
-		}{{"scalar", false}, {"simd", true}} {
-			b.Run(c.name+"/"+path.name, func(b *testing.B) {
-				if path.on && !simd {
-					b.Skip("no SIMD kernels on this CPU")
-				}
-				useSIMD = path.on
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					product(dst, left, right)
-				}
-				b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-			})
+		for _, zeros := range benchZeros {
+			rng := rand.New(rand.NewSource(1))
+			left := withZeros(rng, zeros, randTensor(rng, c.m, c.k))
+			if leftT {
+				left = transpose(left)
+			}
+			right, dst := randTensor(rng, c.k, c.n), New(c.m, c.n)
+			for _, path := range []struct {
+				name string
+				on   bool
+			}{{"scalar", false}, {"simd", true}} {
+				b.Run(fmt.Sprintf("%s/zeros%.0f%%/%s", c.name, 100*zeros, path.name), func(b *testing.B) {
+					if path.on && !simd {
+						b.Skip("no SIMD kernels on this CPU")
+					}
+					useSIMD = path.on
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						product(dst, left, right)
+					}
+					b.ReportMetric(2*float64(c.m*c.k*c.n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
 		}
 	}
 }

@@ -79,21 +79,34 @@ func matMulBiasInto(dst, a, b, bias *Tensor, op string) {
 	matMulInto(dst, a, b, bias, m, k, n)
 }
 
-// matMulInto accumulates a·b into out using an ikj loop order (streaming
-// through b rows) which is cache-friendly for row-major data, then adds the
-// optional bias while each row is still hot. Rows of the output are
+// matMulInto writes a·b (+bias) into out. Rows of the output are
 // partitioned across goroutines when the problem is large. Per output
-// element the operation order is: += a[i,p]·b[p,j] for p ascending, then
-// += bias[j] — identical to the historical separate-pass formulation.
+// element the operation order is: += a[i,p]·b[p,j] for p ascending with
+// zero products skipped, then += bias[j] — identical to the historical
+// separate-pass formulation.
 func matMulInto(out, a, b, bias *Tensor, m, k, n int) {
-	// The serial path calls the row kernel directly: wrapping it in a
+	// The serial path calls the row function directly: wrapping it in a
 	// closure for both paths would heap-allocate the closure on every
 	// batch (flow-insensitive escape analysis sees the parallel branch).
 	if m*k*n < parallelThreshold || m == 1 {
-		matMulRows(out, a, b, bias, k, n, 0, m)
+		abRows(out, a, b, bias, k, n, 0, m)
 		return
 	}
-	parallelRows(m, func(lo, hi int) { matMulRows(out, a, b, bias, k, n, lo, hi) })
+	parallelRows(m, func(lo, hi int) { abRows(out, a, b, bias, k, n, lo, hi) })
+}
+
+// abRows computes rows [lo,hi) of a·b (+bias): on nzKernel with useSIMD,
+// else on matMulRows, the scalar reference.
+func abRows(out, a, b, bias *Tensor, k, n, lo, hi int) {
+	if !useSIMD || k == 0 || n == 0 {
+		matMulRows(out, a, b, bias, k, n, lo, hi)
+		return
+	}
+	var bv []float64
+	if bias != nil {
+		bv = bias.Data
+	}
+	nzRows(out.Data, a.Data, b.Data, bv, k, 1, k, n, lo, hi)
 }
 
 // matMulRows computes rows [lo,hi) of a·b: each output row is zeroed,
@@ -104,8 +117,8 @@ func matMulInto(out, a, b, bias *Tensor, m, k, n int) {
 // element the operation order matches the historical
 // zero-all/accumulate-all/bias-all single-row formulation exactly: the
 // element's row accumulates av·b[p,j] for ascending p with zero products
-// skipped, then gains the bias. The zero tests live here; each sweep over
-// j is axpy or axpyRows.
+// skipped, then gains the bias. It is the reference nzRows is held to,
+// and the only path off amd64.
 func matMulRows(out, a, b, bias *Tensor, k, n, lo, hi int) {
 	i := lo
 	for ; i+2 <= hi; i += 2 {
@@ -180,10 +193,20 @@ func MatMulATBInto(dst, a, b *Tensor) {
 	}
 	// As in matMulInto, only the parallel branch builds a closure.
 	if m*k*n < parallelThreshold || m == 1 {
-		matMulATBRows(dst, a, b, k, m, n, 0, m)
+		atbRows(dst, a, b, k, m, n, 0, m)
 		return
 	}
-	parallelRows(m, func(lo, hi int) { matMulATBRows(dst, a, b, k, m, n, lo, hi) })
+	parallelRows(m, func(lo, hi int) { atbRows(dst, a, b, k, m, n, lo, hi) })
+}
+
+// atbRows writes rows [lo,hi) of aᵀ·b into out: on nzKernel with useSIMD,
+// else on matMulATBRows, the scalar reference.
+func atbRows(out, a, b *Tensor, k, m, n, lo, hi int) {
+	if !useSIMD || k == 0 || n == 0 {
+		matMulATBRows(out, a, b, k, m, n, lo, hi)
+		return
+	}
+	nzRows(out.Data, a.Data, b.Data, nil, 1, m, k, n, lo, hi)
 }
 
 // matMulATBRows writes rows [lo,hi) of aᵀ·b into out: it zeroes them, then
@@ -191,8 +214,8 @@ func MatMulATBInto(dst, a, b *Tensor) {
 // rows. p steps are processed in pairs (two b rows per output-row sweep,
 // halving the out traffic); per element the accumulation still runs p
 // ascending with zero products skipped, so results are bit-identical to the
-// single-step loop whatever the row range. The zero tests live here; each
-// sweep over j is axpy or axpySteps.
+// single-step loop whatever the row range. It is the reference nzRows is
+// held to, and the only path off amd64.
 func matMulATBRows(out, a, b *Tensor, k, m, n, lo, hi int) {
 	clear(out.Data[lo*n : hi*n])
 	p := 0
@@ -243,33 +266,58 @@ func axpy(o, b []float64, a float64) {
 	}
 }
 
-// axpyRows computes o0[j] += a0·b[j] and o1[j] += a1·b[j], as axpy does.
+// axpyRows computes o0[j] += a0·b[j] and o1[j] += a1·b[j].
 func axpyRows(o0, o1, b []float64, a0, a1 float64) {
 	o1, b = o1[:len(o0)], b[:len(o0)]
-	j := 0
-	if useSIMD && len(o0) >= 4 {
-		j = len(o0) &^ 3
-		axpyRowsKernel(&o0[0], &o1[0], &b[0], a0, a1, j)
-	}
-	for ; j < len(o0); j++ {
-		bv := b[j]
+	for j, bv := range b {
 		o0[j] += a0 * bv
 		o1[j] += a1 * bv
 	}
 }
 
 // axpySteps computes o[j] += a0·b0[j] and then o[j] += a1·b1[j], two
-// separately rounded adds per element, as axpy does.
+// separately rounded adds per element.
 func axpySteps(o, b0, b1 []float64, a0, a1 float64) {
 	b0, b1 = b0[:len(o)], b1[:len(o)]
-	j := 0
-	if useSIMD && len(o) >= 4 {
-		j = len(o) &^ 3
-		axpyStepsKernel(&o[0], &b0[0], &b1[0], a0, a1, j)
-	}
-	for ; j < len(o); j++ {
+	for j := range o {
 		o[j] += a0 * b0[j]
 		o[j] += a1 * b1[j]
+	}
+}
+
+// nonzero is one entry of nzKernel's list: a left-operand value and the
+// byte offset in b of the row it multiplies.
+type nonzero struct {
+	v   float64
+	off int
+}
+
+// nzTile is the number of b rows one pass of nzRows walks, and so the
+// length of its list. At the workloads' n ≤ 288 a tile of b is at most
+// 288 KiB, which stays in L2 while every output row of the pass runs over
+// it, and the list (2 KiB) lives on nzRows' stack: no scratch to recycle,
+// so no lock to share.
+const nzTile = 128
+
+// nzRows writes rows [lo,hi) of left·b (+bias) into out on nzKernel. Output
+// row i's left entries are left[i·rs + p·ps] for p < k: rs, ps = k, 1 is
+// a·b and 1, m is aᵀ·b. p runs in tiles of nzTile rows of b; per tile,
+// listKernel lists each row's nonzeros in ascending p, and nzKernel
+// accumulates them from +0 on the first tile and from the row's partial
+// sums after it, then adds the bias after the last. Every element thus
+// repeats the scalar loops' sequence with zero products skipped.
+func nzRows(out, left, b, bias []float64, rs, ps, k, n, lo, hi int) {
+	var list [nzTile]nonzero
+	var bp *float64
+	for p0 := 0; p0 < k; p0 += nzTile {
+		p1 := min(p0+nzTile, k)
+		if p1 == k && bias != nil {
+			bp = &bias[0]
+		}
+		for i := lo; i < hi; i++ {
+			c := listKernel(&list[0], &left[i*rs+p0*ps], p1-p0, ps, p0*n*8, n*8)
+			nzKernel(&out[i*n], &b[0], &list[0], c, n, bp, p0 > 0)
+		}
 	}
 }
 
