@@ -115,17 +115,17 @@ func main() {
 		children = flag.Int("children", 0, "tiered-aggregator: child aggregators forming a tree (0 = flat worker fan-in)")
 		rootAddr = flag.String("root", "", "child-aggregator: tree root address to join")
 		metrics  = flag.String("metrics-addr", "", "tiered-aggregator: observability endpoint address (e.g. 127.0.0.1:9090; empty = off)")
+		ckptPath = flag.String("checkpoint", "", "tiered-aggregator: durable snapshot file; resumes from it when it exists")
+		ckptFreq = flag.Int("checkpoint-every", 10, "tiered-aggregator: snapshot every k applied commits (with -checkpoint)")
 		id       = flag.Int("id", 0, "worker: client ID / child-aggregator: tier index")
 		samples  = flag.Int("samples", 400, "worker: local training samples")
 		seed     = flag.Int64("seed", 1, "seed")
 	)
-	// The tiering, checkpoint, and compression flags are generated from the
+	// The tiering, compression, and robustness flags are generated from the
 	// same option structs the library embeds in Options/NetOptions, so this
 	// command cannot drift from the API surface.
 	var tierOpts tifl.TieringOptions
 	tierOpts.AddFlags(flag.CommandLine)
-	ckptOpts := tifl.CheckpointOptions{CheckpointEvery: 10}
-	ckptOpts.AddFlags(flag.CommandLine)
 	var compOpts tifl.CompressionOptions
 	compOpts.AddFlags(flag.CommandLine)
 	var robOpts tifl.RobustnessOptions
@@ -191,23 +191,23 @@ func main() {
 		// restart: load it (falling back to the rotated .prev snapshot if
 		// the newest write was torn) and resume instead of starting over.
 		var resumeCkpt *flcore.TieredCheckpoint
-		if ckptOpts.CheckpointPath != "" && checkpointExists(ckptOpts.CheckpointPath) {
-			c, err := flcore.LoadTieredCheckpointFile(ckptOpts.CheckpointPath)
+		if *ckptPath != "" && checkpointExists(*ckptPath) {
+			c, err := flcore.LoadTieredCheckpointFile(*ckptPath)
 			if err != nil {
 				fail("loading checkpoint: %v", err)
 			}
 			if hasMgr := len(c.ManagerState) > 0; hasMgr != live {
-				fail("checkpoint %s live tiering = %v; rerun with a matching -retier-every", ckptOpts.CheckpointPath, hasMgr)
+				fail("checkpoint %s live tiering = %v; rerun with a matching -retier-every", *ckptPath, hasMgr)
 			}
 			if c.Version >= *commits {
-				fail("checkpoint %s is already at version %d; raise -commits above it to continue the job", ckptOpts.CheckpointPath, c.Version)
+				fail("checkpoint %s is already at version %d; raise -commits above it to continue the job", *ckptPath, c.Version)
 			}
 			resumeCkpt = c
-			fmt.Printf("found checkpoint %s at version %d of %d\n", ckptOpts.CheckpointPath, c.Version, *commits)
+			fmt.Printf("found checkpoint %s at version %d of %d\n", *ckptPath, c.Version, *commits)
 		}
 		ckptEvery := 0
-		if ckptOpts.CheckpointPath != "" {
-			ckptEvery = ckptOpts.CheckpointEvery
+		if *ckptPath != "" {
+			ckptEvery = *ckptFreq
 		}
 		agg, err := flnet.NewTieredAsyncAggregator(*addr, flnet.TieredAsyncConfig{
 			CommitterConfig: flcore.CommitterConfig{
@@ -217,7 +217,7 @@ func main() {
 			},
 			FanInConfig:   fanIn,
 			GlobalCommits: *commits, InitialWeights: init,
-			CheckpointPath: ckptOpts.CheckpointPath,
+			CheckpointPath: *ckptPath,
 			MetricsAddr:    *metrics,
 			ReassignCodec:  compOpts.ReassignPolicy(),
 			SendTimeout:    robOpts.RPCTimeout,

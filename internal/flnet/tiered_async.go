@@ -54,7 +54,8 @@ type TieredAsyncConfig struct {
 	// CheckpointPath is the durable snapshot file written atomically every
 	// CheckpointEvery commits; the previous snapshot is kept at
 	// CheckpointPath+".prev". Checkpointing needs CheckpointPath,
-	// OnCheckpoint or both, and a failed checkpoint write fails the run —
+	// OnCheckpoint or both, a CheckpointPath needs a positive
+	// CheckpointEvery, and a failed checkpoint write fails the run —
 	// crash-safety silently gone is worse than a loud stop.
 	CheckpointPath string
 	// MetricsAddr, when set (e.g. "127.0.0.1:9090" or ":0"), serves the
@@ -88,6 +89,8 @@ func (c TieredAsyncConfig) validate() error {
 		return fmt.Errorf("flnet: InitialWeights empty")
 	case c.CheckpointEvery > 0 && c.CheckpointPath == "" && c.OnCheckpoint == nil:
 		return fmt.Errorf("flnet: CheckpointEvery set but neither CheckpointPath nor OnCheckpoint is")
+	case c.CheckpointPath != "" && c.CheckpointEvery == 0:
+		return fmt.Errorf("flnet: CheckpointPath set but CheckpointEvery is 0, so it would never be written")
 	}
 	return nil
 }
@@ -1068,18 +1071,10 @@ func (ta *TieredAsyncAggregator) drive(com *flcore.Committer, tp *topology) (*Ti
 // and run the tiered-asynchronous protocol over them. It returns the built
 // tiers and the profiling dropouts alongside the result — a worker that
 // missed its profiling reply is excluded from every tier and sits out the
-// whole run, so callers should surface the dropout list.
-//
-// When a live Manager was installed (SetManager), the Manager was already
-// seeded from a profiling pass, so no second pass runs (numTiers and
-// profileTimeout are ignored, dropouts is nil) and the returned tiers
-// mirror the Manager's FINAL membership — aligned with the result's
-// per-tier commit counters even after mid-run re-tierings.
+// whole run, so callers should surface the dropout list. A run with a
+// live Manager (SetManager) calls Run instead: the Manager's own
+// profiling pass seeded its tiers.
 func (ta *TieredAsyncAggregator) ProfileAndRun(numTiers int, profileTimeout time.Duration) (*TieredAsyncRunResult, []core.Tier, []int, error) {
-	if ta.tcfg.Manager != nil {
-		res, err := ta.Run(nil)
-		return res, managerTierView(ta.tcfg.Manager), nil, err
-	}
 	lat, dropouts, err := ta.ProfileWorkers(profileTimeout)
 	if err != nil {
 		return nil, nil, dropouts, err
@@ -1087,30 +1082,4 @@ func (ta *TieredAsyncAggregator) ProfileAndRun(numTiers int, profileTimeout time
 	tiers := core.BuildTiers(lat, numTiers, core.Quantile)
 	res, err := ta.Run(core.TierMembers(tiers))
 	return res, tiers, dropouts, err
-}
-
-// managerTierView renders a Manager's current membership as []core.Tier,
-// with mean latencies from its EWMA estimates when it exposes them
-// (tiering.Manager does).
-func managerTierView(mgr flcore.TierManager) []core.Tier {
-	est, hasEst := mgr.(interface{ EWMA(int) (float64, bool) })
-	tiers := mgr.Tiers()
-	out := make([]core.Tier, len(tiers))
-	for t, members := range tiers {
-		out[t] = core.Tier{ID: t, Members: members}
-		if !hasEst || len(members) == 0 {
-			continue
-		}
-		sum, n := 0.0, 0
-		for _, c := range members {
-			if v, ok := est.EWMA(c); ok {
-				sum += v
-				n++
-			}
-		}
-		if n > 0 {
-			out[t].MeanLatency = sum / float64(n)
-		}
-	}
-	return out
 }

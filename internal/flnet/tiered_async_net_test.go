@@ -445,6 +445,7 @@ func TestTieredAsyncConfigValidation(t *testing.T) {
 		{field: "RejoinWait", fan: func(c *FanInConfig) { c.MaxRetries, c.RejoinWait = 1, -1 }},
 		{field: "GlobalCommits", root: func(c *TieredAsyncConfig) { c.GlobalCommits = 0 }},
 		{field: "InitialWeights", root: func(c *TieredAsyncConfig) { c.InitialWeights = nil }},
+		{field: "CheckpointEvery", root: func(c *TieredAsyncConfig) { c.CheckpointPath = "never-written.ckpt" }},
 	} {
 		root := rootConfig(spec, 1)
 		if row.spec != nil {

@@ -7,18 +7,16 @@ import (
 	"repro/internal/compress"
 )
 
-// Shared option sub-structs. The tiering, compression, and checkpointing
-// knobs used to be duplicated field-by-field across Options (simulation),
-// NetOptions (flat distributed), and tifl-node's hand-rolled flag list;
-// they now live here once and are embedded wherever they apply, so the
-// three surfaces cannot drift. Field promotion keeps every existing
-// `opts.RetierEvery`-style access compiling; only composite literals that
-// named the moved fields need the embedded struct spelled out.
+// Option sub-structs, each declared once and embedded where it applies.
+// A job's spec — codec, downlink, live tiering — is Options'
+// CompressionOptions and TieringOptions, which every tiered-async entry
+// point reads as its defaults; a distributed run's socket behaviour is
+// NetOptions' RobustnessOptions. Each also registers its own tifl-node
+// flags (AddFlags), so the command cannot drift from the API.
 
 // TieringOptions are the live-tiering knobs (internal/tiering): they make
 // tiered-async jobs re-tier mid-run instead of freezing the profiled
-// tiers. Embedded in Options (system-wide defaults) and NetOptions
-// (per-distributed-job overrides; see Overlay).
+// tiers. Embedded in Options.
 type TieringOptions struct {
 	// RetierEvery rebuilds tiers from observed latencies every k global
 	// commits (0 keeps the profiled tiers frozen, the paper's one-shot
@@ -37,25 +35,6 @@ type TieringOptions struct {
 	Credits int
 }
 
-// Overlay merges o over base: non-zero fields of o win (AdaptiveSelection
-// when set). This is the NetOptions-over-Options precedence every
-// distributed job applies.
-func (o TieringOptions) Overlay(base TieringOptions) TieringOptions {
-	if o.RetierEvery > 0 {
-		base.RetierEvery = o.RetierEvery
-	}
-	if o.EWMABeta > 0 {
-		base.EWMABeta = o.EWMABeta
-	}
-	if o.AdaptiveSelection {
-		base.AdaptiveSelection = true
-	}
-	if o.Credits > 0 {
-		base.Credits = o.Credits
-	}
-	return base
-}
-
 // Live reports whether these options ask for a live tiering Manager.
 func (o TieringOptions) Live() bool { return o.RetierEvery > 0 || o.AdaptiveSelection }
 
@@ -68,9 +47,9 @@ func (o *TieringOptions) AddFlags(fs *flag.FlagSet) {
 		"tiered-aggregator: EWMA weight of new latency observations (0 = default 0.5)")
 }
 
-// CompressionOptions are the update-compression knobs. Embedded in Options
-// (system-wide default codec) and NetOptions (per-job codec and the
-// tier-aware adaptive policy).
+// CompressionOptions are the update-compression knobs. Embedded in
+// Options; a distributed run builds its workers' codec policy (TierCodec,
+// ReassignPolicy) from the job's codec and AdaptiveCompression.
 type CompressionOptions struct {
 	// Compression, if set, is the update codec clients/workers apply to
 	// their trained deltas (error-feedback residual kept client-side).
@@ -160,8 +139,7 @@ func (o *CompressionOptions) AddFlags(fs *flag.FlagSet) {
 // turn the fail-stop socket layer into one that rides out worker flaps,
 // child-aggregator crashes, and slow links. Embedded in NetOptions and
 // registered as tifl-node flags (-reconnect, -rpc-timeout, -max-retries,
-// -rejoin-wait). All zero values keep the strict fail-stop behaviour
-// earlier PRs pinned, so existing jobs are unchanged.
+// -rejoin-wait). All zero values keep the strict fail-stop behaviour.
 type RobustnessOptions struct {
 	// Reconnect makes workers survive connection loss: instead of
 	// returning the first dial/read/write error, a worker re-dials with
@@ -187,24 +165,6 @@ type RobustnessOptions struct {
 	RejoinWait time.Duration
 }
 
-// Overlay merges o over base: non-zero fields of o win (Reconnect when
-// set) — the NetOptions-over-Options precedence.
-func (o RobustnessOptions) Overlay(base RobustnessOptions) RobustnessOptions {
-	if o.Reconnect {
-		base.Reconnect = true
-	}
-	if o.RPCTimeout > 0 {
-		base.RPCTimeout = o.RPCTimeout
-	}
-	if o.MaxRetries > 0 {
-		base.MaxRetries = o.MaxRetries
-	}
-	if o.RejoinWait > 0 {
-		base.RejoinWait = o.RejoinWait
-	}
-	return base
-}
-
 // AddFlags registers the robustness flags on fs with o's current values
 // as defaults (tifl-node's flag surface).
 func (o *RobustnessOptions) AddFlags(fs *flag.FlagSet) {
@@ -216,25 +176,4 @@ func (o *RobustnessOptions) AddFlags(fs *flag.FlagSet) {
 		"aggregator: redispatch budget per dead in-flight Train RPC; worker: reconnect attempts (0 = default 8)")
 	fs.DurationVar(&o.RejoinWait, "rejoin-wait", o.RejoinWait,
 		"aggregator: wait for a dead worker/child to rejoin before abandoning it (0 = 2s when -max-retries set)")
-}
-
-// CheckpointOptions are the crash-safety knobs of a distributed run.
-// Embedded in NetOptions and registered as tifl-node flags.
-type CheckpointOptions struct {
-	// CheckpointEvery, when positive, snapshots the run every so many
-	// applied commits as a durable TieredCheckpoint at CheckpointPath
-	// (written atomically; the previous snapshot is kept at
-	// CheckpointPath+".prev").
-	CheckpointEvery int
-	// CheckpointPath is the durable snapshot file for CheckpointEvery.
-	CheckpointPath string
-}
-
-// AddFlags registers the checkpoint flags on fs with o's current values as
-// defaults.
-func (o *CheckpointOptions) AddFlags(fs *flag.FlagSet) {
-	fs.StringVar(&o.CheckpointPath, "checkpoint", o.CheckpointPath,
-		"tiered-aggregator: durable snapshot file; resumes from it when it exists")
-	fs.IntVar(&o.CheckpointEvery, "checkpoint-every", o.CheckpointEvery,
-		"tiered-aggregator: snapshot every k applied commits (with -checkpoint)")
 }

@@ -149,16 +149,16 @@ type Options struct {
 	// EqualWidthTiers selects the paper's equal-width histogram split
 	// instead of the default balanced quantile split.
 	EqualWidthTiers bool
-	// CompressionOptions supplies the default update codec for every
-	// training job on this system: client updates are compressed with
-	// error feedback and the latency model charges for encoded bytes. A
-	// job's config can still override it by setting its own Codec;
-	// AdaptiveCompression applies to distributed jobs only.
+	// CompressionOptions supplies the default update codec and downlink
+	// for every training job on this system: client updates are
+	// compressed with error feedback and the latency model charges for
+	// encoded bytes. A job's config still wins by setting its own Codec or
+	// Downlink; AdaptiveCompression applies to distributed jobs only.
 	CompressionOptions
 	// TieringOptions makes the tiered-async jobs re-tier mid-run instead
-	// of freezing the profiled tiers (internal/tiering). They apply to
-	// TrainTieredAsync, TrainTieredAsyncNet, and TrainTieredAsyncTree;
-	// NetOptions can override them per distributed job.
+	// of freezing the profiled tiers (internal/tiering): when a job's
+	// config sets no Manager, TrainTieredAsync, TrainTieredAsyncNet and
+	// TrainTieredAsyncTree build one from them.
 	TieringOptions
 }
 
@@ -169,9 +169,8 @@ type System struct {
 	latency  LatencyModel
 	tiers    []Tier
 	dropouts []int
-	codec    Codec           // default update compression (Options.Compression)
 	profile  map[int]float64 // profiled per-client latencies (Manager seeding)
-	opts     Options         // live-tiering defaults
+	opts     Options         // the job spec's defaults (codec, downlink, live tiering)
 }
 
 // New profiles the clients and builds tiers. It returns an error if the
@@ -203,7 +202,7 @@ func New(clients []*Client, opts Options) (*System, error) {
 	tiers := core.BuildTiers(prof.Latency, m, strategy)
 	return &System{
 		clients: clients, latency: lm, tiers: tiers, dropouts: prof.Dropouts,
-		codec: opts.Compression, profile: prof.Latency, opts: opts,
+		profile: prof.Latency, opts: opts,
 	}, nil
 }
 
@@ -274,7 +273,7 @@ func (s *System) Engine(cfg Config, test *Dataset) *flcore.Engine {
 		cfg.Latency = s.latency
 	}
 	if cfg.Codec == nil {
-		cfg.Codec = s.codec
+		cfg.Codec = s.opts.Compression
 	}
 	return flcore.NewEngine(cfg, s.clients, test)
 }
@@ -287,43 +286,14 @@ func FedATWeights() TierWeightFunc { return core.FedATWeights() }
 // core.UniformTierWeights).
 func UniformTierWeights() TierWeightFunc { return core.UniformTierWeights() }
 
-// tieringManager builds the live tiering Manager from the system's
-// profiled latencies when the effective options ask for one (RetierEvery
-// > 0 or AdaptiveSelection); nil keeps the profiled tiers frozen.
-func (s *System) tieringManager(o Options, clientsPerRound int, seed int64) (flcore.TierManager, error) {
-	if !o.Live() {
-		return nil, nil
-	}
-	mgr, err := tiering.NewManager(tiering.Config{
-		NumTiers:        len(s.tiers),
-		RetierEvery:     o.RetierEvery,
-		EWMABeta:        o.EWMABeta,
-		EqualWidth:      o.EqualWidthTiers,
-		ClientsPerRound: clientsPerRound,
-		Seed:            seed,
-		Adaptive:        o.AdaptiveSelection,
-		Credits:         o.Credits,
-	}, s.profile)
-	if err != nil {
-		return nil, fmt.Errorf("tifl: building tiering manager: %w", err)
-	}
-	return mgr, nil
-}
-
-// TrainTieredAsync runs FedAT-style tiered-asynchronous training over this
-// system's tiers: each tier runs its own synchronous mini-FedAvg rounds,
-// tiers advance asynchronously over simulated time, and every committed
-// tier round is mixed into the global model with a staleness-discounted,
-// slower-tier-favoring weight. The system's latency model and FedAT's
-// cross-tier weights are applied when cfg leaves them zero. Each tier
-// round's cohort trains concurrently (see flcore.TieredAsyncConfig for why
-// results are independent of the core count and what that asks of the
-// Model and Optimizer factories). When the
-// system's Options enable live tiering (RetierEvery / AdaptiveSelection),
-// a tiering.Manager owns membership for the run: observed latencies feed
-// its EWMA estimates and clients migrate between the tier loops at its
-// rebuild points.
-func (s *System) TrainTieredAsync(cfg TieredAsyncConfig, test *Dataset) *TieredAsyncResult {
+// tieredSpec fills what cfg leaves zero with the system's values: its
+// latency model, FedAT's cross-tier weights, Options' codec and downlink,
+// and a live tiering Manager built from Options.TieringOptions (nil keeps
+// the profiled tiers frozen). It is the one place TrainTieredAsync,
+// TrainTieredAsyncNet and TrainTieredAsyncTree resolve a job's spec, so a
+// simulated and a distributed run of one job pick the same codec,
+// downlink and Manager.
+func (s *System) tieredSpec(cfg *TieredAsyncConfig) error {
 	if cfg.Latency == (LatencyModel{}) {
 		cfg.Latency = s.latency
 	}
@@ -331,26 +301,60 @@ func (s *System) TrainTieredAsync(cfg TieredAsyncConfig, test *Dataset) *TieredA
 		cfg.TierWeight = core.FedATWeights()
 	}
 	if cfg.Codec == nil {
-		cfg.Codec = s.codec
+		cfg.Codec = s.opts.Compression
 	}
 	if cfg.Downlink == nil {
 		cfg.Downlink = s.opts.Downlink
 	}
+	if cfg.Manager != nil || !s.opts.Live() {
+		return nil
+	}
+	mgr, err := tiering.NewManager(tiering.Config{
+		NumTiers:        len(s.tiers),
+		RetierEvery:     s.opts.RetierEvery,
+		EWMABeta:        s.opts.EWMABeta,
+		EqualWidth:      s.opts.EqualWidthTiers,
+		ClientsPerRound: cfg.ClientsPerRound,
+		Seed:            cfg.Seed,
+		Adaptive:        s.opts.AdaptiveSelection,
+		Credits:         s.opts.Credits,
+	}, s.profile)
+	if err != nil {
+		return fmt.Errorf("tifl: building tiering manager: %w", err)
+	}
+	cfg.Manager = mgr
+	return nil
+}
+
+// TrainTieredAsync runs FedAT-style tiered-asynchronous training over this
+// system's tiers: each tier runs its own synchronous mini-FedAvg rounds,
+// tiers advance asynchronously over simulated time, and every committed
+// tier round is mixed into the global model with a staleness-discounted,
+// slower-tier-favoring weight. What cfg leaves zero comes from the system
+// (see tieredSpec). Each tier round's cohort trains concurrently (see
+// flcore.TieredAsyncConfig for why results are independent of the core
+// count and what that asks of the Model and Optimizer factories). When the
+// run has a Manager — cfg's, or one the system's Options ask for
+// (RetierEvery / AdaptiveSelection) — it owns membership for the run:
+// observed latencies feed its EWMA estimates and clients migrate between
+// the tier loops at its rebuild points.
+func (s *System) TrainTieredAsync(cfg TieredAsyncConfig, test *Dataset) *TieredAsyncResult {
+	if err := s.tieredSpec(&cfg); err != nil {
+		panic(err) // invalid Options surface at construction, like flcore's config panics
+	}
+	var tiers [][]int
 	if cfg.Manager == nil {
-		mgr, err := s.tieringManager(s.opts, cfg.ClientsPerRound, cfg.Seed)
-		if err != nil {
-			panic(err) // invalid Options surface at construction, like flcore's config panics
-		}
-		cfg.Manager = mgr
+		tiers = core.TierMembers(s.tiers)
 	}
-	if cfg.Manager != nil {
-		return flcore.RunTieredAsync(cfg, nil, s.clients, test)
-	}
-	return flcore.RunTieredAsync(cfg, core.TierMembers(s.tiers), s.clients, test)
+	return flcore.RunTieredAsync(cfg, tiers, s.clients, test)
 }
 
 // NetOptions configures the socket layer of a distributed tiered-async run
-// (TrainTieredAsyncNet).
+// (TrainTieredAsyncNet, TrainTieredAsyncTree): where the sockets run and
+// how they behave. The job itself — codec, downlink, live tiering,
+// checkpoint cadence — is the TieredAsyncConfig and the system's Options,
+// resolved as for TrainTieredAsync, so a simulated and a distributed run
+// of the same job compress identically.
 type NetOptions struct {
 	// Addr is the aggregator listen address (default "127.0.0.1:0", an
 	// ephemeral loopback port).
@@ -362,31 +366,15 @@ type NetOptions struct {
 	RoundTimeout time.Duration
 	// WorkerTimeout bounds the registration wait (default 30s).
 	WorkerTimeout time.Duration
-	// CompressionOptions is the wire codec policy for this job: workers
-	// negotiate Compression at registration (trained deltas travel as
-	// compressed MsgCompressedUpdate payloads with the error-feedback
-	// residual kept worker-side; defaults to the training config's Codec
-	// or the system's Options.Compression, so a simulated and a
-	// distributed run of the same job compress identically), and
-	// AdaptiveCompression makes the codec tier-aware — the slower half of
-	// the profiled tiers negotiates the configured codec (top-k@10% when
-	// none is configured) while fast-tier workers stay dense, and live
-	// re-tierings renegotiate a migrating worker's codec over the
-	// reassignment envelope so it follows its tier.
-	CompressionOptions
-	// CheckpointOptions snapshots the distributed run every
-	// CheckpointEvery applied commits as a durable TieredCheckpoint at
-	// CheckpointPath. See cmd/tifl-node for the resume flow.
-	CheckpointOptions
+	// CheckpointPath is the durable snapshot file the root writes every
+	// cfg.CheckpointEvery applied commits (written atomically; the previous
+	// snapshot is kept at CheckpointPath+".prev"). A path without a cadence
+	// is refused. See cmd/tifl-node for the resume flow.
+	CheckpointPath string
 	// MetricsAddr, when set (e.g. "127.0.0.1:9090"), serves the
 	// aggregator's live observability endpoint: GET /metrics returns a
 	// flnet.MetricsSnapshot as JSON, GET /healthz returns 200.
 	MetricsAddr string
-	// TieringOptions overrides the system Options' live-tiering fields for
-	// this distributed job when non-zero (TieringOptions.Overlay
-	// precedence). Not supported by TrainTieredAsyncTree; AdaptiveSelection
-	// is refused by both socket runs.
-	TieringOptions
 	// RobustnessOptions turns on the self-healing layer for this job:
 	// worker reconnect loops, per-RPC deadlines, bounded idempotent
 	// redispatch, and rejoin grace windows. Zero values keep the strict
@@ -401,50 +389,46 @@ type NetOptions struct {
 // per-client pass, so local computation matches the simulation exactly),
 // partitions the workers into this system's profiled tiers, and drives
 // per-tier mini-FedAvg rounds with asynchronous staleness-weighted commits
-// until net.GlobalCommits commits have been applied. cfg supplies the
-// run's spec (its CommitterConfig; non-zero NetOptions fields override it)
-// and the training hyperparameters; its Duration, EvalInterval, and
-// OnCommit fields are ignored — pacing is real wall clock here. When
-// cfg.Manager is nil, the effective TieringOptions may build one; effective
-// AdaptiveSelection is an error, as no socket run evaluates the per-tier
-// accuracies Algorithm 2 needs. The final model is evaluated on test when
-// it is non-nil.
+// until net.GlobalCommits commits have been applied. cfg, filled from the
+// system's Options as for TrainTieredAsync, supplies the run's spec (its
+// CommitterConfig) and the training hyperparameters; its Duration,
+// EvalInterval, and OnCommit fields are ignored — pacing is real wall
+// clock here. Workers negotiate cfg.Codec at registration, tier-aware
+// under Options.AdaptiveCompression: the slower half of the profiled tiers
+// compresses (top-k@10% when no codec is set) while fast-tier workers stay
+// dense, and live re-tierings renegotiate a migrating worker's codec so it
+// follows its tier. Options.AdaptiveSelection is an error, as no socket
+// run evaluates the per-tier accuracies Algorithm 2 needs. The final model
+// is evaluated on test when it is non-nil.
 func (s *System) TrainTieredAsyncNet(cfg TieredAsyncConfig, net NetOptions, test *Dataset) (*NetTieredAsyncResult, float64, error) {
-	eng, err := s.distributedDefaults("TrainTieredAsyncNet", &cfg, &net)
+	if s.opts.AdaptiveSelection {
+		return nil, 0, fmt.Errorf("tifl: AdaptiveSelection needs per-tier accuracies, which no socket run evaluates; use TrainTieredAsync")
+	}
+	job, err := s.socketJob("TrainTieredAsyncNet", cfg, net)
 	if err != nil {
 		return nil, 0, err
 	}
-	if net.AdaptiveSelection {
-		return nil, 0, fmt.Errorf("tifl: AdaptiveSelection needs per-tier accuracies, which no socket run evaluates; use TrainTieredAsync")
-	}
-	if cfg.Manager == nil {
-		topts := s.opts
-		topts.TieringOptions = net.TieringOptions
-		if cfg.Manager, err = s.tieringManager(topts, cfg.ClientsPerRound, cfg.Seed); err != nil {
-			return nil, 0, err
-		}
-	}
-	agg, err := flnet.NewTieredAsyncAggregator(net.Addr, aggregatorConfig(cfg, net, eng.GlobalWeights()))
+	agg, err := flnet.NewTieredAsyncAggregator(job.net.Addr, job.root)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer agg.Close()
 	tierOf := core.TierOf(s.tiers)
 	for i := range s.clients {
-		s.startWorker(agg.Addr(), eng, net, i, tierOf[i]) // exits with the aggregator
+		s.startWorker(agg.Addr(), job, i, tierOf[i]) // exits with the aggregator
 	}
-	if err := agg.WaitForWorkers(len(s.clients), net.WorkerTimeout); err != nil {
+	if err := agg.WaitForWorkers(len(s.clients), job.net.WorkerTimeout); err != nil {
 		return nil, 0, err
 	}
 	var tiers [][]int
-	if cfg.Manager == nil {
+	if job.root.Manager == nil {
 		tiers = core.TierMembers(s.tiers)
 	}
 	res, err := agg.Run(tiers)
 	if err != nil {
 		return nil, 0, err
 	}
-	return res, finalAccuracy(eng, res.Weights, test, cfg.EvalBatch), nil
+	return res, finalAccuracy(job.eng, res.Weights, test, cfg.EvalBatch), nil
 }
 
 // TrainTieredAsyncTree runs the same FedAT-style protocol as
@@ -453,21 +437,20 @@ func (s *System) TrainTieredAsyncNet(cfg TieredAsyncConfig, net NetOptions, test
 // loopback port, pre-reducing its tier's mini-FedAvg rounds at the edge)
 // behind one tree root, with every leaf worker registered at its tier's
 // child rather than the root. Leaves negotiate codecs with their child
-// under the same CompressionOptions policy as the flat run, and the
-// children report uplink traffic upstream into the root's metrics
-// endpoint. Live tiering is not supported over the tree — membership is
-// fixed at the profiled tiers — so a cfg.Manager, or effective
-// TieringOptions asking for one (RetierEvery / AdaptiveSelection), is an
-// error.
+// under the same policy as the flat run, and the children report uplink
+// traffic upstream into the root's metrics endpoint. Live tiering is not
+// supported over the tree — membership is fixed at the profiled tiers — so
+// a Manager, whether cfg's or one the system's Options ask for
+// (RetierEvery / AdaptiveSelection), is an error.
 func (s *System) TrainTieredAsyncTree(cfg TieredAsyncConfig, net NetOptions, test *Dataset) (*NetTieredAsyncResult, float64, error) {
-	eng, err := s.distributedDefaults("TrainTieredAsyncTree", &cfg, &net)
+	job, err := s.socketJob("TrainTieredAsyncTree", cfg, net)
 	if err != nil {
 		return nil, 0, err
 	}
-	if cfg.Manager != nil || net.TieringOptions.Live() {
+	if job.root.Manager != nil {
 		return nil, 0, fmt.Errorf("tifl: live tiering (Manager/RetierEvery/AdaptiveSelection) is not supported over the tree topology; use TrainTieredAsyncNet")
 	}
-	root, err := flnet.NewTieredAsyncAggregator(net.Addr, aggregatorConfig(cfg, net, eng.GlobalWeights()))
+	root, err := flnet.NewTieredAsyncAggregator(job.net.Addr, job.root)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -475,8 +458,8 @@ func (s *System) TrainTieredAsyncTree(cfg TieredAsyncConfig, net NetOptions, tes
 	for t, tier := range s.tiers {
 		ch, err := flnet.NewChild(flnet.ChildConfig{
 			ID: t, RootAddr: root.Addr(), Workers: len(tier.Members),
-			WorkerTimeout: net.WorkerTimeout, FanInConfig: fanInConfig(net),
-			Downlink: net.Downlink, RPCTimeout: net.RPCTimeout,
+			WorkerTimeout: job.net.WorkerTimeout, FanInConfig: job.root.FanInConfig,
+			Downlink: job.root.Downlink, RPCTimeout: job.net.RPCTimeout,
 		})
 		if err != nil {
 			return nil, 0, fmt.Errorf("tifl: starting child aggregator %d: %w", t, err)
@@ -484,31 +467,40 @@ func (s *System) TrainTieredAsyncTree(cfg TieredAsyncConfig, net NetOptions, tes
 		defer ch.Close()
 		go ch.Run() //nolint:errcheck // child exits with the root
 		for _, ci := range tier.Members {
-			s.startWorker(ch.Addr(), eng, net, ci, t) // exits with its child
+			s.startWorker(ch.Addr(), job, ci, t) // exits with its child
 		}
 	}
-	if err := root.WaitForChildren(len(s.tiers), net.WorkerTimeout); err != nil {
+	if err := root.WaitForChildren(len(s.tiers), job.net.WorkerTimeout); err != nil {
 		return nil, 0, err
 	}
 	res, err := root.RunTree()
 	if err != nil {
 		return nil, 0, err
 	}
-	return res, finalAccuracy(eng, res.Weights, test, cfg.EvalBatch), nil
+	return res, finalAccuracy(job.eng, res.Weights, test, cfg.EvalBatch), nil
 }
 
-// distributedDefaults fills the defaults of a distributed job into cfg and
-// net — what net leaves zero comes from cfg, then from the system's Options —
-// and returns the engine the in-process workers train through. That engine
-// stays dense: workers compress at the wire (flnet.WorkerConfig.Codec), and
-// doing it in both places would double-apply the codec and split the
-// error-feedback residual. name is the calling driver's, for the error text.
-func (s *System) distributedDefaults(name string, cfg *TieredAsyncConfig, net *NetOptions) (*flcore.Engine, error) {
-	if cfg.Latency == (LatencyModel{}) {
-		cfg.Latency = s.latency
+// socketJob is a distributed run with its defaults filled: the root's
+// config, the socket settings, the workers' codec policy, and the engine
+// the in-process workers train through.
+type socketJob struct {
+	root   flnet.TieredAsyncConfig
+	net    NetOptions
+	codecs CompressionOptions
+	eng    *flcore.Engine
+}
+
+// socketJob resolves cfg's spec through tieredSpec, fills net's defaults
+// and builds the run. The workers' engine stays dense: workers compress at
+// the wire (flnet.WorkerConfig.Codec), and doing it in both places would
+// double-apply the codec and split the error-feedback residual. name is
+// the calling driver's, for the error text.
+func (s *System) socketJob(name string, cfg TieredAsyncConfig, net NetOptions) (*socketJob, error) {
+	if cfg.Model == nil || cfg.Optimizer == nil {
+		return nil, fmt.Errorf("tifl: %s needs Model and Optimizer factories", name)
 	}
-	if cfg.TierWeight == nil {
-		cfg.TierWeight = core.FedATWeights()
+	if err := s.tieredSpec(&cfg); err != nil {
+		return nil, err
 	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 10
@@ -525,64 +517,33 @@ func (s *System) distributedDefaults(name string, cfg *TieredAsyncConfig, net *N
 	if net.WorkerTimeout == 0 {
 		net.WorkerTimeout = 30 * time.Second
 	}
-	if cfg.Model == nil || cfg.Optimizer == nil {
-		return nil, fmt.Errorf("tifl: %s needs Model and Optimizer factories", name)
-	}
-	if net.Compression == nil {
-		net.Compression = cfg.Codec
-	}
-	if net.Compression == nil {
-		net.Compression = s.codec
-	}
-	if !net.AdaptiveCompression {
-		net.AdaptiveCompression = s.opts.AdaptiveCompression
-	}
-	if net.Downlink == nil {
-		net.Downlink = cfg.Downlink
-	}
-	if net.Downlink == nil {
-		net.Downlink = s.opts.Downlink
-	}
-	net.TieringOptions = net.TieringOptions.Overlay(s.opts.TieringOptions)
-	return flcore.NewEngine(flcore.Config{
+	eng := flcore.NewEngine(flcore.Config{
 		Rounds: 1, ClientsPerRound: 1, LocalEpochs: cfg.LocalEpochs,
 		BatchSize: cfg.BatchSize, Seed: cfg.Seed,
 		Model: cfg.Model, Optimizer: cfg.Optimizer, Latency: cfg.Latency,
-	}, s.clients, nil), nil
-}
-
-// aggregatorConfig is the root's configuration once the defaults are
-// filled: cfg's spec, with the non-zero NetOptions fields overriding it
-// (net.Downlink already falls back to cfg's).
-func aggregatorConfig(cfg TieredAsyncConfig, net NetOptions, init []float64) flnet.TieredAsyncConfig {
-	spec := cfg.CommitterConfig
-	spec.Downlink = net.Downlink
-	if net.CheckpointEvery > 0 {
-		spec.CheckpointEvery = net.CheckpointEvery
-	}
-	return flnet.TieredAsyncConfig{
-		CommitterConfig: spec, FanInConfig: fanInConfig(net),
-		GlobalCommits: net.GlobalCommits, InitialWeights: init,
-		CheckpointPath: net.CheckpointPath, MetricsAddr: net.MetricsAddr,
-		ReassignCodec: net.ReassignPolicy(), SendTimeout: net.RPCTimeout,
-	}
-}
-
-// fanInConfig is how the root's tier loops and the tree's children wait
-// for their cohorts.
-func fanInConfig(net NetOptions) flnet.FanInConfig {
-	return flnet.FanInConfig{RoundTimeout: net.RoundTimeout, MaxRetries: net.MaxRetries, RejoinWait: net.RejoinWait}
+	}, s.clients, nil)
+	codecs := CompressionOptions{Compression: cfg.Codec, AdaptiveCompression: s.opts.AdaptiveCompression}
+	return &socketJob{
+		root: flnet.TieredAsyncConfig{
+			CommitterConfig: cfg.CommitterConfig,
+			FanInConfig:     flnet.FanInConfig{RoundTimeout: net.RoundTimeout, MaxRetries: net.MaxRetries, RejoinWait: net.RejoinWait},
+			GlobalCommits:   net.GlobalCommits, InitialWeights: eng.GlobalWeights(),
+			CheckpointPath: net.CheckpointPath, MetricsAddr: net.MetricsAddr,
+			ReassignCodec: codecs.ReassignPolicy(), SendTimeout: net.RPCTimeout,
+		},
+		net: net, codecs: codecs, eng: eng,
+	}, nil
 }
 
 // startWorker launches client idx's in-process worker against addr (the flat
-// aggregator or its tier's child), with the codec net gives its profiled tier.
-func (s *System) startWorker(addr string, eng *flcore.Engine, net NetOptions, idx, tier int) {
+// aggregator or its tier's child), with the codec job gives its profiled tier.
+func (s *System) startWorker(addr string, job *socketJob, idx, tier int) {
 	go flnet.RunWorker(addr, flnet.WorkerConfig{ //nolint:errcheck // worker exits with what it registered at
 		ClientID: idx, NumSamples: s.clients[idx].NumSamples(),
-		Codec:     net.TierCodec(tier, len(s.tiers)),
-		Reconnect: net.Reconnect, MaxReconnects: net.MaxRetries, RPCTimeout: net.RPCTimeout,
+		Codec:     job.codecs.TierCodec(tier, len(s.tiers)),
+		Reconnect: job.net.Reconnect, MaxReconnects: job.net.MaxRetries, RPCTimeout: job.net.RPCTimeout,
 		Train: func(round int, weights []float64) ([]float64, int, error) {
-			u := eng.TrainClient(round, idx, weights)
+			u := job.eng.TrainClient(round, idx, weights)
 			return u.Weights, u.NumSamples, nil
 		},
 	})

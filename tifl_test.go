@@ -238,7 +238,7 @@ func TestTrainTieredAsyncNet(t *testing.T) {
 // vector per tier round.
 func TestTrainTieredAsyncTree(t *testing.T) {
 	clients, test := testPopulation(t)
-	sys, err := New(clients, Options{})
+	sys, err := New(clients, Options{CompressionOptions: CompressionOptions{AdaptiveCompression: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,10 +250,7 @@ func TestTrainTieredAsyncTree(t *testing.T) {
 	res, acc, err := sys.TrainTieredAsyncTree(TieredAsyncConfig{
 		CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
 		Model:           cfg.Model, Optimizer: cfg.Optimizer, EvalBatch: 128,
-	}, NetOptions{
-		GlobalCommits:      commits,
-		CompressionOptions: CompressionOptions{AdaptiveCompression: true},
-	}, test)
+	}, NetOptions{GlobalCommits: commits}, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,10 +272,11 @@ func TestTrainTieredAsyncTree(t *testing.T) {
 	}
 	// Live tiering cannot ride over the tree, asked for by option or by spec.
 	live := TieredAsyncConfig{CommitterConfig: CommitterConfig{ClientsPerRound: 5}, Model: cfg.Model, Optimizer: cfg.Optimizer}
-	if _, _, err := sys.TrainTieredAsyncTree(live, NetOptions{
-		GlobalCommits:  1,
-		TieringOptions: TieringOptions{RetierEvery: 5},
-	}, nil); err == nil {
+	retier, err := New(clients, Options{TieringOptions: TieringOptions{RetierEvery: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := retier.TrainTieredAsyncTree(live, NetOptions{GlobalCommits: 1}, nil); err == nil {
 		t.Fatal("live tiering over the tree accepted")
 	}
 	live.Manager = struct{ flcore.TierManager }{}
@@ -354,10 +352,6 @@ func TestTrainTieredAsyncAdaptiveSelection(t *testing.T) {
 // every run that would leave an adaptive Manager without them is refused.
 func TestAdaptiveSelectionWithoutAccuraciesRefused(t *testing.T) {
 	clients, _ := testPopulation(t)
-	plain, err := New(clients, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	adaptive, err := New(clients, Options{TieringOptions: TieringOptions{AdaptiveSelection: true}})
 	if err != nil {
 		t.Fatal(err)
@@ -400,12 +394,6 @@ func TestAdaptiveSelectionWithoutAccuraciesRefused(t *testing.T) {
 			_, _, err := adaptive.TrainTieredAsyncNet(cfg, NetOptions{GlobalCommits: 1}, nil)
 			return err
 		}},
-		{"TrainTieredAsyncNet, NetOptions.AdaptiveSelection", "AdaptiveSelection", func() error {
-			_, _, err := plain.TrainTieredAsyncNet(cfg, NetOptions{
-				GlobalCommits: 1, TieringOptions: TieringOptions{AdaptiveSelection: true},
-			}, nil)
-			return err
-		}},
 	} {
 		if err := row.run(); err == nil || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("%s: got %v, want an error naming %q", row.name, err, row.want)
@@ -414,11 +402,14 @@ func TestAdaptiveSelectionWithoutAccuraciesRefused(t *testing.T) {
 }
 
 // TestTrainTieredAsyncNetLiveRetier runs live tiering over loopback TCP:
-// NetOptions.RetierEvery installs a Manager on the aggregator and the
+// Options.RetierEvery installs a Manager on the aggregator and the
 // adaptive codec policy keeps fast tiers dense while slow tiers compress.
 func TestTrainTieredAsyncNetLiveRetier(t *testing.T) {
 	clients, test := testPopulation(t)
-	sys, err := New(clients, Options{})
+	sys, err := New(clients, Options{
+		TieringOptions:     TieringOptions{RetierEvery: 50},
+		CompressionOptions: CompressionOptions{AdaptiveCompression: true},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,11 +421,7 @@ func TestTrainTieredAsyncNetLiveRetier(t *testing.T) {
 	res, acc, err := sys.TrainTieredAsyncNet(TieredAsyncConfig{
 		CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
 		Model:           cfg.Model, Optimizer: cfg.Optimizer, EvalBatch: 128,
-	}, NetOptions{
-		GlobalCommits:      commits,
-		TieringOptions:     TieringOptions{RetierEvery: 50},
-		CompressionOptions: CompressionOptions{AdaptiveCompression: true},
-	}, test)
+	}, NetOptions{GlobalCommits: commits}, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,11 +443,11 @@ func TestTrainTieredAsyncNetLiveRetier(t *testing.T) {
 
 func TestWorkerCodecPolicy(t *testing.T) {
 	topk := TopKCodec(0.1)
-	uniform := NetOptions{CompressionOptions: CompressionOptions{Compression: topk}}
+	uniform := CompressionOptions{Compression: topk}
 	if uniform.TierCodec(0, 5) != topk || uniform.TierCodec(4, 5) != topk {
 		t.Fatal("uniform compression must ignore tiers")
 	}
-	adaptive := NetOptions{CompressionOptions: CompressionOptions{AdaptiveCompression: true, Compression: topk}}
+	adaptive := CompressionOptions{AdaptiveCompression: true, Compression: topk}
 	if adaptive.TierCodec(0, 5) != nil || adaptive.TierCodec(2, 5) != nil {
 		t.Fatal("fast half must stay dense")
 	}
@@ -468,13 +455,148 @@ func TestWorkerCodecPolicy(t *testing.T) {
 		t.Fatal("slow half must use the configured codec")
 	}
 	// Without a configured codec the slow half defaults to top-k@10%.
-	fallback := NetOptions{CompressionOptions: CompressionOptions{AdaptiveCompression: true}}
+	fallback := CompressionOptions{AdaptiveCompression: true}
 	if fallback.TierCodec(4, 5) == nil || fallback.TierCodec(0, 5) != nil {
 		t.Fatal("default adaptive codec policy broken")
 	}
 	// Two tiers: ceil(2/2)=1 fast tier, one compressed tier.
 	if adaptive.TierCodec(0, 2) != nil || adaptive.TierCodec(1, 2) != topk {
 		t.Fatal("two-tier split wrong")
+	}
+}
+
+// TestTieredSpecPrecedence is the one table of how a tiered-async job's
+// spec resolves: what cfg sets wins, what it leaves zero comes from the
+// system's Options, and what neither sets takes the system's default. Each
+// row is checked as the sim entry point (TrainTieredAsync) and the socket
+// entry points (TrainTieredAsyncNet, TrainTieredAsyncTree) resolve it.
+// Options has no cross-tier weight, so its "only Options" row is the
+// system's FedAT default, as is "neither".
+func TestTieredSpecPrecedence(t *testing.T) {
+	clients, _ := testPopulation(t)
+	optLatency := LatencyModel{CostPerSample: 0.02, CommLatency: 1}
+	optCodec, optDownlink := Int8Codec(), Delta()
+	plain, err := New(clients, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts, err := New(clients, Options{
+		Latency:            optLatency,
+		CompressionOptions: CompressionOptions{Compression: optCodec, Downlink: optDownlink},
+		TieringOptions:     TieringOptions{RetierEvery: 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive, err := New(clients, Options{CompressionOptions: CompressionOptions{Compression: optCodec, AdaptiveCompression: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgLatency := LatencyModel{CostPerSample: 0.03, CommLatency: 2}
+	cfgCodec, cfgDownlink := TopKCodec(0.2), DeltaCodec(Int8Codec())
+	cfgManager := &struct{ flcore.TierManager }{}
+	commits := []int{1, 1, 1, 1, 3}
+	fedAT := FedATWeights()(0, commits)
+
+	// resolved is what one entry point runs with: the latency model, tier
+	// 0's cross-tier weight at commits, the codec each tier's clients
+	// compress with, the downlink and the Manager.
+	type resolved struct {
+		latency  LatencyModel
+		weight   float64
+		codecs   []Codec
+		downlink *Downlink
+		manager  flcore.TierManager
+	}
+	uniform := func(c Codec) []Codec { return []Codec{c, c, c, c, c} }
+	sameCodecs := func(got, want []Codec) bool {
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return len(got) == len(want)
+	}
+	for _, row := range []struct {
+		name string
+		sys  *System
+		set  func(*TieredAsyncConfig)
+		ok   func(resolved) bool
+	}{
+		{"Latency/cfg", opts, func(c *TieredAsyncConfig) { c.Latency = cfgLatency },
+			func(r resolved) bool { return r.latency == cfgLatency }},
+		{"Latency/Options", opts, nil, func(r resolved) bool { return r.latency == optLatency }},
+		{"Latency/neither", plain, nil, func(r resolved) bool { return r.latency == simres.DefaultModel }},
+		{"TierWeight/cfg", opts, func(c *TieredAsyncConfig) { c.TierWeight = func(int, []int) float64 { return 7 } },
+			func(r resolved) bool { return r.weight == 7 }},
+		{"TierWeight/Options", opts, nil, func(r resolved) bool { return r.weight == fedAT }},
+		{"TierWeight/neither", plain, nil, func(r resolved) bool { return r.weight == fedAT }},
+		{"Codec/cfg", opts, func(c *TieredAsyncConfig) { c.Codec = cfgCodec },
+			func(r resolved) bool { return sameCodecs(r.codecs, uniform(cfgCodec)) }},
+		{"Codec/Options", opts, nil, func(r resolved) bool { return sameCodecs(r.codecs, uniform(optCodec)) }},
+		{"Codec/neither", plain, nil, func(r resolved) bool { return sameCodecs(r.codecs, uniform(nil)) }},
+		{"Downlink/cfg", opts, func(c *TieredAsyncConfig) { c.Downlink = cfgDownlink },
+			func(r resolved) bool { return r.downlink == cfgDownlink }},
+		{"Downlink/Options", opts, nil, func(r resolved) bool { return r.downlink == optDownlink }},
+		{"Downlink/neither", plain, nil, func(r resolved) bool { return r.downlink == nil }},
+		{"Manager/cfg", opts, func(c *TieredAsyncConfig) { c.Manager = cfgManager },
+			func(r resolved) bool { return r.manager == cfgManager }},
+		{"Manager/Options", opts, nil, func(r resolved) bool { _, ok := r.manager.(*tiering.Manager); return ok }},
+		{"Manager/neither", plain, nil, func(r resolved) bool { return r.manager == nil }},
+	} {
+		cfg := TieredAsyncConfig{
+			CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
+			Model:           testConfig(1).Model, Optimizer: testConfig(1).Optimizer,
+		}
+		if row.set != nil {
+			row.set(&cfg)
+		}
+		sim := cfg
+		if err := row.sys.tieredSpec(&sim); err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		job, err := row.sys.socketJob(row.name, cfg, NetOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		socket := resolved{
+			latency: job.eng.Cfg.Latency, weight: job.root.TierWeight(0, commits),
+			downlink: job.root.Downlink, manager: job.root.Manager,
+		}
+		for tier := range row.sys.Tiers() {
+			socket.codecs = append(socket.codecs, job.codecs.TierCodec(tier, len(row.sys.Tiers())))
+		}
+		for entry, r := range map[string]resolved{
+			"sim":    {sim.Latency, sim.TierWeight(0, commits), uniform(sim.Codec), sim.Downlink, sim.Manager},
+			"socket": socket,
+		} {
+			if !row.ok(r) {
+				t.Errorf("%s: the %s entry point resolved %+v", row.name, entry, r)
+			}
+		}
+	}
+
+	// Options.AdaptiveCompression is the socket runs' tier policy: the fast
+	// half stays dense and live re-tierings renegotiate to it; the sim
+	// compresses every tier with the job's codec.
+	cfg := TieredAsyncConfig{
+		CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
+		Model:           testConfig(1).Model, Optimizer: testConfig(1).Optimizer,
+	}
+	sim := cfg
+	if err := adaptive.tieredSpec(&sim); err != nil || sim.Codec != optCodec {
+		t.Errorf("AdaptiveCompression: the sim resolved codec %v (%v), want %v", sim.Codec, err, optCodec)
+	}
+	job, err := adaptive.socketJob("adaptive", cfg, NetOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(adaptive.Tiers())
+	if job.codecs.TierCodec(0, n) != nil || job.codecs.TierCodec(n-1, n) != optCodec {
+		t.Errorf("AdaptiveCompression: workers got %v (fast) and %v (slow)", job.codecs.TierCodec(0, n), job.codecs.TierCodec(n-1, n))
+	}
+	if job.root.ReassignCodec == nil || job.root.ReassignCodec(0, n) != "none" || job.root.ReassignCodec(n-1, n) != optCodec.Name() {
+		t.Error("AdaptiveCompression: the root renegotiates no tier-aware codec")
 	}
 }
 
