@@ -4,9 +4,9 @@ import "testing"
 
 // Allocation contract of the int8 delta path, in the style of
 // nn/alloc_test.go: at steady state (residual carried, chain scratch sized)
-// an encode allocates its payload and nothing else, a decode-and-add
-// allocates the one vector it returns, and a catch-up into a held vector
-// allocates nothing.
+// an encode allocates its payload and nothing else (a chain whose ring is
+// full not even that), a decode-and-add allocates the one vector it
+// returns, and a catch-up into a held vector allocates nothing.
 
 func wantAllocs(t *testing.T, what string, want float64, f func()) {
 	t.Helper()
@@ -32,10 +32,15 @@ func TestInt8EncodeSteadyStateAllocs(t *testing.T) {
 	ch := (&Downlink{Codec: c}).NewChain()
 	cur, next := testVector(n, 2), testVector(n, 3)
 	ch.Adopt(cur)
-	wantAllocs(t, "Chain.Encode (payload)", 1, func() {
+	encode := func() {
 		ch.Encode(next)
 		cur, next = next, cur
-	})
+	}
+	// Once the ring is full, each payload is encoded into the one it drops.
+	for range DenseBytes(n) / c.EncodedBytes(n) {
+		encode()
+	}
+	wantAllocs(t, "Chain.Encode with a full ring", 0, encode)
 }
 
 func TestInt8DecodeAddAllocs(t *testing.T) {

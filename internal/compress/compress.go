@@ -140,6 +140,16 @@ func EncodeDelta(c Codec, delta, residual []float64) (payload []byte, rec, newRe
 // allocates only the payload; any other Codec goes through its own Encode
 // and Decode, producing the same bytes it always has.
 func EncodeFeedback(c Codec, delta, residual, rec []float64) (payload []byte, newResidual []float64) {
+	return EncodeFeedbackInto(nil, c, delta, residual, rec)
+}
+
+// EncodeFeedbackInto is EncodeFeedback for a caller that owns a payload
+// buffer: an int8 payload lands in dst's storage when its capacity
+// suffices, and then allocates nothing; other codecs ignore dst. delta may
+// also be residual itself, for a caller that has added its delta into the
+// carried residual already: that sum is encoded as it stands and the new
+// encoding error replaces it.
+func EncodeFeedbackInto(dst []byte, c Codec, delta, residual, rec []float64) (payload []byte, newResidual []float64) {
 	if residual != nil && len(residual) != len(delta) {
 		panic(fmt.Sprintf("compress: residual length %d != delta length %d", len(residual), len(delta)))
 	}
@@ -147,11 +157,14 @@ func EncodeFeedback(c Codec, delta, residual, rec []float64) (payload []byte, ne
 		panic(fmt.Sprintf("compress: rec length %d != delta length %d", len(rec), len(delta)))
 	}
 	carry := residual
-	if residual == nil {
+	switch {
+	case residual == nil:
 		residual = make([]float64, len(delta))
+	case len(delta) > 0 && &delta[0] == &residual[0]:
+		carry = nil // the residual already holds the sum
 	}
 	if q, ok := c.(Int8); ok {
-		return q.encode(delta, carry, rec, residual), residual
+		return q.encode(dst, delta, carry, rec, residual), residual
 	}
 	for i, r := range carry {
 		delta[i] += r

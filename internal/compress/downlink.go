@@ -150,23 +150,41 @@ func (c *Chain) Adopt(cur []float64) {
 // flate-compressed XOR of bit patterns and the new base is cur itself; in
 // lossy mode the payload encodes cur − base (plus the carried residual),
 // and the new base is base + decode(payload) — exactly what every
-// receiver reconstructs. The payload joins the ring. Callers must have
-// checked HasBase.
+// receiver reconstructs. The payload joins the ring and is the chain's:
+// it is valid until the ring drops it, after which a later Encode may
+// write over it. Callers must have checked HasBase.
 func (c *Chain) Encode(cur []float64) (payload []byte, id byte) {
-	payload, id = c.encode(cur)
+	var dst []byte
+	if c.d.Codec != nil {
+		// A lossy payload's size is known before it is encoded: make its
+		// room in the ring first, and encode into the newest payload that
+		// leaves.
+		dst = c.shed(c.d.Codec.EncodedBytes(len(cur)))
+	}
+	payload, id = c.encode(dst, cur)
 	c.ver++
 	c.ring = append(c.ring, payload)
 	c.retained += cap(payload)
-	drop := 0
-	for budget := DenseBytes(len(c.base)); c.retained >= budget; drop++ {
+	c.shed(0)
+	return payload, id
+}
+
+// shed drops the oldest payloads until the ring plus extra more bytes stay
+// under one dense model's, and returns the newest payload it dropped, or
+// nil.
+func (c *Chain) shed(extra int) (dropped []byte) {
+	drop, budget := 0, DenseBytes(len(c.base))
+	for ; drop < len(c.ring) && c.retained+extra >= budget; drop++ {
 		c.retained -= cap(c.ring[drop])
 	}
-	if drop > 0 {
-		n := copy(c.ring, c.ring[drop:])
-		clear(c.ring[n:])
-		c.ring = c.ring[:n]
+	if drop == 0 {
+		return nil
 	}
-	return payload, id
+	dropped = c.ring[drop-1]
+	n := copy(c.ring, c.ring[drop:])
+	clear(c.ring[n:])
+	c.ring = c.ring[:n]
+	return dropped
 }
 
 // CatchUp returns the payloads that take a receiver holding state from to
@@ -174,8 +192,8 @@ func (c *Chain) Encode(cur []float64) (payload []byte, id byte) {
 // the wire carries and the receiver is billed. It returns nil, 0 when
 // there is no catch-up: from is the current state, was never a state of
 // this chain, or predates the ring or the last Adopt; that receiver needs
-// Base() dense. The slices are the chain's own and are valid until its
-// next Adopt or Encode.
+// Base() dense. The slices, and the payloads in them, are the chain's own
+// and are valid until its next Adopt or Encode.
 func (c *Chain) CatchUp(from int) (payloads [][]byte, size int) {
 	if c == nil {
 		return nil, 0
@@ -198,7 +216,7 @@ func (c *Chain) dropRing() {
 	c.retained = 0
 }
 
-func (c *Chain) encode(cur []float64) (payload []byte, id byte) {
+func (c *Chain) encode(dst []byte, cur []float64) (payload []byte, id byte) {
 	if !c.HasBase() {
 		panic("compress: Chain.Encode without a base")
 	}
@@ -220,7 +238,7 @@ func (c *Chain) encode(cur []float64) (payload []byte, id byte) {
 		delta[i] = x - base[i]
 	}
 	// rec lands in delta itself: one scratch vector serves both.
-	payload, c.residual = EncodeFeedback(c.d.Codec, delta, c.residual, delta)
+	payload, c.residual = EncodeFeedbackInto(dst, c.d.Codec, delta, c.residual, delta)
 	for i, r := range delta {
 		base[i] += r
 	}

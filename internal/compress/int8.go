@@ -57,22 +57,29 @@ func (c Int8) EncodedBytes(n int) int {
 // Encode implements Codec. Layout (little-endian): magic u32, count u32,
 // chunk u32, then per chunk a float32 scale followed by that chunk's int8
 // quantized coordinates.
-func (c Int8) Encode(w []float64) []byte { return c.encode(w, nil, nil, nil) }
+func (c Int8) Encode(w []float64) []byte { return c.encode(nil, w, nil, nil, nil) }
 
 // encode is the one int8 quantizer, and the whole error-feedback step when
 // asked: per chunk it adds the carried error into w in place (carry, when
-// non-nil) while taking max|v| for the scale, writes the codes by index
-// into the pre-sized payload, and — with a non-nil residual — leaves the
-// new encoding error w[i] − q·scale there (and q·scale itself in rec, when
-// the caller wants the reconstruction) while the chunk is still in cache.
+// non-nil) while taking max|v| for the scale, writes every byte of the
+// payload by index, and — with a non-nil residual — leaves the new
+// encoding error w[i] − q·scale there (and q·scale itself in rec, when the
+// caller wants the reconstruction) while the chunk is still in cache.
 // carry and residual may be the same slice, and so may w and rec (the
-// reconstruction then replaces the input). Every output is bit-equal to
-// add, Encode, Decode, subtract run as four separate passes. With useSIMD
-// the kernels in int8_amd64.s take each chunk's whole 4-lane groups and the
-// loops below only its last len%4 coordinates.
-func (c Int8) encode(w, carry, rec, residual []float64) []byte {
+// reconstruction then replaces the input), or w and residual with a nil
+// carry (the encoding error then replaces the input). The payload lands in
+// dst's storage, whatever it holds, when its capacity suffices, and in a
+// fresh buffer otherwise. Every output is bit-equal to add, Encode, Decode,
+// subtract run as four separate passes. With useSIMD the kernels in
+// int8_amd64.s take each chunk's whole 4-lane groups and the loops below
+// only its last len%4 coordinates.
+func (c Int8) encode(dst []byte, w, carry, rec, residual []float64) []byte {
 	chunk := c.chunk()
-	buf := make([]byte, c.EncodedBytes(len(w)))
+	size := c.EncodedBytes(len(w))
+	if cap(dst) < size {
+		dst = make([]byte, size)
+	}
+	buf := dst[:size]
 	binary.LittleEndian.PutUint32(buf[0:], int8Magic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(w)))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(chunk))
@@ -121,7 +128,9 @@ func (c Int8) encode(w, carry, rec, residual []float64) []byte {
 			done = groups
 			int8Quantize(codes, v[:done], out, res, s)
 		}
-		if scale > 0 { // an all-zero (or all-non-finite) chunk keeps its zero codes
+		if scale == 0 { // an all-zero (or all-non-finite) chunk: every code is 0
+			clear(codes)
+		} else {
 			for i := done; i < len(v); i++ {
 				// The division and RoundToEven are the wire contract: a
 				// reciprocal multiply rounds differently and changes bytes.

@@ -149,6 +149,9 @@ func FuzzInt8EncodeMatchesReference(f *testing.F) {
 	f.Add(bytesFromVector([]float64{math.MaxFloat64, -math.MaxFloat64, 1, -1, 0})) // clamped scale
 	f.Add(bytesFromVector([]float64{5e-324, -5e-324, 1e-310}))                     // scale underflows float32
 	f.Add(bytesFromVector([]float64{0.5, 1.5, 2.5, -0.5, -1.5, 127}))              // round-half-even ties
+	// −0 and NaN only: every chunk's scale is 0, and none of its codes may
+	// keep a dirty destination's bytes.
+	f.Add(bytes.Repeat([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 16))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := vectorFromBytes(data)
 		// 1 and 3 leave a ragged last chunk for most n; 0 is the default
@@ -156,6 +159,7 @@ func FuzzInt8EncodeMatchesReference(f *testing.F) {
 		bothPaths(func(bool) {
 			for _, chunk := range []int{0, 1, 3, 16} {
 				checkInt8AgainstReference(t, NewInt8(chunk), w)
+				checkInt8IntoDirty(t, NewInt8(chunk), w, 0)
 			}
 		})
 	})

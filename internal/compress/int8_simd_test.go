@@ -156,3 +156,55 @@ func TestInt8KernelsMatchScalar(t *testing.T) {
 		})
 	}
 }
+
+// checkInt8IntoDirty encodes w into a reused buffer pre-filled with 0xFF,
+// room bytes longer than the payload (negative: too short to take it),
+// through the carried call and through the in-place one whose residual
+// already holds the sum, and holds payload and residual to a fresh
+// encode's. A buffer with room must carry the payload; a short one must not.
+func checkInt8IntoDirty(t *testing.T, c Int8, w []float64, room int) {
+	t.Helper()
+	size := c.EncodedBytes(len(w))
+	for _, carry := range [][]float64{nil, testVector(len(w), 5)} {
+		want, wantRes := EncodeFeedback(c, slices.Clone(w), slices.Clone(carry), nil)
+		sum := slices.Clone(w)
+		for i, r := range carry {
+			sum[i] += r
+		}
+		for _, call := range []struct {
+			name         string
+			delta, carry []float64
+		}{{"carried", slices.Clone(w), slices.Clone(carry)}, {"in place", sum, sum}} {
+			dirty := bytes.Repeat([]byte{0xFF}, size+room)
+			got, res := EncodeFeedbackInto(dirty, c, call.delta, call.carry, nil)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s, carry %v: % x into a dirty buffer, fresh % x", call.name, carry != nil, got, want)
+			}
+			sameBits(t, call.name+" residual", res, wantRes)
+			if reused := &got[0] == &dirty[0]; reused != (room >= 0) {
+				t.Fatalf("%s: payload in the %d-byte buffer: %v", call.name, len(dirty), reused)
+			}
+		}
+	}
+}
+
+func TestInt8EncodeIntoDirtyBuffer(t *testing.T) {
+	nans := make([]float64, 8)
+	for i := range nans {
+		nans[i] = math.Float64frombits(0x7FF8_0000_0000_0000 | uint64(i+1))
+	}
+	for _, r := range []struct {
+		name string
+		w    []float64
+		room int
+	}{
+		{"all-zero chunk", append([]float64{0, math.Copysign(0, -1), 0, 0, math.Copysign(0, -1), 0, 0, 0}, testVector(8, 1)...), 0},
+		{"all-NaN chunk", append(testVector(8, 2), nans...), 0},
+		{"short tail chunk", testVector(19, 3), 5},
+		{"buffer too small", testVector(19, 4), -1},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			bothPaths(func(bool) { checkInt8IntoDirty(t, NewInt8(8), r.w, r.room) })
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"math"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -15,26 +16,29 @@ import (
 // and compress/alloc_test.go: once every buffer is sized, a Train→Update
 // round trip of a 250 000-parameter model — the worker's whole session loop
 // on one end of a net.Pipe, an aggregator's send, recv, decodeUpdate and
-// recycle on the other — allocates less than one dense vector's worth of
-// bytes for both ends together. Both ends draw their receive buffers from
-// the one blob pool: the worker holds its last dense Train's, the
+// recycle on the other — allocates less than one update's worth of bytes
+// for both ends together: one dense vector's, or one payload's when the
+// worker compresses. Both ends draw their receive buffers from the one blob
+// pool: the worker holds the dense Train its tier's base came from, the
 // aggregator hands each update's back through recycle.
 
 const allocModelLen = 250_000
 
-// steadyStateRoundTrips runs round trips against one worker, three to warm
-// up and ten measured, and fails if the measured ones allocate a dense
-// vector's bytes or more per trip. send writes round's Train and returns the
-// first and last weight the worker must train from; the worker adds 1 to
-// every weight, which the aggregator end checks on both.
-func steadyStateRoundTrips(t *testing.T, send func(c *conn, round int) (first, last float64)) {
+// steadyStateRoundTrips runs round trips against one worker with the given
+// uplink codec (nil: dense), three to warm up and ten measured, and fails
+// if the measured ones allocate one update's bytes or more per trip. send
+// writes round's Train and returns the first and last weight the worker must
+// train from; the worker adds 1 to every weight, which the aggregator end
+// checks on both: exactly on a dense update, and within a quantization step
+// on a compressed one, decoded against zeros so that it reads as the delta.
+func steadyStateRoundTrips(t *testing.T, codec compress.Codec, send func(c *conn, round int) (first, last float64)) {
 	const n = allocModelLen
 	agg, leaf := net.Pipe()
 	out := make([]float64, n)
 	workerDone := make(chan error, 1)
 	go func() {
 		workerDone <- RunWorker("pipe", WorkerConfig{
-			ClientID: 0, NumSamples: 1,
+			ClientID: 0, NumSamples: 1, Codec: codec,
 			Dial: func(string, time.Duration) (net.Conn, error) { return leaf, nil },
 			Train: func(_ int, w []float64) ([]float64, int, error) {
 				for i, v := range w {
@@ -50,14 +54,21 @@ func steadyStateRoundTrips(t *testing.T, send func(c *conn, round int) (first, l
 		t.Fatalf("registration arrived as (%+v, %v)", env, err)
 	}
 	peer, weights := &registered{}, make([]float64, n)
+	bound, slack := compress.DenseBytes(n), 0.0
+	if codec != nil {
+		peer.codec, bound, slack = codec.ID(), codec.EncodedBytes(n), 1e-6
+	}
 	roundTrip := func(round int) {
 		first, last := send(c, round)
 		env, err := c.recv(5 * time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if codec != nil {
+			first, last = 0, 0
+		}
 		u, ok := decodeUpdate(peer, env, weights)
-		if !ok || u.Weights[0] != first+1 || u.Weights[n-1] != last+1 {
+		if !ok || math.Abs(u.Weights[0]-(first+1)) > slack || math.Abs(u.Weights[n-1]-(last+1)) > slack {
 			t.Fatalf("round %d: update decoded as ok %v", round, ok)
 		}
 		recycle(u)
@@ -78,10 +89,10 @@ func steadyStateRoundTrips(t *testing.T, send func(c *conn, round int) (first, l
 	perTrip := (after.TotalAlloc - before.TotalAlloc) / rounds
 	// Under the race detector the round trips still run, for the detector's
 	// sake; the bound cannot hold there (see raceEnabled).
-	if dense := uint64(compress.DenseBytes(n)); perTrip >= dense && !raceEnabled {
-		t.Fatalf("a round trip allocates %d bytes at steady state, want under one %d-byte dense vector", perTrip, dense)
+	if perTrip >= uint64(bound) && !raceEnabled {
+		t.Fatalf("a round trip allocates %d bytes at steady state, want under one %d-byte update", perTrip, bound)
 	}
-	t.Logf("%d bytes allocated per round trip (dense vector %d)", perTrip, compress.DenseBytes(n))
+	t.Logf("%d bytes allocated per round trip (update %d)", perTrip, bound)
 	if err := c.send(&Envelope{Type: MsgDone, Done: &Done{Rounds: rounds}}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +113,7 @@ func allocModel() []float64 {
 // now neither end encodes or decodes a copy of one.
 func TestDenseRoundTripSteadyStateAllocs(t *testing.T) {
 	model := allocModel()
-	steadyStateRoundTrips(t, func(c *conn, round int) (float64, float64) {
+	steadyStateRoundTrips(t, nil, func(c *conn, round int) (float64, float64) {
 		if err := c.send(&Envelope{Type: MsgTrain, Train: &Train{Round: round, weights: model}}); err != nil {
 			t.Fatal(err)
 		}
@@ -110,16 +121,17 @@ func TestDenseRoundTripSteadyStateAllocs(t *testing.T) {
 	})
 }
 
-// A delta+int8 downlink: one versioned dense round, then every round a
-// catch-up, which the worker decodes into the vector it holds for the round
-// rather than a fresh one.
-func TestInt8CatchUpSteadyStateAllocs(t *testing.T) {
+// int8Downlink returns a steadyStateRoundTrips sender for a delta+int8
+// downlink: one versioned dense round, then every round a one-payload
+// catch-up. The chain's payloads and the base each one leads to are built
+// up front, so the aggregator end allocates no payload while the test
+// measures; they are copies, since the chain writes over a payload once its
+// ring drops it.
+func int8Downlink(t *testing.T) func(c *conn, round int) (float64, float64) {
 	model := allocModel()
 	ch := (&compress.Downlink{Codec: compress.NewInt8(0)}).NewChain()
 	ch.Adopt(model)
 	dense := slices.Clone(model)
-	// The chain's payloads and the base each one leads to, built up front so
-	// the aggregator end allocates no payload while the test measures.
 	payloads := [][]byte{nil}
 	bases := [][2]float64{{model[0], model[len(model)-1]}}
 	for round := 1; round < 13; round++ {
@@ -127,10 +139,10 @@ func TestInt8CatchUpSteadyStateAllocs(t *testing.T) {
 			model[i] += 1e-3 * float64((i+round)%5-2)
 		}
 		p, _ := ch.Encode(model)
-		payloads = append(payloads, p)
+		payloads = append(payloads, slices.Clone(p))
 		bases = append(bases, [2]float64{ch.Base()[0], ch.Base()[len(model)-1]})
 	}
-	steadyStateRoundTrips(t, func(c *conn, round int) (float64, float64) {
+	return func(c *conn, round int) (float64, float64) {
 		tr := &Train{Round: round, Version: round + 1}
 		if round == 0 {
 			tr.weights = dense
@@ -141,5 +153,18 @@ func TestInt8CatchUpSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		return bases[round][0], bases[round][1]
-	})
+	}
+}
+
+// A delta+int8 downlink: the worker decodes each catch-up into the base it
+// holds for its tier rather than a fresh vector.
+func TestInt8CatchUpSteadyStateAllocs(t *testing.T) {
+	steadyStateRoundTrips(t, nil, int8Downlink(t))
+}
+
+// An int8 uplink over a delta+int8 downlink: the worker adds each round's
+// delta into its residual and encodes that into its previous payload, so a
+// round trip allocates less than the payload it sends.
+func TestInt8UplinkSteadyStateAllocs(t *testing.T) {
+	steadyStateRoundTrips(t, compress.NewInt8(0), int8Downlink(t))
 }

@@ -2,6 +2,8 @@ package flnet
 
 import (
 	"math"
+	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -278,5 +280,72 @@ func TestDecodeUpdateCompressed(t *testing.T) {
 	payload[12+3] |= 0x7F
 	if _, ok := decodeUpdate(w, env, weights); ok {
 		t.Fatal("corrupt int8 update must be rejected")
+	}
+}
+
+// TestTrainReturningItsWeightsSendsNoChange holds the worker to TrainFunc's
+// contract from the other side: a Train that returns weights itself,
+// unmodified, trained nothing, so its int8 update is all zero — scales and
+// codes — and the worker's held base survives the round, so each next
+// catch-up rebuilds the chain's base bit for bit.
+func TestTrainReturningItsWeightsSendsNoChange(t *testing.T) {
+	const n = 3000 // three int8 chunks, the last one short
+	agg, leaf := net.Pipe()
+	trainedFrom := make(chan []float64, 1)
+	workerDone := make(chan error, 1)
+	go func() {
+		workerDone <- RunWorker("pipe", WorkerConfig{
+			ClientID: 0, NumSamples: 1, Codec: compress.NewInt8(0),
+			Dial: func(string, time.Duration) (net.Conn, error) { return leaf, nil },
+			Train: func(_ int, w []float64) ([]float64, int, error) {
+				trainedFrom <- slices.Clone(w)
+				return w, 1, nil
+			},
+		})
+	}()
+	c := newConn(agg)
+	defer c.close() //nolint:errcheck // test shutdown
+	if env, err := c.recv(5 * time.Second); err != nil || env.Type != MsgRegister {
+		t.Fatalf("registration arrived as (%+v, %v)", env, err)
+	}
+	model := initVec(n)
+	ch := (&compress.Downlink{Codec: compress.NewInt8(0)}).NewChain()
+	ch.Adopt(model)
+	for round := 0; round < 4; round++ {
+		tr := &Train{Round: round, Seq: int64(round)}
+		if round == 0 {
+			tr.weights = model
+		} else {
+			for i := range model {
+				model[i] += 1e-3 * float64((i+round)%7-3)
+			}
+			tr.DeltaBase = ch.Version()
+			p, id := ch.Encode(model)
+			tr.Delta, tr.DeltaCodec = [][]byte{p}, id
+		}
+		tr.Version = ch.Version()
+		if err := c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
+			t.Fatal(err)
+		}
+		got := <-trainedFrom
+		for i, want := range ch.Base() {
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("round %d: trained from weight %d = %x, chain base %x", round, i, math.Float64bits(got[i]), math.Float64bits(want))
+			}
+		}
+		env, err := c.recv(5 * time.Second)
+		if err != nil || env.Type != MsgCompressedUpdate {
+			t.Fatalf("round %d: update arrived as (%+v, %v)", round, env, err)
+		}
+		if p := env.CompressedUpdate.Payload; len(p) != compress.NewInt8(0).EncodedBytes(n) || slices.ContainsFunc(p[12:], func(b byte) bool { return b != 0 }) {
+			t.Fatalf("round %d: a Train that changed nothing sent int8 payload % x…", round, p[:min(len(p), 32)])
+		}
+		env.release()
+	}
+	if err := c.send(&Envelope{Type: MsgDone, Done: &Done{Rounds: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-workerDone; err != nil {
+		t.Fatalf("worker: %v", err)
 	}
 }

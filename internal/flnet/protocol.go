@@ -100,7 +100,8 @@ const (
 // the buffer over with take and hands it back with putBlob, and must not be
 // read or retained afterwards. A dense Raw decodes to a view of that buffer
 // (nn.ViewWeights), so whoever keeps the view keeps the buffer: the fan-in
-// until recycle, the worker until its next dense Train. A received
+// until recycle, the worker until its update is sent or, for a versioned
+// Train, as its tier's base until the next dense one. A received
 // Profile's or TierCommit's Weights is the buffer itself, never recycled:
 // the vector owns it. An envelope that is dropped undecoded needs no
 // release; the buffer is then simply collected. A sender's bulk field is
@@ -208,7 +209,7 @@ type Train struct {
 	// vector for every dense recipient. Exactly one of Raw/weights and Delta
 	// is set; whichever it is travels as the frame's blob. The receiver's
 	// Raw lives in the receive buffer: the worker views it as its round
-	// vector (roundWeights) and keeps the buffer until its next dense Train.
+	// weights (roundWeights) and keeps the buffer as Envelope describes.
 	Raw     []byte
 	weights []float64
 	// Version is the sending tier's chain state (compress.Chain.Version,

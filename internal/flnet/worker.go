@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/compress"
@@ -14,11 +15,14 @@ import (
 // weights and returns the updated weights and the number of samples trained
 // (the FedAvg aggregation weight). round is -1 for profiling tasks.
 //
-// weights is valid only for the duration of the call: the worker reuses
-// the buffer behind it for later broadcasts, so an implementation that
-// wants the vector later copies it (nn.Model.SetWeightsVector does).
-// Returning weights itself, modified or not, is fine. newWeights is read
-// until the update is sent, before the next call.
+// weights is read-only and valid only for the duration of the call: it is
+// the base the worker holds for its tier, which later broadcasts rebuild
+// in place, and a compressed worker takes its update as newWeights −
+// weights after the call, so a Train that wrote to weights would send no
+// change. An implementation that wants the vector later copies it
+// (nn.Model.SetWeightsVector does). Returning weights itself, unmodified,
+// is fine. newWeights is read until the update is sent, before the next
+// call.
 type TrainFunc func(round int, weights []float64) (newWeights []float64, numSamples int, err error)
 
 // WorkerConfig configures one FL client worker process.
@@ -204,23 +208,23 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 	if err := c.send(&Envelope{Type: MsgRegister, Register: reg}); err != nil {
 		return false, err
 	}
-	var residual []float64 // error-feedback state across compressed rounds
-	var delta []float64    // uplink delta scratch, reused every round
-	// The round's weights tw live in session-owned storage: the loop is
-	// strictly sequential, so each round overwrites the last one's (see
-	// TrainFunc for what that asks of cfg.Train). A dense Train's tw is its
-	// receive buffer, viewed in place and held in twBlob until the next
-	// dense Train replaces it; a catch-up rebuilds tw where it is.
-	var tw []float64
-	var twBlob *[]byte
+	// Compressed rounds add their delta into residual, the error-feedback
+	// state, and encode it there, into the previous round's payload: send
+	// reads that only until it returns.
+	var residual []float64
+	var payload []byte
 	// Delta-downlink bases, one per tier that sent this worker a versioned
 	// broadcast: the last one it received from that tier (Train.Version)
-	// and its weights. The aggregator's ack ledger names only a base this
-	// connection adopted, so a mismatch is a protocol violation. A worker
-	// that re-tierings moved may hold its old tier's base too.
+	// and its weights, which are that round's weights rather than a copy —
+	// the last dense broadcast's receive buffer (blob), viewed in place,
+	// which each catch-up rebuilds where it is. The aggregator's ack ledger
+	// names only a base this connection adopted, so a mismatch is a
+	// protocol violation. A worker that re-tierings moved may hold its old
+	// tier's base too.
 	type heldBase struct {
-		ver int
-		w   []float64
+		ver  int
+		w    []float64
+		blob *[]byte
 	}
 	held := make(map[int]*heldBase)
 	for {
@@ -245,16 +249,20 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 			}
 		case MsgTrain:
 			start := time.Now()
+			// The round's weights tw: the tier's held base for a versioned
+			// broadcast, else the unversioned dense one's receive buffer in
+			// blob, recycled once the update is sent.
+			var tw []float64
+			var blob *[]byte
 			var err error
 			base := held[env.Train.Tier]
 			if env.Train.Delta != nil {
 				if base == nil || env.Train.DeltaBase != base.ver {
 					return progressed, fatalf("flnet: worker %d round %d: tier %d delta against base %d, which it does not hold", cfg.ClientID, env.Train.Round, env.Train.Tier, env.Train.DeltaBase)
 				}
-				tw, err = compress.ApplyCatchUp(tw, env.Train.DeltaCodec, env.Train.Delta, base.w)
+				tw, err = compress.ApplyCatchUp(base.w, env.Train.DeltaCodec, env.Train.Delta, base.w)
 			} else if tw, err = env.Train.roundWeights(); err == nil {
-				putBlob(twBlob)
-				twBlob = env.take()
+				blob = env.take()
 			}
 			env.release()
 			if err != nil {
@@ -267,7 +275,11 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 					base = &heldBase{}
 					held[env.Train.Tier] = base
 				}
-				base.ver, base.w = env.Train.Version, append(base.w[:0], tw...)
+				if blob != nil {
+					putBlob(base.blob)
+					base.blob, blob = blob, nil
+				}
+				base.ver, base.w = env.Train.Version, tw
 			}
 			w, n, err := cfg.Train(env.Train.Round, tw)
 			if err != nil {
@@ -277,36 +289,40 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 			if cfg.ReportSeconds != nil {
 				secs = cfg.ReportSeconds(env.Train.Round)
 			}
-			if codec != nil && codec.ID() != compress.IDNone {
+			var up *Envelope
+			if codec == nil || codec.ID() == compress.IDNone {
+				up = &Envelope{Type: MsgUpdate, Update: &Update{
+					Round: env.Train.Round, ClientID: cfg.ClientID, NumSamples: n,
+					Seconds: secs, Seq: env.Train.Seq, weights: w,
+				}}
+			} else {
 				if len(w) != len(tw) {
 					return progressed, fatalf("flnet: worker %d round %d: trained %d weights from %d", cfg.ClientID, env.Train.Round, len(w), len(tw))
 				}
-				if cap(delta) < len(w) {
-					delta = make([]float64, len(w))
+				// The first round after a reset assigns its delta, so that
+				// a −0 keeps its bits, as EncodeFeedback's fresh residual
+				// would.
+				if len(residual) != len(w) {
+					residual = slices.Grow(residual[:0], len(w))[:len(w)]
+					for i := range residual {
+						residual[i] = w[i] - tw[i]
+					}
+				} else {
+					for i := range residual {
+						residual[i] += w[i] - tw[i]
+					}
 				}
-				delta = delta[:len(w)]
-				for i := range delta {
-					delta[i] = w[i] - tw[i]
-				}
-				var payload []byte
-				payload, residual = compress.EncodeFeedback(codec, delta, residual, nil)
-				up := &CompressedUpdate{
+				payload, residual = compress.EncodeFeedbackInto(payload, codec, residual, residual, nil)
+				up = &Envelope{Type: MsgCompressedUpdate, CompressedUpdate: &CompressedUpdate{
 					Round: env.Train.Round, ClientID: cfg.ClientID,
 					Codec: codec.ID(), Payload: payload, NumSamples: n,
 					Seconds: secs, Seq: env.Train.Seq,
-				}
-				if err := c.send(&Envelope{Type: MsgCompressedUpdate, CompressedUpdate: up}); err != nil {
-					return progressed, err
-				}
-				continue
+				}}
 			}
-			up := &Update{
-				Round: env.Train.Round, ClientID: cfg.ClientID, NumSamples: n,
-				Seconds: secs, Seq: env.Train.Seq, weights: w,
-			}
-			if err := c.send(&Envelope{Type: MsgUpdate, Update: up}); err != nil {
+			if err := c.send(up); err != nil {
 				return progressed, err
 			}
+			putBlob(blob)
 		case MsgTierAssign:
 			if cfg.OnTierAssign != nil {
 				cfg.OnTierAssign(env.TierAssign.Tier, env.TierAssign.NumTiers)
@@ -322,7 +338,7 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 					return progressed, fatalf("flnet: worker %d: renegotiated codec %q: %w", cfg.ClientID, env.TierReassign.CodecSpec, err)
 				}
 				codec = next
-				residual = nil
+				residual = residual[:0]
 				if cfg.OnCodecRenegotiate != nil {
 					cfg.OnCodecRenegotiate(next.Name())
 				}
