@@ -29,6 +29,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Wire codec IDs. These are protocol constants (flnet's Register and
@@ -138,7 +139,8 @@ func EncodeDelta(c Codec, delta, residual []float64) (payload []byte, rec, newRe
 // then holds the reconstruction instead of the sum on return. An Int8 codec
 // quantizes, reconstructs and takes the residual in one pass per chunk and
 // allocates only the payload; any other Codec goes through its own Encode
-// and Decode, producing the same bytes it always has.
+// and Decode, producing the same bytes it always has. It is
+// EncodeFeedbackInto(nil, c, delta, residual, rec).
 func EncodeFeedback(c Codec, delta, residual, rec []float64) (payload []byte, newResidual []float64) {
 	return EncodeFeedbackInto(nil, c, delta, residual, rec)
 }
@@ -146,9 +148,10 @@ func EncodeFeedback(c Codec, delta, residual, rec []float64) (payload []byte, ne
 // EncodeFeedbackInto is EncodeFeedback for a caller that owns a payload
 // buffer: an int8 payload lands in dst's storage when its capacity
 // suffices, and then allocates nothing; other codecs ignore dst. delta may
-// also be residual itself, for a caller that has added its delta into the
-// carried residual already: that sum is encoded as it stands and the new
-// encoding error replaces it.
+// also be residual itself — the same slice — for a caller that has added
+// its delta into the carried residual already: that sum is encoded as it
+// stands and the new encoding error replaces it. delta and residual must
+// otherwise share no element; a partial overlap panics.
 func EncodeFeedbackInto(dst []byte, c Codec, delta, residual, rec []float64) (payload []byte, newResidual []float64) {
 	if residual != nil && len(residual) != len(delta) {
 		panic(fmt.Sprintf("compress: residual length %d != delta length %d", len(residual), len(delta)))
@@ -162,6 +165,8 @@ func EncodeFeedbackInto(dst []byte, c Codec, delta, residual, rec []float64) (pa
 		residual = make([]float64, len(delta))
 	case len(delta) > 0 && &delta[0] == &residual[0]:
 		carry = nil // the residual already holds the sum
+	case overlaps(delta, residual):
+		panic("compress: delta overlaps residual without being it")
 	}
 	if q, ok := c.(Int8); ok {
 		return q.encode(dst, delta, carry, rec, residual), residual
@@ -179,6 +184,16 @@ func EncodeFeedbackInto(dst []byte, c Codec, delta, residual, rec []float64) (pa
 	}
 	copy(rec, dec)
 	return payload, residual
+}
+
+// overlaps reports whether a and b share an element.
+func overlaps(a, b []float64) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	const size = unsafe.Sizeof(a[0])
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b))*size && pb < pa+uintptr(len(a))*size
 }
 
 // AddDecoded decodes a payload by wire ID, as DecodePayload does, and

@@ -238,6 +238,22 @@ func TestEncodeDeltaResidualLengthMismatchPanics(t *testing.T) {
 	EncodeDelta(None{}, []float64{1, 2}, []float64{1})
 }
 
+// delta may be residual itself, but a delta that shares only some of
+// residual's elements would be read as neither the sum nor a fresh delta.
+func TestEncodeFeedbackPartialOverlapPanics(t *testing.T) {
+	buf := testVector(9, 3)
+	for _, c := range []Codec{NewInt8(4), NewTopK(0.5)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: delta overlapping residual by all but one element accepted", c.Name())
+				}
+			}()
+			EncodeFeedbackInto(nil, c, buf[1:], buf[:8], nil)
+		}()
+	}
+}
+
 func TestDecodeRejectsWrongLength(t *testing.T) {
 	w := testVector(64, 5)
 	for _, c := range allCodecs() {

@@ -16,13 +16,15 @@ import (
 // (the FedAvg aggregation weight). round is -1 for profiling tasks.
 //
 // weights is read-only and valid only for the duration of the call: it is
-// the base the worker holds for its tier, which later broadcasts rebuild
-// in place, and a compressed worker takes its update as newWeights −
-// weights after the call, so a Train that wrote to weights would send no
-// change. An implementation that wants the vector later copies it
-// (nn.Model.SetWeightsVector does). Returning weights itself, unmodified,
-// is fine. newWeights is read until the update is sent, before the next
-// call.
+// the base the worker holds for its tier, which later delta broadcasts
+// rebuild in place. A Train that wrote to it would corrupt that base, so
+// every later round of the tier would train from weights that differ from
+// the aggregator's, dense uplink or compressed alike; a compressed worker,
+// which takes its update as newWeights − weights after the call, would
+// also send no change. An implementation that wants the vector later
+// copies it (nn.Model.SetWeightsVector does). Returning weights itself,
+// unmodified, is fine. newWeights is read until the update is sent, before
+// the next call.
 type TrainFunc func(round int, weights []float64) (newWeights []float64, numSamples int, err error)
 
 // WorkerConfig configures one FL client worker process.
