@@ -139,51 +139,91 @@ func EncodeDelta(c Codec, delta, residual []float64) (payload []byte, rec, newRe
 // then holds the reconstruction instead of the sum on return. An Int8 codec
 // quantizes, reconstructs and takes the residual in one pass per chunk and
 // allocates only the payload; any other Codec goes through its own Encode
-// and Decode, producing the same bytes it always has. It is
-// EncodeFeedbackInto(nil, c, delta, residual, rec).
+// and Decode, producing the same bytes it always has. A non-nil residual
+// must have delta's length. It is EncodeFeedbackInto(nil, c, delta, nil,
+// residual, rec).
 func EncodeFeedback(c Codec, delta, residual, rec []float64) (payload []byte, newResidual []float64) {
-	return EncodeFeedbackInto(nil, c, delta, residual, rec)
-}
-
-// EncodeFeedbackInto is EncodeFeedback for a caller that owns a payload
-// buffer: an int8 payload lands in dst's storage when its capacity
-// suffices, and then allocates nothing; other codecs ignore dst. delta may
-// also be residual itself — the same slice — for a caller that has added
-// its delta into the carried residual already: that sum is encoded as it
-// stands and the new encoding error replaces it. delta and residual must
-// otherwise share no element; a partial overlap panics.
-func EncodeFeedbackInto(dst []byte, c Codec, delta, residual, rec []float64) (payload []byte, newResidual []float64) {
 	if residual != nil && len(residual) != len(delta) {
 		panic(fmt.Sprintf("compress: residual length %d != delta length %d", len(residual), len(delta)))
 	}
-	if rec != nil && len(rec) != len(delta) {
-		panic(fmt.Sprintf("compress: rec length %d != delta length %d", len(rec), len(delta)))
+	return EncodeFeedbackInto(nil, c, delta, nil, residual, rec)
+}
+
+// EncodeFeedbackInto is the error-feedback step for a caller that owns its
+// buffers: it encodes v = (cur − base) + residual and returns the payload
+// and the new residual v − decode(payload). A nil base is EncodeFeedback's
+// contract: cur is the delta, and a carried residual is added into it in
+// place. With a base, cur is only read (unless it is out), and v is formed
+// in the residual itself. A residual of any length but len(cur) — nil, or
+// emptied to start afresh — carries nothing: v is assigned, so a −0 keeps
+// its bits, and the new residual reuses its storage when the capacity
+// suffices. out, when non-nil, receives base + decode(payload) (the bare
+// reconstruction for a nil base); it may be cur or base itself. An int8
+// payload lands in dst's storage when its capacity suffices, and the Int8
+// codec then allocates nothing and reads and writes each vector once, one
+// chunk at a time; other codecs ignore dst. The residual must share no
+// element with cur, base or out, and out must be cur, base or disjoint
+// from both; anything else panics.
+func EncodeFeedbackInto(dst []byte, c Codec, cur, base, residual, out []float64) (payload []byte, newResidual []float64) {
+	n := len(cur)
+	if base != nil && len(base) != n {
+		panic(fmt.Sprintf("compress: base length %d != cur length %d", len(base), n))
+	}
+	if out != nil && len(out) != n {
+		panic(fmt.Sprintf("compress: out length %d != cur length %d", len(out), n))
 	}
 	carry := residual
-	switch {
-	case residual == nil:
-		residual = make([]float64, len(delta))
-	case len(delta) > 0 && &delta[0] == &residual[0]:
-		carry = nil // the residual already holds the sum
-	case overlaps(delta, residual):
-		panic("compress: delta overlaps residual without being it")
+	if len(residual) != n {
+		carry = nil
+		if residual == nil || cap(residual) < n {
+			residual = make([]float64, n)
+		}
+		residual = residual[:n]
+	}
+	if overlaps(residual, cur) || overlaps(residual, base) || overlaps(residual, out) ||
+		!sameOrDisjoint(out, cur) || !sameOrDisjoint(out, base) {
+		panic("compress: EncodeFeedbackInto operands overlap")
 	}
 	if q, ok := c.(Int8); ok {
-		return q.encode(dst, delta, carry, rec, residual), residual
+		return q.encode(dst, cur, base, carry, out, residual), residual
 	}
-	for i, r := range carry {
-		delta[i] += r
+	v := cur
+	if base == nil {
+		for i, r := range carry {
+			cur[i] += r
+		}
+	} else {
+		v = residual
+		for i, x := range cur {
+			d := x - base[i]
+			if carry != nil {
+				d += carry[i]
+			}
+			residual[i] = d
+		}
 	}
-	payload = c.Encode(delta)
-	dec, err := c.Decode(payload, len(delta))
+	payload = c.Encode(v)
+	dec, err := c.Decode(payload, n)
 	if err != nil {
 		panic(fmt.Sprintf("compress: %s cannot decode its own encoding: %v", c.Name(), err))
 	}
-	for i := range residual {
-		residual[i] = delta[i] - dec[i]
+	for i, d := range dec {
+		residual[i] = v[i] - d
+		switch {
+		case out == nil:
+		case base == nil:
+			out[i] = d
+		default:
+			out[i] = base[i] + d
+		}
 	}
-	copy(rec, dec)
 	return payload, residual
+}
+
+// sameOrDisjoint reports whether a and b are the same slice or share no
+// element.
+func sameOrDisjoint(a, b []float64) bool {
+	return !overlaps(a, b) || (len(a) == len(b) && &a[0] == &b[0])
 }
 
 // overlaps reports whether a and b share an element.

@@ -238,19 +238,31 @@ func TestEncodeDeltaResidualLengthMismatchPanics(t *testing.T) {
 	EncodeDelta(None{}, []float64{1, 2}, []float64{1})
 }
 
-// delta may be residual itself, but a delta that shares only some of
-// residual's elements would be read as neither the sum nor a fresh delta.
+// The residual is written while cur and base are read, so it may share no
+// element with either (not even be cur itself, which once meant "the sum is
+// already here"), and out may only be cur or base whole.
 func TestEncodeFeedbackPartialOverlapPanics(t *testing.T) {
 	buf := testVector(9, 3)
+	other := testVector(8, 4)
 	for _, c := range []Codec{NewInt8(4), NewTopK(0.5)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: delta overlapping residual by all but one element accepted", c.Name())
-				}
+		for _, r := range []struct {
+			name                     string
+			cur, base, residual, out []float64
+		}{
+			{"delta overlapping residual by all but one element", buf[1:], nil, buf[:8], nil},
+			{"delta that is the residual", buf[:8], nil, buf[:8], nil},
+			{"base overlapping residual", other, buf[1:], buf[:8], nil},
+			{"out overlapping cur by all but one element", buf[1:], nil, nil, buf[:8]},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s: %s accepted", c.Name(), r.name)
+					}
+				}()
+				EncodeFeedbackInto(nil, c, r.cur, r.base, r.residual, r.out)
 			}()
-			EncodeFeedbackInto(nil, c, buf[1:], buf[:8], nil)
-		}()
+		}
 	}
 }
 

@@ -96,8 +96,8 @@ func ParseDownlink(spec string) (*Downlink, error) {
 // The ring has no depth knob. A catch-up is worth sending only while it
 // is smaller than the dense model, so the ring keeps the trailing payloads
 // whose retained capacity stays under DenseBytes(n) and drops older ones:
-// beside its base, residual and scratch vectors, a chain holds less than
-// one dense model's bytes of payloads, in every mode.
+// beside its base and residual, a chain holds less than one dense model's
+// bytes of payloads, in every mode.
 //
 // Chain state is a pure function of the sequence of broadcast vectors, so
 // the simulated and socket runtimes, fed the same weights, produce
@@ -106,10 +106,9 @@ type Chain struct {
 	d        *Downlink
 	base     []float64
 	residual []float64
-	delta    []float64 // lossy Encode's scratch: the delta in, its reconstruction out
-	ver      int       // the state base holds; 0 before the first Adopt
-	ring     [][]byte  // the payloads that took state ver-len(ring) to ver, oldest first
-	retained int       // Σ cap over ring, kept < DenseBytes(len(base))
+	ver      int      // the state base holds; 0 before the first Adopt
+	ring     [][]byte // the payloads that took state ver-len(ring) to ver, oldest first
+	retained int      // Σ cap over ring, kept < DenseBytes(len(base))
 }
 
 // NewChain returns an empty chain for this downlink mode.
@@ -228,20 +227,9 @@ func (c *Chain) encode(dst []byte, cur []float64) (payload []byte, id byte) {
 		c.base = append(c.base[:0], cur...)
 		return payload, IDDeltaXOR
 	}
-	if cap(c.delta) < len(cur) {
-		c.delta = make([]float64, len(cur))
-	}
-	// Locals, not c.base: the stores through delta would otherwise make the
-	// compiler reload the field on every coordinate.
-	delta, base := c.delta[:len(cur)], c.base[:len(cur)]
-	for i, x := range cur {
-		delta[i] = x - base[i]
-	}
-	// rec lands in delta itself: one scratch vector serves both.
-	payload, c.residual = EncodeFeedbackInto(dst, c.d.Codec, delta, c.residual, delta)
-	for i, r := range delta {
-		base[i] += r
-	}
+	// The delta, its encoding and base += rec in one pass per chunk: the
+	// reconstruction lands in the base itself.
+	payload, c.residual = EncodeFeedbackInto(dst, c.d.Codec, cur, c.base, c.residual, c.base)
 	return payload, c.d.Codec.ID()
 }
 

@@ -57,52 +57,73 @@ func (c Int8) EncodedBytes(n int) int {
 // Encode implements Codec. Layout (little-endian): magic u32, count u32,
 // chunk u32, then per chunk a float32 scale followed by that chunk's int8
 // quantized coordinates.
-func (c Int8) Encode(w []float64) []byte { return c.encode(nil, w, nil, nil, nil) }
+func (c Int8) Encode(w []float64) []byte { return c.encode(nil, w, nil, nil, nil, nil) }
 
 // encode is the one int8 quantizer, and the whole error-feedback step when
-// asked: per chunk it adds the carried error into w in place (carry, when
-// non-nil) while taking max|v| for the scale, writes every byte of the
-// payload by index, and — with a non-nil residual — leaves the new
-// encoding error w[i] − q·scale there (and q·scale itself in rec, when the
-// caller wants the reconstruction) while the chunk is still in cache.
-// carry and residual may be the same slice, and so may w and rec (the
-// reconstruction then replaces the input), or w and residual with a nil
-// carry (the encoding error then replaces the input). The payload lands in
-// dst's storage, whatever it holds, when its capacity suffices, and in a
-// fresh buffer otherwise. Every output is bit-equal to add, Encode, Decode,
-// subtract run as four separate passes. With useSIMD the kernels in
+// asked. Per chunk it forms v = (cur − base) + carry while taking max|v|
+// for the scale (a nil base subtracts nothing, a nil carry adds nothing,
+// so a −0 keeps its bits), writes every byte of the payload by index, and
+// — with a non-nil residual — leaves the new encoding error v − q·scale
+// there (and base + q·scale in out, when non-nil; q·scale for a nil base)
+// while the chunk is still in cache. With a base, v lands in residual
+// first; without one it lands in cur in place, as a carried delta always
+// has, and a nil carry leaves cur as it is. carry is nil or residual
+// itself, and out may be cur or base. The payload lands in dst's storage,
+// whatever it holds, when its capacity suffices, and in a fresh buffer
+// otherwise. Every output is bit-equal to subtract, add, Encode, Decode,
+// subtract, add run as separate passes. With useSIMD the kernels in
 // int8_amd64.s take each chunk's whole 4-lane groups and the loops below
 // only its last len%4 coordinates.
-func (c Int8) encode(dst []byte, w, carry, rec, residual []float64) []byte {
+func (c Int8) encode(dst []byte, cur, base, carry, out, residual []float64) []byte {
 	chunk := c.chunk()
-	size := c.EncodedBytes(len(w))
+	size := c.EncodedBytes(len(cur))
 	if cap(dst) < size {
 		dst = make([]byte, size)
 	}
 	buf := dst[:size]
 	binary.LittleEndian.PutUint32(buf[0:], int8Magic)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(len(w)))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(len(cur)))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(chunk))
 	off := 12
-	for start := 0; start < len(w); start += chunk {
-		v := w[start:min(start+chunk, len(w))]
-		var cv, out, res []float64
-		if carry != nil {
-			cv = carry[start : start+len(v)]
+	for start := 0; start < len(cur); start += chunk {
+		end := min(start+chunk, len(cur))
+		cu := cur[start:end]
+		bs, cv, o, res := part(base, start, end), part(carry, start, end), part(out, start, end), part(residual, start, end)
+		// sum is where v is written, nil while v is cur as it stands.
+		var sum []float64
+		switch {
+		case bs != nil:
+			sum = res
+		case cv != nil:
+			sum = cu
 		}
-		if residual != nil {
-			res = residual[start : start+len(v)]
-			if rec != nil {
-				out = rec[start : start+len(v)]
-			}
+		v := cu
+		if sum != nil {
+			v = sum
 		}
 		groups, maxAbs := 0, 0.0
 		if useSIMD {
-			groups = len(v) &^ 3
-			maxAbs = int8CarryMax(v[:groups], cv)
+			groups = len(cu) &^ 3
+			maxAbs = int8CarryMax(sum, cu[:groups], bs, cv)
 		}
-		for i := groups; i < len(cv); i++ {
-			v[i] += cv[i]
+		// One statement per coordinate: a sum of two NaNs keeps the first
+		// one's payload, as the kernel's does, only while the compiler
+		// keeps source order, which a value carried from one statement to
+		// the next (spilled around -race's calls) loses.
+		switch {
+		case sum == nil:
+		case bs == nil:
+			for i := groups; i < len(cu); i++ {
+				sum[i] = cu[i] + cv[i]
+			}
+		case cv == nil:
+			for i := groups; i < len(cu); i++ {
+				sum[i] = cu[i] - bs[i]
+			}
+		default:
+			for i := groups; i < len(cu); i++ {
+				sum[i] = (cu[i] - bs[i]) + cv[i]
+			}
 		}
 		// Non-finite coordinates (diverged training) are excluded from the
 		// scale and quantized deterministically below — NaN to 0, ±Inf to
@@ -123,10 +144,10 @@ func (c Int8) encode(dst []byte, w, carry, rec, residual []float64) []byte {
 		codes := buf[off+4 : off+4+len(v)]
 		off += 4 + len(v)
 		s := float64(scale)
-		done := 0 // coordinates whose code, rec and residual are written
+		done := 0 // coordinates whose code, out and residual are written
 		if useSIMD && scale > 0 {
 			done = groups
-			int8Quantize(codes, v[:done], out, res, s)
+			int8Quantize(codes, v[:done], bs, o, res, s)
 		}
 		if scale == 0 { // an all-zero (or all-non-finite) chunk: every code is 0
 			clear(codes)
@@ -152,20 +173,30 @@ func (c Int8) encode(dst []byte, w, carry, rec, residual []float64) []byte {
 			continue
 		}
 		// The explicit float64 conversions round the product before the
-		// subtraction, so no platform may fuse the two into an FMA.
-		if out == nil {
-			for i := done; i < len(v); i++ {
-				res[i] = v[i] - float64(float64(int8(codes[i]))*s)
-			}
-			continue
-		}
+		// add or subtract, so no platform may fuse the two into an FMA.
+		// Each coordinate reads v and base before it writes: out may be
+		// either input, and v may be the residual.
 		for i := done; i < len(v); i++ {
-			x, d := float64(float64(int8(codes[i]))*s), v[i] // d first: rec may be w itself
-			out[i] = x
+			x, d := float64(float64(int8(codes[i]))*s), v[i]
+			switch {
+			case o == nil:
+			case bs == nil:
+				o[i] = x
+			default:
+				o[i] = bs[i] + x
+			}
 			res[i] = d - x
 		}
 	}
 	return buf
+}
+
+// part is v[lo:hi], or nil for a nil v.
+func part(v []float64, lo, hi int) []float64 {
+	if v == nil {
+		return nil
+	}
+	return v[lo:hi]
 }
 
 // Decode implements Codec.

@@ -56,7 +56,11 @@ func checkInt8AgainstReference(t *testing.T, c Int8, w []float64) {
 	if got, want := c.Encode(w), refInt8Encode(c, w); !bytes.Equal(got, want) {
 		t.Fatalf("%s: Encode differs from reference on %d coordinates", c.Name(), len(w))
 	}
-	var residual, bareResidual, aliasResidual, wantResidual []float64
+	// The based calls encode w against w reversed, into its base as the
+	// chain does; the reference subtracts first.
+	base := slices.Clone(w)
+	slices.Reverse(base)
+	var residual, bareResidual, aliasResidual, wantResidual, basedResidual, wantBasedResidual []float64
 	for round := 0; round < 2; round++ {
 		wantPayload, wantRec, wantRes := refEncodeDelta(c, slices.Clone(w), wantResidual)
 		wantResidual = wantRes
@@ -89,6 +93,22 @@ func checkInt8AgainstReference(t *testing.T, c Int8, w []float64) {
 			t.Fatalf("%s: Decode rejected its own encoding: %v", c.Name(), err)
 		}
 		sameBits(t, "Decode", dec, wantRec)
+
+		delta := make([]float64, len(w))
+		for i, x := range w {
+			delta[i] = x - base[i]
+		}
+		wantPayload, wantRec, wantBasedResidual = refEncodeDelta(c, delta, wantBasedResidual)
+		for i, r := range wantRec {
+			wantRec[i] = base[i] + r
+		}
+		out := slices.Clone(base)
+		payload, basedResidual = EncodeFeedbackInto(nil, c, w, out, basedResidual, out)
+		if !bytes.Equal(payload, wantPayload) {
+			t.Fatalf("%s round %d: EncodeFeedbackInto payload against a base differs from reference", c.Name(), round)
+		}
+		sameBits(t, "base + rec", out, wantRec)
+		sameBits(t, "residual against a base", basedResidual, wantBasedResidual)
 	}
 }
 
@@ -201,6 +221,52 @@ func TestChainMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameBits(t, "receiver", held, refBase)
+		}
+	}
+}
+
+// TestUplinkMatchesReference replays a worker's uplink — the reference
+// EncodeDelta of w − tw, the delta formed first — beside the worker's one
+// call, EncodeFeedbackInto(payload, codec, w, tw, residual, nil), which
+// forms the delta in its residual and encodes into its previous payload.
+// Round 3 resets, as a tier migration does: the emptied residual must
+// assign the delta, so the −0 it carries keeps its sign.
+func TestUplinkMatchesReference(t *testing.T) {
+	for _, chunk := range []int{0, 7, 100} {
+		c := NewInt8(chunk)
+		const n = 1501 // n % 4 ≠ 0: every path has a scalar tail
+		tw := nastyVector(n, int64(chunk)+11)
+		rng := rand.New(rand.NewSource(8))
+		var residual, refResidual []float64
+		var payload []byte
+		for round := 0; round < 6; round++ {
+			w := slices.Clone(tw)
+			for i := range w {
+				w[i] += rng.NormFloat64() * 1e-3
+			}
+			if round == 3 {
+				residual, refResidual = residual[:0], nil
+				w[5], tw[5] = math.Copysign(0, -1), 0 // w − tw = −0
+			}
+			delta := make([]float64, n)
+			for i := range delta {
+				delta[i] = w[i] - tw[i]
+			}
+			wantPayload, _, res := refEncodeDelta(c, delta, refResidual)
+			refResidual = res
+			prev := payload
+			payload, residual = EncodeFeedbackInto(payload, c, w, tw, residual, nil)
+			if !bytes.Equal(payload, wantPayload) {
+				t.Fatalf("chunk %d round %d: uplink payload differs from reference", chunk, round)
+			}
+			if prev != nil && &payload[0] != &prev[0] {
+				t.Fatalf("chunk %d round %d: payload not encoded into the previous one", chunk, round)
+			}
+			sameBits(t, "uplink residual", residual, refResidual)
+			if round == 3 && !math.Signbit(residual[5]) {
+				t.Fatalf("chunk %d: reset round's −0 delta left residual %v", chunk, residual[5])
+			}
+			tw = w // the next round trains from this one's weights
 		}
 	}
 }

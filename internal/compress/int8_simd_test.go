@@ -36,6 +36,7 @@ func TestInt8ReferenceTestsOnBothPaths(t *testing.T) {
 	}{
 		{"MatchesReference", TestInt8MatchesReference},
 		{"ChainMatchesReference", TestChainMatchesReference},
+		{"UplinkMatchesReference", TestUplinkMatchesReference},
 		{"PayloadGolden", TestInt8PayloadGolden},
 	} {
 		bothPaths(func(simd bool) { t.Run(fmt.Sprintf("%s/simd=%v", tc.name, simd), tc.test) })
@@ -47,22 +48,34 @@ type int8Outputs struct {
 	encoded, payload, inPlacePayload        []byte
 	rec, residual, inPlace, inPlaceResidual []float64
 	decoded, applied, caughtUp              []float64
+	// The delta against a base, its reconstruction written over the base
+	// (the chain's call) and over cur (the sim's).
+	intoBasePayload, intoCurPayload []byte
+	intoBase, intoBaseResidual      []float64
+	intoCur, intoCurResidual        []float64
 }
 
 // int8Run drives w through every int8 entry point. The carried residual
 // is also the slice the new residual lands in, as EncodeFeedback passes
-// it, and the in-place call puts rec in w's own storage.
+// it, and the in-place call puts rec in w's own storage. The based calls
+// encode w against w reversed, so the base holds the row's specials too.
 func int8Run(c Int8, w, carry []float64) int8Outputs {
 	var o int8Outputs
 	o.encoded = c.Encode(slices.Clone(w))
 	o.payload, o.rec, o.residual = EncodeDelta(c, slices.Clone(w), slices.Clone(carry))
 	o.inPlace = slices.Clone(w)
 	o.inPlacePayload, o.inPlaceResidual = EncodeFeedback(c, o.inPlace, slices.Clone(carry), o.inPlace)
+	base := slices.Clone(w)
+	slices.Reverse(base)
+	o.intoBase = slices.Clone(base)
+	o.intoBasePayload, o.intoBaseResidual = EncodeFeedbackInto(nil, c, w, o.intoBase, slices.Clone(carry), o.intoBase)
+	o.intoCur = slices.Clone(w)
+	o.intoCurPayload, o.intoCurResidual = EncodeFeedbackInto(nil, c, o.intoCur, base, slices.Clone(carry), o.intoCur)
 	var err error
 	if o.decoded, err = c.Decode(o.payload, len(w)); err != nil {
 		panic(err)
 	}
-	base := testVector(len(w), 77)
+	base = testVector(len(w), 77)
 	if o.applied, err = ApplyDelta(IDInt8, o.payload, base); err != nil {
 		panic(err)
 	}
@@ -77,7 +90,12 @@ func (o int8Outputs) mustEqual(t *testing.T, want int8Outputs) {
 	for _, p := range []struct {
 		name      string
 		got, want []byte
-	}{{"Encode", o.encoded, want.encoded}, {"EncodeDelta payload", o.payload, want.payload}, {"in-place payload", o.inPlacePayload, want.inPlacePayload}} {
+	}{
+		{"Encode", o.encoded, want.encoded}, {"EncodeDelta payload", o.payload, want.payload},
+		{"in-place payload", o.inPlacePayload, want.inPlacePayload},
+		{"payload, out = base", o.intoBasePayload, want.intoBasePayload},
+		{"payload, out = cur", o.intoCurPayload, want.intoCurPayload},
+	} {
 		if !bytes.Equal(p.got, p.want) {
 			t.Fatalf("%s: % x, scalar % x", p.name, p.got, p.want)
 		}
@@ -86,6 +104,10 @@ func (o int8Outputs) mustEqual(t *testing.T, want int8Outputs) {
 	sameBits(t, "residual", o.residual, want.residual)
 	sameBits(t, "rec in place of w", o.inPlace, want.inPlace)
 	sameBits(t, "residual beside it", o.inPlaceResidual, want.inPlaceResidual)
+	sameBits(t, "base + rec over the base", o.intoBase, want.intoBase)
+	sameBits(t, "residual, out = base", o.intoBaseResidual, want.intoBaseResidual)
+	sameBits(t, "base + rec over cur", o.intoCur, want.intoCur)
+	sameBits(t, "residual, out = cur", o.intoCurResidual, want.intoCurResidual)
 	sameBits(t, "Decode", o.decoded, want.decoded)
 	sameBits(t, "ApplyDelta", o.applied, want.applied)
 	sameBits(t, "ApplyCatchUp", o.caughtUp, want.caughtUp)
@@ -159,30 +181,24 @@ func TestInt8KernelsMatchScalar(t *testing.T) {
 
 // checkInt8IntoDirty encodes w into a reused buffer pre-filled with 0xFF,
 // room bytes longer than the payload (negative: too short to take it),
-// through the carried call and through the in-place one whose residual
-// already holds the sum, and holds payload and residual to a fresh
-// encode's. A buffer with room must carry the payload; a short one must not.
+// fresh and carried, as a bare delta and against a base, and holds payload
+// and residual to a fresh buffer's. A buffer with room must carry the
+// payload; a short one must not.
 func checkInt8IntoDirty(t *testing.T, c Int8, w []float64, room int) {
 	t.Helper()
 	size := c.EncodedBytes(len(w))
 	for _, carry := range [][]float64{nil, testVector(len(w), 5)} {
-		want, wantRes := EncodeFeedback(c, slices.Clone(w), slices.Clone(carry), nil)
-		sum := slices.Clone(w)
-		for i, r := range carry {
-			sum[i] += r
-		}
-		for _, call := range []struct {
-			name         string
-			delta, carry []float64
-		}{{"carried", slices.Clone(w), slices.Clone(carry)}, {"in place", sum, sum}} {
+		for _, base := range [][]float64{nil, testVector(len(w), 6)} {
+			name := fmt.Sprintf("carry %v, base %v", carry != nil, base != nil)
+			want, wantRes := EncodeFeedbackInto(nil, c, slices.Clone(w), base, slices.Clone(carry), nil)
 			dirty := bytes.Repeat([]byte{0xFF}, size+room)
-			got, res := EncodeFeedbackInto(dirty, c, call.delta, call.carry, nil)
+			got, res := EncodeFeedbackInto(dirty, c, slices.Clone(w), base, slices.Clone(carry), nil)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("%s, carry %v: % x into a dirty buffer, fresh % x", call.name, carry != nil, got, want)
+				t.Fatalf("%s: % x into a dirty buffer, fresh % x", name, got, want)
 			}
-			sameBits(t, call.name+" residual", res, wantRes)
+			sameBits(t, name+" residual", res, wantRes)
 			if reused := &got[0] == &dirty[0]; reused != (room >= 0) {
-				t.Fatalf("%s: payload in the %d-byte buffer: %v", call.name, len(dirty), reused)
+				t.Fatalf("%s: payload in the %d-byte buffer: %v", name, len(dirty), reused)
 			}
 		}
 	}

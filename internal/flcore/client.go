@@ -92,8 +92,9 @@ type Update struct {
 // round loops aggregate into a standing vector instead of reallocating it
 // every round). dst must have the updates' length and must not alias any
 // update's weight vector; it panics on no updates or a length mismatch. The
-// reduction runs chunk-parallel across elements via tensor.AxpySharded —
-// serial and in update order within each element — so the result is
+// reduction is one tensor.MeanSharded: chunk-parallel across elements, each
+// chunk cleared, summed and divided a cache-sized tile at a time — serial
+// and in update order within each element — so the result is
 // byte-identical to the historical serial loop for any worker count.
 func FedAvgInto(dst []float64, updates []Update) {
 	if len(updates) == 0 {
@@ -115,15 +116,7 @@ func FedAvgInto(dst []float64, updates []Update) {
 		coeffs[k] = w
 		srcs[k] = u.Weights
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	tensor.AxpySharded(dst, coeffs, srcs)
-	tensor.ParallelChunks(n, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] /= total
-		}
-	})
+	tensor.MeanSharded(dst, coeffs, srcs, total)
 }
 
 // MaxLatency returns the round latency under synchronous FL: the slowest

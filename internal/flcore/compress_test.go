@@ -113,3 +113,21 @@ func TestTieredAsyncCompressed(t *testing.T) {
 		t.Fatalf("commit log bytes %d != total %d", sum, comp.UplinkBytes)
 	}
 }
+
+// A compressed client round encodes into its scratch's payload buffer: once
+// warm, the int8 path allocates exactly what the dense one does per round,
+// no payload and no delta vector.
+func TestTrainOnCodecPathAllocatesNoPayload(t *testing.T) {
+	perRound := func(codec compress.Codec) float64 {
+		clients, test := testPopulation(t, 5)
+		e := NewEngine(commTestConfig(1, codec), clients, test)
+		s := e.getScratch()
+		round := func() { e.trainOn(s, 1, clients[0], e.weights, -1) }
+		round() // warm: the replica, the residual and the payload buffer
+		return testing.AllocsPerRun(10, round)
+	}
+	dense, int8 := perRound(nil), perRound(compress.NewInt8(0))
+	if int8 != dense {
+		t.Fatalf("int8 client round allocates %v times, dense %v: the codec path allocates", int8, dense)
+	}
+}

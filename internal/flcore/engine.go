@@ -156,10 +156,10 @@ type Engine struct {
 
 // trainScratch is the per-goroutine reusable state of TrainClient.
 type trainScratch struct {
-	ws    *nn.Workspace
-	rep   *nn.Replica
-	bbuf  dataset.BatchBuf
-	delta []float64 // error-feedback delta staging (codec path)
+	ws      *nn.Workspace
+	rep     *nn.Replica
+	bbuf    dataset.BatchBuf
+	payload []byte // the codec path's payload buffer, reused every round
 }
 
 func (e *Engine) getScratch() *trainScratch {
@@ -295,22 +295,13 @@ func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []
 	// it like nil so a "none" run stays bit-identical to an uncompressed
 	// one (flnet workers and tifl-node special-case it the same way).
 	if e.Cfg.Codec != nil && e.Cfg.Codec.ID() != compress.IDNone {
-		// Error-feedback compression: encode delta+residual, keep the
-		// encoding error on the client, and hand the aggregator the exact
-		// reconstruction the wire payload decodes to — so the simulated
+		// Error-feedback compression: encode delta+residual into the
+		// scratch's payload buffer, keep the encoding error on the client,
+		// and hand the aggregator the exact reconstruction the wire payload
+		// decodes to, written over the trained weights — so the simulated
 		// engine and a real flnet worker produce identical updates.
-		s.delta = grow(s.delta, len(weightsOut))
-		delta := s.delta
-		for i := range delta {
-			delta[i] = weightsOut[i] - globalWeights[i]
-		}
-		// The reconstruction replaces the delta in its own scratch vector.
-		var payload []byte
-		payload, c.residual = compress.EncodeFeedback(e.Cfg.Codec, delta, c.residual, delta)
-		for i, rec := range delta {
-			weightsOut[i] = globalWeights[i] + rec
-		}
-		wire = len(payload)
+		s.payload, c.residual = compress.EncodeFeedbackInto(s.payload, e.Cfg.Codec, weightsOut, globalWeights, c.residual, weightsOut)
+		wire = len(s.payload)
 		down := compress.DenseBytes(len(weightsOut))
 		if downBytes >= 0 {
 			down = downBytes

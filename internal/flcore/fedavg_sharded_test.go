@@ -3,11 +3,13 @@ package flcore
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // serialFedAvg is the historical implementation; the sharded FedAvg must
-// match it bit for bit.
+// match it bit for bit. Its product is rounded before the add, as it was on
+// amd64, so no platform fuses the two.
 func serialFedAvg(updates []Update) []float64 {
 	n := len(updates[0].Weights)
 	out := make([]float64, n)
@@ -19,7 +21,7 @@ func serialFedAvg(updates []Update) []float64 {
 		}
 		total += w
 		for i, v := range u.Weights {
-			out[i] += w * v
+			out[i] = float64(w*v) + out[i]
 		}
 	}
 	for i := range out {
@@ -55,6 +57,72 @@ func TestFedAvgShardedBitEqualSerial(t *testing.T) {
 		for i := range want {
 			if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("n=%d: FedAvgInto[%d] = %v, want %v", n, i, dst[i], want[i])
+			}
+		}
+	}
+}
+
+// FedAvgInto clears, sums and divides a tile at a time; every element must
+// still see the serial passes' operations in their order, at lengths on
+// both sides of 256-, 512- and 1 024-element tiles and past the parallel
+// threshold, with one to twenty members, on one worker and on two.
+func TestFedAvgIntoTiledBitEqualSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(12))
+	for _, k := range []int{1, 2, 5, 20} {
+		for _, n := range []int{1, 3, 255, 257, 511, 513, 1023, 1025, 250_001} {
+			ups := make([]Update, k)
+			for j := range ups {
+				w := make([]float64, n)
+				for i := range w {
+					w[i] = rng.NormFloat64()
+				}
+				ups[j] = Update{Weights: w, NumSamples: rng.Intn(50)} // 0 samples counts as 1
+			}
+			want := serialFedAvg(ups)
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				dst := make([]float64, n)
+				for i := range dst {
+					dst[i] = math.NaN()
+				}
+				FedAvgInto(dst, ups)
+				for i := range want {
+					if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("k=%d n=%d procs=%d: FedAvgInto[%d] = %v, serial %v", k, n, procs, i, dst[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// CommitMix applies (1−a)·g + a·c with both products rounded, at the
+// effective rates 0, 0.6 and 1, specials included.
+func TestCommitMixBitEqualSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 5e-324, -1e-310}
+	for _, n := range []int{1, 7, 250_001} {
+		g, c := make([]float64, n), make([]float64, n)
+		for i := range g {
+			g[i], c[i] = rng.NormFloat64(), rng.NormFloat64()
+		}
+		for i, s := range specials {
+			g[(3*i)%n], c[(5*i+1)%n] = s, specials[len(specials)-1-i]
+		}
+		for _, alpha := range []float64{0, 0.6, 1} {
+			want := append([]float64(nil), g...)
+			for i := range want {
+				want[i] = float64((1-alpha)*want[i]) + float64(alpha*c[i])
+			}
+			got := append([]float64(nil), g...)
+			if a := CommitMix(got, c, alpha, 1, 0, 0.5); a != alpha {
+				t.Fatalf("effective rate %v, want %v", a, alpha)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d a=%v: CommitMix[%d] = %v, serial %v", n, alpha, i, got[i], want[i])
+				}
 			}
 		}
 	}

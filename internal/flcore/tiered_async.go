@@ -491,14 +491,10 @@ func CommitMix(global, commit []float64, alpha, tierWeight float64, staleness in
 		a = 1
 	}
 	// Chunk-parallel over elements: each element's mix is independent, so
-	// sharding cannot change results (the per-element expression is
-	// unchanged from the historical serial loop).
+	// sharding cannot change results (tensor.Mix rounds each product
+	// before the sum, as the historical serial loop did on amd64).
 	tensor.ParallelChunks(len(global), 3*len(global), func(lo, hi int) {
-		g := global[lo:hi]
-		c := commit[lo:hi:hi]
-		for i := range g {
-			g[i] = (1-a)*g[i] + a*c[i]
-		}
+		tensor.Mix(global[lo:hi], commit[lo:hi], a)
 	})
 	return a
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"slices"
 	"time"
 
 	"repro/internal/compress"
@@ -210,9 +209,9 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 	if err := c.send(&Envelope{Type: MsgRegister, Register: reg}); err != nil {
 		return false, err
 	}
-	// Compressed rounds add their delta into residual, the error-feedback
-	// state, and encode it there, into the previous round's payload: send
-	// reads that only until it returns.
+	// Compressed rounds form their delta plus the carried error in
+	// residual, the error-feedback state, and encode it there, into the
+	// previous round's payload: send reads that only until it returns.
 	var residual []float64
 	var payload []byte
 	// Delta-downlink bases, one per tier that sent this worker a versioned
@@ -301,20 +300,10 @@ func runWorkerSession(addr string, dial func(string, time.Duration) (net.Conn, e
 				if len(w) != len(tw) {
 					return progressed, fatalf("flnet: worker %d round %d: trained %d weights from %d", cfg.ClientID, env.Train.Round, len(w), len(tw))
 				}
-				// The first round after a reset assigns its delta, so that
-				// a −0 keeps its bits, as EncodeFeedback's fresh residual
-				// would.
-				if len(residual) != len(w) {
-					residual = slices.Grow(residual[:0], len(w))[:len(w)]
-					for i := range residual {
-						residual[i] = w[i] - tw[i]
-					}
-				} else {
-					for i := range residual {
-						residual[i] += w[i] - tw[i]
-					}
-				}
-				payload, residual = compress.EncodeFeedbackInto(payload, codec, residual, residual, nil)
+				// (w − tw) + residual, encoded into the previous payload;
+				// the first round after a reset has an empty residual and
+				// assigns w − tw, so that a −0 keeps its bits.
+				payload, residual = compress.EncodeFeedbackInto(payload, codec, w, tw, residual, nil)
 				up = &Envelope{Type: MsgCompressedUpdate, CompressedUpdate: &CompressedUpdate{
 					Round: env.Train.Round, ClientID: cfg.ClientID,
 					Codec: codec.ID(), Payload: payload, NumSamples: n,

@@ -2,8 +2,9 @@ package tensor
 
 // useSIMD routes matMulABTInto's 16-column blocks and every row of a·b
 // and aᵀ·b through the AVX2 kernels in gemm_amd64.s, and the whole 4-lane
-// groups of axpy through the kernel in axpy_amd64.s. It is set once from
-// the CPU; only in-package tests flip it, to compare the two paths.
+// groups of axpy, divide and Mix through the kernels in axpy_amd64.s. It
+// is set once from the CPU; only in-package tests flip it, to compare the
+// two paths.
 var useSIMD = HasAVX2()
 
 // abtKernel16 writes a 16-column block of out = a·b (+bias) for rows
@@ -32,6 +33,16 @@ func listKernel(list *nonzero, left *float64, count, ps, off, step int) int
 //
 //go:noescape
 func axpyKernel(o, b *float64, a float64, n int)
+
+// divKernel is divide (ops.go) over the first n&^3 elements.
+//
+//go:noescape
+func divKernel(o *float64, d float64, n int)
+
+// mixKernel is Mix (ops.go) over the first n&^3 elements, with b = 1 − a.
+//
+//go:noescape
+func mixKernel(o, c *float64, b, a float64, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

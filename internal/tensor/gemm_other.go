@@ -13,6 +13,14 @@ func axpyKernel(o, b *float64, a float64, n int) {
 	panic("tensor: no SIMD kernel on this architecture")
 }
 
+func divKernel(o *float64, d float64, n int) {
+	panic("tensor: no SIMD kernel on this architecture")
+}
+
+func mixKernel(o, c *float64, b, a float64, n int) {
+	panic("tensor: no SIMD kernel on this architecture")
+}
+
 func listKernel(list *nonzero, left *float64, count, ps, off, step int) int {
 	panic("tensor: no SIMD kernel on this architecture")
 }

@@ -197,7 +197,7 @@ func serialAxpy(dst []float64, coeffs []float64, srcs [][]float64) {
 	for k, src := range srcs {
 		c := coeffs[k]
 		for i, v := range src {
-			dst[i] += c * v
+			dst[i] = float64(c*v) + dst[i] // rounded product, as AxpySharded
 		}
 	}
 }

@@ -262,7 +262,7 @@ func axpy(o, b []float64, a float64) {
 		axpyKernel(&o[0], &b[0], a, j)
 	}
 	for ; j < len(o); j++ {
-		o[j] += a * b[j]
+		o[j] = float64(a*b[j]) + o[j] // rounded product: no fused multiply-add
 	}
 }
 
@@ -538,6 +538,27 @@ func ParallelChunks(n, work int, fn func(lo, hi int)) {
 // regardless of worker count. Every src must have len(dst) elements and
 // len(coeffs) must equal len(srcs).
 func AxpySharded(dst []float64, coeffs []float64, srcs [][]float64) {
+	reduceSharded(dst, coeffs, srcs, false, 0)
+}
+
+// MeanSharded writes dst[i] = (Σ_k coeffs[k]·srcs[k][i]) / total — FedAvg's
+// weighted mean — in one pass over dst: each shard walks its range in
+// tiles of reduceTile elements, and a tile is cleared, gains every
+// source's axpy in ascending k and is divided by total while it stays in
+// L1. Each element thus sees the clear, double loop and divide of three
+// serial passes, in their order, whatever the worker count. srcs and
+// coeffs must be as for AxpySharded.
+func MeanSharded(dst []float64, coeffs []float64, srcs [][]float64, total float64) {
+	reduceSharded(dst, coeffs, srcs, true, total)
+}
+
+// reduceTile is the element count of one reduction tile: 4 KiB of dst,
+// which stays in L1 beside the source tiles streaming past it.
+const reduceTile = 512
+
+// reduceSharded checks the operands and runs reduceRange over dst, split
+// across goroutines once the work reaches parallelThreshold.
+func reduceSharded(dst []float64, coeffs []float64, srcs [][]float64, mean bool, total float64) {
 	if len(coeffs) != len(srcs) {
 		panicAxpyArity(len(coeffs), len(srcs))
 	}
@@ -546,17 +567,59 @@ func AxpySharded(dst []float64, coeffs []float64, srcs [][]float64) {
 			panicAxpyLen(k, len(s), len(dst))
 		}
 	}
-	if len(dst)*len(srcs) < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
-		axpyRange(dst, coeffs, srcs, 0, len(dst))
+	if len(dst)*(len(srcs)+1) < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
+		reduceRange(dst, coeffs, srcs, 0, len(dst), mean, total)
 		return
 	}
-	parallelRows(len(dst), func(lo, hi int) { axpyRange(dst, coeffs, srcs, lo, hi) })
+	parallelRows(len(dst), func(lo, hi int) { reduceRange(dst, coeffs, srcs, lo, hi, mean, total) })
 }
 
-// axpyRange accumulates the k-sum for elements [lo,hi), one axpy sweep per
-// source in ascending k.
-func axpyRange(dst []float64, coeffs []float64, srcs [][]float64, lo, hi int) {
-	for k, src := range srcs {
-		axpy(dst[lo:hi], src[lo:hi], coeffs[k])
+// reduceRange accumulates the k-sum for elements [lo,hi) a tile at a time,
+// one axpy sweep per source in ascending k; with mean it clears each tile
+// first and divides it by total last.
+func reduceRange(dst []float64, coeffs []float64, srcs [][]float64, lo, hi int, mean bool, total float64) {
+	for t := lo; t < hi; t += reduceTile {
+		d := dst[t:min(t+reduceTile, hi)]
+		if mean {
+			clear(d)
+		}
+		for k, src := range srcs {
+			axpy(d, src[t:t+len(d)], coeffs[k])
+		}
+		if mean {
+			divide(d, total)
+		}
+	}
+}
+
+// divide computes o[j] /= d. With useSIMD the whole 4-lane groups run on
+// divKernel and the last len(o)%4 on the loop; a division is exact per
+// lane, so the bits agree.
+func divide(o []float64, d float64) {
+	j := 0
+	if useSIMD && len(o) >= 4 {
+		j = len(o) &^ 3
+		divKernel(&o[0], d, j)
+	}
+	for ; j < len(o); j++ {
+		o[j] /= d
+	}
+}
+
+// Mix computes g[i] = (1−a)·g[i] + a·c[i], FedAT's commit mix, for i <
+// len(g): each product rounded, then the sum, never a fused multiply-add,
+// so every platform and both paths give the same bits. With useSIMD the
+// whole 4-lane groups run on mixKernel and the last len(g)%4 on the loop.
+// c must be at least as long as g.
+func Mix(g, c []float64, a float64) {
+	c = c[:len(g)]
+	b := 1 - a
+	j := 0
+	if useSIMD && len(g) >= 4 {
+		j = len(g) &^ 3
+		mixKernel(&g[0], &c[0], b, a, j)
+	}
+	for ; j < len(g); j++ {
+		g[j] = float64(b*g[j]) + float64(a*c[j])
 	}
 }
