@@ -243,7 +243,7 @@ func overlaps(a, b []float64) bool {
 // len(base) vector that may be base itself, or in a fresh slice when out
 // is nil; base is not otherwise mutated. An int8 payload decodes straight
 // into out and allocates nothing. A payload DecodePayload would reject is
-// rejected here with no vector, and out's contents are then unspecified.
+// rejected here with no vector, before anything is written to out.
 func AddDecoded(out []float64, id byte, payload []byte, base []float64) ([]float64, error) {
 	if out != nil && len(out) != len(base) {
 		panic(fmt.Sprintf("compress: out length %d != base length %d", len(out), len(base)))

@@ -257,10 +257,19 @@ func ApplyDelta(id byte, payload []byte, base []float64) ([]float64, error) {
 // composes exactly, and a lossy step adds the same reconstruction the chain
 // added. The first step reads base and every later one works in place. dst
 // may be base itself; otherwise base is not mutated. An empty catch-up is
-// an error; on error dst's contents are unspecified.
+// an error. An int8 catch-up is checked whole before its first step, so a
+// rejected one writes nothing; with any other codec a rejected step leaves
+// dst holding the steps before it.
 func ApplyCatchUp(dst []float64, id byte, payloads [][]byte, base []float64) ([]float64, error) {
 	if len(payloads) == 0 {
 		return nil, fmt.Errorf("compress: empty catch-up")
+	}
+	if id == IDInt8 {
+		for i, p := range payloads {
+			if _, err := CheckInt8(p, len(base)); err != nil {
+				return nil, fmt.Errorf("compress: catch-up payload %d of %d: %w", i+1, len(payloads), err)
+			}
+		}
 	}
 	if cap(dst) < len(base) {
 		dst = make([]float64, len(base))

@@ -1,6 +1,8 @@
 package compress
 
 import (
+	"fmt"
+	"hash/crc32"
 	"math"
 	"testing"
 )
@@ -82,11 +84,24 @@ func FuzzInt8Decode(f *testing.F) {
 	fuzzSeeds(f, c)
 	f.Add(NewInt8(7).Encode(testVector(100, 3))) // odd chunk from a differently-configured peer
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// A range [lo, hi) of the vector, drawn from the input's checksum.
+		h := crc32.ChecksumIEEE(data)
 		for _, n := range []int{0, 1, 100, 2000} {
 			var scalar []float64
 			bothPaths(func(simd bool) {
 				fuzzRoundTrip(t, c, c, data, n)
 				w, _ := c.Decode(data, n)
+				if w != nil {
+					v, err := CheckInt8(data, n)
+					if err != nil {
+						t.Fatalf("a decoded payload fails its check: %v", err)
+					}
+					lo := int(h % uint32(n+1))
+					hi := lo + int((h>>12)%uint32(n-lo+1))
+					part := make([]float64, hi-lo)
+					v.DecodeRange(part, nil, lo)
+					sameBits(t, fmt.Sprintf("DecodeRange [%d, %d)", lo, hi), part, w[lo:hi])
+				}
 				if !simd {
 					scalar = w
 					return

@@ -204,68 +204,113 @@ func (c Int8) Decode(payload []byte, n int) ([]float64, error) {
 	return decodeInt8(nil, payload, n, nil)
 }
 
-// decodeInt8 is the one int8 decoder: it validates the payload and returns
-// base[i] + q·scale per coordinate in a single slice (a nil base yields
-// the bare reconstruction q·scale): out, which may be base itself, or a
-// fresh one when out is nil. Each chunk's scale is checked before any of
-// that chunk's coordinates is written, and a rejected payload returns no
-// vector at all — though it may have written the chunks before the bad one
-// into out.
+// decodeInt8 is the int8 decoder behind Decode, AddDecoded and
+// ApplyCatchUp: CheckInt8, then one DecodeRange over the whole vector. It
+// returns base[i] + q·scale per coordinate (a nil base yields the bare
+// reconstruction q·scale) in out, which may be base itself, or in a fresh
+// slice when out is nil. A rejected payload returns no vector and writes
+// nothing.
 func decodeInt8(out []float64, payload []byte, n int, base []float64) ([]float64, error) {
-	if len(payload) < 12 {
-		return nil, fmt.Errorf("compress: int8 payload too short (%d bytes)", len(payload))
-	}
-	if binary.LittleEndian.Uint32(payload[0:4]) != int8Magic {
-		return nil, fmt.Errorf("compress: bad int8 payload magic")
-	}
-	count := int(binary.LittleEndian.Uint32(payload[4:8]))
-	chunk := int(binary.LittleEndian.Uint32(payload[8:12]))
-	if count != n {
-		return nil, fmt.Errorf("compress: int8 payload carries %d weights, want %d", count, n)
-	}
-	if chunk <= 0 {
-		return nil, fmt.Errorf("compress: int8 payload chunk %d", chunk)
-	}
-	chunks := (n + chunk - 1) / chunk
-	if want := 12 + 4*chunks + n; len(payload) != want {
-		return nil, fmt.Errorf("compress: int8 payload length %d, want %d for %d weights", len(payload), want, n)
+	v, err := CheckInt8(payload, n)
+	if err != nil {
+		return nil, err
 	}
 	if out == nil {
 		out = make([]float64, n)
 	}
-	off := 12
-	for start := 0; start < n; start += chunk {
-		dst := out[start:min(start+chunk, n)]
-		scale := math.Float32frombits(binary.LittleEndian.Uint32(payload[off:]))
+	v.DecodeRange(out, base, 0)
+	return out, nil
+}
+
+// Int8View is an int8 payload that passed CheckInt8 for an n-vector: a
+// reader of its reconstruction, any coordinate range at a time. It aliases
+// the payload, which must not change while the view is read.
+type Int8View struct {
+	payload  []byte
+	n, chunk int
+}
+
+// CheckInt8 validates an int8 payload for an n-vector — magic, count,
+// chunk, length, and every chunk's scale — and returns a view of it. A
+// payload no encoder could have produced is rejected here, before any of
+// it is decoded.
+func CheckInt8(payload []byte, n int) (Int8View, error) {
+	if len(payload) < 12 {
+		return Int8View{}, fmt.Errorf("compress: int8 payload too short (%d bytes)", len(payload))
+	}
+	if binary.LittleEndian.Uint32(payload[0:4]) != int8Magic {
+		return Int8View{}, fmt.Errorf("compress: bad int8 payload magic")
+	}
+	count := int(binary.LittleEndian.Uint32(payload[4:8]))
+	chunk := int(binary.LittleEndian.Uint32(payload[8:12]))
+	if count != n {
+		return Int8View{}, fmt.Errorf("compress: int8 payload carries %d weights, want %d", count, n)
+	}
+	if chunk <= 0 {
+		return Int8View{}, fmt.Errorf("compress: int8 payload chunk %d", chunk)
+	}
+	chunks := n / chunk
+	if n%chunk != 0 {
+		chunks++
+	}
+	if want := 12 + 4*chunks + n; len(payload) != want {
+		return Int8View{}, fmt.Errorf("compress: int8 payload length %d, want %d for %d weights", len(payload), want, n)
+	}
+	for c := range chunks {
+		// c·(4+chunk) stays within the payload: a second chunk means chunk < n.
+		scale := math.Float32frombits(binary.LittleEndian.Uint32(payload[12+c*(4+chunk):]))
 		s := float64(scale)
 		// Reject non-finite scales and scales whose reconstructed values
 		// (up to 127·scale) leave the float32 range — vectors no encoder
 		// could have produced. The bound carries a one-ulp margin because
 		// Encode's clamped float64 scale may round up in float32.
 		if math.IsNaN(s) || s < 0 || s > math.MaxFloat32/127*(1+1e-6) {
-			return nil, fmt.Errorf("compress: int8 payload scale %v", scale)
+			return Int8View{}, fmt.Errorf("compress: int8 payload scale %v", scale)
 		}
-		codes := payload[off+4 : off+4+len(dst)]
-		off += 4 + len(dst)
+	}
+	return Int8View{payload: payload, n: n, chunk: chunk}, nil
+}
+
+// Len is the length of the vector the view reconstructs.
+func (v Int8View) Len() int { return v.n }
+
+// DecodeRange writes base[i] + q·scale for coordinates [lo, lo+len(dst))
+// of the vector into dst[i] (the bare q·scale for a nil base); base is
+// that range of the base, len(dst) long, and may be dst itself. The range
+// may start and end anywhere, across any number of chunks. With useSIMD
+// the decode kernel takes each chunk's whole 4-lane groups in the range
+// and the loops below the rest; every split gives the same bits.
+func (v Int8View) DecodeRange(dst, base []float64, lo int) {
+	if lo < 0 || len(dst) > v.n-lo || (base != nil && len(base) != len(dst)) {
+		panic(fmt.Sprintf("compress: int8 range [%d, %d) with a %d-element base, vector of %d", lo, lo+len(dst), len(base), v.n))
+	}
+	for i := 0; i < len(dst); {
+		c := (lo + i) / v.chunk
+		first := c * v.chunk // the chunk's first coordinate
+		off := 12 + c*(4+v.chunk)
+		s := float64(math.Float32frombits(binary.LittleEndian.Uint32(v.payload[off:])))
+		m := min(first+v.chunk, lo+len(dst)) - (lo + i) // coordinates taken from this chunk
+		codes := v.payload[off+4+lo+i-first:][:m]
+		d := dst[i : i+m]
 		var from []float64
 		if base != nil {
-			from = base[start : start+len(dst)]
+			from = base[i : i+m]
 		}
+		i += m
 		done := 0
 		if useSIMD {
-			done = len(dst) &^ 3
-			int8Decode(dst[:done], from, codes, s)
+			done = m &^ 3
+			int8Decode(d[:done], from, codes, s)
 		}
 		if from == nil {
-			for i := done; i < len(dst); i++ {
-				dst[i] = float64(int8(codes[i])) * s
+			for j := done; j < m; j++ {
+				d[j] = float64(int8(codes[j])) * s
 			}
 			continue
 		}
 		// As in encode: round the product before the add, never an FMA.
-		for i := done; i < len(dst); i++ {
-			dst[i] = from[i] + float64(float64(int8(codes[i]))*s)
+		for j := done; j < m; j++ {
+			d[j] = from[j] + float64(float64(int8(codes[j]))*s)
 		}
 	}
-	return out, nil
 }

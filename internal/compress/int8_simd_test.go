@@ -2,6 +2,7 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -48,6 +49,9 @@ type int8Outputs struct {
 	encoded, payload, inPlacePayload        []byte
 	rec, residual, inPlace, inPlaceResidual []float64
 	decoded, applied, caughtUp              []float64
+	// The payload decoded in ranges of 1 to 13 coordinates, bare and
+	// against applied's base.
+	rangedBare, ranged []float64
 	// The delta against a base, its reconstruction written over the base
 	// (the chain's call) and over cur (the sim's).
 	intoBasePayload, intoCurPayload []byte
@@ -82,7 +86,24 @@ func int8Run(c Int8, w, carry []float64) int8Outputs {
 	if o.caughtUp, err = ApplyCatchUp(slices.Clone(base), IDInt8, [][]byte{o.payload, o.payload}, base); err != nil {
 		panic(err)
 	}
+	o.rangedBare, o.ranged = decodeInRanges(o.payload, nil), decodeInRanges(o.payload, base)
 	return o
+}
+
+// decodeInRanges decodes an int8 payload against base (nil: bare) through
+// DecodeRange, in consecutive ranges of 1, 2, …, 13, 1, … coordinates.
+func decodeInRanges(payload []byte, base []float64) []float64 {
+	n := int(binary.LittleEndian.Uint32(payload[4:]))
+	v, err := CheckInt8(payload, n)
+	if err != nil {
+		panic(err)
+	}
+	out := make([]float64, n)
+	for lo, step := 0, 1; lo < n; lo, step = lo+step, step%13+1 {
+		hi := min(lo+step, n)
+		v.DecodeRange(out[lo:hi], part(base, lo, hi), lo)
+	}
+	return out
 }
 
 func (o int8Outputs) mustEqual(t *testing.T, want int8Outputs) {
@@ -111,6 +132,8 @@ func (o int8Outputs) mustEqual(t *testing.T, want int8Outputs) {
 	sameBits(t, "Decode", o.decoded, want.decoded)
 	sameBits(t, "ApplyDelta", o.applied, want.applied)
 	sameBits(t, "ApplyCatchUp", o.caughtUp, want.caughtUp)
+	sameBits(t, "DecodeRange, bare", o.rangedBare, want.rangedBare)
+	sameBits(t, "DecodeRange", o.ranged, want.ranged)
 }
 
 func TestInt8KernelsMatchScalar(t *testing.T) {
@@ -142,6 +165,8 @@ func TestInt8KernelsMatchScalar(t *testing.T) {
 			127 * 0.375, 0.5 * 0.375, 1.5 * 0.375, 2.5 * 0.375, -0.5 * 0.375, -1.5 * 0.375, -2.5 * 0.375, 126.5 * 0.375}},
 		{"int8@7 on 30 coordinates", NewInt8(7), nastyVector(30, 8)},
 		{"int8@7, last chunk one whole group", NewInt8(7), testVector(11, 9)},
+		{"int8@5 on 64 nasty coordinates", NewInt8(5), nastyVector(64, 10)},
+		{"int8@16 on 61 coordinates", NewInt8(16), nastyVector(61, 11)},
 	}
 	for n := 1; n <= 9; n++ {
 		rows = append(rows, row{fmt.Sprintf("length %d", n), NewInt8(0), nastyVector(n, int64(n))})
@@ -162,6 +187,9 @@ func TestInt8KernelsMatchScalar(t *testing.T) {
 				var want int8Outputs
 				bothPaths(func(simd bool) {
 					got := int8Run(r.c, r.w, carry)
+					// Any ranges give the one full-range decode's bits.
+					sameBits(t, "DecodeRange against Decode", got.rangedBare, got.decoded)
+					sameBits(t, "DecodeRange against ApplyDelta", got.ranged, got.applied)
 					if !simd {
 						want = got
 						return
@@ -221,6 +249,45 @@ func TestInt8EncodeIntoDirtyBuffer(t *testing.T) {
 	} {
 		t.Run(r.name, func(t *testing.T) {
 			bothPaths(func(bool) { checkInt8IntoDirty(t, NewInt8(8), r.w, r.room) })
+		})
+	}
+}
+
+// A payload is checked whole before anything is decoded: one whose last
+// chunk's scale is refused leaves out — under ApplyCatchUp, a worker's held
+// base — bit for bit as it was, even though every earlier chunk is valid
+// and an earlier catch-up step is too.
+func TestInt8BadLastScaleWritesNothing(t *testing.T) {
+	const chunk, n = 8, 29 // four chunks, the last one short
+	good := NewInt8(chunk).Encode(testVector(n, 21))
+	base := nastyVector(n, 22)
+	for _, r := range []struct {
+		name string
+		bits uint32
+	}{
+		{"NaN", 0x7FC0_0000},
+		{"negative", math.Float32bits(-1)},
+		{"oversize", math.Float32bits(math.MaxFloat32)},
+	} {
+		bad := slices.Clone(good)
+		binary.LittleEndian.PutUint32(bad[12+3*(4+chunk):], r.bits)
+		bothPaths(func(simd bool) {
+			name := fmt.Sprintf("%s scale, simd=%v", r.name, simd)
+			out := slices.Clone(base)
+			if _, err := AddDecoded(out, IDInt8, bad, base); err == nil {
+				t.Fatalf("%s: AddDecoded accepted the payload", name)
+			}
+			sameBits(t, name+": AddDecoded's out", out, base)
+			if _, err := AddDecoded(out, IDInt8, bad, out); err == nil {
+				t.Fatalf("%s: AddDecoded in place accepted the payload", name)
+			}
+			sameBits(t, name+": AddDecoded's base", out, base)
+			for _, payloads := range [][][]byte{{bad}, {good, bad}} {
+				if _, err := ApplyCatchUp(out, IDInt8, payloads, out); err == nil {
+					t.Fatalf("%s: ApplyCatchUp of %d payloads accepted", name, len(payloads))
+				}
+				sameBits(t, fmt.Sprintf("%s: the base after a %d-payload catch-up", name, len(payloads)), out, base)
+			}
 		})
 	}
 }

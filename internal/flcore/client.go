@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/compress"
 	"repro/internal/dataset"
 	"repro/internal/tensor"
 )
@@ -78,8 +79,15 @@ func (c *Client) EffectiveCPU(round int) float64 {
 // Update is one client's contribution to a round: its locally trained
 // weights, aggregation weight, and observed response latency.
 type Update struct {
-	ClientID   int
-	Weights    []float64
+	ClientID int
+	// Weights is the trained vector; nil for an update held encoded.
+	Weights []float64
+	// Encoded and Base hold an update that arrived int8-compressed (set
+	// while Weights is nil): its weights are Base + Encoded's
+	// reconstruction, which FedAvgInto decodes one tile at a time. Base
+	// must hold still until the update is aggregated.
+	Encoded    compress.Int8View
+	Base       []float64
 	NumSamples int
 	Latency    float64
 	// WireBytes is the encoded uplink size of this update — the codec
@@ -91,11 +99,14 @@ type Update struct {
 // vectors (line 8 of Algorithm 1) into dst, reusing dst's storage (the
 // round loops aggregate into a standing vector instead of reallocating it
 // every round). dst must have the updates' length and must not alias any
-// update's weight vector; it panics on no updates or a length mismatch. The
-// reduction is one tensor.MeanSharded: chunk-parallel across elements, each
+// update's weight vector, though it may be an encoded update's Base; it
+// panics on no updates or a length mismatch. The reduction is one
+// tensor.MeanSharded — tensor.MeanTiles when an update is encoded, which
+// decodes it into each tile's scratch: chunk-parallel across elements, each
 // chunk cleared, summed and divided a cache-sized tile at a time — serial
 // and in update order within each element — so the result is
-// byte-identical to the historical serial loop for any worker count.
+// byte-identical to the historical serial loop over decoded updates for any
+// worker count.
 func FedAvgInto(dst []float64, updates []Update) {
 	if len(updates) == 0 {
 		panic("flcore: FedAvg of no updates")
@@ -103,10 +114,22 @@ func FedAvgInto(dst []float64, updates []Update) {
 	n := len(dst)
 	coeffs := make([]float64, len(updates))
 	srcs := make([][]float64, len(updates))
+	encoded := false
 	total := 0.0
 	for k, u := range updates {
-		if len(u.Weights) != n {
-			panic(fmt.Sprintf("flcore: update length %d != %d", len(u.Weights), n))
+		size := len(u.Weights)
+		if u.Weights == nil {
+			size = u.Encoded.Len()
+		}
+		switch {
+		case size != n:
+			panic(fmt.Sprintf("flcore: update length %d != %d", size, n))
+		case u.Weights != nil:
+			srcs[k] = u.Weights
+		case len(u.Base) != n:
+			panic(fmt.Sprintf("flcore: encoded update's base length %d != %d", len(u.Base), n))
+		default:
+			encoded = true
 		}
 		w := float64(u.NumSamples)
 		if w <= 0 {
@@ -114,9 +137,15 @@ func FedAvgInto(dst []float64, updates []Update) {
 		}
 		total += w
 		coeffs[k] = w
-		srcs[k] = u.Weights
 	}
-	tensor.MeanSharded(dst, coeffs, srcs, total)
+	if !encoded {
+		tensor.MeanSharded(dst, coeffs, srcs, total)
+		return
+	}
+	tensor.MeanTiles(dst, coeffs, srcs, func(k int, tile []float64, lo int) {
+		u := &updates[k]
+		u.Encoded.DecodeRange(tile, u.Base[lo:lo+len(tile)], lo)
+	}, total)
 }
 
 // MaxLatency returns the round latency under synchronous FL: the slowest

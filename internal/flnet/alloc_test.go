@@ -2,6 +2,7 @@ package flnet
 
 import (
 	"math"
+	"math/bits"
 	"net"
 	"runtime"
 	"runtime/debug"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/flcore"
+	"repro/internal/nn"
 )
 
 // Allocation contract of the socket path, in the style of nn/alloc_test.go
@@ -71,7 +74,7 @@ func steadyStateRoundTrips(t *testing.T, codec compress.Codec, send func(c *conn
 			first, last = 0, 0
 		}
 		u, ok := decodeUpdate(peer, env, weights)
-		if !ok || !near(u.Weights[0], first+1) || !near(u.Weights[n-1], last+1) {
+		if !ok || !near(weightAt(u.Update, 0), first+1) || !near(weightAt(u.Update, n-1), last+1) {
 			t.Fatalf("round %d: update decoded as ok %v", round, ok)
 		}
 		recycle(u)
@@ -86,6 +89,13 @@ func steadyStateRoundTrips(t *testing.T, codec compress.Codec, send func(c *conn
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for r := 0; r < rounds; r++ {
+		if codec != nil {
+			// A compressed update takes no dense vector at the aggregator:
+			// with the pool's dense class empty, one would be a fresh
+			// allocation over the bound.
+			for blobs[bits.Len(uint(compress.DenseBytes(n)))].Get() != nil {
+			}
+		}
 		roundTrip(3 + r)
 	}
 	runtime.ReadMemStats(&after)
@@ -102,6 +112,17 @@ func steadyStateRoundTrips(t *testing.T, codec compress.Codec, send func(c *conn
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker: %v", err)
 	}
+}
+
+// weightAt is coordinate i of an update's weights, decoded alone from an
+// int8 update's payload.
+func weightAt(u flcore.Update, i int) float64 {
+	if u.Weights != nil {
+		return u.Weights[i]
+	}
+	var w [1]float64
+	u.Encoded.DecodeRange(w[:], u.Base[i:i+1], i)
+	return w[0]
 }
 
 func allocModel() []float64 {
@@ -170,4 +191,38 @@ func TestInt8CatchUpSteadyStateAllocs(t *testing.T) {
 // round trip allocates less than the payload it sends.
 func TestInt8UplinkSteadyStateAllocs(t *testing.T) {
 	steadyStateRoundTrips(t, compress.NewInt8(0), int8Downlink(t))
+}
+
+// A tree child decodes each pull into the pull base it holds, which is
+// also its round's weights: once that base is sized, neither a dense pull
+// nor a delta+int8 one allocates.
+func TestTreePullSteadyStateAllocs(t *testing.T) {
+	model := allocModel()
+	ch := (&compress.Downlink{Codec: compress.NewInt8(0)}).NewChain()
+	ch.Adopt(model)
+	next := slices.Clone(model)
+	for i := range next {
+		next[i] += 1e-3 * float64(i%5-2)
+	}
+	delta, id := ch.Encode(next)
+	for _, r := range []struct {
+		name string
+		pull *TreePull
+	}{
+		{"dense", &TreePull{Version: 1, Raw: nn.EncodeWeights(model)}},
+		{"delta+int8", &TreePull{Version: 2, Delta: delta, DeltaBase: 1, DeltaCodec: id}},
+	} {
+		base, err := (&TreePull{Version: 1, Raw: nn.EncodeWeights(model)}).applyTo(nil, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := &base[0]
+		if got := testing.AllocsPerRun(10, func() {
+			if base, err = r.pull.applyTo(base, 1); err != nil || &base[0] != held {
+				t.Fatalf("%s pull: decoded in place %v, err %v", r.name, &base[0] == held, err)
+			}
+		}); got != 0 {
+			t.Errorf("%s pull allocates %v times at steady state, want 0", r.name, got)
+		}
+	}
 }

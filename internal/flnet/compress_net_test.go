@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"encoding/binary"
 	"math"
 	"net"
 	"slices"
@@ -10,7 +11,19 @@ import (
 	"time"
 
 	"repro/internal/compress"
+	"repro/internal/flcore"
 )
+
+// updateWeights is an update's weight vector: Weights, or an int8 update's
+// payload decoded against its base (nil when the two lengths differ).
+func updateWeights(u flcore.Update) []float64 {
+	if u.Weights != nil || len(u.Base) != u.Encoded.Len() {
+		return u.Weights
+	}
+	w := make([]float64, len(u.Base))
+	u.Encoded.DecodeRange(w, u.Base, 0)
+	return w
+}
 
 // initVec returns an n-weight starting model with distinct values.
 func initVec(n int) []float64 {
@@ -243,10 +256,11 @@ func TestUnrepliedBroadcastGoesDense(t *testing.T) {
 }
 
 // TestDecodeUpdateCompressed pins the aggregator's receive path for one
-// int8 update: the reconstruction is broadcast + decode(payload) bit for
-// bit, built in the recycled buffer the update carries as blob (no
-// intermediate delta, no allocation once the pool is warm), and a corrupt
-// payload drops the update instead of yielding a partial one.
+// int8 update: the update holds its checked payload in the receive buffer
+// it carries as blob, its reconstruction is broadcast + decode(payload) bit
+// for bit (no intermediate delta, no allocation even with nothing
+// recycled), and a corrupt payload drops the update instead of yielding a
+// partial one.
 func TestDecodeUpdateCompressed(t *testing.T) {
 	const n = 3000
 	codec := compress.NewInt8(0)
@@ -256,31 +270,33 @@ func TestDecodeUpdateCompressed(t *testing.T) {
 	}
 	payload, rec, _ := compress.EncodeDelta(codec, delta, nil)
 	w := &registered{codec: codec.ID()}
+	b := getBlob(len(payload))
+	copy(*b, payload)
 	env := &Envelope{Type: MsgCompressedUpdate, CompressedUpdate: &CompressedUpdate{
-		Round: 1, ClientID: 4, NumSamples: 9, Codec: codec.ID(), Payload: payload,
-	}}
+		Round: 1, ClientID: 4, NumSamples: 9, Codec: codec.ID(), Payload: *b,
+	}, blob: b}
 	u, ok := decodeUpdate(w, env, weights)
-	if !ok || u.ClientID != 4 || u.NumSamples != 9 || u.WireBytes != len(payload) || len(u.Weights) != n {
+	got := updateWeights(u.Update)
+	if !ok || u.ClientID != 4 || u.NumSamples != 9 || u.WireBytes != len(payload) || len(got) != n {
 		t.Fatalf("decoded update = %+v, ok %v", u, ok)
 	}
 	for i := range weights {
-		if want := weights[i] + rec[i]; math.Float64bits(u.Weights[i]) != math.Float64bits(want) {
-			t.Fatalf("weights[%d] = %v, want %v", i, u.Weights[i], want)
+		if want := weights[i] + rec[i]; math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("weights[%d] = %v, want %v", i, got[i], want)
 		}
 	}
-	if u.blob == nil {
-		t.Fatal("decoded update carries no buffer to recycle")
+	if u.blob != b {
+		t.Fatal("decoded update does not carry its receive buffer to recycle")
 	}
-	recycle(u)
-	// Under the race detector sync.Pool drops Puts, so the pool is not warm.
-	if got := testing.AllocsPerRun(20, func() { u, _ := decodeUpdate(w, env, weights); recycle(u) }); got != 0 && !raceEnabled {
-		t.Errorf("decodeUpdate allocates %v times per recycled int8 update, want 0", got)
+	if got := testing.AllocsPerRun(20, func() { env.blob = b; u, _ = decodeUpdate(w, env, weights) }); got != 0 {
+		t.Errorf("decodeUpdate allocates %v times per held int8 update, want 0", got)
 	}
-	payload[12+2] |= 0x7F // first chunk's scale becomes NaN/huge
-	payload[12+3] |= 0x7F
+	(*b)[12+2] |= 0x7F // first chunk's scale becomes NaN/huge
+	(*b)[12+3] |= 0x7F
 	if _, ok := decodeUpdate(w, env, weights); ok {
 		t.Fatal("corrupt int8 update must be rejected")
 	}
+	recycle(u)
 }
 
 // TestTrainReturningItsWeightsSendsNoChange holds the worker to TrainFunc's
@@ -347,5 +363,21 @@ func TestTrainReturningItsWeightsSendsNoChange(t *testing.T) {
 	}
 	if err := <-workerDone; err != nil {
 		t.Fatalf("worker: %v", err)
+	}
+}
+
+// An int8 update whose last chunk's scale no encoder writes is dropped at
+// decodeUpdate, so it is never averaged.
+func TestDecodeUpdateDropsBadLastScale(t *testing.T) {
+	const chunk, n = 8, 29
+	good := compress.NewInt8(chunk).Encode(initVec(n))
+	w := &registered{codec: compress.IDInt8}
+	for _, bits := range []uint32{0x7FC0_0000, math.Float32bits(-1), math.Float32bits(math.MaxFloat32)} {
+		bad := slices.Clone(good)
+		binary.LittleEndian.PutUint32(bad[12+3*(4+chunk):], bits)
+		env := &Envelope{Type: MsgCompressedUpdate, CompressedUpdate: &CompressedUpdate{ClientID: 1, NumSamples: 1, Codec: compress.IDInt8, Payload: bad}}
+		if _, ok := decodeUpdate(w, env, initVec(n)); ok {
+			t.Fatalf("an update whose last scale is %#x was accepted", bits)
+		}
 	}
 }

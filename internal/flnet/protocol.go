@@ -321,6 +321,20 @@ func (p *TreePull) pullWeights(dst []float64) ([]float64, error) {
 	return w, err
 }
 
+// applyTo decodes the pull into base, the pull the child holds (version
+// held; nil before the first), in place: a dense pull replaces it, a delta
+// pull must be against it and updates it. It returns the new pull, in
+// base's storage once base is sized.
+func (p *TreePull) applyTo(base []float64, held int) ([]float64, error) {
+	if p.Delta == nil {
+		return p.pullWeights(base)
+	}
+	if base == nil || p.DeltaBase != held {
+		return nil, fmt.Errorf("pull delta against version %d, holding %d", p.DeltaBase, held)
+	}
+	return compress.ApplyCatchUp(base, p.DeltaCodec, [][]byte{p.Delta}, base)
+}
+
 // TierCommit is one tier's finished round on its way to the global model:
 // the flcore.Commit flcore.RunTierRound produced, plus how many clients it
 // aggregated and its wall-clock seconds. A flat root's tier loops hand it
@@ -365,7 +379,8 @@ type CompressedUpdate struct {
 	ClientID int
 	Codec    byte
 	// Payload is the frame's blob: the aggregator's until decodeUpdate
-	// releases it.
+	// releases it, or, for an int8 payload, keeps its buffer, as the
+	// update's Encoded, until recycle.
 	Payload    []byte
 	NumSamples int
 	// Seconds mirrors Update.Seconds: the worker-measured duration of the

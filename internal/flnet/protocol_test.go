@@ -397,10 +397,11 @@ func FuzzEnvelopeRecv(f *testing.F) {
 				if !ok {
 					continue
 				}
-				if len(u.Weights) != len(model) {
-					t.Fatalf("accepted a %d-weight update for a %d-weight model", len(u.Weights), len(model))
+				uw := updateWeights(u.Update)
+				if len(uw) != len(model) {
+					t.Fatalf("accepted a %d-weight update for a %d-weight model", len(uw), len(model))
 				}
-				for _, v := range u.Weights {
+				for _, v := range uw {
 					if env.Type == MsgUpdate && (math.IsNaN(v) || math.IsInf(v, 0)) {
 						t.Fatalf("accepted a dense update holding %v", v)
 					}

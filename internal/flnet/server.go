@@ -587,10 +587,13 @@ func (a *server) FinishWorkers(rounds int) {
 // which FedAvg would spread over the whole model (one nn.AllFinite scan).
 // Compressed updates are not checked for finiteness (ROADMAP item 4).
 //
-// A dense update's Weights view its receive buffer (nn.ViewWeights), and a
-// compressed update decodes into a recycled one (vectorBlob); either way
-// the result carries that buffer as blob for the caller to recycle once
-// the round's aggregation has read it.
+// A dense update's Weights view its receive buffer (nn.ViewWeights), and
+// an int8 update stays its payload, checked (compress.CheckInt8) and held
+// as Encoded against weights as Base, which FedAvgInto decodes a tile at a
+// time: either way the result carries the receive buffer as blob for the
+// caller to recycle once the round's aggregation has read it, and weights
+// must hold still until then. Other codecs decode into a recycled vector
+// (vectorBlob), which the result carries instead.
 // The result's src is w; its idx is the caller's to set.
 func decodeUpdate(w *registered, env *Envelope, weights []float64) (timedUpdate, bool) {
 	defer env.release()
@@ -619,17 +622,26 @@ func decodeUpdate(w *registered, env *Envelope, weights []float64) (timedUpdate,
 		if !w.acceptsCodec(cu.Codec) {
 			return timedUpdate{}, false
 		}
+		u := flcore.Update{
+			ClientID: cu.ClientID, NumSamples: cu.NumSamples,
+			Latency: cu.Seconds, WireBytes: len(cu.Payload),
+		}
+		if cu.Codec == compress.IDInt8 {
+			v, err := compress.CheckInt8(cu.Payload, len(weights))
+			if err != nil {
+				return timedUpdate{}, false
+			}
+			u.Encoded, u.Base = v, weights
+			return timedUpdate{Update: u, src: w, blob: env.take()}, true
+		}
 		blob, out := vectorBlob(len(weights))
 		rec, err := compress.AddDecoded(out, cu.Codec, cu.Payload, weights)
 		if err != nil {
 			putBlob(blob)
 			return timedUpdate{}, false
 		}
-		return timedUpdate{Update: flcore.Update{
-			ClientID: cu.ClientID, Weights: rec,
-			NumSamples: cu.NumSamples, Latency: cu.Seconds,
-			WireBytes: len(cu.Payload),
-		}, src: w, blob: blob}, true
+		u.Weights = rec
+		return timedUpdate{Update: u, src: w, blob: blob}, true
 	}
 	return timedUpdate{}, false
 }

@@ -436,7 +436,7 @@ type timedUpdate struct {
 	flcore.Update
 	idx  int
 	src  *registered
-	blob *[]byte // the buffer Weights lives in (decodeUpdate); recycle returns it
+	blob *[]byte // the buffer Weights or Encoded lives in (decodeUpdate); recycle returns it
 }
 
 // trainReq is one outstanding train request: its position in the round,
@@ -629,8 +629,8 @@ func (f *fanIn) collect(reqs []*trainReq, cr *cohortRound) []timedUpdate {
 	return updates
 }
 
-// recycle returns the buffers the updates' Weights live in once nothing
-// reads them.
+// recycle returns the buffers the updates' Weights or Encoded live in once
+// nothing reads them.
 func recycle(updates ...timedUpdate) {
 	for _, u := range updates {
 		putBlob(u.blob)

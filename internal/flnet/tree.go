@@ -246,13 +246,13 @@ func (ch *Child) Run() error {
 	// delta against the previous pull) and the child's own leaf-side delta
 	// chain — a reconstructed pull is re-encoded against the leaves' bases,
 	// so pull compression and leaf compression compose without either side
-	// knowing about the other.
-	pullVer := -1
-	var pullBase []float64
-	// The round's weights and its commit live in child-owned storage: the
+	// knowing about the other. The pull base is also the round's weights:
+	// each pull decodes into it in place, and nothing writes it before the
+	// next pull. It and the commit live in child-owned storage: the
 	// pull→commit cycle is strictly sequential, and nothing downstream of
 	// localRound keeps either past the commit's send.
-	var weights []float64
+	pullVer := -1
+	var pullBase []float64
 	tc := &TierCommit{}
 	leafDL := ch.cfg.Downlink.NewChain() // nil without a Downlink
 	for {
@@ -266,22 +266,14 @@ func (ch *Child) Run() error {
 		}
 		switch env.Type {
 		case MsgTreePull:
-			if env.TreePull.Delta != nil {
-				if pullBase == nil || env.TreePull.DeltaBase != pullVer {
-					return fmt.Errorf("flnet: child %d: pull delta against version %d, holding %d", ch.cfg.ID, env.TreePull.DeltaBase, pullVer)
-				}
-				weights, err = compress.ApplyDelta(env.TreePull.DeltaCodec, env.TreePull.Delta, pullBase)
-			} else {
-				weights, err = env.TreePull.pullWeights(weights)
-			}
+			pullBase, err = env.TreePull.applyTo(pullBase, pullVer)
 			env.release()
 			if err != nil {
 				return fmt.Errorf("flnet: child %d: decoding pull: %w", ch.cfg.ID, err)
 			}
-			ch.agg.blobMax.Store(blobBound(len(weights))) // what a leaf of this model may send
+			ch.agg.blobMax.Store(blobBound(len(pullBase))) // what a leaf of this model may send
 			pullVer = env.TreePull.Version
-			pullBase = append(pullBase[:0], weights...)
-			if err := ch.localRound(&r, as, members, env.TreePull.Version, weights, leafDL, tc); err != nil {
+			if err := ch.localRound(&r, as, members, env.TreePull.Version, pullBase, leafDL, tc); err != nil {
 				return ch.runErr(err)
 			}
 			if err := root.send(&Envelope{Type: MsgTierCommit, TierCommit: tc}); err != nil {

@@ -538,7 +538,7 @@ func ParallelChunks(n, work int, fn func(lo, hi int)) {
 // regardless of worker count. Every src must have len(dst) elements and
 // len(coeffs) must equal len(srcs).
 func AxpySharded(dst []float64, coeffs []float64, srcs [][]float64) {
-	reduceSharded(dst, coeffs, srcs, false, 0)
+	reduceSharded(dst, coeffs, srcs, nil, false, 0)
 }
 
 // MeanSharded writes dst[i] = (Σ_k coeffs[k]·srcs[k][i]) / total — FedAvg's
@@ -549,7 +549,20 @@ func AxpySharded(dst []float64, coeffs []float64, srcs [][]float64) {
 // serial passes, in their order, whatever the worker count. srcs and
 // coeffs must be as for AxpySharded.
 func MeanSharded(dst []float64, coeffs []float64, srcs [][]float64, total float64) {
-	reduceSharded(dst, coeffs, srcs, true, total)
+	reduceSharded(dst, coeffs, srcs, nil, true, total)
+}
+
+// TileFill writes elements [lo, lo+len(tile)) of reduction source k into
+// tile.
+type TileFill func(k int, tile []float64, lo int)
+
+// MeanTiles is MeanSharded over sources that are not all held as vectors:
+// where srcs[k] is nil, fill supplies source k one tile at a time, into a
+// scratch tile of the shard's own. Every filled tile is written before
+// dst's tile is cleared, so fill may read dst itself; no vector in srcs
+// may alias dst. The bits are MeanSharded's over the filled vectors.
+func MeanTiles(dst []float64, coeffs []float64, srcs [][]float64, fill TileFill, total float64) {
+	reduceSharded(dst, coeffs, srcs, fill, true, total)
 }
 
 // reduceTile is the element count of one reduction tile: 4 KiB of dst,
@@ -557,34 +570,60 @@ func MeanSharded(dst []float64, coeffs []float64, srcs [][]float64, total float6
 const reduceTile = 512
 
 // reduceSharded checks the operands and runs reduceRange over dst, split
-// across goroutines once the work reaches parallelThreshold.
-func reduceSharded(dst []float64, coeffs []float64, srcs [][]float64, mean bool, total float64) {
+// across goroutines once the work reaches parallelThreshold. A nil src is
+// fill's (MeanTiles).
+func reduceSharded(dst []float64, coeffs []float64, srcs [][]float64, fill TileFill, mean bool, total float64) {
 	if len(coeffs) != len(srcs) {
 		panicAxpyArity(len(coeffs), len(srcs))
 	}
 	for k, s := range srcs {
-		if len(s) != len(dst) {
+		if len(s) != len(dst) && (s != nil || fill == nil) {
 			panicAxpyLen(k, len(s), len(dst))
 		}
 	}
 	if len(dst)*(len(srcs)+1) < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
-		reduceRange(dst, coeffs, srcs, 0, len(dst), mean, total)
+		reduceRange(dst, coeffs, srcs, fill, 0, len(dst), mean, total)
 		return
 	}
-	parallelRows(len(dst), func(lo, hi int) { reduceRange(dst, coeffs, srcs, lo, hi, mean, total) })
+	parallelRows(len(dst), func(lo, hi int) { reduceRange(dst, coeffs, srcs, fill, lo, hi, mean, total) })
 }
 
 // reduceRange accumulates the k-sum for elements [lo,hi) a tile at a time,
 // one axpy sweep per source in ascending k; with mean it clears each tile
-// first and divides it by total last.
-func reduceRange(dst []float64, coeffs []float64, srcs [][]float64, lo, hi int, mean bool, total float64) {
+// first and divides it by total last. The filled sources' tiles are all
+// written before the clear, in one scratch tile each.
+func reduceRange(dst []float64, coeffs []float64, srcs [][]float64, fill TileFill, lo, hi int, mean bool, total float64) {
+	var scratch []float64
+	if fill != nil {
+		filled := 0
+		for _, src := range srcs {
+			if src == nil {
+				filled++
+			}
+		}
+		scratch = make([]float64, filled*reduceTile)
+	}
 	for t := lo; t < hi; t += reduceTile {
 		d := dst[t:min(t+reduceTile, hi)]
+		f := 0
+		for k, src := range srcs {
+			if src == nil {
+				fill(k, scratch[f*reduceTile:][:len(d)], t)
+				f++
+			}
+		}
 		if mean {
 			clear(d)
 		}
+		f = 0
 		for k, src := range srcs {
-			axpy(d, src[t:t+len(d)], coeffs[k])
+			var s []float64
+			if src != nil {
+				s = src[t : t+len(d)]
+			} else {
+				s, f = scratch[f*reduceTile:][:len(d)], f+1
+			}
+			axpy(d, s, coeffs[k])
 		}
 		if mean {
 			divide(d, total)

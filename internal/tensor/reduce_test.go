@@ -127,3 +127,53 @@ func TestMeanShardedBitEqualSerial(t *testing.T) {
 		}
 	}
 }
+
+// MeanTiles with every other source filled a tile at a time equals
+// serialMean over the filled vectors bit for bit, also when the fill reads
+// dst itself — each source's value at i is dst[i] + offsets[k][i], dst's
+// dirty value before the call — on both paths and at GOMAXPROCS 1 and 2.
+func TestMeanTilesBitEqualSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(43))
+	for _, k := range []int{1, 2, 5} {
+		for _, n := range []int{1, 3, reduceTile - 1, reduceTile + 1, 250_001} {
+			coeffs, offsets, total := make([]float64, k), make([][]float64, k), 0.0
+			dirty := make([]float64, n)
+			for i := range dirty {
+				dirty[i] = laneSpecials[rng.Intn(len(laneSpecials))]
+			}
+			vecs := make([][]float64, k) // source k as a vector
+			for j := range vecs {
+				coeffs[j] = float64(1 + rng.Intn(100))
+				total += coeffs[j]
+				offsets[j], vecs[j] = make([]float64, n), make([]float64, n)
+				for i := range vecs[j] {
+					offsets[j][i] = rng.NormFloat64()
+					vecs[j][i] = dirty[i] + offsets[j][i]
+				}
+			}
+			want := serialMean(n, coeffs, vecs, total)
+			for _, procs := range []int{1, 2} {
+				runtime.GOMAXPROCS(procs)
+				onPaths(t, fmt.Sprintf("k=%d n=%d procs=%d", k, n, procs), func() []float64 {
+					dst := append([]float64(nil), dirty...)
+					srcs := make([][]float64, k)
+					for j := 1; j < k; j += 2 {
+						srcs[j] = vecs[j]
+					}
+					MeanTiles(dst, coeffs, srcs, func(j int, tile []float64, lo int) {
+						for i := range tile {
+							tile[i] = dst[lo+i] + offsets[j][lo+i]
+						}
+					}, total)
+					for i := range want {
+						if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("k=%d n=%d procs=%d simd=%v: [%d] = %v, serial %v", k, n, procs, useSIMD, i, dst[i], want[i])
+						}
+					}
+					return dst
+				})
+			}
+		}
+	}
+}
