@@ -6,8 +6,8 @@ import (
 
 // TestMillionRunPopulationScale is the acceptance run for the event-driven
 // scale extension: the full 1e6-client population (50k under -short)
-// completes a ≥20-commit run with resident client state bounded by the
-// cohort size.
+// completes a ≥20-commit run with resident client state bounded by one
+// cohort per tier.
 func TestMillionRunPopulationScale(t *testing.T) {
 	s := SmallScale()
 	s.Population = 1_000_000
@@ -33,11 +33,11 @@ func TestMillionRunPopulationScale(t *testing.T) {
 	if out.SimTime > millionDuration {
 		t.Fatalf("simulated time %v exceeds the budget %v", out.SimTime, millionDuration)
 	}
-	// THE memory contract: client state never scales with N. The engine
-	// acquires one cohort at a time, so the high-water mark is the cohort
-	// size, and nothing stays resident after the run.
-	if out.PeakLive > s.ClientsPerRound {
-		t.Fatalf("peak resident clients %d exceeds cohort size %d at population %d",
+	// THE memory contract: client state never scales with N. Each tier
+	// holds at most one cohort, while its round trains, so the high-water
+	// mark is tiers × cohort size, and nothing stays resident after the run.
+	if bound := len(out.CommitsPerTier) * s.ClientsPerRound; out.PeakLive > bound {
+		t.Fatalf("peak resident clients %d exceeds one cohort of %d per tier at population %d",
 			out.PeakLive, s.ClientsPerRound, s.Population)
 	}
 	if out.LiveAfter != 0 {

@@ -86,6 +86,9 @@ func RunAsync(cfg AsyncConfig, clients []*Client, test *dataset.Dataset) *Result
 	if cfg.Duration <= 0 || cfg.Concurrency <= 0 || cfg.Model == nil || cfg.Optimizer == nil {
 		panic(fmt.Sprintf("flcore: invalid AsyncConfig %+v", cfg))
 	}
+	if err := cfg.Latency.Validate(); err != nil {
+		panic(err.Error())
+	}
 	if zeroLatency(cfg.Latency) {
 		panic("flcore: AsyncConfig.Latency produces zero response latency; simulated time cannot advance")
 	}

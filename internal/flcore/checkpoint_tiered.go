@@ -160,10 +160,12 @@ func RestoreManagerState(mgr TierManager, state []byte) error {
 // Committer's shared fields plus what only the simulation has — the clock,
 // the eval schedule, the in-flight rounds and the clients' residuals. It
 // fails if the configured Manager does not implement TierManagerState.
-// Run takes these automatically every Cfg.CheckpointEvery commits; the
-// snapshot point is always just after a commit's re-dispatch, so Pending
-// holds every live tier's in-flight round.
+// It first joins every round still training. Run takes these automatically
+// every Cfg.CheckpointEvery commits; the snapshot point is always just
+// after a commit's re-dispatch, so Pending holds every live tier's
+// in-flight round.
 func (e *TieredAsyncEngine) Snapshot() (*TieredCheckpoint, error) {
+	e.joinAll()
 	c, err := e.com.Snapshot()
 	if err != nil {
 		return nil, err

@@ -15,13 +15,13 @@
 // the distributed runtime (internal/flnet) reproduces the simulator's
 // local computation exactly via Engine.TrainClient and TierCohort.
 //
-// A cohort — a synchronous round's selection under Config.Parallel, every
-// tier round of the tiered-async engine — trains concurrently on up to
-// min(GOMAXPROCS, |cohort|) goroutines (Engine.trainCohort). A client's pass
-// reads the shared starting weights, draws only from its own keyed stream
-// and writes only its own residual and its own update slot;
-// aggregation, latency and byte accounting run afterwards on the engine
-// goroutine in selection order. Results are therefore byte-identical for
+// A synchronous round's selection under Config.Parallel trains on up to
+// min(GOMAXPROCS, |cohort|) goroutines (Engine.trainCohort); the tiered-async
+// engine's rounds train on its pool of GOMAXPROCS trainers, several tiers'
+// rounds at once. A client's pass reads its round's starting weights, draws
+// only from its own keyed stream and writes only its own residual and its
+// own update slot; aggregation, latency and byte accounting run afterwards
+// on the engine goroutine in selection order. Results are therefore byte-identical for
 // any worker count, and the configured Model, Optimizer, Latency,
 // TransformUpdate, EpochsFor and Client.Drift callbacks must be safe for
 // concurrent calls (they are never called concurrently for one client).

@@ -1,8 +1,9 @@
 package flcore_test
 
-// A tier round's cohort trains on up to min(GOMAXPROCS, |cohort|)
-// goroutines (Engine.trainCohort). Nothing a run reports may depend on that
-// count.
+// A tiered-sim round's members train on the engine's pool of GOMAXPROCS
+// trainers, side by side with other tiers' rounds, while the event loop
+// commits ahead of them where the latency floors allow. Nothing a run
+// reports may depend on the trainer count or on their progress.
 
 import (
 	"math/rand"
@@ -17,8 +18,9 @@ import (
 )
 
 // TestTieredAsyncCohortParallelByteIdentical runs every configuration under
-// GOMAXPROCS 1 (the serial loop), 2 and 8 (more workers than the cohort has
-// clients) and bit-compares everything the runs report. Deliberately not
+// GOMAXPROCS 1 (one trainer), 2 and 8 (more trainers than a cohort has
+// clients) and bit-compares everything the runs report; the commit log must
+// also be in the event heap's order. Deliberately not
 // skipped under -short: CI's race pass is what checks that concurrently
 // training clients share nothing they write.
 func TestTieredAsyncCohortParallelByteIdentical(t *testing.T) {
@@ -109,16 +111,113 @@ func TestTieredAsyncCohortParallelByteIdentical(t *testing.T) {
 				return flcore.NewTieredAsyncEngine(cfg, nil, fx.eagerClients(true), fx.test)
 			})
 		}},
+		// The "tight" rows give every client the same CPU, so the tiers'
+		// rounds finish close together, or at once under no jitter, where
+		// the tier breaks the tie: the event loop can rarely commit a round
+		// ahead of one still training and mostly joins.
+		{"tight/jitter-0", func(t *testing.T) *flcore.TieredAsyncResult {
+			cfg := fx.cfg
+			cfg.Latency.JitterFrac = 0
+			return flcore.NewTieredAsyncEngine(cfg, fx.tiers, equalCPU(fx.eagerClients(false)), fx.test).Run()
+		}},
+		{"tight/dyadic-ties", func(t *testing.T) *flcore.TieredAsyncResult {
+			// 12 samples at 1/64 s over 4, 1 and 0.25 CPUs: rounds of 3, 12
+			// and 48 sixty-fourths of a second, exact in binary, so a
+			// faster tier's round keeps finishing at the very instant a
+			// slower tier's does. The checkpoints join every round, so the
+			// slower round waits trained while the faster one trains.
+			cfg := fx.cfg
+			cfg.Latency = simres.LatencyModel{CostPerSample: 1.0 / 64}
+			cfg.CheckpointEvery, cfg.OnCheckpoint = 2, func(*flcore.TieredCheckpoint) {}
+			return flcore.NewTieredAsyncEngine(cfg, fx.tiers, fx.eagerClients(false), fx.test).Run()
+		}},
+		{"tight/jitter-0.9", func(t *testing.T) *flcore.TieredAsyncResult {
+			// One member a round: the round's latency is a single draw, not
+			// the maximum of five, so it often lands under the jitter-free
+			// base, and the floor has to sit below it.
+			cfg := fx.cfg
+			cfg.ClientsPerRound = 1
+			cfg.Latency.JitterFrac = 0.9
+			cfg.Codec = int8c
+			cfg.Downlink = &compress.Downlink{Codec: int8c}
+			return flcore.NewTieredAsyncEngine(cfg, fx.tiers, equalCPU(fx.eagerClients(false)), fx.test).Run()
+		}},
+		{"tight/churn-0.3", func(t *testing.T) *flcore.TieredAsyncResult {
+			cfg := fx.cfg
+			cfg.Codec = int8c
+			cfg.Downlink = &compress.Downlink{Codec: int8c}
+			cfg.ChurnRate = 0.3
+			return flcore.NewTieredAsyncEngine(cfg, fx.tiers, equalCPU(fx.eagerClients(false)), fx.test).Run()
+		}},
+		{"tight/retier-3", func(t *testing.T) *flcore.TieredAsyncResult {
+			cfg := fx.cfg
+			cfg.Codec = int8c
+			cfg.Downlink = &compress.Downlink{Codec: int8c}
+			cfg.Manager = fx.manager(t, 3, false)
+			res := flcore.NewTieredAsyncEngine(cfg, nil, equalCPU(fx.eagerClients(true)), fx.test).Run()
+			if res.Retiers < 3 {
+				t.Fatalf("%d re-tierings moved clients; the case is weaker than intended", res.Retiers)
+			}
+			return res
+		}},
+		{"tight/lazy-retier-3", func(t *testing.T) *flcore.TieredAsyncResult {
+			cfg := fx.cfg
+			cfg.Codec = int8c
+			cfg.Manager = fx.manager(t, 3, false)
+			factory := fx.factory(true)
+			src := flcore.NewLazyClients(fx.n, func(id int) *flcore.Client {
+				c := factory(id)
+				c.CPU = 1
+				return c
+			})
+			return flcore.NewTieredAsyncEngineFrom(cfg, nil, src, fx.test).Run()
+		}},
+		{"tight/checkpoint-restore", func(t *testing.T) *flcore.TieredAsyncResult {
+			return resumed(t, func(onCheckpoint func(*flcore.TieredCheckpoint)) *flcore.TieredAsyncEngine {
+				cfg := fx.cfg
+				cfg.Codec = int8c
+				cfg.Downlink = &compress.Downlink{Codec: int8c}
+				cfg.Manager = fx.manager(t, 3, false)
+				if onCheckpoint != nil {
+					cfg.CheckpointEvery, cfg.OnCheckpoint = 3, onCheckpoint
+				}
+				return flcore.NewTieredAsyncEngine(cfg, nil, equalCPU(fx.eagerClients(true)), fx.test)
+			})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			serial := tc.run(t)
+			inCommitOrder(t, serial)
 			for _, procs := range []int{2, 8} {
 				runtime.GOMAXPROCS(procs)
 				sameTieredResults(t, serial, tc.run(t))
 			}
 		})
+	}
+}
+
+// equalCPU gives every client one CPU.
+func equalCPU(clients []*flcore.Client) []*flcore.Client {
+	for _, c := range clients {
+		c.CPU = 1
+	}
+	return clients
+}
+
+// inCommitOrder fails unless the commit log rises strictly in (simulated
+// time, tier), the event heap's order. A tier's next round finishes after
+// its commit, so a log in this order is the one a loop that trains each
+// round at dispatch commits; the sim's lookahead may commit a round while
+// others still train only when their latency floors prove it comes first.
+func inCommitOrder(t *testing.T, res *flcore.TieredAsyncResult) {
+	t.Helper()
+	for i := 1; i < len(res.TierRounds); i++ {
+		a, b := res.TierRounds[i-1], res.TierRounds[i]
+		if b.SimTime < a.SimTime || (b.SimTime == a.SimTime && b.Tier <= a.Tier) {
+			t.Fatalf("commit %d (tier %d at %v) follows commit %d (tier %d at %v)", i, b.Tier, b.SimTime, i-1, a.Tier, a.SimTime)
+		}
 	}
 }
 

@@ -122,7 +122,7 @@ func TestTrainOnCodecPathAllocatesNoPayload(t *testing.T) {
 		clients, test := testPopulation(t, 5)
 		e := NewEngine(commTestConfig(1, codec), clients, test)
 		s := e.getScratch()
-		round := func() { e.trainOn(s, 1, clients[0], e.weights, -1) }
+		round := func() { e.trainOn(s, 1, clients[0], e.weights, -1, nil) }
 		round() // warm: the replica, the residual and the payload buffer
 		return testing.AllocsPerRun(10, round)
 	}

@@ -96,7 +96,7 @@ func (c *Config) validate() error {
 	case c.Optimizer == nil:
 		return fmt.Errorf("flcore: Optimizer factory is nil")
 	}
-	return nil
+	return c.Latency.Validate()
 }
 
 // RoundRecord captures one global round for the result history.
@@ -243,7 +243,7 @@ func SelectionRNG(seed int64, round int) *rand.Rand {
 func (e *Engine) TrainClient(round int, clientIdx int, globalWeights []float64) Update {
 	s := e.getScratch()
 	defer e.putScratch(s)
-	return e.trainOn(s, round, e.Clients[clientIdx], globalWeights, -1)
+	return e.trainOn(s, round, e.Clients[clientIdx], globalWeights, -1, nil)
 }
 
 // trainOn is one client's local pass on the calling goroutine's scratch. c
@@ -256,10 +256,12 @@ func (e *Engine) TrainClient(round int, clientIdx int, globalWeights []float64) 
 // compression, or a dense snapshot it was not eligible for) and the latency
 // model charges downBytes + the update's encoded size for the round's
 // communication. downBytes < 0 keeps the historical dense charging
-// bit-identically (including the parameter-based LatencyFull path for
-// uncompressed uplinks). The rng draw sequence is identical either way, so
+// (chargedBytes). The rng draw sequence is identical either way, so
 // switching charging modes never perturbs training randomness.
-func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []float64, downBytes int) Update {
+//
+// The trained weights are written into out, the caller's slot, which is
+// reallocated only when it is too small; nil gives the update a fresh vector.
+func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []float64, downBytes int, out []float64) Update {
 	// Replica.Acquire reproduces rand.New(rand.NewSource(mix(...))) followed
 	// by a fresh factory build, bit-exactly, while reusing the cached model
 	// and its workspace-pooled scratch — the rng stream, and therefore every
@@ -277,24 +279,15 @@ func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []
 	if e.Cfg.ProxMu > 0 {
 		opt = nn.NewProximal(opt, e.Cfg.ProxMu, globalWeights)
 	}
-	epochs := e.Cfg.LocalEpochs
-	if e.Cfg.EpochsFor != nil {
-		if n := e.Cfg.EpochsFor(c, round); n > 0 {
-			epochs = n
-		}
-	}
+	epochs := e.epochs(c, round)
 	for ep := 0; ep < epochs; ep++ {
 		c.Train.BatchesBuf(e.Cfg.BatchSize, rng, &s.bbuf, func(x *tensor.Tensor, y []int) {
 			model.TrainBatch(x, y, opt)
 		})
 	}
-	weightsOut := model.WeightsVector()
+	weightsOut := model.CopyWeights(out)
 	wire := compress.DenseBytes(len(weightsOut))
-	var lat float64
-	// The dense codec (IDNone) is a wire format, not a compression: treat
-	// it like nil so a "none" run stays bit-identical to an uncompressed
-	// one (flnet workers and tifl-node special-case it the same way).
-	if e.Cfg.Codec != nil && e.Cfg.Codec.ID() != compress.IDNone {
+	if e.compressed() {
 		// Error-feedback compression: encode delta+residual into the
 		// scratch's payload buffer, keep the encoding error on the client,
 		// and hand the aggregator the exact reconstruction the wire payload
@@ -302,23 +295,60 @@ func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []
 		// engine and a real flnet worker produce identical updates.
 		s.payload, c.residual = compress.EncodeFeedbackInto(s.payload, e.Cfg.Codec, weightsOut, globalWeights, c.residual, weightsOut)
 		wire = len(s.payload)
-		down := compress.DenseBytes(len(weightsOut))
-		if downBytes >= 0 {
-			down = downBytes
-		}
-		lat = e.Cfg.Latency.LatencyBytes(c.EffectiveCPU(round), c.NumSamples(), epochs,
-			down+wire, c.Bandwidth, rng)
-	} else if downBytes >= 0 {
-		lat = e.Cfg.Latency.LatencyBytes(c.EffectiveCPU(round), c.NumSamples(), epochs,
-			downBytes+wire, c.Bandwidth, rng)
-	} else {
-		lat = e.Cfg.Latency.LatencyFull(c.EffectiveCPU(round), c.NumSamples(), epochs, len(weightsOut), c.Bandwidth, rng)
 	}
+	lat := e.Cfg.Latency.LatencyBytes(c.EffectiveCPU(round), c.NumSamples(), epochs,
+		e.chargedBytes(len(weightsOut), downBytes, wire), c.Bandwidth, rng)
 	u := Update{ClientID: c.ID, Weights: weightsOut, NumSamples: c.NumSamples(), Latency: lat, WireBytes: wire}
 	if e.Cfg.TransformUpdate != nil {
 		e.Cfg.TransformUpdate(round, globalWeights, &u)
 	}
 	return u
+}
+
+// compressed reports whether updates go out through Cfg.Codec. The dense
+// codec (IDNone) is a wire format, not a compression: it counts as nil, so
+// a "none" run stays bit-identical to an uncompressed one (flnet workers
+// and tifl-node special-case it the same way).
+func (e *Engine) compressed() bool {
+	return e.Cfg.Codec != nil && e.Cfg.Codec.ID() != compress.IDNone
+}
+
+// chargedBytes is the transfer a pass of a dim-entry model is charged: the
+// broadcast (downBytes, or a dense model when negative) plus wire uplink
+// bytes, or, uncompressed and with no explicit charge, LatencyFull's dense
+// round trip of dim parameters.
+func (e *Engine) chargedBytes(dim, downBytes, wire int) int {
+	switch {
+	case downBytes >= 0:
+		return downBytes + wire
+	case e.compressed():
+		return compress.DenseBytes(dim) + wire
+	default:
+		return 16 * dim
+	}
+}
+
+// latencyFloor bounds from below the latency trainOn draws for c's pass of
+// round on a dim-entry model charged downBytes, before it trains: an
+// encoded uplink, whose size is known only after the pass, counts as zero
+// bytes.
+func (e *Engine) latencyFloor(round int, c *Client, dim, downBytes int) float64 {
+	wire := compress.DenseBytes(dim)
+	if e.compressed() {
+		wire = 0
+	}
+	return e.Cfg.Latency.LatencyFloor(c.EffectiveCPU(round), c.NumSamples(), e.epochs(c, round),
+		e.chargedBytes(dim, downBytes, wire), c.Bandwidth)
+}
+
+// epochs is c's local epoch count in round: EpochsFor's, or LocalEpochs.
+func (e *Engine) epochs(c *Client, round int) int {
+	if e.Cfg.EpochsFor != nil {
+		if n := e.Cfg.EpochsFor(c, round); n > 0 {
+			return n
+		}
+	}
+	return e.Cfg.LocalEpochs
 }
 
 // Run executes Cfg.Rounds federated rounds with the given selector and
@@ -448,13 +478,11 @@ func (e *Engine) trainRound(round int, selected []int) []Update {
 	for i, ci := range selected {
 		cohort[i] = e.Clients[ci]
 	}
-	return e.trainCohort(round, cohort, e.weights, nil)
+	return e.trainCohort(round, cohort, e.weights)
 }
 
-// trainCohort is the one place a cohort trains — a synchronous round's
-// selection or a tier's mini-round: clients[i] trains from weights, charged
-// bills[i].Bytes downlink bytes (bills nil = the historical dense charging,
-// see trainOn), and lands in slot i of the returned slice, which the engine
+// trainCohort trains a synchronous round's selection: clients[i] trains
+// from weights and lands in slot i of the returned slice, which the engine
 // owns and overwrites on the next call.
 //
 // With Cfg.Parallel, min(GOMAXPROCS, len(clients)) goroutines — the caller's
@@ -466,7 +494,7 @@ func (e *Engine) trainRound(round int, selected []int) []Update {
 // writes only its own residual and its own slot. Everything order-sensitive
 // (FedAvg, latency max, byte accounting) is the caller's, over the slots in
 // cohort order.
-func (e *Engine) trainCohort(round int, clients []*Client, weights []float64, bills []Bill) []Update {
+func (e *Engine) trainCohort(round int, clients []*Client, weights []float64) []Update {
 	// The last cohort's weight vectors are dead; dropped here they are
 	// garbage while this one trains instead of live heap until overwritten.
 	clear(e.updates[:cap(e.updates)])
@@ -481,11 +509,7 @@ func (e *Engine) trainCohort(round int, clients []*Client, weights []float64, bi
 			if i >= len(clients) {
 				return
 			}
-			down := -1
-			if bills != nil {
-				down = bills[i].Bytes
-			}
-			updates[i] = e.trainOn(s, round, clients[i], weights, down)
+			updates[i] = e.trainOn(s, round, clients[i], weights, -1, nil)
 		}
 	}
 	var wg sync.WaitGroup

@@ -138,16 +138,35 @@ type Trainer interface {
 // advances the tier's chain ch once (nil: dense), bills each member a
 // catch-up from its ack or the dense base, has tr train the bills, then
 // FedAvgs the replies in cohort order and acks the repliers. Any status
-// but RoundCommitted leaves c unspecified.
+// but RoundCommitted leaves c unspecified. The socket runtimes call it
+// whole; the sim runs its two halves, billTierRound and commitTierRound,
+// apart, with the training between them on its trainer pool.
 func RunTierRound(p TierPull, ch *compress.Chain, acks *AckLedger, tr Trainer, c *Commit) RoundStatus {
-	req := &RoundRequest{Tier: p.Tier, Round: p.Round, Base: p.Weights, Bills: make([]Bill, 0, len(p.Cohort))}
+	req := &RoundRequest{Bills: make([]Bill, 0, len(p.Cohort))}
+	if !billTierRound(p, ch, acks, tr.Reach, req) {
+		return RoundNoCohort
+	}
+	replies, down, status := tr.Train(req)
+	if status != RoundCommitted {
+		return status
+	}
+	commitTierRound(p, acks, req, replies, down, c)
+	return RoundCommitted
+}
+
+// billTierRound is a tier round's dispatch half: it fills req, reusing its
+// Bills, with the members of p's cohort reach accepts, advances ch and
+// bills each member. It reports false, leaving the chain alone, when no
+// member was reached.
+func billTierRound(p TierPull, ch *compress.Chain, acks *AckLedger, reach func(tier, round, member int) (reg int, ok bool), req *RoundRequest) bool {
+	*req = RoundRequest{Tier: p.Tier, Round: p.Round, Base: p.Weights, Bills: req.Bills[:0]}
 	for _, m := range p.Cohort {
-		if reg, ok := tr.Reach(p.Tier, p.Round, m); ok {
+		if reg, ok := reach(p.Tier, p.Round, m); ok {
 			req.Bills = append(req.Bills, Bill{Member: m, Reg: reg})
 		}
 	}
 	if len(req.Bills) == 0 {
-		return RoundNoCohort
+		return false
 	}
 	// One payload per round, whatever the cohort; the round proceeds from
 	// the chain's post-round base, so under a lossy codec training, uplink
@@ -170,10 +189,13 @@ func RunTierRound(p TierPull, ch *compress.Chain, acks *AckLedger, tr Trainer, c
 			}
 		}
 	}
-	replies, down, status := tr.Train(req)
-	if status != RoundCommitted {
-		return status
-	}
+	return true
+}
+
+// commitTierRound is a tier round's commit half: it FedAvgs the replies to
+// req, sorted into cohort order, into c, charges it down downlink bytes and
+// acks the repliers under a chain.
+func commitTierRound(p TierPull, acks *AckLedger, req *RoundRequest, replies []Reply, down int64, c *Commit) {
 	// FedAvg's float sums are order-sensitive: cohort order, not arrival.
 	slices.SortFunc(replies, func(a, b Reply) int { return a.Bill - b.Bill })
 	updates := make([]Update, len(replies))
@@ -184,12 +206,11 @@ func RunTierRound(p TierPull, ch *compress.Chain, acks *AckLedger, tr Trainer, c
 		updates[i] = r.Update
 		c.UplinkBytes += int64(r.WireBytes)
 		c.Observed[i] = Observation{Client: m, Seconds: r.Latency}
-		if ch != nil {
+		if req.ChainVersion != 0 {
 			acks.Ack(m, r.Reg, p.Tier, req.ChainVersion, p.Version)
 		}
 	}
 	c.Weights = grow(c.Weights, len(req.Base))
 	FedAvgInto(c.Weights, updates)
 	c.Tier, c.TierRound, c.PulledVersion, c.DownlinkBytes = p.Tier, p.Round, p.Version, down
-	return RoundCommitted
 }

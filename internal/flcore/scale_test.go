@@ -212,7 +212,7 @@ func TestLazyClientsRoundTripDropsState(t *testing.T) {
 
 // TestLazyEngineMemoryBounded is the population-scale memory regression: a
 // 100k-client compressed run in which resident client state must stay
-// bounded by the active cohort, residual bookkeeping by the ever-selected
+// bounded by the active cohorts (one per tier), residual bookkeeping by the ever-selected
 // set, and the commit log must satisfy the no-lost-commit invariants.
 func TestLazyEngineMemoryBounded(t *testing.T) {
 	const n = 100_000
@@ -262,8 +262,10 @@ func TestLazyEngineMemoryBounded(t *testing.T) {
 	if st.Live != 0 {
 		t.Fatalf("%d clients still resident after the run", st.Live)
 	}
-	if st.Peak > cfg.ClientsPerRound {
-		t.Fatalf("peak resident clients %d exceeds the cohort size %d: client state is not cohort-bounded",
+	// Each tier has at most one round training at a time, and a round
+	// holds its cohort until it is joined.
+	if st.Peak > 5*cfg.ClientsPerRound {
+		t.Fatalf("peak resident clients %d exceeds one cohort of %d per tier: client state is not cohort-bounded",
 			st.Peak, cfg.ClientsPerRound)
 	}
 	// Residuals may also cover cohorts still in flight when the budget

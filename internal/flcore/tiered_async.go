@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/compress"
 	"repro/internal/dataset"
@@ -90,16 +94,18 @@ type TierWeightFunc func(tier int, commits []int) float64
 
 // TieredAsyncConfig configures a tiered-asynchronous run.
 //
-// A tier round's cohort trains concurrently, on min(GOMAXPROCS,
-// ClientsPerRound) goroutines (one, for cohorts with next to no training
-// to do). The result does not depend on that count:
-// each client's pass is keyed on (Seed, tier round, client) and touches no
-// state another client's pass writes, and the round is aggregated and
-// accounted afterwards in selection order. In exchange Model, Optimizer,
-// Latency and the clients' Drift functions must be safe for concurrent
-// calls — the contract Config.Parallel states for the synchronous engine.
-// Manager, TierWeight, OnCommit and OnCheckpoint are only ever called from
-// the goroutine that called Run.
+// Tier rounds train side by side, as FedAT's tiers do: a round's member
+// passes run on a pool of GOMAXPROCS trainers while other tiers' rounds
+// train and Run's goroutine commits. The result does not depend on the
+// pool: each client's pass is keyed on (Seed, tier round, client) and
+// touches no state another pass writes, a round is aggregated in selection
+// order, and commits apply in the serial event order (see next). In
+// exchange Model, Optimizer, Latency and the clients' Drift functions must
+// be safe for concurrent calls, now also across different tiers' rounds
+// and with Run's goroutine, which reads Latency and Drift to bound a
+// round's finish — the contract Config.Parallel states for the synchronous
+// engine. Manager, TierWeight, OnCommit and OnCheckpoint are only ever
+// called from the goroutine that called Run.
 type TieredAsyncConfig struct {
 	// CommitterConfig is the run's protocol spec, shared with the socket
 	// runtime (flnet.TieredAsyncConfig); Downlink charges the simulated
@@ -197,12 +203,28 @@ type TieredAsyncResult struct {
 	DownlinkBytes int64
 }
 
-// tierRun is one in-flight tier round in the event queue: its commit, the
-// simulated time it lands at, and its duration (the slowest member's
-// latency).
+// tierRun is one tier's in-flight round: its commit, the simulated time it
+// lands at, and its duration (the slowest member's latency) once trained;
+// before that, what its trainers read and write. A tier reuses its tierRun,
+// and every buffer in it, from one round to the next.
 type tierRun struct {
 	Commit
 	finish, latency float64
+
+	// floor bounds finish from below from the moment of dispatch (the
+	// latency model's LatencyFloor over the members, added to start).
+	start, floor float64
+	pull         TierPull // Weights nil: a dense round trains from base
+	req          RoundRequest
+	down         int64
+	clients      []*Client   // the cohort, acquired, in bill order
+	base         []float64   // the tier's copy of a dense pull
+	slots        [][]float64 // each member's trained weights, in bill order
+	updates      []Update
+	panics       []any // a member pass's panic, raised again at the join
+	replies      []Reply
+	left         atomic.Int32  // member passes not yet trained
+	done         chan struct{} // receives once left reaches 0
 }
 
 // split returns the clients whose updates the round aggregated and their
@@ -255,7 +277,7 @@ type TieredAsyncEngine struct {
 
 	// Run-loop state lives on the engine (not in Run locals) so Snapshot
 	// can capture a mid-run engine and Restore can rebuild one: the event
-	// queue of in-flight tier rounds and the next eval boundary.
+	// queue of trained in-flight tier rounds and the next eval boundary.
 	pending  tierRunHeap
 	nextEval float64
 	resumed  bool
@@ -265,11 +287,11 @@ type TieredAsyncEngine struct {
 	chains []*compress.Chain
 	acks   *AckLedger
 
-	// The simTrainer's per-round staging, and its last round's latency (the
-	// slowest member's).
-	acquired     []*Client
-	replies      []Reply
-	roundLatency float64
+	// training are the dispatched rounds not yet joined, in no order; passes
+	// feeds their member passes to the trainer pool while Run runs.
+	training []*tierRun
+	passes   chan memberPass
+	trainers sync.WaitGroup
 
 	// tierTest caches the per-tier pooled evaluation shards for an adaptive
 	// Manager's accuracy feedback; rebuilt lazily when membership changes.
@@ -306,6 +328,9 @@ func NewTieredAsyncEngineFrom(cfg TieredAsyncConfig, tiers [][]int, src ClientSo
 	}
 	if tiers == nil && cfg.Manager != nil {
 		tiers = cfg.Manager.Tiers()
+	}
+	if err := cfg.Latency.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if zeroLatency(cfg.Latency) {
 		panic("flcore: TieredAsyncConfig.Latency produces zero response latency; simulated time cannot advance")
@@ -400,10 +425,10 @@ func TierCohort(seed int64, tierRound, tier int, members []int, want int) []int 
 	return out
 }
 
-// dispatch runs tier t's next round from the Committer's pull (the model
-// right after the tier's own last commit, trained from without a copy:
-// nothing commits before dispatch returns) and queues its completion event
-// in run, whose buffers it reuses (nil on a tier's first dispatch). A round
+// dispatch starts tier t's next round from the Committer's pull: the
+// round's dispatch half (reach, chain advance, bills) runs here, its member
+// passes go to the trainer pool, and the round waits in e.training for its
+// join, reusing run's buffers (nil on a tier's first dispatch). A round
 // whose whole cohort churned out consumes its round index and redraws, as a
 // socket tier redraws a dead cohort; the attempt bound is a backstop that
 // drops the tier, as an empty membership does.
@@ -416,53 +441,170 @@ func (e *TieredAsyncEngine) dispatch(t int, now float64, run *tierRun) {
 		if len(p.Cohort) == 0 {
 			return
 		}
-		if RunTierRound(p, e.chains[t], e.acks, (*simTrainer)(e), &run.Commit) == RoundCommitted {
-			run.latency, run.finish = e.roundLatency, now+e.roundLatency
-			heap.Push(&e.pending, run)
+		if billTierRound(p, e.chains[t], e.acks, e.reach, &run.req) {
+			e.train(run, p, now)
 			return
 		}
 	}
 }
 
-// simTrainer is the engine as RunTierRound's Trainer. Its churn coin flaps
-// a member out of a round as a disconnect would, forgetting its acks as a
-// reconnect does; every reached member replies at once.
-type simTrainer TieredAsyncEngine
-
-func (s *simTrainer) Reach(tier, round, member int) (int, bool) {
-	if s.Cfg.ChurnRate > 0 && churnFlap(s.Cfg.Seed, tier, round, member, s.Cfg.ChurnRate) {
-		s.acks.Forget(member)
+// reach is the sim's Reach: its churn coin flaps a member out of a round
+// as a disconnect would, forgetting its acks as a reconnect does.
+func (e *TieredAsyncEngine) reach(tier, round, member int) (int, bool) {
+	if e.Cfg.ChurnRate > 0 && churnFlap(e.Cfg.Seed, tier, round, member, e.Cfg.ChurnRate) {
+		e.acks.Forget(member)
 		return 0, false
 	}
 	return 0, true
 }
 
-// Train acquires the cohort through the source for exactly its training —
-// with a lazy source at most one cohort of client state is resident —
-// acquiring and releasing on this goroutine in cohort order. Under a
-// downlink chain each member's latency is charged its bill's bytes.
-func (s *simTrainer) Train(req *RoundRequest) ([]Reply, int64, RoundStatus) {
-	s.acquired = grow(s.acquired, len(req.Bills))
-	var down int64
-	for i, b := range req.Bills {
-		s.acquired[i] = s.src.Acquire(b.Member)
-		down += int64(b.Bytes)
+// memberPass is one member's local pass of a dispatched round.
+type memberPass struct {
+	run *tierRun
+	i   int
+}
+
+// train acquires run's billed cohort through the source, in bill order —
+// with a lazy source one cohort per in-flight tier is resident — bounds the
+// round's finish from below and queues its member passes. A dense round
+// trains from the tier's copy of the pull, as commits land in the global
+// vector while it trains; a chained one from the chain's base, which only
+// the tier's next dispatch moves. Under a chain each member's latency is
+// charged its bill's bytes.
+func (e *TieredAsyncEngine) train(run *tierRun, p TierPull, now float64) {
+	req := &run.req
+	if run.done == nil {
+		run.done = make(chan struct{}, 1)
 	}
-	charged := req.Bills
 	if req.ChainVersion == 0 {
-		charged = nil // the dense run keeps its historical latency path
+		run.base = append(run.base[:0], p.Weights...)
+		req.Base = run.base
 	}
-	updates := s.eng.trainCohort(req.Round, s.acquired, req.Base, charged)
-	s.roundLatency = MaxLatency(updates)
-	for i, c := range s.acquired {
-		s.src.Release(c)
-		s.acquired[i] = nil // a lazy client's shard must not outlive its round
+	p.Weights = nil
+	run.pull, run.start, run.down = p, now, 0
+	n := len(req.Bills)
+	run.clients, run.slots = grow(run.clients, n), grow(run.slots, n)
+	run.updates, run.panics = grow(run.updates, n), grow(run.panics, n)
+	floor := 0.0
+	for i, b := range req.Bills {
+		c := e.src.Acquire(b.Member)
+		run.clients[i], run.panics[i] = c, nil
+		run.down += int64(b.Bytes)
+		if f := e.eng.latencyFloor(req.Round, c, len(req.Base), run.charge(i)); f > floor {
+			floor = f
+		}
 	}
-	s.replies = grow(s.replies, len(updates))
-	for i, u := range updates {
-		s.replies[i] = Reply{Update: u, Bill: i}
+	run.floor = now + floor
+	run.left.Store(int32(n))
+	e.training = append(e.training, run)
+	for i := range n {
+		e.passes <- memberPass{run, i}
 	}
-	return s.replies, down, RoundCommitted
+}
+
+// charge is the downlink bytes member i is charged: its bill's under a
+// chain, or -1, the dense round's historical latency path.
+func (r *tierRun) charge(i int) int {
+	if r.req.ChainVersion == 0 {
+		return -1
+	}
+	return r.req.Bills[i].Bytes
+}
+
+// trainPasses is one trainer of the pool: it runs member passes on its own
+// scratch until Run closes the queue. A pass writes only its member's
+// slot, update and residual, and the round's last pass signals its join.
+func (e *TieredAsyncEngine) trainPasses(s *trainScratch) {
+	defer e.trainers.Done()
+	defer e.eng.putScratch(s)
+	for p := range e.passes {
+		run, i := p.run, p.i
+		func() {
+			defer func() { run.panics[i] = recover() }()
+			run.updates[i] = e.eng.trainOn(s, run.req.Round, run.clients[i], run.req.Base, run.charge(i), run.slots[i])
+			run.slots[i] = run.updates[i].Weights
+		}()
+		if run.left.Add(-1) == 0 {
+			run.done <- struct{}{}
+		}
+	}
+}
+
+// join waits for e.training[k] to finish training and takes it out: it
+// releases the cohort, in bill order, raises a pass's panic, and runs the
+// round's commit half, after which the round waits in the event heap. Its
+// acks land before any later dispatch could read or forget them, as a
+// member can sit in another tier's cohort only after a re-tiering, which
+// joins every round first.
+func (e *TieredAsyncEngine) join(k int) {
+	run := e.training[k]
+	e.training = slices.Delete(e.training, k, k+1)
+	<-run.done
+	for i, c := range run.clients {
+		e.src.Release(c)
+		run.clients[i] = nil // a lazy client's shard must not outlive its round
+	}
+	for _, p := range run.panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	run.latency = MaxLatency(run.updates)
+	run.finish = run.start + run.latency
+	run.replies = grow(run.replies, len(run.updates))
+	for i, u := range run.updates {
+		run.replies[i] = Reply{Update: u, Bill: i}
+	}
+	commitTierRound(run.pull, e.acks, &run.req, run.replies, run.down, &run.Commit)
+	heap.Push(&e.pending, run)
+}
+
+// joinAll joins every dispatched round.
+func (e *TieredAsyncEngine) joinAll() {
+	for len(e.training) > 0 {
+		e.join(len(e.training) - 1)
+	}
+}
+
+// next takes out the round that commits next — the earliest by (finish,
+// tier), the event heap's order — or returns nil when none is in flight.
+// It pops the heap's earliest trained round only when that finishes
+// strictly before every untrained round's floor, so before its finish;
+// otherwise it joins the untrained round with the lowest floor and looks
+// again. The commit order is therefore the one a serial loop that trains
+// at dispatch produces, whatever the trainers' progress.
+func (e *TieredAsyncEngine) next() *tierRun {
+	for {
+		k := -1
+		for i, r := range e.training {
+			if k < 0 || r.floor < e.training[k].floor || (r.floor == e.training[k].floor && r.pull.Tier < e.training[k].pull.Tier) {
+				k = i
+			}
+		}
+		if k < 0 || (e.pending.Len() > 0 && e.pending[0].finish < e.training[k].floor) {
+			if e.pending.Len() == 0 {
+				return nil
+			}
+			return heap.Pop(&e.pending).(*tierRun)
+		}
+		e.join(k)
+	}
+}
+
+// startTrainers starts the trainer pool: GOMAXPROCS trainers with one
+// scratch each. stopTrainers, once every round is joined, stops it.
+func (e *TieredAsyncEngine) startTrainers() {
+	e.passes = make(chan memberPass, min(e.numClients(), 1<<12))
+	for range runtime.GOMAXPROCS(0) {
+		e.trainers.Add(1)
+		go e.trainPasses(e.eng.getScratch())
+	}
+}
+
+func (e *TieredAsyncEngine) stopTrainers() {
+	close(e.passes)
+	e.trainers.Wait()
+	e.passes = nil
 }
 
 // churnFlap is the deterministic per-(tier, round, client) churn coin,
@@ -508,6 +650,8 @@ func CommitMix(global, commit []float64, alpha, tierWeight float64, staleness in
 // cumulative totals across the whole job, not just this call.
 func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 	res := &TieredAsyncResult{}
+	e.startTrainers()
+	defer e.stopTrainers()
 	if !e.resumed {
 		heap.Init(&e.pending)
 		for t := range e.com.Tiers() {
@@ -530,9 +674,9 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 		}
 	}
 
-	for e.pending.Len() > 0 {
-		run := heap.Pop(&e.pending).(*tierRun)
-		if run.finish > e.Cfg.Duration {
+	for {
+		run := e.next()
+		if run == nil || run.finish > e.Cfg.Duration {
 			break
 		}
 		e.clock.Advance(run.finish - e.clock.Now())
@@ -550,9 +694,11 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 		}
 		if len(moves) > 0 {
 			// Migrations take effect at each tier's next dispatch; the
-			// in-flight runs in the heap keep their cohorts. The pooled
-			// per-tier evaluation shards are stale now, and a moved client's
-			// acks are void for the rounds pulled from here on.
+			// in-flight rounds keep their cohorts, and are joined first so
+			// that a moved client's next pass follows its last one. The
+			// pooled per-tier evaluation shards are stale now, and a moved
+			// client's acks are void for the rounds pulled from here on.
+			e.joinAll()
 			e.tierTest = nil
 			for _, mv := range moves {
 				e.acks.Move(mv.Client, rec.Version)
@@ -566,8 +712,9 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 		}
 		e.dispatch(run.Tier, now, run)
 		// The snapshot point: the commit is applied, the Manager fed, and
-		// the committing tier re-dispatched, so the heap holds every
-		// in-flight round and the checkpoint is a clean between-commits cut.
+		// the committing tier re-dispatched, so once Snapshot joins them the
+		// heap holds every in-flight round and the checkpoint is a clean
+		// between-commits cut.
 		if e.Cfg.OnCheckpoint != nil && e.com.CheckpointDue() {
 			c, err := e.Snapshot()
 			if err != nil {
@@ -576,6 +723,7 @@ func (e *TieredAsyncEngine) Run() *TieredAsyncResult {
 			e.Cfg.OnCheckpoint(c)
 		}
 	}
+	e.joinAll()
 	evalNow(e.clock.Now())
 	final := res.History[len(res.History)-1]
 	res.FinalAcc, res.FinalLoss = final.Acc, final.Loss

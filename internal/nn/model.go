@@ -221,12 +221,21 @@ func (m *Model) NumParams() int {
 
 // WeightsVector returns a flat copy of all trainable weights. This is the
 // representation exchanged between clients and the aggregator.
-func (m *Model) WeightsVector() []float64 {
-	out := make([]float64, 0, m.NumParams())
-	for _, p := range m.cachedParams() {
-		out = append(out, p.Data...)
+func (m *Model) WeightsVector() []float64 { return m.CopyWeights(nil) }
+
+// CopyWeights writes the flat weight vector WeightsVector returns into dst,
+// reallocating only when its capacity is below NumParams, and returns it.
+func (m *Model) CopyWeights(dst []float64) []float64 {
+	n := m.NumParams()
+	if cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	return out
+	dst = dst[:n]
+	off := 0
+	for _, p := range m.cachedParams() {
+		off += copy(dst[off:], p.Data)
+	}
+	return dst
 }
 
 // SetWeightsVector overwrites all trainable weights from a flat vector

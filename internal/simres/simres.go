@@ -100,16 +100,54 @@ func (m LatencyModel) LatencyFull(cpu float64, samples, epochs, params int, band
 // they go over the wire (e.g. a dense model down plus a top-k sparsified
 // update back). LatencyFull(params) ≡ LatencyBytes(16·params).
 func (m LatencyModel) LatencyBytes(cpu float64, samples, epochs, totalBytes int, bandwidth float64, rng *rand.Rand) float64 {
+	lat := m.base(cpu, samples, epochs, totalBytes, bandwidth)
+	if m.JitterFrac > 0 && rng != nil {
+		lat *= 1 + m.JitterFrac*(2*rng.Float64()-1)
+	}
+	return lat
+}
+
+// LatencyFloor is a lower bound on every LatencyBytes draw for a transfer
+// of at least totalBytes, known before the draw: the jitter-free base times
+// 1 − JitterFrac, both rounded as LatencyBytes rounds them. It holds in
+// floating point, not just in the reals, for a model that passes Validate:
+// the jitter factor 1 + J·(2u − 1) rounds to no less than 1 − J for u in
+// [0, 1), the base grows with the byte count, and a product of
+// non-negative operands rounds monotonically.
+func (m LatencyModel) LatencyFloor(cpu float64, samples, epochs, totalBytes int, bandwidth float64) float64 {
+	lat := m.base(cpu, samples, epochs, totalBytes, bandwidth)
+	if m.JitterFrac > 0 {
+		lat *= 1 - m.JitterFrac
+	}
+	return lat
+}
+
+// base is the jitter-free latency LatencyBytes and LatencyFloor share.
+func (m LatencyModel) base(cpu float64, samples, epochs, totalBytes int, bandwidth float64) float64 {
 	if cpu <= 0 {
 		panic(fmt.Sprintf("simres: cpu share %v must be positive", cpu))
 	}
 	compute := m.CostPerSample * float64(samples*epochs) / cpu
 	comm := m.CommLatency + m.CommSeconds(totalBytes, bandwidth)
-	lat := compute + comm
-	if m.JitterFrac > 0 && rng != nil {
-		lat *= 1 + m.JitterFrac*(2*rng.Float64()-1)
+	return compute + comm
+}
+
+// Validate reports a model that can draw a negative or non-finite latency
+// from valid client resources: a JitterFrac outside [0, 1), or a negative
+// or non-finite CostPerSample, CommLatency or CommPerParam.
+func (m LatencyModel) Validate() error {
+	if !(m.JitterFrac >= 0 && m.JitterFrac < 1) {
+		return fmt.Errorf("simres: JitterFrac %v outside [0, 1)", m.JitterFrac)
 	}
-	return lat
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"CostPerSample", m.CostPerSample}, {"CommLatency", m.CommLatency}, {"CommPerParam", m.CommPerParam}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("simres: %s %v is negative or not finite", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // AssignGroups splits n clients into len(cpus) equal, contiguous groups and
