@@ -4,8 +4,14 @@ package tensor
 // and aᵀ·b through the AVX2 kernels in gemm_amd64.s, and the whole 4-lane
 // groups of axpy, divide and Mix through the kernels in axpy_amd64.s. It
 // is set once from the CPU; only in-package tests flip it, to compare the
-// two paths.
+// paths.
 var useSIMD = HasAVX2()
+
+// useAVX512 routes the whole 4-row groups of abtKernel16's blocks and
+// every row's first n&^63 columns of nzKernel's through their AVX-512
+// twins. It is set once from the CPU and implies useSIMD; only in-package
+// tests flip it, to compare the three paths.
+var useAVX512 = useSIMD && HasAVX512()
 
 // abtKernel16 writes a 16-column block of out = a·b (+bias) for rows
 // consecutive rows: a rows are k apart, out rows n apart, b is one packed
@@ -14,6 +20,11 @@ var useSIMD = HasAVX2()
 //go:noescape
 func abtKernel16(out, a, b, bias *float64, rows, k, n int)
 
+// abtKernel16AVX512 is abtKernel16 for rows a multiple of 4.
+//
+//go:noescape
+func abtKernel16AVX512(out, a, b, bias *float64, rows, k, n int)
+
 // nzKernel writes the n columns of one output row: out[j] = Σ v·b[off+j]
 // over the count entries of list (offsets in bytes from b), starting from
 // +0, or from out's own values when acc, then adds bias[j] unless bias is
@@ -21,6 +32,11 @@ func abtKernel16(out, a, b, bias *float64, rows, k, n int)
 //
 //go:noescape
 func nzKernel(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool)
+
+// nzKernelAVX512 is nzKernel for n a multiple of 64.
+//
+//go:noescape
+func nzKernelAVX512(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool)
 
 // listKernel lists the nonzeros among the count values left[0], left[ps],
 // left[2·ps], … in order, the i-th of them with byte offset off + i·step,
@@ -50,8 +66,9 @@ func xgetbv() (eax uint32)
 
 // HasAVX2 reports whether the CPU has AVX2 and the OS saves YMM state:
 // CPUID.1:ECX OSXSAVE (bit 27) and AVX (bit 28), XCR0 XMM|YMM (bits 1–2),
-// CPUID.(7,0):EBX AVX2 (bit 5). It is the one CPU probe behind every SIMD
-// kernel in the module (this package's and internal/compress's).
+// CPUID.(7,0):EBX AVX2 (bit 5). It gates every SIMD kernel in the module
+// (this package's and internal/compress's and internal/nn's); HasAVX512
+// gates the AVX-512 twins of two of them on top of it.
 func HasAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
@@ -63,4 +80,16 @@ func HasAVX2() bool {
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&(1<<5) != 0
+}
+
+// HasAVX512 reports whether, beyond HasAVX2, the CPU has AVX-512F
+// (CPUID.(7,0):EBX bit 16) and the OS saves the opmask and all 32 ZMM
+// registers: XCR0 bits 5–7 beside XMM|YMM. The ZMM kernels use AVX-512F
+// instructions only.
+func HasAVX512() bool {
+	if !HasAVX2() {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	return ebx7&(1<<16) != 0 && xgetbv()&0xe6 == 0xe6
 }

@@ -142,6 +142,146 @@ done:
 	VZEROUPPER
 	RET
 
+// func abtKernel16AVX512(out, a, b, bias *float64, rows, k, n int)
+//
+// abtKernel16 for rows a multiple of 4, four rows at a time: each row's 16
+// columns are two ZMM accumulators, eight in all, and each b row of the
+// block is loaded once for the four, each a[i,p] broadcast by the VMULPD
+// that reads it. A ZMM lane is one output element's accumulator and
+// repeats abtKernel16's sequence: +0, then the rounded product (VMULPD,
+// then VADDPD — no FMA) for p ascending, then the bias.
+TEXT ·abtKernel16AVX512(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ bias+24(FP), R8
+	MOVQ rows+32(FP), R9
+	MOVQ k+40(FP), R10
+	MOVQ n+48(FP), R11
+	SHLQ $3, R11 // out row stride in bytes
+	MOVQ R10, R13
+	SHLQ $3, R13 // a row stride in bytes
+
+quads:
+	CMPQ R9, $4
+	JLT  quaddone
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ SI, AX // the four a rows, one pointer each
+	LEAQ (SI)(R13*1), BX
+	LEAQ (BX)(R13*1), R14
+	LEAQ (R14)(R13*1), R15
+	MOVQ DX, CX
+	MOVQ R10, R12
+	SHRQ $1, R12 // p in pairs, then an odd last step
+	JZ    quadodd
+
+quadloop:
+	VMOVUPD (CX), Z16
+	VMOVUPD 64(CX), Z17
+	VMULPD.BCST (AX), Z16, Z18
+	VADDPD Z18, Z0, Z0
+	VMULPD.BCST (AX), Z17, Z19
+	VADDPD Z19, Z1, Z1
+	VMULPD.BCST (BX), Z16, Z20
+	VADDPD Z20, Z2, Z2
+	VMULPD.BCST (BX), Z17, Z21
+	VADDPD Z21, Z3, Z3
+	VMULPD.BCST (R14), Z16, Z22
+	VADDPD Z22, Z4, Z4
+	VMULPD.BCST (R14), Z17, Z23
+	VADDPD Z23, Z5, Z5
+	VMULPD.BCST (R15), Z16, Z24
+	VADDPD Z24, Z6, Z6
+	VMULPD.BCST (R15), Z17, Z25
+	VADDPD Z25, Z7, Z7
+	VMOVUPD 128(CX), Z16
+	VMOVUPD 192(CX), Z17
+	VMULPD.BCST 8(AX), Z16, Z26
+	VADDPD Z26, Z0, Z0
+	VMULPD.BCST 8(AX), Z17, Z27
+	VADDPD Z27, Z1, Z1
+	VMULPD.BCST 8(BX), Z16, Z28
+	VADDPD Z28, Z2, Z2
+	VMULPD.BCST 8(BX), Z17, Z29
+	VADDPD Z29, Z3, Z3
+	VMULPD.BCST 8(R14), Z16, Z30
+	VADDPD Z30, Z4, Z4
+	VMULPD.BCST 8(R14), Z17, Z31
+	VADDPD Z31, Z5, Z5
+	VMULPD.BCST 8(R15), Z16, Z18
+	VADDPD Z18, Z6, Z6
+	VMULPD.BCST 8(R15), Z17, Z19
+	VADDPD Z19, Z7, Z7
+	ADDQ $16, AX
+	ADDQ $16, BX
+	ADDQ $16, R14
+	ADDQ $16, R15
+	ADDQ $256, CX
+	DECQ R12
+	JNZ  quadloop
+
+quadodd:
+	TESTQ $1, R10
+	JZ    quadbias
+	VMOVUPD (CX), Z16
+	VMOVUPD 64(CX), Z17
+	VMULPD.BCST (AX), Z16, Z18
+	VADDPD Z18, Z0, Z0
+	VMULPD.BCST (AX), Z17, Z19
+	VADDPD Z19, Z1, Z1
+	VMULPD.BCST (BX), Z16, Z20
+	VADDPD Z20, Z2, Z2
+	VMULPD.BCST (BX), Z17, Z21
+	VADDPD Z21, Z3, Z3
+	VMULPD.BCST (R14), Z16, Z22
+	VADDPD Z22, Z4, Z4
+	VMULPD.BCST (R14), Z17, Z23
+	VADDPD Z23, Z5, Z5
+	VMULPD.BCST (R15), Z16, Z24
+	VADDPD Z24, Z6, Z6
+	VMULPD.BCST (R15), Z17, Z25
+	VADDPD Z25, Z7, Z7
+
+quadbias:
+	TESTQ R8, R8
+	JZ    quadstore
+	VMOVUPD (R8), Z16
+	VMOVUPD 64(R8), Z17
+	VADDPD Z16, Z0, Z0
+	VADDPD Z17, Z1, Z1
+	VADDPD Z16, Z2, Z2
+	VADDPD Z17, Z3, Z3
+	VADDPD Z16, Z4, Z4
+	VADDPD Z17, Z5, Z5
+	VADDPD Z16, Z6, Z6
+	VADDPD Z17, Z7, Z7
+
+quadstore:
+	LEAQ (DI)(R11*2), AX
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (DI)(R11*1)
+	VMOVUPD Z3, 64(DI)(R11*1)
+	VMOVUPD Z4, (AX)
+	VMOVUPD Z5, 64(AX)
+	VMOVUPD Z6, (AX)(R11*1)
+	VMOVUPD Z7, 64(AX)(R11*1)
+	LEAQ (SI)(R13*4), SI
+	LEAQ (DI)(R11*4), DI
+	SUBQ $4, R9
+	JMP  quads
+
+quaddone:
+	VZEROUPPER
+	RET
+
 // func nzKernel(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool)
 //
 // One output row of a·b or aᵀ·b: out[j] = Σ v·b[off+j] (+ bias[j]) over
@@ -388,6 +528,109 @@ DATA tailmask<>+104(SB)/8, $-1
 DATA tailmask<>+112(SB)/8, $-1
 DATA tailmask<>+120(SB)/8, $-1
 GLOBL tailmask<>(SB), RODATA|NOPTR, $256
+
+// func nzKernelAVX512(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool)
+//
+// nzKernel for n a multiple of 64: columns run 64 at a time in eight ZMM
+// accumulators over the whole list, each entry's b row addressed by one
+// pointer. A ZMM lane is one output element's accumulator and repeats
+// nzKernel's sequence: +0 (or out[j] when acc), the rounded product
+// (VMULPD, then VADDPD — no FMA) entry by entry, then the bias.
+TEXT ·nzKernelAVX512(SB), NOSPLIT, $0-49
+	MOVQ out+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ list+16(FP), R8
+	MOVQ count+24(FP), R9
+	SHLQ $4, R9
+	ADDQ R8, R9 // end of the list
+	MOVQ n+32(FP), CX // columns left
+	MOVQ bias+40(FP), R11
+	MOVBLZX acc+48(FP), R12
+
+cols64:
+	CMPQ CX, $64
+	JLT  done64
+	TESTQ R12, R12
+	JNZ  load64
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	JMP  start64
+
+load64:
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z4
+	VMOVUPD 320(DI), Z5
+	VMOVUPD 384(DI), Z6
+	VMOVUPD 448(DI), Z7
+
+start64:
+	MOVQ R8, AX
+	CMPQ AX, R9
+	JEQ  bias64
+
+loop64:
+	VBROADCASTSD (AX), Z8
+	MOVQ 8(AX), DX
+	ADDQ SI, DX
+	VMULPD (DX), Z8, Z16
+	VADDPD Z16, Z0, Z0
+	VMULPD 64(DX), Z8, Z17
+	VADDPD Z17, Z1, Z1
+	VMULPD 128(DX), Z8, Z18
+	VADDPD Z18, Z2, Z2
+	VMULPD 192(DX), Z8, Z19
+	VADDPD Z19, Z3, Z3
+	VMULPD 256(DX), Z8, Z20
+	VADDPD Z20, Z4, Z4
+	VMULPD 320(DX), Z8, Z21
+	VADDPD Z21, Z5, Z5
+	VMULPD 384(DX), Z8, Z22
+	VADDPD Z22, Z6, Z6
+	VMULPD 448(DX), Z8, Z23
+	VADDPD Z23, Z7, Z7
+	ADDQ $16, AX
+	CMPQ AX, R9
+	JNE  loop64
+
+bias64:
+	TESTQ R11, R11
+	JZ    store64
+	VADDPD (R11), Z0, Z0
+	VADDPD 64(R11), Z1, Z1
+	VADDPD 128(R11), Z2, Z2
+	VADDPD 192(R11), Z3, Z3
+	VADDPD 256(R11), Z4, Z4
+	VADDPD 320(R11), Z5, Z5
+	VADDPD 384(R11), Z6, Z6
+	VADDPD 448(R11), Z7, Z7
+	ADDQ $512, R11
+
+store64:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ $512, DI
+	ADDQ $512, SI
+	SUBQ $64, CX
+	JMP  cols64
+
+done64:
+	VZEROUPPER
+	RET
 
 // func listKernel(list *nonzero, left *float64, count, ps, off, step int) int
 //

@@ -5,7 +5,14 @@ package tensor
 // useSIMD is always false off amd64: every product takes the scalar path.
 var useSIMD = false
 
+// useAVX512 is always false off amd64.
+var useAVX512 = false
+
 func abtKernel16(out, a, b, bias *float64, rows, k, n int) {
+	panic("tensor: no SIMD kernel on this architecture")
+}
+
+func abtKernel16AVX512(out, a, b, bias *float64, rows, k, n int) {
 	panic("tensor: no SIMD kernel on this architecture")
 }
 
@@ -26,5 +33,9 @@ func listKernel(list *nonzero, left *float64, count, ps, off, step int) int {
 }
 
 func nzKernel(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool) {
+	panic("tensor: no SIMD kernel on this architecture")
+}
+
+func nzKernelAVX512(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool) {
 	panic("tensor: no SIMD kernel on this architecture")
 }

@@ -6,43 +6,89 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// bothPaths returns product's m×n result computed by the scalar loops and
-// by the SIMD kernels, each into a destination of stale values. It skips
-// the test on a CPU without the kernels.
-func bothPaths(t *testing.T, m, n int, product func(dst *Tensor)) (scalar, simd *Tensor) {
+// path is one way through the products: the scalar loops, the AVX2
+// kernels, or the AVX2 kernels with their AVX-512 twins taking the whole
+// 4-row groups of a·bᵀ and the whole 64-column blocks of a·b and aᵀ·b rows.
+type path struct {
+	name         string
+	simd, avx512 bool
+}
+
+var paths = []path{{"scalar", false, false}, {"avx2", true, false}, {"avx512", true, true}}
+
+// cpuSIMD and cpuAVX512 are the switches as the CPU set them, before any
+// test flips them.
+var cpuSIMD, cpuAVX512 = useSIMD, useAVX512
+
+// cpuPaths returns the paths this CPU has, scalar first, and logs each it
+// lacks.
+func cpuPaths(t testing.TB) []path {
 	t.Helper()
-	if !useSIMD {
-		t.Skip("no SIMD kernels on this CPU")
+	switch {
+	case !cpuSIMD:
+		t.Log("no AVX2 kernels here (no AVX2, or not amd64): testing the scalar path alone")
+		return paths[:1]
+	case !cpuAVX512:
+		t.Log("no AVX-512 on this CPU: testing the scalar and AVX2 paths, not the AVX-512 one")
+		return paths[:2]
 	}
-	scalar, simd = full(999, m, n), full(-999, m, n)
-	useSIMD = false
-	defer func() { useSIMD = true }()
-	product(scalar)
-	useSIMD = true
-	product(simd)
-	return scalar, simd
+	return paths
 }
 
-// abtBothPaths returns a·bᵀ (+bias) on both paths.
-func abtBothPaths(t *testing.T, a, b, bias *Tensor) (scalar, simd *Tensor) {
-	t.Helper()
-	return bothPaths(t, a.Dim(0), b.Dim(0), func(dst *Tensor) { matMulABTBiasInto(dst, a, b, bias, "abt") })
+// TestSIMDPathsOnThisCPU names the paths the bit-equality tests compare
+// on this CPU (CI prints it with -v, so a run shows whether the AVX-512
+// kernels were tested).
+func TestSIMDPathsOnThisCPU(t *testing.T) {
+	if cpuAVX512 && !cpuSIMD {
+		t.Fatal("useAVX512 is set without useSIMD")
+	}
+	var names []string
+	for _, p := range cpuPaths(t) {
+		names = append(names, p.name)
+	}
+	t.Logf("kernel paths compared on this CPU: %s", strings.Join(names, ", "))
 }
 
-// abBothPaths returns a·b (+bias) on both paths.
-func abBothPaths(t *testing.T, a, b, bias *Tensor) (scalar, simd *Tensor) {
+// onEveryPath computes product's m×n result on every path the CPU has,
+// each into a destination of stale values, and fails unless every path
+// matches the scalar one (mustSameResult). It returns the results, scalar
+// first.
+func onEveryPath(t *testing.T, what string, m, n int, product func(dst *Tensor)) []*Tensor {
 	t.Helper()
-	return bothPaths(t, a.Dim(0), b.Dim(1), func(dst *Tensor) { matMulBiasInto(dst, a, b, bias, "ab") })
+	defer func() { useSIMD, useAVX512 = cpuSIMD, cpuAVX512 }()
+	var outs []*Tensor
+	for i, p := range cpuPaths(t) {
+		useSIMD, useAVX512 = p.simd, p.avx512
+		outs = append(outs, full([]float64{999, -999, 777}[i], m, n))
+		product(outs[i])
+		if i > 0 {
+			mustSameResult(t, what+" on "+p.name, outs[i], outs[0])
+		}
+	}
+	return outs
 }
 
-// atbBothPaths returns aᵀ·b on both paths.
-func atbBothPaths(t *testing.T, a, b *Tensor) (scalar, simd *Tensor) {
+// abtOnEveryPath checks a·bᵀ (+bias) on every path.
+func abtOnEveryPath(t *testing.T, a, b, bias *Tensor) []*Tensor {
 	t.Helper()
-	return bothPaths(t, a.Dim(1), b.Dim(1), func(dst *Tensor) { MatMulATBInto(dst, a, b) })
+	return onEveryPath(t, "abt", a.Dim(0), b.Dim(0), func(dst *Tensor) { matMulABTBiasInto(dst, a, b, bias, "abt") })
+}
+
+// abOnEveryPath checks a·b (+bias) on every path.
+func abOnEveryPath(t *testing.T, a, b, bias *Tensor) []*Tensor {
+	t.Helper()
+	return onEveryPath(t, "ab", a.Dim(0), b.Dim(1), func(dst *Tensor) { matMulBiasInto(dst, a, b, bias, "ab") })
+}
+
+// atbOnEveryPath checks aᵀ·b on every path.
+func atbOnEveryPath(t *testing.T, a, b *Tensor) []*Tensor {
+	t.Helper()
+	return onEveryPath(t, "atb", a.Dim(1), b.Dim(1), func(dst *Tensor) { MatMulATBInto(dst, a, b) })
 }
 
 // mustSameResult compares bit patterns, except that a NaN only has to meet
@@ -97,11 +143,29 @@ var zeroDensities = []float64{0, 0.7, 0.95, 1}
 // aᵀ·b kernel's 16- and 32-column blocks and of its masked tail.
 var tailNs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48}
 
+// zmmNs are output widths on both sides of the AVX-512 kernels' edges:
+// one and several 16-column a·bᵀ blocks, and a·b and aᵀ·b rows short of
+// one 64-column block, at one, one and a lane, two, and four and an AVX2
+// remainder of 32.
+var zmmNs = []int{16, 32, 48, 63, 64, 65, 128, 288}
+
+// zmmCases returns one m×k·k×n case per m in 1–9 (no, one and two whole
+// 4-row groups, each with every count of leftover rows), n in zmmNs and k
+// in ks.
+func zmmCases(ks ...int) []gemmCase {
+	var cs []gemmCase
+	for _, k := range ks {
+		for _, n := range zmmNs {
+			for m := 1; m <= 9; m++ {
+				cs = append(cs, gemmCase{fmt.Sprintf("m%d_k%d_n%d", m, k, n), m, k, n})
+			}
+		}
+	}
+	return cs
+}
+
 func TestMatMulABTSIMDBitEqualScalar(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		m, k, n int
-	}{
+	for _, tc := range append([]gemmCase{
 		{"conv1", 1440, 9, 32},
 		{"conv2", 1000, 288, 64},
 		{"dense_dx", 10, 128, 1600},
@@ -110,7 +174,7 @@ func TestMatMulABTSIMDBitEqualScalar(t *testing.T) {
 		{"k1", 9, 1, 16},
 		{"tail17", 5, 13, 17},
 		{"tail31", 6, 7, 31},
-	} {
+	}, zmmCases(13)...) {
 		for _, withBias := range []bool{false, true} {
 			name := tc.name
 			if withBias {
@@ -123,8 +187,7 @@ func TestMatMulABTSIMDBitEqualScalar(t *testing.T) {
 				if withBias {
 					bias = randSpecialTensor(rng, tc.n)
 				}
-				scalar, simd := abtBothPaths(t, a, b, bias)
-				mustSameResult(t, "abt", simd, scalar)
+				abtOnEveryPath(t, a, b, bias)
 			})
 		}
 	}
@@ -170,36 +233,107 @@ func tailCases(m, k int, extra ...gemmCase) []gemmCase {
 }
 
 func TestMatMulABSIMDBitEqualScalar(t *testing.T) {
+	check := func(tc gemmCase, zeros float64, withBias bool) {
+		name := fmt.Sprintf("%s/zeros%.0f%%", tc.name, 100*zeros)
+		if !withBias {
+			name += "/nobias"
+		}
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.m*tc.k + tc.n)))
+			a := withZeros(rng, zeros, randSpecialTensor(rng, tc.m, tc.k))
+			b, bias := randSpecialTensor(rng, tc.k, tc.n), randTensor(rng, tc.n)
+			if !withBias {
+				bias = nil
+			}
+			abOnEveryPath(t, a, b, bias)
+		})
+	}
 	// Odd m leaves matMulRows an unpaired last row. One row past a p-tile
 	// leaves nzRows a last tile of one step, which adds the bias.
 	for _, tc := range tailCases(5, 6, append(abShapes, gemmCase{"odd_m", 37, 20, 48}, gemmCase{"m1", 1, 50, 32},
 		gemmCase{"tile_plus1", 5, nzTile + 1, 33})...) {
 		for _, zeros := range zeroDensities {
-			t.Run(fmt.Sprintf("%s/zeros%.0f%%", tc.name, 100*zeros), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(tc.m*tc.k + tc.n)))
-				a := withZeros(rng, zeros, randSpecialTensor(rng, tc.m, tc.k))
-				b, bias := randSpecialTensor(rng, tc.k, tc.n), randTensor(rng, tc.n)
-				scalar, simd := abBothPaths(t, a, b, bias)
-				mustSameResult(t, "ab", simd, scalar)
-			})
+			check(tc, zeros, true)
 		}
+	}
+	// The AVX-512 edges at the workloads' zeros, within one p-tile and past
+	// it (every row resumes from its stored sums), with and without a bias.
+	for _, tc := range zmmCases(6, nzTile+3) {
+		check(tc, 0.7, false)
+		check(tc, 0.7, true)
 	}
 }
 
 func TestMatMulATBSIMDBitEqualScalar(t *testing.T) {
+	check := func(tc gemmCase, zeros float64) {
+		t.Run(fmt.Sprintf("%s/zeros%.0f%%", tc.name, 100*zeros), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(tc.m*tc.k + tc.n)))
+			a := withZeros(rng, zeros, randSpecialTensor(rng, tc.k, tc.m))
+			b := randSpecialTensor(rng, tc.k, tc.n)
+			atbOnEveryPath(t, a, b)
+		})
+	}
 	// Odd k leaves matMulATBRows an unpaired last step. k = 1000 walks
 	// nzRows' p-tiles with a partial last one, and one row past a p-tile
 	// leaves it a last tile of one step.
 	for _, tc := range tailCases(6, 7, append(atbShapes, gemmCase{"odd_k", 12, 37, 48}, gemmCase{"k1", 9, 1, 16},
 		gemmCase{"k1000", 7, 1000, 33}, gemmCase{"tile_plus1", 5, nzTile + 1, 10})...) {
 		for _, zeros := range zeroDensities {
-			t.Run(fmt.Sprintf("%s/zeros%.0f%%", tc.name, 100*zeros), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(tc.m*tc.k + tc.n)))
-				a := withZeros(rng, zeros, randSpecialTensor(rng, tc.k, tc.m))
-				b := randSpecialTensor(rng, tc.k, tc.n)
-				scalar, simd := atbBothPaths(t, a, b)
-				mustSameResult(t, "atb", simd, scalar)
-			})
+			check(tc, zeros)
+		}
+	}
+	// The AVX-512 edges at the workloads' zeros, within one p-tile and past
+	// it.
+	for _, tc := range zmmCases(7, nzTile+3) {
+		check(tc, 0.7)
+	}
+}
+
+// Every special (±0, subnormals, ±Inf, NaN) at every lane of every path,
+// one kind at a time so a NaN does not hide the rest: in b at one step per output column
+// (in the second p-tile for some columns of a·b and aᵀ·b, which then
+// resume from their stored sums), in all of b, in all of the left operand
+// (a sum of ±0 products only, which must start from +0), and in every
+// bias.
+func TestMatMulSIMDSpecialsAtEveryLane(t *testing.T) {
+	const kABT, kRows = 5, nzTile + 1
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range zmmNs {
+		for _, where := range []string{"b_lane", "b_all", "left_all", "bias"} {
+			for _, s := range specials {
+				at := func(x *Tensor, lane func(j int) int) *Tensor {
+					for j := 0; j < n; j++ {
+						if where == "b_lane" {
+							x.Data[lane(j)] = s
+						}
+					}
+					if where == "b_all" {
+						x.Fill(s)
+					}
+					return x
+				}
+				left := func(shape ...int) *Tensor {
+					x := withZeros(rng, 0.3, randTensor(rng, shape...))
+					if where == "left_all" {
+						x.Fill(s)
+					}
+					return x
+				}
+				bias := randTensor(rng, n)
+				if where == "bias" {
+					bias.Fill(s)
+				}
+				what := fmt.Sprintf("n=%d, %v in %s", n, s, where)
+				t.Run(what, func(t *testing.T) {
+					for m := 1; m <= 9; m++ {
+						abtOnEveryPath(t, left(m, kABT), at(randTensor(rng, n, kABT), func(j int) int { return j*kABT + j%kABT }), bias)
+					}
+					for _, m := range []int{1, 5} {
+						abOnEveryPath(t, left(m, kRows), at(randTensor(rng, kRows, n), func(j int) int { return (j%kRows)*n + j }), bias)
+						atbOnEveryPath(t, left(kRows, m), at(randTensor(rng, kRows, n), func(j int) int { return (j%kRows)*n + j }))
+					}
+				})
+			}
 		}
 	}
 }
@@ -210,9 +344,10 @@ func TestMatMulATBSIMDBitEqualScalar(t *testing.T) {
 // entries at those steps are zero, which the rule i%3 != 1 makes true of
 // 0, 2, 3, 5 and 6. Over 7 rows or steps that drives every arm of the
 // pair loops' switch (row/step pairs (0,1), (2,3), (4,5)) and the unpaired
-// last one into a poisoned b row.
+// last one into a poisoned b row. n = 95 puts a 64-column block and an
+// AVX2 remainder on every path that has them.
 func TestMatMulZeroSkipsNonFinite(t *testing.T) {
-	const m, k, n = 7, 7, 31
+	const m, k, n = 7, 7, 95
 	rng := rand.New(rand.NewSource(9))
 	poison := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
 	b := randTensor(rng, k, n)
@@ -230,20 +365,21 @@ func TestMatMulZeroSkipsNonFinite(t *testing.T) {
 			}
 		}
 	}
-	abScalar, abSIMD := abBothPaths(t, a, b, nil)
-	atbScalar, atbSIMD := atbBothPaths(t, transpose(a), b) // column i of aᵀ is output row i
+	ab := abOnEveryPath(t, a, b, nil)
+	atb := atbOnEveryPath(t, transpose(a), b) // column i of aᵀ is output row i
 	for _, tc := range []struct {
-		name         string
-		scalar, simd *Tensor
-	}{{"ab", abScalar, abSIMD}, {"atb", atbScalar, atbSIMD}} {
-		mustSameResult(t, tc.name, tc.simd, tc.scalar)
-		for i := 0; i < m; i++ {
-			if i%3 == 1 {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if v := tc.simd.Data[i*n+j]; math.IsInf(v, 0) || math.IsNaN(v) {
-					t.Fatalf("%s[%d,%d] = %v: a zero left entry reached a non-finite b", tc.name, i, j, v)
+		name string
+		outs []*Tensor
+	}{{"ab", ab}, {"atb", atb}} {
+		for _, out := range tc.outs {
+			for i := 0; i < m; i++ {
+				if i%3 == 1 {
+					continue
+				}
+				for j := 0; j < n; j++ {
+					if v := out.Data[i*n+j]; math.IsInf(v, 0) || math.IsNaN(v) {
+						t.Fatalf("%s[%d,%d] = %v: a zero left entry reached a non-finite b", tc.name, i, j, v)
+					}
 				}
 			}
 		}
@@ -278,29 +414,38 @@ func fuzzSeed() []byte {
 	return seed
 }
 
-// FuzzMatMulABT checks the SIMD kernel against the scalar loop on fuzzed
-// shapes and raw float64 bit patterns.
+// fuzzShape maps fuzzed bytes to a product's shape: m in 1–9, k in 0–159
+// (past one of nzRows' p-tiles) and n in 1–160 (past two of nzKernelAVX512's
+// 64-column blocks).
+func fuzzShape(mb, kb, nb uint8) (m, k, n int) {
+	return 1 + int(mb%9), int(kb % 160), 1 + int(nb%160)
+}
+
+// FuzzMatMulABT checks the SIMD kernels against the scalar loop on every
+// path the CPU has (onEveryPath), on fuzzed shapes and raw float64 bit
+// patterns.
 func FuzzMatMulABT(f *testing.F) {
 	seed := fuzzSeed()
 	f.Add(uint8(3), uint8(9), uint8(32), true, seed)
 	f.Add(uint8(1), uint8(1), uint8(17), false, seed)
 	f.Add(uint8(4), uint8(0), uint8(16), true, []byte{})
+	// Two whole 4-row groups and a leftover row, over four 16-column blocks.
+	f.Add(uint8(8), uint8(13), uint8(63), true, seed)
 	f.Fuzz(func(t *testing.T, mb, kb, nb uint8, withBias bool, data []byte) {
-		m, k, n := 1+int(mb%9), int(kb%40), 1+int(nb%48)
+		m, k, n := fuzzShape(mb, kb, nb)
 		fill := fuzzOperands(data)
 		a, b := fill(m, k), fill(n, k)
 		var bias *Tensor
 		if withBias {
 			bias = fill(n)
 		}
-		scalar, simd := abtBothPaths(t, a, b, bias)
-		mustSameResult(t, "abt", simd, scalar)
+		abtOnEveryPath(t, a, b, bias)
 	})
 }
 
-// FuzzMatMulAB checks a·b's SIMD sweeps against the scalar loops on fuzzed
-// shapes, raw float64 bit patterns and a fuzzed share of zeros (zb%5
-// quarters) in the left operand.
+// FuzzMatMulAB checks a·b's SIMD sweeps against the scalar loops on every
+// path the CPU has, on fuzzed shapes, raw float64 bit patterns and a fuzzed
+// share of zeros (zb%5 quarters) in the left operand.
 func FuzzMatMulAB(f *testing.F) {
 	seed := fuzzSeed()
 	f.Add(uint8(3), uint8(9), uint8(32), uint8(2), true, seed)
@@ -311,8 +456,12 @@ func FuzzMatMulAB(f *testing.F) {
 	f.Add(uint8(8), uint8(39), uint8(9), uint8(3), true, seed)
 	f.Add(uint8(2), uint8(25), uint8(15), uint8(3), false, seed)
 	f.Add(uint8(5), uint8(33), uint8(32), uint8(3), true, seed)
+	// n = 64, and 129 past a p-tile (one 64-column block, then two and a
+	// one-lane remainder resuming from their stored sums).
+	f.Add(uint8(2), uint8(20), uint8(63), uint8(2), true, seed)
+	f.Add(uint8(3), uint8(131), uint8(128), uint8(2), true, seed)
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zb uint8, withBias bool, data []byte) {
-		m, k, n := 1+int(mb%9), int(kb%40), 1+int(nb%48)
+		m, k, n := fuzzShape(mb, kb, nb)
 		fill := fuzzOperands(data)
 		a := withZeros(rand.New(rand.NewSource(int64(zb))), float64(zb%5)/4, fill(m, k))
 		b := fill(k, n)
@@ -320,8 +469,7 @@ func FuzzMatMulAB(f *testing.F) {
 		if withBias {
 			bias = fill(n)
 		}
-		scalar, simd := abBothPaths(t, a, b, bias)
-		mustSameResult(t, "ab", simd, scalar)
+		abOnEveryPath(t, a, b, bias)
 	})
 }
 
@@ -332,16 +480,17 @@ func FuzzMatMulATB(f *testing.F) {
 	f.Add(uint8(3), uint8(9), uint8(32), uint8(2), seed)
 	f.Add(uint8(1), uint8(2), uint8(17), uint8(4), seed)
 	f.Add(uint8(4), uint8(0), uint8(7), uint8(0), []byte{})
-	// n = 10, 16 and 33 at 75 % zeros, as in FuzzMatMulAB.
+	// n = 10, 16, 33, 64 and 129 as in FuzzMatMulAB.
 	f.Add(uint8(8), uint8(39), uint8(9), uint8(3), seed)
 	f.Add(uint8(2), uint8(25), uint8(15), uint8(3), seed)
 	f.Add(uint8(5), uint8(33), uint8(32), uint8(3), seed)
+	f.Add(uint8(2), uint8(20), uint8(63), uint8(2), seed)
+	f.Add(uint8(3), uint8(131), uint8(128), uint8(2), seed)
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zb uint8, data []byte) {
-		m, k, n := 1+int(mb%9), int(kb%40), 1+int(nb%48)
+		m, k, n := fuzzShape(mb, kb, nb)
 		fill := fuzzOperands(data)
 		a := withZeros(rand.New(rand.NewSource(int64(zb))), float64(zb%5)/4, fill(k, m))
-		scalar, simd := atbBothPaths(t, a, fill(k, n))
-		mustSameResult(t, "atb", simd, scalar)
+		atbOnEveryPath(t, a, fill(k, n))
 	})
 }
 
@@ -549,35 +698,42 @@ func TestMatMulABAndATBConcurrentSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// benchZeros are the left-operand zero shares benchGemm runs each shape
-// at: dense, then the shares of a paper-CNN training run (conv2's columns
-// 51 %, the dense input gradient 85 %, conv2's output gradient 95 %).
+// benchZeros are the left-operand zero shares benchGemm runs each a·b and
+// aᵀ·b shape at: dense, then the shares of a paper-CNN training run
+// (conv2's columns 51 %, the dense input gradient 85 %, conv2's output
+// gradient 95 %). a·bᵀ skips no zeros, so its shapes run dense only.
 var benchZeros = []float64{0, 0.51, 0.85, 0.95}
 
-// benchGemm reports product's throughput on the scalar loops and on the
-// SIMD kernels, counting 2·m·k·n flops per call at every zero share, so a
-// sparse row's GFLOP/s counts the skipped products as done. The left
-// operand is k×m when leftT, else m×k.
-func benchGemm(b *testing.B, cases []gemmCase, leftT bool, product func(dst, a, b *Tensor)) {
-	simd := useSIMD
-	defer func() { useSIMD = simd }()
+// abtShapes are the workloads' a·bᵀ products (m×k times (n×k)ᵀ): the
+// paper CNN's conv forwards at batch 10, conv2's at a 50-image evaluation
+// batch, and the dense layer's input gradient.
+var abtShapes = []gemmCase{
+	{"conv1", 1440, 9, 32},
+	{"conv2", 1000, 288, 64},
+	{"conv2_eval", 5000, 288, 64},
+	{"dense_dx", 10, 128, 1600},
+}
+
+// benchGemm reports product's throughput on every path the CPU has,
+// counting 2·m·k·n flops per call at every zero share, so a sparse row's
+// GFLOP/s counts the skipped products as done. The left operand is k×m
+// when leftT, else m×k; the right is n×k when rightT, else k×n.
+func benchGemm(b *testing.B, cases []gemmCase, zeros []float64, leftT, rightT bool, product func(dst, a, b *Tensor)) {
+	defer func() { useSIMD, useAVX512 = cpuSIMD, cpuAVX512 }()
 	for _, c := range cases {
-		for _, zeros := range benchZeros {
+		for _, z := range zeros {
 			rng := rand.New(rand.NewSource(1))
-			left := withZeros(rng, zeros, randTensor(rng, c.m, c.k))
+			left := withZeros(rng, z, randTensor(rng, c.m, c.k))
 			if leftT {
 				left = transpose(left)
 			}
 			right, dst := randTensor(rng, c.k, c.n), New(c.m, c.n)
-			for _, path := range []struct {
-				name string
-				on   bool
-			}{{"scalar", false}, {"simd", true}} {
-				b.Run(fmt.Sprintf("%s/zeros%.0f%%/%s", c.name, 100*zeros, path.name), func(b *testing.B) {
-					if path.on && !simd {
-						b.Skip("no SIMD kernels on this CPU")
-					}
-					useSIMD = path.on
+			if rightT {
+				right = transpose(right)
+			}
+			for _, p := range cpuPaths(b) {
+				b.Run(fmt.Sprintf("%s/zeros%.0f%%/%s", c.name, 100*z, p.name), func(b *testing.B) {
+					useSIMD, useAVX512 = p.simd, p.avx512
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						product(dst, left, right)
@@ -589,6 +745,12 @@ func benchGemm(b *testing.B, cases []gemmCase, leftT bool, product func(dst, a, 
 	}
 }
 
-func BenchmarkMatMulAB(b *testing.B) { benchGemm(b, abShapes, false, MatMulInto) }
+func BenchmarkMatMulABT(b *testing.B) {
+	benchGemm(b, abtShapes, []float64{0}, false, true, MatMulABTInto)
+}
 
-func BenchmarkMatMulATB(b *testing.B) { benchGemm(b, atbShapes, true, MatMulATBInto) }
+func BenchmarkMatMulAB(b *testing.B) { benchGemm(b, abShapes, benchZeros, false, false, MatMulInto) }
+
+func BenchmarkMatMulATB(b *testing.B) {
+	benchGemm(b, atbShapes, benchZeros, true, false, MatMulATBInto)
+}

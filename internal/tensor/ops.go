@@ -304,19 +304,33 @@ const nzTile = 128
 // a·b and 1, m is aᵀ·b. p runs in tiles of nzTile rows of b; per tile,
 // listKernel lists each row's nonzeros in ascending p, and nzKernel
 // accumulates them from +0 on the first tile and from the row's partial
-// sums after it, then adds the bias after the last. Every element thus
-// repeats the scalar loops' sequence with zero products skipped.
+// sums after it, then adds the bias after the last. With useAVX512 a row's
+// first w = n&^63 columns run on nzKernelAVX512 and the rest on nzKernel,
+// each over the same list. Every element thus repeats the scalar loops'
+// sequence with zero products skipped.
 func nzRows(out, left, b, bias []float64, rs, ps, k, n, lo, hi int) {
 	var list [nzTile]nonzero
-	var bp *float64
+	var bp, bpw *float64
+	w := 0
+	if useAVX512 {
+		w = n &^ 63
+	}
 	for p0 := 0; p0 < k; p0 += nzTile {
 		p1 := min(p0+nzTile, k)
 		if p1 == k && bias != nil {
 			bp = &bias[0]
+			if w < n {
+				bpw = &bias[w]
+			}
 		}
 		for i := lo; i < hi; i++ {
 			c := listKernel(&list[0], &left[i*rs+p0*ps], p1-p0, ps, p0*n*8, n*8)
-			nzKernel(&out[i*n], &b[0], &list[0], c, n, bp, p0 > 0)
+			if w > 0 {
+				nzKernelAVX512(&out[i*n], &b[0], &list[0], c, w, bp, p0 > 0)
+			}
+			if w < n {
+				nzKernel(&out[i*n+w], &b[w], &list[0], c, n-w, bpw, p0 > 0)
+			}
 		}
 	}
 }
@@ -436,19 +450,29 @@ func packABT(dst, b []float64, k, nb int) {
 }
 
 // matMulABTRows writes rows [lo,hi) of a·bᵀ (+bias) into out: columns
-// [0,nb) through abtKernel16 over panel, the rest four at a time so arow
+// [0,nb) through abtKernel16 over panel (its whole 4-row groups through
+// abtKernel16AVX512 with useAVX512), the rest four at a time so arow
 // stays register/L1-resident across four b-rows, each dot product
 // accumulating p ascending into its own scalar.
 func matMulABTRows(out, a, b, bias *Tensor, panel []float64, k, n, nb, lo, hi int) {
 	if lo == hi {
 		return
 	}
+	r4 := 0
+	if useAVX512 {
+		r4 = (hi - lo) &^ 3
+	}
 	for j := 0; j < nb; j += simdCols {
 		var bj *float64
 		if bias != nil {
 			bj = &bias.Data[j]
 		}
-		abtKernel16(&out.Data[lo*n+j], &a.Data[lo*k], &panel[j*k], bj, hi-lo, k, n)
+		if r4 > 0 {
+			abtKernel16AVX512(&out.Data[lo*n+j], &a.Data[lo*k], &panel[j*k], bj, r4, k, n)
+		}
+		if r := lo + r4; r < hi {
+			abtKernel16(&out.Data[r*n+j], &a.Data[r*k], &panel[j*k], bj, hi-r, k, n)
+		}
 	}
 	for i := lo; i < hi; i++ {
 		arow := a.Data[i*k:][:k]
