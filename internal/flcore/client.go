@@ -16,7 +16,7 @@
 // local computation exactly via Engine.TrainClient and TierCohort.
 //
 // A synchronous round's selection under Config.Parallel trains on up to
-// min(GOMAXPROCS, |cohort|) goroutines (Engine.trainCohort); the tiered-async
+// min(GOMAXPROCS, |cohort|) goroutines (syncTrainer); the tiered-async
 // engine's rounds train on its pool of GOMAXPROCS trainers, several tiers'
 // rounds at once. A client's pass reads its round's starting weights, draws
 // only from its own keyed stream and writes only its own residual and its
@@ -96,9 +96,9 @@ type Update struct {
 }
 
 // FedAvgInto computes the sample-weighted average of the updates' weight
-// vectors (line 8 of Algorithm 1) into dst, reusing dst's storage (the
-// round loops aggregate into a standing vector instead of reallocating it
-// every round). dst must have the updates' length and must not alias any
+// vectors (line 8 of Algorithm 1) into dst, reusing dst's storage (a tier
+// round's commit half aggregates into its Commit's vector, reused round
+// after round). dst must have the updates' length and must not alias any
 // update's weight vector, though it may be an encoded update's Base; it
 // panics on no updates or a length mismatch. The reduction is one
 // tensor.MeanSharded — tensor.MeanTiles when an update is encoded, which

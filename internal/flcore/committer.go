@@ -7,18 +7,18 @@ import (
 	"repro/internal/compress"
 )
 
-// Committer is the FedAT server update, once. It owns everything a
-// tiered-asynchronous run's server side decides — global weights and
-// version, per-tier commit counts and round cursors, the membership view,
-// staleness, cross-tier weight and the one CommitMix call, the Manager's
-// feed, traffic and re-tiering totals, the checkpoint cadence — and its
-// three drivers (the simulated event loop here, the flat tier loops and the
-// tree pumps in flnet) only move bytes and time: they hand finished tier
-// rounds to Apply and carry what Pull returns to whoever trains the tier's
-// next round. In every driver a tier's next Pull follows its own commit, so
-// each round trains from a model that holds the tier's previous one; the
-// order in which different tiers' commits reach Apply is all a driver
-// chooses.
+// Committer is the server update, once, for FedAT and for TiFL's
+// synchronous round, its degenerate schedule. It owns everything a run's
+// server side decides — global weights and version, per-tier commit counts
+// and round cursors, the membership view, staleness, cross-tier weight and
+// the commit rule, the Manager's feed, traffic and re-tiering totals, the
+// checkpoint cadence — and its drivers (the sim engines, the socket
+// aggregators, the tree pumps) only move bytes and time: they hand finished
+// tier rounds to Apply and carry what Pull returns to whoever trains the
+// tier's next round. In every driver a tier's next Pull follows its own
+// commit, so each round trains from a model that holds the tier's previous
+// one; the order in which different tiers' commits reach Apply is all a
+// driver chooses.
 //
 // Single-owner state, no goroutines, no locks: all calls come from one
 // goroutine, and the same call sequence gives the same results — which is
@@ -31,6 +31,7 @@ type Committer struct {
 	rounds  []int   // per tier: the next local round index Pull hands out
 	commits []int   // per tier: cumulative applied commits
 	scratch []int   // commits plus the commit under validation (TierWeight's view)
+	replace bool    // the synchronous rule: a commit replaces the model (NewSyncCommitter)
 
 	retiers, migrations int
 	uplink, downlink    int64
@@ -150,6 +151,16 @@ func NewCommitter(cfg CommitterConfig, tiers [][]int, weights []float64) *Commit
 	}
 }
 
+// NewSyncCommitter starts a synchronous run at version 0: one tier over
+// roster, whose Apply copies the commit over the global model (mixing at
+// rate 1 would not: 0·g + t is not t for t = −0 or g not finite). A stale
+// commit is refused, so the version counts rounds. It owns roster and weights.
+func NewSyncCommitter(seed int64, roster []int, weights []float64) *Committer {
+	k := NewCommitter(CommitterConfig{Seed: seed}, [][]int{roster}, weights)
+	k.replace = true
+	return k
+}
+
 // Version is the number of commits applied so far.
 func (k *Committer) Version() int { return k.version }
 
@@ -181,13 +192,14 @@ func (k *Committer) Totals() CommitTotals {
 }
 
 // Apply folds one tier commit into the global model (staleness = commits
-// applied since the round's pull; effective rate = CommitMix's), then feeds
-// the round's observations to the Manager and lets it decide whether the
-// new version is a rebuild point. The clients a rebuild moved are returned
-// for the driver to tell; the membership view is already swapped — in-flight
-// rounds complete under the cohort they were pulled with, every later Pull
-// sees the new table. The record carries what the Committer knows; drivers
-// add their own fields (Selected, Latency, SimTime).
+// applied since the round's pull; effective rate = CommitMix's, or 1 for a
+// synchronous copy), then feeds the round's observations to the Manager and
+// lets it decide whether the new version is a rebuild point. The clients a
+// rebuild moved are returned for the driver to tell; the membership view is
+// already swapped — in-flight rounds complete under the cohort they were
+// pulled with, every later Pull sees the new table. The record carries what
+// the Committer knows; drivers add their own fields (Selected, Latency,
+// SimTime).
 //
 // A commit naming no tier, carrying the wrong number of weights or an
 // impossible pulled version, or drawing a negative or NaN TierWeight is a
@@ -201,6 +213,8 @@ func (k *Committer) Apply(c Commit) (TierRoundRecord, []TierMove, error) {
 		return TierRoundRecord{}, nil, fmt.Errorf("flcore: tier %d commit carries %d weights, global model has %d", c.Tier, len(c.Weights), len(k.weights))
 	case c.PulledVersion < 0 || c.PulledVersion > k.version:
 		return TierRoundRecord{}, nil, fmt.Errorf("flcore: tier %d commit pulled version %d outside [0, %d]", c.Tier, c.PulledVersion, k.version)
+	case k.replace && c.PulledVersion != k.version:
+		return TierRoundRecord{}, nil, fmt.Errorf("flcore: synchronous commit pulled version %d, global model is at %d", c.PulledVersion, k.version)
 	}
 	tw := 1.0
 	if k.cfg.TierWeight != nil {
@@ -212,7 +226,12 @@ func (k *Committer) Apply(c Commit) (TierRoundRecord, []TierMove, error) {
 		}
 	}
 	staleness := k.version - c.PulledVersion
-	alpha := CommitMix(k.weights, c.Weights, k.cfg.Alpha, tw, staleness, k.cfg.StalenessExp)
+	alpha := 1.0
+	if k.replace {
+		copy(k.weights, c.Weights)
+	} else {
+		alpha = CommitMix(k.weights, c.Weights, k.cfg.Alpha, tw, staleness, k.cfg.StalenessExp)
+	}
 	k.version++
 	k.commits[c.Tier]++
 	if c.TierRound >= k.rounds[c.Tier] {

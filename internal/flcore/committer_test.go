@@ -272,3 +272,58 @@ func TestCommitterSnapshotRestore(t *testing.T) {
 		t.Fatal("exact restore accepted a checkpoint with a different tier count")
 	}
 }
+
+// TestSyncCommitterReplacesBitForBit: a synchronous Committer's Apply
+// copies the commit into the global model, whatever either holds — mixing
+// at rate 1 would turn a −0 commit over a +0 global into +0 and keep a
+// non-finite global's NaN — and advances the version, the tier's commit
+// count and the traffic totals by one commit each. A stale commit, which
+// the replacement would silently lose rounds to, is refused.
+func TestSyncCommitterReplacesBitForBit(t *testing.T) {
+	negZero, inf := math.Copysign(0, -1), math.Inf(1)
+	nanPayload := math.Float64frombits(0x7ff8_0000_0000_0bad)
+	negNaN := math.Float64frombits(0xfff8_0000_0000_0001)
+	const tiny = math.SmallestNonzeroFloat64
+	maxSub := math.Float64frombits(0x000f_ffff_ffff_ffff)
+	k := flcore.NewSyncCommitter(5, []int{0, 1, 2}, make([]float64, 4))
+	for i, row := range []struct {
+		name           string
+		global, commit []float64
+	}{
+		{"−0 and subnormals over +0", []float64{0, 0, 0, 0}, []float64{negZero, tiny, -tiny, maxSub}},
+		{"finite over NaN, ±Inf, −0", []float64{math.NaN(), inf, -inf, negZero}, []float64{1, -2, 0, 3}},
+		{"NaNs and ±Inf over finite", []float64{1, 2, 3, 4}, []float64{nanPayload, negNaN, inf, -inf}},
+		{"−0 over non-finite", []float64{negNaN, -inf, inf, nanPayload}, []float64{negZero, negZero, tiny, negZero}},
+	} {
+		copy(k.Weights(), row.global)
+		c := flcore.Commit{PulledVersion: k.Version(), TierRound: i, Weights: row.commit, UplinkBytes: 10, DownlinkBytes: 100}
+		rec, moves, err := k.Apply(c)
+		if err != nil || moves != nil {
+			t.Fatalf("%s: moves %v, err %v", row.name, moves, err)
+		}
+		for j, w := range k.Weights() {
+			if math.Float64bits(w) != math.Float64bits(row.commit[j]) {
+				t.Errorf("%s: global[%d] = %#x, commit %#x", row.name, j, math.Float64bits(w), math.Float64bits(row.commit[j]))
+			}
+		}
+		n := i + 1
+		if rec.Version != n || rec.Staleness != 0 || rec.Weight != 1 || k.Version() != n {
+			t.Errorf("%s: record %+v, version %d; want version %d, staleness 0, weight 1", row.name, rec, k.Version(), n)
+		}
+		if tot := k.Totals(); !reflect.DeepEqual(tot.Commits, []int{n}) || tot.UplinkBytes != int64(10*n) || tot.DownlinkBytes != int64(100*n) {
+			t.Errorf("%s: totals %+v after %d commits", row.name, tot, n)
+		}
+	}
+
+	copy(k.Weights(), []float64{1, 2, 3, 4}) // finite, so DeepEqual can compare the state
+	before, err := k.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := k.Apply(flcore.Commit{PulledVersion: k.Version() - 1, Weights: make([]float64, 4)}); err == nil {
+		t.Error("stale synchronous commit accepted")
+	}
+	if after, _ := k.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused commit changed state: %+v → %+v", before, after)
+	}
+}

@@ -45,7 +45,7 @@ type Config struct {
 	EvalEvery int
 	// EvalBatch bounds eval batch size (0 = whole set at once).
 	EvalBatch int
-	// Parallel trains the selected clients concurrently (see trainCohort).
+	// Parallel trains the selected clients concurrently (see syncTrainer).
 	// Results are deterministic either way because all randomness is keyed
 	// on (Seed, round, client). The Model, Optimizer, EpochsFor and
 	// TransformUpdate callbacks and the clients' Drift functions are then
@@ -146,9 +146,6 @@ type Engine struct {
 	// lifetime; it never outgrows the engine's worker-goroutine count.
 	mu      sync.Mutex
 	scratch []*trainScratch
-
-	// updates is trainCohort's result, resliced every round.
-	updates []Update
 
 	// eval is Run's global-test evaluator under Cfg.Parallel.
 	eval *globalEval
@@ -351,17 +348,25 @@ func (e *Engine) epochs(c *Client, round int) int {
 	return e.Cfg.LocalEpochs
 }
 
-// Run executes Cfg.Rounds federated rounds with the given selector and
-// returns the result history.
+// Run executes Cfg.Rounds synchronous rounds with the given selector and
+// returns the result history: sel draws each round's cohort, RunTierRound
+// trains it, and a synchronous Committer commits its FedAvg.
 //
 // Under Cfg.Parallel an evaluated round's global-test score is computed on
 // its own replica while AfterRound, the next Select and the next round's
 // training proceed; the next round joins it after training and before its
-// FedAvg, and only then records the round and calls OnRound, so OnRound
+// commit, and only then records the round and calls OnRound, so OnRound
 // still sees that round's model in GlobalWeights. Every bit of the result
 // is the same either way.
 func (e *Engine) Run(sel Selector) *Result {
 	res := &Result{}
+	roster := make([]int, len(e.Clients))
+	for i := range roster {
+		roster[i] = i
+	}
+	k := NewSyncCommitter(e.Cfg.Seed, roster, e.weights)
+	tr := &syncTrainer{e: e}
+	var c Commit
 	inFlight := false // e.eval is scoring the round before this one
 	defer func() {
 		if inFlight { // unwinding a panic: free the replica for the next Run
@@ -373,22 +378,19 @@ func (e *Engine) Run(sel Selector) *Result {
 		if len(selected) == 0 {
 			panic(fmt.Sprintf("flcore: selector returned no clients in round %d", r))
 		}
-		updates := e.trainRound(r, selected)
+		RunTierRound(TierPull{Version: k.Version(), Weights: e.weights, Round: r, Cohort: selected}, nil, nil, tr, &c)
 		if inFlight {
 			inFlight = false
 			e.record(res, e.eval.wait())
 		}
-		FedAvgInto(e.weights, updates)
-		e.global.SetWeightsVector(e.weights)
-		lat := MaxLatency(updates)
-		e.clock.Advance(lat)
-		var upBytes int64
-		for _, u := range updates {
-			upBytes += int64(u.WireBytes)
+		if _, _, err := k.Apply(c); err != nil {
+			panic(err)
 		}
-		res.UplinkBytes += upBytes
+		e.global.SetWeightsVector(e.weights)
+		lat := MaxLatency(tr.updates)
+		e.clock.Advance(lat)
 
-		rec := RoundRecord{Round: r, Selected: selected, Latency: lat, SimTime: e.clock.Now(), Acc: math.NaN(), Loss: math.NaN(), UplinkBytes: upBytes}
+		rec := RoundRecord{Round: r, Selected: selected, Latency: lat, SimTime: e.clock.Now(), Acc: math.NaN(), Loss: math.NaN(), UplinkBytes: c.UplinkBytes}
 		last := r == e.Cfg.Rounds-1
 		if e.GlobalTest != nil && (last || (e.Cfg.EvalEvery > 0 && r%e.Cfg.EvalEvery == 0)) {
 			if e.Cfg.Parallel {
@@ -403,7 +405,7 @@ func (e *Engine) Run(sel Selector) *Result {
 		}
 
 		if obs, ok := sel.(LatencyObserver); ok {
-			obs.ObserveLatencies(r, updates)
+			obs.ObserveLatencies(r, tr.updates)
 		}
 		if obs, ok := sel.(RoundObserver); ok {
 			obs.AfterRound(r, func(d *dataset.Dataset) float64 {
@@ -416,7 +418,7 @@ func (e *Engine) Run(sel Selector) *Result {
 		inFlight = false
 		e.record(res, e.eval.wait())
 	}
-	res.TotalTime = e.clock.Now()
+	res.TotalTime, res.UplinkBytes = e.clock.Now(), k.Totals().UplinkBytes
 	res.Weights = append([]float64(nil), e.weights...)
 	final := res.History[len(res.History)-1]
 	res.FinalAcc, res.FinalLoss = final.Acc, final.Loss
@@ -471,49 +473,51 @@ func (g *globalEval) wait() RoundRecord {
 	return g.rec
 }
 
-// trainRound trains the round's selection from the global weights and
-// returns the updates in selection order.
-func (e *Engine) trainRound(round int, selected []int) []Update {
-	cohort := make([]*Client, len(selected))
-	for i, ci := range selected {
-		cohort[i] = e.Clients[ci]
-	}
-	return e.trainCohort(round, cohort, e.weights)
-}
-
-// trainCohort trains a synchronous round's selection: clients[i] trains
-// from weights and lands in slot i of the returned slice, which the engine
-// owns and overwrites on the next call.
+// syncTrainer is Run's Trainer. It reaches every member, and Train trains
+// each bill's client from the round's base into the bill's slot of updates
+// and replies, which it overwrites on its next call.
 //
-// With Cfg.Parallel, min(GOMAXPROCS, len(clients)) goroutines — the caller's
+// With Cfg.Parallel, min(GOMAXPROCS, len(cohort)) goroutines — the caller's
 // among them, and the caller's alone for a cohort too small to be worth
 // waking a core for (cohortWorkers) — pull indices from a shared counter,
 // each on its own trainScratch. The result cannot depend on the worker count
 // or on which goroutine trains whom: a client's pass reads the shared
 // weights, draws only from its own (Seed, round, Client.ID) stream, and
 // writes only its own residual and its own slot. Everything order-sensitive
-// (FedAvg, latency max, byte accounting) is the caller's, over the slots in
-// cohort order.
-func (e *Engine) trainCohort(round int, clients []*Client, weights []float64) []Update {
+// (FedAvg, latency max, byte accounting) runs afterwards, in cohort order.
+type syncTrainer struct {
+	e       *Engine
+	cohort  []*Client
+	updates []Update
+	replies []Reply
+}
+
+func (t *syncTrainer) Reach(_, _, _ int) (int, bool) { return 0, true }
+
+func (t *syncTrainer) Train(req *RoundRequest) ([]Reply, int64, RoundStatus) {
+	e, n := t.e, len(req.Bills)
+	var down int64
+	t.cohort = grow(t.cohort, n)
+	for i, b := range req.Bills {
+		t.cohort[i] = e.Clients[b.Member]
+		down += int64(b.Bytes)
+	}
 	// The last cohort's weight vectors are dead; dropped here they are
 	// garbage while this one trains instead of live heap until overwritten.
-	clear(e.updates[:cap(e.updates)])
-	e.updates = grow(e.updates, len(clients))
-	updates := e.updates
+	clear(t.updates[:cap(t.updates)])
+	clear(t.replies[:cap(t.replies)])
+	t.updates, t.replies = grow(t.updates, n), grow(t.replies, n)
 	var next atomic.Int64
 	work := func() {
 		s := e.getScratch()
 		defer e.putScratch(s)
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(clients) {
-				return
-			}
-			updates[i] = e.trainOn(s, round, clients[i], weights, -1, nil)
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			t.updates[i] = e.trainOn(s, req.Round, t.cohort[i], req.Base, -1, nil)
+			t.replies[i] = Reply{Update: t.updates[i], Bill: i}
 		}
 	}
 	var wg sync.WaitGroup
-	for w := e.cohortWorkers(clients, len(weights)); w > 1; w-- {
+	for w := e.cohortWorkers(t.cohort, len(req.Base)); w > 1; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -522,7 +526,7 @@ func (e *Engine) trainCohort(round int, clients []*Client, weights []float64) []
 	}
 	work()
 	wg.Wait()
-	return updates
+	return t.replies, down, RoundCommitted
 }
 
 // cohortParallelWork is the estimated multiply-add count of a cohort's local

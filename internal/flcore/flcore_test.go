@@ -1,8 +1,10 @@
 package flcore
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -223,6 +225,18 @@ func TestEngineRoundLatencyIsMaxOfSelected(t *testing.T) {
 type fixedSelector []int
 
 func (f fixedSelector) Select(r int, rng *rand.Rand) []int { return f }
+
+// TestEngineEmptySelectionPanics: a selector that picks nobody is named as
+// the fault, as the socket driver names it.
+func TestEngineEmptySelectionPanics(t *testing.T) {
+	clients, test := testPopulation(t, 5)
+	defer func() {
+		if p := recover(); !strings.Contains(fmt.Sprint(p), "selector returned no clients in round 0") {
+			t.Fatalf("Run panicked with %v, want the empty selection named", p)
+		}
+	}()
+	NewEngine(testConfig(2), clients, test).Run(fixedSelector(nil))
+}
 
 func TestEngineEvalEverySkipsEvals(t *testing.T) {
 	clients, test := testPopulation(t, 10)

@@ -138,9 +138,9 @@ type Trainer interface {
 // advances the tier's chain ch once (nil: dense), bills each member a
 // catch-up from its ack or the dense base, has tr train the bills, then
 // FedAvgs the replies in cohort order and acks the repliers. Any status
-// but RoundCommitted leaves c unspecified. The socket runtimes call it
-// whole; the sim runs its two halves, billTierRound and commitTierRound,
-// apart, with the training between them on its trainer pool.
+// but RoundCommitted leaves c unspecified. The synchronous engine and the
+// socket runtimes call it whole; the tiered sim runs its two halves,
+// billTierRound and commitTierRound, apart, training on its trainer pool.
 func RunTierRound(p TierPull, ch *compress.Chain, acks *AckLedger, tr Trainer, c *Commit) RoundStatus {
 	req := &RoundRequest{Bills: make([]Bill, 0, len(p.Cohort))}
 	if !billTierRound(p, ch, acks, tr.Reach, req) {

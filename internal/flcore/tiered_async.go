@@ -484,7 +484,7 @@ func (e *TieredAsyncEngine) train(run *tierRun, p TierPull, now float64) {
 	run.pull, run.start, run.down = p, now, 0
 	n := len(req.Bills)
 	run.clients, run.slots = grow(run.clients, n), grow(run.slots, n)
-	run.updates, run.panics = grow(run.updates, n), grow(run.panics, n)
+	run.updates, run.replies, run.panics = grow(run.updates, n), grow(run.replies, n), grow(run.panics, n)
 	floor := 0.0
 	for i, b := range req.Bills {
 		c := e.src.Acquire(b.Member)
@@ -523,6 +523,7 @@ func (e *TieredAsyncEngine) trainPasses(s *trainScratch) {
 			defer func() { run.panics[i] = recover() }()
 			run.updates[i] = e.eng.trainOn(s, run.req.Round, run.clients[i], run.req.Base, run.charge(i), run.slots[i])
 			run.slots[i] = run.updates[i].Weights
+			run.replies[i] = Reply{Update: run.updates[i], Bill: i}
 		}()
 		if run.left.Add(-1) == 0 {
 			run.done <- struct{}{}
@@ -551,10 +552,6 @@ func (e *TieredAsyncEngine) join(k int) {
 	}
 	run.latency = MaxLatency(run.updates)
 	run.finish = run.start + run.latency
-	run.replies = grow(run.replies, len(run.updates))
-	for i, u := range run.updates {
-		run.replies[i] = Reply{Update: u, Bill: i}
-	}
 	commitTierRound(run.pull, e.acks, &run.req, run.replies, run.down, &run.Commit)
 	heap.Push(&e.pending, run)
 }

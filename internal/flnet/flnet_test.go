@@ -2,7 +2,9 @@ package flnet
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -406,6 +408,35 @@ func TestDuplicateRegistrationRejected(t *testing.T) {
 	}
 	if res.Weights[0] != 1 {
 		t.Fatalf("weights = %v", res.Weights)
+	}
+}
+
+// nobodySelector picks no client.
+type nobodySelector struct{}
+
+func (nobodySelector) Select(int, *rand.Rand) []int { return nil }
+
+// TestEmptySelectionRefusedBeforeSend: a selector that picks nobody is
+// named as the fault, as the simulation names it, and Run returns before
+// it sends the registered worker anything.
+func TestEmptySelectionRefusedBeforeSend(t *testing.T) {
+	agg, err := NewAggregator("127.0.0.1:0", AggregatorConfig{
+		Rounds: 2, ClientsPerRound: 1, InitialWeights: []float64{0}, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	c := dialRegister(t, agg.Addr(), Register{ClientID: 0, NumSamples: 1})
+	defer c.close() //nolint:errcheck // test shutdown
+	if err := agg.WaitForWorkers(1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agg.Run(nobodySelector{}); err == nil || !strings.Contains(err.Error(), "selector returned no clients in round 0") {
+		t.Fatalf("Run returned %v, want the empty selection named", err)
+	}
+	if env, err := c.recv(200 * time.Millisecond); err == nil {
+		t.Fatalf("worker was sent message type %d", env.Type)
 	}
 }
 

@@ -6,7 +6,7 @@
 // mitigation the paper discusses (Section 2).
 //
 // Two training protocols run over the same worker connections, through one
-// dispatch-and-collect fan-in (fanIn.exchange):
+// round (flcore.RunTierRound over fanIn.exchange) and one flcore.Committer:
 //
 //   - Aggregator drives synchronous FedAvg rounds (Algorithm 1) over the
 //     cohorts a flcore.Selector picks — the simulator's selector type and

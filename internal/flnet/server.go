@@ -511,41 +511,38 @@ func (a *Aggregator) UniformSelector(clientsPerRound int) flcore.Selector {
 }
 
 // Run drives cfg.Rounds synchronous rounds and returns the final weights
-// plus per-round stats. sel picks each round's participants by worker ID
-// from the source flcore.Engine.Run would hand it, and updates are averaged
-// in selection order whatever order they arrive in: the same selector and
-// seed give the simulation's run. Under over-selection the first
+// plus per-round stats. A round is flcore.Engine.Run's over the fan-in: sel
+// picks worker IDs from the same source, RunTierRound averages the counted
+// updates in selection order whatever order they arrive in, and a
+// synchronous Committer commits the average, so the same selector and seed
+// give the simulation's run. Under over-selection the first
 // ClientsPerRound decoded updates count.
 func (a *Aggregator) Run(sel flcore.Selector) (*RunResult, error) {
-	weights := append([]float64(nil), a.cfg.InitialWeights...)
+	k := flcore.NewSyncCommitter(a.cfg.Seed, a.ids(), append([]float64(nil), a.cfg.InitialWeights...))
+	var tc TierCommit
 	res := &RunResult{}
 	for r := 0; r < a.cfg.Rounds; r++ {
 		start := time.Now()
 		rng := flcore.SelectionRNG(a.cfg.Seed, r)
 		chosen := sel.Select(r, rng)
+		if len(chosen) == 0 {
+			return nil, fmt.Errorf("flnet: selector returned no clients in round %d", r)
+		}
 		if a.cfg.Overselect > 0 {
 			chosen = a.overselect(chosen, rng)
 		}
-		cr := &cohortRound{RoundRequest: flcore.RoundRequest{Round: r, Base: weights}, target: a.cfg.ClientsPerRound}
-		switch a.fan.gather(cr, chosen) {
+		switch a.fan.tierRound(flcore.TierPull{Version: k.Version(), Weights: k.Weights(), Round: r, Cohort: chosen}, nil, nil, a.cfg.ClientsPerRound, &tc) {
 		case flcore.RoundNoCohort:
 			return nil, fmt.Errorf("flnet: round %d: no reachable workers", r)
 		case flcore.RoundEmpty:
 			return nil, fmt.Errorf("flnet: round %d: no updates before timeout", r)
 		}
-		stats := RoundStats{Round: r, Selected: len(chosen), Used: len(cr.updates), Discarded: len(chosen) - len(cr.updates)}
-		plain := make([]flcore.Update, len(cr.updates))
-		for i, u := range cr.updates {
-			plain[i] = u.Update
-			stats.UplinkBytes += int64(u.WireBytes)
+		if _, _, err := k.Apply(tc.Commit); err != nil {
+			return nil, err
 		}
-		flcore.FedAvgInto(weights, plain)
-		recycle(cr.updates...)
-		stats.Wall = time.Since(start)
-		res.UplinkBytes += stats.UplinkBytes
-		res.Rounds = append(res.Rounds, stats)
+		res.Rounds = append(res.Rounds, RoundStats{Round: r, Selected: len(chosen), Used: tc.Clients, Discarded: len(chosen) - tc.Clients, Wall: time.Since(start), UplinkBytes: tc.UplinkBytes})
 	}
-	res.Weights = weights
+	res.Weights, res.UplinkBytes = k.Weights(), k.Totals().UplinkBytes
 	a.FinishWorkers(a.cfg.Rounds)
 	return res, nil
 }

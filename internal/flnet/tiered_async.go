@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -419,9 +420,9 @@ func (ta *TieredAsyncAggregator) tierOf(id int) int {
 }
 
 // fanIn is the one place in flnet that sends a MsgTrain and waits for its
-// update (exchange): the synchronous Aggregator's rounds (gather) and every
-// tier round — a flat root's or a tree child's — share its dispatch, seq
-// routing, disconnect tolerance and aggregation order.
+// update (exchange): every round — the synchronous Aggregator's, a flat
+// root's tier round, a tree child's — shares its dispatch, seq routing and
+// disconnect tolerance.
 type fanIn struct {
 	srv *server
 	obs *obsState
@@ -467,12 +468,11 @@ func (rq *trainReq) rebind(w *registered, ch chan *Envelope) {
 	rq.mu.Unlock()
 }
 
-// cohortRound is one round through the fan-in — its request (a synchronous
-// round sets only Round and Base) and in-flight state — and a tier round's
-// flcore.Trainer: Reach finds a member's live connection and registration,
-// Train sends the bills and collects. target is how many decoded replies
-// count: all of a tier round's, ClientsPerRound of an over-selected
-// synchronous cohort.
+// cohortRound is one round through the fan-in — its request and in-flight
+// state — and the round's flcore.Trainer: Reach finds a member's live
+// connection and registration, Train sends the bills and collects. target
+// is how many decoded replies count: ClientsPerRound of a synchronous
+// cohort, which over-selection makes larger; 0 counts every bill's.
 type cohortRound struct {
 	flcore.RoundRequest
 	f      *fanIn
@@ -661,20 +661,17 @@ func (f *fanIn) exchange(cr *cohortRound) (int64, flcore.RoundStatus) {
 	for i, w := range cr.conns {
 		rq := &trainReq{idx: i, id: w.id, w: w, seq: f.seq.Add(1)}
 		rq.ch = w.addPending(rq.seq)
-		tr := &Train{Round: cr.Round, Seq: rq.seq, Tier: cr.Tier, Version: cr.ChainVersion}
-		var n int // the blob's length: what the wire carries and the round bills
-		if cr.Bills != nil && cr.Bills[i].Delta != nil {
-			b := cr.Bills[i]
-			tr.Delta, tr.DeltaBase, tr.DeltaCodec, n = b.Delta, b.From, cr.DeltaCodec, b.Bytes
-		} else {
-			tr.weights, n = cr.Base, compress.DenseBytes(len(cr.Base))
+		b := cr.Bills[i] // b.Bytes is the blob's length: what the wire carries
+		tr := &Train{Round: cr.Round, Seq: rq.seq, Tier: cr.Tier, Version: cr.ChainVersion, weights: cr.Base}
+		if b.Delta != nil {
+			tr.Delta, tr.DeltaBase, tr.DeltaCodec, tr.weights = b.Delta, b.From, cr.DeltaCodec, nil
 		}
 		if err := w.c.send(&Envelope{Type: MsgTrain, Train: tr}); err != nil {
 			w.dropPending(rq.seq)
 			continue
 		}
-		f.obs.addDownlink(int64(n), len(tr.Delta))
-		down += int64(n)
+		f.obs.addDownlink(int64(b.Bytes), len(tr.Delta))
+		down += int64(b.Bytes)
 		reqs = append(reqs, rq)
 	}
 	if len(reqs) == 0 {
@@ -707,7 +704,7 @@ func (cr *cohortRound) Reach(_, _, member int) (int, bool) {
 }
 
 func (cr *cohortRound) Train(req *flcore.RoundRequest) ([]flcore.Reply, int64, flcore.RoundStatus) {
-	cr.RoundRequest, cr.target = *req, len(req.Bills)
+	cr.RoundRequest, cr.target = *req, cmp.Or(cr.target, len(req.Bills))
 	down, status := cr.f.exchange(cr)
 	replies := make([]flcore.Reply, len(cr.updates))
 	for i, u := range cr.updates {
@@ -719,30 +716,12 @@ func (cr *cohortRound) Train(req *flcore.RoundRequest) ([]flcore.Reply, int64, f
 	return replies, down, status
 }
 
-// gather is a synchronous round's fan-in: the live members of cohort are
-// sent the dense weights, and cr.updates holds the counted replies in
-// cohort order.
-func (f *fanIn) gather(cr *cohortRound, cohort []int) flcore.RoundStatus {
-	cr.f = f
-	for _, id := range cohort {
-		cr.Reach(0, 0, id) // dead cohort members: train the rest
-	}
-	if len(cr.conns) == 0 {
-		return flcore.RoundNoCohort
-	}
-	_, status := f.exchange(cr)
-	// FedAvg's float sums are order-sensitive and the simulated engines
-	// aggregate in cohort order: reorder the arrivals to match.
-	sort.Slice(cr.updates, func(i, j int) bool { return cr.updates[i].idx < cr.updates[j].idx })
-	return status
-}
-
-// tierRound is flcore.RunTierRound over a cohortRound and the server's ack
-// ledger, filling tc — the tier's one commit, whose vectors every round
-// reuses — with the round's commit; any status but RoundCommitted leaves
-// tc unspecified.
-func (f *fanIn) tierRound(p flcore.TierPull, dl *compress.Chain, done <-chan struct{}, tc *TierCommit) flcore.RoundStatus {
-	cr := &cohortRound{f: f, done: done}
+// tierRound is flcore.RunTierRound over a cohortRound counting target
+// replies (0: all) and the server's ack ledger, filling tc — the tier's one
+// commit, whose vectors every round reuses — with the round's commit; any
+// status but RoundCommitted leaves tc unspecified.
+func (f *fanIn) tierRound(p flcore.TierPull, dl *compress.Chain, done <-chan struct{}, target int, tc *TierCommit) flcore.RoundStatus {
+	cr := &cohortRound{f: f, done: done, target: target}
 	status := flcore.RunTierRound(p, dl, &f.srv.acks, cr, &tc.Commit)
 	recycle(cr.updates...)
 	tc.Clients, tc.Seconds = len(cr.updates), cr.seconds
@@ -816,7 +795,7 @@ func (ta *TieredAsyncAggregator) tierLoop(t int, pulls <-chan flcore.TierPull, d
 		if len(p.Cohort) == 0 || (!ta.anyLive(ta.tiers()[t]) && !ta.waitTierAlive(t, tp.done)) {
 			return
 		}
-		status := ta.fan.tierRound(p, dl, tp.done, tc)
+		status := ta.fan.tierRound(p, dl, tp.done, 0, tc)
 		if giveUp(status, &empty) {
 			return
 		}

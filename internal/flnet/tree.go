@@ -317,7 +317,7 @@ func (ch *Child) localRound(r *int, as *TierAssign, members []int, version int, 
 			return fmt.Errorf("round %d drew an empty cohort", *r)
 		}
 		p := flcore.TierPull{Tier: as.Tier, Version: version, Weights: weights, Round: *r, Cohort: cohort}
-		status := ch.fan.tierRound(p, dl, ch.done, tc)
+		status := ch.fan.tierRound(p, dl, ch.done, 0, tc)
 		*r++
 		switch {
 		case status == flcore.RoundCommitted:

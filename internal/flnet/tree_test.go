@@ -105,6 +105,7 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 				return
 			}
 		}
+		t.Error("the root's metrics did not read the killed child as dead within 5 s")
 	}
 	for ti, members := range tiers {
 		for _, ci := range members {
@@ -128,6 +129,7 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	kill.Do(func() {}) // a kill still polling reports inside the test
 
 	total := 0
 	for _, c := range tree.Commits {
