@@ -42,11 +42,10 @@
 // aggregator roles encodes each tier round's model as one shared delta and
 // sends every worker the deltas since the base it acked (dense snapshot on
 // first contact, resume, or a gap longer than a dense model's worth of
-// deltas). "delta" is lossless,
-// "delta+int8" / "delta+topk@0.1" trade accuracy for bytes with a
-// server-side error-feedback residual:
+// deltas). "delta" is lossless, "delta+int8" trades accuracy for bytes
+// with a server-side error-feedback residual:
 //
-//	tifl-node -role tiered-aggregator -addr :7070 -workers 5 -tiers 2 -commits 40 -downlink-codec delta+topk@0.1
+//	tifl-node -role tiered-aggregator -addr :7070 -workers 5 -tiers 2 -commits 40 -downlink-codec delta+int8
 //	tifl-node -role child-aggregator -addr :7171 -root host:7070 -id 0 -workers 3 -downlink-codec delta
 //
 // Self-healing (off by default; all roles fail-stop on the first error

@@ -237,9 +237,8 @@ func overlaps(a, b []float64) bool {
 }
 
 // AddDecoded decodes a payload by wire ID, as DecodePayload does, and
-// returns base + decoded elementwise — the receiver side of every
-// compressed delta (a worker's uplink against the round's broadcast, a
-// lossy downlink against the held base). The sum lands in out, a
+// returns base + decoded elementwise — the receiver side of a compressed
+// uplink update against the round's broadcast. The sum lands in out, a
 // len(base) vector that may be base itself, or in a fresh slice when out
 // is nil; base is not otherwise mutated. An int8 payload decodes straight
 // into out and allocates nothing. A payload DecodePayload would reject is

@@ -21,26 +21,28 @@ const IDDeltaXOR byte = 0
 
 // Downlink describes how the aggregator compresses its broadcast
 // (server -> worker) traffic: as the deltas that take the receiver's
-// last acknowledged model version to the current one, optionally through a lossy
-// codec with server-side error feedback.
+// last acknowledged model version to the current one, optionally
+// int8-quantized with server-side error feedback.
 //
 // A nil *Downlink means dense broadcasts (the pre-delta wire format).
 // A Downlink with a nil Codec is the lossless mode: the delta is the XOR
 // of the float64 bit patterns, DEFLATE-compressed — reconstruction is
 // bit-exact by construction (base XOR (cur XOR base) == cur, no floating
 // point arithmetic involved), which is what lets the scripted-order parity
-// tests compare delta runs byte-for-byte against dense runs. A non-nil
-// Codec quantizes or sparsifies the arithmetic delta cur − base; the
-// encoding error stays on the server as a per-tier error-feedback
-// residual (see Chain), so lossy broadcasts delay mass rather than drop
-// it — the same argument EncodeDelta makes for the uplink.
+// tests compare delta runs byte-for-byte against dense runs. An Int8 Codec
+// quantizes the arithmetic delta cur − base; the encoding error stays on
+// the server as a per-tier error-feedback residual (see Chain). No other
+// codec is a downlink codec (Validate).
 type Downlink struct {
-	// Codec is the lossy delta codec, or nil for the lossless XOR delta.
+	// Codec is the Int8 codec, or nil for the lossless XOR delta.
 	Codec Codec
 }
 
-// Name returns the downlink spec, e.g. "delta", "delta+int8", or
-// "delta+topk@0.10"; ParseDownlink(Name()) reconstructs the value.
+// downlinkRefusal is why the broadcast has no sparsifying mode.
+const downlinkRefusal = `the broadcast is dense, delta or delta+int8[@<chunk>]; a sparsified one collapsed ext_downlink's tiered training to chance (docs/ARCHITECTURE.md, "Quantize, don't sparsify")`
+
+// Name returns the downlink spec, e.g. "delta" or "delta+int8";
+// ParseDownlink(Name()) reconstructs the value.
 func (d *Downlink) Name() string {
 	if d == nil {
 		return "dense"
@@ -51,10 +53,22 @@ func (d *Downlink) Name() string {
 	return "delta+" + d.Codec.Name()
 }
 
+// Validate refuses a Downlink whose Codec is neither nil nor Int8 (only a
+// hand-built one can be). Every run that builds a Chain checks it first.
+func (d *Downlink) Validate() error {
+	if d == nil || d.Codec == nil {
+		return nil
+	}
+	if _, ok := d.Codec.(Int8); !ok {
+		return fmt.Errorf("compress: downlink codec %q refused: %s", d.Codec.Name(), downlinkRefusal)
+	}
+	return nil
+}
+
 // ParseDownlink builds a downlink mode from its spec string: "dense" (or
 // "none", or empty) for plain dense broadcasts, "delta" for the lossless
-// XOR delta, or "delta+<codec>" (e.g. "delta+int8", "delta+topk@0.1")
-// for a lossy delta. It is the -downlink-codec flag syntax of tifl-node.
+// XOR delta, or "delta+int8" / "delta+int8@<chunk>" for the quantized
+// delta. It is the -downlink-codec flag syntax of tifl-node.
 func ParseDownlink(spec string) (*Downlink, error) {
 	switch spec {
 	case "", "dense", "none":
@@ -63,24 +77,19 @@ func ParseDownlink(spec string) (*Downlink, error) {
 		return &Downlink{}, nil
 	}
 	rest, ok := strings.CutPrefix(spec, "delta+")
-	if !ok {
-		return nil, fmt.Errorf("compress: unknown downlink spec %q", spec)
+	if name, _, _ := strings.Cut(rest, "@"); !ok || name != "int8" {
+		return nil, fmt.Errorf("compress: downlink spec %q refused: %s", spec, downlinkRefusal)
 	}
 	c, err := Parse(rest)
 	if err != nil {
 		return nil, fmt.Errorf("compress: bad downlink spec %q: %v", spec, err)
-	}
-	if c.ID() == IDNone {
-		// "delta+none" would put IDNone in the DeltaCodec byte, where 0
-		// already means the XOR delta; spell it "delta" instead.
-		return nil, fmt.Errorf("compress: downlink spec %q: use \"delta\" for the lossless delta", spec)
 	}
 	return &Downlink{Codec: c}, nil
 }
 
 // Chain is one tier's server-side downlink state: the reconstruction base
 // every up-to-date receiver in the tier currently holds, the
-// error-feedback residual for lossy modes, and a ring of the chain's most
+// error-feedback residual in int8 mode, and a ring of the chain's most
 // recent payloads. The aggregator advances the chain exactly once per tier
 // round — Encode is O(1) per round regardless of cohort size, the same
 // shared-blob trick the fast wire encoding uses — and serves every
@@ -125,7 +134,7 @@ func (c *Chain) HasBase() bool { return c != nil && c.base != nil }
 
 // Base returns the chain's current reconstruction base — the vector every
 // up-to-date receiver holds after the last Adopt or Encode. In lossless
-// mode it is bit-identical to the last broadcast vector; in lossy mode it
+// mode it is bit-identical to the last broadcast vector; in int8 mode it
 // is the receivers' reconstruction, which is also what local training must
 // start from so uplink deltas are computed against the right point. The
 // returned slice is owned by the chain; callers must not mutate it.
@@ -147,7 +156,7 @@ func (c *Chain) Adopt(cur []float64) {
 // Encode advances the chain from its base to cur and returns the delta
 // payload plus its wire codec ID. In lossless mode the payload is the
 // flate-compressed XOR of bit patterns and the new base is cur itself; in
-// lossy mode the payload encodes cur − base (plus the carried residual),
+// int8 mode the payload encodes cur − base (plus the carried residual),
 // and the new base is base + decode(payload) — exactly what every
 // receiver reconstructs. The payload joins the ring and is the chain's:
 // it is valid until the ring drops it, after which a later Encode may
@@ -155,7 +164,7 @@ func (c *Chain) Adopt(cur []float64) {
 func (c *Chain) Encode(cur []float64) (payload []byte, id byte) {
 	var dst []byte
 	if c.d.Codec != nil {
-		// A lossy payload's size is known before it is encoded: make its
+		// An int8 payload's size is known before it is encoded: make its
 		// room in the ring first, and encode into the newest payload that
 		// leaves.
 		dst = c.shed(c.d.Codec.EncodedBytes(len(cur)))
@@ -227,26 +236,20 @@ func (c *Chain) encode(dst []byte, cur []float64) (payload []byte, id byte) {
 		c.base = append(c.base[:0], cur...)
 		return payload, IDDeltaXOR
 	}
+	q := c.d.Codec.(Int8) // Validate refuses every other codec
+	carry := c.residual
+	if len(carry) != len(cur) {
+		carry, c.residual = nil, make([]float64, len(cur))
+	}
 	// The delta, its encoding and base += rec in one pass per chunk: the
 	// reconstruction lands in the base itself.
-	payload, c.residual = EncodeFeedbackInto(dst, c.d.Codec, cur, c.base, c.residual, c.base)
-	return payload, c.d.Codec.ID()
+	return q.encode(dst, cur, c.base, carry, c.base, c.residual), IDInt8
 }
 
-// ApplyDelta is the receiver side of Chain.Encode: it reconstructs the
-// broadcast vector from a delta payload and the locally held base.
-// IDDeltaXOR payloads XOR bit patterns (bit-exact); lossy payloads decode
-// and add in one pass through AddDecoded. base is not mutated; a fresh
-// slice is returned.
+// ApplyDelta is the receiver side of Chain.Encode: ApplyCatchUp of one
+// payload into a fresh slice, leaving base as it is.
 func ApplyDelta(id byte, payload []byte, base []float64) ([]float64, error) {
-	if id == IDDeltaXOR {
-		out := make([]float64, len(base))
-		if err := applyXORDelta(out, payload, base); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	return AddDecoded(nil, id, payload, base)
+	return ApplyCatchUp(nil, id, [][]byte{payload}, base)
 }
 
 // ApplyCatchUp is the receiver side of Chain.CatchUp: it applies the
@@ -254,22 +257,26 @@ func ApplyDelta(id byte, payload []byte, base []float64) ([]float64, error) {
 // dst's storage — allocating only when cap(dst) is short of len(base) — and
 // returns the result. Every payload is a delta against the previous state's
 // base, so the result is the chain's current base bit for bit — XOR
-// composes exactly, and a lossy step adds the same reconstruction the chain
+// composes exactly, and an int8 step adds the same reconstruction the chain
 // added. The first step reads base and every later one works in place. dst
-// may be base itself; otherwise base is not mutated. An empty catch-up is
-// an error. An int8 catch-up is checked whole before its first step, so a
-// rejected one writes nothing; with any other codec a rejected step leaves
-// dst holding the steps before it.
+// may be base itself; otherwise base is not mutated. An empty catch-up, a
+// codec byte other than IDDeltaXOR and IDInt8, and an int8 catch-up with a
+// payload CheckInt8 rejects are refused before anything is written; a
+// rejected XOR step leaves dst holding the steps before it.
 func ApplyCatchUp(dst []float64, id byte, payloads [][]byte, base []float64) ([]float64, error) {
 	if len(payloads) == 0 {
 		return nil, fmt.Errorf("compress: empty catch-up")
 	}
-	if id == IDInt8 {
+	switch id {
+	case IDDeltaXOR:
+	case IDInt8:
 		for i, p := range payloads {
 			if _, err := CheckInt8(p, len(base)); err != nil {
 				return nil, fmt.Errorf("compress: catch-up payload %d of %d: %w", i+1, len(payloads), err)
 			}
 		}
+	default:
+		return nil, fmt.Errorf("compress: downlink delta codec %d is neither the XOR delta nor int8", id)
 	}
 	if cap(dst) < len(base) {
 		dst = make([]float64, len(base))
@@ -280,7 +287,7 @@ func ApplyCatchUp(dst []float64, id byte, payloads [][]byte, base []float64) ([]
 		if id == IDDeltaXOR {
 			err = applyXORDelta(out, p, from)
 		} else {
-			_, err = AddDecoded(out, id, p, from)
+			_, err = decodeInt8(out, p, len(base), from)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("compress: catch-up payload %d of %d: %w", i+1, len(payloads), err)

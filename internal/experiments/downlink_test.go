@@ -7,7 +7,7 @@ func TestExtensionDownlinkShape(t *testing.T) {
 	if out.ID != "ext_downlink" || len(out.Tables) != 1 {
 		t.Fatalf("output shape: id=%q tables=%d", out.ID, len(out.Tables))
 	}
-	if len(out.Tables[0].Rows) != 7 {
+	if len(out.Tables[0].Rows) != 5 {
 		t.Fatalf("rows = %d, want one per downlink arm", len(out.Tables[0].Rows))
 	}
 }
@@ -27,12 +27,7 @@ func TestDownlinkSweepAcceptance(t *testing.T) {
 	// budget over the small-scale population: with the server-side
 	// error-feedback residual, the int8 delta broadcast ends within one
 	// accuracy point of the dense broadcast while moving >=4x fewer
-	// downlink bytes. The top-k arms pin the negative result documented on
-	// DownlinkSweep: sparsified broadcast destabilizes FedAT's
-	// absolute-weight commit mixing, so aggressive sparsification hits the
-	// byte target but collapses accuracy, and conservative sparsification
-	// holds accuracy but not the byte target. Everything is seeded, so the
-	// check is deterministic.
+	// downlink bytes. Everything is seeded, so the check is deterministic.
 	if testing.Short() {
 		t.Skip("paper-round-budget sweep (~1min) skipped in short mode")
 	}
@@ -74,22 +69,6 @@ func TestDownlinkSweepAcceptance(t *testing.T) {
 		t.Errorf("delta+int8 final accuracy %.4f more than 1 point below dense %.4f", a.FinalAcc, dense.FinalAcc)
 	} else if ratio(a) <= 4 {
 		t.Errorf("delta+int8 downlink reduction %.2fx <= 4x (%d vs %d bytes)", ratio(a), a.DownlinkBytes, dense.DownlinkBytes)
-	}
-
-	// Negative result, pinned so a silent behavior change gets noticed:
-	// 10% top-k saves >=4x bytes but the five tiers' starved residual
-	// bases drag the global model apart and training collapses, while 50%
-	// top-k stays within the band but cannot reach 4x (indices + values
-	// cost ~12 bytes per sent coordinate against 8 dense).
-	if a := arm("delta+topk@0.1"); ratio(a) <= 4 {
-		t.Errorf("delta+topk@0.1 downlink reduction %.2fx <= 4x (%d vs %d bytes)", ratio(a), a.DownlinkBytes, dense.DownlinkBytes)
-	} else if a.FinalAcc >= dense.FinalAcc-0.01 {
-		t.Errorf("delta+topk@0.1 final accuracy %.4f within 1 point of dense %.4f — sparsified-broadcast collapse no longer reproduces; revisit the negative-result docs", a.FinalAcc, dense.FinalAcc)
-	}
-	if a := arm("delta+topk@0.5"); a.FinalAcc < dense.FinalAcc-0.01 {
-		t.Errorf("delta+topk@0.5 final accuracy %.4f more than 1 point below dense %.4f", a.FinalAcc, dense.FinalAcc)
-	} else if r := ratio(a); r <= 1 || r >= 4 {
-		t.Errorf("delta+topk@0.5 downlink reduction %.2fx outside (1x, 4x) (%d vs %d bytes)", r, a.DownlinkBytes, dense.DownlinkBytes)
 	}
 
 	// The sampled-cohort arms: members that sat out rounds are caught up

@@ -77,15 +77,15 @@ type CommitterConfig struct {
 	// Downlink, if set, delta-compresses the broadcast direction: one
 	// compress.Chain per tier, billed per member by RunTierRound through an
 	// AckLedger, so every runtime reports the same DownlinkBytes. A nil Codec
-	// is the lossless XOR delta, byte-identical to a dense run. nil keeps
-	// dense broadcasts.
+	// is the lossless XOR delta, byte-identical to a dense run; any other
+	// must be int8 (Downlink.Validate). nil keeps dense broadcasts.
 	Downlink *compress.Downlink
 }
 
 // Validate checks the spec's protocol fields: a positive cohort size, a
 // mixing rate in [0,1], a non-negative staleness exponent (NaN fails both),
-// a non-negative checkpoint cadence, and a Manager that can checkpoint its
-// state whenever the run checkpoints.
+// a non-negative checkpoint cadence, a Manager that can checkpoint its
+// state whenever the run checkpoints, and a Downlink a Chain can encode.
 func (c CommitterConfig) Validate() error {
 	switch {
 	case c.ClientsPerRound <= 0:
@@ -102,7 +102,7 @@ func (c CommitterConfig) Validate() error {
 			return fmt.Errorf("flcore: CheckpointEvery set but Manager %T does not implement TierManagerState", c.Manager)
 		}
 	}
-	return nil
+	return c.Downlink.Validate()
 }
 
 // Observation is one client's observed round latency, fed to the tiering

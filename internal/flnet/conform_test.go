@@ -126,7 +126,6 @@ func TestRuntimesConform(t *testing.T) {
 		{name: "topk", codec: "topk@0.25", fleet: frozen, tree: true},
 		{name: "delta", downlink: "delta", fleet: frozen, tree: true},
 		{name: "delta+int8", downlink: "delta+int8", fleet: frozen},
-		{name: "delta+topk@0.25", downlink: "delta+topk@0.25", fleet: frozen},
 		{name: "migration", fleet: driftingFleet},
 		{name: "migration/delta+int8", downlink: "delta+int8", fleet: driftingFleet},
 	} {

@@ -516,8 +516,13 @@ func (a *Aggregator) UniformSelector(clientsPerRound int) flcore.Selector {
 // updates in selection order whatever order they arrive in, and a
 // synchronous Committer commits the average, so the same selector and seed
 // give the simulation's run. Under over-selection the first
-// ClientsPerRound decoded updates count.
+// ClientsPerRound decoded updates count. A flcore.RoundObserver or
+// LatencyObserver is refused before anything is sent: only the sim feeds them.
 func (a *Aggregator) Run(sel flcore.Selector) (*RunResult, error) {
+	switch sel.(type) {
+	case flcore.RoundObserver, flcore.LatencyObserver:
+		return nil, fmt.Errorf("flnet: selector %T is a flcore.RoundObserver or LatencyObserver: it needs the per-tier accuracies or latencies only the simulation reports", sel)
+	}
 	k := flcore.NewSyncCommitter(a.cfg.Seed, a.ids(), append([]float64(nil), a.cfg.InitialWeights...))
 	var tc TierCommit
 	res := &RunResult{}

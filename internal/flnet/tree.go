@@ -105,6 +105,9 @@ func NewChild(cfg ChildConfig) (*Child, error) {
 	if err := cfg.FanInConfig.validate(); err != nil {
 		return nil, err
 	}
+	if err := cfg.Downlink.Validate(); err != nil {
+		return nil, err
+	}
 	addr := cfg.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"

@@ -63,8 +63,8 @@ type CompressionOptions struct {
 	// aggregator encodes each tier round's model as one shared delta and
 	// sends each worker the deltas since the base it acked, falling back to
 	// a dense snapshot on first contact, resume, migration, or a gap longer
-	// than a dense model's worth of deltas. nil keeps plain dense
-	// broadcasts. Applies identically to the
+	// than a dense model's worth of deltas (Delta, or DeltaCodec with the
+	// int8 codec). nil keeps plain dense broadcasts. Applies identically to the
 	// simulated and distributed tiered-async paths, so both report the
 	// same DownlinkBytes on the same seed.
 	Downlink *compress.Downlink
@@ -125,7 +125,7 @@ func (o *CompressionOptions) AddFlags(fs *flag.FlagSet) {
 	})
 	fs.BoolVar(&o.AdaptiveCompression, "adaptive-compress", o.AdaptiveCompression,
 		"tiered-aggregator: slow-half tiers compress (with -codec, default topk@0.1), fast half stays dense")
-	fs.Func("downlink-codec", "broadcast compression: dense | delta | delta+int8 | delta+topk@<fraction>", func(spec string) error {
+	fs.Func("downlink-codec", "broadcast compression: dense | delta | delta+int8 | delta+int8@<chunk>", func(spec string) error {
 		dl, err := compress.ParseDownlink(spec)
 		if err != nil {
 			return err

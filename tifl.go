@@ -112,16 +112,16 @@ func ParseCodec(spec string) (Codec, error) { return compress.Parse(spec) }
 // last-acked version, reconstructing bit-exactly (see compress.Downlink).
 func Delta() *Downlink { return &compress.Downlink{} }
 
-// DeltaCodec is a lossy downlink mode: the broadcast delta runs through
-// the given codec, with the encoding error kept as a server-side
-// per-tier error-feedback residual. Prefer quantizing codecs (Int8Codec):
-// sparsified broadcast destabilizes FedAT's commit mixing (see the
-// ext_downlink experiment).
+// DeltaCodec is the quantized downlink mode: the broadcast delta runs
+// through c, with the encoding error kept as a server-side per-tier
+// error-feedback residual. c must be the int8 codec (Int8Codec): every run
+// refuses any other with an error (compress.Downlink.Validate), since a
+// sparsified broadcast collapsed the ext_downlink experiment to chance.
 func DeltaCodec(c Codec) *Downlink { return &compress.Downlink{Codec: c} }
 
 // ParseDownlink builds a downlink mode from a spec string: "dense",
-// "delta", or "delta+<codec>" (see compress.ParseDownlink) — the syntax
-// of tifl-node's -downlink-codec flag.
+// "delta", or "delta+int8[@<chunk>]" (see compress.ParseDownlink) — the
+// syntax of tifl-node's -downlink-codec flag.
 func ParseDownlink(spec string) (*Downlink, error) { return compress.ParseDownlink(spec) }
 
 // The paper's Table 1 policies, re-exported.

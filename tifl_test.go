@@ -349,7 +349,8 @@ func TestTrainTieredAsyncAdaptiveSelection(t *testing.T) {
 
 // TestAdaptiveSelectionWithoutAccuraciesRefused: Algorithm 2 needs per-tier
 // accuracies, which only the sim's EvalInterval evaluations supply, so
-// every run that would leave an adaptive Manager without them is refused.
+// every run that would leave an adaptive Manager without them is refused,
+// and the synchronous socket run refuses any selector that observes rounds.
 func TestAdaptiveSelectionWithoutAccuraciesRefused(t *testing.T) {
 	clients, _ := testPopulation(t)
 	adaptive, err := New(clients, Options{TieringOptions: TieringOptions{AdaptiveSelection: true}})
@@ -360,6 +361,15 @@ func TestAdaptiveSelectionWithoutAccuraciesRefused(t *testing.T) {
 	cfg := TieredAsyncConfig{
 		CommitterConfig: CommitterConfig{ClientsPerRound: 5, Seed: 5},
 		Duration:        10, Model: tc.Model, Optimizer: tc.Optimizer,
+	}
+	runSync := func(sel flcore.Selector) error {
+		agg, err := flnet.NewAggregator("127.0.0.1:0", flnet.AggregatorConfig{Rounds: 1, ClientsPerRound: 2, InitialWeights: []float64{0}})
+		if err != nil {
+			return err
+		}
+		defer agg.Close()
+		_, err = agg.Run(sel)
+		return err
 	}
 	for _, row := range []struct {
 		name, want string
@@ -389,6 +399,16 @@ func TestAdaptiveSelectionWithoutAccuraciesRefused(t *testing.T) {
 			agg.SetManager(mgr)
 			_, err = agg.Run(nil)
 			return err
+		}},
+		{"sync Aggregator.Run", "RoundObserver", func() error {
+			return runSync(adaptive.Selector(Adaptive(AdaptiveConfig{}), 2))
+		}},
+		{"sync Aggregator.Run, tiering.Selector", "LatencyObserver", func() error {
+			mgr, err := tiering.NewManager(tiering.Config{NumTiers: 1, ClientsPerRound: 2}, map[int]float64{0: 1, 1: 2})
+			if err != nil {
+				return err
+			}
+			return runSync(&tiering.Selector{Manager: mgr, Policy: StaticPolicy{Probs: []float64{1}}})
 		}},
 		{"TrainTieredAsyncNet, Options.AdaptiveSelection", "AdaptiveSelection", func() error {
 			_, _, err := adaptive.TrainTieredAsyncNet(cfg, NetOptions{GlobalCommits: 1}, nil)
