@@ -475,7 +475,9 @@ func (g *globalEval) wait() RoundRecord {
 
 // syncTrainer is Run's Trainer. It reaches every member, and Train trains
 // each bill's client from the round's base into the bill's slot of updates
-// and replies, which it overwrites on its next call.
+// and replies, which it overwrites on its next call. The bill's trained
+// weights go into the bill's vector of slots, kept from round to round as
+// the tiered sim's tierRun keeps its own.
 //
 // With Cfg.Parallel, min(GOMAXPROCS, len(cohort)) goroutines — the caller's
 // among them, and the caller's alone for a cohort too small to be worth
@@ -488,6 +490,7 @@ func (g *globalEval) wait() RoundRecord {
 type syncTrainer struct {
 	e       *Engine
 	cohort  []*Client
+	slots   [][]float64 // each slot's trained weights, in bill order
 	updates []Update
 	replies []Reply
 }
@@ -502,17 +505,14 @@ func (t *syncTrainer) Train(req *RoundRequest) ([]Reply, int64, RoundStatus) {
 		t.cohort[i] = e.Clients[b.Member]
 		down += int64(b.Bytes)
 	}
-	// The last cohort's weight vectors are dead; dropped here they are
-	// garbage while this one trains instead of live heap until overwritten.
-	clear(t.updates[:cap(t.updates)])
-	clear(t.replies[:cap(t.replies)])
-	t.updates, t.replies = grow(t.updates, n), grow(t.replies, n)
+	t.slots, t.updates, t.replies = grow(t.slots, n), grow(t.updates, n), grow(t.replies, n)
 	var next atomic.Int64
 	work := func() {
 		s := e.getScratch()
 		defer e.putScratch(s)
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			t.updates[i] = e.trainOn(s, req.Round, t.cohort[i], req.Base, -1, nil)
+			t.updates[i] = e.trainOn(s, req.Round, t.cohort[i], req.Base, -1, t.slots[i])
+			t.slots[i] = t.updates[i].Weights
 			t.replies[i] = Reply{Update: t.updates[i], Bill: i}
 		}
 	}

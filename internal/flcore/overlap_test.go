@@ -61,6 +61,52 @@ func TestEnginesRejectInvalidLatencyModel(t *testing.T) {
 	}
 }
 
+// TestSyncRoundSteadyStateAllocs: once warm, a round of Engine.Run with
+// Parallel set — selection, training, commit, the overlapped global
+// evaluation — allocates less than one model-sized vector: each cohort
+// slot trains into its own reused vector, the commit copies into the
+// engine's weights, and the evaluation reuses its replica. A warm round's
+// bytes are the difference between a 20-round and a 10-round Run of one
+// engine, so the per-Run copies cancel. One P and no GC, as above.
+func TestSyncRoundSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops buffers on purpose")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	train := dataset.Generate(dataset.MNISTLike, 100, 1)
+	test := dataset.Generate(dataset.MNISTLike, 50, 2)
+	parts := dataset.PartitionIID(train.Len(), 5, rand.New(rand.NewSource(3)))
+	clients := BuildClients(train, nil, parts, []float64{4, 2, 1, 0.5, 0.25}, 0, 1)
+	e := NewEngine(Config{
+		Rounds: 12, ClientsPerRound: 5, LocalEpochs: 1, BatchSize: 10, Seed: 5,
+		Model: func(rng *rand.Rand) *nn.Model {
+			return nn.NewMLP(rng, dataset.MNISTLike.Dim, []int{256}, 10, 0)
+		},
+		Optimizer: func(round int) nn.Optimizer { return nn.NewRMSprop(0.01, 0.995) },
+		Latency:   simres.DefaultModel,
+		EvalEvery: 1,
+		Parallel:  true,
+	}, clients, test)
+	sel := &RandomSelector{NumClients: 5, ClientsPerRound: 5}
+	e.Run(sel) // warm: replicas, slots, the evaluation's replica
+	alloc := func(rounds int) uint64 {
+		e.Cfg.Rounds = rounds
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.Run(sel)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short, long := alloc(10), alloc(20)
+	vec := uint64(8 * len(e.GlobalWeights()))
+	per := (long - short) / 10
+	t.Logf("%d B per warm round; a model-sized vector is %d B", per, vec)
+	if long < short || per >= vec {
+		t.Fatalf("a warm synchronous round allocates %d B (10 rounds %d B, 20 rounds %d B), a model-sized vector is %d B", per, short, long, vec)
+	}
+}
+
 // TestTieredRoundSteadyStateAllocs: once warm, a tiered-sim tier round —
 // dispatch, training on the pool, join, commit — allocates less than one
 // model-sized vector: each member trains into its tier's slot, a dense round

@@ -151,28 +151,68 @@ func im2colNHWC(cols, x []float64, n, h, w, ch, kh, kw, stride, pad, oh, ow int)
 	im2colImages(cols, x, 0, n, h, w, ch, kh, kw, stride, pad, oh, ow)
 }
 
-// im2colImages is im2colNHWC for images [lo,hi).
+// maxTaps is the largest kh·kw whose tap offsets im2colImages and
+// col2imImages keep on their stacks (8×8); a larger kernel allocates them
+// once per call.
+const maxTaps = 64
+
+// tapOffsets returns room for kh·kw tap offsets, on buf when they fit.
+func tapOffsets(buf *[maxTaps]int, nt int) []int {
+	if nt > maxTaps {
+		return make([]int, nt)
+	}
+	return buf[:nt]
+}
+
+// pixelTaps sets taps[t] to the offset in the NHWC batch of the pixel under
+// tap t, in (ky, kx) order, of output pixel (oy, ox) of image img, or to -1
+// for a tap outside the image.
+func pixelTaps(taps []int, img, oy, ox, h, w, ch, kw, stride, pad int) {
+	iy, ix0 := oy*stride-pad, ox*stride-pad
+	for t := 0; t < len(taps); iy++ {
+		for ix := ix0; ix < ix0+kw; ix, t = ix+1, t+1 {
+			taps[t] = -1
+			if iy >= 0 && iy < h && ix >= 0 && ix < w {
+				taps[t] = ((img*h+iy)*w + ix) * ch
+			}
+		}
+	}
+}
+
+// im2colImages is im2colNHWC for images [lo,hi). A row is written front to
+// back, eight channels at a time: for each tap t, the block's eight values
+// of the tap's pixel (zeros outside the image) land in their eight
+// (c, ky, kx) slots, so the block's 8·kh·kw slots fill in one sweep.
 func im2colImages(cols, x []float64, lo, hi, h, w, ch, kh, kw, stride, pad, oh, ow int) {
-	taps := kh * kw
-	colW := ch * taps
+	nt := kh * kw
+	colW := ch * nt
+	var buf [maxTaps]int
+	taps := tapOffsets(&buf, nt)
 	for img := lo; img < hi; img++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				row := cols[((img*oh+oy)*ow+ox)*colW:][:colW]
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride - pad + ky
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride - pad + kx
-						j := ky*kw + kx
-						if iy < 0 || iy >= h || ix < 0 || ix >= w {
-							for ; j < colW; j += taps {
-								row[j] = 0
-							}
+				pixelTaps(taps, img, oy, ox, h, w, ch, kw, stride, pad)
+				c := 0
+				for ; c+8 <= ch; c += 8 {
+					d := row[c*nt:][:8*nt]
+					for t, off := range taps {
+						if off < 0 {
+							d[t], d[nt+t], d[2*nt+t], d[3*nt+t] = 0, 0, 0, 0
+							d[4*nt+t], d[5*nt+t], d[6*nt+t], d[7*nt+t] = 0, 0, 0, 0
 							continue
 						}
-						for _, v := range x[((img*h+iy)*w+ix)*ch:][:ch] {
-							row[j] = v
-							j += taps
+						s := x[off+c : off+c+8 : off+c+8]
+						d[t], d[nt+t], d[2*nt+t], d[3*nt+t] = s[0], s[1], s[2], s[3]
+						d[4*nt+t], d[5*nt+t], d[6*nt+t], d[7*nt+t] = s[4], s[5], s[6], s[7]
+					}
+				}
+				for ; c < ch; c++ {
+					d := row[c*nt:][:nt]
+					for t, off := range taps {
+						d[t] = 0
+						if off >= 0 {
+							d[t] = x[off+c]
 						}
 					}
 				}
@@ -195,27 +235,46 @@ func col2imNHWC(dx, cols []float64, n, h, w, ch, kh, kw, stride, pad, oh, ow int
 	col2imImages(dx, cols, 0, n, h, w, ch, kh, kw, stride, pad, oh, ow)
 }
 
-// col2imImages is col2imNHWC for images [lo,hi).
+// col2imImages is col2imNHWC for images [lo,hi). A row is read front to
+// back, eight channels at a time, as im2colImages writes it: for each tap
+// inside the image, the block's eight (c, ky, kx) slots of the tap add
+// onto eight channels of its pixel. A pixel's taps land on distinct pixels
+// of dx, so each element of dx still gains its terms in ascending output
+// pixel order.
 func col2imImages(dx, cols []float64, lo, hi, h, w, ch, kh, kw, stride, pad, oh, ow int) {
 	clear(dx[lo*h*w*ch : hi*h*w*ch])
-	taps := kh * kw
-	colW := ch * taps
+	nt := kh * kw
+	colW := ch * nt
+	var buf [maxTaps]int
+	taps := tapOffsets(&buf, nt)
 	for img := lo; img < hi; img++ {
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				row := cols[((img*oh+oy)*ow+ox)*colW:][:colW]
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride - pad + ky
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride - pad + kx
-						if iy < 0 || iy >= h || ix < 0 || ix >= w {
+				pixelTaps(taps, img, oy, ox, h, w, ch, kw, stride, pad)
+				c := 0
+				for ; c+8 <= ch; c += 8 {
+					s := row[c*nt:][:8*nt]
+					for t, off := range taps {
+						if off < 0 {
 							continue
 						}
-						j := ky*kw + kx
-						dst := dx[((img*h+iy)*w+ix)*ch:][:ch]
-						for c := range dst {
-							dst[c] += row[j]
-							j += taps
+						d := dx[off+c : off+c+8 : off+c+8]
+						d[0] += s[t]
+						d[1] += s[nt+t]
+						d[2] += s[2*nt+t]
+						d[3] += s[3*nt+t]
+						d[4] += s[4*nt+t]
+						d[5] += s[5*nt+t]
+						d[6] += s[6*nt+t]
+						d[7] += s[7*nt+t]
+					}
+				}
+				for ; c < ch; c++ {
+					s := row[c*nt:][:nt]
+					for t, off := range taps {
+						if off >= 0 {
+							dx[off+c] += s[t]
 						}
 					}
 				}

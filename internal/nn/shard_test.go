@@ -15,7 +15,8 @@ import (
 // the NHWC im2col, col2im and max-pool by image, ReLU by element range.
 // Each output keeps its serial operation sequence, so every table below
 // runs a pass at GOMAXPROCS 1 (the serial loop), then at 2, 3 and 8, and
-// wants the same bits. The image counts include 1 (never split) and counts
+// wants the same bits (im2col and col2im: the bits of the loops they
+// replaced, in lowering_test.go). The image counts include 1 (never split) and counts
 // no worker count divides. Every row with more than one image is sized to
 // reach shardWork, so it does split.
 
@@ -60,65 +61,87 @@ func channelsToShard(n, perChannel int) int {
 	return (shardWork + n*perChannel - 1) / (n * perChannel)
 }
 
-// convRows are the im2col/col2im geometries: 3×3 taps on 16×16 images,
-// pad 0/1 × stride 1/2 × shardImages.
-type convRow struct{ n, ch, stride, pad, oh, ow int }
+// convRow is one im2col/col2im geometry: n h×w images of ch channels
+// under a k×k kernel.
+type convRow struct {
+	name                                string
+	n, h, w, ch, k, stride, pad, oh, ow int
+}
 
+// convRows are the im2col/col2im geometries: 3×3 taps on 16×16 images, pad
+// 0/1 × stride 1/2 × shardImages; then on odd 11×9 images, ch ∈ {1, 3, 32,
+// 64, 130} (one channel, fewer than a block of eight, conv2's 32, more,
+// and blocks with a remainder) × 2×2, 3×3 and 5×5 kernels × stride 1/2 ×
+// pad 0/1, each with the fewest images past shardWork plus one.
 func convRows() []convRow {
-	const side, k = 16, 3
 	var rows []convRow
+	const side, k = 16, 3
 	for _, pad := range []int{0, 1} {
 		for _, stride := range []int{1, 2} {
 			o := tensor.ConvOutSize(side, k, stride, pad)
 			for _, n := range shardImages {
-				rows = append(rows, convRow{n, channelsToShard(n, o*o*k*k), stride, pad, o, o})
+				ch := channelsToShard(n, o*o*k*k)
+				rows = append(rows, convRow{fmt.Sprintf("n%d/c%d/stride%d/pad%d", n, ch, stride, pad), n, side, side, ch, k, stride, pad, o, o})
+			}
+		}
+	}
+	const h, w = 11, 9
+	for _, ch := range []int{1, 3, 32, 64, 130} {
+		for _, k := range []int{2, 3, 5} {
+			for _, stride := range []int{1, 2} {
+				for _, pad := range []int{0, 1} {
+					oh, ow := tensor.ConvOutSize(h, k, stride, pad), tensor.ConvOutSize(w, k, stride, pad)
+					n := shardWork/(oh*ow*ch*k*k) + 1
+					rows = append(rows, convRow{fmt.Sprintf("c%d/k%d/stride%d/pad%d/n%d", ch, k, stride, pad, n), n, h, w, ch, k, stride, pad, oh, ow})
+				}
 			}
 		}
 	}
 	return rows
 }
 
-func (r convRow) String() string {
-	return fmt.Sprintf("n%d/c%d/stride%d/pad%d", r.n, r.ch, r.stride, r.pad)
-}
-
+// At GOMAXPROCS 1, 2, 3 and 8, im2colNHWC writes the bits of the loop it
+// replaced (im2colImagesRef), over a column matrix of stale values: a tap
+// outside the image must write zeros.
 func TestShardedIm2colNHWC(t *testing.T) {
-	const side, k = 16, 3
 	for _, r := range convRows() {
-		t.Run(r.String(), func(t *testing.T) {
-			x := specialSlice(rand.New(rand.NewSource(int64(r.n*r.ch))), r.n*side*side*r.ch)
-			cols := func(procs int) []float64 {
-				out := make([]float64, r.n*r.oh*r.ow*r.ch*k*k)
-				atProcs(procs, func() { im2colNHWC(out, x, r.n, side, side, r.ch, k, k, r.stride, r.pad, r.oh, r.ow) })
-				return out
-			}
-			want := cols(1)
-			for _, procs := range shardProcs {
-				if !sameBits(cols(procs), want) {
-					t.Fatalf("cols at GOMAXPROCS %d differ from the serial loop's", procs)
+		t.Run(r.name, func(t *testing.T) {
+			x := specialSlice(rand.New(rand.NewSource(int64(r.n*r.ch))), r.n*r.h*r.w*r.ch)
+			size := r.n * r.oh * r.ow * r.ch * r.k * r.k
+			want := make([]float64, size)
+			im2colImagesRef(want, x, 0, r.n, r.h, r.w, r.ch, r.k, r.k, r.stride, r.pad, r.oh, r.ow)
+			for _, procs := range append([]int{1}, shardProcs...) {
+				out := make([]float64, size)
+				for i := range out {
+					out[i] = 999
+				}
+				atProcs(procs, func() { im2colNHWC(out, x, r.n, r.h, r.w, r.ch, r.k, r.k, r.stride, r.pad, r.oh, r.ow) })
+				if !sameBits(out, want) {
+					t.Fatalf("cols at GOMAXPROCS %d differ from the reference loop's", procs)
 				}
 			}
 		})
 	}
 }
 
+// At GOMAXPROCS 1, 2, 3 and 8, col2imNHWC writes the bits of the loop it
+// replaced (col2imImagesRef), over a gradient of stale values: every
+// worker clears its own images.
 func TestShardedCol2imNHWC(t *testing.T) {
-	const side, k = 16, 3
 	for _, r := range convRows() {
-		t.Run(r.String(), func(t *testing.T) {
-			cols := specialSlice(rand.New(rand.NewSource(int64(r.n*r.ch))), r.n*r.oh*r.ow*r.ch*k*k)
-			dx := func(procs int) []float64 {
-				out := make([]float64, r.n*side*side*r.ch)
+		t.Run(r.name, func(t *testing.T) {
+			cols := specialSlice(rand.New(rand.NewSource(int64(r.n*r.ch))), r.n*r.oh*r.ow*r.ch*r.k*r.k)
+			size := r.n * r.h * r.w * r.ch
+			want := make([]float64, size)
+			col2imImagesRef(want, cols, 0, r.n, r.h, r.w, r.ch, r.k, r.k, r.stride, r.pad, r.oh, r.ow)
+			for _, procs := range append([]int{1}, shardProcs...) {
+				out := make([]float64, size)
 				for i := range out {
-					out[i] = 999 // stale: every worker clears its own images
+					out[i] = 999
 				}
-				atProcs(procs, func() { col2imNHWC(out, cols, r.n, side, side, r.ch, k, k, r.stride, r.pad, r.oh, r.ow) })
-				return out
-			}
-			want := dx(1)
-			for _, procs := range shardProcs {
-				if !sameBits(dx(procs), want) {
-					t.Fatalf("dx at GOMAXPROCS %d differs from the serial loop's", procs)
+				atProcs(procs, func() { col2imNHWC(out, cols, r.n, r.h, r.w, r.ch, r.k, r.k, r.stride, r.pad, r.oh, r.ow) })
+				if !sameBits(out, want) {
+					t.Fatalf("dx at GOMAXPROCS %d differs from the reference loop's", procs)
 				}
 			}
 		})

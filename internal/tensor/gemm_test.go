@@ -193,6 +193,72 @@ func TestMatMulABTSIMDBitEqualScalar(t *testing.T) {
 	}
 }
 
+// For a of fewer rows than a panel block, a·bᵀ runs swapped (swapABT):
+// b's rows through the kernels against a packed and zero-padded to 16
+// lanes, the result transposed back. m 1–15 against n and k on both sides
+// of the switch at 32 (and the paper CNN's dense input gradient, n 1600
+// and k 128), with and without bias, must give the scalar loop's bits:
+// with random specials; with each special (±0, subnormals, ±Inf, NaN) in a
+// at one step per row, in b at one step per row, and in all of b, so that
+// every padded lane multiplies it; and with NaNs of distinct payloads in a
+// and b at the same step, as the swap multiplies b[j,p]·a[i,p] where the
+// loop multiplies a[i,p]·b[j,p] (a NaN only has to meet a NaN there). The
+// dense gradient's shape, whose rows of b split across cores, runs the
+// random and NaN-payload rows only.
+func TestMatMulABTSwappedBitEqualScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	nanA, nanB := math.Float64frombits(0x7FF8000000000A0A), math.Float64frombits(0xFFF80000000B0B0B)
+	for _, sh := range [][2]int{{31, 128}, {32, 128}, {33, 128}, {100, 31}, {100, 32}, {100, 33}, {1600, 128}} {
+		n, k := sh[0], sh[1]
+		name := fmt.Sprintf("n%d_k%d/packed", n, k)
+		if swapABT(1, k, n) {
+			name = fmt.Sprintf("n%d_k%d/swapped", n, k)
+		}
+		t.Run(name, func(t *testing.T) {
+			for m := 1; m < simdCols; m++ {
+				if swapABT(m, k, n) != swapABT(1, k, n) {
+					t.Fatalf("m=%d: the switch reads m below simdCols", m)
+				}
+				var bias *Tensor
+				if m%2 == 1 {
+					bias = randSpecialTensor(rng, n)
+				}
+				abtOnEveryPath(t, randSpecialTensor(rng, m, k), randSpecialTensor(rng, n, k), bias)
+				kinds := specials
+				if n == 1600 {
+					kinds = nil
+				}
+				for _, sp := range kinds {
+					a, b := randTensor(rng, m, k), randTensor(rng, n, k)
+					for i := 0; i < m; i++ {
+						a.Data[i*k+(i*7)%k] = sp
+					}
+					abtOnEveryPath(t, a, randTensor(rng, n, k), bias)
+					for j := 0; j < n; j++ {
+						b.Data[j*k+(j*5)%k] = sp
+					}
+					abtOnEveryPath(t, randTensor(rng, m, k), b, bias)
+					abtOnEveryPath(t, randTensor(rng, m, k), full(sp, n, k), bias)
+				}
+				a, b := randTensor(rng, m, k), randTensor(rng, n, k)
+				for i := 0; i < m; i++ {
+					a.Data[i*k+3] = nanA
+				}
+				for j := 0; j < n; j++ {
+					b.Data[j*k+3] = nanB
+				}
+				for _, out := range abtOnEveryPath(t, a, b, bias) {
+					for i, v := range out.Data {
+						if !math.IsNaN(v) {
+							t.Fatalf("m=%d: [%d] = %v, want NaN", m, i, v)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 type gemmCase struct {
 	name    string
 	m, k, n int
@@ -561,6 +627,31 @@ func TestMatMulABAndATBAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, product); avg != 0 {
 			t.Errorf("%s allocates %v per call, want 0", name, avg)
 		}
+	}
+}
+
+// A free list left longer than its cap, by callers at a higher GOMAXPROCS,
+// holds panels too small for a caller at GOMAXPROCS 1. That caller's panel
+// must stay filed once made (the smallest free panels go instead), so its
+// steady state allocates nothing.
+func TestPanelListKeepsAPanelPastItsCap(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	panels.Lock()
+	saved := panels.free
+	panels.free = nil
+	for range 2 * panelsPerP {
+		panels.free = append(panels.free, make([]float64, 100))
+	}
+	panels.Unlock()
+	defer func() {
+		panels.Lock()
+		panels.free = saved
+		panels.Unlock()
+	}()
+	cycle := func() { putPanel(getPanel(2560)) }
+	cycle()
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Fatalf("a panel past the free list's cap allocates %v per use, want 0", avg)
 	}
 }
 

@@ -397,29 +397,56 @@ func getPanel(n int) []float64 {
 	if best < 0 {
 		return make([]float64, n)
 	}
-	p := panels.free[best]
-	last := len(panels.free) - 1
-	panels.free[best] = panels.free[last]
-	panels.free[last] = nil
-	panels.free = panels.free[:last]
-	return p[:n]
+	return takePanel(best)[:n]
 }
 
-// putPanel files p, or drops it when panelsPerP·GOMAXPROCS panels are free.
+// putPanel files p, then drops the smallest free panels, p among them,
+// while more than panelsPerP·GOMAXPROCS are free. Dropping p itself when
+// the list was full would let a list left longer by a higher GOMAXPROCS
+// drop every panel returned to it: the requests take the free panels that
+// fit, one by one, until none fits and every request allocates.
 func putPanel(p []float64) {
 	panels.Lock()
 	defer panels.Unlock()
-	if len(panels.free) < panelsPerP*runtime.GOMAXPROCS(0) {
-		panels.free = append(panels.free, p)
+	panels.free = append(panels.free, p)
+	for len(panels.free) > panelsPerP*runtime.GOMAXPROCS(0) {
+		small := 0
+		for i, q := range panels.free {
+			if cap(q) < cap(panels.free[small]) {
+				small = i
+			}
+		}
+		takePanel(small)
 	}
+}
+
+// takePanel removes free panel i from the list and returns it. The caller
+// holds panels' lock.
+func takePanel(i int) []float64 {
+	p := panels.free[i]
+	last := len(panels.free) - 1
+	panels.free[i] = panels.free[last]
+	panels.free[last] = nil
+	panels.free = panels.free[:last]
+	return p
 }
 
 // matMulABTInto writes a·bᵀ (+bias) into out. With useSIMD, b's first
 // nb = n - n%simdCols rows are packed into a panel and those columns run
-// through abtKernel16; the rest take the scalar loop. Either way each
-// output element accumulates the rounded a[i,p]·b[j,p] for p ascending
-// from +0, then adds its bias, so the two paths are bit-identical.
+// through abtKernel16; the rest take the scalar loop. For a few rows of a
+// against many of b (swapABT) it packs a instead: abtSwapped. Every path
+// has each output element accumulate the rounded a[i,p]·b[j,p] for p
+// ascending from +0, then add its bias, so all are bit-identical.
 func matMulABTInto(out, a, b, bias *Tensor, m, k, n int) {
+	var bv []float64
+	if bias != nil {
+		bv = bias.Data
+	}
+	serial := m*k*n < parallelThreshold || m == 1
+	if useSIMD && swapABT(m, k, n) {
+		abtSwapped(out.Data, a.Data, b.Data, bv, m, k, n, serial)
+		return
+	}
 	var panel []float64
 	nb := 0
 	if useSIMD && n >= simdCols && k > 0 {
@@ -427,19 +454,67 @@ func matMulABTInto(out, a, b, bias *Tensor, m, k, n int) {
 		panel = getPanel(nb * k)
 		packABT(panel, b.Data, k, nb)
 	}
-	if m*k*n < parallelThreshold || m == 1 {
-		matMulABTRows(out, a, b, bias, panel, k, n, nb, 0, m)
+	if serial {
+		matMulABTRows(out.Data, a.Data, b.Data, bv, panel, k, n, nb, 0, m)
 	} else {
-		parallelRows(m, func(lo, hi int) { matMulABTRows(out, a, b, bias, panel, k, n, nb, lo, hi) })
+		parallelRows(m, func(lo, hi int) { matMulABTRows(out.Data, a.Data, b.Data, bv, panel, k, n, nb, lo, hi) })
 	}
 	if panel != nil {
 		putPanel(panel)
 	}
 }
 
-// packABT lays b's first nb rows (b is n×k) out as nb/simdCols blocks of
-// k×simdCols: block c, row p, lane l holds b[c·simdCols+l, p], so the
-// kernel reads each block as one contiguous stream.
+// swapABT reports whether an m×n a·bᵀ over k runs as abtSwapped: a fits
+// in one zero-padded panel block (m < simdCols), and b has at least two
+// blocks' worth of rows and of columns (n, k ≥ 2·simdCols), where packing
+// all of b costs more than packing a, a block's unused lanes and the
+// transpose back. At k = 10, the MLPs' output layers, packing b is cheap
+// and the swap is 1.2–1.5× slower; at the paper CNN's dense input gradient
+// (m 10, n 1600, k 128) it is 2.7× faster. It reads the shapes alone.
+func swapABT(m, k, n int) bool { return m < simdCols && n >= 2*simdCols && k >= 2*simdCols }
+
+// abtSwapped writes a·bᵀ (+bias) into out as the transpose of b·aᵀ: a's m
+// rows are packed as one k×simdCols panel block, every row of b runs
+// through the kernels against it into an n×simdCols scratch, and its first
+// m columns are transposed into out, each element gaining its bias there.
+// A lane sums the rounded b[j,p]·a[i,p] for p ascending from +0, the bits
+// of a[i,p]·b[j,p] (a product of two NaNs may carry the other one's
+// payload). Lanes m and up are never read; they are zeroed so that a
+// recycled panel's stale subnormals cannot slow the kernel. Unless serial,
+// b's rows split across cores. The block and the scratch are one panel.
+func abtSwapped(out, a, b, bias []float64, m, k, n int, serial bool) {
+	panel := getPanel(simdCols * (k + n))
+	blk, t := panel[:simdCols*k], panel[simdCols*k:]
+	clear(blk)
+	packABT(blk, a, k, m)
+	if serial {
+		abtSwappedRows(out, b, bias, blk, t, m, k, n, 0, n)
+	} else {
+		parallelRows(n, func(lo, hi int) { abtSwappedRows(out, b, bias, blk, t, m, k, n, lo, hi) })
+	}
+	putPanel(panel)
+}
+
+// abtSwappedRows is abtSwapped for b's rows [lo,hi): out's columns [lo,hi).
+func abtSwappedRows(out, b, bias, blk, t []float64, m, k, n, lo, hi int) {
+	matMulABTRows(t, b, nil, nil, blk, k, simdCols, simdCols, lo, hi)
+	for i := 0; i < m; i++ {
+		o := out[i*n:][:hi]
+		for j := lo; j < hi; j++ {
+			o[j] = t[j*simdCols+i]
+		}
+		if bias != nil {
+			for j := lo; j < hi; j++ {
+				o[j] += bias[j]
+			}
+		}
+	}
+}
+
+// packABT lays b's first nb rows (b is n×k) out as blocks of k×simdCols:
+// block c, row p, lane l holds b[c·simdCols+l, p], so the kernel reads
+// each block as one contiguous stream. An nb that is not a multiple of
+// simdCols leaves the last block's lanes nb%simdCols and up as they were.
 func packABT(dst, b []float64, k, nb int) {
 	for j := 0; j < nb; j++ {
 		blk := dst[(j-j%simdCols)*k+j%simdCols:]
@@ -454,7 +529,7 @@ func packABT(dst, b []float64, k, nb int) {
 // abtKernel16AVX512 with useAVX512), the rest four at a time so arow
 // stays register/L1-resident across four b-rows, each dot product
 // accumulating p ascending into its own scalar.
-func matMulABTRows(out, a, b, bias *Tensor, panel []float64, k, n, nb, lo, hi int) {
+func matMulABTRows(out, a, b, bias, panel []float64, k, n, nb, lo, hi int) {
 	if lo == hi {
 		return
 	}
@@ -465,24 +540,24 @@ func matMulABTRows(out, a, b, bias *Tensor, panel []float64, k, n, nb, lo, hi in
 	for j := 0; j < nb; j += simdCols {
 		var bj *float64
 		if bias != nil {
-			bj = &bias.Data[j]
+			bj = &bias[j]
 		}
 		if r4 > 0 {
-			abtKernel16AVX512(&out.Data[lo*n+j], &a.Data[lo*k], &panel[j*k], bj, r4, k, n)
+			abtKernel16AVX512(&out[lo*n+j], &a[lo*k], &panel[j*k], bj, r4, k, n)
 		}
 		if r := lo + r4; r < hi {
-			abtKernel16(&out.Data[r*n+j], &a.Data[r*k], &panel[j*k], bj, hi-r, k, n)
+			abtKernel16(&out[r*n+j], &a[r*k], &panel[j*k], bj, hi-r, k, n)
 		}
 	}
 	for i := lo; i < hi; i++ {
-		arow := a.Data[i*k:][:k]
-		orow := out.Data[i*n:][:n]
+		arow := a[i*k:][:k]
+		orow := out[i*n:][:n]
 		j := nb
 		for ; j+4 <= n; j += 4 {
-			b0 := b.Data[j*k:][:k]
-			b1 := b.Data[(j+1)*k:][:k]
-			b2 := b.Data[(j+2)*k:][:k]
-			b3 := b.Data[(j+3)*k:][:k]
+			b0 := b[j*k:][:k]
+			b1 := b[(j+1)*k:][:k]
+			b2 := b[(j+2)*k:][:k]
+			b3 := b[(j+3)*k:][:k]
 			var s0, s1, s2, s3 float64
 			for p, av := range arow {
 				s0 += av * b0[p]
@@ -491,21 +566,21 @@ func matMulABTRows(out, a, b, bias *Tensor, panel []float64, k, n, nb, lo, hi in
 				s3 += av * b3[p]
 			}
 			if bias != nil {
-				s0 += bias.Data[j]
-				s1 += bias.Data[j+1]
-				s2 += bias.Data[j+2]
-				s3 += bias.Data[j+3]
+				s0 += bias[j]
+				s1 += bias[j+1]
+				s2 += bias[j+2]
+				s3 += bias[j+3]
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
 		for ; j < n; j++ {
-			brow := b.Data[j*k:][:k]
+			brow := b[j*k:][:k]
 			s := 0.0
 			for p, av := range arow {
 				s += av * brow[p]
 			}
 			if bias != nil {
-				s += bias.Data[j]
+				s += bias[j]
 			}
 			orow[j] = s
 		}
