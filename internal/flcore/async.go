@@ -42,7 +42,9 @@ type AsyncConfig struct {
 	Model        ModelFactory
 	Optimizer    OptimizerFactory
 	Latency      simres.LatencyModel
-	EvalBatch    int
+	// EvalBatch groups the evaluation loss, as Config.EvalBatch does; it
+	// does not bound memory.
+	EvalBatch int
 }
 
 func (c *AsyncConfig) withDefaults() {

@@ -43,7 +43,10 @@ type Config struct {
 	// rounds (0 disables periodic eval; the final round is always
 	// evaluated).
 	EvalEvery int
-	// EvalBatch bounds eval batch size (0 = whole set at once).
+	// EvalBatch groups the evaluation loss: each batch's mean is formed
+	// in one pass (0 = the whole set as one batch). It does not bound
+	// memory: nn.Model.Evaluate forwards a model with a Conv2D in blocks
+	// of 10 samples whatever EvalBatch is.
 	EvalBatch int
 	// Parallel trains the selected clients concurrently (see syncTrainer).
 	// Results are deterministic either way because all randomness is keyed

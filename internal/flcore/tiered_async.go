@@ -137,7 +137,10 @@ type TieredAsyncConfig struct {
 	// be able to produce non-zero latencies or simulated time cannot
 	// advance.
 	Latency simres.LatencyModel
-	// EvalBatch bounds evaluation batch size (0 = whole set at once).
+	// EvalBatch groups the evaluation loss: each batch's mean is formed
+	// in one pass (0 = the whole set as one batch). It does not bound
+	// memory: nn.Model.Evaluate forwards a model with a Conv2D in blocks
+	// of 10 samples whatever EvalBatch is.
 	EvalBatch int
 	// OnCommit, if set, receives every tier-round commit as it is applied
 	// (the tiered analogue of Config.OnRound).

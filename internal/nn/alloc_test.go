@@ -84,24 +84,53 @@ func TestModelTrainBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestEvaluateSteadyStateAllocsBounded holds Evaluate's steady state to
+// no allocation: an MLP's batches are views of the caller's samples, and
+// the paper CNN forwards evalBlock samples at a time, so an EvalBatch of
+// 100 leaves its conv scratch (im2col rows, products) no larger than an
+// EvalBatch of 10 does. (The CNN's products above the parallel threshold
+// still allocate their closures, as in training.)
 func TestEvaluateSteadyStateAllocsBounded(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := NewMLP(rng, 12, []int{8}, 4, 0)
-	m.SetWorkspace(NewWorkspace())
-	x := tensor.RandNormal(rng, 0, 1, 32, 12)
-	labels := make([]int, 32)
-	for i := range labels {
-		labels[i] = rng.Intn(4)
-	}
-	m.Evaluate(x, labels, 8)
-	avg := testing.AllocsPerRun(20, func() {
+	t.Run("mlp", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		m := NewMLP(rng, 12, []int{8}, 4, 0)
+		m.SetWorkspace(NewWorkspace())
+		x := tensor.RandNormal(rng, 0, 1, 32, 12)
+		labels := make([]int, 32)
+		for i := range labels {
+			labels[i] = rng.Intn(4)
+		}
 		m.Evaluate(x, labels, 8)
+		if avg := testing.AllocsPerRun(20, func() { m.Evaluate(x, labels, 8) }); avg != 0 {
+			t.Fatalf("Model.Evaluate allocates %v per eval, want 0", avg)
+		}
 	})
-	// Eval batches keep a small per-batch header allocation (FromSlice
-	// views); the per-element buffers must all be cached.
-	if avg > 16 {
-		t.Fatalf("Model.Evaluate allocates %v per eval, want ≤ 16", avg)
-	}
+	t.Run("cnn", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		m := NewPaperMNISTCNN(rng, 14, 14, 1, 10)
+		m.SetWorkspace(NewWorkspace())
+		x := tensor.RandNormal(rng, 0, 1, 100, 1, 14, 14)
+		labels := make([]int, 100)
+		for i := range labels {
+			labels[i] = rng.Intn(10)
+		}
+		scratch := func() (caps []int) {
+			for _, l := range m.Layers {
+				if c, ok := l.(*Conv2D); ok {
+					caps = append(caps, cap(c.cols.Data), cap(c.flat.Data))
+				}
+			}
+			return caps
+		}
+		m.Evaluate(x, labels, 10)
+		warm := scratch()
+		m.Evaluate(x, labels, 100)
+		for i, c := range scratch() {
+			if c > warm[i] {
+				t.Fatalf("conv scratch %d holds %d values after EvalBatch 100, %d after EvalBatch 10", i, c, warm[i])
+			}
+		}
+	})
 }
 
 // Concurrent per-goroutine workspaces share nothing; one shared tensor pool

@@ -123,7 +123,7 @@ func TestConv2DMatchesNaive(t *testing.T) {
 						wantOut, wantDW, wantDB, wantDX := naiveConv(c, x, g)
 
 						if nhwc {
-							wantDX = nhwcOf(tensor.FromSlice(wantDX, x.Shape()...)).Data
+							wantDX = nhwcOf(fromSlice(wantDX, x.Shape()...)).Data
 						}
 						for pass := 0; pass < 2; pass++ { // the second on stale scratch
 							got := c.Forward(in, true)
@@ -172,7 +172,7 @@ func TestReLUSpecialValues(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := NewReLU()
-			x := tensor.FromSlice([]float64{tc.in, tc.in, tc.in}, 1, 3)
+			x := fromSlice([]float64{tc.in, tc.in, tc.in}, 1, 3)
 			wantOut, wantG := uint64(0), uint64(0)
 			if tc.pos {
 				wantOut, wantG = math.Float64bits(tc.in), math.Float64bits(negZero)
@@ -182,7 +182,7 @@ func TestReLUSpecialValues(t *testing.T) {
 					t.Fatalf("Forward(train=%v) bits %#x, want %#x", train, got, wantOut)
 				}
 			}
-			g := r.Backward(tensor.FromSlice([]float64{math.NaN(), negZero, 5}, 1, 3)).Data
+			g := r.Backward(fromSlice([]float64{math.NaN(), negZero, 5}, 1, 3)).Data
 			if math.IsNaN(g[0]) != tc.pos || (!tc.pos && math.Float64bits(g[0]) != 0) {
 				t.Fatalf("NaN gradient passed as %v, want NaN only where the output is > 0", g[0])
 			}
@@ -195,7 +195,7 @@ func TestReLUSpecialValues(t *testing.T) {
 
 func TestReLUBackwardAfterEvalPanics(t *testing.T) {
 	r := NewReLU()
-	x := tensor.FromSlice([]float64{1, -1}, 1, 2)
+	x := fromSlice([]float64{1, -1}, 1, 2)
 	r.Forward(x, true)
 	r.Forward(x, false)
 	defer func() {
@@ -244,7 +244,7 @@ func TestMaxPoolNHWCWindows(t *testing.T) {
 			if out.Data[1] != 103 {
 				t.Fatalf("channel 1 pooled %v, want 103", out.Data[1])
 			}
-			dx := m.Backward(tensor.FromSlice([]float64{7, 9}, 1, 2, 1, 1))
+			dx := m.Backward(fromSlice([]float64{7, 9}, 1, 2, 1, 1))
 			for i, v := range dx.Data {
 				want := 0.0
 				switch i {

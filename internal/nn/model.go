@@ -18,23 +18,36 @@ import (
 type Model struct {
 	Layers []Layer
 
-	ws       *Workspace
-	lossGrad *tensor.Tensor   // scratch for the fused softmax-xent gradient
-	params   []*tensor.Tensor // cached Params() (stable tensor identities)
-	grads    []*tensor.Tensor // cached Grads()
-	evalArg  []int            // scratch for Evaluate's per-batch argmax
-	evalShp  []int            // scratch for Evaluate's batch shapes
+	ws          *Workspace
+	lossGrad    *tensor.Tensor   // scratch for the fused softmax-xent gradient
+	params      []*tensor.Tensor // cached Params() (stable tensor identities)
+	grads       []*tensor.Tensor // cached Grads()
+	evalArg     []int            // scratch for Evaluate's per-batch argmax
+	evalShp     []int            // scratch for Evaluate's batch shapes
+	evalIn      *tensor.Tensor   // view of the samples Evaluate forwards
+	evalOut     *tensor.Tensor   // a blocked batch's logits, block by block
+	evalBlocked bool             // forward evalBlock samples at a time (set by NewModel)
 }
+
+// evalBlock is how many samples Evaluate forwards at once through a model
+// that holds a Conv2D: the paper's local batch size B, so eval scratch
+// takes the trainers' shapes. A dense-only stack forwards each eval batch
+// whole; its activations are a few KB per sample, and smaller products
+// run slower.
+const evalBlock = 10
 
 // NewModel returns a sequential model over the given layers. It wires the
 // activation layout: a Conv2D or MaxPool whose input is an earlier Conv2D's
-// output, through element-wise layers only, reads that output as NHWC.
+// output, through element-wise layers only, reads that output as NHWC. A
+// model with a Conv2D evaluates in blocks of evalBlock samples.
 func NewModel(layers ...Layer) *Model {
+	m := &Model{Layers: layers}
 	nhwc := false // the running activation is a Conv2D's NHWC output
 	for _, l := range layers {
 		switch l := l.(type) {
 		case *Conv2D:
 			l.nhwcIn, nhwc = nhwc, true
+			m.evalBlocked = true
 		case *MaxPool:
 			l.nhwcIn, nhwc = nhwc, false
 		case *ReLU, *Dropout: // element-wise: the layout passes through
@@ -42,7 +55,7 @@ func NewModel(layers ...Layer) *Model {
 			nhwc = false
 		}
 	}
-	return &Model{Layers: layers}
+	return m
 }
 
 // Forward runs the full stack and returns the logits. The returned tensor
@@ -136,9 +149,14 @@ func (m *Model) TrainBatch(x *tensor.Tensor, labels []int, opt Optimizer) float6
 	return loss
 }
 
-// Evaluate returns accuracy and mean loss of the model on (x, labels),
-// processing in batches of batchSize to bound memory (batchSize ≤ 0 means
-// one batch).
+// Evaluate returns accuracy and mean loss of the model on (x, labels).
+// batchSize only groups the loss: the mean is the size-weighted sum of
+// each batch's mean cross-entropy (batchSize ≤ 0 means one batch), so it
+// moves the loss's last bits, never the accuracy. It does not bound
+// memory: a model with a Conv2D forwards evalBlock samples at a time
+// whatever the batch, a dense-only one each batch whole. In eval mode
+// every layer treats each sample on its own, so the blocks change no bit
+// of the logits. At steady state (repeated shapes) it allocates nothing.
 func (m *Model) Evaluate(x *tensor.Tensor, labels []int, batchSize int) (acc, loss float64) {
 	n := x.Dim(0)
 	if n == 0 {
@@ -149,16 +167,10 @@ func (m *Model) Evaluate(x *tensor.Tensor, labels []int, batchSize int) (acc, lo
 	}
 	correct := 0
 	totalLoss := 0.0
-	rest := x.Size() / n
+	m.evalShp = append(m.evalShp[:0], x.Shape()...)
 	for lo := 0; lo < n; lo += batchSize {
-		hi := lo + batchSize
-		if hi > n {
-			hi = n
-		}
-		m.evalShp = append(m.evalShp[:0], x.Shape()...)
-		m.evalShp[0] = hi - lo
-		batch := tensor.FromSlice(x.Data[lo*rest:hi*rest], m.evalShp...)
-		logits := m.Forward(batch, false)
+		hi := min(lo+batchSize, n)
+		logits := m.evalForward(x, lo, hi)
 		m.lossGrad = m.ws.Ensure(m.lossGrad, logits.Dim(0), logits.Dim(1))
 		l := SoftmaxCrossEntropyInto(m.lossGrad, logits, labels[lo:hi])
 		totalLoss += l * float64(hi-lo)
@@ -173,7 +185,38 @@ func (m *Model) Evaluate(x *tensor.Tensor, labels []int, batchSize int) (acc, lo
 			}
 		}
 	}
+	m.evalIn.Data = nil // keep no reference to the caller's samples
 	return float64(correct) / float64(n), totalLoss / float64(n)
+}
+
+// evalForward returns the eval-mode logits of samples [lo,hi) of x. On a
+// blocked model with more than evalBlock samples, it forwards them
+// evalBlock at a time and copies each block's logits into evalOut.
+func (m *Model) evalForward(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
+	step := hi - lo
+	if m.evalBlocked {
+		step = min(step, evalBlock)
+	}
+	if step == hi-lo {
+		return m.Forward(m.evalView(x, lo, hi), false)
+	}
+	for b := lo; b < hi; b += step {
+		out := m.Forward(m.evalView(x, b, min(b+step, hi)), false)
+		k := out.Dim(1)
+		if b == lo {
+			m.evalOut = m.ws.Ensure(m.evalOut, hi-lo, k)
+		}
+		copy(m.evalOut.Data[(b-lo)*k:], out.Data)
+	}
+	return m.evalOut
+}
+
+// evalView points evalIn at samples [lo,hi) of x; evalShp holds x's shape.
+func (m *Model) evalView(x *tensor.Tensor, lo, hi int) *tensor.Tensor {
+	rest := x.Size() / x.Dim(0)
+	m.evalShp[0] = hi - lo
+	m.evalIn = tensor.AliasSlice(m.evalIn, x.Data[lo*rest:hi*rest], m.evalShp)
+	return m.evalIn
 }
 
 // Params returns all trainable tensors across layers in a stable order.

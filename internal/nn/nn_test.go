@@ -10,14 +10,19 @@ import (
 	"repro/internal/tensor"
 )
 
+// fromSlice wraps data, not copied, as a tensor of the given shape.
+func fromSlice(data []float64, shape ...int) *tensor.Tensor {
+	return tensor.AliasSlice(nil, data, shape)
+}
+
 func TestDenseForwardKnown(t *testing.T) {
 	d := &Dense{
-		W:  tensor.FromSlice([]float64{1, 2, 3, 4}, 2, 2),
-		B:  tensor.FromSlice([]float64{10, 20}, 2),
+		W:  fromSlice([]float64{1, 2, 3, 4}, 2, 2),
+		B:  fromSlice([]float64{10, 20}, 2),
 		dW: tensor.New(2, 2),
 		dB: tensor.New(2),
 	}
-	x := tensor.FromSlice([]float64{1, 1}, 1, 2)
+	x := fromSlice([]float64{1, 1}, 1, 2)
 	y := d.Forward(x, false)
 	if y.Data[0] != 1+3+10 || y.Data[1] != 2+4+20 {
 		t.Fatalf("Dense forward = %v", y.Data)
@@ -26,12 +31,12 @@ func TestDenseForwardKnown(t *testing.T) {
 
 func TestReLUForwardBackward(t *testing.T) {
 	r := NewReLU()
-	x := tensor.FromSlice([]float64{-1, 0, 2}, 1, 3)
+	x := fromSlice([]float64{-1, 0, 2}, 1, 3)
 	y := r.Forward(x, true)
 	if y.Data[0] != 0 || y.Data[1] != 0 || y.Data[2] != 2 {
 		t.Fatalf("ReLU forward = %v", y.Data)
 	}
-	g := r.Backward(tensor.FromSlice([]float64{5, 5, 5}, 1, 3))
+	g := r.Backward(fromSlice([]float64{5, 5, 5}, 1, 3))
 	if g.Data[0] != 0 || g.Data[1] != 0 || g.Data[2] != 5 {
 		t.Fatalf("ReLU backward = %v", g.Data)
 	}
@@ -39,7 +44,7 @@ func TestReLUForwardBackward(t *testing.T) {
 
 func TestDropoutEvalIsIdentity(t *testing.T) {
 	d := NewDropout(rand.New(rand.NewSource(1)), 0.5)
-	x := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 4)
+	x := fromSlice([]float64{1, 2, 3, 4}, 1, 4)
 	y := d.Forward(x, false)
 	if !slices.Equal(y.Data, x.Data) {
 		t.Fatal("dropout at eval must be identity")
@@ -131,7 +136,7 @@ func TestSoftmaxRowsSumToOne(t *testing.T) {
 }
 
 func TestSoftmaxCrossEntropyPerfectPrediction(t *testing.T) {
-	logits := tensor.FromSlice([]float64{100, 0, 0}, 1, 3)
+	logits := fromSlice([]float64{100, 0, 0}, 1, 3)
 	loss, _ := softmaxCrossEntropy(logits, []int{0})
 	if loss > 1e-9 {
 		t.Fatalf("loss of confident correct prediction = %v", loss)
@@ -280,8 +285,8 @@ func TestSetWeightsVectorLengthMismatchPanics(t *testing.T) {
 }
 
 func TestSGDStepDirection(t *testing.T) {
-	p := tensor.FromSlice([]float64{1}, 1)
-	g := tensor.FromSlice([]float64{2}, 1)
+	p := fromSlice([]float64{1}, 1)
+	g := fromSlice([]float64{2}, 1)
 	NewSGD(0.5, 0).Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
 	if p.Data[0] != 0 {
 		t.Fatalf("SGD step: %v, want 0", p.Data[0])
@@ -289,8 +294,8 @@ func TestSGDStepDirection(t *testing.T) {
 }
 
 func TestSGDMomentumAccumulates(t *testing.T) {
-	p := tensor.FromSlice([]float64{0}, 1)
-	g := tensor.FromSlice([]float64{1}, 1)
+	p := fromSlice([]float64{0}, 1)
+	g := fromSlice([]float64{1}, 1)
 	opt := NewSGD(0.1, 0.9)
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}) // v=-0.1, p=-0.1
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g}) // v=-0.19, p=-0.29
@@ -300,7 +305,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 }
 
 func TestRMSpropConvergesOnQuadratic(t *testing.T) {
-	p := tensor.FromSlice([]float64{5}, 1)
+	p := fromSlice([]float64{5}, 1)
 	g := tensor.New(1)
 	opt := NewRMSprop(0.05, 0)
 	for i := 0; i < 500; i++ {

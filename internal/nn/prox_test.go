@@ -9,7 +9,7 @@ import (
 
 func TestProximalGradientDirection(t *testing.T) {
 	// With zero data gradient, the proximal step moves weights toward ref.
-	p := tensor.FromSlice([]float64{2}, 1)
+	p := fromSlice([]float64{2}, 1)
 	g := tensor.New(1)
 	opt := NewProximal(NewSGD(0.1, 0), 1.0, []float64{0})
 	opt.Step([]*tensor.Tensor{p}, []*tensor.Tensor{g})
@@ -29,9 +29,9 @@ func TestProximalNegativeMuPanics(t *testing.T) {
 }
 
 func TestProximalZeroMuIsInner(t *testing.T) {
-	p1 := tensor.FromSlice([]float64{1}, 1)
-	p2 := tensor.FromSlice([]float64{1}, 1)
-	g := tensor.FromSlice([]float64{3}, 1)
+	p1 := fromSlice([]float64{1}, 1)
+	p2 := fromSlice([]float64{1}, 1)
+	g := fromSlice([]float64{3}, 1)
 	NewSGD(0.1, 0).Step([]*tensor.Tensor{p1}, []*tensor.Tensor{g.Clone()})
 	NewProximal(NewSGD(0.1, 0), 0, []float64{99}).Step([]*tensor.Tensor{p2}, []*tensor.Tensor{g.Clone()})
 	if p1.Data[0] != p2.Data[0] {

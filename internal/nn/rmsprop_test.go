@@ -40,8 +40,8 @@ func (rc rmspropCase) start(pool *tensor.Pool) rmspropRun {
 		r.opt.AttachStatePool(pool)
 	}
 	for i := range rc.p {
-		r.params = append(r.params, tensor.FromSlice(slices.Clone(rc.p[i]), len(rc.p[i])))
-		r.grads = append(r.grads, tensor.FromSlice(slices.Clone(rc.g[i]), len(rc.g[i])))
+		r.params = append(r.params, fromSlice(slices.Clone(rc.p[i]), len(rc.p[i])))
+		r.grads = append(r.grads, fromSlice(slices.Clone(rc.g[i]), len(rc.g[i])))
 	}
 	r.opt.cache.init(r.params)
 	for i, c := range rc.c {

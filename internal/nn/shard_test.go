@@ -202,7 +202,7 @@ func TestShardedReLU(t *testing.T) {
 					}
 				}
 			}
-			xt, gt := tensor.FromSlice(x, 1, size), tensor.FromSlice(g, 1, size)
+			xt, gt := fromSlice(x, 1, size), fromSlice(g, 1, size)
 			relu := func(procs int) (out, dx []float64) {
 				r := NewReLU()
 				atProcs(procs, func() {

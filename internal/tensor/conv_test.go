@@ -40,7 +40,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 
 func TestIm2ColKnownValues(t *testing.T) {
 	// 1 image, 1 channel, 3x3 input, 2x2 kernel, stride 1, no pad → 4 rows.
-	x := FromSlice([]float64{
+	x := fromSlice([]float64{
 		1, 2, 3,
 		4, 5, 6,
 		7, 8, 9,
@@ -63,7 +63,7 @@ func TestIm2ColKnownValues(t *testing.T) {
 }
 
 func TestIm2ColPaddingZeros(t *testing.T) {
-	x := FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
+	x := fromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
 	cols := im2col(x, 3, 3, 1, 1) // padded 3x3 windows over 2x2 input
 	if cols.Dim(0) != 4 || cols.Dim(1) != 9 {
 		t.Fatalf("shape = %v", cols.Shape())
@@ -134,7 +134,7 @@ func absf(x float64) float64 {
 }
 
 func TestMaxPool2DKnown(t *testing.T) {
-	x := FromSlice([]float64{
+	x := fromSlice([]float64{
 		1, 2, 5, 6,
 		3, 4, 7, 8,
 		9, 10, 13, 14,
@@ -149,7 +149,7 @@ func TestMaxPool2DKnown(t *testing.T) {
 		}
 	}
 	// Gradient routed back through argmax positions only.
-	g := FromSlice([]float64{1, 1, 1, 1}, 1, 1, 2, 2)
+	g := fromSlice([]float64{1, 1, 1, 1}, 1, 1, 2, 2)
 	back := New(1, 1, 4, 4)
 	MaxUnpool2DInto(back, g, arg)
 	if mass := dot(back, full(1, 1, 1, 4, 4)); mass != 4 {

@@ -261,7 +261,7 @@ func TestParallelChunksCoversRange(t *testing.T) {
 }
 
 func TestArgMaxRowsInto(t *testing.T) {
-	m := FromSlice([]float64{1, 3, 2, 9, 0, -1}, 2, 3)
+	m := fromSlice([]float64{1, 3, 2, 9, 0, -1}, 2, 3)
 	out := make([]int, 2)
 	m.ArgMaxRowsInto(out)
 	if out[0] != 1 || out[1] != 0 {

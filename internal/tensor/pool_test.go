@@ -86,7 +86,7 @@ func TestPoolForeignSliceBucketedByCapacity(t *testing.T) {
 }
 
 func TestAliasViewSharesData(t *testing.T) {
-	src := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
+	src := fromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	v := AliasView(nil, src, []int{3, 2})
 	if v.Dim(0) != 3 || v.Dim(1) != 2 {
 		t.Fatalf("view shape = %v", v.Shape())

@@ -30,16 +30,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float64, n)}
 }
 
-// FromSlice wraps data in a tensor with the given shape. The slice is used
-// directly (not copied); it panics if len(data) does not match the shape.
-func FromSlice(data []float64, shape ...int) *Tensor {
-	n := checkedSize(shape)
-	if len(data) != n {
-		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (size %d)", len(data), shape, n))
-	}
-	return &Tensor{shape: append([]int(nil), shape...), Data: data}
-}
-
 // checkedSize panics with a precomputed message: formatting the shape here
 // would make every caller's shape slice escape to the heap (escape analysis
 // is flow-insensitive), putting an allocation on every hot-path tensor
