@@ -190,6 +190,11 @@ type server struct {
 
 	mu      sync.Mutex
 	workers map[int]*registered
+	// joined is closed and replaced (signal) at every registration and,
+	// on a tiered aggregator, every republished tier membership: a wait
+	// for a peer takes it, checks its condition, and sleeps on it until
+	// the next change that could meet the condition.
+	joined chan struct{}
 	// onRejoin observes mid-run re-registrations: it fires (outside mu, on
 	// the handshake goroutine) whenever a registration replaces a dead
 	// entry for the same ID. The tiered-async runs install it to
@@ -203,7 +208,7 @@ func listen(addr string, sendTimeout time.Duration, model []float64) (*server, e
 	if err != nil {
 		return nil, fmt.Errorf("flnet: listen: %w", err)
 	}
-	s := &server{ln: ln.(*net.TCPListener), sendTimeout: sendTimeout, profileWeights: model, workers: make(map[int]*registered)}
+	s := &server{ln: ln.(*net.TCPListener), sendTimeout: sendTimeout, profileWeights: model, workers: make(map[int]*registered), joined: make(chan struct{})}
 	if len(model) > 0 {
 		s.blobMax.Store(blobBound(len(model)))
 	}
@@ -231,46 +236,115 @@ func (a *server) Close() {
 	}
 }
 
-// admit waits until the given time for one connection and hands it to the
-// handshake. A wait that ends without one is not an error.
-func (a *server) admit(until time.Time) error {
-	if err := a.ln.SetDeadline(until); err != nil {
-		return err
+// serve accepts connections, each handed to the handshake, until stop is
+// closed, the time until passes (zero: never) or the listener fails, whose
+// error it returns. Closing stop ends a blocked Accept at once.
+func (a *server) serve(stop <-chan struct{}, until time.Time) error {
+	// The deadline is the listener's, so the stop watcher and the loop's
+	// re-arming take turns: once stopped, nothing moves it back.
+	var mu sync.Mutex
+	stopped := false
+	arm := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if !stopped {
+			a.ln.SetDeadline(until) //nolint:errcheck // a dead listener fails the Accept
+		}
+		return !stopped
 	}
-	raw, err := a.ln.Accept()
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		return nil
-	}
-	if err == nil {
+	ended, watched := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(watched)
+		select {
+		case <-stop:
+			mu.Lock()
+			stopped = true
+			a.ln.SetDeadline(time.Unix(1, 0)) //nolint:errcheck // as in arm
+			mu.Unlock()
+		case <-ended:
+		}
+	}()
+	defer func() {
+		close(ended)
+		<-watched
+	}()
+	for arm() {
+		raw, err := a.ln.Accept()
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			// Ours, or another acceptor's stop on the shared listener
+			// (a run's, ending): re-armed unless until has passed.
+			if !until.IsZero() && !time.Now().Before(until) {
+				return nil
+			}
+			continue
+		}
+		if err != nil {
+			return err
+		}
 		go a.handshake(raw)
 	}
-	return err
+	return nil
+}
+
+// signal wakes every wait on a registration (await, WaitForWorkers).
+func (a *server) signal() {
+	a.mu.Lock()
+	close(a.joined)
+	a.joined = make(chan struct{})
+	a.mu.Unlock()
+}
+
+// await reports whether ok holds before until passes or done closes (nil:
+// never). ok is checked now and again at every signal; it runs outside mu.
+func (a *server) await(ok func() bool, until time.Time, done <-chan struct{}) bool {
+	expired := time.NewTimer(time.Until(until))
+	defer expired.Stop()
+	for {
+		a.mu.Lock()
+		joined := a.joined
+		a.mu.Unlock()
+		if ok() {
+			return true
+		}
+		select {
+		case <-joined:
+		case <-expired.C:
+			return ok()
+		case <-done:
+			return false
+		}
+	}
 }
 
 // WaitForWorkers accepts connections until n workers have registered or the
-// timeout elapses. Accepting polls in short slices so registration progress
-// is observed promptly even while the listener is idle.
+// timeout elapses. It returns at the registration that makes n, and accepts
+// nothing after it returns: the run's own acceptor (or the next wait) takes
+// later connections.
 func (a *server) WaitForWorkers(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
+	until := time.Now().Add(timeout)
+	stop, accepting := make(chan struct{}), make(chan struct{})
+	var acceptErr error
+	go func() {
+		defer close(accepting)
+		acceptErr = a.serve(stop, until)
+	}()
+	have := func() int {
 		a.mu.Lock()
-		have := len(a.workers)
-		a.mu.Unlock()
-		if have >= n {
-			return nil
-		}
-		now := time.Now()
-		if now.After(deadline) {
-			return fmt.Errorf("flnet: waiting for %d workers, have %d: timeout", n, have)
-		}
-		slice := now.Add(50 * time.Millisecond)
-		if slice.After(deadline) {
-			slice = deadline
-		}
-		if err := a.admit(slice); err != nil {
-			return fmt.Errorf("flnet: accept: %w", err)
-		}
+		defer a.mu.Unlock()
+		return len(a.workers)
 	}
+	full := func() bool { return have() >= n }
+	// The acceptor ends at until, or early on an accept error.
+	done := a.await(full, until, accepting)
+	close(stop)
+	<-accepting
+	switch {
+	case done || full():
+		return nil
+	case acceptErr != nil:
+		return fmt.Errorf("flnet: accept: %w", acceptErr)
+	}
+	return fmt.Errorf("flnet: waiting for %d workers, have %d: timeout", n, have())
 }
 
 // handshake performs registration — of workers and tree children alike —
@@ -327,6 +401,7 @@ func (a *server) handshake(raw net.Conn) {
 	a.workers[w.id] = w
 	hook := a.onRejoin
 	a.mu.Unlock()
+	a.signal()
 	go func() {
 		// A refused frame or message ends the connection, so the peer learns.
 		defer func() {
@@ -376,19 +451,9 @@ func (a *server) handshake(raw net.Conn) {
 // acceptLoop keeps admitting registrations while a run is in flight, so a
 // disconnected worker (or a respawned child aggregator) can rejoin
 // mid-run — WaitForWorkers only accepts until the fleet is assembled.
-// It polls the listener in short deadline slices and exits when done is
-// closed or the listener dies.
+// It exits when done is closed or the listener dies.
 func (a *server) acceptLoop(done <-chan struct{}) {
-	for {
-		select {
-		case <-done:
-			return
-		default:
-		}
-		if a.admit(time.Now().Add(100*time.Millisecond)) != nil {
-			return // listener closed
-		}
-	}
+	a.serve(done, time.Time{}) //nolint:errcheck // a closed listener ends the run's accepting
 }
 
 // liveWorker returns the registered worker with the given ID if its

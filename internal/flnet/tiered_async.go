@@ -318,8 +318,12 @@ func (ta *TieredAsyncAggregator) newCommitter(tiers [][]int) (*flcore.Committer,
 	return com, nil
 }
 
-// publishTiers swaps the membership view the non-committer goroutines read.
-func (ta *TieredAsyncAggregator) publishTiers(tiers [][]int) { ta.members.Store(&tiers) }
+// publishTiers swaps the membership view the non-committer goroutines read,
+// and wakes a tier waiting for a live member (waitTierAlive).
+func (ta *TieredAsyncAggregator) publishTiers(tiers [][]int) {
+	ta.members.Store(&tiers)
+	ta.signal()
+}
 
 // tiers returns the published membership view (empty before the first run).
 func (ta *TieredAsyncAggregator) tiers() [][]int { return *ta.members.Load() }
@@ -385,26 +389,16 @@ func (ta *TieredAsyncAggregator) writeCheckpoint(com *flcore.Committer) error {
 	return err
 }
 
-// waitTierAlive polls for any member of tier t to come back within the
+// waitTierAlive waits for any member of tier t to come back within the
 // RejoinWait grace window — a tier whose members all flapped at once gets
-// a chance to heal instead of permanently exiting its loop. Zero
-// RejoinWait reports failure immediately (the historical behaviour).
+// a chance to heal instead of permanently exiting its loop. It re-checks at
+// each registration and membership change. Zero RejoinWait reports failure
+// immediately (the historical behaviour).
 func (ta *TieredAsyncAggregator) waitTierAlive(t int, done <-chan struct{}) bool {
 	if ta.fan.RejoinWait <= 0 {
 		return false
 	}
-	deadline := time.Now().Add(ta.fan.RejoinWait)
-	for time.Now().Before(deadline) {
-		select {
-		case <-done:
-			return false
-		case <-time.After(20 * time.Millisecond):
-		}
-		if ta.anyLive(ta.tiers()[t]) {
-			return true
-		}
-	}
-	return false
+	return ta.await(func() bool { return ta.anyLive(ta.tiers()[t]) }, time.Now().Add(ta.fan.RejoinWait), done)
 }
 
 // tierOf returns the tier currently holding the given client ID, or -1.
@@ -487,11 +481,12 @@ type cohortRound struct {
 	seconds   float64
 }
 
-// redispatch waits (bounded by rejoinWait and the collection deadline) for
-// a dead cohort member to re-register, then re-sends its round request on
-// the fresh connection under the SAME seq token: the pending waiter moves
-// to the new connection, so whichever connection delivers first wins and
-// the other reply finds no waiter — a retried round cannot double-count.
+// redispatch waits (bounded by RejoinWait, the collection deadline and the
+// run's end) for a dead cohort member to re-register, then re-sends its
+// round request on the fresh connection under the SAME seq token: the
+// pending waiter moves to the new connection, so whichever connection
+// delivers first wins and the other reply finds no waiter — a retried
+// round cannot double-count.
 // It reports whether the request was rebound.
 func (f *fanIn) redispatch(rq *trainReq, cr *cohortRound, deadline time.Time) bool {
 	if f.MaxRetries <= 0 {
@@ -510,15 +505,11 @@ func (f *fanIn) redispatch(rq *trainReq, cr *cohortRound, deadline time.Time) bo
 		until = deadline
 	}
 	var nw *registered
-	for {
-		if w := f.srv.liveWorker(rq.id); w != nil && w != old {
-			nw = w
-			break
-		}
-		if !time.Now().Before(until) {
-			return false
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !f.srv.await(func() bool {
+		nw = f.srv.liveWorker(rq.id)
+		return nw != nil && nw != old
+	}, until, cr.done) {
+		return false
 	}
 	nch := nw.addPending(rq.seq)
 	// Dense (a rejoined connection holds no base) but version-tagged: the

@@ -88,8 +88,9 @@ func TestModelTrainBatchSteadyStateAllocs(t *testing.T) {
 // no allocation: an MLP's batches are views of the caller's samples, and
 // the paper CNN forwards evalBlock samples at a time, so an EvalBatch of
 // 100 leaves its conv scratch (im2col rows, products) no larger than an
-// EvalBatch of 10 does. (The CNN's products above the parallel threshold
-// still allocate their closures, as in training.)
+// EvalBatch of 10 does. testing.AllocsPerRun runs at GOMAXPROCS 1, where
+// the CNN's products above the parallel threshold run on the caller
+// without building the closure they split across cores with.
 func TestEvaluateSteadyStateAllocsBounded(t *testing.T) {
 	t.Run("mlp", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
@@ -129,6 +130,9 @@ func TestEvaluateSteadyStateAllocsBounded(t *testing.T) {
 			if c > warm[i] {
 				t.Fatalf("conv scratch %d holds %d values after EvalBatch 100, %d after EvalBatch 10", i, c, warm[i])
 			}
+		}
+		if avg := testing.AllocsPerRun(5, func() { m.Evaluate(x, labels, 100) }); avg != 0 {
+			t.Fatalf("Model.Evaluate allocates %v per eval at GOMAXPROCS 1, want 0", avg)
 		}
 	})
 }

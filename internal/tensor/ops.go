@@ -47,6 +47,15 @@ func (t *Tensor) mustSameSize(o *Tensor, op string) {
 // they gain from parallelism.
 const parallelThreshold = 1 << 17
 
+// serial reports whether work operations over rows rows run on the caller
+// alone: below parallelThreshold, on one row or with one P. A caller tests
+// it before building parallelRows' closure, which would heap-allocate on
+// every call (flow-insensitive escape analysis sees the parallel branch)
+// only to run serially.
+func serial(work, rows int) bool {
+	return work < parallelThreshold || rows <= 1 || runtime.GOMAXPROCS(0) <= 1
+}
+
 // MatMulInto computes dst = a·b, reusing dst's storage. dst must be (m×n).
 func MatMulInto(dst, a, b *Tensor) {
 	matMulBiasInto(dst, a, b, nil, "MatMulInto")
@@ -85,10 +94,7 @@ func matMulBiasInto(dst, a, b, bias *Tensor, op string) {
 // zero products skipped, then += bias[j] — identical to the historical
 // separate-pass formulation.
 func matMulInto(out, a, b, bias *Tensor, m, k, n int) {
-	// The serial path calls the row function directly: wrapping it in a
-	// closure for both paths would heap-allocate the closure on every
-	// batch (flow-insensitive escape analysis sees the parallel branch).
-	if m*k*n < parallelThreshold || m == 1 {
+	if serial(m*k*n, m) {
 		abRows(out, a, b, bias, k, n, 0, m)
 		return
 	}
@@ -191,8 +197,7 @@ func MatMulATBInto(dst, a, b *Tensor) {
 	if dst.shape[0] != m || dst.shape[1] != n {
 		panicMatMulDst("MatMulATBInto", dst, m, n)
 	}
-	// As in matMulInto, only the parallel branch builds a closure.
-	if m*k*n < parallelThreshold || m == 1 {
+	if serial(m*k*n, m) {
 		atbRows(dst, a, b, k, m, n, 0, m)
 		return
 	}
@@ -442,9 +447,9 @@ func matMulABTInto(out, a, b, bias *Tensor, m, k, n int) {
 	if bias != nil {
 		bv = bias.Data
 	}
-	serial := m*k*n < parallelThreshold || m == 1
+	alone := serial(m*k*n, m)
 	if useSIMD && swapABT(m, k, n) {
-		abtSwapped(out.Data, a.Data, b.Data, bv, m, k, n, serial)
+		abtSwapped(out.Data, a.Data, b.Data, bv, m, k, n, alone)
 		return
 	}
 	var panel []float64
@@ -454,7 +459,7 @@ func matMulABTInto(out, a, b, bias *Tensor, m, k, n int) {
 		panel = getPanel(nb * k)
 		packABT(panel, b.Data, k, nb)
 	}
-	if serial {
+	if alone {
 		matMulABTRows(out.Data, a.Data, b.Data, bv, panel, k, n, nb, 0, m)
 	} else {
 		parallelRows(m, func(lo, hi int) { matMulABTRows(out.Data, a.Data, b.Data, bv, panel, k, n, nb, lo, hi) })
@@ -480,14 +485,14 @@ func swapABT(m, k, n int) bool { return m < simdCols && n >= 2*simdCols && k >= 
 // A lane sums the rounded b[j,p]·a[i,p] for p ascending from +0, the bits
 // of a[i,p]·b[j,p] (a product of two NaNs may carry the other one's
 // payload). Lanes m and up are never read; they are zeroed so that a
-// recycled panel's stale subnormals cannot slow the kernel. Unless serial,
+// recycled panel's stale subnormals cannot slow the kernel. Unless alone,
 // b's rows split across cores. The block and the scratch are one panel.
-func abtSwapped(out, a, b, bias []float64, m, k, n int, serial bool) {
+func abtSwapped(out, a, b, bias []float64, m, k, n int, alone bool) {
 	panel := getPanel(simdCols * (k + n))
 	blk, t := panel[:simdCols*k], panel[simdCols*k:]
 	clear(blk)
 	packABT(blk, a, k, m)
-	if serial {
+	if alone {
 		abtSwappedRows(out, b, bias, blk, t, m, k, n, 0, n)
 	} else {
 		parallelRows(n, func(lo, hi int) { abtSwappedRows(out, b, bias, blk, t, m, k, n, lo, hi) })
@@ -623,7 +628,7 @@ func ParallelChunks(n, work int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if work < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
+	if serial(work, n) {
 		fn(0, n)
 		return
 	}
@@ -680,7 +685,7 @@ func reduceSharded(dst []float64, coeffs []float64, srcs [][]float64, fill TileF
 			panicAxpyLen(k, len(s), len(dst))
 		}
 	}
-	if len(dst)*(len(srcs)+1) < parallelThreshold || runtime.GOMAXPROCS(0) <= 1 {
+	if serial(len(dst)*(len(srcs)+1), len(dst)) {
 		reduceRange(dst, coeffs, srcs, fill, 0, len(dst), mean, total)
 		return
 	}
