@@ -66,6 +66,32 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return &Dataset{X: x, Y: y, NumClasses: d.NumClasses, SampleShape: d.SampleShape}
 }
 
+// permute reorders d's rows in place into the order Subset(perm) copies
+// them in — row i becomes the row at perm[i] — following perm's cycles with
+// one row of temporary storage instead of a second copy of the data.
+func (d *Dataset) permute(perm []int) {
+	dim := d.Dim()
+	x := d.X.Data
+	row := make([]float64, dim)
+	done := make([]bool, len(perm))
+	for start := range perm {
+		if done[start] {
+			continue
+		}
+		copy(row, x[start*dim:(start+1)*dim])
+		label := d.Y[start]
+		i := start
+		for j := perm[i]; j != start; i, j = j, perm[j] {
+			done[i] = true
+			copy(x[i*dim:(i+1)*dim], x[j*dim:(j+1)*dim])
+			d.Y[i] = d.Y[j]
+		}
+		done[i] = true
+		copy(x[i*dim:(i+1)*dim], row)
+		d.Y[i] = label
+	}
+}
+
 // Concat returns the concatenation of the given datasets. All inputs must
 // share the feature dimension and class count.
 func Concat(parts ...*Dataset) *Dataset {
@@ -243,8 +269,9 @@ func Generate(s Spec, n int, seed int64) *Dataset {
 		y[i] = c
 	}
 	// Shuffle so class order carries no information.
-	perm := rng.Perm(n)
-	return (&Dataset{X: x, Y: y, NumClasses: s.NumClasses}).Subset(perm)
+	d := &Dataset{X: x, Y: y, NumClasses: s.NumClasses}
+	d.permute(rng.Perm(n))
+	return d
 }
 
 // ApplyFeatureSkew adds a fixed random bias vector (std `std`) to every

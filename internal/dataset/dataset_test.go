@@ -86,6 +86,44 @@ func TestPrototypesSharedAcrossSplits(t *testing.T) {
 	}
 }
 
+// permute reorders rows in place exactly as Subset(perm) copies them: for
+// random permutations, the identity, one n-cycle, and n = 0 and 1.
+func TestPermuteInPlaceMatchesSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	cycle := func(n int) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = (i + 1) % n
+		}
+		return p
+	}
+	identity := func(n int) []int {
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
+		}
+		return p
+	}
+	perms := [][]int{{}, {0}, identity(7), cycle(2), cycle(13)}
+	for _, n := range []int{2, 3, 10, 57} {
+		for range 5 {
+			perms = append(perms, rng.Perm(n))
+		}
+	}
+	for _, perm := range perms {
+		d := Generate(MNISTLike, len(perm), 4)
+		want := d.Subset(perm)
+		arg := slices.Clone(perm)
+		d.permute(arg)
+		if !slices.Equal(arg, perm) {
+			t.Fatalf("permute(%v) edited its argument to %v", perm, arg)
+		}
+		if !slices.Equal(d.Y, want.Y) || !slices.Equal(d.X.Data, want.X.Data) {
+			t.Fatalf("permute(%v) ≠ Subset: labels %v, want %v", perm, d.Y, want.Y)
+		}
+	}
+}
+
 func TestSubsetCopies(t *testing.T) {
 	d := Generate(MNISTLike, 20, 3)
 	s := d.Subset([]int{0, 5, 7})

@@ -33,7 +33,8 @@ func GenerateImages(name string, numClasses, channels, h, w, n int, noise float6
 		y[i] = c
 	}
 	d := &Dataset{X: x, Y: y, NumClasses: numClasses, SampleShape: []int{channels, h, w}}
-	return d.Subset(rng.Perm(n))
+	d.permute(rng.Perm(n))
+	return d
 }
 
 // imagePrototypes builds per-class smooth prototype images, deterministic

@@ -116,9 +116,7 @@ func TestTieredAsyncCompressed(t *testing.T) {
 
 // A compressed client round encodes into its scratch's payload buffer: once
 // warm, the int8 path allocates exactly what the dense one does per round,
-// no payload and no delta vector. Under the race detector both paths still
-// run, but the counts are not compared: its sync.Pool drops buffers on
-// purpose, so either path may remake a layer buffer in any round.
+// no payload and no delta vector.
 func TestTrainOnCodecPathAllocatesNoPayload(t *testing.T) {
 	perRound := func(codec compress.Codec) float64 {
 		clients, test := testPopulation(t, 5)
@@ -129,7 +127,7 @@ func TestTrainOnCodecPathAllocatesNoPayload(t *testing.T) {
 		return testing.AllocsPerRun(10, round)
 	}
 	dense, int8 := perRound(nil), perRound(compress.NewInt8(0))
-	if !raceEnabled && int8 != dense {
+	if int8 != dense {
 		t.Fatalf("int8 client round allocates %v times, dense %v: the codec path allocates", int8, dense)
 	}
 }

@@ -485,17 +485,20 @@ func (g *globalEval) wait() RoundRecord {
 // With Cfg.Parallel, min(GOMAXPROCS, len(cohort)) goroutines — the caller's
 // among them, and the caller's alone for a cohort too small to be worth
 // waking a core for (cohortWorkers) — pull indices from a shared counter,
-// each on its own trainScratch. The result cannot depend on the worker count
-// or on which goroutine trains whom: a client's pass reads the shared
-// weights, draws only from its own (Seed, round, Client.ID) stream, and
-// writes only its own residual and its own slot. Everything order-sensitive
-// (FedAvg, latency max, byte accounting) runs afterwards, in cohort order.
+// each on its own trainScratch, all taken before any starts so the engine
+// holds as many as its widest round and no more. The result cannot depend
+// on the worker count or on which goroutine trains whom: a client's pass
+// reads the shared weights, draws only from its own (Seed, round,
+// Client.ID) stream, and writes only its own residual and its own slot.
+// Everything order-sensitive (FedAvg, latency max, byte accounting) runs
+// afterwards, in cohort order.
 type syncTrainer struct {
 	e       *Engine
 	cohort  []*Client
 	slots   [][]float64 // each slot's trained weights, in bill order
 	updates []Update
 	replies []Reply
+	scratch []*trainScratch // the round's workers' scratch, the caller's first
 }
 
 func (t *syncTrainer) Reach(_, _, _ int) (int, bool) { return 0, true }
@@ -510,25 +513,30 @@ func (t *syncTrainer) Train(req *RoundRequest) ([]Reply, int64, RoundStatus) {
 	}
 	t.slots, t.updates, t.replies = grow(t.slots, n), grow(t.updates, n), grow(t.replies, n)
 	var next atomic.Int64
-	work := func() {
-		s := e.getScratch()
-		defer e.putScratch(s)
+	work := func(s *trainScratch) {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			t.updates[i] = e.trainOn(s, req.Round, t.cohort[i], req.Base, -1, t.slots[i])
 			t.slots[i] = t.updates[i].Weights
 			t.replies[i] = Reply{Update: t.updates[i], Bill: i}
 		}
 	}
+	t.scratch = grow(t.scratch, e.cohortWorkers(t.cohort, len(req.Base)))
+	for w := range t.scratch {
+		t.scratch[w] = e.getScratch()
+	}
 	var wg sync.WaitGroup
-	for w := e.cohortWorkers(t.cohort, len(req.Base)); w > 1; w-- {
+	for _, s := range t.scratch[1:] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work()
+			work(s)
 		}()
 	}
-	work()
+	work(t.scratch[0])
 	wg.Wait()
+	for _, s := range t.scratch {
+		e.putScratch(s)
+	}
 	return t.replies, down, RoundCommitted
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -63,17 +62,13 @@ func TestEnginesRejectInvalidLatencyModel(t *testing.T) {
 
 // TestSyncRoundSteadyStateAllocs: once warm, a round of Engine.Run with
 // Parallel set — selection, training, commit, the overlapped global
-// evaluation — allocates less than one model-sized vector: each cohort
-// slot trains into its own reused vector, the commit copies into the
-// engine's weights, and the evaluation reuses its replica. A warm round's
-// bytes are the difference between a 20-round and a 10-round Run of one
-// engine, so the per-Run copies cancel. One P and no GC, as above.
+// evaluation — allocates less than a quarter of a model-sized vector: each
+// cohort slot trains into its own reused vector, the commit copies into the
+// engine's weights, the evaluation reuses its replica, and every trainer's
+// scratch stays in the workspace it owns, whatever P runs it and whenever
+// the GC runs. A warm round's bytes are the difference between a 20-round
+// and a 10-round Run of one engine, so the per-Run copies cancel.
 func TestSyncRoundSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops buffers on purpose")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	train := dataset.Generate(dataset.MNISTLike, 100, 1)
 	test := dataset.Generate(dataset.MNISTLike, 50, 2)
 	parts := dataset.PartitionIID(train.Len(), 5, rand.New(rand.NewSource(3)))
@@ -102,22 +97,18 @@ func TestSyncRoundSteadyStateAllocs(t *testing.T) {
 	vec := uint64(8 * len(e.GlobalWeights()))
 	per := (long - short) / 10
 	t.Logf("%d B per warm round; a model-sized vector is %d B", per, vec)
-	if long < short || per >= vec {
-		t.Fatalf("a warm synchronous round allocates %d B (10 rounds %d B, 20 rounds %d B), a model-sized vector is %d B", per, short, long, vec)
+	if long < short || per >= vec/4 {
+		t.Fatalf("a warm synchronous round allocates %d B (10 rounds %d B, 20 rounds %d B), a quarter of a model-sized vector is %d B", per, short, long, vec/4)
 	}
 }
 
 // TestTieredRoundSteadyStateAllocs: once warm, a tiered-sim tier round —
-// dispatch, training on the pool, join, commit — allocates less than one
-// model-sized vector: each member trains into its tier's slot, a dense round
-// copies the pull into its tier's buffer, and the commit reuses the tier's
-// aggregate. One P and no GC, so that every pooled layer buffer comes back.
+// dispatch, training on the pool, join, commit — allocates less than a
+// quarter of a model-sized vector: each member trains into its tier's slot,
+// a dense round copies the pull into its tier's buffer, the commit reuses
+// the tier's aggregate, and each trainer's scratch stays in the workspace
+// it owns, whatever P runs it and whenever the GC runs.
 func TestTieredRoundSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops buffers on purpose")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	train := dataset.Generate(dataset.MNISTLike, 100, 1)
 	parts := dataset.PartitionIID(train.Len(), 5, rand.New(rand.NewSource(3)))
 	clients := BuildClients(train, nil, parts, []float64{4, 2, 1, 0.5, 0.25}, 0, 1)
@@ -168,8 +159,8 @@ func TestTieredRoundSteadyStateAllocs(t *testing.T) {
 			vec := uint64(8 * len(e.com.Weights()))
 			per := (after.TotalAlloc - before.TotalAlloc) / rounds
 			t.Logf("%d B per warm round; a model-sized vector is %d B", per, vec)
-			if per >= vec {
-				t.Fatalf("a warm tier round allocates %d B, a model-sized vector is %d B", per, vec)
+			if per >= vec/4 {
+				t.Fatalf("a warm tier round allocates %d B, a quarter of a model-sized vector is %d B", per, vec/4)
 			}
 		})
 	}

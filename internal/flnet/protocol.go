@@ -102,10 +102,12 @@ const (
 // (nn.ViewWeights), so whoever keeps the view keeps the buffer: the fan-in
 // until recycle, the worker until its update is sent or, for a versioned
 // Train, as its tier's base until the next dense one. A received
-// Profile's or TierCommit's Weights is the buffer itself, never recycled:
-// the vector owns it. An envelope that is dropped undecoded needs no
-// release; the buffer is then simply collected. A sender's bulk field is
-// only read, and only until send returns.
+// TierCommit's Weights is a view of its buffer too: the root's committer
+// loop recycles it once Apply has read it. A received Profile's Weights is
+// the buffer itself, never recycled: the vector owns it. An envelope that
+// is dropped undecoded needs no release; the buffer is then simply
+// collected. A sender's bulk field is only read, and only until send
+// returns.
 type Envelope struct {
 	Type             MsgType
 	Register         *Register
@@ -606,10 +608,11 @@ func split(env *Envelope, iov [][]byte, hdr *[8]byte) (meta Envelope, blob [][]b
 
 // attach puts a received blob where split took it from. The byte fields
 // alias the buffer until the handler releases the envelope. The two
-// []float64 fields are decoded here, as a view of the buffer, which then
-// belongs to the vector and never returns to the pool. A catch-up is cut
-// back into its payloads by the lengths the control part carried, once they
-// are checked against the blob.
+// []float64 fields are decoded here, as a view of the buffer: a
+// TierCommit's stays the envelope's to release like a byte field's, a
+// Profile's belongs to the vector and never returns to the pool. A
+// catch-up is cut back into its payloads by the lengths the control part
+// carried, once they are checked against the blob.
 func (e *Envelope) attach(b *[]byte, delta bool) error {
 	var vec *[]float64
 	switch e.Type {
@@ -648,9 +651,13 @@ func (e *Envelope) attach(b *[]byte, delta bool) error {
 		putBlob(b)
 		return err
 	}
-	if e.Type == MsgTierCommit && !nn.AllFinite(w) {
-		// A non-finite aggregate would poison the global model for good.
-		return fmt.Errorf("tier commit weights are not finite")
+	if e.Type == MsgTierCommit {
+		if !nn.AllFinite(w) {
+			// A non-finite aggregate would poison the global model for good.
+			putBlob(b)
+			return fmt.Errorf("tier commit weights are not finite")
+		}
+		e.blob = b
 	}
 	*vec = w
 	return nil

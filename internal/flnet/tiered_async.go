@@ -727,6 +727,9 @@ type tierEvent struct {
 	// ended without one — dead cohort, empty collection windows — and the
 	// tier asks for its redraw.
 	commit *TierCommit
+	// blob is the receive buffer behind a tree child's commit, recycled
+	// once the committer has applied or refused it; nil for a flat tier's.
+	blob *[]byte
 	// gone is the driver's last event: its tier loop gave up, its child's
 	// connection died.
 	gone bool
@@ -951,28 +954,28 @@ func (ta *TieredAsyncAggregator) drive(com *flcore.Committer, tp *topology) (*Ti
 
 	// The receive step. gone counts each tier's driver exits net of
 	// revivals (a revival can overtake the exit it replaces); queue holds
-	// commits that arrived ahead of their turn.
+	// commit events that arrived ahead of their turn.
 	gone := make([]int, len(com.Tiers()))
 	alive := len(gone)
-	var queue []*TierCommit
+	var queue []tierEvent
 	var graceC <-chan time.Time
-	next := func() (*TierCommit, error) {
+	next := func() (tierEvent, error) {
 		for {
 			want := -1 // any tier: arrival order
 			if ta.commitOrder != nil {
 				want = ta.commitOrder(com.Version())
 			}
-			for i, tc := range queue {
-				if want < 0 || tc.Tier == want {
+			for i, ev := range queue {
+				if want < 0 || ev.tier == want {
 					queue = append(queue[:i], queue[i+1:]...)
-					return tc, nil
+					return ev, nil
 				}
 			}
 			switch {
 			case want >= len(gone) || want >= 0 && gone[want] > 0:
 				// A received event is an accounted one, so an empty queue
 				// after the tier's exit means its commit is never coming.
-				return nil, fmt.Errorf("flnet: scripted commit order stalled: tier %d cannot deliver commit %d of %d", want, com.Version()+1, ta.tcfg.GlobalCommits)
+				return tierEvent{}, fmt.Errorf("flnet: scripted commit order stalled: tier %d cannot deliver commit %d of %d", want, com.Version()+1, ta.tcfg.GlobalCommits)
 			case alive == 0 && graceC == nil:
 				// Hold the run open one grace window (none: fail at once) in
 				// case a respawned child is mid-reconnect.
@@ -987,7 +990,7 @@ func (ta *TieredAsyncAggregator) drive(com *flcore.Committer, tp *topology) (*Ti
 				case ev.commit == nil:
 					tp.dispatch(ev.tier, com.Pull(ev.tier))
 				default:
-					queue = append(queue, ev.commit)
+					queue = append(queue, ev)
 				}
 			case w := <-tp.rejoin:
 				if tp.revive(w) {
@@ -996,17 +999,19 @@ func (ta *TieredAsyncAggregator) drive(com *flcore.Committer, tp *topology) (*Ti
 					graceC = nil
 				}
 			case <-graceC:
-				return nil, fmt.Errorf("flnet: every tier stopped making progress after %d of %d commits", com.Version(), ta.tcfg.GlobalCommits)
+				return tierEvent{}, fmt.Errorf("flnet: every tier stopped making progress after %d of %d commits", com.Version(), ta.tcfg.GlobalCommits)
 			}
 		}
 	}
 
 	for com.Version() < ta.tcfg.GlobalCommits {
-		tc, err := next()
+		ev, err := next()
 		if err != nil {
 			return finish(err)
 		}
+		tc := ev.commit
 		rec, moves, err := com.Apply(tc.Commit)
+		putBlob(ev.blob)
 		if err != nil {
 			if tp.evict == nil {
 				return finish(err)

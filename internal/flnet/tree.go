@@ -510,10 +510,13 @@ func (ta *TieredAsyncAggregator) RunTree() (*TieredAsyncRunResult, error) {
 					continue // a stray profile reply; commits are the contract
 				}
 				if env.TierCommit.Tier != t {
+					env.release()
 					c.c.close() //nolint:errcheck // a mislabeled commit evicts its child, as a refused one does
 					continue
 				}
-				if !tp.post(tierEvent{tier: t, commit: env.TierCommit}) {
+				ev := tierEvent{tier: t, commit: env.TierCommit, blob: env.take()}
+				if !tp.post(ev) {
+					putBlob(ev.blob)
 					return
 				}
 			case <-tp.done:

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -137,8 +138,73 @@ func TestEvaluateSteadyStateAllocsBounded(t *testing.T) {
 	})
 }
 
-// Concurrent per-goroutine workspaces share nothing; one shared tensor pool
-// under them must be race-free. Run with -race.
+// TestWorkspaceHoldsExactlyItsShapes: a warm paper-CNN trainer — client
+// rounds of 57, 7 and 57 samples in batches of 10, so every layer shrinks
+// and regrows its buffers, each round drawing a fresh optimizer's state from
+// the workspace and releasing it — holds exactly the bytes its shapes need:
+// every layer buffer's capacity is the full batch's shape, and the pool
+// holds the released optimizer state and nothing else.
+func TestWorkspaceHoldsExactlyItsShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := NewPaperMNISTCNN(rng, 14, 14, 1, 10)
+	ws := NewWorkspace()
+	m.SetWorkspace(ws)
+	var state map[*float64]bool
+	for _, client := range [][]int{{10, 10, 10, 10, 10, 7}, {7}, {10, 10, 10, 10, 10, 7}} {
+		opt := NewRMSprop(0.003, 0.995)
+		opt.AttachStatePool(ws.Pool())
+		for _, n := range client {
+			labels := make([]int, n)
+			for i := range labels {
+				labels[i] = rng.Intn(10)
+			}
+			m.TrainBatch(tensor.RandNormal(rng, 0, 1, n, 1, 14, 14), labels, opt)
+		}
+		state = map[*float64]bool{}
+		for _, b := range opt.cache.bufs {
+			state[&b[:1][0]] = true
+		}
+		opt.ReleaseState()
+	}
+	// The next client's first batch, on an optimizer that keeps no state.
+	m.TrainBatch(tensor.RandNormal(rng, 0, 1, 10, 1, 14, 14), make([]int, 10), NewSGD(0.003, 0))
+
+	owners := []any{m}
+	for _, l := range m.Layers {
+		owners = append(owners, l)
+	}
+	held, need := 0, 0
+	for _, l := range owners {
+		v := reflect.ValueOf(l).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if f.Type() != reflect.TypeOf((*tensor.Tensor)(nil)) || f.IsNil() {
+				continue
+			}
+			data := f.Elem().FieldByName("Data")
+			held += 8 * data.Cap()
+			need += 8 * data.Len()
+			if data.Cap() != data.Len() {
+				t.Errorf("%T.%s holds %d values for a %d-value shape", l, v.Type().Field(i).Name, data.Cap(), data.Len())
+			}
+		}
+	}
+	t.Logf("layers hold %d B for %d B of shapes", held, need)
+
+	pool := ws.Pool()
+	for _, p := range m.Params() {
+		g := pool.GetTensor(p.Size())
+		if !state[&g.Data[:1][0]] || cap(g.Data) != p.Size() {
+			t.Fatalf("a %d-value parameter's state came back with %d values, held: %v", p.Size(), cap(g.Data), state[&g.Data[:1][0]])
+		}
+	}
+	if g := pool.GetTensor(1); cap(g.Data) != 1 {
+		t.Fatalf("the pool holds a %d-value buffer beyond the optimizer state", cap(g.Data))
+	}
+}
+
+// Concurrent workspaces share nothing: training on them from separate
+// goroutines must be race-free. Run with -race.
 func TestConcurrentWorkspacesRace(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

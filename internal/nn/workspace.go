@@ -5,11 +5,18 @@ import (
 )
 
 // Workspace is the per-training-goroutine scratch arena of the hot path: a
-// size-bucketed tensor pool from which layers draw their activation,
-// gradient, im2col, and mask buffers. Attach one to a model with
-// Model.SetWorkspace; after that, steady-state training batches allocate
-// (almost) nothing — each layer keeps its buffers across batches while
-// shapes repeat, and returns them to the pool when the batch shape changes.
+// tensor free list from which layers draw their activation, gradient and
+// im2col buffers, and optimizer state its per-parameter caches. Attach one
+// to a model with Model.SetWorkspace; after that, steady-state training
+// batches allocate nothing — each layer keeps its buffers across batches
+// while shapes repeat, and returns them to the pool when the batch shape
+// changes.
+//
+// Memory: a buffer is never rounded up and never handed back to the GC
+// while the workspace lives (no sync.Pool), so a workspace holds what its
+// owner's shapes need — the layers' buffers, plus the optimizer state (one
+// parameter-sized buffer each) between client rounds — and all of it goes
+// when the workspace is dropped.
 //
 // Ownership rules:
 //
@@ -32,8 +39,7 @@ type Workspace struct {
 func NewWorkspace() *Workspace { return &Workspace{} }
 
 // Pool exposes the workspace's underlying buffer pool so adjacent hot-path
-// scratch (mini-batch staging, delta buffers) can share storage with the
-// layer workspaces.
+// scratch (optimizer state) shares storage with the layer workspaces.
 func (w *Workspace) Pool() *tensor.Pool {
 	if w == nil {
 		return nil

@@ -48,18 +48,39 @@ func TestPoolReusesStorage(t *testing.T) {
 	t.Fatal("pool did not reuse the returned buffer")
 }
 
-func TestPoolBucketFor(t *testing.T) {
-	cases := []struct{ n, want int }{
-		{0, -1}, {-3, -1},
-		{1, 0}, {64, 0}, {65, 1}, {128, 1}, {129, 2},
-	}
-	for _, c := range cases {
-		if got := bucketFor(c.n); got != c.want {
-			t.Fatalf("bucketFor(%d) = %d, want %d", c.n, got, c.want)
+// A miss allocates exactly the request: no rounding up to a size class.
+func TestPoolFreshTensorHasExactCapacity(t *testing.T) {
+	var p Pool
+	for _, shape := range [][]int{{1}, {70}, {100, 3}, {392000}} {
+		g := p.GetTensor(shape...)
+		if n := g.Size(); len(g.Data) != n || cap(g.Data) != n {
+			t.Fatalf("GetTensor(%v) on an empty pool: len %d cap %d, want both %d", shape, len(g.Data), cap(g.Data), n)
 		}
 	}
-	if bucketFor(1<<maxBucketBits+1) != -1 {
-		t.Fatal("oversized request must bypass the pool")
+}
+
+// A request takes the smallest held buffer that covers it, leaving the
+// larger ones for larger requests, and allocates when none covers it.
+func TestPoolReusesSmallestCoveringBuffer(t *testing.T) {
+	var p Pool
+	held := map[int]*float64{}
+	var out []*Tensor
+	for _, n := range []int{300, 50, 120, 800} {
+		g := p.GetTensor(n)
+		held[n] = &g.Data[:1][0]
+		out = append(out, g)
+	}
+	for _, g := range out {
+		p.PutTensor(g)
+	}
+	for _, c := range []struct{ n, from int }{{100, 120}, {100, 300}, {10, 50}, {700, 800}} {
+		g := p.GetTensor(c.n)
+		if &g.Data[:1][0] != held[c.from] || cap(g.Data) != c.from || len(g.Data) != c.n {
+			t.Fatalf("GetTensor(%d): cap %d, want the held %d-element buffer", c.n, cap(g.Data), c.from)
+		}
+	}
+	if g := p.GetTensor(10); cap(g.Data) != 10 {
+		t.Fatalf("GetTensor(10) on an emptied pool: cap %d, want 10", cap(g.Data))
 	}
 }
 

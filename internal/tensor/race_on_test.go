@@ -2,6 +2,6 @@
 
 package tensor
 
-// raceEnabled: under the race detector sync.Pool drops a quarter of what is
-// put into it, on purpose, so a single missed reuse proves nothing there.
+// raceEnabled: the race detector allocates on its own, so allocation
+// counts taken under it prove nothing.
 const raceEnabled = true
