@@ -52,3 +52,24 @@ func TestCNNFederatedTraining(t *testing.T) {
 		t.Fatalf("no learning: %v → %v", first, res.FinalAcc)
 	}
 }
+
+// BenchmarkPaperCNNClientRound times Engine.TrainClient on the paper CNN at
+// the sim_sync_cnn workload's shapes: 14×14 images, a 20-sample client,
+// batch 10, RMSprop, so one op is two training batches plus the pass's
+// fresh update vector. Run it at -cpu 1,2 to see what the sharded passes
+// buy one client round.
+func BenchmarkPaperCNNClientRound(b *testing.B) {
+	data := dataset.GenerateImages("bench-cnn", 10, 1, 14, 14, 20, 1.0, 1)
+	e := NewEngine(Config{
+		Rounds: 1, ClientsPerRound: 1, LocalEpochs: 1, BatchSize: 10, Seed: 1,
+		Model:     func(rng *rand.Rand) *nn.Model { return nn.NewPaperMNISTCNN(rng, 14, 14, 1, 10) },
+		Optimizer: func(round int) nn.Optimizer { return nn.NewRMSprop(0.003, 0.995) },
+		Latency:   simres.DefaultModel,
+	}, []*Client{{ID: 0, Train: data, CPU: 1}}, nil)
+	w := e.GlobalWeights()
+	e.TrainClient(0, 0, w) // warm: replica, workspace
+	b.ResetTimer()
+	for i := range b.N {
+		e.TrainClient(i+1, 0, w)
+	}
+}

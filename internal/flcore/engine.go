@@ -259,8 +259,13 @@ func (e *Engine) TrainClient(round int, clientIdx int, globalWeights []float64) 
 // (chargedBytes). The rng draw sequence is identical either way, so
 // switching charging modes never perturbs training randomness.
 //
-// The trained weights are written into out, the caller's slot, which is
-// reallocated only when it is too small; nil gives the update a fresh vector.
+// The pass trains in out, the caller's slot, which is reallocated only when
+// it is too small; nil gives the update a fresh vector. The replica's
+// parameters are bound to that slot for the pass (nn.Model.BindWeights), so
+// the global weights are copied once, into out, and the replica holds no
+// weight vector of its own; it is unbound when the pass ends, so it keeps
+// no slot alive. out must not alias globalWeights, and it is the caller's
+// slot, never a client's.
 func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []float64, downBytes int, out []float64) Update {
 	// Replica.Acquire reproduces rand.New(rand.NewSource(mix(...))) followed
 	// by a fresh factory build, bit-exactly, while reusing the cached model
@@ -268,7 +273,13 @@ func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []
 	// dropout draw and batch shuffle below, is unchanged.
 	model, rng := s.rep.Acquire(mix(e.Cfg.Seed, round, c.ID))
 	model.SetWorkspace(s.ws)
-	model.SetWeightsVector(globalWeights)
+	if cap(out) < len(globalWeights) {
+		out = make([]float64, len(globalWeights))
+	}
+	out = out[:len(globalWeights)]
+	copy(out, globalWeights)
+	model.BindWeights(out)
+	defer model.UnbindWeights()
 	opt := e.Cfg.Optimizer(round)
 	if sp, ok := opt.(nn.StatePooled); ok {
 		// Per-round optimizer state (momentum/second-moment caches) comes
@@ -285,20 +296,19 @@ func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []
 			model.TrainBatch(x, y, opt)
 		})
 	}
-	weightsOut := model.CopyWeights(out)
-	wire := compress.DenseBytes(len(weightsOut))
+	wire := compress.DenseBytes(len(out))
 	if e.compressed() {
 		// Error-feedback compression: encode delta+residual into the
 		// scratch's payload buffer, keep the encoding error on the client,
 		// and hand the aggregator the exact reconstruction the wire payload
 		// decodes to, written over the trained weights — so the simulated
 		// engine and a real flnet worker produce identical updates.
-		s.payload, c.residual = compress.EncodeFeedbackInto(s.payload, e.Cfg.Codec, weightsOut, globalWeights, c.residual, weightsOut)
+		s.payload, c.residual = compress.EncodeFeedbackInto(s.payload, e.Cfg.Codec, out, globalWeights, c.residual, out)
 		wire = len(s.payload)
 	}
 	lat := e.Cfg.Latency.LatencyBytes(c.EffectiveCPU(round), c.NumSamples(), epochs,
-		e.chargedBytes(len(weightsOut), downBytes, wire), c.Bandwidth, rng)
-	u := Update{ClientID: c.ID, Weights: weightsOut, NumSamples: c.NumSamples(), Latency: lat, WireBytes: wire}
+		e.chargedBytes(len(out), downBytes, wire), c.Bandwidth, rng)
+	u := Update{ClientID: c.ID, Weights: out, NumSamples: c.NumSamples(), Latency: lat, WireBytes: wire}
 	if e.Cfg.TransformUpdate != nil {
 		e.Cfg.TransformUpdate(round, globalWeights, &u)
 	}

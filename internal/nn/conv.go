@@ -12,7 +12,8 @@ import (
 // Conv2D is a 2-D convolution, implemented by lowering each batch to a
 // column matrix (im2col) and multiplying against the kernel matrix, the
 // standard CPU formulation. The im2col matrix and every intermediate are
-// cached scratch reused across batches.
+// cached scratch reused across batches; the backward pass writes the
+// lowering's gradient over the lowering, so a layer holds one.
 //
 // Its output is NHWC, (N, OH, OW, OutC): the product's (N·OH·OW, OutC)
 // matrix itself, not copied. Its input is NCHW, (N, InC, H, W), unless
@@ -26,8 +27,8 @@ type Conv2D struct {
 	Stride, Pad   int
 	W             *tensor.Tensor // (OutC, InC*KH*KW)
 	B             *tensor.Tensor // (OutC)
-	dW, dB        *tensor.Tensor
-	cols          *tensor.Tensor // cached im2col(x) for backward
+	dW, dB        *tensor.Tensor // allocated by the first backward pass or Grads call
+	cols          *tensor.Tensor // cached im2col(x) for backward, then its gradient
 	inN, inH, inW int
 	outH, outW    int
 	trained       bool // last Forward was a training pass (cols is valid)
@@ -35,7 +36,7 @@ type Conv2D struct {
 
 	ws         *Workspace
 	flat       *tensor.Tensor // forward product, (N·OH·OW, OutC)
-	dcols, dx  *tensor.Tensor // backward scratch
+	dx         *tensor.Tensor // backward scratch
 	out, gflat *tensor.Tensor // views: flat as (N, OH, OW, OutC), grad as (N·OH·OW, OutC)
 	shape      []int          // scratch for the view shapes
 }
@@ -49,10 +50,8 @@ func NewConv2D(rng *rand.Rand, inC, outC, kh, kw, stride, pad int) *Conv2D {
 	fanOut := outC * kh * kw
 	return &Conv2D{
 		InC: inC, OutC: outC, KH: kh, KW: kw, Stride: stride, Pad: pad,
-		W:  tensor.GlorotUniform(rng, fanIn, fanOut, outC, inC*kh*kw),
-		B:  tensor.New(outC),
-		dW: tensor.New(outC, inC*kh*kw),
-		dB: tensor.New(outC),
+		W: tensor.GlorotUniform(rng, fanIn, fanOut, outC, inC*kh*kw),
+		B: tensor.New(outC),
 	}
 }
 
@@ -92,18 +91,21 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.out
 }
 
-// Backward implements Layer. grad is NHWC, like the output.
+// Backward implements Layer. grad is NHWC, like the output. Once
+// backwardParams has read the lowering, dcols = gflat · W goes into its
+// storage, so the lowering is no longer valid: a second Backward panics.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	c.backwardParams(grad)
 	// dcols = gflat · W → scatter back to image space.
-	c.dcols = c.ws.Ensure(c.dcols, c.inN*c.outH*c.outW, c.InC*c.KH*c.KW)
-	tensor.MatMulInto(c.dcols, c.gflat, c.W)
+	dcols := c.cols
+	tensor.MatMulInto(dcols, c.gflat, c.W)
+	c.trained = false
 	if c.nhwcIn {
 		c.dx = c.ws.Ensure(c.dx, c.inN, c.inH, c.inW, c.InC)
-		col2imNHWC(c.dx.Data, c.dcols.Data, c.inN, c.inH, c.inW, c.InC, c.KH, c.KW, c.Stride, c.Pad, c.outH, c.outW)
+		col2imNHWC(c.dx.Data, dcols.Data, c.inN, c.inH, c.inW, c.InC, c.KH, c.KW, c.Stride, c.Pad, c.outH, c.outW)
 	} else {
 		c.dx = c.ws.Ensure(c.dx, c.inN, c.InC, c.inH, c.inW)
-		tensor.Col2ImInto(c.dx, c.dcols, c.KH, c.KW, c.Stride, c.Pad)
+		tensor.Col2ImInto(c.dx, dcols, c.KH, c.KW, c.Stride, c.Pad)
 	}
 	return c.dx
 }
@@ -118,6 +120,7 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	// The NHWC gradient is already the (N*OH*OW, OutC) matrix.
 	c.shape = append(c.shape[:0], c.inN*c.outH*c.outW, c.OutC)
 	c.gflat = tensor.AliasView(c.gflat, grad, c.shape)
+	ensureGrads(&c.dW, &c.dB, c.W, c.B)
 	// dW = gflatᵀ · cols → (OutC, InC*KH*KW)
 	tensor.MatMulATBInto(c.dW, c.gflat, c.cols)
 	c.dB.Zero()
@@ -133,7 +136,10 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 
 // Grads implements Layer.
-func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.dW, c.dB} }
+func (c *Conv2D) Grads() []*tensor.Tensor {
+	ensureGrads(&c.dW, &c.dB, c.W, c.B)
+	return []*tensor.Tensor{c.dW, c.dB}
+}
 
 func (c *Conv2D) setWorkspace(ws *Workspace) { c.ws = ws }
 

@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -31,6 +32,14 @@ import (
 // accumulating parameter gradients internally until the optimizer step.
 // Returned tensors are layer-owned scratch, valid until the layer's next
 // Forward/Backward call.
+//
+// In-place rule: no layer reads its own output after the next layer's
+// Forward has run, nor the gradient it returned after the previous layer's
+// Backward has run. A layer may therefore write over its input or over the
+// incoming gradient, as ReLU does both; what a Backward needs it keeps
+// itself (Dense its input, Conv2D its lowering, MaxPool its argmax,
+// Dropout and ReLU their masks; Flatten returns aliases and reads nothing
+// later). TestLayersKeepTheInPlaceRule holds every layer kind to it.
 type Layer interface {
 	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
 	Backward(grad *tensor.Tensor) *tensor.Tensor
@@ -44,7 +53,7 @@ type Layer interface {
 // row vectors x with shape (batch, in).
 type Dense struct {
 	W, B   *tensor.Tensor
-	dW, dB *tensor.Tensor
+	dW, dB *tensor.Tensor // allocated by the first backward pass or Grads call
 	in     *tensor.Tensor // cached input for backward
 
 	ws      *Workspace
@@ -53,12 +62,7 @@ type Dense struct {
 
 // NewDense returns a dense layer with Glorot-uniform weights and zero bias.
 func NewDense(rng *rand.Rand, in, out int) *Dense {
-	return &Dense{
-		W:  tensor.GlorotUniform(rng, in, out, in, out),
-		B:  tensor.New(out),
-		dW: tensor.New(in, out),
-		dB: tensor.New(out),
-	}
+	return &Dense{W: tensor.GlorotUniform(rng, in, out, in, out), B: tensor.New(out)}
 }
 
 // Forward implements Layer. The bias add is fused into the matmul kernel.
@@ -90,6 +94,7 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	if d.in == nil {
 		panic("nn: Dense.Backward before Forward(train=true)")
 	}
+	ensureGrads(&d.dW, &d.dB, d.W, d.B)
 	tensor.MatMulATBInto(d.dW, d.in, grad)
 	cols := d.B.Size()
 	d.dB.Zero()
@@ -105,18 +110,34 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
 
 // Grads implements Layer.
-func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.dW, d.dB} }
+func (d *Dense) Grads() []*tensor.Tensor {
+	ensureGrads(&d.dW, &d.dB, d.W, d.B)
+	return []*tensor.Tensor{d.dW, d.dB}
+}
 
 func (d *Dense) setWorkspace(ws *Workspace) { d.ws = ws }
 
-// ReLU applies v > 0 ? v : +0 element-wise, so NaN and −0 become +0.
-// Both directions are branch-free, and the backward reads which inputs were
-// positive off the layer's own output.
-type ReLU struct {
-	trained bool // last Forward was a training pass (out is valid)
+// ensureGrads allocates a layer's weight and bias gradients on first use,
+// so a model that only evaluates (a global model, an evaluation replica)
+// holds none.
+func ensureGrads(dW, dB **tensor.Tensor, w, b *tensor.Tensor) {
+	if *dW == nil {
+		*dW, *dB = tensor.New(w.Shape()...), tensor.New(b.Size())
+	}
+}
 
-	ws        *Workspace
-	out, gout *tensor.Tensor
+// ReLU applies v > 0 ? v : +0 element-wise, so NaN and −0 become +0. It
+// works in place, as the Layer rule allows: Forward writes over its input
+// and Backward over the incoming gradient. A training Forward keeps a byte
+// per element, 1 where the input is > 0, for the Backward. Both directions
+// are branch-free.
+type ReLU struct {
+	trained bool    // last Forward was a training pass (mask is valid)
+	keepIn  bool    // the input may be the model's caller's: write out instead (set by NewModel)
+	mask    []uint8 // 1 where the last training input was > 0
+
+	ws  *Workspace
+	out *tensor.Tensor // keepIn's output
 }
 
 // NewReLU returns a ReLU activation layer.
@@ -130,18 +151,34 @@ const posInfBits = 0x7FF0000000000000
 // Forward implements Layer. Above shardWork the element range splits
 // across cores.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	r.out = r.ws.Ensure(r.out, x.Shape()...)
-	od, xd := r.out.Data[:len(x.Data)], x.Data
-	if sharded(len(xd)) {
-		tensor.ParallelChunks(len(xd), len(xd), func(lo, hi int) { reluForward(od[lo:hi], xd[lo:hi]) })
-	} else {
-		reluForward(od, xd)
+	out := x
+	if r.keepIn {
+		r.out = r.ws.Ensure(r.out, x.Shape()...)
+		out = r.out
 	}
-	r.trained = train
-	return r.out
+	xd := x.Data
+	od := out.Data[:len(xd)]
+	if !train {
+		if sharded(len(xd)) {
+			tensor.ParallelChunks(len(xd), len(xd), func(lo, hi int) { reluForward(od[lo:hi], xd[lo:hi]) })
+		} else {
+			reluForward(od, xd)
+		}
+		r.trained = false
+		return out
+	}
+	r.mask = slices.Grow(r.mask[:0], len(xd))[:len(xd)]
+	mask := r.mask
+	if sharded(len(xd)) {
+		tensor.ParallelChunks(len(xd), len(xd), func(lo, hi int) { reluForwardMask(od[lo:hi], xd[lo:hi], mask[lo:hi]) })
+	} else {
+		reluForwardMask(od, xd, mask)
+	}
+	r.trained = true
+	return out
 }
 
-// reluForward writes x's ReLU into od, len(od) = len(x).
+// reluForward writes x's ReLU into od, len(od) = len(x); od may be x.
 func reluForward(od, x []float64) {
 	od = od[:len(x)]
 	for i, v := range x {
@@ -154,32 +191,46 @@ func reluForward(od, x []float64) {
 	}
 }
 
-// Backward implements Layer: g where the output is > 0, +0 elsewhere. Above
-// shardWork the element range splits across cores.
+// reluForwardMask is reluForward that also sets mask[i] to 1 where x[i] > 0
+// and to 0 elsewhere.
+func reluForwardMask(od, x []float64, mask []uint8) {
+	od, mask = od[:len(x)], mask[:len(x)]
+	for i, v := range x {
+		b := math.Float64bits(v)
+		var o uint64
+		if b-1 < posInfBits {
+			o = b
+		}
+		od[i] = math.Float64frombits(o)
+		// o is +0 or below 1<<63, so o|−o has the sign bit set exactly
+		// when o is not +0.
+		mask[i] = uint8((o | -o) >> 63)
+	}
+}
+
+// Backward implements Layer: g where the input was > 0, +0 elsewhere,
+// written over grad. Above shardWork the element range splits across cores.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if !r.trained {
 		panic("nn: ReLU.Backward without a preceding Forward(train=true)")
 	}
-	r.gout = r.ws.Ensure(r.gout, grad.Shape()...)
 	gd := grad.Data
-	od, out := r.gout.Data[:len(gd)], r.out.Data[:len(gd)]
-	if sharded(len(gd)) {
-		tensor.ParallelChunks(len(gd), len(gd), func(lo, hi int) { reluBackward(od[lo:hi], gd[lo:hi], out[lo:hi]) })
-	} else {
-		reluBackward(od, gd, out)
+	if len(gd) != len(r.mask) {
+		panic(fmt.Sprintf("nn: ReLU.Backward gradient %v for a %d-element input", grad.Shape(), len(r.mask)))
 	}
-	return r.gout
+	if sharded(len(gd)) {
+		tensor.ParallelChunks(len(gd), len(gd), func(lo, hi int) { reluBackward(gd[lo:hi], r.mask[lo:hi]) })
+	} else {
+		reluBackward(gd, r.mask)
+	}
+	return grad
 }
 
-// reluBackward writes into od the gradient g masked by the forward output
-// out; the three have one length.
-func reluBackward(od, g, out []float64) {
-	od, out = od[:len(g)], out[:len(g)]
+// reluBackward zeroes g in place where mask is 0; the two have one length.
+func reluBackward(g []float64, mask []uint8) {
+	mask = mask[:len(g)]
 	for i, v := range g {
-		// An output is +0 or positive, so its negation has the sign bit
-		// set exactly when it is > 0: the mask is all ones there.
-		mask := uint64(-int64(math.Float64bits(out[i])) >> 63)
-		od[i] = math.Float64frombits(math.Float64bits(v) & mask)
+		g[i] = math.Float64frombits(math.Float64bits(v) & -uint64(mask[i]))
 	}
 }
 

@@ -39,20 +39,29 @@ const evalBlock = 10
 // NewModel returns a sequential model over the given layers. It wires the
 // activation layout: a Conv2D or MaxPool whose input is an earlier Conv2D's
 // output, through element-wise layers only, reads that output as NHWC. A
-// model with a Conv2D evaluates in blocks of evalBlock samples.
+// ReLU writes over its input only when an earlier Dense, Conv2D or MaxPool
+// owns it, never over the caller's samples. A model with a Conv2D
+// evaluates in blocks of evalBlock samples.
 func NewModel(layers ...Layer) *Model {
 	m := &Model{Layers: layers}
-	nhwc := false // the running activation is a Conv2D's NHWC output
+	nhwc := false  // the running activation is a Conv2D's NHWC output
+	owned := false // the running activation is a layer's buffer, not the caller's
 	for _, l := range layers {
 		switch l := l.(type) {
 		case *Conv2D:
-			l.nhwcIn, nhwc = nhwc, true
+			l.nhwcIn, nhwc, owned = nhwc, true, true
 			m.evalBlocked = true
 		case *MaxPool:
-			l.nhwcIn, nhwc = nhwc, false
-		case *ReLU, *Dropout: // element-wise: the layout passes through
+			l.nhwcIn, nhwc, owned = nhwc, false, true
+		case *Dense:
+			nhwc, owned = false, true
+		case *ReLU:
+			l.keepIn, owned = !owned, true // element-wise: the layout passes through
+		case *Dropout: // element-wise, and an alias of its input when evaluating
+		case *Flatten:
+			nhwc = false // an alias of its input
 		default:
-			nhwc = false
+			nhwc, owned = false, false
 		}
 	}
 	return m
@@ -253,32 +262,58 @@ func (m *Model) cachedGrads() []*tensor.Tensor {
 	return m.grads
 }
 
-// NumParams returns the total number of trainable scalars.
+// NumParams returns the total number of trainable scalars, bound or not.
 func (m *Model) NumParams() int {
 	n := 0
 	for _, p := range m.cachedParams() {
-		n += p.Size()
+		n += paramSize(p)
+	}
+	return n
+}
+
+// paramSize is p's element count by its shape, which an unbound parameter
+// keeps.
+func paramSize(p *tensor.Tensor) int {
+	n := 1
+	for _, d := range p.Shape() {
+		n *= d
 	}
 	return n
 }
 
 // WeightsVector returns a flat copy of all trainable weights. This is the
 // representation exchanged between clients and the aggregator.
-func (m *Model) WeightsVector() []float64 { return m.CopyWeights(nil) }
-
-// CopyWeights writes the flat weight vector WeightsVector returns into dst,
-// reallocating only when its capacity is below NumParams, and returns it.
-func (m *Model) CopyWeights(dst []float64) []float64 {
-	n := m.NumParams()
-	if cap(dst) < n {
-		dst = make([]float64, n)
+func (m *Model) WeightsVector() []float64 {
+	w := make([]float64, 0, m.NumParams())
+	for _, p := range m.cachedParams() {
+		w = append(w, p.Data...)
 	}
-	dst = dst[:n]
+	return w
+}
+
+// BindWeights makes the model's parameters views of w, laid out as
+// WeightsVector lays them out: training then updates w in place, with no
+// copy in or out. The model views w until UnbindWeights or the next
+// BindWeights. It panics unless len(w) is NumParams.
+func (m *Model) BindWeights(w []float64) {
+	if n := m.NumParams(); len(w) != n {
+		panic(fmt.Sprintf("nn: weight vector length %d, model needs %d", len(w), n))
+	}
 	off := 0
 	for _, p := range m.cachedParams() {
-		off += copy(dst[off:], p.Data)
+		n := paramSize(p)
+		p.Data = w[off : off+n : off+n]
+		off += n
 	}
-	return dst
+}
+
+// UnbindWeights drops the model's view of its weights, so it keeps no
+// vector alive. Until the next BindWeights the model holds no weights:
+// it must not run, and SetWeightsVector panics.
+func (m *Model) UnbindWeights() {
+	for _, p := range m.cachedParams() {
+		p.Data = nil
+	}
 }
 
 // SetWeightsVector overwrites all trainable weights from a flat vector

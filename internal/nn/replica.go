@@ -16,6 +16,12 @@ import (
 // and rng stream position bit-identical to a fresh factory call, without
 // reallocating a single parameter tensor.
 //
+// The engines bind the replica's weights rather than copy them: each pass
+// copies the global vector into the caller's slot and binds the model to it
+// (Model.BindWeights), so the model trains in that slot and, once first
+// bound, holds no weight vector of its own; the pass unbinds it at the end
+// (Model.UnbindWeights), so an idle replica keeps no slot alive.
+//
 // The factory must consume a seed-independent number of rng source draws
 // during construction and must produce the same architecture every call.
 // This package's builders qualify: Glorot-uniform init draws exactly one
@@ -44,8 +50,9 @@ func NewReplica(factory func(*rand.Rand) *Model) *Replica {
 // Acquire returns the cached model replica and its rng, positioned exactly
 // as factory(rand.New(rand.NewSource(seed))) would leave a fresh build:
 // same architecture, rng stream advanced past the init draws. The caller
-// must overwrite the weights (SetWeightsVector) before use — on reuse they
-// still hold the previous round's values, not the seed's init values.
+// must set the weights before use: BindWeights, or SetWeightsVector on a
+// replica never bound. On reuse they hold the previous round's values, not
+// the seed's init values, or nothing once unbound.
 func (r *Replica) Acquire(seed int64) (*Model, *rand.Rand) {
 	if r.model == nil {
 		r.src = &swappableSource{inner: newSource64(seed)}

@@ -184,7 +184,8 @@ func TestShardedMaxPoolNHWC(t *testing.T) {
 }
 
 // ReLU splits by element range; the specials sit on both sides of every
-// chunk boundary any of shardProcs' worker counts makes.
+// chunk boundary any of shardProcs' worker counts makes. It works in place,
+// so each run gets fresh copies.
 func TestShardedReLU(t *testing.T) {
 	for _, size := range []int{1000, shardWork, shardWork + 1, 3*shardWork + 7} {
 		t.Run(fmt.Sprintf("len%d", size), func(t *testing.T) {
@@ -202,9 +203,9 @@ func TestShardedReLU(t *testing.T) {
 					}
 				}
 			}
-			xt, gt := fromSlice(x, 1, size), fromSlice(g, 1, size)
 			relu := func(procs int) (out, dx []float64) {
 				r := NewReLU()
+				xt, gt := fromSlice(slices.Clone(x), 1, size), fromSlice(slices.Clone(g), 1, size)
 				atProcs(procs, func() {
 					out = append(out, r.Forward(xt, true).Data...)
 					dx = append(dx, r.Backward(gt).Data...)
