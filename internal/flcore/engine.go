@@ -234,7 +234,7 @@ func mix(seed int64, a, b int) int64 {
 // (flnet.Aggregator.Run) calls it too, so one selector and one seed pick the
 // same clients in simulation and over sockets.
 func SelectionRNG(seed int64, round int) *rand.Rand {
-	return rand.New(rand.NewSource(mix(seed, round, -7)))
+	return rand.New(nn.NewSource(mix(seed, round, -7)))
 }
 
 // TrainClient runs one client's local training for the round and returns
@@ -259,8 +259,9 @@ func (e *Engine) TrainClient(round int, clientIdx int, globalWeights []float64) 
 // (chargedBytes). The rng draw sequence is identical either way, so
 // switching charging modes never perturbs training randomness.
 //
-// The pass trains in out, the caller's slot, which is reallocated only when
-// it is too small; nil gives the update a fresh vector. The replica's
+// The pass trains in out, the caller's slot: the pull is appended to
+// out[:0], so a slot too small, or nil, gives the update a fresh vector,
+// which the append fills without clearing it first. The replica's
 // parameters are bound to that slot for the pass (nn.Model.BindWeights), so
 // the global weights are copied once, into out, and the replica holds no
 // weight vector of its own; it is unbound when the pass ends, so it keeps
@@ -273,11 +274,7 @@ func (e *Engine) trainOn(s *trainScratch, round int, c *Client, globalWeights []
 	// dropout draw and batch shuffle below, is unchanged.
 	model, rng := s.rep.Acquire(mix(e.Cfg.Seed, round, c.ID))
 	model.SetWorkspace(s.ws)
-	if cap(out) < len(globalWeights) {
-		out = make([]float64, len(globalWeights))
-	}
-	out = out[:len(globalWeights)]
-	copy(out, globalWeights)
+	out = append(out[:0], globalWeights...)
 	model.BindWeights(out)
 	defer model.UnbindWeights()
 	opt := e.Cfg.Optimizer(round)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/dataset"
+	"repro/internal/nn"
 	"repro/internal/simres"
 	"repro/internal/tensor"
 )
@@ -419,7 +420,7 @@ func TierCohort(seed int64, tierRound, tier int, members []int, want int) []int 
 	if want >= len(members) {
 		return append([]int(nil), members...)
 	}
-	rng := rand.New(rand.NewSource(mix(seed, tierRound, -(100 + tier))))
+	rng := rand.New(nn.NewSource(mix(seed, tierRound, -(100 + tier))))
 	perm := rng.Perm(len(members))
 	out := make([]int, want)
 	for i := range out {
@@ -611,7 +612,7 @@ func (e *TieredAsyncEngine) stopTrainers() {
 // keyed disjointly from both the cohort draw (-(100+tier)) and the
 // per-client training streams.
 func churnFlap(seed int64, tier, round, client int, rate float64) bool {
-	rng := rand.New(rand.NewSource(mix(mix(seed, round, -(500+tier)), client, -977)))
+	rng := rand.New(nn.NewSource(mix(mix(seed, round, -(500+tier)), client, -977)))
 	return rng.Float64() < rate
 }
 

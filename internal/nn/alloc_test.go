@@ -228,42 +228,53 @@ func TestConcurrentWorkspacesRace(t *testing.T) {
 
 // Replica.Acquire must reproduce a fresh factory build bit-exactly: same
 // weights after SetWeightsVector, same rng stream for dropout and shuffles.
+// The models are the paper CNN (225 034 init draws, dropout after the
+// build), the benchmark's tree MLP and a small MLP with dropout.
 func TestReplicaMatchesFreshBuild(t *testing.T) {
-	factory := func(rng *rand.Rand) *Model {
-		return NewMLP(rng, 6, []int{5}, 3, 0.3)
-	}
-	rep := NewReplica(factory)
-	x := tensor.RandNormal(rand.New(rand.NewSource(99)), 0, 1, 4, 6)
-	labels := []int{0, 1, 2, 0}
-	global := make([]float64, NewMLP(rand.New(rand.NewSource(0)), 6, []int{5}, 3, 0.3).NumParams())
-	for i := range global {
-		global[i] = math.Sin(float64(i))
-	}
-	for trial, seed := range []int64{42, 7, 42, -3, 7} {
-		// Reference: the historical fresh-build path.
-		refRng := rand.New(rand.NewSource(seed))
-		ref := factory(refRng)
-		ref.SetWeightsVector(global)
-		refLoss := ref.TrainBatch(x, labels, NewSGD(0.1, 0))
-		refDraw := refRng.Float64()
-
-		m, rng := rep.Acquire(seed)
-		m.SetWeightsVector(global)
-		loss := m.TrainBatch(x, labels, NewSGD(0.1, 0))
-		draw := rng.Float64()
-
-		if math.Float64bits(loss) != math.Float64bits(refLoss) {
-			t.Fatalf("trial %d (seed %d): replica loss %v, fresh build %v", trial, seed, loss, refLoss)
-		}
-		if math.Float64bits(draw) != math.Float64bits(refDraw) {
-			t.Fatalf("trial %d (seed %d): replica rng draw %v, fresh build %v", trial, seed, draw, refDraw)
-		}
-		refW, w := ref.WeightsVector(), m.WeightsVector()
-		for i := range refW {
-			if math.Float64bits(refW[i]) != math.Float64bits(w[i]) {
-				t.Fatalf("trial %d (seed %d): weight %d = %v, fresh build %v", trial, seed, i, w[i], refW[i])
+	for _, tc := range []struct {
+		name    string
+		factory func(rng *rand.Rand) *Model
+		shape   []int // the input batch's shape, four samples
+	}{
+		{"paper CNN", func(rng *rand.Rand) *Model { return NewPaperMNISTCNN(rng, 14, 14, 1, 10) }, []int{4, 1, 14, 14}},
+		{"tree MLP", func(rng *rand.Rand) *Model { return NewMLP(rng, 256, []int{128}, 10, 0) }, []int{4, 256}},
+		{"small MLP", func(rng *rand.Rand) *Model { return NewMLP(rng, 6, []int{5}, 3, 0.3) }, []int{4, 6}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := NewReplica(tc.factory)
+			x := tensor.RandNormal(rand.New(rand.NewSource(99)), 0, 1, tc.shape...)
+			labels := []int{0, 1, 2, 0}
+			global := make([]float64, tc.factory(rand.New(rand.NewSource(0))).NumParams())
+			for i := range global {
+				global[i] = 0.1 * math.Sin(float64(i))
 			}
-		}
+			for trial, seed := range []int64{42, 7, 42, -3, 7} {
+				// Reference: the historical fresh-build path.
+				refRng := rand.New(rand.NewSource(seed))
+				ref := tc.factory(refRng)
+				ref.SetWeightsVector(global)
+				refLoss := ref.TrainBatch(x, labels, NewSGD(0.1, 0))
+				refDraw := refRng.Float64()
+
+				m, rng := rep.Acquire(seed)
+				m.SetWeightsVector(global)
+				loss := m.TrainBatch(x, labels, NewSGD(0.1, 0))
+				draw := rng.Float64()
+
+				if math.Float64bits(loss) != math.Float64bits(refLoss) {
+					t.Fatalf("trial %d (seed %d): replica loss %v, fresh build %v", trial, seed, loss, refLoss)
+				}
+				if math.Float64bits(draw) != math.Float64bits(refDraw) {
+					t.Fatalf("trial %d (seed %d): replica rng draw %v, fresh build %v", trial, seed, draw, refDraw)
+				}
+				refW, w := ref.WeightsVector(), m.WeightsVector()
+				for i := range refW {
+					if math.Float64bits(refW[i]) != math.Float64bits(w[i]) {
+						t.Fatalf("trial %d (seed %d): weight %d = %v, fresh build %v", trial, seed, i, w[i], refW[i])
+					}
+				}
+			}
+		})
 	}
 }
 

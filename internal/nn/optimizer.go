@@ -129,9 +129,10 @@ func (r *RMSprop) ReleaseState() { r.cache.release() }
 // each operation rounded on its own, in that order. params and grads must
 // keep the shapes the state was built for at the first Step: a parameter
 // or gradient whose length differs from its cache's panics, on every path.
-// On AVX2 the whole 4-lane groups of each parameter run in rmspropKernel
-// (rmsprop_amd64.s), which repeats the sequence lane by lane; the loop
-// below finishes the last len%4 and is the kernel's bit-exact reference.
+// With AVX-512F the whole 8-lane groups of each parameter run in
+// rmspropKernelAVX512, then whole 4-lane groups in the AVX2 rmspropKernel
+// (both in rmsprop_amd64.s), each repeating the sequence lane by lane; the
+// loop below finishes the rest and is the kernels' bit-exact reference.
 // The hyperparameters are hoisted into locals so the loop does not reload
 // them past the parameter stores.
 func (r *RMSprop) Step(params, grads []*tensor.Tensor) {
@@ -145,9 +146,14 @@ func (r *RMSprop) Step(params, grads []*tensor.Tensor) {
 			panic(fmt.Sprintf("nn: RMSprop parameter %d has %d values and gradient %d, state %d", i, len(pd), len(g), len(c)))
 		}
 		j := 0
-		if useSIMD && len(c) >= 4 {
-			j = len(c) &^ 3
-			rmspropKernel(&pd[0], &g[0], &c[0], j, lr, rho, oneMinusRho, eps)
+		if useAVX512 && len(c) >= 8 {
+			j = len(c) &^ 7
+			rmspropKernelAVX512(&pd[0], &g[0], &c[0], j, lr, rho, oneMinusRho, eps)
+		}
+		if useSIMD && len(c)-j >= 4 {
+			k := (len(c) - j) &^ 3
+			rmspropKernel(&pd[j], &g[j], &c[j], k, lr, rho, oneMinusRho, eps)
+			j += k
 		}
 		for ; j < len(c); j++ {
 			gj := g[j]

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Replica is an allocation-free stand-in for "build a fresh model replica
 // every round": the FL engines create one model per client per round only
@@ -11,10 +8,10 @@ import (
 // effects are (a) fixing the architecture and (b) advancing the round's rng
 // past the weight-initialization draws before dropout consumes it. A
 // Replica caches the model from its first build and, on every later
-// acquire, reseeds the same rng object and burns exactly the number of
-// source draws the factory consumed — leaving model, rng object identity,
-// and rng stream position bit-identical to a fresh factory call, without
-// reallocating a single parameter tensor.
+// acquire, reseeds the same rng object's source and skips exactly the
+// number of source draws the factory consumed (Source.Skip) — leaving
+// model, rng object identity, and rng stream position bit-identical to a
+// fresh factory call, without reallocating a single parameter tensor.
 //
 // The engines bind the replica's weights rather than copy them: each pass
 // copies the global vector into the caller's slot and binds the model to it
@@ -35,7 +32,7 @@ type Replica struct {
 	factory func(*rand.Rand) *Model
 	model   *Model
 	rng     *rand.Rand
-	src     *swappableSource
+	src     *countingSource
 	draws   int64
 }
 
@@ -55,52 +52,35 @@ func NewReplica(factory func(*rand.Rand) *Model) *Replica {
 // the seed's init values, or nothing once unbound.
 func (r *Replica) Acquire(seed int64) (*Model, *rand.Rand) {
 	if r.model == nil {
-		r.src = &swappableSource{inner: newSource64(seed)}
+		r.src = &countingSource{Source: NewSource(seed)}
 		r.rng = rand.New(r.src)
 		before := r.src.calls
 		r.model = r.factory(r.rng)
 		r.draws = r.src.calls - before
 		return r.model, r.rng
 	}
-	// Re-seeding the existing source reproduces rand.NewSource(seed)
-	// exactly (NewSource is allocate-then-Seed) without the ~5 KB source
-	// allocation per acquire.
-	r.src.inner.Seed(seed)
-	for i := int64(0); i < r.draws; i++ {
-		r.src.inner.Uint64()
-	}
+	r.src.Seed(seed)
+	r.src.Skip(r.draws)
 	return r.model, r.rng
 }
 
-// swappableSource lets one long-lived rand.Rand object (captured by Dropout
-// layers at build time) be re-pointed at a fresh deterministic source each
-// round, while counting source draws so the factory's init consumption can
-// be replayed. Every rngSource method advances its state by exactly one
-// step regardless of which interface method was called, so burning draws
-// with Uint64 reproduces any mix of Int63/Uint64 consumption.
-type swappableSource struct {
-	inner rand.Source64
+// countingSource lets one long-lived rand.Rand object (captured by Dropout
+// layers at build time) be reseeded each round, while counting source
+// draws so the factory's init consumption can be skipped. Every Source
+// method advances its state by exactly one step regardless of which one
+// was called, so skipping n steps reproduces any mix of Int63/Uint64
+// consumption.
+type countingSource struct {
+	*Source
 	calls int64
 }
 
-func (s *swappableSource) Int63() int64 {
+func (s *countingSource) Int63() int64 {
 	s.calls++
-	return s.inner.Int63()
+	return s.Source.Int63()
 }
 
-func (s *swappableSource) Uint64() uint64 {
+func (s *countingSource) Uint64() uint64 {
 	s.calls++
-	return s.inner.Uint64()
-}
-
-func (s *swappableSource) Seed(seed int64) { s.inner.Seed(seed) }
-
-func newSource64(seed int64) rand.Source64 {
-	src, ok := rand.NewSource(seed).(rand.Source64)
-	if !ok {
-		// rand.NewSource has returned a Source64 since Go 1.8; this guards
-		// against a hypothetical runtime that drops it.
-		panic(fmt.Sprintf("nn: rand.NewSource(%d) is not a Source64", seed))
-	}
-	return src
+	return s.Source.Uint64()
 }

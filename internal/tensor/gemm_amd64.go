@@ -68,7 +68,8 @@ func xgetbv() (eax uint32)
 // CPUID.1:ECX OSXSAVE (bit 27) and AVX (bit 28), XCR0 XMM|YMM (bits 1–2),
 // CPUID.(7,0):EBX AVX2 (bit 5). It gates every SIMD kernel in the module
 // (this package's and internal/compress's and internal/nn's); HasAVX512
-// gates the AVX-512 twins of two of them on top of it.
+// gates three AVX-512 kernels on top of it: the twins of two of this
+// package's products and internal/nn's RMSprop step.
 func HasAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
@@ -84,8 +85,9 @@ func HasAVX2() bool {
 
 // HasAVX512 reports whether, beyond HasAVX2, the CPU has AVX-512F
 // (CPUID.(7,0):EBX bit 16) and the OS saves the opmask and all 32 ZMM
-// registers: XCR0 bits 5–7 beside XMM|YMM. The ZMM kernels use AVX-512F
-// instructions only.
+// registers: XCR0 bits 5–7 beside XMM|YMM. The three ZMM kernels
+// (abtKernel16AVX512, nzKernelAVX512 and internal/nn's
+// rmspropKernelAVX512) use AVX-512F instructions only.
 func HasAVX512() bool {
 	if !HasAVX2() {
 		return false
