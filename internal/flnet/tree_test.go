@@ -54,7 +54,14 @@ func startChildren(t *testing.T, rootAddr string, tiers [][]int, dl *compress.Do
 // TestTreeChildDeathDegrades is the chaos case: killing one child
 // aggregator mid-run (taking its whole leaf fleet with it) must degrade
 // that tier — the remaining children keep committing until the target — and
-// the final model must stay within the flat run's accuracy band.
+// the final model must stay within the flat run's accuracy band. The kill
+// is keyed to the run, not to a tier's speed: the first training round
+// any leaf starts closes the slowest tier's child, and every leaf's round
+// waits until the root's metrics read that child as dead, so no commit
+// lands before the death and the run cannot reach its target before the
+// root reads the EOF. The rows run the tiers unpaced and with tier 0
+// paced slower than tier 1, the schedule in which tier 1 alone could
+// reach the target before tier 0 starts its second round.
 func TestTreeChildDeathDegrades(t *testing.T) {
 	commits := 18
 	if testing.Short() {
@@ -84,20 +91,38 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 	wait()
 	flatAcc := accuracy(cfg, test, flat.Weights)
 
-	// Tree run with a mid-flight kill of the slowest tier's child.
+	for _, row := range []struct {
+		name   string
+		pacing []time.Duration // per tier, before each Train
+	}{
+		{"unpaced", []time.Duration{0, 0, 0}},
+		{"tier0_slower", []time.Duration{40 * time.Millisecond, 0, 0}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			treeAcc := accuracy(cfg, test, treeChildDeath(t, cfg, tiers, commits, worker, row.pacing))
+			if diff := math.Abs(treeAcc - flatAcc); diff > 0.2 {
+				t.Errorf("degraded tree accuracy %.3f vs flat %.3f (diff %.3f > 0.2)", treeAcc, flatAcc, diff)
+			}
+		})
+	}
+}
+
+// treeChildDeath runs one TestTreeChildDeathDegrades row, a tree of
+// cfg's spec over tiers to commits commits, each leaf paced by its tier's
+// pacing and the last tier's child killed at the first training round, and
+// returns the final weights.
+func treeChildDeath(t *testing.T, cfg flcore.TieredAsyncConfig, tiers [][]int, commits int, worker func(int) WorkerConfig, pacing []time.Duration) []float64 {
+	t.Helper()
 	root, err := NewTieredAsyncAggregator("127.0.0.1:0", rootConfig(cfg, commits))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
 	children, _ := startChildren(t, root.Addr(), tiers, nil)
-	// A fast-tier leaf assassinates the slowest tier's child the moment its
-	// own second round starts — deterministically mid-run, with most of the
-	// commit budget still ahead — and holds its update back until the root
-	// has seen the death: otherwise the run can reach its commit target
-	// before the root's pump reads the killed child's EOF.
-	var kill sync.Once
 	doomed := children[len(children)-1]
+	// sync.Once holds every other caller until the first call returns, so
+	// each leaf's rounds wait here until the root has seen the death.
+	var kill sync.Once
 	killAndAwaitDeath := func() {
 		doomed.Close()
 		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
@@ -109,10 +134,10 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 	}
 	for ti, members := range tiers {
 		for _, ci := range members {
-			wc, fast := worker(ci), ti == 0
+			wc := paced(worker(ci), pacing[ti])
 			train := wc.Train
 			wc.Train = func(round int, weights []float64) ([]float64, int, error) {
-				if fast && round >= 1 {
+				if round >= 0 { // not a profiling call
 					kill.Do(killAndAwaitDeath)
 				}
 				return train(round, weights)
@@ -129,7 +154,6 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kill.Do(func() {}) // a kill still polling reports inside the test
 
 	total := 0
 	for _, c := range tree.Commits {
@@ -138,6 +162,9 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 	if total != commits || len(tree.Log) != commits {
 		t.Fatalf("degraded tree applied %d commits (log %d), want %d", total, len(tree.Log), commits)
 	}
+	if c := tree.Commits[len(tiers)-1]; c != 0 {
+		t.Errorf("the killed tier committed %d times, want 0: it died before any round ended", c)
+	}
 	snap := root.Metrics()
 	if len(snap.Children) != len(tiers) {
 		t.Fatalf("metrics report %d children, want %d", len(snap.Children), len(tiers))
@@ -145,10 +172,7 @@ func TestTreeChildDeathDegrades(t *testing.T) {
 	if snap.Children[len(tiers)-1].Alive {
 		t.Error("killed child still marked alive in metrics")
 	}
-	treeAcc := accuracy(cfg, test, tree.Weights)
-	if diff := math.Abs(treeAcc - flatAcc); diff > 0.2 {
-		t.Errorf("degraded tree accuracy %.3f vs flat %.3f (diff %.3f > 0.2)", treeAcc, flatAcc, diff)
-	}
+	return tree.Weights
 }
 
 // TestTreeEvictsMalformedCommit: a child whose commit the root refuses is

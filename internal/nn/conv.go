@@ -123,13 +123,7 @@ func (c *Conv2D) backwardParams(grad *tensor.Tensor) {
 	ensureGrads(&c.dW, &c.dB, c.W, c.B)
 	// dW = gflatᵀ · cols → (OutC, InC*KH*KW)
 	tensor.MatMulATBInto(c.dW, c.gflat, c.cols)
-	c.dB.Zero()
-	for r := 0; r < c.gflat.Dim(0); r++ {
-		row := c.gflat.Data[r*c.OutC : (r+1)*c.OutC]
-		for j, g := range row {
-			c.dB.Data[j] += g
-		}
-	}
+	tensor.SumRowsInto(c.dB, c.gflat)
 }
 
 // Params implements Layer.

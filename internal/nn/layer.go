@@ -96,14 +96,7 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	}
 	ensureGrads(&d.dW, &d.dB, d.W, d.B)
 	tensor.MatMulATBInto(d.dW, d.in, grad)
-	cols := d.B.Size()
-	d.dB.Zero()
-	for r := 0; r < grad.Dim(0); r++ {
-		row := grad.Data[r*cols : (r+1)*cols]
-		for j, g := range row {
-			d.dB.Data[j] += g
-		}
-	}
+	tensor.SumRowsInto(d.dB, grad)
 }
 
 // Params implements Layer.

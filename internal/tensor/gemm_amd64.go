@@ -7,10 +7,11 @@ package tensor
 // paths.
 var useSIMD = HasAVX2()
 
-// useAVX512 routes the whole 4-row groups of abtKernel16's blocks and
-// every row's first n&^63 columns of nzKernel's through their AVX-512
-// twins. It is set once from the CPU and implies useSIMD; only in-package
-// tests flip it, to compare the three paths.
+// useAVX512 routes the whole 4-row groups of abtKernel16's blocks through
+// abtKernel16AVX512, and every a·b and aᵀ·b row through nzNarrowAVX512
+// (n ≤ 32) or nzKernelAVX512 (wider), so no row reaches nzKernel. It is
+// set once from the CPU and implies useSIMD; only in-package tests flip
+// it, to compare the three paths.
 var useAVX512 = useSIMD && HasAVX512()
 
 // abtKernel16 writes a 16-column block of out = a·b (+bias) for rows
@@ -33,10 +34,19 @@ func abtKernel16AVX512(out, a, b, bias *float64, rows, k, n int)
 //go:noescape
 func nzKernel(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool)
 
-// nzKernelAVX512 is nzKernel for n a multiple of 64.
+// nzKernelAVX512 is nzKernel on ZMM registers.
 //
 //go:noescape
 func nzKernelAVX512(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool)
+
+// nzNarrowAVX512 writes rows consecutive output rows of n ≤ 32 columns:
+// out[i·n+j] = Σ v·b[p·n+j] over the count ≥ 1 steps p whose left entry
+// v = left[i·rs+p·ps] is nonzero, starting from +0, or from out's own
+// values when acc, then adds bias[j] unless bias is nil. It tests each
+// entry with an opmask, so it needs no list.
+//
+//go:noescape
+func nzNarrowAVX512(out, left, b, bias *float64, rows, count, rs, ps, n int, acc bool)
 
 // listKernel lists the nonzeros among the count values left[0], left[ps],
 // left[2·ps], … in order, the i-th of them with byte offset off + i·step,
@@ -68,8 +78,9 @@ func xgetbv() (eax uint32)
 // CPUID.1:ECX OSXSAVE (bit 27) and AVX (bit 28), XCR0 XMM|YMM (bits 1–2),
 // CPUID.(7,0):EBX AVX2 (bit 5). It gates every SIMD kernel in the module
 // (this package's and internal/compress's and internal/nn's); HasAVX512
-// gates three AVX-512 kernels on top of it: the twins of two of this
-// package's products and internal/nn's RMSprop step.
+// gates four AVX-512 kernels on top of it: this package's a·bᵀ twin, its
+// a·b and aᵀ·b kernels for wide and narrow rows, and internal/nn's
+// RMSprop step.
 func HasAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
@@ -85,8 +96,8 @@ func HasAVX2() bool {
 
 // HasAVX512 reports whether, beyond HasAVX2, the CPU has AVX-512F
 // (CPUID.(7,0):EBX bit 16) and the OS saves the opmask and all 32 ZMM
-// registers: XCR0 bits 5–7 beside XMM|YMM. The three ZMM kernels
-// (abtKernel16AVX512, nzKernelAVX512 and internal/nn's
+// registers: XCR0 bits 5–7 beside XMM|YMM. The four ZMM kernels
+// (abtKernel16AVX512, nzKernelAVX512, nzNarrowAVX512 and internal/nn's
 // rmspropKernelAVX512) use AVX-512F instructions only.
 func HasAVX512() bool {
 	if !HasAVX2() {

@@ -529,13 +529,32 @@ DATA tailmask<>+112(SB)/8, $-1
 DATA tailmask<>+120(SB)/8, $-1
 GLOBL tailmask<>(SB), RODATA|NOPTR, $256
 
+// LANEMASKS sets K4–K7 to the lanes of four ZMM registers of columns
+// that hold one: the low cols bits (1 ≤ cols ≤ 63, in CX) of a word, a
+// byte per register (an 8-lane instruction reads a mask's low 8 bits). It
+// overwrites tmp.
+#define LANEMASKS(tmp) \
+	MOVQ  $1, tmp; \
+	SHLQ  CX, tmp; \
+	DECQ  tmp; \
+	KMOVW tmp, K4; \
+	SHRQ  $8, tmp; \
+	KMOVW tmp, K5; \
+	SHRQ  $8, tmp; \
+	KMOVW tmp, K6; \
+	SHRQ  $8, tmp; \
+	KMOVW tmp, K7
+
 // func nzKernelAVX512(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool)
 //
-// nzKernel for n a multiple of 64: columns run 64 at a time in eight ZMM
+// nzKernel on ZMM registers, for any n: columns run 64 at a time in eight
 // accumulators over the whole list, each entry's b row addressed by one
-// pointer. A ZMM lane is one output element's accumulator and repeats
-// nzKernel's sequence: +0 (or out[j] when acc), the rounded product
-// (VMULPD, then VADDPD — no FMA) entry by entry, then the bias.
+// pointer, then the last n%64 in passes of 32 columns in four, lanes past
+// n under the opmasks K4–K7 (a masked-off lane is neither loaded nor
+// stored, so it cannot fault). A ZMM lane is one output element's
+// accumulator and repeats nzKernel's sequence: +0 (or out[j] when acc),
+// the rounded product (VMULPD, then VADDPD — no FMA) entry by entry, then
+// the bias.
 TEXT ·nzKernelAVX512(SB), NOSPLIT, $0-49
 	MOVQ out+0(FP), DI
 	MOVQ b+8(FP), SI
@@ -549,7 +568,7 @@ TEXT ·nzKernelAVX512(SB), NOSPLIT, $0-49
 
 cols64:
 	CMPQ CX, $64
-	JLT  done64
+	JLT  cols32
 	TESTQ R12, R12
 	JNZ  load64
 	VPXORQ Z0, Z0, Z0
@@ -628,7 +647,377 @@ store64:
 	SUBQ $64, CX
 	JMP  cols64
 
+cols32:
+	TESTQ CX, CX
+	JZ    done64
+	LANEMASKS(BX)
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	TESTQ R12, R12
+	JZ    start32
+	VMOVUPD.Z (DI), K4, Z0
+	VMOVUPD.Z 64(DI), K5, Z1
+	VMOVUPD.Z 128(DI), K6, Z2
+	VMOVUPD.Z 192(DI), K7, Z3
+
+start32:
+	MOVQ R8, AX
+	CMPQ AX, R9
+	JEQ  bias32
+
+loop32:
+	VBROADCASTSD (AX), Z8
+	MOVQ 8(AX), DX
+	ADDQ SI, DX
+	VMULPD.Z (DX), Z8, K4, Z16
+	VADDPD Z16, Z0, Z0
+	VMULPD.Z 64(DX), Z8, K5, Z17
+	VADDPD Z17, Z1, Z1
+	VMULPD.Z 128(DX), Z8, K6, Z18
+	VADDPD Z18, Z2, Z2
+	VMULPD.Z 192(DX), Z8, K7, Z19
+	VADDPD Z19, Z3, Z3
+	ADDQ $16, AX
+	CMPQ AX, R9
+	JNE  loop32
+
+bias32:
+	TESTQ R11, R11
+	JZ    store32
+	VADDPD (R11), Z0, K4, Z0
+	VADDPD 64(R11), Z1, K5, Z1
+	VADDPD 128(R11), Z2, K6, Z2
+	VADDPD 192(R11), Z3, K7, Z3
+	ADDQ $256, R11
+
+store32:
+	VMOVUPD Z0, K4, (DI)
+	VMOVUPD Z1, K5, 64(DI)
+	VMOVUPD Z2, K6, 128(DI)
+	VMOVUPD Z3, K7, 192(DI)
+	ADDQ $256, DI
+	ADDQ $256, SI
+	SUBQ $32, CX
+	JGT  cols32
+
 done64:
+	VZEROUPPER
+	RET
+
+
+// NZ2 and NZ4 add one left entry's products to one output row of
+// nzNarrowAVX512: the entry at mem is broadcast, VCMPPD NEQ_UQ against +0
+// sets K1 to every lane when it is neither +0 nor −0 (NaN counts, as in
+// the scalar loops' av != 0) and to none when it is, and the products
+// with the b row in Z16–Z17 (Z16–Z19) add into the row's accumulators
+// under K1. A zero entry thus leaves its row's sums as they were, whatever
+// its product with b would have been.
+#define NZ2(mem, a0, a1) \
+	VBROADCASTSD mem, Z24; \
+	VCMPPD       $4, Z31, Z24, K1; \
+	VMULPD       Z16, Z24, Z25; \
+	VADDPD       Z25, a0, K1, a0; \
+	VMULPD       Z17, Z24, Z26; \
+	VADDPD       Z26, a1, K1, a1
+
+#define NZ4(mem, a0, a1, a2, a3) \
+	NZ2(mem, a0, a1); \
+	VMULPD Z18, Z24, Z27; \
+	VADDPD Z27, a2, K1, a2; \
+	VMULPD Z19, Z24, Z28; \
+	VADDPD Z28, a3, K1, a3
+
+// func nzNarrowAVX512(out, left, b, bias *float64, rows, count, rs, ps, n int, acc bool)
+//
+// Rows [0, rows) of a·b or aᵀ·b (+bias) for n ≤ 32 columns, over count ≥ 1
+// steps p of the left operand and of b: row i's entry at step p is
+// left[i·rs + p·ps] and out[i·n + j] = Σ_p entry·b[p·n + j], skipping zero
+// entries. No list is built: each row's zero test is an opmask (NZ2, NZ4).
+// A row's n columns are two ZMM registers (n ≤ 16) or four (n ≤ 32),
+// lanes past n under K4–K7 for every load and store. Rows run four at a
+// time (n ≤ 16) or two (n ≤ 32), then one: each b row is loaded once for
+// the pass, and the rows' add chains interleave, so a narrow row does not
+// wait on its own add latency. A ZMM lane is one output element's
+// accumulator and repeats the scalar loops' sequence: +0 (or out[j] when
+// acc), the rounded product (VMULPD, then VADDPD — no FMA) for p ascending
+// with zero entries skipped, then the bias.
+TEXT ·nzNarrowAVX512(SB), NOSPLIT, $0-73
+	MOVQ out+0(FP), DI
+	MOVQ left+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ bias+24(FP), R8
+	MOVQ rows+32(FP), R9
+	MOVQ count+40(FP), R10
+	MOVQ rs+48(FP), R11
+	SHLQ $3, R11 // left row stride in bytes
+	MOVQ ps+56(FP), R12
+	SHLQ $3, R12 // left step stride in bytes
+	MOVQ n+64(FP), CX
+	LANEMASKS(AX)
+	MOVQ CX, R13
+	SHLQ $3, R13 // out and b row stride in bytes
+	LEAQ (R11)(R11*2), R14 // three left rows
+	LEAQ (R13)(R13*2), R15 // three out rows
+	VPXORQ Z31, Z31, Z31
+	TESTQ R8, R8
+	JZ    narrow
+	VMOVUPD.Z (R8), K4, Z20
+	VMOVUPD.Z 64(R8), K5, Z21
+	VMOVUPD.Z 128(R8), K6, Z22
+	VMOVUPD.Z 192(R8), K7, Z23
+
+narrow:
+	CMPQ CX, $16
+	JGT  pairs32
+
+quads16:
+	CMPQ R9, $4
+	JLT  pairs16
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	CMPB acc+72(FP), $0
+	JEQ  q16start
+	VMOVUPD.Z (DI), K4, Z0
+	VMOVUPD.Z 64(DI), K5, Z1
+	VMOVUPD.Z (DI)(R13*1), K4, Z2
+	VMOVUPD.Z 64(DI)(R13*1), K5, Z3
+	VMOVUPD.Z (DI)(R13*2), K4, Z4
+	VMOVUPD.Z 64(DI)(R13*2), K5, Z5
+	VMOVUPD.Z (DI)(R15*1), K4, Z6
+	VMOVUPD.Z 64(DI)(R15*1), K5, Z7
+
+q16start:
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R10, CX
+
+q16loop:
+	VMOVUPD.Z (BX), K4, Z16
+	VMOVUPD.Z 64(BX), K5, Z17
+	NZ2((AX), Z0, Z1)
+	NZ2((AX)(R11*1), Z2, Z3)
+	NZ2((AX)(R11*2), Z4, Z5)
+	NZ2((AX)(R14*1), Z6, Z7)
+	ADDQ R12, AX
+	ADDQ R13, BX
+	DECQ CX
+	JNZ  q16loop
+	TESTQ R8, R8
+	JZ    q16store
+	VADDPD Z20, Z0, Z0
+	VADDPD Z21, Z1, Z1
+	VADDPD Z20, Z2, Z2
+	VADDPD Z21, Z3, Z3
+	VADDPD Z20, Z4, Z4
+	VADDPD Z21, Z5, Z5
+	VADDPD Z20, Z6, Z6
+	VADDPD Z21, Z7, Z7
+
+q16store:
+	VMOVUPD Z0, K4, (DI)
+	VMOVUPD Z1, K5, 64(DI)
+	VMOVUPD Z2, K4, (DI)(R13*1)
+	VMOVUPD Z3, K5, 64(DI)(R13*1)
+	VMOVUPD Z4, K4, (DI)(R13*2)
+	VMOVUPD Z5, K5, 64(DI)(R13*2)
+	VMOVUPD Z6, K4, (DI)(R15*1)
+	VMOVUPD Z7, K5, 64(DI)(R15*1)
+	LEAQ (SI)(R11*4), SI
+	LEAQ (DI)(R13*4), DI
+	SUBQ $4, R9
+	JMP  quads16
+
+pairs16:
+	CMPQ R9, $2
+	JLT  single16
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	CMPB acc+72(FP), $0
+	JEQ  p16start
+	VMOVUPD.Z (DI), K4, Z0
+	VMOVUPD.Z 64(DI), K5, Z1
+	VMOVUPD.Z (DI)(R13*1), K4, Z2
+	VMOVUPD.Z 64(DI)(R13*1), K5, Z3
+
+p16start:
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R10, CX
+
+p16loop:
+	VMOVUPD.Z (BX), K4, Z16
+	VMOVUPD.Z 64(BX), K5, Z17
+	NZ2((AX), Z0, Z1)
+	NZ2((AX)(R11*1), Z2, Z3)
+	ADDQ R12, AX
+	ADDQ R13, BX
+	DECQ CX
+	JNZ  p16loop
+	TESTQ R8, R8
+	JZ    p16store
+	VADDPD Z20, Z0, Z0
+	VADDPD Z21, Z1, Z1
+	VADDPD Z20, Z2, Z2
+	VADDPD Z21, Z3, Z3
+
+p16store:
+	VMOVUPD Z0, K4, (DI)
+	VMOVUPD Z1, K5, 64(DI)
+	VMOVUPD Z2, K4, (DI)(R13*1)
+	VMOVUPD Z3, K5, 64(DI)(R13*1)
+	LEAQ (SI)(R11*2), SI
+	LEAQ (DI)(R13*2), DI
+	SUBQ $2, R9
+
+single16:
+	TESTQ R9, R9
+	JZ    narrowdone
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	CMPB acc+72(FP), $0
+	JEQ  s16start
+	VMOVUPD.Z (DI), K4, Z0
+	VMOVUPD.Z 64(DI), K5, Z1
+
+s16start:
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R10, CX
+
+s16loop:
+	VMOVUPD.Z (BX), K4, Z16
+	VMOVUPD.Z 64(BX), K5, Z17
+	NZ2((AX), Z0, Z1)
+	ADDQ R12, AX
+	ADDQ R13, BX
+	DECQ CX
+	JNZ  s16loop
+	TESTQ R8, R8
+	JZ    s16store
+	VADDPD Z20, Z0, Z0
+	VADDPD Z21, Z1, Z1
+
+s16store:
+	VMOVUPD Z0, K4, (DI)
+	VMOVUPD Z1, K5, 64(DI)
+	JMP  narrowdone
+
+pairs32:
+	CMPQ R9, $2
+	JLT  single32
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	CMPB acc+72(FP), $0
+	JEQ  p32start
+	VMOVUPD.Z (DI), K4, Z0
+	VMOVUPD.Z 64(DI), K5, Z1
+	VMOVUPD.Z 128(DI), K6, Z2
+	VMOVUPD.Z 192(DI), K7, Z3
+	VMOVUPD.Z (DI)(R13*1), K4, Z4
+	VMOVUPD.Z 64(DI)(R13*1), K5, Z5
+	VMOVUPD.Z 128(DI)(R13*1), K6, Z6
+	VMOVUPD.Z 192(DI)(R13*1), K7, Z7
+
+p32start:
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R10, CX
+
+p32loop:
+	VMOVUPD.Z (BX), K4, Z16
+	VMOVUPD.Z 64(BX), K5, Z17
+	VMOVUPD.Z 128(BX), K6, Z18
+	VMOVUPD.Z 192(BX), K7, Z19
+	NZ4((AX), Z0, Z1, Z2, Z3)
+	NZ4((AX)(R11*1), Z4, Z5, Z6, Z7)
+	ADDQ R12, AX
+	ADDQ R13, BX
+	DECQ CX
+	JNZ  p32loop
+	TESTQ R8, R8
+	JZ    p32store
+	VADDPD Z20, Z0, Z0
+	VADDPD Z21, Z1, Z1
+	VADDPD Z22, Z2, Z2
+	VADDPD Z23, Z3, Z3
+	VADDPD Z20, Z4, Z4
+	VADDPD Z21, Z5, Z5
+	VADDPD Z22, Z6, Z6
+	VADDPD Z23, Z7, Z7
+
+p32store:
+	VMOVUPD Z0, K4, (DI)
+	VMOVUPD Z1, K5, 64(DI)
+	VMOVUPD Z2, K6, 128(DI)
+	VMOVUPD Z3, K7, 192(DI)
+	VMOVUPD Z4, K4, (DI)(R13*1)
+	VMOVUPD Z5, K5, 64(DI)(R13*1)
+	VMOVUPD Z6, K6, 128(DI)(R13*1)
+	VMOVUPD Z7, K7, 192(DI)(R13*1)
+	LEAQ (SI)(R11*2), SI
+	LEAQ (DI)(R13*2), DI
+	SUBQ $2, R9
+	JMP  pairs32
+
+single32:
+	TESTQ R9, R9
+	JZ    narrowdone
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	CMPB acc+72(FP), $0
+	JEQ  s32start
+	VMOVUPD.Z (DI), K4, Z0
+	VMOVUPD.Z 64(DI), K5, Z1
+	VMOVUPD.Z 128(DI), K6, Z2
+	VMOVUPD.Z 192(DI), K7, Z3
+
+s32start:
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ R10, CX
+
+s32loop:
+	VMOVUPD.Z (BX), K4, Z16
+	VMOVUPD.Z 64(BX), K5, Z17
+	VMOVUPD.Z 128(BX), K6, Z18
+	VMOVUPD.Z 192(BX), K7, Z19
+	NZ4((AX), Z0, Z1, Z2, Z3)
+	ADDQ R12, AX
+	ADDQ R13, BX
+	DECQ CX
+	JNZ  s32loop
+	TESTQ R8, R8
+	JZ    s32store
+	VADDPD Z20, Z0, Z0
+	VADDPD Z21, Z1, Z1
+	VADDPD Z22, Z2, Z2
+	VADDPD Z23, Z3, Z3
+
+s32store:
+	VMOVUPD Z0, K4, (DI)
+	VMOVUPD Z1, K5, 64(DI)
+	VMOVUPD Z2, K6, 128(DI)
+	VMOVUPD Z3, K7, 192(DI)
+
+narrowdone:
 	VZEROUPPER
 	RET
 

@@ -39,3 +39,7 @@ func nzKernel(out, b *float64, list *nonzero, count, n int, bias *float64, acc b
 func nzKernelAVX512(out, b *float64, list *nonzero, count, n int, bias *float64, acc bool) {
 	panic("tensor: no SIMD kernel on this architecture")
 }
+
+func nzNarrowAVX512(out, left, b, bias *float64, rows, count, rs, ps, n int, acc bool) {
+	panic("tensor: no SIMD kernel on this architecture")
+}

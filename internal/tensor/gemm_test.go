@@ -144,14 +144,15 @@ var zeroDensities = []float64{0, 0.7, 0.95, 1}
 var tailNs = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48}
 
 // zmmNs are output widths on both sides of the AVX-512 kernels' edges:
-// one and several 16-column a·bᵀ blocks, and a·b and aᵀ·b rows short of
-// one 64-column block, at one, one and a lane, two, and four and an AVX2
-// remainder of 32.
-var zmmNs = []int{16, 32, 48, 63, 64, 65, 128, 288}
+// nzNarrowAVX512's one ZMM register (n = 1, 8), two (9, 16) and four (17,
+// 31, 32), one and several 16-column a·bᵀ blocks, and nzKernelAVX512's
+// rows from one lane past narrowCols (33) to one 64-column block, one and
+// a lane, two, and four and a masked remainder of 32.
+var zmmNs = []int{1, 8, 9, 16, 17, 31, 32, 33, 48, 63, 64, 65, 128, 288}
 
 // zmmCases returns one m×k·k×n case per m in 1–9 (no, one and two whole
-// 4-row groups, each with every count of leftover rows), n in zmmNs and k
-// in ks.
+// 4-row groups, each with every count of leftover rows: nzNarrowAVX512's
+// 4-, 2- and 1-row passes in every mix), n in zmmNs and k in ks.
 func zmmCases(ks ...int) []gemmCase {
 	var cs []gemmCase
 	for _, k := range ks {
@@ -359,13 +360,14 @@ func TestMatMulATBSIMDBitEqualScalar(t *testing.T) {
 // one kind at a time so a NaN does not hide the rest: in b at one step per output column
 // (in the second p-tile for some columns of a·b and aᵀ·b, which then
 // resume from their stored sums), in all of b, in all of the left operand
-// (a sum of ±0 products only, which must start from +0), and in every
-// bias.
+// (a sum of ±0 products only, which must start from +0), in the left
+// operand at one step per output row (a −0 skipped and a NaN counted by
+// that row alone, beside rows that differ), and in every bias.
 func TestMatMulSIMDSpecialsAtEveryLane(t *testing.T) {
 	const kABT, kRows = 5, nzTile + 1
 	rng := rand.New(rand.NewSource(43))
 	for _, n := range zmmNs {
-		for _, where := range []string{"b_lane", "b_all", "left_all", "bias"} {
+		for _, where := range []string{"b_lane", "b_all", "left_all", "left_row", "bias"} {
 			for _, s := range specials {
 				at := func(x *Tensor, lane func(j int) int) *Tensor {
 					for j := 0; j < n; j++ {
@@ -378,10 +380,19 @@ func TestMatMulSIMDSpecialsAtEveryLane(t *testing.T) {
 					}
 					return x
 				}
-				left := func(shape ...int) *Tensor {
-					x := withZeros(rng, 0.3, randTensor(rng, shape...))
-					if where == "left_all" {
+				// left returns a rows×k left operand, transposed for aᵀ·b.
+				left := func(rows, k int, transposed bool) *Tensor {
+					x := withZeros(rng, 0.3, randTensor(rng, rows, k))
+					switch where {
+					case "left_all":
 						x.Fill(s)
+					case "left_row":
+						for i := 0; i < rows; i++ {
+							x.Data[i*k+(i*5)%k] = s
+						}
+					}
+					if transposed {
+						return transpose(x)
 					}
 					return x
 				}
@@ -392,11 +403,11 @@ func TestMatMulSIMDSpecialsAtEveryLane(t *testing.T) {
 				what := fmt.Sprintf("n=%d, %v in %s", n, s, where)
 				t.Run(what, func(t *testing.T) {
 					for m := 1; m <= 9; m++ {
-						abtOnEveryPath(t, left(m, kABT), at(randTensor(rng, n, kABT), func(j int) int { return j*kABT + j%kABT }), bias)
+						abtOnEveryPath(t, left(m, kABT, false), at(randTensor(rng, n, kABT), func(j int) int { return j*kABT + j%kABT }), bias)
 					}
-					for _, m := range []int{1, 5} {
-						abOnEveryPath(t, left(m, kRows), at(randTensor(rng, kRows, n), func(j int) int { return (j%kRows)*n + j }), bias)
-						atbOnEveryPath(t, left(kRows, m), at(randTensor(rng, kRows, n), func(j int) int { return (j%kRows)*n + j }))
+					for _, m := range []int{1, 5, 7} {
+						abOnEveryPath(t, left(m, kRows, false), at(randTensor(rng, kRows, n), func(j int) int { return (j%kRows)*n + j }), bias)
+						atbOnEveryPath(t, left(m, kRows, true), at(randTensor(rng, kRows, n), func(j int) int { return (j%kRows)*n + j }))
 					}
 				})
 			}
@@ -407,46 +418,80 @@ func TestMatMulSIMDSpecialsAtEveryLane(t *testing.T) {
 // A zero left entry never multiplies b, so ±Inf and NaN in b rows that
 // only zeros reach leave the output finite (0·Inf would be NaN). Steps
 // p%3 == 0 of b are non-finite; output row i is clean when its left
-// entries at those steps are zero, which the rule i%3 != 1 makes true of
-// 0, 2, 3, 5 and 6. Over 7 rows or steps that drives every arm of the
-// pair loops' switch (row/step pairs (0,1), (2,3), (4,5)) and the unpaired
-// last one into a poisoned b row. n = 95 puts a 64-column block and an
-// AVX2 remainder on every path that has them.
+// entries at those steps are zero (+0, or −0 on rows i%3 == 2), which the
+// rule i%3 != 1 makes true of 0, 2, 3, 5 and 6. Over 7 rows or steps that
+// drives every arm of the pair loops' switch (row/step pairs (0,1), (2,3),
+// (4,5)) and the unpaired last one into a poisoned b row, and gives
+// nzNarrowAVX512's 4-, 2- and 1-row passes rows whose zeros differ. n
+// runs over its widths (one, two and four ZMM registers), and 95 puts a
+// 64-column block and a masked or AVX2 remainder on every path that has
+// them.
 func TestMatMulZeroSkipsNonFinite(t *testing.T) {
-	const m, k, n = 7, 7, 95
+	const m, k = 7, 7
 	rng := rand.New(rand.NewSource(9))
 	poison := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
-	b := randTensor(rng, k, n)
-	for p := 0; p < k; p += 3 {
-		for j := 0; j < n; j++ {
-			b.Data[p*n+j] = poison[j%len(poison)]
-		}
-	}
-	a := withZeros(rng, 0.5, randTensor(rng, m, k))
-	for i := 0; i < m; i++ {
+	for _, n := range []int{1, 9, 10, 16, 17, 32, 95} {
+		b := randTensor(rng, k, n)
 		for p := 0; p < k; p += 3 {
-			a.Data[i*k+p] = 0
-			if i%3 == 1 {
-				a.Data[i*k+p] = 1
+			for j := 0; j < n; j++ {
+				b.Data[p*n+j] = poison[j%len(poison)]
+			}
+		}
+		a := withZeros(rng, 0.5, randTensor(rng, m, k))
+		for i := 0; i < m; i++ {
+			for p := 0; p < k; p += 3 {
+				a.Data[i*k+p] = []float64{0, 1, math.Copysign(0, -1)}[i%3]
+			}
+		}
+		ab := abOnEveryPath(t, a, b, nil)
+		atb := atbOnEveryPath(t, transpose(a), b) // column i of aᵀ is output row i
+		for _, tc := range []struct {
+			name string
+			outs []*Tensor
+		}{{"ab", ab}, {"atb", atb}} {
+			for _, out := range tc.outs {
+				for i := 0; i < m; i++ {
+					if i%3 == 1 {
+						continue
+					}
+					for j := 0; j < n; j++ {
+						if v := out.Data[i*n+j]; math.IsInf(v, 0) || math.IsNaN(v) {
+							t.Fatalf("n=%d: %s[%d,%d] = %v: a zero left entry reached a non-finite b", n, tc.name, i, j, v)
+						}
+					}
+				}
 			}
 		}
 	}
-	ab := abOnEveryPath(t, a, b, nil)
-	atb := atbOnEveryPath(t, transpose(a), b) // column i of aᵀ is output row i
-	for _, tc := range []struct {
-		name string
-		outs []*Tensor
-	}{{"ab", ab}, {"atb", atb}} {
-		for _, out := range tc.outs {
-			for i := 0; i < m; i++ {
-				if i%3 == 1 {
-					continue
-				}
-				for j := 0; j < n; j++ {
-					if v := out.Data[i*n+j]; math.IsInf(v, 0) || math.IsNaN(v) {
-						t.Fatalf("%s[%d,%d] = %v: a zero left entry reached a non-finite b", tc.name, i, j, v)
+}
+
+// SumRowsInto (1ᵀ·a on the product kernels) must give sumRows' bits on
+// every path: at the widths of zmmNs and tailNs, over one row, a few and
+// more than a p-tile, with random specials, and with whole rows of −0
+// (a sum of −0 rows stays +0) and of NaN.
+func TestSumRowsSIMDBitEqualScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	for _, n := range append(append([]int{}, zmmNs...), tailNs...) {
+		for _, k := range []int{1, 5, 2*nzTile + 3} {
+			for _, fill := range []string{"random", "negzero", "nan"} {
+				t.Run(fmt.Sprintf("n%d_k%d/%s", n, k, fill), func(t *testing.T) {
+					a := randSpecialTensor(rng, k, n)
+					switch fill {
+					case "negzero":
+						a.Fill(math.Copysign(0, -1))
+					case "nan":
+						for j := 0; j < n; j++ {
+							a.Data[(k/2)*n+j] = math.NaN()
+						}
 					}
-				}
+					outs := onEveryPath(t, "sumrows", 1, n, func(dst *Tensor) { SumRowsInto(dst, a) })
+					want := New(1, n)
+					sumRows(want.Data, a.Data, k, n)
+					mustSameResult(t, "sumrows on scalar", outs[0], want)
+					if fill == "negzero" && math.Float64bits(outs[0].Data[0]) != 0 {
+						t.Fatalf("a sum of −0 rows is %v, want +0", outs[0].Data[0])
+					}
+				})
 			}
 		}
 	}
@@ -526,6 +571,11 @@ func FuzzMatMulAB(f *testing.F) {
 	// one-lane remainder resuming from their stored sums).
 	f.Add(uint8(2), uint8(20), uint8(63), uint8(2), true, seed)
 	f.Add(uint8(3), uint8(131), uint8(128), uint8(2), true, seed)
+	// n = 9, 17 and 32 (nzNarrowAVX512's two- and four-register rows, the
+	// last past a p-tile) over 4-, 2- and 1-row passes at half zeros.
+	f.Add(uint8(6), uint8(11), uint8(8), uint8(2), true, seed)
+	f.Add(uint8(8), uint8(7), uint8(16), uint8(2), false, seed)
+	f.Add(uint8(2), uint8(140), uint8(31), uint8(2), true, seed)
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zb uint8, withBias bool, data []byte) {
 		m, k, n := fuzzShape(mb, kb, nb)
 		fill := fuzzOperands(data)
@@ -552,6 +602,10 @@ func FuzzMatMulATB(f *testing.F) {
 	f.Add(uint8(5), uint8(33), uint8(32), uint8(3), seed)
 	f.Add(uint8(2), uint8(20), uint8(63), uint8(2), seed)
 	f.Add(uint8(3), uint8(131), uint8(128), uint8(2), seed)
+	// n = 9, 17 and 32 as in FuzzMatMulAB.
+	f.Add(uint8(6), uint8(11), uint8(8), uint8(2), seed)
+	f.Add(uint8(8), uint8(7), uint8(16), uint8(2), seed)
+	f.Add(uint8(2), uint8(140), uint8(31), uint8(2), seed)
 	f.Fuzz(func(t *testing.T, mb, kb, nb, zb uint8, data []byte) {
 		m, k, n := fuzzShape(mb, kb, nb)
 		fill := fuzzOperands(data)

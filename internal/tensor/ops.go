@@ -101,7 +101,7 @@ func matMulInto(out, a, b, bias *Tensor, m, k, n int) {
 	parallelRows(m, func(lo, hi int) { abRows(out, a, b, bias, k, n, lo, hi) })
 }
 
-// abRows computes rows [lo,hi) of a·b (+bias): on nzKernel with useSIMD,
+// abRows computes rows [lo,hi) of a·b (+bias): on nzRows with useSIMD,
 // else on matMulRows, the scalar reference.
 func abRows(out, a, b, bias *Tensor, k, n, lo, hi int) {
 	if !useSIMD || k == 0 || n == 0 {
@@ -204,7 +204,7 @@ func MatMulATBInto(dst, a, b *Tensor) {
 	parallelRows(m, func(lo, hi int) { atbRows(dst, a, b, k, m, n, lo, hi) })
 }
 
-// atbRows writes rows [lo,hi) of aᵀ·b into out: on nzKernel with useSIMD,
+// atbRows writes rows [lo,hi) of aᵀ·b into out: on nzRows with useSIMD,
 // else on matMulATBRows, the scalar reference.
 func atbRows(out, a, b *Tensor, k, m, n, lo, hi int) {
 	if !useSIMD || k == 0 || n == 0 {
@@ -212,6 +212,37 @@ func atbRows(out, a, b *Tensor, k, m, n, lo, hi int) {
 		return
 	}
 	nzRows(out.Data, a.Data, b.Data, nil, 1, m, k, n, lo, hi)
+}
+
+// SumRowsInto computes dst[j] = Σ_i a[i,j], the sum of a's rows, reusing
+// dst's storage, which must hold a's column count: each element starts at
+// +0 and adds the rows in ascending order, the running sum the first
+// operand (a layer's bias gradient). With useSIMD it is 1ᵀ·a on nzRows,
+// the left operand one 1 read at stride 0: 1·a[i,j] is a[i,j] exactly,
+// and a 1 is never skipped, so every element repeats sumRows' sequence.
+func SumRowsInto(dst, a *Tensor) {
+	a.mustRank(2)
+	k, n := a.shape[0], a.shape[1]
+	if len(dst.Data) != n {
+		panicSumRowsDst(dst, n)
+	}
+	if !useSIMD || k == 0 || n == 0 {
+		sumRows(dst.Data, a.Data, k, n)
+		return
+	}
+	one := [1]float64{1}
+	nzRows(dst.Data, one[:], a.Data, nil, 0, 0, k, n, 0, 1)
+}
+
+// sumRows is SumRowsInto's scalar loop and the reference its SIMD path is
+// held to.
+func sumRows(dst, a []float64, k, n int) {
+	clear(dst)
+	for i := 0; i < k; i++ {
+		for j, v := range a[i*n:][:n] {
+			dst[j] += v
+		}
+	}
 }
 
 // matMulATBRows writes rows [lo,hi) of aᵀ·b into out: it zeroes them, then
@@ -298,43 +329,55 @@ type nonzero struct {
 }
 
 // nzTile is the number of b rows one pass of nzRows walks, and so the
-// length of its list. At the workloads' n ≤ 288 a tile of b is at most
-// 288 KiB, which stays in L2 while every output row of the pass runs over
-// it, and the list (2 KiB) lives on nzRows' stack: no scratch to recycle,
-// so no lock to share.
+// length of its list (2 KiB, on nzRows' stack: no scratch to recycle, so
+// no lock to share). A tile sized to L1 from n (32 KiB of b: 32 rows at
+// n = 128, 16 at n = 288) was measured and left out: it sped up rows
+// with no zeros by up to half, but slowed rows with 85–95 % zeros, the
+// paper CNN's conv2 gradients among them, by a fifth to a half, as each
+// such row pays a list, a kernel call and a load and store of its sums
+// per tile for the few entries the tile holds.
 const nzTile = 128
 
-// nzRows writes rows [lo,hi) of left·b (+bias) into out on nzKernel. Output
-// row i's left entries are left[i·rs + p·ps] for p < k: rs, ps = k, 1 is
-// a·b and 1, m is aᵀ·b. p runs in tiles of nzTile rows of b; per tile,
-// listKernel lists each row's nonzeros in ascending p, and nzKernel
-// accumulates them from +0 on the first tile and from the row's partial
-// sums after it, then adds the bias after the last. With useAVX512 a row's
-// first w = n&^63 columns run on nzKernelAVX512 and the rest on nzKernel,
-// each over the same list. Every element thus repeats the scalar loops'
-// sequence with zero products skipped.
+// narrowCols is the widest row nzNarrowAVX512 takes.
+const narrowCols = 32
+
+// nzRows writes rows [lo,hi) of left·b (+bias) into out on the SIMD
+// kernels. Output row i's left entries are left[i·rs + p·ps] for p < k:
+// rs, ps = k, 1 is a·b and 1, m is aᵀ·b. p runs in tiles of nzTile rows
+// of b, accumulated from +0 on the first tile and from the rows' partial
+// sums after it, the bias added after the last. With useAVX512, rows of
+// n ≤ narrowCols take one nzNarrowAVX512 call per tile for the whole
+// range, which tests each entry with an opmask. Other rows go one at a
+// time: listKernel lists the row's nonzeros in ascending p, and
+// nzKernelAVX512 (with useAVX512) or nzKernel accumulates them. Every
+// element thus repeats the scalar loops' sequence with zero products
+// skipped.
 func nzRows(out, left, b, bias []float64, rs, ps, k, n, lo, hi int) {
-	var list [nzTile]nonzero
-	var bp, bpw *float64
-	w := 0
-	if useAVX512 {
-		w = n &^ 63
+	var bp *float64
+	if useAVX512 && n <= narrowCols {
+		// Returns before the list is declared: zeroing its 2 KiB on every
+		// call took 1.2 % of sim_fedat_mlp's CPU.
+		for p0 := 0; p0 < k; p0 += nzTile {
+			p1 := min(p0+nzTile, k)
+			if p1 == k && bias != nil {
+				bp = &bias[0]
+			}
+			nzNarrowAVX512(&out[lo*n], &left[lo*rs+p0*ps], &b[p0*n], bp, hi-lo, p1-p0, rs, ps, n, p0 > 0)
+		}
+		return
 	}
+	var list [nzTile]nonzero
 	for p0 := 0; p0 < k; p0 += nzTile {
 		p1 := min(p0+nzTile, k)
 		if p1 == k && bias != nil {
 			bp = &bias[0]
-			if w < n {
-				bpw = &bias[w]
-			}
 		}
 		for i := lo; i < hi; i++ {
 			c := listKernel(&list[0], &left[i*rs+p0*ps], p1-p0, ps, p0*n*8, n*8)
-			if w > 0 {
-				nzKernelAVX512(&out[i*n], &b[0], &list[0], c, w, bp, p0 > 0)
-			}
-			if w < n {
-				nzKernel(&out[i*n+w], &b[w], &list[0], c, n-w, bpw, p0 > 0)
+			if useAVX512 {
+				nzKernelAVX512(&out[i*n], &b[0], &list[0], c, n, bp, p0 > 0)
+			} else {
+				nzKernel(&out[i*n], &b[0], &list[0], c, n, bp, p0 > 0)
 			}
 		}
 	}

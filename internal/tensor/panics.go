@@ -72,3 +72,8 @@ func panicCol2ImShape(op string, cols *Tensor, rows, colW int) {
 func panicConvDst(op string, dst *Tensor, shape ...int) {
 	panic(fmt.Sprintf("tensor: %s dst shape %v, want %v", op, dst.shape, shape))
 }
+
+//go:noinline
+func panicSumRowsDst(dst *Tensor, n int) {
+	panic(fmt.Sprintf("tensor: SumRowsInto dst shape %v, want %d elements", dst.shape, n))
+}
